@@ -35,7 +35,6 @@ from .bigfloat import (
     bf_to_float,
     bf_to_fraction,
     bf_two_power,
-    rdown,
     rup,
     rup_add,
     rup_div,
@@ -70,10 +69,7 @@ __all__ = [
     "asin_ball",
     "sin_ball",
     "cos_ball",
-    "tan_ball",
-    "sec_ball",
     "pow_rational",
-    "constants_and_elementary",
     "ball_to_str",
     "ball_from_str",
 ]
@@ -123,13 +119,6 @@ class Ball:
     def mag_sup(self) -> BigFloat:
         """Upper bound for |x| over the ball."""
         return rup_add(rup(bf_abs(self.mid)), self.rad)
-
-    def mag_inf(self) -> BigFloat:
-        """Lower bound for |x| over the ball (0 if the ball straddles 0)."""
-        c = bf_add_exact(bf_abs(self.mid), bf_neg(self.rad))
-        if c.sign <= 0:
-            return ZERO
-        return rdown(c)
 
     def width(self) -> BigFloat:
         return bf_shift(self.rad, 1)
@@ -646,22 +635,6 @@ def cos_ball(a: Ball, prec: int | None = None) -> Ball:
     return ball_widen(out, a.rad)
 
 
-def tan_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
-    c = cos_ball(a, prec + 8)
-    if c.contains_zero():
-        raise DomainViolation("tan argument too close to a pole")
-    return ball_round(ball_div(sin_ball(a, prec + 8), c, prec + 8), prec)
-
-
-def sec_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
-    c = cos_ball(a, prec + 8)
-    if c.contains_zero():
-        raise DomainViolation("sec argument too close to a pole")
-    return ball_round(ball_div(Ball.from_int(1, prec + 8), c, prec + 8), prec)
-
-
 def pow_rational(a: Ball, p: int, q: int, prec: int | None = None) -> Ball:
     """a**(p/q) for a certainly positive ball; q > 0."""
     prec = prec or a.prec
@@ -689,26 +662,6 @@ def pow_rational(a: Ball, p: int, q: int, prec: int | None = None) -> Ball:
     w = prec + 16
     out = exp_ball(ball_mul_rat(log_ball(a, w), p, q, w), w)
     return ball_round(out, prec)
-
-
-def constants_and_elementary(kind: str, a: Ball | None = None, *, prec: int) -> Ball:
-    """Single entry point over the certified constants and elementary kernels."""
-    if kind == "pi":
-        return pi_ball(prec)
-    if a is None:
-        raise ValueError("%s requires an argument ball" % kind)
-    table = {
-        "sqrt": sqrt_ball,
-        "arcsin": asin_ball,
-        "arctan": atan_ball,
-        "tan": tan_ball,
-        "sec": sec_ball,
-        "exp": exp_ball,
-        "log": log_ball,
-    }
-    if kind not in table:
-        raise ValueError("unknown elementary kind %r" % kind)
-    return table[kind](a, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,10 @@ __all__ = [
     "bf_neg",
     "bf_abs",
     "bf_cmp",
-    "bf_sign",
     "bf_shift",
     "bf_round",
     "bf_add",
     "bf_add_exact",
-    "bf_sub",
     "bf_mul",
     "bf_mul_rat",
     "bf_div",
@@ -42,8 +40,6 @@ __all__ = [
     "rup_mul",
     "rup_mul_rat",
     "rup_div",
-    "rdown",
-    "rdown_mul",
     "RADIUS_PREC",
 ]
 
@@ -199,10 +195,6 @@ def _cmp_mag(a: BigFloat, b: BigFloat) -> int:
     return -1 if x < y else 1
 
 
-def bf_sign(a: BigFloat) -> int:
-    return a.sign
-
-
 def bf_round(sign: int, man: int, exp: int, prec: int) -> tuple[BigFloat, BigFloat]:
     """Round sign*man*2**exp to prec bits, nearest (ties to even).
 
@@ -262,10 +254,6 @@ def bf_add(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
     if m == 0:
         return ZERO, ZERO
     return bf_round(1 if m > 0 else -1, abs(m), e0, prec)
-
-
-def bf_sub(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
-    return bf_add(a, bf_neg(b), prec)
 
 
 def bf_mul(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
@@ -403,22 +391,3 @@ def rup_div(a: BigFloat, b: BigFloat) -> BigFloat:
         shift = 0
     quo = (a.man << shift) // b.man + 1
     return rup(_norm(1, quo, a.exp - b.exp - shift))
-
-
-def rdown(a: BigFloat) -> BigFloat:
-    """Round a nonnegative value down to RADIUS_PREC bits."""
-    if a.sign == 0:
-        return ZERO
-    drop = a.man.bit_length() - RADIUS_PREC
-    if drop <= 0:
-        return a
-    m = a.man >> drop
-    if m == 0:
-        return ZERO
-    return _norm(1, m, a.exp + drop)
-
-
-def rdown_mul(a: BigFloat, b: BigFloat) -> BigFloat:
-    if a.sign == 0 or b.sign == 0:
-        return ZERO
-    return rdown(_norm(1, a.man * b.man, a.exp + b.exp))

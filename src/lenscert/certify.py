@@ -28,6 +28,7 @@ from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
 from .errors import (
     InvalidGeometry,
     NoValidPair,
+    NonPositiveBase,
     PrecisionExhausted,
     UnsupportedDimension,
 )
@@ -82,11 +83,43 @@ class Certificate:
 
 
 def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
+    """The competitor pairs certified at dimension n: "default", "all", or an
+    explicit list, each pair of which must satisfy k + l + 2 == n."""
+    if n < 4:
+        raise NoValidPair("no competitor pairs below dimension 4")
     if pairs == "default":
         return geom.default_pairs(n)
     if pairs == "all":
         return geom.all_pairs(n)
-    return [tuple(p) for p in pairs]
+    out = [tuple(p) for p in pairs]
+    for k, l in out:
+        if k + l + 2 != n:
+            raise ValueError("pair (%d,%d) does not match dimension %d" % (k, l, n))
+    return out
+
+
+def _escalate(attempt, accepted, prec_start: int, prec_max: int):
+    """Run attempt(prec) from prec_start, doubling prec until accepted(result)
+    holds or the next doubling would exceed prec_max.
+
+    A cancellation the ball layer reports (PrecisionExhausted, NonPositiveBase)
+    rejects the attempt like a failed acceptance test; on the last allowed
+    attempt it propagates.  Returns (result, prec, accepted).
+    """
+    prec = prec_start
+    while True:
+        last = prec * 2 > prec_max
+        try:
+            result = attempt(prec)
+        except (PrecisionExhausted, NonPositiveBase):
+            if last:
+                raise
+        else:
+            if accepted(result):
+                return result, prec, True
+            if last:
+                return result, prec, False
+        prec *= 2
 
 
 def certify_dimension(
@@ -113,45 +146,37 @@ def certify_dimension(
 
     pair_list = _resolve_pairs(n, pairs)
     tw = bf_from_float(target_width)
-    prec = prec_start
-    exhausted = False
-    while True:
+
+    def attempt(prec: int):
         lens = lens_eval(n, prec)
         energies = []
-        invalid = 0
         for k, l in pair_list:
             try:
                 energies.append(specfun_eval(k, l, prec))
             except InvalidGeometry:
-                if pairs == "all":
-                    invalid += 1
-                    continue
-                raise
+                if pairs != "all":
+                    raise
         if not energies:
             raise NoValidPair("no geometrically valid pair at dimension %d" % n)
 
         lam_str = ball_to_str(lens.lambda_plane)
         lam_parsed = ball_from_str(lam_str, prec)
         entries = []
-        undecided = False
         for en in energies:
             m_str = ball_to_str(en.m_value)
             strict = certainly_less(ball_from_str(m_str, prec), lam_parsed)
-            if strict is TriBool.UNKNOWN:
-                undecided = True
-            entries.append(
-                CertEntry(en.k, en.l, m_str, None, strict.value)
-            )
+            entries.append(CertEntry(en.k, en.l, m_str, None, strict.value))
+        return lens, lam_str, energies, entries
 
+    def accepted(result) -> bool:
+        lens, _, energies, entries = result
         widths_ok = bf_cmp(lens.lambda_plane.width(), tw) <= 0 and all(
             bf_cmp(en.m_value.width(), tw) <= 0 for en in energies
         )
-        if widths_ok and not undecided:
-            break
-        if prec * 2 > prec_max:
-            exhausted = True
-            break
-        prec *= 2
+        return widths_ok and all(e.strict != TriBool.UNKNOWN.value for e in entries)
+
+    result, prec, done = _escalate(attempt, accepted, prec_start, prec_max)
+    _, lam_str, energies, entries = result
 
     # independent-path agreement below the quadrature ceiling
     agreement_ok = True
@@ -169,7 +194,7 @@ def certify_dimension(
 
     if not agreement_ok or any(e.strict == TriBool.CERTAINLY_FALSE.value for e in entries):
         verdict = "Failed"
-    elif exhausted or any(e.strict != TriBool.CERTAINLY_TRUE.value for e in entries):
+    elif not done or any(e.strict != TriBool.CERTAINLY_TRUE.value for e in entries):
         verdict = "Undecided"
     else:
         verdict = "Proven"
@@ -283,26 +308,30 @@ def table_rows(
 ) -> list[TableRow]:
     rows = []
     width_cap = bf_from_float(0.5 * 10.0 ** (-digits))
+
+    def accepted(balls: list[Ball]) -> bool:
+        return all(
+            certified_decimal(b, digits) is not None and bf_cmp(b.width(), width_cap) < 0
+            for b in balls
+        )
+
     for n in sorted(n_range):
         pair_list = geom.table_pairs(n)
-        prec = prec_start
-        while True:
+
+        def attempt(prec: int) -> list[Ball]:
             lens = geom.lens_quantities(n, prec)
-            energies = [geom.competitor_energy_specfun(k, l, prec) for k, l in pair_list]
-            lam_str = certified_decimal(lens.lambda_plane, digits)
-            m_strs = [certified_decimal(e.m_value, digits) for e in energies]
-            widths_ok = bf_cmp(lens.lambda_plane.width(), width_cap) < 0 and all(
-                bf_cmp(e.m_value.width(), width_cap) < 0 for e in energies
+            return [lens.lambda_plane] + [
+                geom.competitor_energy_specfun(k, l, prec).m_value for k, l in pair_list
+            ]
+
+        balls, _, done = _escalate(attempt, accepted, prec_start, prec_max)
+        if not done:
+            raise PrecisionExhausted(
+                "cannot certify %d decimals at dimension %d" % (digits, n)
             )
-            if lam_str is not None and all(s is not None for s in m_strs) and widths_ok:
-                break
-            if prec * 2 > prec_max:
-                raise PrecisionExhausted(
-                    "cannot certify %d decimals at dimension %d" % (digits, n)
-                )
-            prec *= 2
-        for i, (en, ms) in enumerate(zip(energies, m_strs)):
-            rows.append(TableRow(n, en.k, en.l, lam_str if i == 0 else None, ms))
+        lam_str, *m_strs = [certified_decimal(b, digits) for b in balls]
+        for i, ((k, l), ms) in enumerate(zip(pair_list, m_strs)):
+            rows.append(TableRow(n, k, l, lam_str if i == 0 else None, ms))
     return rows
 
 
@@ -358,17 +387,18 @@ def plot_rows(
     rows = []
     tw = bf_from_float(target_width)
     for n in sorted(n_range):
-        k, l = geom.plot_pair(n)
-        prec = prec_start
-        while True:
+        k, l = geom.default_pairs(n)[0]
+
+        def attempt(prec: int) -> Ball:
             lens = geom.lens_quantities(n, prec)
             en = geom.competitor_energy_specfun(k, l, prec)
-            gap = ball_sub(lens.lambda_plane, en.m_value)
-            if bf_cmp(gap.width(), tw) <= 0:
-                break
-            if prec * 2 > prec_max:
-                raise PrecisionExhausted("gap width target unreachable at n=%d" % n)
-            prec *= 2
+            return ball_sub(lens.lambda_plane, en.m_value)
+
+        gap, _, done = _escalate(
+            attempt, lambda g: bf_cmp(g.width(), tw) <= 0, prec_start, prec_max
+        )
+        if not done:
+            raise PrecisionExhausted("gap width target unreachable at n=%d" % n)
         rows.append(PlotRow(n, k, l, ball_to_str(gap)))
     return rows
 

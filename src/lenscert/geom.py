@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import oracle, specfun
-from .bigfloat import BigFloat, bf_cmp, bf_from_float, bf_to_float
+from .bigfloat import bf_from_float, bf_to_float
 from .ball import (
     Ball,
     TriBool,
@@ -53,10 +53,8 @@ __all__ = [
     "competitor_energy_specfun",
     "competitor_energy_quadrature",
     "assemble_competitor",
-    "lambda_lawson_upper",
     "default_pairs",
     "table_pairs",
-    "plot_pair",
     "all_pairs",
 ]
 
@@ -443,7 +441,7 @@ def competitor_energy_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# pair selection and the upper bound over pairs
+# pair selection
 # ---------------------------------------------------------------------------
 
 
@@ -477,50 +475,7 @@ def table_pairs(n: int) -> list[tuple[int, int]]:
     return default_pairs(n)
 
 
-def plot_pair(n: int) -> tuple[int, int]:
-    if n < 4:
-        raise NoValidPair("no competitor pairs below dimension 4")
-    if n % 2 == 0:
-        k = n // 2 - 1
-        return (k, k)
-    return ((n - 3) // 2, (n - 1) // 2)
-
-
 def all_pairs(n: int) -> list[tuple[int, int]]:
     if n < 4:
         raise NoValidPair("no competitor pairs below dimension 4")
     return [(k, n - 2 - k) for k in range(1, n - 2) if _valid_ratio(k, n - 2 - k)]
-
-
-def lambda_lawson_upper(
-    n: int, pairs="default", prec: int = 128
-) -> tuple[CompetitorEnergy, list[CompetitorEnergy]]:
-    """Certified upper bound for the cone-competitor energy at dimension n:
-    the minimum (by upper endpoint) of m-values over the requested pairs."""
-    if n < 4:
-        raise NoValidPair("no competitor pairs below dimension 4")
-    if pairs == "default":
-        candidates = default_pairs(n)
-        skip_invalid = False
-    elif pairs == "all":
-        candidates = all_pairs(n)
-        skip_invalid = True
-    else:
-        candidates = list(pairs)
-        skip_invalid = False
-    results = []
-    for k, l in candidates:
-        if k + l + 2 != n:
-            raise ValueError("pair (%d,%d) does not match dimension %d" % (k, l, n))
-        try:
-            results.append(competitor_energy_specfun(k, l, prec))
-        except InvalidGeometry:
-            if not skip_invalid:
-                raise
-    if not results:
-        raise NoValidPair("no geometrically valid pair at dimension %d" % n)
-    best = results[0]
-    for cand in results[1:]:
-        if bf_cmp(cand.m_value.sup(), best.m_value.sup()) < 0:
-            best = cand
-    return best, results

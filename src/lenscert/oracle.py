@@ -62,11 +62,8 @@ __all__ = [
     "Scheme",
     "QuadratureTask",
     "verified_integral",
-    "verified_integrals",
     "polynomial_integrand",
-    "cos_power_integrand",
     "sqrt_power_integrand",
-    "arc_profile_integrand",
     "picard_integrand",
     "LensExact",
     "lens_exact_wallis",
@@ -90,12 +87,11 @@ class Scheme(Enum):
 
 @dataclass
 class Integrand:
-    """Evaluable descriptor; eval/deriv map an argument ball to value balls."""
+    """Evaluable descriptor; eval/deriv map an argument ball to a value ball."""
 
     label: str
-    eval_point: Callable[[Ball], tuple[Ball, ...]]
-    eval_deriv: Optional[Callable[[Ball], tuple[Ball, ...]]] = None
-    arity: int = 1
+    eval_point: Callable[[Ball], Ball]
+    eval_deriv: Optional[Callable[[Ball], Ball]] = None
 
 
 @dataclass
@@ -115,37 +111,27 @@ def _as_bigfloat(width) -> BigFloat:
 
 
 def verified_integral(task: QuadratureTask, target_width, budget: int = 100_000) -> Ball:
-    out = verified_integrals(task, target_width, budget)
-    if len(out) != 1:
-        raise ValueError("verified_integral needs an arity-1 integrand")
-    return out[0]
-
-
-def verified_integrals(task: QuadratureTask, target_width, budget: int = 100_000) -> tuple[Ball, ...]:
-    """Enclosures of the integral(s) of a (possibly vector) integrand."""
+    """Enclosure of the integral of task.integrand over [lower, upper]."""
     w = task.prec
     target = _as_bigfloat(target_width)
     f = task.integrand
-    k = f.arity
     a0, b0 = task.lower.mid, task.upper.mid
     if bf_cmp(a0, b0) > 0:
         raise ValueError("integration endpoints out of order")
     total_len = bf_add_exact(b0, bf_neg(a0))
 
     evals = 0
-    slop = [ZERO] * k
+    slop = ZERO
 
     # endpoint balls: the integral over the uncertain sliver is bounded by
     # radius times the integrand magnitude there
     for endp in (task.lower, task.upper):
         if endp.rad.sign:
-            vals = f.eval_point(endp)
             evals += 1
-            for i in range(k):
-                slop[i] = rup_add(slop[i], rup_mul(endp.rad, vals[i].mag_sup()))
+            slop = rup_add(slop, rup_mul(endp.rad, f.eval_point(endp).mag_sup()))
 
     if total_len.sign == 0:
-        return tuple(Ball(ZERO, slop[i], w) for i in range(k))
+        return Ball(ZERO, slop, w)
 
     # initial uniform grid
     n0 = max(1, task.subdivisions)
@@ -155,7 +141,7 @@ def verified_integrals(task: QuadratureTask, target_width, budget: int = 100_000
     points.append(b0)
     stack = [(points[j], points[j + 1]) for j in range(n0 - 1, -1, -1)]
 
-    acc = [Ball.from_int(0, w) for _ in range(k)]
+    acc = Ball.from_int(0, w)
     # below this length bisection cannot shrink the enclosure further
     min_len = bf_two_power(bf_msb_exp(total_len) - w + 16)
     use_deriv = task.scheme is Scheme.MIDPOINT_DERIVATIVE and f.eval_deriv is not None
@@ -172,17 +158,15 @@ def verified_integrals(task: QuadratureTask, target_width, budget: int = 100_000
                 "quadrature budget exhausted on %s" % task.integrand.label
             )
         share = _piece_share(target, seg, total_len)
-        too_wide = any(bf_cmp(p.width(), share) > 0 for p in piece)
-        if too_wide and bf_cmp(seg, min_len) > 0:
+        if bf_cmp(piece.width(), share) > 0 and bf_cmp(seg, min_len) > 0:
             mid = _bf_midpoint(u, v, w)
             if bf_cmp(u, mid) < 0 and bf_cmp(mid, v) < 0:
                 stack.append((mid, v))
                 stack.append((u, mid))
                 continue
-        for i in range(k):
-            acc[i] = ball_add(acc[i], piece[i], w)
+        acc = ball_add(acc, piece, w)
 
-    return tuple(ball_widen(acc[i], slop[i]) for i in range(k))
+    return ball_widen(acc, slop)
 
 
 def _bf_fraction_point(a0: BigFloat, total: BigFloat, j: int, n: int, w: int) -> BigFloat:
@@ -203,33 +187,29 @@ def _piece_share(target: BigFloat, seg: BigFloat, total_len: BigFloat) -> BigFlo
 
 
 def _piece_enclosure(f: Integrand, u: BigFloat, v: BigFloat, seg: BigFloat, w: int, use_deriv: bool):
-    k = f.arity
     seg_ball = Ball.point(seg, w)
     hull = ball_from_endpoints(u, v, w)
     if not use_deriv:
-        vals = f.eval_point(hull)
-        return [ball_mul(vals[i], seg_ball, w) for i in range(k)], 1
+        return ball_mul(f.eval_point(hull), seg_ball, w), 1
     m = _bf_midpoint(u, v, w)
     if not (bf_cmp(u, m) <= 0 and bf_cmp(m, v) <= 0):
-        vals = f.eval_point(hull)
-        return [ball_mul(vals[i], seg_ball, w) for i in range(k)], 1
+        return ball_mul(f.eval_point(hull), seg_ball, w), 1
     fm = f.eval_point(Ball.point(m, w))
     fd = f.eval_deriv(hull)
     dv = bf_add_exact(v, bf_neg(m))
     du = bf_add_exact(m, bf_neg(u))
-    dv2 = bf_round(1, dv.man * dv.man, 2 * dv.exp, w)[0] if dv.sign else ZERO
-    du2 = bf_round(1, du.man * du.man, 2 * du.exp, w)[0] if du.sign else ZERO
-    # I1 = integral of (t - m) dt, exact up to rounding; I2 bounds integral |t - m|
-    i1 = Ball.point(bf_shift(bf_add_exact(dv2, bf_neg(du2)), -1), w)
-    i2 = rup(bf_shift(rup_add(rup(dv2), rup(du2)), -1))
-    out = []
-    for i in range(k):
-        base = ball_mul(fm[i], seg_ball, w)
-        centered = Ball.point(fd[i].mid, w)
-        base = ball_add(base, ball_mul(centered, i1, w), w)
-        base = ball_widen(base, rup_mul(fd[i].rad, i2))
-        out.append(base)
-    return out, 2
+    dv2, ev = bf_round(1, dv.man * dv.man, 2 * dv.exp, w) if dv.sign else (ZERO, ZERO)
+    du2, eu = bf_round(1, du.man * du.man, 2 * du.exp, w) if du.sign else (ZERO, ZERO)
+    # I1 = integral of (t - m) dt = (dv^2 - du^2)/2 and I2 >= integral of
+    # |t - m| dt = (dv^2 + du^2)/2, each carrying the rounding errors of the
+    # squares
+    err = rup(bf_shift(rup_add(rup(ev), rup(eu)), -1))
+    i1 = Ball(bf_shift(bf_add_exact(dv2, bf_neg(du2)), -1), err, w)
+    i2 = rup_add(rup(bf_shift(rup_add(rup(dv2), rup(du2)), -1)), err)
+    base = ball_mul(fm, seg_ball, w)
+    centered = Ball.point(fd.mid, w)
+    base = ball_add(base, ball_mul(centered, i1, w), w)
+    return ball_widen(base, rup_mul(fd.rad, i2)), 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,40 +230,17 @@ def polynomial_integrand(coeffs) -> Integrand:
         return out
 
     def _eval(t: Ball):
-        return (_horner(cs, t),)
+        return _horner(cs, t)
 
     def _deriv(t: Ball):
         if not ds:
-            return (Ball.from_int(0, t.prec),)
-        return (_horner(ds, t),)
+            return Ball.from_int(0, t.prec)
+        return _horner(ds, t)
 
     return Integrand(
         label="polynomial(deg=%d)" % (len(cs) - 1),
         eval_point=_eval,
         eval_deriv=_deriv,
-    )
-
-
-def cos_power_integrand(m: int, scale=1) -> Integrand:
-    """scale * cos(t)**m."""
-    sc = Fraction(scale)
-
-    def _eval(t: Ball):
-        w = t.prec
-        c = cos_ball(t, w)
-        return (ball_mul_rat(ball_pow_int(c, m, w), sc.numerator, sc.denominator, w),)
-
-    def _deriv(t: Ball):
-        w = t.prec
-        c = cos_ball(t, w)
-        s = sin_ball(t, w)
-        out = ball_mul(ball_pow_int(c, m - 1, w), s, w)
-        return (ball_mul_rat(out, -m * sc.numerator, sc.denominator, w),)
-
-    return Integrand(
-        label="cos^%d" % m,
-        eval_point=_eval,
-        eval_deriv=_deriv if m >= 1 else None,
     )
 
 
@@ -312,12 +269,12 @@ def sqrt_power_integrand(p: int) -> Integrand:
         return ball_sub(Ball.from_int(1, w), ball_mul(t, t, w), w)
 
     def _eval(t: Ball):
-        return (_pow_half_touching(_base(t), p, t.prec),)
+        return _pow_half_touching(_base(t), p, t.prec)
 
     def _deriv(t: Ball):
         w = t.prec
         out = ball_mul(t, _pow_half_touching(_base(t), p - 2, w), w)
-        return (ball_mul_rat(out, -p, 1, w),)
+        return ball_mul_rat(out, -p, 1, w)
 
     return Integrand(
         label="(1-t^2)^(%d/2)" % p,
@@ -326,47 +283,14 @@ def sqrt_power_integrand(p: int) -> Integrand:
     )
 
 
-def arc_profile_integrand(radius: Ball, offset: Ball, k: int, exponents: tuple[int, ...]) -> Integrand:
-    """(radius*sin t - offset)**k * cos(t)**j for each j in exponents.
-
-    The trig-substituted competitor integrands; all components share one
-    sin/cos evaluation per node.
-    """
-
-    def _eval(t: Ball):
-        w = t.prec
-        s = sin_ball(t, w)
-        c = cos_ball(t, w)
-        base = ball_sub(ball_mul(radius, s, w), offset, w)
-        bk = ball_pow_int(base, k, w)
-        return tuple(ball_mul(bk, ball_pow_int(c, j, w), w) for j in exponents)
-
-    def _deriv(t: Ball):
-        w = t.prec
-        s = sin_ball(t, w)
-        c = cos_ball(t, w)
-        base = ball_sub(ball_mul(radius, s, w), offset, w)
-        bk = ball_pow_int(base, k, w)
-        bk1 = ball_pow_int(base, k - 1, w) if k >= 1 else Ball.from_int(0, w)
-        rc = ball_mul(radius, c, w)
-        out = []
-        for j in exponents:
-            cj = ball_pow_int(c, j, w)
-            term1 = ball_mul_rat(ball_mul(ball_mul(rc, bk1, w), cj, w), k, 1, w)
-            if j >= 1:
-                cj1 = ball_pow_int(c, j - 1, w)
-                term2 = ball_mul_rat(ball_mul(ball_mul(cj1, s, w), bk, w), j, 1, w)
-                out.append(ball_sub(term1, term2, w))
-            else:
-                out.append(term1)
-        return tuple(out)
-
-    return Integrand(
-        label="arc-profile k=%d exps=%s" % (k, list(exponents)),
-        eval_point=_eval,
-        eval_deriv=_deriv,
-        arity=len(exponents),
-    )
+def _arc_profile_values(radius: Ball, offset: Ball, k: int, exponents: tuple[int, ...], t: Ball):
+    """(radius*sin t - offset)**k * cos(t)**j for each j in exponents."""
+    w = t.prec
+    s = sin_ball(t, w)
+    c = cos_ball(t, w)
+    base = ball_sub(ball_mul(radius, s, w), offset, w)
+    bk = ball_pow_int(base, k, w)
+    return tuple(ball_mul(bk, ball_pow_int(c, j, w), w) for j in exponents)
 
 
 def arc_profile_quadrature(
@@ -396,10 +320,9 @@ def arc_profile_quadrature(
     arity = len(exponents)
 
     slop = [ZERO] * arity
-    probe = arc_profile_integrand(radius, offset, kk, exponents)
     for endp in (lower, upper):
         if endp.rad.sign:
-            vals = probe.eval_point(endp)
+            vals = _arc_profile_values(radius, offset, kk, exponents, endp)
             for i in range(arity):
                 slop[i] = rup_add(slop[i], rup_mul(endp.rad, vals[i].mag_sup()))
     if total_len.sign == 0:
@@ -561,7 +484,7 @@ def picard_integrand(a: Fraction, b1: Fraction, b2: Fraction, diff: int, x: Ball
         out = ball_mul(g1, ball_mul(g3, g4, w_), w_)
         if diff > 1:
             out = ball_mul(out, ball_pow_int(ball_sub(one, t, w_), diff - 1, w_), w_)
-        return (out,)
+        return out
 
     def _deriv(t: Ball):
         w_ = t.prec
@@ -588,7 +511,7 @@ def picard_integrand(a: Fraction, b1: Fraction, b2: Fraction, diff: int, x: Ball
         g4p = pow_rational(ball_sub(one, ball_mul(y, t, w_), w_), e4.numerator, e4.denominator, w_)
         term4 = ball_mul(ball_mul(ball_mul(g1, g2, w_), g3, w_), ball_mul(y, g4p, w_), w_)
         total = ball_add(total, ball_mul_rat(term4, b2.numerator, b2.denominator, w_), w_)
-        return (total,)
+        return total
 
     return Integrand(
         label="picard a=%s b1=%s b2=%s" % (a, b1, b2),

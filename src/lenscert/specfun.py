@@ -39,9 +39,7 @@ from .ball import (
     ball_sub,
     ball_widen,
     asin_ball,
-    certainly_positive,
     pi_ball,
-    pow_rational,
     sqrt_ball,
 )
 from .errors import DivergentParameters, DomainViolation, InvalidC, PrecisionExhausted
@@ -59,7 +57,6 @@ __all__ = [
     "eval_closed_form",
     "appell_f1",
     "appell_f1_quadrature",
-    "incomplete_beta",
 ]
 
 
@@ -528,35 +525,4 @@ def appell_f1_quadrature(
         rising *= a + i
     factor = rising / math.factorial(int(diff) - 1)
     out = ball_mul_rat(integral, factor.numerator, factor.denominator, w)
-    return ball_round(out, prec)
-
-
-# ---------------------------------------------------------------------------
-# incomplete beta
-# ---------------------------------------------------------------------------
-
-
-def incomplete_beta(z: Ball, a, b, prec: int) -> Ball:
-    """B(z; a, b) = z^a / a * 2F1(a, 1-b; a+1; z) for a > 0, z in (0, 1]."""
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0:
-        raise DomainViolation("incomplete beta requires a > 0")
-    w = prec + 8
-    if z.is_exact() and bf_to_fraction(z.mid) == 1:
-        # complete beta via exact half-integer gamma values
-        if (2 * a).denominator != 1 or (2 * b).denominator != 1 or b <= 0:
-            raise DomainViolation("complete beta implemented for positive half-integers")
-        q, s = gamma_half_product(
-            [int(2 * a), int(2 * b)], [int(2 * a + 2 * b)]
-        )
-        return sqrt_pi_power_ball(q, s, prec)
-    if not certainly_positive(z):
-        raise DomainViolation("z must be certainly positive")
-    zsup = Fraction(bf_to_fraction(z.mag_sup()))
-    if zsup >= 1:
-        raise DomainViolation("z must be certainly below 1")
-    za = pow_rational(z, a.numerator, a.denominator, w)
-    f = gauss_2f1(a, 1 - b, a + 1, z, w)
-    inv_a = Fraction(1) / a
-    out = ball_mul_rat(ball_mul(za, f, w), inv_a.numerator, inv_a.denominator, w)
     return ball_round(out, prec)

@@ -301,7 +301,7 @@ class TestCriterion6Monotonicity:
         lens = {n: geom.lens_quantities(n, prec).lambda_plane for n in range(8, 65)}
         gaps = {}
         for n in range(8, 65):
-            k, l = geom.plot_pair(n)
+            k, l = geom.default_pairs(n)[0]
             gaps[n] = ball_sub(lens[n], geom.competitor_energy_specfun(k, l, prec).m_value)
         for n in range(8, 64):
             v = certainly_less(lens[n], lens[n + 1])

@@ -5,10 +5,15 @@ import sys
 import pytest
 
 from lenscert import certify as C
-from lenscert import geom, oracle
+from lenscert import cli, geom, oracle
 from lenscert.ball import Ball, ball_from_str, ball_widen, certainly_less, TriBool
 from lenscert.bigfloat import bf_two_power
-from lenscert.errors import NoValidPair, PrecisionExhausted, UnsupportedDimension
+from lenscert.errors import (
+    NonPositiveBase,
+    NoValidPair,
+    PrecisionExhausted,
+    UnsupportedDimension,
+)
 
 
 class TestCertifyDimension:
@@ -65,6 +70,29 @@ class TestCertifyDimension:
         cert = C.certify_dimension(8, pairs=[(3, 3)], specfun_eval=poisoned_specfun)
         assert cert.verdict == "Failed"
         assert cert.entries[0].path_agreement is False
+
+    def test_cancellation_rejects_the_attempt(self):
+        """a ball-layer cancellation below 256 bits escalates the precision;
+        on the last allowed attempt it propagates"""
+
+        def lens_eval(n, prec):
+            if prec < 256:
+                raise NonPositiveBase("synthetic cancellation at %d bits" % prec)
+            return geom.lens_quantities(n, prec)
+
+        cert = C.certify_dimension(8, lens_eval=lens_eval, quadrature_max_n=0)
+        assert cert.verdict == "Proven"
+        assert cert.precision_bits == 256
+        with pytest.raises(NonPositiveBase):
+            C.certify_dimension(8, lens_eval=lens_eval, prec_max=128, quadrature_max_n=0)
+
+    def test_pair_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            C.certify_dimension(8, pairs=[(2, 3)], quadrature_max_n=0)
+
+    def test_rejects_low_dimension(self):
+        with pytest.raises(NoValidPair):
+            C.certify_dimension(3, pairs=[(1, 0)])
 
     def test_verdict_stability_under_higher_precision(self):
         low = C.certify_dimension(9, prec_start=128)
@@ -128,7 +156,9 @@ class TestTable:
 class TestPlot:
     def test_rows_and_positivity(self):
         rows = C.plot_rows(range(8, 13))
-        assert [r.n for r in rows] == [8, 9, 10, 11, 12]
+        assert [(r.n, r.k, r.l) for r in rows] == [
+            (8, 3, 3), (9, 3, 4), (10, 4, 4), (11, 4, 5), (12, 5, 5),
+        ]
         for r in rows:
             gap = ball_from_str(r.gap, 128)
             assert gap.inf().sign > 0
@@ -203,6 +233,11 @@ class TestCli:
         r = self.run_cli("exact", "--n", "8", "--mode", "simons")
         assert r.returncode == 0, r.stderr
         assert "-699776" in r.stdout
+
+    def test_long_run_escalates_past_lens_cancellation(self, capsys):
+        """from n = 396 the lens side cancels at 128 bits"""
+        assert cli.main(["certify", "--n", "396", "--long-run"]) == 0
+        assert "n=396 verdict=Proven precision=256" in capsys.readouterr().out
 
     def test_desk_cap(self):
         r = self.run_cli("certify", "--n", "8..500")

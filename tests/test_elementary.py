@@ -10,9 +10,7 @@ from lenscert.ball import (
     ball_add,
     ball_mul,
     ball_mul_rat,
-    ball_sub,
     ball_widen,
-    constants_and_elementary,
     cos_ball,
     exp_ball,
     intersects,
@@ -20,10 +18,8 @@ from lenscert.ball import (
     log_ball,
     pi_ball,
     pow_rational,
-    sec_ball,
     sin_ball,
     sqrt_ball,
-    tan_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_two_power
 from lenscert.errors import DomainViolation, NonPositiveBase
@@ -70,27 +66,6 @@ def test_arcsin_domain_error():
         asin_ball(Ball.from_int(1, 64))
 
 
-def test_tan_sec_at_75_degrees():
-    """exact algebraic values tan(5pi/12) = 2+sqrt3, sec(5pi/12) = sqrt6+sqrt2"""
-    prec = 128
-    ang = ball_mul_rat(pi_ball(prec), 5, 12)
-    t = tan_ball(ang)
-    sc = sec_ball(ang)
-    s3 = sqrt_ball(Ball.from_int(3, prec))
-    assert intersects(t, ball_add(Ball.from_int(2, prec), s3))
-    assert intersects(sc, ball_add(sqrt_ball(Ball.from_int(6, prec)), sqrt_ball(Ball.from_int(2, prec))))
-    # squaring identities pin the values exactly
-    assert ball_sub(ball_mul(t, t), Ball.from_int(7, prec)).contains_fraction(
-        0
-    ) is False  # tan^2 = 7 + 4 sqrt3, irrational
-    assert ball_sub(ball_mul(sc, sc), ball_mul(t, t)).contains_fraction(1)
-
-
-def test_tan_pole_rejected():
-    with pytest.raises(DomainViolation):
-        tan_ball(ball_mul_rat(pi_ball(96), 1, 2))
-
-
 def test_sin_cos_pythagoras_random():
     rng = random.Random(13)
     for _ in range(50):
@@ -117,10 +92,3 @@ def test_pow_rational_two_precision():
         assert intersects(lo, hi)
         assert bf_cmp(hi.width(), lo.width()) <= 0
 
-
-def test_dispatcher():
-    assert constants_and_elementary("pi", prec=64).contains_fraction(Fraction(355, 113)) is False
-    v = constants_and_elementary("sqrt", Ball.from_int(9, 64), prec=64)
-    assert v.contains_fraction(3)
-    with pytest.raises(ValueError):
-        constants_and_elementary("nope", Ball.from_int(1, 64), prec=64)

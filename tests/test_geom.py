@@ -36,6 +36,7 @@ LAMBDA_PLANE = {
     16: "11.72168941",
 }
 M_VALUES = {
+    (2, 4): "6.80044050",
     (3, 3): "6.81857964",
     (3, 4): "7.47738791",
     (4, 4): "8.10554833",
@@ -204,31 +205,13 @@ class TestPairSelection:
         assert geom.table_pairs(16) == [(7, 7)]
 
     def test_plot_pair(self):
-        assert geom.plot_pair(8) == (3, 3)
-        assert geom.plot_pair(9) == (3, 4)
+        # the gap plot uses the first default pair of each dimension
+        from lenscert.certify import plot_rows
+
+        assert [(r.n, r.k, r.l) for r in plot_rows([8, 9])] == [(8, 3, 3), (9, 3, 4)]
 
     def test_all_pairs_ratio_gate(self):
         pairs = geom.all_pairs(10)
         assert (1, 7) not in pairs and (7, 1) not in pairs
         assert (3, 5) in pairs and (4, 4) in pairs
 
-    def test_lambda_lawson_upper_n8(self):
-        # over the default pair set {(3,3), (2,4)} the (2,4) competitor wins
-        best, results = geom.lambda_lawson_upper(8, "default", 128)
-        assert (best.k, best.l) == (2, 4)
-        assert eight_decimals(best.m_value) == "6.80044050"
-        by_pair = {(r.k, r.l): r for r in results}
-        assert eight_decimals(by_pair[(3, 3)].m_value) == "6.81857964"
-
-    def test_lambda_lawson_upper_central_only(self):
-        best, _ = geom.lambda_lawson_upper(8, [(3, 3)], 128)
-        assert (best.k, best.l) == (3, 3)
-        assert eight_decimals(best.m_value) == "6.81857964"
-
-    def test_lambda_lawson_upper_n14_all_central(self):
-        best, results = geom.lambda_lawson_upper(14, [(6, 6), (5, 7)], 128)
-        assert (best.k, best.l) == (5, 7)
-
-    def test_lambda_lawson_upper_rejects_low_dim(self):
-        with pytest.raises(NoValidPair):
-            geom.lambda_lawson_upper(2, "default", 64)

@@ -77,21 +77,49 @@ class TestVerifiedIntegral:
                 scheme=oracle.Scheme.INTERVAL_SUM,
             )
             integ = oracle.polynomial_integrand(coeffs)
-            wide = oracle.verified_integrals(
+            wide = oracle.verified_integral(
                 oracle.QuadratureTask(integ, subdivisions=16, **kwargs),
                 1e300,
                 budget=10_000,
-            )[0]
-            narrow = oracle.verified_integrals(
+            )
+            narrow = oracle.verified_integral(
                 oracle.QuadratureTask(integ, subdivisions=32, **kwargs),
                 1e300,
                 budget=10_000,
-            )[0]
+            )
             assert intersects(wide, narrow)
             assert (
                 bf_cmp(narrow.width(), wide.width()) <= 0
                 or bf_cmp(narrow.width(), floor) <= 0
             )
+
+    def test_midpoint_piece_keeps_rounding_of_squares(self):
+        """one midpoint-derivative piece of the integral of t: the squared
+        half-lengths are rounded to the working precision, and the enclosure
+        must carry that rounding error"""
+        lo, hi = Fraction(-197, 256), Fraction(217, 4)
+        task = oracle.QuadratureTask(
+            oracle.polynomial_integrand([0, 1]),
+            Ball.from_fraction(lo, 8),
+            Ball.from_fraction(hi, 8),
+            prec=8,
+            subdivisions=1,
+        )
+        out = oracle.verified_integral(task, 1e300)
+        assert out.contains_fraction((hi * hi - lo * lo) / 2)
+        rng = random.Random(5)
+        for _ in range(300):
+            a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            b = a + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            task = oracle.QuadratureTask(
+                oracle.polynomial_integrand([0, 1]),
+                Ball.from_fraction(a, 64),
+                Ball.from_fraction(b, 64),
+                prec=64,
+                subdivisions=1,
+            )
+            out = oracle.verified_integral(task, 1e300)
+            assert out.contains_fraction((b * b - a * a) / 2), (a, b)
 
     def test_budget_exceeded(self):
         task = oracle.QuadratureTask(

@@ -272,39 +272,3 @@ class TestAppellQuadrature:
                     )
                     assert intersects(series, quad), (n, k, l, b)
 
-
-class TestIncompleteBeta:
-    def test_complete_beta_half_integers(self):
-        prec = 96
-        one = Ball.from_int(1, prec)
-        out = specfun.incomplete_beta(one, Fraction(1, 2), Fraction(9, 2), prec)
-        # B(1/2, 9/2) = Gamma(1/2) Gamma(9/2) / Gamma(5) = 105 pi / 384
-        assert intersects(out, ball_mul_rat(pi_ball(prec), 105, 384))
-
-    def test_limit_toward_zero(self):
-        prec = 64
-        for e in (6, 12, 20):
-            z = Ball.from_fraction(Fraction(1, 10**e), prec)
-            out = specfun.incomplete_beta(z, Fraction(1, 2), Fraction(9, 2), prec)
-            assert bf_to_fraction(out.mag_sup()) < Fraction(1, 10 ** (e // 2 - 1))
-
-    def test_against_quadrature(self):
-        """B(1/4; 1/2, 9/2) versus cos-power quadrature after s = sin^2"""
-        from lenscert import oracle
-
-        prec = 96
-        z = Ball.from_fraction(Fraction(1, 4), prec)
-        beta = specfun.incomplete_beta(z, Fraction(1, 2), Fraction(9, 2), prec)
-        task = oracle.QuadratureTask(
-            oracle.cos_power_integrand(8, 2),
-            Ball.from_int(0, prec),
-            ball_mul_rat(pi_ball(prec), 1, 6),
-            prec=prec,
-        )
-        quad = oracle.verified_integral(task, 1e-7, budget=200_000)
-        assert intersects(beta, quad)
-
-    def test_rejects_bad_parameters(self):
-        z = Ball.from_fraction(Fraction(1, 4), 64)
-        with pytest.raises(DomainViolation):
-            specfun.incomplete_beta(z, Fraction(-1, 2), Fraction(1, 2), 64)
