@@ -465,14 +465,12 @@ def default_pairs(n: int) -> list[tuple[int, int]]:
 
 def table_pairs(n: int) -> list[tuple[int, int]]:
     """Rows of the reference table: the odd-odd companion appears only when
-    the central index is even."""
-    if n % 2 == 0:
-        k = n // 2 - 1
-        pairs = [(k, k)]
-        if k % 2 == 0 and k >= 2:
-            pairs.append((k - 1, k + 1))
-        return pairs
-    return default_pairs(n)
+    the central index is even and the companion's geometry is valid."""
+    pairs = default_pairs(n)[:1]
+    k = n // 2 - 1
+    if n % 2 == 0 and k % 2 == 0 and _valid_ratio(k - 1, k + 1):
+        pairs.append((k - 1, k + 1))
+    return pairs
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

@@ -1,11 +1,15 @@
 """Certified special functions.
 
-Half-integer gamma values are exact rationals times a power of sqrt(pi);
-hypergeometric series carry explicit geometric tail bounds, with terminating
-parameter patterns summed exactly in rational arithmetic.  The Appell F1
-evaluation follows the iterated-series reduction; the c = a+1 pattern (the
-only one the energy formulas produce) collapses to the separable double sum
-a * sum P_m Q_n / (a+m+n), which is evaluated with per-row tail bounds.
+Half-integer gamma values are exact rationals times a power of sqrt(pi).
+Every hypergeometric series, terminating or not, follows one tail rule: from
+an index N past which every term ratio is at most some q < 1 in absolute
+value (q = |z| from the exact `_ratio_threshold` on), the series stops at
+the first term t with |t| q / (1 - q) <= tol and is widened by that bound.
+Only a terminating series with no such bound runs to its last term, and a
+terminating 2F1 at a point argument is summed exactly in rationals.  Appell
+F1 follows the iterated reduction, whose outer series obeys the same rule
+with every inner 2F1 bounded by sum |(b1)_m| / m! |x|^m; its c = a+1 case
+collapses to the separable double sum a * sum P_m Q_n / (a+m+n).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .bigfloat import (
     ZERO,
     ONE,
     bf_cmp,
+    bf_msb_exp,
     bf_to_fraction,
     bf_two_power,
     rup,
@@ -150,23 +155,39 @@ def _is_nonpos_int(x: Fraction) -> bool:
 
 
 def _ratio_threshold(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """Smallest N with |(a+m)(b+m) / ((c+m)(1+m))| <= 1 for all m >= N."""
-    t = a + b - c - 1
-    if t > 0:
-        raise DivergentParameters("term-ratio bound unavailable: a+b > c+1")
-    if t == 0:
-        if c - a * b < 0:
-            raise DivergentParameters("term-ratio bound unavailable")
-        n_lin = 0
+    """Smallest N with |(a+m)(b+m) / ((c+m)(m+1))| <= 1 for every m >= N (for
+    a terminating series, every m below its order).  From `top` on all four
+    factors are nonnegative and (a+b-c-1) m + ab - c <= 0; below it each m is
+    decided exactly, by an integer comparison with the denominators cleared."""
+    order = _terminating_order(a, b)
+    if order is not None:
+        top = order
     else:
-        n_lin = max(0, _fr_ceil((a * b - c) / (c + 1 - a - b)))
-    n = max(
-        n_lin,
-        _fr_ceil(-a) if a < 0 else 0,
-        _fr_ceil(-b) if b < 0 else 0,
-        _fr_ceil(-c) + 1 if c < 0 else 0,
-    )
-    return n
+        t = a + b - c - 1
+        if t > 0:
+            raise DivergentParameters("term-ratio bound unavailable: a+b > c+1")
+        if t == 0 and c - a * b < 0:
+            raise DivergentParameters("term-ratio bound unavailable")
+        n_lin = 0 if t == 0 else _fr_ceil((a * b - c) / -t)
+        top = max(0, n_lin, _fr_ceil(-a), _fr_ceil(-b), _fr_ceil(-c))
+    q = math.lcm(a.denominator, b.denominator, c.denominator)
+    ia, ib, ic = int(a * q), int(b * q), int(c * q)
+    for m in range(top - 1, -1, -1):
+        mq = m * q
+        if abs((ia + mq) * (ib + mq)) > abs((ic + mq) * (m + 1) * q):
+            return m + 1
+    return 0
+
+
+def _screen_exp(tol: BigFloat, factor: Fraction) -> int:
+    """Exponent E: a term whose midpoint reaches 2**(E-1) has a tail bound
+    |term| * factor above tol, so its exact tail test can be skipped."""
+    factor_lo = factor.numerator.bit_length() - factor.denominator.bit_length() - 1
+    return bf_msb_exp(tol) + 1 - factor_lo
+
+
+def _below_screen(t: Ball, screen: int) -> bool:
+    return t.mid.sign == 0 or bf_msb_exp(t.mid) < screen
 
 
 def _default_tol(prec: int) -> BigFloat:
@@ -190,41 +211,37 @@ def gauss_2f1_detailed(
     w = prec + 8
 
     order = _terminating_order(a, b)
-    if order is not None:
-        if z.is_exact():
-            # dyadic midpoint: the whole sum is an exact rational
-            zf = bf_to_fraction(z.mid)
-            coef = Fraction(1)
-            total = Fraction(1)
-            zp = Fraction(1)
-            for m in range(order):
-                coef *= (a + m) * (b + m) / ((c + m) * (m + 1))
-                zp *= zf
-                total += coef * zp
-            return Ball.from_fraction(total, prec), None
-        term = Ball.from_int(1, w)
-        total = term
+    if order is not None and z.is_exact():
+        # dyadic midpoint: the whole sum is an exact rational
+        zf = bf_to_fraction(z.mid)
+        coef = Fraction(1)
+        total = Fraction(1)
+        zp = Fraction(1)
         for m in range(order):
-            ratio = (a + m) * (b + m) / ((c + m) * (m + 1))
-            term = ball_mul(ball_mul_rat(term, ratio.numerator, ratio.denominator, w), z, w)
-            total = ball_add(total, term, w)
-        return ball_round(total, prec), None
+            coef *= (a + m) * (b + m) / ((c + m) * (m + 1))
+            zp *= zf
+            total += coef * zp
+        return Ball.from_fraction(total, prec), None
 
     zsup = Fraction(bf_to_fraction(z.mag_sup()))
-    if zsup >= 1:
+    if zsup < 1:
+        n1 = _ratio_threshold(a, b, c)
+        tail_factor = zsup / (1 - zsup)
+        screen = _screen_exp(tol, tail_factor)
+    elif order is None:
         raise DivergentParameters("|z| must be certainly below 1")
-    n1 = _ratio_threshold(a, b, c)
-    tail_factor = zsup / (1 - zsup)
+    else:
+        n1 = order  # no tail bound: sum every term
     term = Ball.from_int(1, w)
     total = term
     m = 0
-    budget = n1 + 64 * (prec + 16) + 256
-    while True:
+    budget = order if order is not None else n1 + 64 * (prec + 16) + 256
+    while m != order:
         ratio = (a + m) * (b + m) / ((c + m) * (m + 1))
         term = ball_mul(ball_mul_rat(term, ratio.numerator, ratio.denominator, w), z, w)
         total = ball_add(total, term, w)
         m += 1
-        if m >= n1:
+        if n1 <= m != order and _below_screen(term, screen):
             mag = term.mag_sup()
             tail = rup_mul_rat(mag, tail_factor.numerator, tail_factor.denominator)
             if bf_cmp(tail, tol) <= 0:
@@ -232,6 +249,7 @@ def gauss_2f1_detailed(
                 return ball_round(total, prec), SeriesTail(m + 1, zsup, mag, tail)
         if m > budget:
             raise PrecisionExhausted("2F1 series did not reach its tail tolerance")
+    return ball_round(total, prec), None
 
 
 def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
@@ -300,7 +318,7 @@ def _pochhammer_series_threshold(b: Fraction, xsup: Fraction) -> tuple[int, Frac
     if xsup >= 1:
         raise DivergentParameters("|x| must be certainly below 1")
     if b <= 1:
-        return (max(0, _fr_ceil(-b)), xsup)
+        return _ratio_threshold(Fraction(1), b, Fraction(1)), xsup
     q = (1 + xsup) / 2
     # (b+m)/(m+1) decreases in m for b > 1; find the first admissible m
     n = max(0, _fr_ceil((b * xsup - q) / (q - xsup)))
@@ -317,64 +335,48 @@ def _pochhammer_series(
     Returns (terms, tail, abs_sum) where tail bounds sum of |P_m| beyond the
     list and abs_sum bounds sum of |P_m| over the whole series.
     """
-    if _is_nonpos_int(b):
-        order = int(-b)
-        terms = [Ball.from_int(1, w)]
-        for m in range(order):
-            ratio = Fraction(b + m, m + 1)
-            terms.append(ball_mul(ball_mul_rat(terms[-1], ratio.numerator, ratio.denominator, w), x, w))
-        abs_sum = ZERO
-        for t in terms:
-            abs_sum = rup_add(abs_sum, t.mag_sup())
-        return terms, ZERO, abs_sum
+    order = int(-b) if _is_nonpos_int(b) else None
     xsup = Fraction(bf_to_fraction(x.mag_sup()))
-    n1, q = _pochhammer_series_threshold(b, xsup)
-    tf = q / (1 - q)
+    if order is None or xsup < 1:
+        n1, q = _pochhammer_series_threshold(b, xsup)
+        tf = q / (1 - q)
+    else:
+        n1 = order  # no tail bound: sum every term
     terms = [Ball.from_int(1, w)]
     abs_sum = rup(ONE)
     m = 0
-    budget = n1 + 64 * w + 256
-    while True:
+    budget = order if order is not None else n1 + 64 * w + 256
+    while m != order:
         ratio = Fraction(b + m, m + 1)
         terms.append(ball_mul(ball_mul_rat(terms[-1], ratio.numerator, ratio.denominator, w), x, w))
         m += 1
         mag = terms[-1].mag_sup()
         abs_sum = rup_add(abs_sum, mag)
-        if m >= n1:
+        if n1 <= m != order:
             tail = rup_mul_rat(mag, tf.numerator, tf.denominator)
             if bf_cmp(tail, tol) <= 0:
                 return terms, tail, rup_add(abs_sum, tail)
         if m > budget:
             raise PrecisionExhausted("series did not reach its tail tolerance")
+    return terms, ZERO, abs_sum
 
 
 def _abs_pochhammer_bound(b: Fraction, tsup: Fraction, w: int) -> BigFloat:
     """Upper bound for sum_m |(b)_m| / m! * tsup^m; the sum is finite for
     non-positive integer b, otherwise tsup < 1 is required."""
-    if _is_nonpos_int(b):
-        order = int(-b)
-        total = Fraction(1)
-        coef = Fraction(1)
-        tp = Fraction(1)
-        for m in range(order):
-            coef *= abs(Fraction(b + m, m + 1))
-            tp *= tsup
-            total += coef * tp
-        return rup(Ball.from_fraction(total, w).mag_sup())
-    if tsup >= 1:
+    finite = _is_nonpos_int(b)
+    if not finite and tsup >= 1:
         raise DivergentParameters("bound requires |t| < 1")
-    if b > 0:
+    if not finite and b > 0:
         raise DivergentParameters("uniform bound implemented for b <= 0 only")
-    m0 = _fr_ceil(-b)
-    total = Fraction(1)
-    coef = Fraction(1)
-    tp = Fraction(1)
-    for m in range(m0 + 1):
+    total = coef = tp = Fraction(1)
+    for m in range(int(-b) if finite else _fr_ceil(-b) + 1):
         coef *= abs(Fraction(b + m, m + 1))
         tp *= tsup
         total += coef * tp
-    # beyond m0+1 every factor |(b+m)/(m+1)| <= 1, geometric in tsup
-    total += coef * tp * tsup / (1 - tsup)
+    if not finite:
+        # beyond ceil(-b)+1 every factor |(b+m)/(m+1)| <= 1, geometric in tsup
+        total += coef * tp * tsup / (1 - tsup)
     return rup(Ball.from_fraction(total, w).mag_sup())
 
 
@@ -439,44 +441,44 @@ def _appell_f1_separable(a, b1, b2, x, y, w, prec, tol) -> Ball:
 
 
 def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
-    """Literal iterated reduction: sum_n [(a)_n (b2)_n / ((c)_n n!)] y^n 2F1(a+n, b1; c+n; x)."""
+    """Literal iterated reduction: sum_n [(a)_n (b2)_n / ((c)_n n!)] y^n 2F1(a+n, b1; c+n; x).
+
+    With c >= a > 0 and b1 <= 0 every inner value is at most
+    U = sum_m |(b1)_m| / m! |x|^m, so once the outer term ratio stays below
+    |y| < 1 the rest of the sum is at most |coef_n| U (1 + |y| / (1 - |y|)).
+    A terminating b2 without that bound sums every term.
+    """
+    order = int(-b2) if _is_nonpos_int(b2) else None
     ysup = Fraction(bf_to_fraction(y.mag_sup()))
+    bounded = c >= a > 0 and b1 <= 0 and ysup < 1
+    if order is None and not bounded:
+        raise DivergentParameters("iterated F1 tail bound needs c >= a > 0 and b1 <= 0")
     inner_tol = rup_mul_rat(tol, 1, 64)
+    if bounded:
+        n1 = _ratio_threshold(a, b2, c)
+        xsup = Fraction(bf_to_fraction(x.mag_sup()))
+        u_bound = _abs_pochhammer_bound(b1, xsup, w)
+        grow = 1 + ysup / (1 - ysup)
+        tail_factor = rup_mul_rat(u_bound, grow.numerator, grow.denominator)
+        screen = _screen_exp(tol, bf_to_fraction(u_bound) * grow)
+    else:
+        n1 = order  # no tail bound: sum every term
     total = Ball.from_int(0, w)
     coef = Ball.from_int(1, w)
-    if _is_nonpos_int(b2):
-        order = int(-b2)
-        for n in range(order + 1):
-            inner = gauss_2f1(a + n, b1, c + n, x, w, inner_tol)
-            total = ball_add(total, ball_mul(coef, inner, w), w)
-            ratio = (a + n) * (b2 + n) / ((c + n) * (n + 1))
-            coef = ball_mul(ball_mul_rat(coef, ratio.numerator, ratio.denominator, w), y, w)
-        return ball_round(total, prec)
-    if not (c >= a and a > 0):
-        raise DivergentParameters("iterated F1 tail bound needs c >= a > 0")
-    if b1 > 0 and not _is_nonpos_int(b1):
-        raise DivergentParameters("uniform inner bound implemented for b1 <= 0")
-    xsup = Fraction(bf_to_fraction(x.mag_sup()))
-    u_bound = _abs_pochhammer_bound(b1, xsup, w)
-    n1 = _ratio_threshold(a, b2, c)
-    tf = ysup / (1 - ysup)
     n = 0
-    budget = n1 + 64 * w + 256
+    budget = order if order is not None else n1 + 64 * w + 256
     while True:
         inner = gauss_2f1(a + n, b1, c + n, x, w, inner_tol)
         total = ball_add(total, ball_mul(coef, inner, w), w)
+        if n == order:
+            return ball_round(total, prec)
         ratio = (a + n) * (b2 + n) / ((c + n) * (n + 1))
         coef = ball_mul(ball_mul_rat(coef, ratio.numerator, ratio.denominator, w), y, w)
         n += 1
-        if n >= n1:
-            tail = rup_mul(
-                rup_mul_rat(coef.mag_sup(), tf.numerator, tf.denominator), u_bound
-            )
-            outer_next = rup_mul(coef.mag_sup(), u_bound)
-            tail = rup_add(tail, outer_next)
+        if n1 <= n != order and _below_screen(coef, screen):
+            tail = rup_mul(coef.mag_sup(), tail_factor)
             if bf_cmp(tail, tol) <= 0:
-                total = ball_widen(total, tail)
-                return ball_round(total, prec)
+                return ball_round(ball_widen(total, tail), prec)
         if n > budget:
             raise PrecisionExhausted("F1 outer series did not converge")
 

@@ -224,6 +224,16 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "7.29128238" in out.read_text()
 
+    def test_table_low_dimensions(self):
+        r = self.run_cli("table", "--n", "4..7")
+        assert r.returncode == 0, r.stderr
+        assert [line.split(",")[:3] for line in r.stdout.splitlines()[1:]] == [
+            ["4", "1", "1"], ["5", "1", "2"], ["6", "2", "2"], ["7", "2", "3"]
+        ]
+        r = self.run_cli("table", "--n", "2")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
     def test_plot_command(self):
         r = self.run_cli("plot", "--n", "8..9")
         assert r.returncode == 0, r.stderr

@@ -204,6 +204,14 @@ class TestPairSelection:
         assert geom.table_pairs(14) == [(6, 6), (5, 7)]
         assert geom.table_pairs(16) == [(7, 7)]
 
+    def test_table_pairs_low_dimensions(self):
+        # the companion (1,3) of n = 6 fails the ratio gate and is skipped
+        assert geom.table_pairs(6) == [(2, 2)]
+        assert geom.table_pairs(4) == [(1, 1)]
+        for n in (2, 3):
+            with pytest.raises(NoValidPair):
+                geom.table_pairs(n)
+
     def test_plot_pair(self):
         # the gap plot uses the first default pair of each dimension
         from lenscert.certify import plot_rows

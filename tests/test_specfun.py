@@ -272,3 +272,117 @@ class TestAppellQuadrature:
                     )
                     assert intersects(series, quad), (n, k, l, b)
 
+
+def _ratio(a: Fraction, b: Fraction, c: Fraction, m: int) -> Fraction:
+    return (a + m) * (b + m) / ((c + m) * (m + 1))
+
+
+def _nonpos_order(*ps: Fraction):
+    orders = [int(-p) for p in ps if p.denominator == 1 and p <= 0]
+    return min(orders) if orders else None
+
+
+class TestTailRule:
+    def test_ratio_threshold_exact(self):
+        """the threshold is sound (|r(m)| <= 1 from N on, to m = 500 or the
+        order of a terminating series) and tight (|r(N-1)| > 1)"""
+        rng = random.Random(4)
+        checked = 0
+        for _ in range(400):
+            a = Fraction(rng.randint(-60, 90), rng.randint(1, 4))
+            b = -Fraction(rng.randint(0, 240), rng.choice((1, 2)))
+            c = Fraction(rng.randint(-60, 160), rng.randint(1, 4))
+            if c.denominator == 1 and c <= 0:
+                continue
+            order = _nonpos_order(a, b)
+            try:
+                n = specfun._ratio_threshold(a, b, c)
+            except DivergentParameters:
+                assert order is None and a + b - c - 1 >= 0
+                continue
+            top = 500 if order is None else order
+            assert all(abs(_ratio(a, b, c, m)) <= 1 for m in range(n, top)), (a, b, c, n)
+            if n > 0:
+                assert abs(_ratio(a, b, c, n - 1)) > 1, (a, b, c, n)
+            checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("kk,e2,shift", [(40, 40, 0), (40, 41, 7), (99, 99, 30)])
+    @pytest.mark.parametrize("tol_exp", [None, -40])
+    def test_terminating_2f1_stops_early_and_encloses(self, kk, e2, shift, tol_exp):
+        """2F1(1+n, -kk; e+2+n; z) at a z ball of nonzero radius stops at its
+        certified tail and still contains the exact finite sum; at the loose
+        tolerance the tail, not rounding, sets the radius"""
+        prec = 128
+        tol = bf_two_power(tol_exp) if tol_exp else None
+        zf = Fraction(-1317, 10000)
+        z = Ball.from_fraction(zf, prec)
+        assert not z.is_exact()
+        a, b, c = Fraction(1 + shift), Fraction(-kk), Fraction(e2, 2) + 2 + shift
+        out, tail = specfun.gauss_2f1_detailed(a, b, c, z, prec, tol)
+        exact = sum(
+            poch(a, m) * poch(b, m) / (poch(c, m) * math.factorial(m)) * zf**m
+            for m in range(kk + 1)
+        )
+        assert tail is not None and tail.n_terms <= kk
+        assert out.contains_fraction(exact)
+        if tol is None:
+            assert bf_to_fraction(out.width()) <= abs(exact) / 2 ** (prec - 8)
+
+    @pytest.mark.parametrize("kk,e2", [(40, 40), (40, 41), (60, 59)])
+    @pytest.mark.parametrize("tol_exp", [None, -40])
+    @pytest.mark.parametrize("xf", [Fraction(-1317, 10000), Fraction(-17, 128)])
+    def test_shifted_f1_encloses_double_sum(self, kk, e2, tol_exp, xf):
+        """F1(1, -kk, -e; e+2; x, y) contains the double sum: exact for
+        integer e, and for half-integer e the sum to N = 60 outer terms
+        together with a proven bound on the rest.  At a dyadic x every inner
+        2F1 is exact, so at the loose tolerance the outer tail sets the radius."""
+        prec = 128
+        tol = bf_two_power(tol_exp if tol_exp else -prec - 12)
+        yf = Fraction(-173, 10000)
+        x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
+        e = Fraction(e2, 2)
+        a, b1, b2, c = Fraction(1), Fraction(-kk), -e, e + 2
+        out = specfun._appell_f1_iterated(a, b1, b2, c, x, y, prec + 8, prec, tol)
+        n_max = int(e) if e.denominator == 1 else 60
+        total = Fraction(0)
+        for n in range(n_max + 1):
+            coef = poch(a, n) * poch(b2, n) / (poch(c, n) * math.factorial(n)) * yf**n
+            inner = sum(
+                poch(a + n, m) * poch(b1, m) / (poch(c + n, m) * math.factorial(m)) * xf**m
+                for m in range(kk + 1)
+            )
+            total += coef * inner
+        # |(a)_j / (c)_j| <= 1, |(-e)_n / n!| <= 2^e and sum |(-kk)_m| / m! |x|^m
+        # = (1 + |x|)^kk, so the omitted outer terms stay below `rest`
+        ysup = abs(yf)
+        rest = 0 if e.denominator == 1 else (
+            2 ** math.ceil(e) * (1 + abs(xf)) ** kk * ysup ** (n_max + 1) / (1 - ysup)
+        )
+        gap = abs(bf_to_fraction(out.mid) - total)
+        assert gap + rest <= bf_to_fraction(out.rad)
+        if tol_exp is None:
+            assert bf_to_fraction(out.width()) <= abs(total) / 2 ** (prec - 8)
+
+    def test_competitor_outer_terms_n200(self, monkeypatch):
+        """each Appell F1 of the n = 200 balanced competitor stops its outer
+        series at the certified tail: at most 30 inner 2F1 evaluations"""
+        from lenscert import geom
+
+        counts = []
+        inner = specfun.gauss_2f1
+        outer = specfun.appell_f1
+
+        def counting_2f1(*args, **kwargs):
+            counts[-1] += 1
+            return inner(*args, **kwargs)
+
+        def counting_f1(*args, **kwargs):
+            counts.append(0)
+            return outer(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "gauss_2f1", counting_2f1)
+        monkeypatch.setattr(specfun, "appell_f1", counting_f1)
+        geom.competitor_energy_specfun(99, 99, 128)
+        assert len(counts) == 2
+        assert all(0 < c <= 30 for c in counts), counts
