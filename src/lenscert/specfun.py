@@ -154,6 +154,26 @@ def _is_nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
+def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """(ia, ib, ic, d) with a, b, c = ia/d, ib/d, ic/d over their least
+    common denominator d."""
+    d = math.lcm(a.denominator, b.denominator, c.denominator)
+    return int(a * d), int(b * d), int(c * d), d
+
+
+def _term_ratio(ia: int, ib: int, ic: int, d: int, m: int) -> tuple[int, int]:
+    """(a+m)(b+m) / ((c+m)(m+1)) for a, b, c = ia/d, ib/d, ic/d, as the
+    (numerator, denominator) that Fraction gives: lowest terms, denominator
+    positive."""
+    md = m * d
+    p = (ia + md) * (ib + md)
+    q = (ic + md) * (m + 1) * d
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
 def _ratio_threshold(a: Fraction, b: Fraction, c: Fraction) -> int:
     """Smallest N with |(a+m)(b+m) / ((c+m)(m+1))| <= 1 for every m >= N (for
     a terminating series, every m below its order).  From `top` on all four
@@ -170,8 +190,7 @@ def _ratio_threshold(a: Fraction, b: Fraction, c: Fraction) -> int:
             raise DivergentParameters("term-ratio bound unavailable")
         n_lin = 0 if t == 0 else _fr_ceil((a * b - c) / -t)
         top = max(0, n_lin, _fr_ceil(-a), _fr_ceil(-b), _fr_ceil(-c))
-    q = math.lcm(a.denominator, b.denominator, c.denominator)
-    ia, ib, ic = int(a * q), int(b * q), int(c * q)
+    ia, ib, ic, q = _scaled(a, b, c)
     for m in range(top - 1, -1, -1):
         mq = m * q
         if abs((ia + mq) * (ib + mq)) > abs((ic + mq) * (m + 1) * q):
@@ -236,9 +255,10 @@ def gauss_2f1_detailed(
     total = term
     m = 0
     budget = order if order is not None else n1 + 64 * (prec + 16) + 256
+    ia, ib, ic, d = _scaled(a, b, c)
     while m != order:
-        ratio = (a + m) * (b + m) / ((c + m) * (m + 1))
-        term = ball_mul(ball_mul_rat(term, ratio.numerator, ratio.denominator, w), z, w)
+        p, q = _term_ratio(ia, ib, ic, d, m)
+        term = ball_mul(ball_mul_rat(term, p, q, w), z, w)
         total = ball_add(total, term, w)
         m += 1
         if n1 <= m != order and _below_screen(term, screen):
@@ -346,9 +366,11 @@ def _pochhammer_series(
     abs_sum = rup(ONE)
     m = 0
     budget = order if order is not None else n1 + 64 * w + 256
+    # (b+m)/(m+1) is the 2F1 term ratio with a = c = 1
+    one, ib, _, d = _scaled(Fraction(1), b, Fraction(1))
     while m != order:
-        ratio = Fraction(b + m, m + 1)
-        terms.append(ball_mul(ball_mul_rat(terms[-1], ratio.numerator, ratio.denominator, w), x, w))
+        p, q = _term_ratio(one, ib, one, d, m)
+        terms.append(ball_mul(ball_mul_rat(terms[-1], p, q, w), x, w))
         m += 1
         mag = terms[-1].mag_sup()
         abs_sum = rup_add(abs_sum, mag)
@@ -467,13 +489,14 @@ def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
     coef = Ball.from_int(1, w)
     n = 0
     budget = order if order is not None else n1 + 64 * w + 256
+    ia, ib2, ic, d = _scaled(a, b2, c)
     while True:
         inner = gauss_2f1(a + n, b1, c + n, x, w, inner_tol)
         total = ball_add(total, ball_mul(coef, inner, w), w)
         if n == order:
             return ball_round(total, prec)
-        ratio = (a + n) * (b2 + n) / ((c + n) * (n + 1))
-        coef = ball_mul(ball_mul_rat(coef, ratio.numerator, ratio.denominator, w), y, w)
+        p, q = _term_ratio(ia, ib2, ic, d, n)
+        coef = ball_mul(ball_mul_rat(coef, p, q, w), y, w)
         n += 1
         if n1 <= n != order and _below_screen(coef, screen):
             tail = rup_mul(coef.mag_sup(), tail_factor)

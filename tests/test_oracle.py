@@ -6,13 +6,16 @@ import pytest
 from lenscert import geom, oracle, specfun
 from lenscert.ball import (
     Ball,
+    ball_add,
     ball_mul,
     ball_mul_rat,
+    ball_sub,
     ball_widen,
     intersects,
+    pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
 from lenscert.errors import DomainViolation, QuadratureBudgetExceeded
 
 
@@ -166,6 +169,125 @@ class TestArcProfileQuadrature:
     def test_budget_raises(self):
         with pytest.raises(QuadratureBudgetExceeded):
             geom.competitor_energy_quadrature(5, 7, 64, budget=40, target_width=1e-9)
+
+    def test_one_pass_per_arc_on_default_pairs(self, monkeypatch):
+        """the predicted node count and the first share meet the agreement
+        width at once: one iteration, one Gauss-3 pass per arc"""
+        arcs, passes = [], []
+        arc_quad, gauss3 = oracle.arc_profile_quadrature, oracle._arc_gauss3_pass
+
+        def counting_arc(*args, **kwargs):
+            arcs.append(args[2])
+            return arc_quad(*args, **kwargs)
+
+        def counting_pass(*args, **kwargs):
+            passes.append(args[6])
+            return gauss3(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "arc_profile_quadrature", counting_arc)
+        monkeypatch.setattr(oracle, "_arc_gauss3_pass", counting_pass)
+        for n in range(8, 25):
+            for k, l in geom.default_pairs(n):
+                arcs.clear()
+                passes.clear()
+                q = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
+                assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
+                assert arcs == ([k] if k == l else [k, l]), (k, l, arcs)
+                assert len(passes) == len(arcs), (k, l, passes)
+
+    @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])
+    def test_arc_pass_encloses_mpmath(self, k, l):
+        """both arc integrals of a pair, at a loose and a tight target, enclose
+        mpmath.quad of (rho sin t - d)^k cos^j t at 40 digits"""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            self._check_arcs_against_mpmath(mpmath, k, l)
+
+    @staticmethod
+    def _check_arcs_against_mpmath(mpmath, k, l):
+        w = 100
+        consts = geom.lawson_constants(k, l, w)
+        pi = pi_ball(w)
+        half_pi = ball_mul_rat(pi, 1, 2, w)
+        theta = mpmath.atan(mpmath.sqrt(mpmath.mpf(k) / l))
+        arcs = [
+            (consts.rho, consts.d, k, (l, l + 2),
+             ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w), mpmath.pi / 6 + theta),
+            (consts.r, consts.h, l, (k, k + 2),
+             ball_sub(ball_mul_rat(pi, 2, 3, w), consts.theta, w), 2 * mpmath.pi / 3 - theta),
+        ]
+        for radius, offset, kk, exponents, lower, lower_mp in arcs:
+            # the integrand at the parameter midpoints, which lie in the balls
+            rad_mp, off_mp = (
+                mpmath.ldexp(b.mid.sign * b.mid.man, b.mid.exp) for b in (radius, offset)
+            )
+            for target in (1e-8, 1e-20):
+                out = oracle.arc_profile_quadrature(
+                    radius, offset, kk, exponents, lower, half_pi, w, bf_from_float(target)
+                )
+                for j, got in zip(exponents, out):
+                    exact, err = mpmath.quad(
+                        lambda t: (rad_mp * mpmath.sin(t) - off_mp) ** kk * mpmath.cos(t) ** j,
+                        [lower_mp, mpmath.pi / 2],
+                        error=True,
+                    )
+                    assert err < 1e-30
+                    man, exp = exact.man_exp
+                    assert got.contains_fraction(Fraction(man) * Fraction(2) ** exp), (kk, j, target)
+                    assert bf_cmp(got.width(), bf_from_float(target)) <= 0
+
+
+class TestFixedPointKernel:
+    @staticmethod
+    def _random_ball(rng, W):
+        """a ball whose midpoint has up to W + 40 fractional bits, so the
+        conversion may drop bits, and whose radius is zero a third of the time"""
+        bits = rng.randint(1, W + 40)
+        mid = Fraction(rng.randint(-(1 << (bits + 3)), 1 << (bits + 3)), 1 << bits)
+        b = Ball.from_fraction(mid, bits + 8)
+        if rng.random() < 2 / 3:
+            b = ball_widen(b, bf_from_float(rng.random() * 2.0 ** -rng.randint(0, W + 8)))
+        return b
+
+    @staticmethod
+    def _points(b):
+        return [bf_to_fraction(x) for x in (b.mid, b.inf(), b.sup())]
+
+    def test_conversion_encloses_ball(self):
+        rng = random.Random(21)
+        for _ in range(3000):
+            W = rng.randint(8, 140)
+            b = self._random_ball(rng, W)
+            m, r = oracle._fx_from_ball(b, W)
+            assert r >= 0
+            for x in self._points(b):
+                assert abs(x * 2**W - m) <= r, (b, W)
+
+    def test_product_encloses_corners(self):
+        """a fixed-point product, converted back to a ball at a precision
+        that drops bits, encloses the exact product at the midpoints and at
+        every corner of the two balls"""
+        rng = random.Random(22)
+        for _ in range(3000):
+            W = rng.randint(8, 140)
+            a, b = self._random_ball(rng, W), self._random_ball(rng, W)
+            prod = oracle._fx_mul(oracle._fx_from_ball(a, W), oracle._fx_from_ball(b, W), W)
+            m, r = prod
+            out = oracle._fx_to_ball(prod, W, rng.randint(4, W))
+            for x in self._points(a):
+                for y in self._points(b):
+                    assert abs(x * y * 2**W - m) <= r, (a, b, W)
+                    assert out.contains_fraction(x * y), (a, b, W)
+
+    def test_power_encloses(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            W = rng.randint(16, 140)
+            b = self._random_ball(rng, W)
+            k = rng.randint(0, 13)
+            m, r = oracle._fx_pow(oracle._fx_from_ball(b, W), k, W)
+            for x in self._points(b):
+                assert abs(x**k * 2**W - m) <= r, (b, k, W)
 
 
 class TestLensExactWallis:

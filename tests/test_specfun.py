@@ -386,3 +386,20 @@ class TestTailRule:
         geom.competitor_energy_specfun(99, 99, 128)
         assert len(counts) == 2
         assert all(0 < c <= 30 for c in counts), counts
+
+    def test_integer_term_ratio_matches_fraction(self):
+        """the integer term ratio of the series loops is exactly the
+        (numerator, denominator) that Fraction gives, over random
+        half-integer a, b, c and m"""
+        rng = random.Random(12)
+        checked = 0
+        for _ in range(3000):
+            a, b, c = (Fraction(rng.randint(-80, 80), rng.choice((1, 2))) for _ in range(3))
+            m = rng.randint(0, 200)
+            if c + m == 0:
+                continue
+            expected = _ratio(a, b, c, m)
+            got = specfun._term_ratio(*specfun._scaled(a, b, c), m)
+            assert got == (expected.numerator, expected.denominator), (a, b, c, m)
+            checked += 1
+        assert checked > 2900
