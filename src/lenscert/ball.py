@@ -304,6 +304,77 @@ def ball_from_endpoints(lo: BigFloat, hi: BigFloat, prec: int) -> Ball:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point kernel: (m +/- r) * 2**-W as a pair of plain ints, r >= 0
+# ---------------------------------------------------------------------------
+
+# guard bits of a fixed-point loop beyond its working precision
+_FX_GUARD = 16
+
+
+def _fx_from_ball(x: Ball, W: int) -> tuple[int, int]:
+    """Fixed-point (m, r) with x inside (m +/- r) * 2**-W.
+
+    The midpoint is cut toward zero, with one ulp of radius for any dropped
+    bits, and the radius is rounded up.
+    """
+    mid, rad = x.mid, x.rad
+    m = r = 0
+    if mid.sign:
+        e = mid.exp + W
+        m = mid.man << e if e >= 0 else mid.man >> -e
+        if e < 0 and m << -e != mid.man:
+            r = 1
+        m *= mid.sign
+    if rad.sign:
+        e = rad.exp + W
+        r += rad.man << e if e >= 0 else -(-rad.man >> -e)
+    return m, r
+
+
+def _fx_to_ball(x: tuple[int, int], W: int, w: int) -> Ball:
+    """Ball at precision w enclosing the fixed-point value x."""
+    m, r = x
+    mid, err = bf_round(1 if m > 0 else -1, abs(m), -W, w)
+    return Ball(mid, rup_add(err, bf_shift(bf_from_int(r), -W)), w)
+
+
+def _fx_mul(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
+    """Fixed-point product: the midpoint is (a*b) >> W, and the radius covers
+    the input radii plus one ulp for that floor."""
+    (am, ar), (bm, br) = a, b
+    return (am * bm) >> W, -(-(abs(am) * br + abs(bm) * ar + ar * br) >> W) + 1
+
+
+def _fx_mul_rat(x: tuple[int, int], p: int, q: int) -> tuple[int, int]:
+    """x * p/q for integers p, q with q > 0: the midpoint is (m*p) // q, and
+    the radius is ceil(r*|p|/q) plus one ulp for that floor."""
+    m, r = x
+    return (m * p) // q, -(-(r * abs(p)) // q) + 1
+
+
+def _fx_pow(x: tuple[int, int], k: int, W: int) -> tuple[int, int]:
+    """x**k for k >= 0 by binary powering in fixed point."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else _fx_mul(out, x, W)
+        k >>= 1
+        if k:
+            x = _fx_mul(x, x, W)
+    return out or (1 << W, 0)
+
+
+def _fx_tail(x: tuple[int, int], p: int, q: int, limit: int) -> int | None:
+    """ceil((|m| + r) * p/q), a bound in ulps on |x| * p/q over the whole
+    pair (p >= 0, q > 0), when it is at most `limit`; None otherwise."""
+    m, r = x
+    scaled = (abs(m) + r) * p
+    if scaled > limit * q:
+        return None
+    return -(-scaled // q)
+
+
+# ---------------------------------------------------------------------------
 # comparison predicates
 # ---------------------------------------------------------------------------
 

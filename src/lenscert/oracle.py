@@ -40,7 +40,12 @@ from .bigfloat import (
     rup_mul_rat,
 )
 from .ball import (
+    _FX_GUARD,
     Ball,
+    _fx_from_ball,
+    _fx_mul,
+    _fx_pow,
+    _fx_to_ball,
     ball_add,
     ball_div,
     ball_from_endpoints,
@@ -477,56 +482,6 @@ def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_boun
         err = rup_mul_rat(rup_mul(d6_bounds[idx], d7), n, 2016000)
         out.append(ball_widen(total, err))
     return out
-
-
-# guard bits of the fixed-point node loop beyond the pass precision
-_FX_GUARD = 16
-
-
-def _fx_from_ball(x: Ball, W: int) -> tuple[int, int]:
-    """Fixed-point (m, r) with x inside (m +/- r) * 2**-W.
-
-    The midpoint is cut toward zero, with one ulp of radius for any dropped
-    bits, and the radius is rounded up.
-    """
-    mid, rad = x.mid, x.rad
-    m = r = 0
-    if mid.sign:
-        e = mid.exp + W
-        m = mid.man << e if e >= 0 else mid.man >> -e
-        if e < 0 and m << -e != mid.man:
-            r = 1
-        m *= mid.sign
-    if rad.sign:
-        e = rad.exp + W
-        r += rad.man << e if e >= 0 else -(-rad.man >> -e)
-    return m, r
-
-
-def _fx_to_ball(x: tuple[int, int], W: int, w: int) -> Ball:
-    """Ball at precision w enclosing the fixed-point value x."""
-    m, r = x
-    mid, err = bf_round(1 if m > 0 else -1, abs(m), -W, w)
-    return Ball(mid, rup_add(err, bf_shift(bf_from_int(r), -W)), w)
-
-
-def _fx_mul(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
-    """Fixed-point product: the midpoint is (a*b) >> W, and the radius covers
-    the input radii plus one ulp for that floor."""
-    (am, ar), (bm, br) = a, b
-    return (am * bm) >> W, -(-(abs(am) * br + abs(bm) * ar + ar * br) >> W) + 1
-
-
-def _fx_pow(x: tuple[int, int], k: int, W: int) -> tuple[int, int]:
-    """x**k for k >= 0 by binary powering in fixed point."""
-    out = None
-    while k:
-        if k & 1:
-            out = x if out is None else _fx_mul(out, x, W)
-        k >>= 1
-        if k:
-            x = _fx_mul(x, x, W)
-    return out or (1 << W, 0)
 
 
 def picard_integrand(a: Fraction, b1: Fraction, b2: Fraction, diff: int, x: Ball, y: Ball, w: int) -> Integrand:

@@ -8,8 +8,19 @@ the first term t with |t| q / (1 - q) <= tol and is widened by that bound.
 Only a terminating series with no such bound runs to its last term, and a
 terminating 2F1 at a point argument is summed exactly in rationals.  Appell
 F1 follows the iterated reduction, whose outer series obeys the same rule
-with every inner 2F1 bounded by sum |(b1)_m| / m! |x|^m; its c = a+1 case
-collapses to the separable double sum a * sum P_m Q_n / (a+m+n).
+with every inner 2F1 bounded by U = sum |(b1)_m| / m! |x|^m; its c = a+1
+case collapses to the separable double sum a * sum P_m Q_n / (a+m+n).
+
+The 2F1 series and the F1 outer series run on the fixed-point kernel of
+`ball`: terms are int pairs (m +/- r) 2**-W, each costing one exact rational
+scaling and one product with z (or y), sums are int adds, and the tail test
+compares ints with floor(tol 2**W).  The scale is W = w + _FX_GUARD plus a
+headroom that keeps the rounding floor of a term's radius from outliving
+the tail test.  For 2F1 that radius settles near (1+|z|)/(1-|z|) ulps and
+the tail multiplies it by |z|/(1-|z|), so the headroom is
+log2((1+|z|)/(1-|z|)^2) + 1 bits; for the F1 outer series the tail
+multiplies the coefficient's radius by U, so it is log2 U bits.  The
+midpoint needs no headroom: the first term is 1 and tol is absolute.
 """
 
 from __future__ import annotations
@@ -24,7 +35,9 @@ from .bigfloat import (
     ZERO,
     ONE,
     bf_cmp,
+    bf_from_int,
     bf_msb_exp,
+    bf_shift,
     bf_to_fraction,
     bf_two_power,
     rup,
@@ -34,7 +47,13 @@ from .bigfloat import (
     rup_mul_rat,
 )
 from .ball import (
+    _FX_GUARD,
     Ball,
+    _fx_from_ball,
+    _fx_mul,
+    _fx_mul_rat,
+    _fx_tail,
+    _fx_to_ball,
     ball_add,
     ball_div,
     ball_mul,
@@ -198,17 +217,6 @@ def _ratio_threshold(a: Fraction, b: Fraction, c: Fraction) -> int:
     return 0
 
 
-def _screen_exp(tol: BigFloat, factor: Fraction) -> int:
-    """Exponent E: a term whose midpoint reaches 2**(E-1) has a tail bound
-    |term| * factor above tol, so its exact tail test can be skipped."""
-    factor_lo = factor.numerator.bit_length() - factor.denominator.bit_length() - 1
-    return bf_msb_exp(tol) + 1 - factor_lo
-
-
-def _below_screen(t: Ball, screen: int) -> bool:
-    return t.mid.sign == 0 or bf_msb_exp(t.mid) < screen
-
-
 def _default_tol(prec: int) -> BigFloat:
     return bf_two_power(-prec - 12)
 
@@ -242,34 +250,41 @@ def gauss_2f1_detailed(
             total += coef * zp
         return Ball.from_fraction(total, prec), None
 
+    W = w + _FX_GUARD
     zsup = Fraction(bf_to_fraction(z.mag_sup()))
     if zsup < 1:
         n1 = _ratio_threshold(a, b, c)
         tail_factor = zsup / (1 - zsup)
-        screen = _screen_exp(tol, tail_factor)
+        # headroom log2((1+|z|)/(1-|z|)^2) + 1, rounded up: for x = p/q,
+        # log2 x < bitlen(p) - bitlen(q) + 1
+        room = (1 + zsup) / (1 - zsup) ** 2
+        W += room.numerator.bit_length() - room.denominator.bit_length() + 2
     elif order is None:
         raise DivergentParameters("|z| must be certainly below 1")
     else:
         n1 = order  # no tail bound: sum every term
-    term = Ball.from_int(1, w)
-    total = term
+    zx = _fx_from_ball(z, W)
+    limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
+    term = (1 << W, 0)
+    sum_m, sum_r = term
     m = 0
     budget = order if order is not None else n1 + 64 * (prec + 16) + 256
     ia, ib, ic, d = _scaled(a, b, c)
     while m != order:
         p, q = _term_ratio(ia, ib, ic, d, m)
-        term = ball_mul(ball_mul_rat(term, p, q, w), z, w)
-        total = ball_add(total, term, w)
+        term = _fx_mul(_fx_mul_rat(term, p, q), zx, W)
+        sum_m += term[0]
+        sum_r += term[1]
         m += 1
-        if n1 <= m != order and _below_screen(term, screen):
-            mag = term.mag_sup()
-            tail = rup_mul_rat(mag, tail_factor.numerator, tail_factor.denominator)
-            if bf_cmp(tail, tol) <= 0:
-                total = ball_widen(total, tail)
-                return ball_round(total, prec), SeriesTail(m + 1, zsup, mag, tail)
+        if n1 <= m != order:
+            tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
+            if tail is not None:
+                last = bf_shift(bf_from_int(abs(term[0]) + term[1]), -W)
+                record = SeriesTail(m + 1, zsup, last, bf_shift(bf_from_int(tail), -W))
+                return _fx_to_ball((sum_m, sum_r + tail), W, prec), record
         if m > budget:
             raise PrecisionExhausted("2F1 series did not reach its tail tolerance")
-    return ball_round(total, prec), None
+    return _fx_to_ball((sum_m, sum_r), W, prec), None
 
 
 def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
@@ -386,19 +401,20 @@ def _pochhammer_series(
 def _abs_pochhammer_bound(b: Fraction, tsup: Fraction, w: int) -> BigFloat:
     """Upper bound for sum_m |(b)_m| / m! * tsup^m; the sum is finite for
     non-positive integer b, otherwise tsup < 1 is required."""
-    finite = _is_nonpos_int(b)
-    if not finite and tsup >= 1:
+    if _is_nonpos_int(b):
+        # |(b)_m| / m! is the binomial coefficient C(-b, m)
+        return rup(Ball.from_fraction((1 + tsup) ** int(-b), w).mag_sup())
+    if tsup >= 1:
         raise DivergentParameters("bound requires |t| < 1")
-    if not finite and b > 0:
+    if b > 0:
         raise DivergentParameters("uniform bound implemented for b <= 0 only")
     total = coef = tp = Fraction(1)
-    for m in range(int(-b) if finite else _fr_ceil(-b) + 1):
+    for m in range(_fr_ceil(-b) + 1):
         coef *= abs(Fraction(b + m, m + 1))
         tp *= tsup
         total += coef * tp
-    if not finite:
-        # beyond ceil(-b)+1 every factor |(b+m)/(m+1)| <= 1, geometric in tsup
-        total += coef * tp * tsup / (1 - tsup)
+    # beyond ceil(-b)+1 every factor |(b+m)/(m+1)| <= 1, geometric in tsup
+    total += coef * tp * tsup / (1 - tsup)
     return rup(Ball.from_fraction(total, w).mag_sup())
 
 
@@ -468,7 +484,9 @@ def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
     With c >= a > 0 and b1 <= 0 every inner value is at most
     U = sum_m |(b1)_m| / m! |x|^m, so once the outer term ratio stays below
     |y| < 1 the rest of the sum is at most |coef_n| U (1 + |y| / (1 - |y|)).
-    A terminating b2 without that bound sums every term.
+    A terminating b2 without that bound sums every term.  Each inner value
+    comes from the module attribute `gauss_2f1`, so a wrapper that counts or
+    times it sees every call, and is converted to fixed point once.
     """
     order = int(-b2) if _is_nonpos_int(b2) else None
     ysup = Fraction(bf_to_fraction(y.mag_sup()))
@@ -476,32 +494,37 @@ def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
     if order is None and not bounded:
         raise DivergentParameters("iterated F1 tail bound needs c >= a > 0 and b1 <= 0")
     inner_tol = rup_mul_rat(tol, 1, 64)
+    W = w + _FX_GUARD
     if bounded:
         n1 = _ratio_threshold(a, b2, c)
         xsup = Fraction(bf_to_fraction(x.mag_sup()))
         u_bound = _abs_pochhammer_bound(b1, xsup, w)
-        grow = 1 + ysup / (1 - ysup)
-        tail_factor = rup_mul_rat(u_bound, grow.numerator, grow.denominator)
-        screen = _screen_exp(tol, bf_to_fraction(u_bound) * grow)
+        # the tail multiplies the coefficient's radius by U
+        W += bf_msb_exp(u_bound)
+        tail_factor = bf_to_fraction(u_bound) * (1 + ysup / (1 - ysup))
     else:
         n1 = order  # no tail bound: sum every term
-    total = Ball.from_int(0, w)
-    coef = Ball.from_int(1, w)
+    yx = _fx_from_ball(y, W)
+    limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
+    sum_m = sum_r = 0
+    coef = (1 << W, 0)
     n = 0
     budget = order if order is not None else n1 + 64 * w + 256
     ia, ib2, ic, d = _scaled(a, b2, c)
     while True:
-        inner = gauss_2f1(a + n, b1, c + n, x, w, inner_tol)
-        total = ball_add(total, ball_mul(coef, inner, w), w)
+        inner = _fx_from_ball(gauss_2f1(a + n, b1, c + n, x, w, inner_tol), W)
+        term_m, term_r = _fx_mul(coef, inner, W)
+        sum_m += term_m
+        sum_r += term_r
         if n == order:
-            return ball_round(total, prec)
+            return _fx_to_ball((sum_m, sum_r), W, prec)
         p, q = _term_ratio(ia, ib2, ic, d, n)
-        coef = ball_mul(ball_mul_rat(coef, p, q, w), y, w)
+        coef = _fx_mul(_fx_mul_rat(coef, p, q), yx, W)
         n += 1
-        if n1 <= n != order and _below_screen(coef, screen):
-            tail = rup_mul(coef.mag_sup(), tail_factor)
-            if bf_cmp(tail, tol) <= 0:
-                return ball_round(ball_widen(total, tail), prec)
+        if n1 <= n != order:
+            tail = _fx_tail(coef, tail_factor.numerator, tail_factor.denominator, limit)
+            if tail is not None:
+                return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if n > budget:
             raise PrecisionExhausted("F1 outer series did not converge")
 

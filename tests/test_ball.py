@@ -6,6 +6,12 @@ import pytest
 from lenscert.ball import (
     Ball,
     TriBool,
+    _fx_from_ball,
+    _fx_mul,
+    _fx_mul_rat,
+    _fx_pow,
+    _fx_tail,
+    _fx_to_ball,
     ball_add,
     ball_div,
     ball_from_str,
@@ -18,7 +24,7 @@ from lenscert.ball import (
     certainly_less,
     intersects,
 )
-from lenscert.bigfloat import bf_cmp, bf_shift, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_shift, bf_to_fraction, bf_two_power
 from lenscert.errors import DivisionByIntervalContainingZero
 
 
@@ -160,3 +166,87 @@ class TestSerialization:
         s = ball_to_str(b)
         back = ball_from_str(s, 256)
         assert back.contains_fraction(Fraction(2, 7))
+
+
+class TestFixedPointKernel:
+    @staticmethod
+    def _random_ball(rng, W):
+        """a ball whose midpoint has up to W + 40 fractional bits, so the
+        conversion may drop bits, and whose radius is zero a third of the time"""
+        bits = rng.randint(1, W + 40)
+        mid = Fraction(rng.randint(-(1 << (bits + 3)), 1 << (bits + 3)), 1 << bits)
+        b = Ball.from_fraction(mid, bits + 8)
+        if rng.random() < 2 / 3:
+            b = ball_widen(b, bf_from_float(rng.random() * 2.0 ** -rng.randint(0, W + 8)))
+        return b
+
+    @staticmethod
+    def _points(b):
+        return [bf_to_fraction(x) for x in (b.mid, b.inf(), b.sup())]
+
+    def test_conversion_encloses_ball(self):
+        rng = random.Random(21)
+        for _ in range(3000):
+            W = rng.randint(8, 140)
+            b = self._random_ball(rng, W)
+            m, r = _fx_from_ball(b, W)
+            assert r >= 0
+            for x in self._points(b):
+                assert abs(x * 2**W - m) <= r, (b, W)
+
+    def test_product_encloses_corners(self):
+        """a fixed-point product, converted back to a ball at a precision
+        that drops bits, encloses the exact product at the midpoints and at
+        every corner of the two balls"""
+        rng = random.Random(22)
+        for _ in range(3000):
+            W = rng.randint(8, 140)
+            a, b = self._random_ball(rng, W), self._random_ball(rng, W)
+            prod = _fx_mul(_fx_from_ball(a, W), _fx_from_ball(b, W), W)
+            m, r = prod
+            out = _fx_to_ball(prod, W, rng.randint(4, W))
+            for x in self._points(a):
+                for y in self._points(b):
+                    assert abs(x * y * 2**W - m) <= r, (a, b, W)
+                    assert out.contains_fraction(x * y), (a, b, W)
+
+    def test_power_encloses(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            W = rng.randint(16, 140)
+            b = self._random_ball(rng, W)
+            k = rng.randint(0, 13)
+            m, r = _fx_pow(_fx_from_ball(b, W), k, W)
+            for x in self._points(b):
+                assert abs(x**k * 2**W - m) <= r, (b, k, W)
+
+    def test_rational_scaling_encloses(self):
+        """x * p/q in fixed point encloses the exact scaled value at the
+        midpoint and both ends, for either sign of p, and for q that do and
+        do not divide the midpoint"""
+        rng = random.Random(24)
+        for _ in range(3000):
+            W = rng.randint(8, 140)
+            b = self._random_ball(rng, W)
+            p = rng.randint(-(1 << 40), 1 << 40)
+            q = rng.choice((1, 2, 3, rng.randint(1, 1 << 40)))
+            m, r = _fx_mul_rat(_fx_from_ball(b, W), p, q)
+            for x in self._points(b):
+                assert abs(x * p / q * 2**W - m) <= r, (b, p, q, W)
+
+    def test_tail_test_on_ints(self):
+        """`_fx_tail` returns a bound on |x| p/q over the whole pair exactly
+        when that bound fits under the limit, and the bound it returns is at
+        most the limit"""
+        rng = random.Random(25)
+        for _ in range(3000):
+            m = rng.randint(-(1 << 60), 1 << 60) >> rng.randint(0, 60)
+            r = rng.randint(0, 1 << rng.randint(0, 20))
+            p, q = rng.randint(0, 1 << 30), rng.randint(1, 1 << 30)
+            limit = rng.randint(0, 1 << rng.randint(0, 70))
+            tail = _fx_tail((m, r), p, q, limit)
+            exact = Fraction((abs(m) + r) * p, q)
+            if tail is None:
+                assert exact > limit, (m, r, p, q, limit)
+            else:
+                assert exact <= tail <= limit, (m, r, p, q, limit)

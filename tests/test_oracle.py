@@ -237,59 +237,6 @@ class TestArcProfileQuadrature:
                     assert bf_cmp(got.width(), bf_from_float(target)) <= 0
 
 
-class TestFixedPointKernel:
-    @staticmethod
-    def _random_ball(rng, W):
-        """a ball whose midpoint has up to W + 40 fractional bits, so the
-        conversion may drop bits, and whose radius is zero a third of the time"""
-        bits = rng.randint(1, W + 40)
-        mid = Fraction(rng.randint(-(1 << (bits + 3)), 1 << (bits + 3)), 1 << bits)
-        b = Ball.from_fraction(mid, bits + 8)
-        if rng.random() < 2 / 3:
-            b = ball_widen(b, bf_from_float(rng.random() * 2.0 ** -rng.randint(0, W + 8)))
-        return b
-
-    @staticmethod
-    def _points(b):
-        return [bf_to_fraction(x) for x in (b.mid, b.inf(), b.sup())]
-
-    def test_conversion_encloses_ball(self):
-        rng = random.Random(21)
-        for _ in range(3000):
-            W = rng.randint(8, 140)
-            b = self._random_ball(rng, W)
-            m, r = oracle._fx_from_ball(b, W)
-            assert r >= 0
-            for x in self._points(b):
-                assert abs(x * 2**W - m) <= r, (b, W)
-
-    def test_product_encloses_corners(self):
-        """a fixed-point product, converted back to a ball at a precision
-        that drops bits, encloses the exact product at the midpoints and at
-        every corner of the two balls"""
-        rng = random.Random(22)
-        for _ in range(3000):
-            W = rng.randint(8, 140)
-            a, b = self._random_ball(rng, W), self._random_ball(rng, W)
-            prod = oracle._fx_mul(oracle._fx_from_ball(a, W), oracle._fx_from_ball(b, W), W)
-            m, r = prod
-            out = oracle._fx_to_ball(prod, W, rng.randint(4, W))
-            for x in self._points(a):
-                for y in self._points(b):
-                    assert abs(x * y * 2**W - m) <= r, (a, b, W)
-                    assert out.contains_fraction(x * y), (a, b, W)
-
-    def test_power_encloses(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            W = rng.randint(16, 140)
-            b = self._random_ball(rng, W)
-            k = rng.randint(0, 13)
-            m, r = oracle._fx_pow(oracle._fx_from_ball(b, W), k, W)
-            for x in self._points(b):
-                assert abs(x**k * 2**W - m) <= r, (b, k, W)
-
-
 class TestLensExactWallis:
     def test_n3_pure_rational(self):
         cap, vol = oracle.lens_exact_wallis(3)

@@ -11,11 +11,12 @@ from lenscert.ball import (
     ball_mul,
     ball_mul_rat,
     asin_ball,
+    ball_widen,
     intersects,
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import RADIUS_PREC, bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import DivergentParameters, DomainViolation, InvalidC
 
 
@@ -387,6 +388,49 @@ class TestTailRule:
         assert len(counts) == 2
         assert all(0 < c <= 30 for c in counts), counts
 
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [
+            (Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)),
+            (Fraction(1, 2), Fraction(-7, 2), Fraction(3, 2)),
+            (Fraction(7, 2), Fraction(-11, 2), Fraction(9, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("zf", [Fraction(99, 100), Fraction(-99, 100)])
+    def test_2f1_headroom_near_unit_z(self, a, b, c, zf):
+        """at |z| = 0.99 the fixed-point term radius settles near 200 ulps
+        and the tail factor is 99: the scale's headroom keeps their product
+        under the tolerance, so the series reaches its tail and encloses the
+        mpmath value"""
+        mpmath = pytest.importorskip("mpmath")
+        prec = 128
+        z = ball_widen(Ball.from_fraction(zf, prec), bf_two_power(-135))
+        out = specfun.gauss_2f1(a, b, c, z, prec)
+        with mpmath.workdps(60):
+            ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, zf))))
+        assert abs(bf_to_fraction(out.mid) - ref) <= bf_to_fraction(out.rad) + abs(ref) / 10**55
+        assert bf_to_fraction(out.width()) <= abs(ref) / 2 ** (prec - 24)
+
+    def test_competitor_n396_outer_headroom(self):
+        """n = 396: the F1 outer tail multiplies the coefficient radius by
+        U = sum |(-196)_m| / m! |x|^m, about 2^35, and the scale's log2 U
+        headroom keeps that under the tolerance"""
+        from lenscert import geom
+
+        e = geom.competitor_energy_specfun(196, 198, 128)
+        assert bf_to_fraction(e.m_value.width()) < Fraction(1, 10**12)
+
+    def test_abs_pochhammer_bound_terminating(self):
+        """for b = -kk the bound is (1 + t)^kk, the term-by-term sum of
+        C(kk, m) t^m, rounded up to a radius-precision float"""
+        rng = random.Random(13)
+        for _ in range(40):
+            kk, w = rng.randint(0, 300), rng.choice((64, 144, 300))
+            t = Fraction(rng.randint(1, 1 << 40), 1 << rng.randint(40, 44))
+            exact = sum(math.comb(kk, m) * t**m for m in range(kk + 1))
+            got = bf_to_fraction(specfun._abs_pochhammer_bound(Fraction(-kk), t, w))
+            assert exact <= got <= exact * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2))), (kk, t, w)
+
     def test_integer_term_ratio_matches_fraction(self):
         """the integer term ratio of the series loops is exactly the
         (numerator, denominator) that Fraction gives, over random
@@ -403,3 +447,64 @@ class TestTailRule:
             assert got == (expected.numerator, expected.denominator), (a, b, c, m)
             checked += 1
         assert checked > 2900
+
+
+def _mp(mpmath, v: Fraction):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _mp_fraction(v) -> Fraction:
+    man, exp = v.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+class TestAgainstMpmath:
+    """Competitor-shaped series, F1(1, -kk, -e; e+2; x, y) and its inner
+    2F1(1+n, -kk; e+2+n; x), at balls x, y of the ranges the competitor
+    meets, enclose mpmath.appellf1 and mpmath.hyp2f1 at 64 bits beyond the
+    working precision, at the default tolerance and at 2^-40"""
+
+    @staticmethod
+    def _case(rng):
+        kk, e = rng.randint(1, 80), Fraction(rng.randint(1, 80), 2)
+        xf = -Fraction(rng.randint(400, 2700), 10000)
+        yf = -Fraction(rng.randint(30, 450), 10000)
+        return kk, e, xf, yf, rng.choice((64, 128, 256))
+
+    @staticmethod
+    def _check(out, ref, prec, tol_exp):
+        gap = abs(bf_to_fraction(out.mid) - ref)
+        assert gap <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (prec + 48)
+        if tol_exp is None:
+            assert bf_to_fraction(out.width()) <= abs(ref) / 2 ** (prec - 8)
+
+    @pytest.mark.parametrize("tol_exp", [None, -40])
+    def test_gauss_2f1(self, tol_exp):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(31 if tol_exp is None else 32)
+        for _ in range(25):
+            kk, e, xf, _, prec = self._case(rng)
+            n = rng.randint(0, 40)
+            a, b, c = Fraction(1 + n), Fraction(-kk), e + 2 + n
+            x = Ball.from_fraction(xf, prec)
+            assert not x.is_exact()
+            tol = bf_two_power(tol_exp) if tol_exp else None
+            out = specfun.gauss_2f1(a, b, c, x, prec, tol)
+            with mpmath.workprec(prec + 64):
+                ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, xf))))
+            self._check(out, ref, prec, tol_exp)
+
+    @pytest.mark.parametrize("tol_exp", [None, -40])
+    def test_appell_f1(self, tol_exp):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(33 if tol_exp is None else 34)
+        for _ in range(25):
+            kk, e, xf, yf, prec = self._case(rng)
+            params = (Fraction(1), Fraction(-kk), -e, e + 2)
+            x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
+            tol = bf_two_power(tol_exp) if tol_exp else None
+            out = specfun.appell_f1(*params, x, y, prec, tol)
+            with mpmath.workprec(prec + 64):
+                args = (_mp(mpmath, v) for v in params + (xf, yf))
+                ref = _mp_fraction(mpmath.appellf1(*args))
+            self._check(out, ref, prec, tol_exp)
