@@ -8,7 +8,9 @@ parsing its ball strings reproduces every verdict bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -26,6 +28,7 @@ from .ball import (
 )
 from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
 from .errors import (
+    InvalidArgument,
     InvalidGeometry,
     NoValidPair,
     NonPositiveBase,
@@ -106,6 +109,8 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
     rejects the attempt like a failed acceptance test; on the last allowed
     attempt it propagates.  Returns (result, prec, accepted).
     """
+    if prec_start < 1:
+        raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
     prec = prec_start
     while True:
         last = prec * 2 > prec_max
@@ -120,6 +125,14 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
             if last:
                 return result, prec, False
         prec *= 2
+
+
+def _target_width(target_width: float):
+    """The width target as a BigFloat; it must be positive and finite, since
+    no enclosure meets a zero or negative width at any precision."""
+    if not 0 < target_width < math.inf:
+        raise InvalidArgument("target width must be positive and finite, got %r" % target_width)
+    return bf_from_float(target_width)
 
 
 def certify_dimension(
@@ -145,7 +158,7 @@ def certify_dimension(
     polynomial_eval = polynomial_eval or oracle.polynomial_m_value
 
     pair_list = _resolve_pairs(n, pairs)
-    tw = bf_from_float(target_width)
+    tw = _target_width(target_width)
 
     def attempt(prec: int):
         lens = lens_eval(n, prec)
@@ -223,7 +236,10 @@ def certify(
     jobs: int | None = None,
     out: str | None = None,
 ) -> list[Certificate]:
-    """Certify a range of dimensions; optionally write the JSON certificates."""
+    """Certify a range of dimensions; optionally write the JSON certificates.
+
+    The output file is opened first, so a path that cannot be written fails
+    before any dimension is computed."""
     ns = sorted(n_range)
     kwargs = dict(
         pairs=pairs,
@@ -231,14 +247,14 @@ def certify(
         prec_start=prec_start,
         prec_max=prec_max,
     )
-    if jobs and jobs > 1 and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
-    else:
-        certs = [certify_dimension(n, **kwargs) for n in ns]
-    certs.sort(key=lambda c: c.n)
-    if out:
-        with open(out, "w") as fh:
+    with open(out, "w") if out else contextlib.nullcontext() as fh:
+        if jobs and jobs > 1 and len(ns) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
+        else:
+            certs = [certify_dimension(n, **kwargs) for n in ns]
+        certs.sort(key=lambda c: c.n)
+        if fh:
             json.dump([c.to_dict() for c in certs], fh, indent=1)
             fh.write("\n")
     return certs
@@ -306,6 +322,8 @@ def table_rows(
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,
 ) -> list[TableRow]:
+    if digits < 1:
+        raise InvalidArgument("digits must be at least 1, got %r" % digits)
     rows = []
     width_cap = bf_from_float(0.5 * 10.0 ** (-digits))
 
@@ -385,7 +403,7 @@ def plot_rows(
     target_width: float = DEFAULT_TARGET_WIDTH,
 ) -> list[PlotRow]:
     rows = []
-    tw = bf_from_float(target_width)
+    tw = _target_width(target_width)
     for n in sorted(n_range):
         k, l = geom.default_pairs(n)[0]
 

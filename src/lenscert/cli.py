@@ -7,21 +7,24 @@ Undecided, 1 on errors (including any Failed certificate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import __version__, certify as certify_mod
-from .errors import LensCertError
+from .errors import InvalidArgument, LensCertError
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError("empty range %r" % spec)
-        return list(range(lo_i, hi_i + 1))
-    return [int(spec)]
+    lo, sep, hi = spec.partition("..")
+    try:
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
+    except ValueError:
+        raise InvalidArgument("bad dimension %r (expected N or N..M)" % spec) from None
+    if hi_i < lo_i:
+        raise InvalidArgument("empty range %r" % spec)
+    return list(range(lo_i, hi_i + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,12 +67,10 @@ DESK_SCALE_CAP = 200
 LONG_RUN_CAP = 2700
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The file `out`, opened before anything is computed so that a path
+    that cannot be written fails at once, or stdout."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -100,18 +101,19 @@ def main(argv=None) -> int:
                 return 2
             return 0
         if args.command == "table":
-            rows = certify_mod.table_rows(_parse_range(args.n), digits=args.digits)
-            _write_or_print(certify_mod.render_table(rows, args.format), args.out)
+            with _output(args.out) as fh:
+                rows = certify_mod.table_rows(_parse_range(args.n), digits=args.digits)
+                fh.write(certify_mod.render_table(rows, args.format))
             return 0
         if args.command == "plot":
-            rows = certify_mod.plot_rows(_parse_range(args.n))
-            _write_or_print(certify_mod.render_plot_csv(rows), args.out)
+            with _output(args.out) as fh:
+                fh.write(certify_mod.render_plot_csv(certify_mod.plot_rows(_parse_range(args.n))))
             return 0
         if args.command == "exact":
             report = certify_mod.exact_report(args.n, args.mode)
             print(json.dumps(report, indent=1))
             return 0
-    except LensCertError as exc:
+    except (LensCertError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 1

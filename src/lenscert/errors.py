@@ -43,3 +43,7 @@ class NoValidPair(LensCertError):
 
 class UnsupportedDimension(LensCertError):
     pass
+
+
+class InvalidArgument(LensCertError, ValueError):
+    """An argument outside the range the library accepts."""

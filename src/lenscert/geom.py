@@ -2,9 +2,13 @@
 
 The renormalized lens energy is assembled from half-integer gamma values and
 two Gauss hypergeometric evaluations at z = 1/4; the competitor energy comes
-from the arc construction whose circular-arc constants are produced here and
-whose integrals are evaluated on three independent routes (special function,
-verified quadrature, exact polynomial expansion for odd index pairs).
+from the arc construction whose circular-arc constants are produced here.
+Its arc integrals are evaluated on the special-function route, and for the
+agreement check on verified quadrature and, for odd index pairs, on the
+exact polynomial expansion (`oracle.polynomial_m_value`).  All three share
+`lawson_constants` and `assemble_competitor`, so they cross-check the arc
+integrals only; the references that share no code with lenscert are the
+mpmath evaluations in the tests.
 """
 
 from __future__ import annotations
@@ -276,8 +280,8 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
 
     Each arc integral is recentered at its corner before applying the
     Euler-type integral identity, which keeps every hypergeometric series
-    sign-stable; the textbook two-term composition (see
-    competitor_energy_terms_ad) is mathematically identical but cancels
+    sign-stable; the textbook two-term composition, a complete 2F1 value
+    minus an Appell F1 value, is mathematically identical but cancels
     catastrophically as the indices grow.
     """
     consts = lawson_constants(k, l, prec)
@@ -319,74 +323,6 @@ def _arc_shifted(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: 
     out = ball_mul(ball_mul(lpow, dpow, w), ball_mul(ball_pow_int(corner, kk, w), f1, w), w)
     ef = e + 1
     return ball_mul_rat(out, ef.denominator, ef.numerator, w)
-
-
-def competitor_energy_terms_ad(k: int, l: int, prec: int) -> CompetitorEnergy:
-    """Competitor energy through the two-term (difference) composition of the
-    Euler and Appell identities; agrees with competitor_energy_specfun but
-    loses roughly 2(k+l) bits to cancellation, so it serves as a cross-check
-    for small index pairs only."""
-    consts = lawson_constants(k, l, prec)
-    w = prec + 16
-    lam, rho, d, r, h = consts.lambda_, consts.rho, consts.d, consts.r, consts.h
-
-    rho_md = ball_sub(rho, d, w)
-    rho_pd = ball_add(rho, d, w)
-    x_a = ball_div(lam, rho_md, w)
-    y_a = ball_neg(ball_div(lam, rho_pd, w))
-    z_a = ball_neg(ball_div(rho_md, rho_pd, w))
-    lam_k1 = ball_pow_int(lam, k + 1, w)
-
-    s1v = _arc_terms_ad(k, l, rho, d, rho_md, z_a, x_a, y_a, lam_k1, w, volume_form=True)
-    s1p = _arc_terms_ad(k, l, rho, d, rho_md, z_a, x_a, y_a, lam_k1, w, volume_form=False)
-
-    if k == l:
-        s2v, s2p = s1v, s1p
-    else:
-        r_mh = ball_sub(r, h, w)
-        r_ph = ball_add(r, h, w)
-        one = Ball.from_int(1, w)
-        x_b = ball_div(one, r_mh, w)
-        y_b = ball_neg(ball_div(one, r_ph, w))
-        z_b = ball_neg(ball_div(r_mh, r_ph, w))
-        s2v = _arc_terms_ad(l, k, r, h, r_mh, z_b, x_b, y_b, one, w, volume_form=True)
-        s2p = _arc_terms_ad(l, k, r, h, r_mh, z_b, x_b, y_b, one, w, volume_form=False)
-
-    return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec, EnergyPath.SPECIAL_FUNCTION)
-
-
-def _arc_terms_ad(k, l, radius, offset, rad_m_off, z, x, y, corner_pow, w, volume_form):
-    """One arc integral via the Euler/Appell representation.
-
-    With exponent e = (l+1)/2 (volume) or (l-1)/2 (perimeter):
-      integral = (radius^2 - offset^2)^e * [g * (radius-offset)^(k+1) * 2F1 -
-                  corner_pow * F1] / (k+1)
-    """
-    if volume_form:
-        e2 = l + 1
-        gq, gs = specfun.gamma_half_product([2 * k + 4, l + 3], [2 * k + l + 5])
-        f_a, f_b, f_c = Fraction(-(l + 1), 2), Fraction(k + 1), Fraction(l + 1, 2) + k + 2
-    else:
-        e2 = l - 1
-        gq, gs = specfun.gamma_half_product([2 * k + 4, l + 1], [2 * k + l + 3])
-        f_a, f_b, f_c = Fraction(1 - l, 2), Fraction(k + 1), Fraction(l - 1, 2) + k + 2
-    if gs != 0:
-        raise AssertionError("gamma prefactor must be rational")
-
-    f21 = specfun.gauss_2f1(f_a, f_b, f_c, z, w)
-    term1 = ball_mul_rat(
-        ball_mul(ball_pow_int(rad_m_off, k + 1, w), f21, w), gq.numerator, gq.denominator, w
-    )
-    f1 = specfun.appell_f1(Fraction(k + 1), f_a, f_a, Fraction(k + 2), x, y, w)
-    term2 = ball_mul(corner_pow, f1, w)
-    bracket = ball_sub(term1, term2, w)
-
-    sq = ball_sub(ball_mul(radius, radius, w), ball_mul(offset, offset, w), w)
-    if e2 % 2 == 0:
-        power = ball_pow_int(sq, e2 // 2, w)
-    else:
-        power = pow_rational(sq, e2, 2, w)
-    return ball_mul_rat(ball_mul(power, bracket, w), 1, k + 1, w)
 
 
 def competitor_energy_quadrature(

@@ -1,9 +1,15 @@
-"""Independent evaluation paths used to cross-check the primary pipeline.
+"""Second evaluation paths for the certificate's agreement check, and the
+exact values behind the `exact` reports.
 
 Contains verified 1-D quadrature (interval-sum and midpoint-with-derivative
-schemes), the exact cosine-power recursion for the lens quantities, the
+schemes, and the fixed-point Gauss-3 pass over the competitor's arc
+integrands), the exact cosine-power recursion for the lens quantities, the
 polynomial evaluation of the competitor energy for odd index pairs, and exact
-arithmetic in the field Q(sqrt2, sqrt3) for the balanced odd case.
+arithmetic in the field Q(sqrt2, sqrt3) for the balanced odd case.  The
+competitor paths share `geom.lawson_constants` and `geom.assemble_competitor`
+with the special-function path they check, so they are independent in the
+arc integrals only; the references that share no code with lenscert are the
+mpmath evaluations in the tests.
 
 Normalization rule for the exact balanced-case field elements: the numerator
 and denominator of M(k,k) are each scaled by the least positive rational that
@@ -13,7 +19,7 @@ turns all four coordinates into coprime integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -56,11 +62,13 @@ from .ball import (
     ball_sub,
     ball_widen,
     cos_ball,
+    pi_ball,
     pow_rational,
     sin_ball,
     sqrt_ball,
 )
 from .errors import DomainViolation, QuadratureBudgetExceeded
+from .specfun import unit_ball_volume
 
 __all__ = [
     "Integrand",
@@ -68,8 +76,6 @@ __all__ = [
     "QuadratureTask",
     "verified_integral",
     "polynomial_integrand",
-    "sqrt_power_integrand",
-    "picard_integrand",
     "LensExact",
     "lens_exact_wallis",
     "lambda_plane_exact_ball",
@@ -246,45 +252,6 @@ def polynomial_integrand(coeffs) -> Integrand:
         label="polynomial(deg=%d)" % (len(cs) - 1),
         eval_point=_eval,
         eval_deriv=_deriv,
-    )
-
-
-def _pow_half_touching(s: Ball, p: int, w: int) -> Ball:
-    """(s)**(p/2) for p >= 1 when s may graze zero from above.
-
-    Acts as the interval extension over s intersected with [0, inf).
-    """
-    lo, hi = s.inf(), s.sup()
-    if hi.sign < 0:
-        raise DomainViolation("negative base in half-integer power")
-    if hi.sign == 0:
-        return Ball.from_int(0, w)
-    hi_pow = pow_rational(Ball.point(hi, w), p, 2, w)
-    if lo.sign <= 0:
-        return ball_from_endpoints(ZERO, hi_pow.sup(), w)
-    lo_pow = pow_rational(Ball.point(lo, w), p, 2, w)
-    return ball_from_endpoints(lo_pow.inf(), hi_pow.sup(), w)
-
-
-def sqrt_power_integrand(p: int) -> Integrand:
-    """(1 - t**2)**(p/2) for odd p >= 1 over t in [-1, 1]."""
-
-    def _base(t: Ball) -> Ball:
-        w = t.prec
-        return ball_sub(Ball.from_int(1, w), ball_mul(t, t, w), w)
-
-    def _eval(t: Ball):
-        return _pow_half_touching(_base(t), p, t.prec)
-
-    def _deriv(t: Ball):
-        w = t.prec
-        out = ball_mul(t, _pow_half_touching(_base(t), p - 2, w), w)
-        return ball_mul_rat(out, -p, 1, w)
-
-    return Integrand(
-        label="(1-t^2)^(%d/2)" % p,
-        eval_point=_eval,
-        eval_deriv=_deriv if p >= 3 else None,
     )
 
 
@@ -484,79 +451,6 @@ def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_boun
     return out
 
 
-def picard_integrand(a: Fraction, b1: Fraction, b2: Fraction, diff: int, x: Ball, y: Ball, w: int) -> Integrand:
-    """t^(a-1) (1-t)^(diff-1) (1-x t)^(-b1) (1-y t)^(-b2)."""
-    a1 = a - 1
-    a1_int = a1.denominator == 1 and a1 >= 0
-    nb1, nb2 = -b1, -b2
-
-    def _powers(t: Ball):
-        w_ = t.prec
-        one = Ball.from_int(1, w_)
-        g3 = pow_rational(ball_sub(one, ball_mul(x, t, w_), w_), nb1.numerator, nb1.denominator, w_)
-        g4 = pow_rational(ball_sub(one, ball_mul(y, t, w_), w_), nb2.numerator, nb2.denominator, w_)
-        return one, g3, g4
-
-    def _eval(t: Ball):
-        w_ = t.prec
-        one, g3, g4 = _powers(t)
-        if a1_int:
-            g1 = ball_pow_int(t, int(a1), w_)
-        else:
-            g1 = _pow_frac_touching(t, a1, w_)
-        out = ball_mul(g1, ball_mul(g3, g4, w_), w_)
-        if diff > 1:
-            out = ball_mul(out, ball_pow_int(ball_sub(one, t, w_), diff - 1, w_), w_)
-        return out
-
-    def _deriv(t: Ball):
-        w_ = t.prec
-        one, g3, g4 = _powers(t)
-        ia = int(a1)
-        g1 = ball_pow_int(t, ia, w_)
-        g2 = ball_pow_int(ball_sub(one, t, w_), diff - 1, w_)
-        g34 = ball_mul(g3, g4, w_)
-        total = Ball.from_int(0, w_)
-        if ia >= 1:
-            total = ball_mul_rat(ball_mul(ball_mul(ball_pow_int(t, ia - 1, w_), g2, w_), g34, w_), ia, 1, w_)
-        if diff - 1 >= 1:
-            t2 = ball_mul_rat(
-                ball_mul(ball_mul(g1, ball_pow_int(ball_sub(one, t, w_), diff - 2, w_), w_), g34, w_),
-                diff - 1, 1, w_,
-            )
-            total = ball_sub(total, t2, w_)
-        # d/dt (1-xt)^(-b1) = b1 x (1-xt)^(-b1-1)
-        e3 = nb1 - 1
-        g3p = pow_rational(ball_sub(one, ball_mul(x, t, w_), w_), e3.numerator, e3.denominator, w_)
-        term3 = ball_mul(ball_mul(ball_mul(g1, g2, w_), g4, w_), ball_mul(x, g3p, w_), w_)
-        total = ball_add(total, ball_mul_rat(term3, b1.numerator, b1.denominator, w_), w_)
-        e4 = nb2 - 1
-        g4p = pow_rational(ball_sub(one, ball_mul(y, t, w_), w_), e4.numerator, e4.denominator, w_)
-        term4 = ball_mul(ball_mul(ball_mul(g1, g2, w_), g3, w_), ball_mul(y, g4p, w_), w_)
-        total = ball_add(total, ball_mul_rat(term4, b2.numerator, b2.denominator, w_), w_)
-        return total
-
-    return Integrand(
-        label="picard a=%s b1=%s b2=%s" % (a, b1, b2),
-        eval_point=_eval,
-        eval_deriv=_deriv if a1_int else None,
-    )
-
-
-def _pow_frac_touching(s: Ball, e: Fraction, w: int) -> Ball:
-    """s**e for e > 0 when s may graze zero from above."""
-    lo = s.inf()
-    if lo.sign > 0:
-        return pow_rational(s, e.numerator, e.denominator, w)
-    hi = s.sup()
-    if hi.sign < 0:
-        raise DomainViolation("negative base in fractional power")
-    if hi.sign == 0:
-        return Ball.from_int(0, w)
-    hi_pow = pow_rational(Ball.point(hi, w), e.numerator, e.denominator, w)
-    return ball_from_endpoints(ZERO, hi_pow.sup(), w)
-
-
 # ---------------------------------------------------------------------------
 # exact lens quantities through the cosine-power recursion
 # ---------------------------------------------------------------------------
@@ -581,8 +475,6 @@ class LensExact:
         return LensExact(self.a * f, self.b * f, self.c * f)
 
     def to_ball(self, prec: int) -> Ball:
-        from .ball import pi_ball
-
         w = prec + 8
         out = Ball.from_fraction(self.a, w)
         if self.b:
@@ -628,8 +520,6 @@ def _sqrt3_half_power(e: int) -> LensExact:
 
 def lambda_plane_exact_ball(n: int, prec: int) -> Ball:
     """Renormalized lens energy assembled from the exact cosine-power parts."""
-    from .specfun import unit_ball_volume
-
     w = prec + 16
     cap, vol = lens_exact_wallis(n)
     num = cap.scale(2) - _sqrt3_half_power(n - 1)
@@ -832,8 +722,6 @@ def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:
     docstring for the normalization rule); `assembled` applies the outer
     rational powers and the sqrt(pi)/volume prefactors to the raw elements.
     """
-    from .specfun import unit_ball_volume
-
     if k % 2 == 0 or k < 1:
         raise DomainViolation("balanced exact path requires odd k")
     n = 2 * k + 2

@@ -8,8 +8,7 @@ the first term t with |t| q / (1 - q) <= tol and is widened by that bound.
 Only a terminating series with no such bound runs to its last term, and a
 terminating 2F1 at a point argument is summed exactly in rationals.  Appell
 F1 follows the iterated reduction, whose outer series obeys the same rule
-with every inner 2F1 bounded by U = sum |(b1)_m| / m! |x|^m; its c = a+1
-case collapses to the separable double sum a * sum P_m Q_n / (a+m+n).
+with every inner 2F1 bounded by U = sum |(b1)_m| / m! |x|^m.
 
 The 2F1 series and the F1 outer series run on the fixed-point kernel of
 `ball`: terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -29,21 +28,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle
 from .bigfloat import (
     BigFloat,
-    ZERO,
-    ONE,
-    bf_cmp,
     bf_from_int,
     bf_msb_exp,
     bf_shift,
     bf_to_fraction,
     bf_two_power,
     rup,
-    rup_add,
-    rup_div,
-    rup_mul,
     rup_mul_rat,
 )
 from .ball import (
@@ -54,15 +46,11 @@ from .ball import (
     _fx_mul_rat,
     _fx_tail,
     _fx_to_ball,
-    ball_add,
     ball_div,
     ball_mul,
     ball_mul_rat,
     ball_pow_int,
     ball_round,
-    ball_sub,
-    ball_widen,
-    asin_ball,
     pi_ball,
     sqrt_ball,
 )
@@ -76,11 +64,7 @@ __all__ = [
     "SeriesTail",
     "gauss_2f1",
     "gauss_2f1_detailed",
-    "ClosedForm2F1",
-    "closed_form_recursion",
-    "eval_closed_form",
     "appell_f1",
-    "appell_f1_quadrature",
 ]
 
 
@@ -292,110 +276,8 @@ def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# exact closed forms for 2F1(1/2, m/2; 3/2; z), m odd <= 1
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedForm2F1:
-    """sqrt(1-z) * P(z) + c * arcsin(sqrt(z)) / sqrt(z), P rational."""
-
-    coeffs: tuple[Fraction, ...]  # P, ascending degree
-    c: Fraction
-
-
-def closed_form_recursion(m: int) -> ClosedForm2F1:
-    """Exact (P, c) for 2F1(1/2, m/2; 3/2; z) built by lowering b from 1/2."""
-    if m % 2 == 0 or m > 1:
-        raise ValueError("m must be odd and at most 1")
-    coeffs: list[Fraction] = []
-    c = Fraction(1)
-    b = Fraction(1, 2)
-    while 2 * b > m:
-        # P_new = (z(1-z)P' + (3/2 - b - z)P + c/2) / (3/2 - b)
-        new = [Fraction(0)] * (len(coeffs) + 2)
-        for i, p in enumerate(coeffs):
-            if i >= 1:
-                new[i] += i * p       # z P'
-                new[i + 1] -= i * p   # -z^2 P'
-            new[i] += (Fraction(3, 2) - b) * p
-            new[i + 1] -= p           # -z P
-        new[0] += c / 2
-        denom = Fraction(3, 2) - b
-        coeffs = [x / denom for x in new]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        c = c * (1 - b) / denom
-        b -= 1
-    return ClosedForm2F1(tuple(coeffs), c)
-
-
-def eval_closed_form(cf: ClosedForm2F1, z: Ball, prec: int) -> Ball:
-    w = prec + 8
-    pz = Ball.from_int(0, w)
-    for coeff in reversed(cf.coeffs):
-        pz = ball_add(ball_mul(pz, z, w), Ball.from_fraction(coeff, w), w)
-    one = Ball.from_int(1, w)
-    out = ball_mul(sqrt_ball(ball_sub(one, z, w), w), pz, w)
-    sz = sqrt_ball(z, w)
-    arc = ball_div(asin_ball(sz, w), sz, w)
-    out = ball_add(out, ball_mul_rat(arc, cf.c.numerator, cf.c.denominator, w), w)
-    return ball_round(out, prec)
-
-
-# ---------------------------------------------------------------------------
 # Appell F1
 # ---------------------------------------------------------------------------
-
-
-def _pochhammer_series_threshold(b: Fraction, xsup: Fraction) -> tuple[int, Fraction]:
-    """(N, q): for m >= N, |(b+m)/(m+1)| * xsup <= q < 1 for sum (b)_m x^m / m!."""
-    if xsup >= 1:
-        raise DivergentParameters("|x| must be certainly below 1")
-    if b <= 1:
-        return _ratio_threshold(Fraction(1), b, Fraction(1)), xsup
-    q = (1 + xsup) / 2
-    # (b+m)/(m+1) decreases in m for b > 1; find the first admissible m
-    n = max(0, _fr_ceil((b * xsup - q) / (q - xsup)))
-    while (b + n) * xsup > (n + 1) * q:
-        n += 1
-    return n, q
-
-
-def _pochhammer_series(
-    b: Fraction, x: Ball, w: int, tol: BigFloat
-) -> tuple[list[Ball], BigFloat, BigFloat]:
-    """Terms P_m = (b)_m x^m / m! as balls.
-
-    Returns (terms, tail, abs_sum) where tail bounds sum of |P_m| beyond the
-    list and abs_sum bounds sum of |P_m| over the whole series.
-    """
-    order = int(-b) if _is_nonpos_int(b) else None
-    xsup = Fraction(bf_to_fraction(x.mag_sup()))
-    if order is None or xsup < 1:
-        n1, q = _pochhammer_series_threshold(b, xsup)
-        tf = q / (1 - q)
-    else:
-        n1 = order  # no tail bound: sum every term
-    terms = [Ball.from_int(1, w)]
-    abs_sum = rup(ONE)
-    m = 0
-    budget = order if order is not None else n1 + 64 * w + 256
-    # (b+m)/(m+1) is the 2F1 term ratio with a = c = 1
-    one, ib, _, d = _scaled(Fraction(1), b, Fraction(1))
-    while m != order:
-        p, q = _term_ratio(one, ib, one, d, m)
-        terms.append(ball_mul(ball_mul_rat(terms[-1], p, q, w), x, w))
-        m += 1
-        mag = terms[-1].mag_sup()
-        abs_sum = rup_add(abs_sum, mag)
-        if n1 <= m != order:
-            tail = rup_mul_rat(mag, tf.numerator, tf.denominator)
-            if bf_cmp(tail, tol) <= 0:
-                return terms, tail, rup_add(abs_sum, tail)
-        if m > budget:
-            raise PrecisionExhausted("series did not reach its tail tolerance")
-    return terms, ZERO, abs_sum
 
 
 def _abs_pochhammer_bound(b: Fraction, tsup: Fraction, w: int) -> BigFloat:
@@ -434,48 +316,7 @@ def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = 
         raise DomainViolation("F1 x-argument must lie certainly inside the unit disc")
     if ysup >= 1 and not _is_nonpos_int(b2):
         raise DomainViolation("F1 y-argument must lie certainly inside the unit disc")
-    tol = tol or _default_tol(prec)
-    w = prec + 8
-
-    if c == a + 1 and a > 0 and xsup < 1:
-        return _appell_f1_separable(a, b1, b2, x, y, w, prec, tol)
-    return _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol)
-
-
-def _appell_f1_separable(a, b1, b2, x, y, w, prec, tol) -> Ball:
-    """F1(a, b1, b2, a+1; x, y) = a * sum_{m,n} P_m Q_n / (a+m+n)."""
-    tol_q = rup_mul_rat(tol, 1, 16)
-    q_terms, q_tail, q_abs = _pochhammer_series(b2, y, w, tol_q)
-    # choose the x-series tolerance against the y-side mass
-    denom = q_abs if q_abs.sign else ONE
-    tol_p = rup_mul_rat(rup_div(tol, denom), 1, 16)
-    p_terms, p_tail, _ = _pochhammer_series(b1, x, w, tol_p)
-
-    # suffix[n] bounds sum of |Q_i| for i >= n (including the off-list tail)
-    nq = len(q_terms)
-    suffix = [q_tail] * (nq + 1)
-    for n in range(nq - 1, -1, -1):
-        suffix[n] = rup_add(suffix[n + 1], q_terms[n].mag_sup())
-
-    total = Ball.from_int(0, w)
-    slack = rup_mul(p_tail, q_abs) if p_tail.sign else ZERO
-    row_tol = rup_mul_rat(tol, 1, 4 * len(p_terms))
-    for m, pm in enumerate(p_terms):
-        pmag = pm.mag_sup()
-        n = 0
-        while n < nq:
-            # a/(a+m+n) <= 1, so the rest of this row is below pmag*suffix[n]
-            if n and bf_cmp(rup_mul(pmag, suffix[n]), row_tol) <= 0:
-                break
-            qn = q_terms[n]
-            af = Fraction(a, a + m + n)
-            total = ball_add(
-                total, ball_mul_rat(ball_mul(pm, qn, w), af.numerator, af.denominator, w), w
-            )
-            n += 1
-        slack = rup_add(slack, rup_mul(pmag, suffix[n]))
-    total = ball_widen(total, slack)
-    return ball_round(total, prec)
+    return _appell_f1_iterated(a, b1, b2, c, x, y, prec + 8, prec, tol or _default_tol(prec))
 
 
 def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
@@ -527,50 +368,3 @@ def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
                 return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if n > budget:
             raise PrecisionExhausted("F1 outer series did not converge")
-
-
-def appell_f1_quadrature(
-    a,
-    b1,
-    b2,
-    c,
-    x: Ball,
-    y: Ball,
-    prec: int,
-    target_width: BigFloat | None = None,
-    budget: int = 200_000,
-) -> Ball:
-    """F1 via the Euler-type integral a-la Picard; cross-check path.
-
-    Needs c - a a positive integer and a >= 1 so the integrand
-    t^(a-1) (1-t)^(c-a-1) (1-x t)^(-b1) (1-y t)^(-b2) is smooth on [0, 1].
-    """
-    a, b1, b2, c = Fraction(a), Fraction(b1), Fraction(b2), Fraction(c)
-    diff = c - a
-    if diff.denominator != 1 or diff < 1:
-        raise DomainViolation("quadrature path requires c - a a positive integer")
-    if a < 1:
-        raise DomainViolation("quadrature path requires a >= 1")
-    xsup = Fraction(bf_to_fraction(x.mag_sup()))
-    ysup = Fraction(bf_to_fraction(y.mag_sup()))
-    if xsup >= 1 or ysup >= 1:
-        raise DomainViolation("F1 arguments must lie certainly inside the unit disc")
-    w = prec + 8
-    if target_width is None:
-        # cross-check-oracle scale; tight widths come from the series path
-        target_width = bf_two_power(-20)
-    integrand = oracle.picard_integrand(a, b1, b2, int(diff), x, y, w)
-    task = oracle.QuadratureTask(
-        integrand=integrand,
-        lower=Ball.from_int(0, w),
-        upper=Ball.from_int(1, w),
-        prec=w,
-    )
-    integral = oracle.verified_integral(task, target_width, budget)
-    # Gamma(c) / (Gamma(a) Gamma(c-a)) = (a)_(c-a) / Gamma(c-a), both exact here
-    rising = Fraction(1)
-    for i in range(int(diff)):
-        rising *= a + i
-    factor = rising / math.factorial(int(diff) - 1)
-    out = ball_mul_rat(integral, factor.numerator, factor.denominator, w)
-    return ball_round(out, prec)

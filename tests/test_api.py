@@ -1,5 +1,7 @@
-"""The public surface: every name a module exports resolves."""
+"""The public surface: every name a module exports resolves, and no module
+imports a name it does not use."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -46,3 +48,28 @@ def test_fixed_point_kernel_defined_only_in_ball():
                 assert getattr(mod, name) is getattr(ball, name), (mod.__name__, name)
     for mod in (oracle, specfun):
         assert {"_fx_from_ball", "_fx_mul", "_fx_to_ball"} <= set(vars(mod)), mod.__name__
+
+
+def test_no_unused_imports():
+    """no module of the package imports a name it never uses; a name listed
+    in `__all__` counts as used"""
+    unused = []
+    for path in sorted(pathlib.Path(lenscert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in used]
+    assert unused == []

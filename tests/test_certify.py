@@ -9,6 +9,7 @@ from lenscert import cli, geom, oracle
 from lenscert.ball import Ball, ball_from_str, ball_widen, certainly_less, TriBool
 from lenscert.bigfloat import bf_two_power
 from lenscert.errors import (
+    InvalidArgument,
     NonPositiveBase,
     NoValidPair,
     PrecisionExhausted,
@@ -85,6 +86,14 @@ class TestCertifyDimension:
         assert cert.precision_bits == 256
         with pytest.raises(NonPositiveBase):
             C.certify_dimension(8, lens_eval=lens_eval, prec_max=128, quadrature_max_n=0)
+
+    @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
+                                        {"target_width": float("nan")}, {"target_width": float("inf")}])
+    def test_invalid_driver_arguments_raise(self, kwargs):
+        """a start precision below one bit, or a width no enclosure can meet,
+        raises at once instead of escalating for ever"""
+        with pytest.raises(InvalidArgument):
+            C.certify_dimension(8, **kwargs)
 
     def test_pair_of_another_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -204,11 +213,12 @@ class TestExactReports:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "lenscert.cli", *args],
             capture_output=True,
             text=True,
+            timeout=timeout,
         )
 
     def test_certify_exit_zero(self, tmp_path):
@@ -257,3 +267,32 @@ class TestCli:
     def test_error_exit(self):
         r = self.run_cli("plot", "--n", "2")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--n", "8..x"],
+            ["certify", "--n", "9..8"],
+            ["certify", "--n", "8", "--width", "0"],
+            ["certify", "--n", "8", "--width", "-1"],
+            ["certify", "--n", "8", "--width", "nan"],
+            ["certify", "--n", "8", "--width", "inf"],
+            ["certify", "--n", "8", "--prec-start", "0"],
+            ["certify", "--n", "8", "--prec-start", "-64"],
+            ["table", "--n", "8", "--digits", "0"],
+            ["table", "--n", "8", "--digits", "-1"],
+            ["certify", "--n", "8", "--out", "{missing}/x.json"],
+            ["table", "--n", "8", "--out", "{missing}/x.csv"],
+        ],
+        ids=[
+            "range-not-int", "range-empty", "width-0", "width-neg", "width-nan", "width-inf",
+            "prec-start-0", "prec-start-neg", "digits-0", "digits-neg",
+            "certify-out-missing-dir", "table-out-missing-dir",
+        ],
+    )
+    def test_input_error_is_one_line(self, argv, tmp_path):
+        """bad input ends at once with exit 1 and a single `error:` line"""
+        r = self.run_cli(*(a.format(missing=tmp_path / "missing") for a in argv), timeout=10)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr

@@ -15,7 +15,7 @@ from lenscert.ball import (
     pow_rational,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction
 from lenscert.errors import InvalidGeometry, NoValidPair
 
 # certified reference values (8 decimals).  Every M entry is reproduced by the
@@ -51,6 +51,11 @@ M_VALUES = {
 }
 
 
+def _mp_fraction(v) -> Fraction:
+    man, exp = v.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def eight_decimals(b) -> str:
     from lenscert.certify import certified_decimal
 
@@ -83,6 +88,24 @@ class TestLensQuantities:
             lq.cap_area * 2 - lq.disc_term
         ) / pow_rational(lq.lens_volume, 11, 12, 128)
         assert intersects(rebuilt, lq.lambda_plane)
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 51])
+    def test_cap_and_volume_enclose_mpmath(self, n):
+        """cap_area / ((n-1) omega_{n-1}) is the integral of sin^(n-2) over
+        [0, pi/3] and lens_volume / omega_{n-1} twice that of sin^n; both
+        enclose mpmath.quad at 40 digits, up to the reference's rounding"""
+        mpmath = pytest.importorskip("mpmath")
+        prec = 128
+        lq = geom.lens_quantities(n, prec)
+        omega = specfun.unit_ball_volume(n - 1, prec)
+        got = (lq.cap_area / ball_mul_rat(omega, n - 1, 1), lq.lens_volume / omega)
+        with mpmath.workdps(40):
+            refs = [
+                scale * mpmath.quad(lambda phi: mpmath.sin(phi) ** e, [0, mpmath.pi / 3])
+                for scale, e in ((1, n - 2), (2, n))
+            ]
+        for b, r in zip(got, map(_mp_fraction, refs)):
+            assert abs(bf_to_fraction(b.mid) - r) <= bf_to_fraction(b.rad) + r / 10**39, n
 
     def test_positive_entries(self):
         for n in (3, 4, 17, 40):
@@ -168,18 +191,24 @@ class TestCompetitorEnergy:
         assert intersects(a.m_value, b.m_value)
 
     @pytest.mark.parametrize("k,l", [(3, 3), (3, 4), (4, 4), (2, 4)])
-    def test_two_term_composition_agrees(self, k, l):
-        fast = geom.competitor_energy_specfun(k, l, 192)
-        literal = geom.competitor_energy_terms_ad(k, l, 192)
-        assert intersects(fast.m_value, literal.m_value)
-        assert intersects(fast.volume, literal.volume)
-        assert intersects(fast.perimeter, literal.perimeter)
+    def test_m_encloses_mpmath(self, k, l):
+        """the 192-bit M(k,l) encloses the mpmath evaluation of the
+        construction at 50 digits, which shares no code with lenscert"""
+        mpmath = pytest.importorskip("mpmath")
+        from test_acceptance import _mpmath_competitor_energy
+
+        m = geom.competitor_energy_specfun(k, l, 192).m_value
+        with mpmath.workdps(50):
+            ref = _mp_fraction(_mpmath_competitor_energy(mpmath, k, l))
+        assert abs(bf_to_fraction(m.mid) - ref) <= bf_to_fraction(m.rad) + Fraction(1, 10**45)
 
     def test_quadrature_path_agrees(self):
-        for k, l in ((3, 3), (4, 4), (3, 5)):
+        for k, l in ((3, 3), (4, 4), (3, 5), (2, 4), (3, 4)):
             s = geom.competitor_energy_specfun(k, l, 128)
             q = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
             assert intersects(s.m_value, q.m_value)
+            assert intersects(s.volume, q.volume)
+            assert intersects(s.perimeter, q.perimeter)
             assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
 
     def test_polynomial_path_agrees(self):

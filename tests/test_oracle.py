@@ -144,20 +144,6 @@ class TestVerifiedIntegral:
         assert out.contains_fraction(1)
         assert bf_cmp(out.width(), bf_two_power(-11)) >= 0  # endpoint slop retained
 
-    def test_lens_cap_integrand_dual_path(self):
-        """integral of (1-t^2)^(5/2) over [1/2, 1] meets the lens cap value"""
-        prec = 96
-        task = oracle.QuadratureTask(
-            oracle.sqrt_power_integrand(5),
-            Ball.from_fraction(Fraction(1, 2), prec),
-            Ball.from_int(1, prec),
-            prec=prec,
-        )
-        quad = oracle.verified_integral(task, 1e-6, budget=300_000)
-        lq = geom.lens_quantities(8, 128)
-        cap_integral = lq.cap_area / ball_mul_rat(specfun.unit_ball_volume(7, 128), 7, 1)
-        assert intersects(quad, cap_integral)
-
 
 class TestArcProfileQuadrature:
     def test_matches_polynomial_path(self):

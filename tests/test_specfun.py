@@ -137,36 +137,19 @@ class TestGauss2F1:
             bound = bf_to_fraction(tail.last_term) * ratio / (1 - ratio)
             assert bf_to_fraction(tail.tail) >= bound
 
-
-class TestClosedFormRecursion:
-    def test_base(self):
-        cf = specfun.closed_form_recursion(1)
-        assert cf.coeffs == () and cf.c == 1
-
-    def test_m_minus5(self):
-        cf = specfun.closed_form_recursion(-5)
-        assert list(cf.coeffs) == [Fraction(11, 16), Fraction(-13, 24), Fraction(1, 6)]
-        assert cf.c == Fraction(5, 16)
-
-    def test_m_minus7(self):
-        cf = specfun.closed_form_recursion(-7)
-        assert list(cf.coeffs) == [
-            Fraction(93, 128),
-            Fraction(-163, 192),
-            Fraction(25, 48),
-            Fraction(-1, 8),
-        ]
-        assert cf.c == Fraction(35, 128)
-
     @pytest.mark.parametrize("zf", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
-    def test_recursion_vs_series(self, zf):
-        prec = 96
+    def test_lens_parameters_enclose_mpmath(self, zf):
+        """2F1(1/2, m/2; 3/2; z), the lens's series, for odd m from -1 to -41
+        encloses mpmath.hyp2f1 at 64 bits beyond the working precision"""
+        mpmath = pytest.importorskip("mpmath")
+        prec = 128
         z = Ball.from_fraction(zf, prec)
         for m in range(-1, -42, -2):
-            cf = specfun.closed_form_recursion(m)
-            lhs = specfun.eval_closed_form(cf, z, prec)
-            rhs = specfun.gauss_2f1(Fraction(1, 2), Fraction(m, 2), Fraction(3, 2), z, prec)
-            assert intersects(lhs, rhs)
+            a, b, c = Fraction(1, 2), Fraction(m, 2), Fraction(3, 2)
+            out = specfun.gauss_2f1(a, b, c, z, prec)
+            with mpmath.workprec(prec + 64):
+                ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, zf))))
+            TestAgainstMpmath._check(out, ref, prec, None)
 
 
 class TestAppellF1:
@@ -205,16 +188,6 @@ class TestAppellF1:
                 )
         assert out.contains_fraction(exact)
 
-    def test_separable_vs_iterated(self):
-        """the c = a+1 fast path agrees with the literal iterated reduction"""
-        prec = 96
-        x = Ball.from_fraction(Fraction(7, 10), prec)
-        y = Ball.from_fraction(Fraction(-3, 20), prec)
-        a, b1, b2, c = Fraction(4), Fraction(-5, 2), Fraction(-5, 2), Fraction(5)
-        fast = specfun._appell_f1_separable(a, b1, b2, x, y, prec + 8, prec, bf_two_power(-70))
-        slow = specfun._appell_f1_iterated(a, b1, b2, c, x, y, prec + 8, prec, bf_two_power(-70))
-        assert intersects(fast, slow)
-
     def test_domain_checks(self):
         big = Ball.from_fraction(Fraction(3, 2), 64)
         small = Ball.from_fraction(Fraction(1, 5), 64)
@@ -224,54 +197,43 @@ class TestAppellF1:
         out = specfun.appell_f1(2, -3, Fraction(-1, 2), 3, big, small, 64)
         assert out.mid.sign != 0
 
-
-class TestAppellQuadrature:
-    def test_matches_series_on_competitor_arguments(self):
+    def test_c_equals_a_plus_one_encloses_mpmath(self):
+        """F1(4; -2, -2; 5; x, y) at the competitor-shaped point x = 0.8837,
+        y = -0.1516 encloses mpmath.appellf1"""
+        mpmath = pytest.importorskip("mpmath")
         prec = 80
-        x = Ball.from_fraction(Fraction(8837, 10000), prec)
-        y = Ball.from_fraction(Fraction(-1516, 10000), prec)
-        a, b, c = Fraction(4), Fraction(-2), Fraction(5)
-        series = specfun.appell_f1(a, b, b, c, x, y, prec)
-        quad = specfun.appell_f1_quadrature(a, b, b, c, x, y, prec, target_width=1e-5)
-        assert intersects(series, quad)
+        xf, yf = Fraction(8837, 10000), Fraction(-1516, 10000)
+        params = (Fraction(4), Fraction(-2), Fraction(-2), Fraction(5))
+        out = specfun.appell_f1(*params, Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec), prec)
+        with mpmath.workprec(prec + 64):
+            ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in params + (xf, yf))))
+        TestAgainstMpmath._check(out, ref, prec, None)
 
-    def test_terminating_case_exact_sum(self):
-        prec = 80
-        x = Ball.from_fraction(Fraction(1, 3), prec)
-        y = Ball.from_fraction(Fraction(-1, 5), prec)
-        quad = specfun.appell_f1_quadrature(4, -2, -2, 5, x, y, prec, target_width=1e-5)
-        series = specfun.appell_f1(4, -2, -2, 5, x, y, prec)
-        assert intersects(quad, series)
-
-    def test_y_zero_euler_reduction(self):
-        prec = 80
-        x = Ball.from_fraction(Fraction(2, 5), prec)
-        zero = Ball.from_int(0, prec)
-        quad = specfun.appell_f1_quadrature(3, Fraction(-3, 2), Fraction(-3, 2), 4, x, zero, prec, target_width=1e-5)
-        f21 = specfun.gauss_2f1(3, Fraction(-3, 2), 4, x, prec)
-        assert intersects(quad, f21)
-
-    def test_dual_path_on_competitor_parameter_sets(self):
-        """series and integral evaluations intersect on the F1 argument sets
-        the two-term competitor composition produces, for n up to 24"""
+    def test_competitor_argument_sets_enclose_mpmath(self):
+        """F1(k+1; b, b; k+2; x, y) with b = -(l+1)/2 and (1-l)/2 at the
+        arguments x = lambda/(rho-d), y = -lambda/(rho+d) of the default
+        pairs of n = 8..24 encloses mpmath.appellf1 at the midpoints of the
+        x and y balls, which lie in them"""
         from lenscert import geom
-        from lenscert.ball import ball_add, ball_div, ball_neg, ball_sub
+        from lenscert.ball import ball_add, ball_neg, ball_sub
 
+        mpmath = pytest.importorskip("mpmath")
         prec = 72
+        checked = 0
         for n in range(8, 25):
             for k, l in geom.default_pairs(n):
                 c = geom.lawson_constants(k, l, prec)
                 x = ball_div(c.lambda_, ball_sub(c.rho, c.d))
                 y = ball_neg(ball_div(c.lambda_, ball_add(c.rho, c.d)))
-                params = [(Fraction(k + 1), Fraction(-(l + 1), 2), Fraction(k + 2))]
-                if n <= 14:
-                    params.append((Fraction(k + 1), Fraction(1 - l, 2), Fraction(k + 2)))
-                for a, b, cc in params:
-                    series = specfun.appell_f1(a, b, b, cc, x, y, prec)
-                    quad = specfun.appell_f1_quadrature(
-                        a, b, b, cc, x, y, prec, target_width=1e-4, budget=400_000
-                    )
-                    assert intersects(series, quad), (n, k, l, b)
+                xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
+                for b in (Fraction(-(l + 1), 2), Fraction(1 - l, 2)):
+                    params = (Fraction(k + 1), b, b, Fraction(k + 2))
+                    out = specfun.appell_f1(*params, x, y, prec)
+                    with mpmath.workprec(prec + 64):
+                        ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in params + (xf, yf))))
+                    _assert_encloses(out, ref, prec)
+                    checked += 1
+        assert checked == 52
 
 
 def _ratio(a: Fraction, b: Fraction, c: Fraction, m: int) -> Fraction:
@@ -458,6 +420,13 @@ def _mp_fraction(v) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def _assert_encloses(out, ref: Fraction, prec: int):
+    """out contains ref, up to the rounding of an mpmath reference computed
+    at 64 bits beyond prec"""
+    gap = abs(bf_to_fraction(out.mid) - ref)
+    assert gap <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (prec + 48)
+
+
 class TestAgainstMpmath:
     """Competitor-shaped series, F1(1, -kk, -e; e+2; x, y) and its inner
     2F1(1+n, -kk; e+2+n; x), at balls x, y of the ranges the competitor
@@ -473,8 +442,7 @@ class TestAgainstMpmath:
 
     @staticmethod
     def _check(out, ref, prec, tol_exp):
-        gap = abs(bf_to_fraction(out.mid) - ref)
-        assert gap <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (prec + 48)
+        _assert_encloses(out, ref, prec)
         if tol_exp is None:
             assert bf_to_fraction(out.width()) <= abs(ref) / 2 ** (prec - 8)
 
