@@ -400,7 +400,7 @@ def intersects(a: Ball, b: Ball) -> bool:
 # certified constants
 # ---------------------------------------------------------------------------
 
-_PI_CACHE: dict[tuple[int, str], Ball] = {}
+_PI_CACHE: dict[int, Ball] = {}
 _LN2_CACHE: dict[int, Ball] = {}
 
 
@@ -425,33 +425,22 @@ def _atan_recip_scaled(m: int, w: int) -> tuple[int, int]:
     return acc, terms + 1
 
 
-def pi_ball(prec: int, formula: str = "machin") -> Ball:
-    """Enclosure of pi.
-
-    'machin' uses 16*atan(1/5) - 4*atan(1/239); 'gauss' uses the independent
-    48*atan(1/18) + 32*atan(1/57) - 20*atan(1/239) as a cross-check path.
-    """
-    key = (prec, formula)
-    cached = _PI_CACHE.get(key)
+def pi_ball(prec: int) -> Ball:
+    """Enclosure of pi by Machin's formula 16*atan(1/5) - 4*atan(1/239)."""
+    cached = _PI_CACHE.get(prec)
     if cached is not None:
         return cached
     w = prec + 16
-    if formula == "machin":
-        parts = ((16, 5), (-4, 239))
-    elif formula == "gauss":
-        parts = ((48, 18), (32, 57), (-20, 239))
-    else:
-        raise ValueError("unknown pi formula %r" % formula)
     acc = 0
     err_units = 0
-    for coeff, m in parts:
+    for coeff, m in ((16, 5), (-4, 239)):
         v, e = _atan_recip_scaled(m, w)
         acc += coeff * v
         err_units += abs(coeff) * e
     mid, rnd = bf_round(1, acc, -w, prec)
     rad = rup_add(rup(bf_shift(bf_from_int(err_units), -w)), rnd)
     out = Ball(mid, rad, prec)
-    _PI_CACHE[key] = out
+    _PI_CACHE[prec] = out
     return out
 
 

@@ -111,6 +111,10 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
     """
     if prec_start < 1:
         raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
+    if prec_max < prec_start:
+        raise InvalidArgument(
+            "precision cap %r is below the starting precision %r" % (prec_max, prec_start)
+        )
     prec = prec_start
     while True:
         last = prec * 2 > prec_max

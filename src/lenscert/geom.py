@@ -1,8 +1,9 @@
 """Lens and Lawson-competitor energy functionals.
 
-The renormalized lens energy is assembled from half-integer gamma values and
-two Gauss hypergeometric evaluations at z = 1/4; the competitor energy comes
-from the arc construction whose circular-arc constants are produced here.
+The renormalized lens energy comes from one Gauss hypergeometric series with
+positive terms at z = 3/4, an incomplete beta value; the competitor energy
+comes from the arc construction whose circular-arc constants are produced
+here.
 Its arc integrals are evaluated on the special-function route, and for the
 agreement check on verified quadrature and, for odd index pairs, on the
 exact polynomial expansion (`oracle.polynomial_m_value`).  All three share
@@ -78,35 +79,41 @@ class LensQuantities:
     prec: int
 
 
+def _sqrt3_half_power(e: int, w: int) -> Ball:
+    """(sqrt(3)/2)**e for e >= 0: a rational, or a rational times sqrt(3)."""
+    mag = Fraction(3, 4) ** (e // 2)
+    if e % 2 == 0:
+        return Ball.from_fraction(mag, w)
+    half = mag / 2
+    return ball_mul_rat(sqrt_ball(Ball.from_int(3, w), w), half.numerator, half.denominator, w)
+
+
 def lens_quantities(n: int, prec: int) -> LensQuantities:
-    """Certified spherical-cap area, lens volume, and renormalized energy."""
+    """Certified spherical-cap area, lens volume, and renormalized energy.
+
+    With I_m the integral of sin^m over [0, pi/3], the volume is
+    2 omega_{n-1} I_n, and I_n is the incomplete beta value B_{3/4}((n+1)/2,
+    1/2) / 2 written as a 2F1 with positive terms (DLMF §8.17):
+
+        2 I_n = 2 (sqrt3/2)^(n+1) / (n+1) 2F1(1/2, (n+1)/2; (n+3)/2; 3/4).
+
+    The cap area (n-1) omega_{n-1} I_{n-2} follows from the Wallis reduction
+    n I_n = (n-1) I_{n-2} - (sqrt3/2)^(n-1) / 2 as (n V + disc) / 2, so
+    2 cap - disc = n V and lambda_plane = (2 cap - disc) / V^((n-1)/n) is
+    n V^(1/n).  Every step adds or multiplies positive balls.
+    """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     w = prec + 16
     omega = specfun.unit_ball_volume(n - 1, w)
-    quarter = Ball.from_fraction(Fraction(1, 4), w)
+    disc = ball_mul(omega, _sqrt3_half_power(n - 1, w), w)
 
-    q1, s1 = specfun.gamma_half_product([n - 1], [n], extra_sqrt_pi=1)
-    g1 = specfun.sqrt_pi_power_ball(q1, s1, w)
-    f1 = specfun.gauss_2f1(Fraction(1, 2), Fraction(3 - n, 2), Fraction(3, 2), quarter, w)
-    cap = ball_mul_rat(ball_mul(omega, ball_sub(g1, f1, w), w), n - 1, 2, w)
-
-    q2, s2 = specfun.gamma_half_product([n + 1], [n + 2], extra_sqrt_pi=1)
-    g2 = specfun.sqrt_pi_power_ball(q2, s2, w)
-    f2 = specfun.gauss_2f1(Fraction(1, 2), Fraction(1 - n, 2), Fraction(3, 2), quarter, w)
-    vol = ball_mul(omega, ball_sub(g2, f2, w), w)
-
-    t = (n - 1) // 2
-    mag = Fraction(3, 4) ** t
-    if (n - 1) % 2 == 0:
-        disc = ball_mul_rat(omega, mag.numerator, mag.denominator, w)
-    else:
-        s3 = sqrt_ball(Ball.from_int(3, w), w)
-        half_mag = mag / 2
-        disc = ball_mul_rat(ball_mul(omega, s3, w), half_mag.numerator, half_mag.denominator, w)
-
-    numerator = ball_sub(ball_mul_rat(cap, 2, 1, w), disc, w)
-    lam = ball_div(numerator, pow_rational(vol, n - 1, n, w), w)
+    three_quarters = Ball.from_fraction(Fraction(3, 4), w)
+    f = specfun.gauss_2f1(Fraction(1, 2), Fraction(n + 1, 2), Fraction(n + 3, 2), three_quarters, w)
+    # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1))
+    vol = ball_mul_rat(ball_mul(disc, f, w), 3, 2 * (n + 1), w)
+    cap = ball_mul_rat(ball_add(ball_mul_rat(vol, n, 1, w), disc, w), 1, 2, w)
+    lam = ball_mul_rat(pow_rational(vol, 1, n, w), n, 1, w)
     out = LensQuantities(
         n,
         ball_round(cap, prec),

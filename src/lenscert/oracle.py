@@ -1,9 +1,8 @@
 """Second evaluation paths for the certificate's agreement check, and the
 exact values behind the `exact` reports.
 
-Contains verified 1-D quadrature (interval-sum and midpoint-with-derivative
-schemes, and the fixed-point Gauss-3 pass over the competitor's arc
-integrands), the exact cosine-power recursion for the lens quantities, the
+Contains the verified fixed-point Gauss-3 quadrature of the competitor's arc
+integrands, the exact cosine-power recursion for the lens quantities, the
 polynomial evaluation of the competitor energy for odd index pairs, and exact
 arithmetic in the field Q(sqrt2, sqrt3) for the balanced odd case.  The
 competitor paths share `geom.lawson_constants` and `geom.assemble_competitor`
@@ -20,9 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .bigfloat import (
     BigFloat,
@@ -30,18 +27,12 @@ from .bigfloat import (
     ZERO,
     bf_add_exact,
     bf_cmp,
-    bf_from_float,
-    bf_from_fraction,
     bf_from_int,
-    bf_msb_exp,
     bf_neg,
-    bf_round,
     bf_shift,
     bf_to_fraction,
-    bf_two_power,
     rup,
     rup_add,
-    rup_div,
     rup_mul,
     rup_mul_rat,
 )
@@ -54,7 +45,6 @@ from .ball import (
     _fx_to_ball,
     ball_add,
     ball_div,
-    ball_from_endpoints,
     ball_mul,
     ball_mul_rat,
     ball_pow_int,
@@ -71,11 +61,7 @@ from .errors import DomainViolation, QuadratureBudgetExceeded
 from .specfun import unit_ball_volume
 
 __all__ = [
-    "Integrand",
-    "Scheme",
-    "QuadratureTask",
-    "verified_integral",
-    "polynomial_integrand",
+    "arc_profile_quadrature",
     "LensExact",
     "lens_exact_wallis",
     "lambda_plane_exact_ball",
@@ -87,172 +73,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# verified quadrature
+# verified quadrature of the competitor's arc integrands
 # ---------------------------------------------------------------------------
-
-
-class Scheme(Enum):
-    INTERVAL_SUM = "IntervalSum"
-    MIDPOINT_DERIVATIVE = "MidpointDerivative"
-
-
-@dataclass
-class Integrand:
-    """Evaluable descriptor; eval/deriv map an argument ball to a value ball."""
-
-    label: str
-    eval_point: Callable[[Ball], Ball]
-    eval_deriv: Optional[Callable[[Ball], Ball]] = None
-
-
-@dataclass
-class QuadratureTask:
-    integrand: Integrand
-    lower: Ball
-    upper: Ball
-    scheme: Scheme = Scheme.MIDPOINT_DERIVATIVE
-    subdivisions: int = 32
-    prec: int = 64
-
-
-def _as_bigfloat(width) -> BigFloat:
-    if isinstance(width, BigFloat):
-        return width
-    return bf_from_float(float(width))
-
-
-def verified_integral(task: QuadratureTask, target_width, budget: int = 100_000) -> Ball:
-    """Enclosure of the integral of task.integrand over [lower, upper]."""
-    w = task.prec
-    target = _as_bigfloat(target_width)
-    f = task.integrand
-    a0, b0 = task.lower.mid, task.upper.mid
-    if bf_cmp(a0, b0) > 0:
-        raise ValueError("integration endpoints out of order")
-    total_len = bf_add_exact(b0, bf_neg(a0))
-
-    evals = 0
-    slop = ZERO
-
-    # endpoint balls: the integral over the uncertain sliver is bounded by
-    # radius times the integrand magnitude there
-    for endp in (task.lower, task.upper):
-        if endp.rad.sign:
-            evals += 1
-            slop = rup_add(slop, rup_mul(endp.rad, f.eval_point(endp).mag_sup()))
-
-    if total_len.sign == 0:
-        return Ball(ZERO, slop, w)
-
-    # initial uniform grid
-    n0 = max(1, task.subdivisions)
-    points = [a0]
-    for j in range(1, n0):
-        points.append(_bf_fraction_point(a0, total_len, j, n0, w))
-    points.append(b0)
-    stack = [(points[j], points[j + 1]) for j in range(n0 - 1, -1, -1)]
-
-    acc = Ball.from_int(0, w)
-    # below this length bisection cannot shrink the enclosure further
-    min_len = bf_two_power(bf_msb_exp(total_len) - w + 16)
-    use_deriv = task.scheme is Scheme.MIDPOINT_DERIVATIVE and f.eval_deriv is not None
-
-    while stack:
-        u, v = stack.pop()
-        seg = bf_add_exact(v, bf_neg(u))
-        if seg.sign <= 0:
-            continue
-        piece, cost = _piece_enclosure(f, u, v, seg, w, use_deriv)
-        evals += cost
-        if evals > budget:
-            raise QuadratureBudgetExceeded(
-                "quadrature budget exhausted on %s" % task.integrand.label
-            )
-        share = _piece_share(target, seg, total_len)
-        if bf_cmp(piece.width(), share) > 0 and bf_cmp(seg, min_len) > 0:
-            mid = _bf_midpoint(u, v, w)
-            if bf_cmp(u, mid) < 0 and bf_cmp(mid, v) < 0:
-                stack.append((mid, v))
-                stack.append((u, mid))
-                continue
-        acc = ball_add(acc, piece, w)
-
-    return ball_widen(acc, slop)
-
-
-def _bf_fraction_point(a0: BigFloat, total: BigFloat, j: int, n: int, w: int) -> BigFloat:
-    frac = bf_to_fraction(total) * Fraction(j, n) + bf_to_fraction(a0)
-    out, _ = bf_from_fraction(frac, w)
-    return out
-
-
-def _bf_midpoint(u: BigFloat, v: BigFloat, w: int) -> BigFloat:
-    s = bf_shift(bf_add_exact(u, v), -1)
-    out, _ = bf_round(s.sign, s.man, s.exp, w)
-    return out
-
-
-def _piece_share(target: BigFloat, seg: BigFloat, total_len: BigFloat) -> BigFloat:
-    # target * seg / total_len, approximately (efficiency knob, not soundness)
-    return rup_div(rup_mul(rup(target), rup(seg)), total_len)
-
-
-def _piece_enclosure(f: Integrand, u: BigFloat, v: BigFloat, seg: BigFloat, w: int, use_deriv: bool):
-    seg_ball = Ball.point(seg, w)
-    hull = ball_from_endpoints(u, v, w)
-    if not use_deriv:
-        return ball_mul(f.eval_point(hull), seg_ball, w), 1
-    m = _bf_midpoint(u, v, w)
-    if not (bf_cmp(u, m) <= 0 and bf_cmp(m, v) <= 0):
-        return ball_mul(f.eval_point(hull), seg_ball, w), 1
-    fm = f.eval_point(Ball.point(m, w))
-    fd = f.eval_deriv(hull)
-    dv = bf_add_exact(v, bf_neg(m))
-    du = bf_add_exact(m, bf_neg(u))
-    dv2, ev = bf_round(1, dv.man * dv.man, 2 * dv.exp, w) if dv.sign else (ZERO, ZERO)
-    du2, eu = bf_round(1, du.man * du.man, 2 * du.exp, w) if du.sign else (ZERO, ZERO)
-    # I1 = integral of (t - m) dt = (dv^2 - du^2)/2 and I2 >= integral of
-    # |t - m| dt = (dv^2 + du^2)/2, each carrying the rounding errors of the
-    # squares
-    err = rup(bf_shift(rup_add(rup(ev), rup(eu)), -1))
-    i1 = Ball(bf_shift(bf_add_exact(dv2, bf_neg(du2)), -1), err, w)
-    i2 = rup_add(rup(bf_shift(rup_add(rup(dv2), rup(du2)), -1)), err)
-    base = ball_mul(fm, seg_ball, w)
-    centered = Ball.point(fd.mid, w)
-    base = ball_add(base, ball_mul(centered, i1, w), w)
-    return ball_widen(base, rup_mul(fd.rad, i2)), 2
-
-
-# ---------------------------------------------------------------------------
-# integrand factories
-# ---------------------------------------------------------------------------
-
-
-def polynomial_integrand(coeffs) -> Integrand:
-    """sum coeffs[i] * t**i with rational coefficients."""
-    cs = [Fraction(c) for c in coeffs]
-    ds = [i * cs[i] for i in range(1, len(cs))]
-
-    def _horner(values, t: Ball) -> Ball:
-        w = t.prec
-        out = Ball.from_int(0, w)
-        for c in reversed(values):
-            out = ball_add(ball_mul(out, t, w), Ball.from_fraction(c, w), w)
-        return out
-
-    def _eval(t: Ball):
-        return _horner(cs, t)
-
-    def _deriv(t: Ball):
-        if not ds:
-            return Ball.from_int(0, t.prec)
-        return _horner(ds, t)
-
-    return Integrand(
-        label="polynomial(deg=%d)" % (len(cs) - 1),
-        eval_point=_eval,
-        eval_deriv=_deriv,
-    )
 
 
 def _arc_profile_values(radius: Ball, offset: Ball, k: int, exponents: tuple[int, ...], t: Ball):

@@ -1,6 +1,7 @@
 """Certified special functions.
 
-Half-integer gamma values are exact rationals times a power of sqrt(pi).
+Half-integer gamma values are exact, a rational or a rational times
+sqrt(pi), and give the unit-ball volumes.
 Every hypergeometric series, terminating or not, follows one tail rule: from
 an index N past which every term ratio is at most some q < 1 in absolute
 value (q = |z| from the exact `_ratio_threshold` on), the series stops at
@@ -46,20 +47,16 @@ from .ball import (
     _fx_mul_rat,
     _fx_tail,
     _fx_to_ball,
-    ball_div,
-    ball_mul,
     ball_mul_rat,
     ball_pow_int,
     ball_round,
     pi_ball,
-    sqrt_ball,
 )
 from .errors import DivergentParameters, DomainViolation, InvalidC, PrecisionExhausted
 
 __all__ = [
     "HalfGamma",
     "gamma_half",
-    "gamma_half_product",
     "unit_ball_volume",
     "SeriesTail",
     "gauss_2f1",
@@ -91,36 +88,6 @@ def gamma_half(two_x: int) -> HalfGamma:
     m = (two_x - 1) // 2
     q = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
     return HalfGamma(q, 1)
-
-
-def gamma_half_product(num_two_xs, den_two_xs, extra_sqrt_pi: int = 0):
-    """Exact (rational, sqrt_pi_power) for prod Gamma(n_i/2) / prod Gamma(d_j/2).
-
-    The returned power counts net factors of sqrt(pi) (plus extra_sqrt_pi).
-    """
-    q = Fraction(1)
-    s = extra_sqrt_pi
-    for t in num_two_xs:
-        g = gamma_half(t)
-        q *= g.q
-        s += g.s
-    for t in den_two_xs:
-        g = gamma_half(t)
-        q /= g.q
-        s -= g.s
-    return q, s
-
-
-def sqrt_pi_power_ball(q: Fraction, s: int, prec: int) -> Ball:
-    """Enclosure of q * sqrt(pi)**s (s any integer)."""
-    w = prec + 8
-    out = Ball.from_fraction(q, w)
-    if s:
-        p = ball_pow_int(pi_ball(w), abs(s) // 2, w)
-        if abs(s) % 2:
-            p = ball_mul(p, sqrt_ball(pi_ball(w), w), w)
-        out = ball_mul(out, p, w) if s > 0 else ball_div(out, p, w)
-    return ball_round(out, prec)
 
 
 def unit_ball_volume(m: int, prec: int) -> Ball:

@@ -23,6 +23,7 @@ from lenscert import geom, oracle
 from lenscert.ball import (
     Ball,
     TriBool,
+    ball_add,
     ball_from_str,
     ball_mul,
     ball_mul_rat,
@@ -349,15 +350,22 @@ class TestCriterion7Soundness:
         assert coarse.contains_ball(fine)
 
     def test_quadrature_refinement(self):
-        integ = oracle.polynomial_integrand([1, 0, Fraction(-1, 3), Fraction(2, 7)])
-        widths = []
-        for subs in (8, 16):
-            task = oracle.QuadratureTask(
-                integ, Ball.from_int(0, 64), Ball.from_int(1, 64),
-                prec=64, subdivisions=subs, scheme=oracle.Scheme.INTERVAL_SUM,
+        """a tighter target on the arc quadrature gives an enclosure that
+        intersects the looser one and is no wider"""
+        w = 96
+        consts = geom.lawson_constants(4, 6, w)
+        pi = pi_ball(w)
+        lower = ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w)
+        outs = [
+            oracle.arc_profile_quadrature(
+                consts.rho, consts.d, 4, (6, 8), lower, ball_mul_rat(pi, 1, 2, w), w,
+                bf_from_float(target),
             )
-            widths.append(oracle.verified_integral(task, 1e300).width())
-        assert bf_cmp(widths[1], widths[0]) <= 0
+            for target in (1e-6, 1e-18)
+        ]
+        for loose, tight in zip(*outs):
+            assert intersects(loose, tight)
+            assert bf_cmp(tight.width(), loose.width()) <= 0
 
     def test_verdict_stability_and_replay(self):
         cert = C.certify_dimension(12)

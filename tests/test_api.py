@@ -1,5 +1,6 @@
-"""The public surface: every name a module exports resolves, and no module
-imports a name it does not use."""
+"""The public surface: every name a module exports resolves, no module
+imports a name it does not use, and no top-level definition is reached from
+the tests alone."""
 
 import ast
 import importlib
@@ -73,3 +74,28 @@ def test_no_unused_imports():
                 used.update(ast.literal_eval(node.value))
         unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_top_level_definition_is_reached():
+    """every top-level function and class of the package is named somewhere
+    in the package itself (a call, a reference or an attribute), or by the
+    benchmark scripts or the project metadata; a reference from the tests
+    alone does not count"""
+    src = pathlib.Path(lenscert.__file__).parent
+    root = pathlib.Path(__file__).resolve().parent.parent
+    defined = {}
+    named = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    outside = "\n".join(p.read_text() for p in [*sorted((root / "bench").glob("*.py")), root / "pyproject.toml"])
+    named |= set(re.findall(r"\w+", outside))
+    unreached = sorted("%s %s" % (mod, name) for name, mod in defined.items() if name not in named)
+    assert unreached == []

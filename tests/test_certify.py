@@ -88,10 +88,12 @@ class TestCertifyDimension:
             C.certify_dimension(8, lens_eval=lens_eval, prec_max=128, quadrature_max_n=0)
 
     @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
-                                        {"target_width": float("nan")}, {"target_width": float("inf")}])
+                                        {"target_width": float("nan")}, {"target_width": float("inf")},
+                                        {"prec_max": 64}])
     def test_invalid_driver_arguments_raise(self, kwargs):
-        """a start precision below one bit, or a width no enclosure can meet,
-        raises at once instead of escalating for ever"""
+        """a start precision below one bit, a cap below the start precision, or
+        a width no enclosure can meet raises at once instead of escalating for
+        ever or running past the cap"""
         with pytest.raises(InvalidArgument):
             C.certify_dimension(8, **kwargs)
 
@@ -102,6 +104,12 @@ class TestCertifyDimension:
     def test_rejects_low_dimension(self):
         with pytest.raises(NoValidPair):
             C.certify_dimension(3, pairs=[(1, 0)])
+
+    def test_n2700_proven_at_128_bits(self):
+        """the largest long-run dimension certifies without escalation"""
+        cert = C.certify_dimension(2700)
+        assert cert.verdict == "Proven"
+        assert cert.precision_bits == 128
 
     def test_verdict_stability_under_higher_precision(self):
         low = C.certify_dimension(9, prec_start=128)
@@ -254,10 +262,10 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "-699776" in r.stdout
 
-    def test_long_run_escalates_past_lens_cancellation(self, capsys):
-        """from n = 396 the lens side cancels at 128 bits"""
+    def test_long_run_certifies_at_start_precision(self, capsys):
+        """the lens side has no cancellation, so n = 396 needs no escalation"""
         assert cli.main(["certify", "--n", "396", "--long-run"]) == 0
-        assert "n=396 verdict=Proven precision=256" in capsys.readouterr().out
+        assert "n=396 verdict=Proven precision=128" in capsys.readouterr().out
 
     def test_desk_cap(self):
         r = self.run_cli("certify", "--n", "8..500")
@@ -279,6 +287,8 @@ class TestCli:
             ["certify", "--n", "8", "--width", "inf"],
             ["certify", "--n", "8", "--prec-start", "0"],
             ["certify", "--n", "8", "--prec-start", "-64"],
+            ["certify", "--n", "8", "--prec-max", "100"],
+            ["certify", "--n", "8", "--prec-max", "0"],
             ["table", "--n", "8", "--digits", "0"],
             ["table", "--n", "8", "--digits", "-1"],
             ["certify", "--n", "8", "--out", "{missing}/x.json"],
@@ -286,7 +296,7 @@ class TestCli:
         ],
         ids=[
             "range-not-int", "range-empty", "width-0", "width-neg", "width-nan", "width-inf",
-            "prec-start-0", "prec-start-neg", "digits-0", "digits-neg",
+            "prec-start-0", "prec-start-neg", "prec-max-100", "prec-max-0", "digits-0", "digits-neg",
             "certify-out-missing-dir", "table-out-missing-dir",
         ],
     )

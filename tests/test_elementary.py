@@ -21,14 +21,24 @@ from lenscert.ball import (
     sin_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import DomainViolation, NonPositiveBase
 
 
+# pi to 100 decimals, truncated: below pi by less than 1e-100
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"
+)
+
+
 def test_pi_width_and_independent_formula():
-    p = pi_ball(256)
-    assert bf_cmp(p.width(), bf_two_power(-250)) <= 0
-    assert intersects(p, pi_ball(256, "gauss"))
+    """the Machin enclosure is narrow and holds a 100-digit decimal of pi"""
+    for prec in (64, 256):
+        p = pi_ball(prec)
+        assert bf_cmp(p.width(), bf_two_power(6 - prec)) <= 0
+        # pi lies in [PI_100, PI_100 + 1e-100]; the ball must meet that interval
+        assert bf_to_fraction(p.inf()) <= PI_100 + Fraction(1, 10**100)
+        assert bf_to_fraction(p.sup()) >= PI_100
 
 
 def test_pi_against_arctan_of_one():

@@ -89,23 +89,32 @@ class TestLensQuantities:
         ) / pow_rational(lq.lens_volume, 11, 12, 128)
         assert intersects(rebuilt, lq.lambda_plane)
 
-    @pytest.mark.parametrize("n", [8, 9, 16, 51])
+    @pytest.mark.parametrize("n", [8, 9, 16, 51, 396, 1000, 2700])
     def test_cap_and_volume_enclose_mpmath(self, n):
-        """cap_area / ((n-1) omega_{n-1}) is the integral of sin^(n-2) over
-        [0, pi/3] and lens_volume / omega_{n-1} twice that of sin^n; both
-        enclose mpmath.quad at 40 digits, up to the reference's rounding"""
+        """the 128-bit cap_area, lens_volume, disc_term and lambda_plane
+        enclose mpmath's textbook lens at 50 digits, up to the reference's
+        rounding: with I_m the integral of sin^m over [0, pi/3], taken as
+        betainc((m+1)/2, 1/2, 0, 3/4) / 2, cap = (n-1) omega_{n-1} I_{n-2},
+        V = 2 omega_{n-1} I_n, disc = omega_{n-1} (sqrt3/2)^(n-1) and
+        lambda = (2 cap - disc) / V^((n-1)/n); lambda_plane is narrower than
+        1e-35 at every n"""
         mpmath = pytest.importorskip("mpmath")
-        prec = 128
-        lq = geom.lens_quantities(n, prec)
-        omega = specfun.unit_ball_volume(n - 1, prec)
-        got = (lq.cap_area / ball_mul_rat(omega, n - 1, 1), lq.lens_volume / omega)
-        with mpmath.workdps(40):
-            refs = [
-                scale * mpmath.quad(lambda phi: mpmath.sin(phi) ** e, [0, mpmath.pi / 3])
-                for scale, e in ((1, n - 2), (2, n))
-            ]
-        for b, r in zip(got, map(_mp_fraction, refs)):
-            assert abs(bf_to_fraction(b.mid) - r) <= bf_to_fraction(b.rad) + r / 10**39, n
+        lq = geom.lens_quantities(n, 128)
+        with mpmath.workdps(50):
+            half = mpmath.mpf(1) / 2
+
+            def sin_power_integral(m):
+                return mpmath.betainc((m + 1) * half, half, 0, mpmath.mpf(3) / 4) / 2
+
+            omega = mpmath.pi ** ((n - 1) * half) / mpmath.gamma((n + 1) * half)
+            cap = (n - 1) * omega * sin_power_integral(n - 2)
+            vol = 2 * omega * sin_power_integral(n)
+            disc = omega * (mpmath.sqrt(3) / 2) ** (n - 1)
+            lam = (2 * cap - disc) / vol ** (mpmath.mpf(n - 1) / n)
+        got = (lq.cap_area, lq.lens_volume, lq.disc_term, lq.lambda_plane)
+        for name, b, r in zip(("cap", "vol", "disc", "lambda"), got, map(_mp_fraction, (cap, vol, disc, lam))):
+            assert abs(bf_to_fraction(b.mid) - r) <= bf_to_fraction(b.rad) + r / 10**45, (n, name)
+        assert bf_cmp(lq.lambda_plane.width(), bf_from_float(1e-35)) < 0
 
     def test_positive_entries(self):
         for n in (3, 4, 17, 40):

@@ -15,134 +15,8 @@ from lenscert.ball import (
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_two_power
 from lenscert.errors import DomainViolation, QuadratureBudgetExceeded
-
-
-def rand_poly(rng, max_deg=6):
-    deg = rng.randint(0, max_deg)
-    return [
-        Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(deg + 1)
-    ]
-
-
-def poly_antiderivative_value(coeffs, a: Fraction, b: Fraction) -> Fraction:
-    total = Fraction(0)
-    for i, c in enumerate(coeffs):
-        total += c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
-    return total
-
-
-class TestVerifiedIntegral:
-    def test_linear(self):
-        task = oracle.QuadratureTask(
-            oracle.polynomial_integrand([0, 1]),
-            Ball.from_int(0, 64),
-            Ball.from_int(1, 64),
-            prec=64,
-        )
-        out = oracle.verified_integral(task, 1e-10)
-        assert out.contains_fraction(Fraction(1, 2))
-
-    def test_soundness_random_polynomials(self):
-        """exact antiderivative lies in the enclosure on 50 random integrands"""
-        rng = random.Random(314)
-        for i in range(50):
-            coeffs = rand_poly(rng)
-            a = Fraction(rng.randint(-4, 2))
-            b = a + Fraction(rng.randint(1, 5))
-            scheme = (
-                oracle.Scheme.MIDPOINT_DERIVATIVE if i % 2 else oracle.Scheme.INTERVAL_SUM
-            )
-            task = oracle.QuadratureTask(
-                oracle.polynomial_integrand(coeffs),
-                Ball.from_fraction(a, 64),
-                Ball.from_fraction(b, 64),
-                prec=64,
-                subdivisions=16,
-                scheme=scheme,
-            )
-            # fixed-grid pass: soundness is the property under test here
-            out = oracle.verified_integral(task, 1e300, budget=100_000)
-            assert out.contains_fraction(poly_antiderivative_value(coeffs, a, b))
-
-    def test_refinement_narrows(self):
-        """doubling the subdivisions never widens the enclosure (above the
-        rounding-noise floor, where degenerate integrands already sit)"""
-        rng = random.Random(99)
-        floor = bf_two_power(-40)
-        for _ in range(50):
-            coeffs = rand_poly(rng, max_deg=4)
-            kwargs = dict(
-                lower=Ball.from_int(0, 64),
-                upper=Ball.from_int(2, 64),
-                prec=64,
-                scheme=oracle.Scheme.INTERVAL_SUM,
-            )
-            integ = oracle.polynomial_integrand(coeffs)
-            wide = oracle.verified_integral(
-                oracle.QuadratureTask(integ, subdivisions=16, **kwargs),
-                1e300,
-                budget=10_000,
-            )
-            narrow = oracle.verified_integral(
-                oracle.QuadratureTask(integ, subdivisions=32, **kwargs),
-                1e300,
-                budget=10_000,
-            )
-            assert intersects(wide, narrow)
-            assert (
-                bf_cmp(narrow.width(), wide.width()) <= 0
-                or bf_cmp(narrow.width(), floor) <= 0
-            )
-
-    def test_midpoint_piece_keeps_rounding_of_squares(self):
-        """one midpoint-derivative piece of the integral of t: the squared
-        half-lengths are rounded to the working precision, and the enclosure
-        must carry that rounding error"""
-        lo, hi = Fraction(-197, 256), Fraction(217, 4)
-        task = oracle.QuadratureTask(
-            oracle.polynomial_integrand([0, 1]),
-            Ball.from_fraction(lo, 8),
-            Ball.from_fraction(hi, 8),
-            prec=8,
-            subdivisions=1,
-        )
-        out = oracle.verified_integral(task, 1e300)
-        assert out.contains_fraction((hi * hi - lo * lo) / 2)
-        rng = random.Random(5)
-        for _ in range(300):
-            a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-            b = a + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
-            task = oracle.QuadratureTask(
-                oracle.polynomial_integrand([0, 1]),
-                Ball.from_fraction(a, 64),
-                Ball.from_fraction(b, 64),
-                prec=64,
-                subdivisions=1,
-            )
-            out = oracle.verified_integral(task, 1e300)
-            assert out.contains_fraction((b * b - a * a) / 2), (a, b)
-
-    def test_budget_exceeded(self):
-        task = oracle.QuadratureTask(
-            oracle.polynomial_integrand([0, 0, 1]),
-            Ball.from_int(0, 64),
-            Ball.from_int(1, 64),
-            prec=64,
-            subdivisions=64,
-        )
-        with pytest.raises(QuadratureBudgetExceeded):
-            oracle.verified_integral(task, 1e-30, budget=100)
-
-    def test_ball_endpoints_absorbed(self):
-        lower = ball_widen(Ball.from_int(0, 64), bf_two_power(-10))
-        task = oracle.QuadratureTask(
-            oracle.polynomial_integrand([1]), lower, Ball.from_int(1, 64), prec=64
-        )
-        out = oracle.verified_integral(task, 1e-8)
-        assert out.contains_fraction(1)
-        assert bf_cmp(out.width(), bf_two_power(-11)) >= 0  # endpoint slop retained
 
 
 class TestArcProfileQuadrature:
@@ -184,7 +58,9 @@ class TestArcProfileQuadrature:
     @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])
     def test_arc_pass_encloses_mpmath(self, k, l):
         """both arc integrals of a pair, at a loose and a tight target, enclose
-        mpmath.quad of (rho sin t - d)^k cos^j t at 40 digits"""
+        mpmath.quad of (rho sin t - d)^k cos^j t at 40 digits; with the lower
+        endpoint widened by 2^-20 the enclosure keeps that slop and holds the
+        integrals from both ends of the endpoint ball"""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             self._check_arcs_against_mpmath(mpmath, k, l)
@@ -196,6 +72,7 @@ class TestArcProfileQuadrature:
         pi = pi_ball(w)
         half_pi = ball_mul_rat(pi, 1, 2, w)
         theta = mpmath.atan(mpmath.sqrt(mpmath.mpf(k) / l))
+        slop = mpmath.ldexp(1, -20)
         arcs = [
             (consts.rho, consts.d, k, (l, l + 2),
              ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w), mpmath.pi / 6 + theta),
@@ -207,20 +84,27 @@ class TestArcProfileQuadrature:
             rad_mp, off_mp = (
                 mpmath.ldexp(b.mid.sign * b.mid.man, b.mid.exp) for b in (radius, offset)
             )
-            for target in (1e-8, 1e-20):
+            inputs = [
+                (lower, 1e-8, [lower_mp]),
+                (lower, 1e-20, [lower_mp]),
+                (ball_widen(lower, bf_two_power(-20)), 1e-20, [lower_mp - slop, lower_mp + slop]),
+            ]
+            for start, target, starts_mp in inputs:
                 out = oracle.arc_profile_quadrature(
-                    radius, offset, kk, exponents, lower, half_pi, w, bf_from_float(target)
+                    radius, offset, kk, exponents, start, half_pi, w, bf_from_float(target)
                 )
                 for j, got in zip(exponents, out):
-                    exact, err = mpmath.quad(
-                        lambda t: (rad_mp * mpmath.sin(t) - off_mp) ** kk * mpmath.cos(t) ** j,
-                        [lower_mp, mpmath.pi / 2],
-                        error=True,
-                    )
-                    assert err < 1e-30
-                    man, exp = exact.man_exp
-                    assert got.contains_fraction(Fraction(man) * Fraction(2) ** exp), (kk, j, target)
-                    assert bf_cmp(got.width(), bf_from_float(target)) <= 0
+                    for a in starts_mp:
+                        exact, err = mpmath.quad(
+                            lambda t: (rad_mp * mpmath.sin(t) - off_mp) ** kk * mpmath.cos(t) ** j,
+                            [a, mpmath.pi / 2],
+                            error=True,
+                        )
+                        assert err < 1e-30
+                        man, exp = exact.man_exp
+                        assert got.contains_fraction(Fraction(man) * Fraction(2) ** exp), (kk, j, target)
+                    if start is lower:
+                        assert bf_cmp(got.width(), bf_from_float(target)) <= 0
 
 
 class TestLensExactWallis:

@@ -137,15 +137,17 @@ class TestGauss2F1:
             bound = bf_to_fraction(tail.last_term) * ratio / (1 - ratio)
             assert bf_to_fraction(tail.tail) >= bound
 
-    @pytest.mark.parametrize("zf", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+    @pytest.mark.parametrize("zf", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_lens_parameters_enclose_mpmath(self, zf):
-        """2F1(1/2, m/2; 3/2; z), the lens's series, for odd m from -1 to -41
-        encloses mpmath.hyp2f1 at 64 bits beyond the working precision"""
+        """2F1(1/2, (n+1)/2; (n+3)/2; z), the lens's series at z = 3/4, for n
+        from 3 to 2700, and 2F1(1/2, m/2; 3/2; z) for odd m from -1 to -41
+        enclose mpmath.hyp2f1 at 64 bits beyond the working precision"""
         mpmath = pytest.importorskip("mpmath")
         prec = 128
         z = Ball.from_fraction(zf, prec)
-        for m in range(-1, -42, -2):
-            a, b, c = Fraction(1, 2), Fraction(m, 2), Fraction(3, 2)
+        params = [(Fraction(1, 2), Fraction(n + 1, 2), Fraction(n + 3, 2)) for n in (3, 8, 51, 396, 2700)]
+        params += [(Fraction(1, 2), Fraction(m, 2), Fraction(3, 2)) for m in range(-1, -42, -2)]
+        for a, b, c in params:
             out = specfun.gauss_2f1(a, b, c, z, prec)
             with mpmath.workprec(prec + 64):
                 ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, zf))))
