@@ -404,8 +404,9 @@ _PI_CACHE: dict[int, Ball] = {}
 _LN2_CACHE: dict[int, Ball] = {}
 
 
-def _atan_recip_scaled(m: int, w: int) -> tuple[int, int]:
-    """(value, err_units): |atan(1/m)*2**w - value| <= err_units."""
+def _atan_recip_scaled(m: int, w: int, alternate: bool = True) -> tuple[int, int]:
+    """(value, err_units) with |f(1/m)*2**w - value| <= err_units for an
+    integer m >= 2, where f is atan, or atanh when `alternate` is False."""
     scale = 1 << w
     power = m
     m2 = m * m
@@ -416,13 +417,15 @@ def _atan_recip_scaled(m: int, w: int) -> tuple[int, int]:
         t = scale // (power * (2 * j + 1))
         if t == 0:
             break
-        acc += t if (j & 1) == 0 else -t
+        acc += t if not alternate or (j & 1) == 0 else -t
         terms += 1
         power *= m2
         j += 1
-    # each computed term truncated toward zero (<=1 unit each); the omitted
-    # alternating tail is below the first omitted term, itself < 1 unit
-    return acc, terms + 1
+    # each computed term is truncated toward zero (< 1 unit each), and the
+    # first omitted term is below 1 unit.  An alternating tail is below that
+    # term; otherwise each term ratio is below 1/m**2 <= 1/4, so the tail is
+    # below 4/3 units.
+    return acc, terms + (1 if alternate else 2)
 
 
 def pi_ball(prec: int) -> Ball:
@@ -445,28 +448,14 @@ def pi_ball(prec: int) -> Ball:
 
 
 def ln2_ball(prec: int) -> Ball:
+    """Enclosure of ln 2 = 2 atanh(1/3)."""
     cached = _LN2_CACHE.get(prec)
     if cached is not None:
         return cached
     w = prec + 16
-    scale = 1 << w
-    power = 3
-    acc = 0
-    terms = 0
-    j = 0
-    while True:
-        t = scale // (power * (2 * j + 1))
-        if t == 0:
-            break
-        acc += t
-        terms += 1
-        power *= 9
-        j += 1
-    acc *= 2
-    # truncations (2 units each after doubling) plus the geometric tail (<2)
-    err_units = 2 * terms + 2
-    mid, rnd = bf_round(1, acc, -w, prec)
-    out = Ball(mid, rup_add(rup(bf_shift(bf_from_int(err_units), -w)), rnd), prec)
+    v, e = _atan_recip_scaled(3, w, alternate=False)
+    mid, rnd = bf_round(1, 2 * v, -w, prec)
+    out = Ball(mid, rup_add(rup(bf_shift(bf_from_int(2 * e), -w)), rnd), prec)
     _LN2_CACHE[prec] = out
     return out
 

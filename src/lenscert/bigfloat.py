@@ -76,12 +76,6 @@ class BigFloat:
     def __hash__(self):
         return hash((self.sign, self.man, self.exp))
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def bit_length(self) -> int:
-        return self.man.bit_length()
-
 
 ZERO = BigFloat(0, 0, 0)
 ONE = BigFloat(1, 1, 0)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -231,6 +233,24 @@ def _certify_one(args):
     return certify_dimension(n, **kwargs)
 
 
+@contextlib.contextmanager
+def open_output(out: str | None):
+    """A function that writes the finished text to the file `out`, or to
+    stdout.  The file is opened for appending at once: a path that cannot be
+    written fails before anything is computed, and an existing file keeps its
+    bytes until the text replaces them, so a run that fails leaves it as is."""
+    if not out:
+        yield sys.stdout.write
+        return
+    with open(out, "a") as fh:
+
+        def replace(text: str) -> None:
+            fh.truncate(0)
+            fh.write(text)
+
+        yield replace
+
+
 def certify(
     n_range,
     pairs="default",
@@ -240,10 +260,12 @@ def certify(
     jobs: int | None = None,
     out: str | None = None,
 ) -> list[Certificate]:
-    """Certify a range of dimensions; optionally write the JSON certificates.
+    """Certify a range of dimensions; optionally write the JSON certificates
+    to `out` (see `open_output`).
 
-    The output file is opened first, so a path that cannot be written fails
-    before any dimension is computed."""
+    At most min(jobs, number of dimensions, CPU count) worker processes run."""
+    if jobs is not None and jobs < 1:
+        raise InvalidArgument("jobs must be at least 1, got %r" % jobs)
     ns = sorted(n_range)
     kwargs = dict(
         pairs=pairs,
@@ -251,16 +273,16 @@ def certify(
         prec_start=prec_start,
         prec_max=prec_max,
     )
-    with open(out, "w") if out else contextlib.nullcontext() as fh:
-        if jobs and jobs > 1 and len(ns) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(ns), os.cpu_count() or 1)
+    with open_output(out) if out else contextlib.nullcontext() as write:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
         else:
             certs = [certify_dimension(n, **kwargs) for n in ns]
         certs.sort(key=lambda c: c.n)
-        if fh:
-            json.dump([c.to_dict() for c in certs], fh, indent=1)
-            fh.write("\n")
+        if write:
+            write(json.dumps([c.to_dict() for c in certs], indent=1) + "\n")
     return certs
 
 

@@ -7,7 +7,6 @@ Undecided, 1 on errors (including any Failed certificate).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -67,12 +66,6 @@ DESK_SCALE_CAP = 200
 LONG_RUN_CAP = 2700
 
 
-def _output(out: str | None):
-    """The file `out`, opened before anything is computed so that a path
-    that cannot be written fails at once, or stdout."""
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -101,13 +94,13 @@ def main(argv=None) -> int:
                 return 2
             return 0
         if args.command == "table":
-            with _output(args.out) as fh:
+            with certify_mod.open_output(args.out) as write:
                 rows = certify_mod.table_rows(_parse_range(args.n), digits=args.digits)
-                fh.write(certify_mod.render_table(rows, args.format))
+                write(certify_mod.render_table(rows, args.format))
             return 0
         if args.command == "plot":
-            with _output(args.out) as fh:
-                fh.write(certify_mod.render_plot_csv(certify_mod.plot_rows(_parse_range(args.n))))
+            with certify_mod.open_output(args.out) as write:
+                write(certify_mod.render_plot_csv(certify_mod.plot_rows(_parse_range(args.n))))
             return 0
         if args.command == "exact":
             report = certify_mod.exact_report(args.n, args.mode)

@@ -332,13 +332,7 @@ def _arc_shifted(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: 
     return ball_mul_rat(out, ef.denominator, ef.numerator, w)
 
 
-def competitor_energy_quadrature(
-    k: int,
-    l: int,
-    prec: int,
-    budget: int = 400_000,
-    target_width=1e-7,
-) -> CompetitorEnergy:
+def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -> CompetitorEnergy:
     """Competitor energy through verified quadrature of the arc integrals,
     after the smoothing substitutions u + d = rho sin(phi), v + h = r sin(phi)."""
     consts = lawson_constants(k, l, prec)
@@ -362,13 +356,13 @@ def competitor_energy_quadrature(
         angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), consts.theta, ws)
         share_bf = bf_from_float(share)
         j1p, j1v = oracle.arc_profile_quadrature(
-            consts.rho, consts.d, k, (l, l + 2), angle_u, half_pi, ws, share_bf, budget
+            consts.rho, consts.d, k, (l, l + 2), angle_u, half_pi, ws, share_bf
         )
         if k == l:
             j2p, j2v = j1p, j1v
         else:
             j2p, j2v = oracle.arc_profile_quadrature(
-                consts.r, consts.h, l, (k, k + 2), angle_v, half_pi, ws, share_bf, budget
+                consts.r, consts.h, l, (k, k + 2), angle_v, half_pi, ws, share_bf
             )
         s1v = ball_mul(ball_pow_int(consts.rho, l + 2, ws), j1v, ws)
         s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)

@@ -26,7 +26,6 @@ from .bigfloat import (
     ONE,
     ZERO,
     bf_add_exact,
-    bf_cmp,
     bf_from_int,
     bf_neg,
     bf_shift,
@@ -87,6 +86,10 @@ def _arc_profile_values(radius: Ball, offset: Ball, k: int, exponents: tuple[int
     return tuple(ball_mul(bk, ball_pow_int(c, j, w), w) for j in exponents)
 
 
+# evaluations one arc quadrature may spend: 3 per Gauss-3 piece
+QUADRATURE_BUDGET = 400_000
+
+
 def arc_profile_quadrature(
     radius: Ball,
     offset: Ball,
@@ -96,17 +99,17 @@ def arc_profile_quadrature(
     upper: Ball,
     w: int,
     target_width: BigFloat,
-    budget: int = 400_000,
 ) -> tuple[Ball, ...]:
     """Three-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j.
 
-    Each pass runs the fixed-point node kernel of `_arc_gauss3_pass` (one
-    certified sin/cos series per pass, exact integer sums, one ulp per
-    product) and bounds its rule error once, from a global bound d6 on the
-    sixth derivative.  The first pass takes the smallest node count n whose
-    remainder bound max(d6) L^7 / (2016000 n^6) over the length L is at most
-    a quarter of the target width; n doubles only when a pass still misses
-    the target, and no pass starts beyond the budget of 3n evaluations each.
+    One pass of the fixed-point node kernel `_arc_gauss3_pass` (one certified
+    sin/cos series, exact integer sums, one ulp per product) runs at the
+    smallest node count n whose remainder bound max(d6) L^7 / (2016000 n^6),
+    from a global bound d6 on the sixth derivative over the length L, is at
+    most a quarter of the target width.  The result is sound whether or not
+    it meets the target; a caller that needs a narrower one asks again with a
+    smaller target.  A pass that would spend more than QUADRATURE_BUDGET
+    evaluations raises QuadratureBudgetExceeded.
     """
     a0, b0 = lower.mid, upper.mid
     total_len = bf_add_exact(b0, bf_neg(a0))
@@ -130,18 +133,10 @@ def arc_profile_quadrature(
     length_fr = bf_to_fraction(total_len)
     d6_max = max(bf_to_fraction(b) for b in d6_bounds)
     n = _remainder_nodes(4 * d6_max * length_fr**7 / (2016000 * bf_to_fraction(target_width)))
-    spent = 0
-    while True:
-        spent += 3 * n
-        if spent > budget:
-            raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
-        out = _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds)
-        if all(bf_cmp(b.width(), target_width) <= 0 for b in out):
-            return tuple(ball_widen(out[i], slop[i]) for i in range(arity))
-        if spent + 6 * n > budget:
-            # cannot afford the next pass; report the soundly-widened result
-            return tuple(ball_widen(out[i], slop[i]) for i in range(arity))
-        n *= 2
+    if 3 * n > QUADRATURE_BUDGET:
+        raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
+    out = _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds)
+    return tuple(ball_widen(out[i], slop[i]) for i in range(arity))
 
 
 def _remainder_nodes(need: Fraction) -> int:
@@ -286,9 +281,6 @@ class LensExact:
     b: Fraction
     c: Fraction
 
-    def __add__(self, other: "LensExact") -> "LensExact":
-        return LensExact(self.a + other.a, self.b + other.b, self.c + other.c)
-
     def __sub__(self, other: "LensExact") -> "LensExact":
         return LensExact(self.a - other.a, self.b - other.b, self.c - other.c)
 
@@ -378,9 +370,6 @@ class QSqrt23:
     def __sub__(self, other):
         return self + (-_lift_q23(other))
 
-    def __rsub__(self, other):
-        return _lift_q23(other) + (-self)
-
     def __neg__(self):
         return QSqrt23(-self.a, -self.b, -self.c, -self.d)
 
@@ -396,28 +385,6 @@ class QSqrt23:
         )
 
     __rmul__ = __mul__
-
-    def conj_sqrt2(self):
-        return QSqrt23(self.a, -self.b, self.c, -self.d)
-
-    def conj_sqrt3(self):
-        return QSqrt23(self.a, self.b, -self.c, -self.d)
-
-    def inverse(self) -> "QSqrt23":
-        y = self * self.conj_sqrt2()      # lands in Q(sqrt3)
-        norm = y * y.conj_sqrt3()          # rational
-        if norm.b or norm.c or norm.d or norm.a == 0:
-            raise ZeroDivisionError("element is zero or norm computation failed")
-        return self.conj_sqrt2() * y.conj_sqrt3() * QSqrt23.from_rational(1 / norm.a)
-
-    def __truediv__(self, other):
-        return self * _lift_q23(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _lift_q23(other) * self.inverse()
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
 
     def to_ball(self, prec: int) -> Ball:
         w = prec + 8

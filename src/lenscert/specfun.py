@@ -2,14 +2,15 @@
 
 Half-integer gamma values are exact, a rational or a rational times
 sqrt(pi), and give the unit-ball volumes.
-Every hypergeometric series, terminating or not, follows one tail rule: from
-an index N past which every term ratio is at most some q < 1 in absolute
-value (q = |z| from the exact `_ratio_threshold` on), the series stops at
-the first term t with |t| q / (1 - q) <= tol and is widened by that bound.
-Only a terminating series with no such bound runs to its last term, and a
-terminating 2F1 at a point argument is summed exactly in rationals.  Appell
-F1 follows the iterated reduction, whose outer series obeys the same rule
-with every inner 2F1 bounded by U = sum |(b1)_m| / m! |x|^m.
+Every hypergeometric series, terminating or not, needs its arguments
+certainly inside the unit disc and follows one tail rule: from an index N
+past which every term ratio is at most some q < 1 in absolute value (q = |z|
+from the exact `_ratio_threshold` on), the series stops at the first term t
+with |t| q / (1 - q) <= tol and is widened by that bound; a terminating
+series that reaches its last term first is complete.  Appell F1, for
+c >= a > 0 and a non-positive integer b1, follows the iterated reduction,
+whose outer series obeys the same rule with every inner 2F1 bounded by
+U = (1 + |x|)^(-b1).
 
 The 2F1 series and the F1 outer series run on the fixed-point kernel of
 `ball`: terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -182,38 +183,23 @@ def _terminating_order(a: Fraction, b: Fraction) -> int | None:
 def gauss_2f1_detailed(
     a, b, c, z: Ball, prec: int, tol: BigFloat | None = None
 ) -> tuple[Ball, SeriesTail | None]:
+    """2F1(a, b; c; z) for |z| certainly below 1, with its tail record; the
+    record is None when a terminating series ends before its tail test."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if _is_nonpos_int(c):
         raise InvalidC("c must not be a non-positive integer")
+    zsup = Fraction(bf_to_fraction(z.mag_sup()))
+    if zsup >= 1:
+        raise DivergentParameters("|z| must be certainly below 1")
     tol = tol or _default_tol(prec)
     w = prec + 8
-
     order = _terminating_order(a, b)
-    if order is not None and z.is_exact():
-        # dyadic midpoint: the whole sum is an exact rational
-        zf = bf_to_fraction(z.mid)
-        coef = Fraction(1)
-        total = Fraction(1)
-        zp = Fraction(1)
-        for m in range(order):
-            coef *= (a + m) * (b + m) / ((c + m) * (m + 1))
-            zp *= zf
-            total += coef * zp
-        return Ball.from_fraction(total, prec), None
-
-    W = w + _FX_GUARD
-    zsup = Fraction(bf_to_fraction(z.mag_sup()))
-    if zsup < 1:
-        n1 = _ratio_threshold(a, b, c)
-        tail_factor = zsup / (1 - zsup)
-        # headroom log2((1+|z|)/(1-|z|)^2) + 1, rounded up: for x = p/q,
-        # log2 x < bitlen(p) - bitlen(q) + 1
-        room = (1 + zsup) / (1 - zsup) ** 2
-        W += room.numerator.bit_length() - room.denominator.bit_length() + 2
-    elif order is None:
-        raise DivergentParameters("|z| must be certainly below 1")
-    else:
-        n1 = order  # no tail bound: sum every term
+    n1 = _ratio_threshold(a, b, c)
+    tail_factor = zsup / (1 - zsup)
+    # headroom log2((1+|z|)/(1-|z|)^2) + 1, rounded up: for x = p/q,
+    # log2 x < bitlen(p) - bitlen(q) + 1
+    room = (1 + zsup) / (1 - zsup) ** 2
+    W = w + _FX_GUARD + room.numerator.bit_length() - room.denominator.bit_length() + 2
     zx = _fx_from_ball(z, W)
     limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
     term = (1 << W, 0)
@@ -248,70 +234,40 @@ def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
 
 
 def _abs_pochhammer_bound(b: Fraction, tsup: Fraction, w: int) -> BigFloat:
-    """Upper bound for sum_m |(b)_m| / m! * tsup^m; the sum is finite for
-    non-positive integer b, otherwise tsup < 1 is required."""
-    if _is_nonpos_int(b):
-        # |(b)_m| / m! is the binomial coefficient C(-b, m)
-        return rup(Ball.from_fraction((1 + tsup) ** int(-b), w).mag_sup())
-    if tsup >= 1:
-        raise DivergentParameters("bound requires |t| < 1")
-    if b > 0:
-        raise DivergentParameters("uniform bound implemented for b <= 0 only")
-    total = coef = tp = Fraction(1)
-    for m in range(_fr_ceil(-b) + 1):
-        coef *= abs(Fraction(b + m, m + 1))
-        tp *= tsup
-        total += coef * tp
-    # beyond ceil(-b)+1 every factor |(b+m)/(m+1)| <= 1, geometric in tsup
-    total += coef * tp * tsup / (1 - tsup)
-    return rup(Ball.from_fraction(total, w).mag_sup())
+    """Upper bound for sum_m |(b)_m| / m! tsup^m = sum_m C(-b, m) tsup^m =
+    (1 + tsup)^(-b), for a non-positive integer b."""
+    return rup(Ball.from_fraction((1 + tsup) ** int(-b), w).mag_sup())
 
 
 def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
-    """First Appell function F1(a; b1, b2; c; x, y).
+    """First Appell function F1(a; b1, b2; c; x, y) for c >= a > 0, b1 a
+    non-positive integer and x, y certainly inside the unit disc, by the
+    iterated reduction
 
-    Arguments must lie certainly inside the unit disc, except that a
-    direction whose b-parameter is a non-positive integer terminates and
-    places no constraint on its argument.
+        sum_n [(a)_n (b2)_n / ((c)_n n!)] y^n 2F1(a+n, b1; c+n; x).
+
+    Every inner value is at most U = (1 + |x|)^(-b1), so once the outer term
+    ratio stays below |y| the rest of the sum is at most
+    |coef_n| U (1 + |y| / (1 - |y|)).  Each inner value comes from the module
+    attribute `gauss_2f1`, so a wrapper that counts or times it sees every
+    call, and is converted to fixed point once.
     """
     a, b1, b2, c = Fraction(a), Fraction(b1), Fraction(b2), Fraction(c)
-    if _is_nonpos_int(c):
-        raise InvalidC("c must not be a non-positive integer")
+    if not (c >= a > 0 and _is_nonpos_int(b1)):
+        raise DivergentParameters("F1 tail bound needs c >= a > 0 and b1 a non-positive integer")
     xsup = Fraction(bf_to_fraction(x.mag_sup()))
     ysup = Fraction(bf_to_fraction(y.mag_sup()))
-    if xsup >= 1 and not _is_nonpos_int(b1):
-        raise DomainViolation("F1 x-argument must lie certainly inside the unit disc")
-    if ysup >= 1 and not _is_nonpos_int(b2):
-        raise DomainViolation("F1 y-argument must lie certainly inside the unit disc")
-    return _appell_f1_iterated(a, b1, b2, c, x, y, prec + 8, prec, tol or _default_tol(prec))
-
-
-def _appell_f1_iterated(a, b1, b2, c, x, y, w, prec, tol) -> Ball:
-    """Literal iterated reduction: sum_n [(a)_n (b2)_n / ((c)_n n!)] y^n 2F1(a+n, b1; c+n; x).
-
-    With c >= a > 0 and b1 <= 0 every inner value is at most
-    U = sum_m |(b1)_m| / m! |x|^m, so once the outer term ratio stays below
-    |y| < 1 the rest of the sum is at most |coef_n| U (1 + |y| / (1 - |y|)).
-    A terminating b2 without that bound sums every term.  Each inner value
-    comes from the module attribute `gauss_2f1`, so a wrapper that counts or
-    times it sees every call, and is converted to fixed point once.
-    """
+    if xsup >= 1 or ysup >= 1:
+        raise DomainViolation("F1 arguments must lie certainly inside the unit disc")
+    tol = tol or _default_tol(prec)
+    w = prec + 8
     order = int(-b2) if _is_nonpos_int(b2) else None
-    ysup = Fraction(bf_to_fraction(y.mag_sup()))
-    bounded = c >= a > 0 and b1 <= 0 and ysup < 1
-    if order is None and not bounded:
-        raise DivergentParameters("iterated F1 tail bound needs c >= a > 0 and b1 <= 0")
+    n1 = _ratio_threshold(a, b2, c)
+    u_bound = _abs_pochhammer_bound(b1, xsup, w)
+    # the tail multiplies the coefficient's radius by U
+    W = w + _FX_GUARD + bf_msb_exp(u_bound)
+    tail_factor = bf_to_fraction(u_bound) * (1 + ysup / (1 - ysup))
     inner_tol = rup_mul_rat(tol, 1, 64)
-    W = w + _FX_GUARD
-    if bounded:
-        n1 = _ratio_threshold(a, b2, c)
-        xsup = Fraction(bf_to_fraction(x.mag_sup()))
-        u_bound = _abs_pochhammer_bound(b1, xsup, w)
-        # the tail multiplies the coefficient's radius by U
-        W += bf_msb_exp(u_bound)
-        tail_factor = bf_to_fraction(u_bound) * (1 + ysup / (1 - ysup))
-    else:
-        n1 = order  # no tail bound: sum every term
     yx = _fx_from_ball(y, W)
     limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
     sum_m = sum_r = 0

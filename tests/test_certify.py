@@ -126,6 +126,44 @@ class TestCertifyRange:
         data = json.loads(out.read_text())
         assert [C.replay_certificate(d) for d in data] == ["Proven"] * 5
 
+    def test_jobs_capped_by_dimensions_and_cpus(self, monkeypatch):
+        """the pool never gets more workers than dimensions or CPUs, however
+        large `jobs` is; a fake executor records the request and starts no
+        process"""
+        requested = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(C, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(C.os, "cpu_count", lambda: 2)
+        certs = C.certify([8, 9, 10], jobs=100_000)
+        assert requested == [2]
+        assert [c.n for c in certs] == [8, 9, 10]
+        monkeypatch.setattr(C.os, "cpu_count", lambda: 64)
+        C.certify([8, 9], jobs=100_000)
+        assert requested == [2, 2]
+        C.certify([8, 9], jobs=1)
+        C.certify([8], jobs=100_000)
+        assert requested == [2, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path):
+        out = tmp_path / "c.json"
+        with pytest.raises(InvalidArgument):
+            C.certify([8], jobs=jobs, out=str(out))
+        assert not out.exists()
+
     def test_determinism_modulo_timestamp(self):
         a = C.certify_dimension(10)
         b = C.certify_dimension(10)
@@ -289,6 +327,8 @@ class TestCli:
             ["certify", "--n", "8", "--prec-start", "-64"],
             ["certify", "--n", "8", "--prec-max", "100"],
             ["certify", "--n", "8", "--prec-max", "0"],
+            ["certify", "--n", "8..9", "--jobs", "0"],
+            ["certify", "--n", "8..9", "--jobs", "-1"],
             ["table", "--n", "8", "--digits", "0"],
             ["table", "--n", "8", "--digits", "-1"],
             ["certify", "--n", "8", "--out", "{missing}/x.json"],
@@ -296,7 +336,7 @@ class TestCli:
         ],
         ids=[
             "range-not-int", "range-empty", "width-0", "width-neg", "width-nan", "width-inf",
-            "prec-start-0", "prec-start-neg", "prec-max-100", "prec-max-0", "digits-0", "digits-neg",
+            "prec-start-0", "prec-start-neg", "prec-max-100", "prec-max-0", "jobs-0", "jobs-neg", "digits-0", "digits-neg",
             "certify-out-missing-dir", "table-out-missing-dir",
         ],
     )
@@ -306,3 +346,28 @@ class TestCli:
         assert r.returncode == 1, r.stderr
         assert r.stdout == ""
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--n", "8", "--prec-max", "100"],
+            ["table", "--n", "8", "--digits", "0"],
+            ["certify", "--n", "3..9"],
+        ],
+        ids=["certify-prec-max", "table-digits", "certify-low-dimension"],
+    )
+    def test_error_keeps_existing_out(self, argv, tmp_path):
+        """a run that ends in `error:` leaves an existing --out file as it was"""
+        out = tmp_path / "keep.json"
+        old = b'[{"n": 8}]\n'
+        out.write_bytes(old)
+        r = self.run_cli(*argv, "--out", str(out), timeout=60)
+        assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
+        assert out.read_bytes() == old
+
+    def test_out_replaces_longer_file(self, tmp_path):
+        """a successful run replaces the whole of an existing --out file"""
+        out = tmp_path / "t.csv"
+        out.write_text("x" * 10000)
+        assert cli.main(["table", "--n", "8", "--out", str(out)]) == 0
+        assert out.read_text() == "n,k,l,lambda_plane,m\n8,3,3,7.29128238,6.81857964\n"

@@ -46,6 +46,21 @@ def test_pi_against_arctan_of_one():
     assert intersects(four_atan1, pi_ball(160))
 
 
+# ln 2 to 100 decimals, truncated: below ln 2 by less than 1e-100
+LN2_100 = Fraction(
+    "0.6931471805599453094172321214581765680755001343602552541206800094933936219696947156058633269964186875"
+)
+
+
+@pytest.mark.parametrize("prec", [24, 64, 256, 1000])
+def test_ln2_holds_decimal_value(prec):
+    """the atanh(1/3) enclosure is narrow and meets [LN2_100, LN2_100 + 1e-100]"""
+    b = ln2_ball(prec)
+    assert bf_cmp(b.width(), bf_two_power(2 - prec)) <= 0
+    assert bf_to_fraction(b.inf()) <= LN2_100 + Fraction(1, 10**100)
+    assert bf_to_fraction(b.sup()) >= LN2_100
+
+
 def test_ln2_vs_log_kernel():
     assert intersects(ln2_ball(128), log_ball(Ball.from_int(2, 128)))
 

@@ -101,7 +101,7 @@ class TestGauss2F1:
         assert intersects(f, ref)
         assert abs(f.float_mid() - 0.8143885) < 1e-7
 
-    def test_terminating_is_exact_rational(self):
+    def test_terminating_encloses_exact_rational(self):
         z = Ball.from_fraction(Fraction(1, 4), 96)
         f = specfun.gauss_2f1(Fraction(1, 2), Fraction(-2, 1), Fraction(3, 2), z, 96)
         # exact rational sum: 1 + (1/2)(-2)/(3/2) z + ((1/2)(3/2)(-2)(-1)/((3/2)(5/2) 2)) z^2
@@ -165,8 +165,8 @@ class TestAppellF1:
         prec = 96
         x = Ball.from_fraction(Fraction(1, 3), prec)
         zero = Ball.from_int(0, prec)
-        f1 = specfun.appell_f1(4, Fraction(-5, 2), Fraction(-5, 2), 5, x, zero, prec)
-        f21 = specfun.gauss_2f1(4, Fraction(-5, 2), 5, x, prec)
+        f1 = specfun.appell_f1(4, -5, Fraction(-5, 2), 5, x, zero, prec)
+        f21 = specfun.gauss_2f1(4, -5, 5, x, prec)
         assert intersects(f1, f21)
         # widths comparable: within a factor of 32
         assert bf_to_fraction(f1.width()) <= 32 * bf_to_fraction(f21.width()) + Fraction(1, 2**80)
@@ -191,13 +191,16 @@ class TestAppellF1:
         assert out.contains_fraction(exact)
 
     def test_domain_checks(self):
+        """both arguments must lie certainly inside the unit disc, even in a
+        terminating direction, and b1 must be a non-positive integer"""
         big = Ball.from_fraction(Fraction(3, 2), 64)
         small = Ball.from_fraction(Fraction(1, 5), 64)
         with pytest.raises(DomainViolation):
-            specfun.appell_f1(2, Fraction(1, 2), Fraction(1, 2), 3, big, small, 64)
-        # a terminating direction tolerates arguments beyond the unit disc
-        out = specfun.appell_f1(2, -3, Fraction(-1, 2), 3, big, small, 64)
-        assert out.mid.sign != 0
+            specfun.appell_f1(2, -3, Fraction(-1, 2), 3, big, small, 64)
+        with pytest.raises(DomainViolation):
+            specfun.appell_f1(2, -3, -2, 3, small, big, 64)
+        with pytest.raises(DivergentParameters):
+            specfun.appell_f1(2, Fraction(1, 2), Fraction(1, 2), 3, small, small, 64)
 
     def test_c_equals_a_plus_one_encloses_mpmath(self):
         """F1(4; -2, -2; 5; x, y) at the competitor-shaped point x = 0.8837,
@@ -212,10 +215,11 @@ class TestAppellF1:
         TestAgainstMpmath._check(out, ref, prec, None)
 
     def test_competitor_argument_sets_enclose_mpmath(self):
-        """F1(k+1; b, b; k+2; x, y) with b = -(l+1)/2 and (1-l)/2 at the
-        arguments x = lambda/(rho-d), y = -lambda/(rho+d) of the default
-        pairs of n = 8..24 encloses mpmath.appellf1 at the midpoints of the
-        x and y balls, which lie in them"""
+        """F1(1, -kk, -e; e+2; x, y) at the arguments x = -L/corner,
+        y = -L/D that `geom._arc_shifted` forms for the four arcs of the
+        default pairs of n = 8..24 (two for a balanced pair) encloses
+        mpmath.appellf1 at the midpoints of the x and y balls, which lie in
+        them"""
         from lenscert import geom
         from lenscert.ball import ball_add, ball_neg, ball_sub
 
@@ -225,17 +229,24 @@ class TestAppellF1:
         for n in range(8, 25):
             for k, l in geom.default_pairs(n):
                 c = geom.lawson_constants(k, l, prec)
-                x = ball_div(c.lambda_, ball_sub(c.rho, c.d))
-                y = ball_neg(ball_div(c.lambda_, ball_add(c.rho, c.d)))
-                xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
-                for b in (Fraction(-(l + 1), 2), Fraction(1 - l, 2)):
-                    params = (Fraction(k + 1), b, b, Fraction(k + 2))
+                one = Ball.from_int(1, prec)
+                arcs = [(k, l + 1, c.rho, c.d, c.lambda_), (k, l - 1, c.rho, c.d, c.lambda_)]
+                if k != l:
+                    arcs += [(l, k + 1, c.r, c.h, one), (l, k - 1, c.r, c.h, one)]
+                for kk, e2, radius, offset, corner in arcs:
+                    length = ball_sub(ball_sub(radius, offset), corner)
+                    dsum = ball_add(ball_add(radius, offset), corner)
+                    x = ball_neg(ball_div(length, corner))
+                    y = ball_neg(ball_div(length, dsum))
+                    xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
+                    e = Fraction(e2, 2)
+                    params = (Fraction(1), Fraction(-kk), -e, e + 2)
                     out = specfun.appell_f1(*params, x, y, prec)
                     with mpmath.workprec(prec + 64):
                         ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in params + (xf, yf))))
                     _assert_encloses(out, ref, prec)
                     checked += 1
-        assert checked == 52
+        assert checked == 86
 
 
 def _ratio(a: Fraction, b: Fraction, c: Fraction, m: int) -> Fraction:
@@ -300,15 +311,14 @@ class TestTailRule:
     def test_shifted_f1_encloses_double_sum(self, kk, e2, tol_exp, xf):
         """F1(1, -kk, -e; e+2; x, y) contains the double sum: exact for
         integer e, and for half-integer e the sum to N = 60 outer terms
-        together with a proven bound on the rest.  At a dyadic x every inner
-        2F1 is exact, so at the loose tolerance the outer tail sets the radius."""
+        together with a proven bound on the rest."""
         prec = 128
         tol = bf_two_power(tol_exp if tol_exp else -prec - 12)
         yf = Fraction(-173, 10000)
         x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
         e = Fraction(e2, 2)
         a, b1, b2, c = Fraction(1), Fraction(-kk), -e, e + 2
-        out = specfun._appell_f1_iterated(a, b1, b2, c, x, y, prec + 8, prec, tol)
+        out = specfun.appell_f1(a, b1, b2, c, x, y, prec, tol)
         n_max = int(e) if e.denominator == 1 else 60
         total = Fraction(0)
         for n in range(n_max + 1):
