@@ -104,12 +104,16 @@ def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
 
 
 def _escalate(attempt, accepted, prec_start: int, prec_max: int):
-    """Run attempt(prec) from prec_start, doubling prec until accepted(result)
-    holds or the next doubling would exceed prec_max.
+    """Run attempt(prec, final) from prec_start, doubling prec until
+    accepted(result) holds or the next doubling would exceed prec_max.
 
-    A cancellation the ball layer reports (PrecisionExhausted, NonPositiveBase)
-    rejects the attempt like a failed acceptance test; on the last allowed
-    attempt it propagates.  Returns (result, prec, accepted).
+    `final` tells the attempt that it is the last one allowed; this is the only
+    place that works it out.  A non-final attempt may stop at its first
+    enclosure that fails the acceptance test and return None, which rejects it
+    like a failed acceptance test.  The final attempt computes everything and
+    never returns None.  A cancellation the ball layer reports
+    (PrecisionExhausted, NonPositiveBase) rejects the attempt too; on the
+    final attempt it propagates.  Returns (result, prec, accepted).
     """
     if prec_start < 1:
         raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
@@ -119,16 +123,16 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
         )
     prec = prec_start
     while True:
-        last = prec * 2 > prec_max
+        final = prec * 2 > prec_max
         try:
-            result = attempt(prec)
+            result = attempt(prec, final)
         except (PrecisionExhausted, NonPositiveBase):
-            if last:
+            if final:
                 raise
         else:
-            if accepted(result):
+            if result is not None and accepted(result):
                 return result, prec, True
-            if last:
+            if final:
                 return result, prec, False
         prec *= 2
 
@@ -139,6 +143,12 @@ def _target_width(target_width: float):
     if not 0 < target_width < math.inf:
         raise InvalidArgument("target width must be positive and finite, got %r" % target_width)
     return bf_from_float(target_width)
+
+
+def _narrow(b: Ball, tw) -> bool:
+    """The width test of `certify_dimension` and `plot_rows`: b is at most tw
+    wide."""
+    return bf_cmp(b.width(), tw) <= 0
 
 
 def certify_dimension(
@@ -155,6 +165,13 @@ def certify_dimension(
 ) -> Certificate:
     """Certify the strict inequality at one dimension, escalating precision.
 
+    An attempt is accepted when the lens energy and every competitor energy
+    are at most `target_width` wide and every strictness test is decided.  A
+    non-final attempt stops at the first enclosure that fails this test (the
+    lens first, then pair by pair), so a precision too low for the target
+    costs one lens evaluation, not every competitor.  The final attempt
+    computes every pair, so an Undecided certificate lists them all.
+
     The evaluator arguments exist for fault-injection tests; the defaults are
     the library paths.
     """
@@ -166,31 +183,37 @@ def certify_dimension(
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
 
-    def attempt(prec: int):
+    def attempt(prec: int, final: bool):
         lens = lens_eval(n, prec)
+        if not (final or _narrow(lens.lambda_plane, tw)):
+            return None
+        lam_str = ball_to_str(lens.lambda_plane)
+        lam_parsed = ball_from_str(lam_str, prec)
         energies = []
+        entries = []
         for k, l in pair_list:
             try:
-                energies.append(specfun_eval(k, l, prec))
+                en = specfun_eval(k, l, prec)
             except InvalidGeometry:
                 if pairs != "all":
                     raise
-        if not energies:
-            raise NoValidPair("no geometrically valid pair at dimension %d" % n)
-
-        lam_str = ball_to_str(lens.lambda_plane)
-        lam_parsed = ball_from_str(lam_str, prec)
-        entries = []
-        for en in energies:
+                continue
+            if not (final or _narrow(en.m_value, tw)):
+                return None
             m_str = ball_to_str(en.m_value)
             strict = certainly_less(ball_from_str(m_str, prec), lam_parsed)
+            if not final and strict is TriBool.UNKNOWN:
+                return None
+            energies.append(en)
             entries.append(CertEntry(en.k, en.l, m_str, None, strict.value))
+        if not energies:
+            raise NoValidPair("no geometrically valid pair at dimension %d" % n)
         return lens, lam_str, energies, entries
 
     def accepted(result) -> bool:
         lens, _, energies, entries = result
-        widths_ok = bf_cmp(lens.lambda_plane.width(), tw) <= 0 and all(
-            bf_cmp(en.m_value.width(), tw) <= 0 for en in energies
+        widths_ok = _narrow(lens.lambda_plane, tw) and all(
+            _narrow(en.m_value, tw) for en in energies
         )
         return widths_ok and all(e.strict != TriBool.UNKNOWN.value for e in entries)
 
@@ -238,17 +261,24 @@ def open_output(out: str | None):
     """A function that writes the finished text to the file `out`, or to
     stdout.  The file is opened for appending at once: a path that cannot be
     written fails before anything is computed, and an existing file keeps its
-    bytes until the text replaces them, so a run that fails leaves it as is."""
+    bytes until the text replaces them, so a run that fails leaves it as is.
+    A file that the open created is removed again when the run fails."""
     if not out:
         yield sys.stdout.write
         return
+    created = not os.path.exists(out)
     with open(out, "a") as fh:
 
         def replace(text: str) -> None:
             fh.truncate(0)
             fh.write(text)
 
-        yield replace
+        try:
+            yield replace
+        except BaseException:
+            if created:
+                os.remove(out)
+            raise
 
 
 def certify(
@@ -353,20 +383,24 @@ def table_rows(
     rows = []
     width_cap = bf_from_float(0.5 * 10.0 ** (-digits))
 
+    def pinned(b: Ball) -> bool:
+        return certified_decimal(b, digits) is not None and bf_cmp(b.width(), width_cap) < 0
+
     def accepted(balls: list[Ball]) -> bool:
-        return all(
-            certified_decimal(b, digits) is not None and bf_cmp(b.width(), width_cap) < 0
-            for b in balls
-        )
+        return all(pinned(b) for b in balls)
 
     for n in sorted(n_range):
         pair_list = geom.table_pairs(n)
 
-        def attempt(prec: int) -> list[Ball]:
-            lens = geom.lens_quantities(n, prec)
-            return [lens.lambda_plane] + [
-                geom.competitor_energy_specfun(k, l, prec).m_value for k, l in pair_list
-            ]
+        def attempt(prec: int, final: bool) -> list[Ball] | None:
+            # a non-final attempt stops at the first ball that is not pinned;
+            # `accepted` tests the last one
+            balls = [geom.lens_quantities(n, prec).lambda_plane]
+            for k, l in pair_list:
+                if not (final or pinned(balls[-1])):
+                    return None
+                balls.append(geom.competitor_energy_specfun(k, l, prec).m_value)
+            return balls
 
         balls, _, done = _escalate(attempt, accepted, prec_start, prec_max)
         if not done:
@@ -433,13 +467,13 @@ def plot_rows(
     for n in sorted(n_range):
         k, l = geom.default_pairs(n)[0]
 
-        def attempt(prec: int) -> Ball:
+        def attempt(prec: int, final: bool) -> Ball:
             lens = geom.lens_quantities(n, prec)
             en = geom.competitor_energy_specfun(k, l, prec)
             return ball_sub(lens.lambda_plane, en.m_value)
 
         gap, _, done = _escalate(
-            attempt, lambda g: bf_cmp(g.width(), tw) <= 0, prec_start, prec_max
+            attempt, lambda g: _narrow(g, tw), prec_start, prec_max
         )
         if not done:
             raise PrecisionExhausted("gap width target unreachable at n=%d" % n)

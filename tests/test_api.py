@@ -99,3 +99,18 @@ def test_every_top_level_definition_is_reached():
     named |= set(re.findall(r"\w+", outside))
     unreached = sorted("%s %s" % (mod, name) for name, mod in defined.items() if name not in named)
     assert unreached == []
+
+
+def test_only_escalate_decides_the_final_attempt():
+    """the doubling rule `* 2 > prec_max` that marks an attempt as the final
+    one is written once, in `certify._escalate`, so no attempt works out its
+    own `final`"""
+    src = pathlib.Path(lenscert.__file__).parent
+    rule = re.compile(r"\*\s*2\s*>\s*prec_max")
+    hits = [path.name for path in sorted(src.glob("*.py")) for _ in rule.finditer(path.read_text())]
+    assert hits == ["certify.py"]
+    text = (src / "certify.py").read_text()
+    escalate = next(
+        node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef) and node.name == "_escalate"
+    )
+    assert rule.search(ast.get_source_segment(text, escalate))

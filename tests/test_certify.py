@@ -6,15 +6,55 @@ import pytest
 
 from lenscert import certify as C
 from lenscert import cli, geom, oracle
-from lenscert.ball import Ball, ball_from_str, ball_widen, certainly_less, TriBool
+from lenscert.ball import Ball, ball_from_str, ball_to_str, ball_widen, certainly_less, TriBool
 from lenscert.bigfloat import bf_two_power
 from lenscert.errors import (
     InvalidArgument,
+    InvalidGeometry,
     NonPositiveBase,
     NoValidPair,
     PrecisionExhausted,
     UnsupportedDimension,
 )
+
+
+class TestEscalate:
+    """`_escalate` alone decides which attempt is the final one"""
+
+    def run(self, results, prec_start=128, prec_max=1000):
+        calls = []
+
+        def attempt(prec, final):
+            calls.append((prec, final))
+            result = results(prec, final)
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        out = C._escalate(attempt, lambda r: r == "ok", prec_start, prec_max)
+        return out, calls
+
+    def test_final_flag_follows_the_cap(self):
+        out, calls = self.run(lambda prec, final: "wide")
+        assert calls == [(128, False), (256, False), (512, True)]
+        assert out == ("wide", 512, False)
+        out, calls = self.run(lambda prec, final: "wide", prec_max=128)
+        assert calls == [(128, True)]
+        assert out == ("wide", 128, False)
+
+    def test_none_from_a_non_final_attempt_doubles(self):
+        out, calls = self.run(lambda prec, final: "ok" if prec == 256 else None)
+        assert calls == [(128, False), (256, False)]
+        assert out == ("ok", 256, True)
+
+    def test_cancellation_on_the_final_attempt_propagates(self):
+        with pytest.raises(PrecisionExhausted):
+            self.run(lambda prec, final: PrecisionExhausted("at %d bits" % prec))
+        out, calls = self.run(
+            lambda prec, final: "ok" if final else PrecisionExhausted("at %d bits" % prec)
+        )
+        assert calls == [(128, False), (256, False), (512, True)]
+        assert out == ("ok", 512, True)
 
 
 class TestCertifyDimension:
@@ -86,6 +126,54 @@ class TestCertifyDimension:
         assert cert.precision_bits == 256
         with pytest.raises(NonPositiveBase):
             C.certify_dimension(8, lens_eval=lens_eval, prec_max=128, quadrature_max_n=0)
+
+    def test_too_wide_lens_stops_the_attempt(self):
+        """at a width 128 bits cannot reach, the 128-bit attempt stops after
+        the lens: the competitors run at 256 bits only"""
+        calls = []
+
+        def specfun_eval(k, l, prec):
+            calls.append(prec)
+            return geom.competitor_energy_specfun(k, l, prec)
+
+        cert = C.certify_dimension(26, target_width=1e-45, quadrature_max_n=0, specfun_eval=specfun_eval)
+        assert cert.verdict == "Proven" and cert.precision_bits == 256
+        assert calls == [256, 256]
+
+    @pytest.mark.parametrize("miss", ["width", "strictness"])
+    def test_missing_pair_stops_the_attempt(self, miss):
+        """a pair that is too wide or leaves strictness undecided at 128 bits
+        stops the attempt before the next pair runs"""
+        calls = []
+
+        def specfun_eval(k, l, prec):
+            calls.append((k, l, prec))
+            en = geom.competitor_energy_specfun(k, l, prec)
+            if prec == 128 and (k, l) == (3, 3):
+                m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
+                    geom.lens_quantities(8, prec).lambda_plane
+                )
+                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m, en.path, prec)
+            return en
+
+        cert = C.certify_dimension(8, specfun_eval=specfun_eval, quadrature_max_n=0)
+        assert cert.verdict == "Proven" and cert.precision_bits == 256
+        assert calls == [(3, 3, 128), (3, 3, 256), (2, 4, 256)]
+
+    def test_final_attempt_lists_every_pair(self):
+        """when no precision above the start is allowed, the one attempt is
+        final and serializes every pair, however wide"""
+        cert = C.certify_dimension(26, target_width=1e-45, prec_max=128, quadrature_max_n=0)
+        assert cert.verdict == "Undecided" and cert.precision_bits == 128
+        assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(26)
+        for e in cert.entries:
+            assert e.m_value == ball_to_str(geom.competitor_energy_specfun(e.k, e.l, 128).m_value)
+
+    def test_invalid_pair_raises_after_an_early_stop(self):
+        """an invalid explicit pair still raises its own error when the lens
+        rejects the first attempt before the pair is reached"""
+        with pytest.raises(InvalidGeometry):
+            C.certify_dimension(8, pairs=[(1, 5)], target_width=1e-45)
 
     @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
                                         {"target_width": float("nan")}, {"target_width": float("inf")},
@@ -202,6 +290,21 @@ class TestTable:
         assert js[0]["n"] == 8
         rows10 = C.table_rows([10])
         assert "---" in C.render_table(rows10, "csv")
+
+    def test_unpinned_lens_stops_the_attempt(self, monkeypatch):
+        """40 decimals are out of reach at 128 bits, so the pairs are
+        evaluated at 256 bits only"""
+        calls = []
+        specfun = geom.competitor_energy_specfun
+
+        def counting(k, l, prec):
+            calls.append(prec)
+            return specfun(k, l, prec)
+
+        monkeypatch.setattr(geom, "competitor_energy_specfun", counting)
+        rows = C.table_rows([8], digits=40)
+        assert [(r.k, r.l) for r in rows] == [(3, 3)]
+        assert calls == [256]
 
     def test_certified_decimal_rejects_wide_balls(self):
         b = ball_widen(Ball.from_int(1, 64), bf_two_power(-3))
@@ -364,6 +467,21 @@ class TestCli:
         r = self.run_cli(*argv, "--out", str(out), timeout=60)
         assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
         assert out.read_bytes() == old
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--n", "3..9", "--out", "{dir}/new.json"],
+            ["table", "--n", "8", "--digits", "0", "--out", "{dir}/t.json"],
+            ["plot", "--n", "3", "--out", "{dir}/p.csv"],
+        ],
+        ids=["certify", "table", "plot"],
+    )
+    def test_error_leaves_no_new_out(self, argv, tmp_path):
+        """a run that ends in `error:` removes the --out file it created"""
+        r = self.run_cli(*(a.format(dir=tmp_path) for a in argv), timeout=60)
+        assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_replaces_longer_file(self, tmp_path):
         """a successful run replaces the whole of an existing --out file"""
