@@ -1,9 +1,13 @@
 """Certification driver: precision escalation, inequality certificates,
 table and plot-data reproduction, and the exact-value reports.
 
-Strictness verdicts are decided on the *serialized* enclosures (serialize,
-re-parse, compare), so an independent replay of a certificate file by
-parsing its ball strings reproduces every verdict bit for bit.
+Strictness is decided on the *serialized* enclosures: `strictness` compares
+the exact decimal values of a certificate's `m_value` and `lambda_plane`
+strings, and `_verdict` turns the strictness values and the path agreement
+into a verdict.  Certification and `replay_certificate` call the same two
+functions, so a replay of a certificate file needs only `json`, `fractions`
+and these two functions with the parser `ball.ball_str_fractions`, and it
+reproduces every verdict.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from . import __version__, geom, oracle
 from .ball import (
     Ball,
     TriBool,
-    ball_from_str,
+    ball_str_fractions,
     ball_sub,
     ball_to_str,
-    certainly_less,
     intersects,
 )
 from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
@@ -43,6 +46,7 @@ __all__ = [
     "Certificate",
     "certify_dimension",
     "certify",
+    "strictness",
     "replay_certificate",
     "TableRow",
     "table_rows",
@@ -101,6 +105,28 @@ def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
         if k + l + 2 != n:
             raise ValueError("pair (%d,%d) does not match dimension %d" % (k, l, n))
     return out
+
+
+def strictness(m_value: str, lambda_plane: str) -> TriBool:
+    """Whether M < lambda_plane holds over the two serialized balls, decided
+    on their exact decimal values."""
+    m_mid, m_rad = ball_str_fractions(m_value)
+    l_mid, l_rad = ball_str_fractions(lambda_plane)
+    if m_mid + m_rad < l_mid - l_rad:
+        return TriBool.CERTAINLY_TRUE
+    if m_mid - m_rad > l_mid + l_rad:
+        return TriBool.CERTAINLY_FALSE
+    return TriBool.UNKNOWN
+
+
+def _verdict(stricts: list[TriBool], agreement_ok: bool, done: bool) -> str:
+    """The verdict from the entries' strictness values, the path agreement
+    and whether an attempt met every acceptance test."""
+    if not agreement_ok or TriBool.CERTAINLY_FALSE in stricts:
+        return "Failed"
+    if not done or any(s is not TriBool.CERTAINLY_TRUE for s in stricts):
+        return "Undecided"
+    return "Proven"
 
 
 def _escalate(attempt, accepted, prec_start: int, prec_max: int):
@@ -188,7 +214,6 @@ def certify_dimension(
         if not (final or _narrow(lens.lambda_plane, tw)):
             return None
         lam_str = ball_to_str(lens.lambda_plane)
-        lam_parsed = ball_from_str(lam_str, prec)
         energies = []
         entries = []
         for k, l in pair_list:
@@ -201,7 +226,7 @@ def certify_dimension(
             if not (final or _narrow(en.m_value, tw)):
                 return None
             m_str = ball_to_str(en.m_value)
-            strict = certainly_less(ball_from_str(m_str, prec), lam_parsed)
+            strict = strictness(m_str, lam_str)
             if not final and strict is TriBool.UNKNOWN:
                 return None
             energies.append(en)
@@ -234,19 +259,12 @@ def certify_dimension(
             if not ok:
                 agreement_ok = False
 
-    if not agreement_ok or any(e.strict == TriBool.CERTAINLY_FALSE.value for e in entries):
-        verdict = "Failed"
-    elif not done or any(e.strict != TriBool.CERTAINLY_TRUE.value for e in entries):
-        verdict = "Undecided"
-    else:
-        verdict = "Proven"
-
     return Certificate(
         n=n,
         precision_bits=prec,
         lambda_plane=lam_str,
         entries=entries,
-        verdict=verdict,
+        verdict=_verdict([TriBool(e.strict) for e in entries], agreement_ok, done),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
@@ -316,26 +334,19 @@ def certify(
     return certs
 
 
-def replay_certificate(cert: dict, prec: int | None = None) -> str:
-    """Recompute a certificate's verdict purely from its serialized balls."""
-    prec = prec or cert["precision_bits"]
-    lam = ball_from_str(cert["lambda_plane"], prec)
-    any_unknown = False
-    any_false = False
-    agreement_ok = all(
-        e["path_agreement"] is not False for e in cert["entries"]
-    )
-    for e in cert["entries"]:
-        strict = certainly_less(ball_from_str(e["m_value"], prec), lam)
-        if strict is TriBool.UNKNOWN:
-            any_unknown = True
-        elif strict is TriBool.CERTAINLY_FALSE:
-            any_false = True
-    if not agreement_ok or any_false:
+def replay_certificate(cert: dict) -> str:
+    """Recompute a certificate's verdict from its JSON alone.
+
+    Each entry's strictness comes from its exact decimal strings and the
+    agreement from its stored `path_agreement`.  A certificate with no
+    entries, or with an entry whose pair does not match its dimension, is
+    Failed: it carries no evidence for the inequality at n."""
+    entries = cert["entries"]
+    if not entries or any(e["k"] + e["l"] + 2 != cert["n"] for e in entries):
         return "Failed"
-    if any_unknown:
-        return "Undecided"
-    return "Proven"
+    stricts = [strictness(e["m_value"], cert["lambda_plane"]) for e in entries]
+    agreement_ok = all(e["path_agreement"] is not False for e in entries)
+    return _verdict(stricts, agreement_ok, done=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The public surface: every name a module exports resolves, no module
-imports a name it does not use, and no top-level definition is reached from
-the tests alone."""
+imports a name it does not use, and no top-level definition or method is
+reached from the tests alone."""
 
 import ast
 import importlib
@@ -76,29 +76,70 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _package_trees():
+    src = pathlib.Path(lenscert.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def _words_outside_package():
+    """every word of the benchmark scripts and the project metadata"""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outside = "\n".join(p.read_text() for p in [*sorted((root / "bench").glob("*.py")), root / "pyproject.toml"])
+    return set(re.findall(r"\w+", outside))
+
+
 def test_every_top_level_definition_is_reached():
     """every top-level function and class of the package is named somewhere
     in the package itself (a call, a reference or an attribute), or by the
     benchmark scripts or the project metadata; a reference from the tests
     alone does not count"""
-    src = pathlib.Path(lenscert.__file__).parent
-    root = pathlib.Path(__file__).resolve().parent.parent
     defined = {}
-    named = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    named = _words_outside_package()
+    for name, tree in _package_trees():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
+                defined[node.name] = name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    outside = "\n".join(p.read_text() for p in [*sorted((root / "bench").glob("*.py")), root / "pyproject.toml"])
-    named |= set(re.findall(r"\w+", outside))
     unreached = sorted("%s %s" % (mod, name) for name, mod in defined.items() if name not in named)
     assert unreached == []
+
+
+def test_every_method_is_reached():
+    """every method of a package class, dunder methods aside, is named as an
+    attribute in the package itself, or by the benchmark scripts or the
+    project metadata; a reference from the tests alone does not count"""
+    methods = []
+    named = _words_outside_package()
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    ("%s %s.%s" % (name, node.name, item.name), item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert methods
+    assert sorted(label for label, method in methods if method not in named) == []
+
+
+def test_no_verdict_path_parses_at_a_precision():
+    """`ball_from_str` rounds its parse at a precision, so the package only
+    defines it and never calls it: every verdict compares exact values"""
+    src = pathlib.Path(lenscert.__file__).parent
+    hits = [
+        "%s: %s" % (path.name, line.strip())
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "ball_from_str(" in line
+    ]
+    assert hits == ["ball.py: def ball_from_str(s: str, prec: int) -> Ball:"]
 
 
 def test_only_escalate_decides_the_final_attempt():

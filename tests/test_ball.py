@@ -28,6 +28,17 @@ from lenscert.bigfloat import bf_cmp, bf_from_float, bf_shift, bf_to_fraction, b
 from lenscert.errors import DivisionByIntervalContainingZero
 
 
+def _contains(b, x) -> bool:
+    """b encloses the rational x"""
+    return abs(Fraction(x) - bf_to_fraction(b.mid)) <= bf_to_fraction(b.rad)
+
+
+def _encloses(outer, inner) -> bool:
+    """outer encloses every point of inner"""
+    lo, hi = bf_to_fraction(outer.inf()), bf_to_fraction(outer.sup())
+    return lo <= bf_to_fraction(inner.inf()) and bf_to_fraction(inner.sup()) <= hi
+
+
 def rand_fraction(rng, bits=30):
     return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
 
@@ -35,14 +46,14 @@ def rand_fraction(rng, bits=30):
 def test_exact_integer_add():
     one = Ball.from_int(1, 64)
     two = ball_add(one, one)
-    assert two.is_exact()
-    assert two.contains_fraction(2)
+    assert two.rad.sign == 0
+    assert _contains(two, 2)
 
 
 def test_mul_inverse_identity():
     a = Ball.from_int(3, 64)
     inv = Ball.from_fraction(Fraction(1, 3), 64)
-    assert ball_mul(a, inv).contains_fraction(1)
+    assert _contains(ball_mul(a, inv), 1)
 
 
 def test_div_two_precision_consistency():
@@ -67,10 +78,10 @@ def test_soundness_identities_random():
             continue
         x = Ball.from_fraction(f, 96)
         y = Ball.from_fraction(1 / f, 96)
-        assert ball_mul(x, y).contains_fraction(1)
+        assert _contains(ball_mul(x, y), 1)
         g = rand_fraction(rng)
         yb = Ball.from_fraction(g, 96)
-        assert ball_sub(ball_add(x, yb), yb).contains_fraction(f)
+        assert _contains(ball_sub(ball_add(x, yb), yb), f)
 
 
 def test_two_precision_consistency_random_ops():
@@ -83,7 +94,7 @@ def test_two_precision_consistency_random_ops():
             r48, r96 = op(a48, b48), op(a96, b96)
             assert intersects(r48, r96)
             assert bf_cmp(r96.width(), r48.width()) <= 0
-        if not b48.contains_zero():
+        if not _contains(b48, 0):
             r48, r96 = ball_div(a48, b48), ball_div(a96, b96)
             assert intersects(r48, r96)
             assert bf_cmp(r96.width(), r48.width()) <= 0
@@ -130,16 +141,16 @@ def test_certainly_less_antisymmetric_random():
 
 def test_pow_int():
     a = Ball.from_fraction(Fraction(3, 7), 96)
-    assert ball_pow_int(a, 5).contains_fraction(Fraction(3, 7) ** 5)
-    assert ball_pow_int(a, 0).contains_fraction(1)
-    assert ball_pow_int(a, -2).contains_fraction(Fraction(7, 3) ** 2)
+    assert _contains(ball_pow_int(a, 5), Fraction(3, 7) ** 5)
+    assert _contains(ball_pow_int(a, 0), 1)
+    assert _contains(ball_pow_int(a, -2), Fraction(7, 3) ** 2)
 
 
 def test_hull():
     a = Ball.from_int(1, 64)
     b = Ball.from_int(5, 64)
     h = ball_hull(a, b)
-    assert h.contains_fraction(1) and h.contains_fraction(5) and h.contains_fraction(3)
+    assert _contains(h, 1) and _contains(h, 5) and _contains(h, 3)
 
 
 class TestSerialization:
@@ -151,21 +162,21 @@ class TestSerialization:
             s = ball_to_str(b)
             assert "+/-" in s
             back = ball_from_str(s, 80)
-            assert back.contains_ball(b)
-            assert back.contains_fraction(f)
+            assert _encloses(back, b)
+            assert _contains(back, f)
 
     def test_exact_zero_and_negative(self):
         z = Ball.from_int(0, 64)
-        assert ball_from_str(ball_to_str(z), 64).contains_fraction(0)
+        assert _contains(ball_from_str(ball_to_str(z), 64), 0)
         n = Ball.from_fraction(Fraction(-355, 113), 64)
         back = ball_from_str(ball_to_str(n), 64)
-        assert back.contains_fraction(Fraction(-355, 113))
+        assert _contains(back, Fraction(-355, 113))
 
     def test_higher_precision_parse_still_encloses(self):
         b = ball_div(Ball.from_int(2, 64), Ball.from_int(7, 64))
         s = ball_to_str(b)
         back = ball_from_str(s, 256)
-        assert back.contains_fraction(Fraction(2, 7))
+        assert _contains(back, Fraction(2, 7))
 
 
 class TestFixedPointKernel:
@@ -208,7 +219,7 @@ class TestFixedPointKernel:
             for x in self._points(a):
                 for y in self._points(b):
                     assert abs(x * y * 2**W - m) <= r, (a, b, W)
-                    assert out.contains_fraction(x * y), (a, b, W)
+                    assert _contains(out, x * y), (a, b, W)
 
     def test_power_encloses(self):
         rng = random.Random(23)

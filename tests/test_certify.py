@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from lenscert import certify as C
 from lenscert import cli, geom, oracle
 from lenscert.ball import Ball, ball_from_str, ball_to_str, ball_widen, certainly_less, TriBool
-from lenscert.bigfloat import bf_two_power
+from lenscert.bigfloat import bf_to_float, bf_two_power
 from lenscert.errors import (
     InvalidArgument,
     InvalidGeometry,
@@ -77,7 +78,7 @@ class TestCertifyDimension:
         lens = geom.lens_quantities(8, 128)
         en = geom.competitor_energy_specfun(3, 3, 128)
         gap = lens.lambda_plane - en.m_value
-        assert abs(gap.float_mid() - 0.47270274) < 1e-7
+        assert abs(bf_to_float(gap.mid) - 0.47270274) < 1e-7
 
     def test_synthetic_equal_inputs_undecided(self):
         """M forced equal to the lens energy cannot certify strictness"""
@@ -261,9 +262,46 @@ class TestCertifyRange:
         assert da == db
 
     def test_replay_flags_tampering(self):
+        """an m_value equal to lambda_plane leaves strictness undecided; one
+        whose midpoint lies 1 above lambda_plane's, at the same radius, fails"""
         cert = C.certify_dimension(8).to_dict()
         cert["entries"][0]["m_value"] = cert["lambda_plane"]
-        assert C.replay_certificate(cert) in ("Undecided", "Failed")
+        assert C.replay_certificate(cert) == "Undecided"
+        mid, rad = cert["lambda_plane"].split(" +/- ")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1000
+            cert["entries"][0]["m_value"] = "%s +/- %s" % (decimal.Decimal(mid) + 1, rad)
+        assert C.replay_certificate(cert) == "Failed"
+
+    def test_replay_rejects_empty_or_foreign_entries(self):
+        """a certificate with no entries, or with an entry whose pair does not
+        match its dimension, carries no evidence for n and replays as Failed"""
+        cert = C.certify_dimension(8).to_dict()
+        assert C.replay_certificate({**cert, "entries": []}) == "Failed"
+        cert["entries"][0]["k"] = cert["entries"][0]["l"] = 30
+        assert C.replay_certificate(cert) == "Failed"
+
+    def test_replay_decides_on_exact_values(self):
+        """balls that a 64-bit parse rounds onto each other are still ordered:
+        strictness compares the exact decimal values"""
+        lam, m = "1.00000000000000000000001e+0 +/- 0", "1e+0 +/- 0"
+        assert C.strictness(m, lam) is TriBool.CERTAINLY_TRUE
+        assert C.strictness(lam, m) is TriBool.CERTAINLY_FALSE
+        cert = {
+            "n": 8,
+            "precision_bits": 64,
+            "lambda_plane": lam,
+            "entries": [{"k": 3, "l": 3, "m_value": m, "path_agreement": True, "strict": "Unknown"}],
+        }
+        assert C.replay_certificate(cert) == "Proven"
+
+    @pytest.mark.parametrize("lam", ["7.29e+0", "7.29e+0 +/- -1e-9"])
+    def test_replay_rejects_malformed_ball(self, lam):
+        """a ball string without "+/-", or with a negative radius, is an error"""
+        cert = C.certify_dimension(8).to_dict()
+        cert["lambda_plane"] = lam
+        with pytest.raises(ValueError):
+            C.replay_certificate(cert)
 
 
 class TestTable:

@@ -25,6 +25,11 @@ from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import DomainViolation, NonPositiveBase
 
 
+def _contains(b, x) -> bool:
+    """b encloses the rational x"""
+    return abs(Fraction(x) - bf_to_fraction(b.mid)) <= bf_to_fraction(b.rad)
+
+
 # pi to 100 decimals, truncated: below pi by less than 1e-100
 PI_100 = Fraction(
     "3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679"
@@ -68,7 +73,7 @@ def test_ln2_vs_log_kernel():
 def test_sqrt_identities():
     a = Ball.from_int(2, 128)
     s = sqrt_ball(a)
-    assert ball_mul(s, s).contains_fraction(2)
+    assert _contains(ball_mul(s, s), 2)
     with pytest.raises(DomainViolation):
         sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)))
 
@@ -78,7 +83,7 @@ def test_exp_log_round_trip():
     for _ in range(40):
         f = Fraction(rng.randint(1, 4000), rng.randint(1, 4000))
         x = Ball.from_fraction(f, 96)
-        assert log_ball(exp_ball(x)).contains_fraction(f)
+        assert _contains(log_ball(exp_ball(x)), f)
 
 
 def test_arcsin_special_value():
@@ -97,15 +102,15 @@ def test_sin_cos_pythagoras_random():
         f = Fraction(rng.randint(1, 600), 400)
         x = Ball.from_fraction(f, 96)
         s, c = sin_ball(x), cos_ball(x)
-        assert ball_add(ball_mul(s, s), ball_mul(c, c)).contains_fraction(1)
+        assert _contains(ball_add(ball_mul(s, s), ball_mul(c, c)), 1)
 
 
 def test_pow_rational_round_trip():
     a = Ball.from_int(2, 128)
     r = pow_rational(a, 7, 8)
-    assert pow_rational(r, 8, 7).contains_fraction(2)
-    assert pow_rational(a, 0, 1).contains_fraction(1)
-    assert pow_rational(Ball.from_int(4, 128), 1, 2).contains_fraction(2)
+    assert _contains(pow_rational(r, 8, 7), 2)
+    assert _contains(pow_rational(a, 0, 1), 1)
+    assert _contains(pow_rational(Ball.from_int(4, 128), 1, 2), 2)
     with pytest.raises(NonPositiveBase):
         pow_rational(Ball.from_int(-1, 64), 1, 3)
 

@@ -6,6 +6,7 @@ from lenscert import geom, oracle, specfun
 from lenscert.ball import (
     Ball,
     ball_add,
+    ball_div,
     ball_mul,
     ball_mul_rat,
     ball_pow_int,
@@ -15,8 +16,13 @@ from lenscert.ball import (
     pow_rational,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_float, bf_to_fraction
 from lenscert.errors import InvalidGeometry, NoValidPair
+
+
+def _contains(b, x) -> bool:
+    """b encloses the rational x"""
+    return abs(Fraction(x) - bf_to_fraction(b.mid)) <= bf_to_fraction(b.rad)
 
 # certified reference values (8 decimals).  Every M entry is reproduced by the
 # special-function and verified-quadrature paths (and, for all-odd pairs, the
@@ -79,14 +85,12 @@ class TestLensQuantities:
             sqrt_ball(Ball.from_int(3, prec)), 837, 3072
         )
         assert intersects(lq.lens_volume, ball_mul(w7, inner))
-        assert abs(lq.lens_volume.float_mid() - 0.476115) < 1e-6
+        assert abs(bf_to_float(lq.lens_volume.mid) - 0.476115) < 1e-6
 
     def test_assembly_identity(self):
         """recomputing lambda from the stored components reproduces it"""
         lq = geom.lens_quantities(12, 128)
-        rebuilt = (
-            lq.cap_area * 2 - lq.disc_term
-        ) / pow_rational(lq.lens_volume, 11, 12, 128)
+        rebuilt = ball_div(lq.cap_area * 2 - lq.disc_term, pow_rational(lq.lens_volume, 11, 12, 128))
         assert intersects(rebuilt, lq.lambda_plane)
 
     @pytest.mark.parametrize("n", [8, 9, 16, 51, 396, 1000, 2700])
@@ -134,7 +138,7 @@ class TestLawsonConstants:
             ball_add(sqrt_ball(Ball.from_int(6, prec)), sqrt_ball(Ball.from_int(2, prec))),
         )
         assert intersects(c.d, c.h) and intersects(c.rho, c.r)
-        assert c.lambda_.contains_fraction(1)
+        assert _contains(c.lambda_, 1)
 
     @pytest.mark.parametrize("k,l", [(3, 4), (2, 5), (5, 7), (9, 4)])
     def test_corner_consistency(self, k, l):
@@ -142,9 +146,9 @@ class TestLawsonConstants:
         c = geom.lawson_constants(k, l, 128)
         one = Ball.from_int(1, c.r.prec)
         lhs = ball_sub(ball_mul(c.r, c.r), ball_pow_int(ball_add(one, c.h), 2))
-        assert lhs.contains_fraction(Fraction(k, l))
+        assert _contains(lhs, Fraction(k, l))
         rhs = ball_sub(ball_mul(c.rho, c.rho), ball_pow_int(ball_add(c.lambda_, c.d), 2))
-        assert rhs.contains_fraction(1)
+        assert _contains(rhs, 1)
 
     @pytest.mark.parametrize("k,l", [(1, 5), (5, 1), (1, 4), (9, 2)])
     def test_invalid_geometry(self, k, l):
@@ -178,7 +182,7 @@ class TestCompetitorEnergy:
     def test_assembly_identity(self):
         en = geom.competitor_energy_specfun(4, 5, 128)
         n = 4 + 5 + 2
-        rebuilt = (en.perimeter - en.cone_disc) / pow_rational(en.volume, n - 1, n, 128)
+        rebuilt = ball_div(en.perimeter - en.cone_disc, pow_rational(en.volume, n - 1, n, 128))
         assert intersects(rebuilt, en.m_value)
 
     def test_volume_exceeds_slab_term(self):

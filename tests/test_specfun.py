@@ -16,8 +16,19 @@ from lenscert.ball import (
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import RADIUS_PREC, bf_cmp, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import RADIUS_PREC, bf_cmp, bf_to_float, bf_to_fraction, bf_two_power
 from lenscert.errors import DivergentParameters, DomainViolation, InvalidC
+
+
+def _contains(b, x) -> bool:
+    """b encloses the rational x"""
+    return abs(Fraction(x) - bf_to_fraction(b.mid)) <= bf_to_fraction(b.rad)
+
+
+def _encloses(outer, inner) -> bool:
+    """outer encloses every point of inner"""
+    lo, hi = bf_to_fraction(outer.inf()), bf_to_fraction(outer.sup())
+    return lo <= bf_to_fraction(inner.inf()) and bf_to_fraction(inner.sup()) <= hi
 
 
 def poch(a: Fraction, m: int) -> Fraction:
@@ -47,7 +58,7 @@ class TestGammaHalf:
 
 class TestUnitBallVolume:
     def test_low_dimensions(self):
-        assert specfun.unit_ball_volume(1, 64).contains_fraction(2)
+        assert _contains(specfun.unit_ball_volume(1, 64), 2)
         assert intersects(specfun.unit_ball_volume(2, 96), pi_ball(96))
 
     def test_omega7(self):
@@ -72,7 +83,7 @@ class TestGauss2F1:
     def test_empty_series(self):
         z = Ball.from_fraction(Fraction(1, 3), 64)
         out = specfun.gauss_2f1(Fraction(1, 2), 0, Fraction(3, 2), z, 64)
-        assert out.is_exact() and out.contains_fraction(1)
+        assert out.rad.sign == 0 and _contains(out, 1)
 
     def test_arcsin_identity_quarter(self):
         z = Ball.from_fraction(Fraction(1, 4), 128)
@@ -99,7 +110,7 @@ class TestGauss2F1:
             pi_ball(prec), 5, 48
         )
         assert intersects(f, ref)
-        assert abs(f.float_mid() - 0.8143885) < 1e-7
+        assert abs(bf_to_float(f.mid) - 0.8143885) < 1e-7
 
     def test_terminating_encloses_exact_rational(self):
         z = Ball.from_fraction(Fraction(1, 4), 96)
@@ -110,7 +121,7 @@ class TestGauss2F1:
             + Fraction(1, 2) * -2 / Fraction(3, 2) * Fraction(1, 4)
             + poch(Fraction(1, 2), 2) * poch(-2, 2) / poch(Fraction(3, 2), 2) / 2 * Fraction(1, 16)
         )
-        assert f.contains_fraction(expected)
+        assert _contains(f, expected)
         assert bf_cmp(f.width(), bf_two_power(-90)) <= 0
 
     def test_invalid_c(self):
@@ -131,7 +142,7 @@ class TestGauss2F1:
             coarse, tail = specfun.gauss_2f1_detailed(a, b, c, z, 128, tol=bf_two_power(-40))
             fine, _ = specfun.gauss_2f1_detailed(a, b, c, z, 128, tol=bf_two_power(-100))
             assert tail is not None
-            assert coarse.contains_ball(fine)
+            assert _encloses(coarse, fine)
             # stored tail bound satisfies its defining inequality
             ratio = tail.ratio
             bound = bf_to_fraction(tail.last_term) * ratio / (1 - ratio)
@@ -159,7 +170,7 @@ class TestAppellF1:
         x = Ball.from_fraction(Fraction(1, 3), 64)
         y = Ball.from_fraction(Fraction(-1, 5), 64)
         out = specfun.appell_f1(2, 0, 0, 3, x, y, 64)
-        assert out.contains_fraction(1)
+        assert _contains(out, 1)
 
     def test_y_zero_reduces_to_2f1(self):
         prec = 96
@@ -188,7 +199,7 @@ class TestAppellF1:
                     * Fraction(1, 3) ** m
                     * Fraction(-1, 5) ** n
                 )
-        assert out.contains_fraction(exact)
+        assert _contains(out, exact)
 
     def test_domain_checks(self):
         """both arguments must lie certainly inside the unit disc, even in a
@@ -293,7 +304,7 @@ class TestTailRule:
         tol = bf_two_power(tol_exp) if tol_exp else None
         zf = Fraction(-1317, 10000)
         z = Ball.from_fraction(zf, prec)
-        assert not z.is_exact()
+        assert z.rad.sign != 0
         a, b, c = Fraction(1 + shift), Fraction(-kk), Fraction(e2, 2) + 2 + shift
         out, tail = specfun.gauss_2f1_detailed(a, b, c, z, prec, tol)
         exact = sum(
@@ -301,7 +312,7 @@ class TestTailRule:
             for m in range(kk + 1)
         )
         assert tail is not None and tail.n_terms <= kk
-        assert out.contains_fraction(exact)
+        assert _contains(out, exact)
         if tol is None:
             assert bf_to_fraction(out.width()) <= abs(exact) / 2 ** (prec - 8)
 
@@ -467,7 +478,7 @@ class TestAgainstMpmath:
             n = rng.randint(0, 40)
             a, b, c = Fraction(1 + n), Fraction(-kk), e + 2 + n
             x = Ball.from_fraction(xf, prec)
-            assert not x.is_exact()
+            assert x.rad.sign != 0
             tol = bf_two_power(tol_exp) if tol_exp else None
             out = specfun.gauss_2f1(a, b, c, x, prec, tol)
             with mpmath.workprec(prec + 64):
