@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .bigfloat import (
     BigFloat,
@@ -127,29 +126,18 @@ class Ball:
     def __repr__(self):
         return "Ball(%s)" % ball_to_str(self, max_digits=12)
 
-    # -- operator sugar (scalars lift exactly / with tracked error) --------
+    # -- operators: Ball +, -, * Ball, and Ball * Fraction ------------------
 
-    def _lift(self, other) -> "Ball":
-        if isinstance(other, Ball):
-            return other
-        if isinstance(other, int):
-            return Ball.from_int(other, self.prec)
+    def __add__(self, other: "Ball") -> "Ball":
+        return ball_add(self, other, max(self.prec, other.prec))
+
+    def __sub__(self, other: "Ball") -> "Ball":
+        return ball_sub(self, other, max(self.prec, other.prec))
+
+    def __mul__(self, other: "Ball | Fraction") -> "Ball":
         if isinstance(other, Fraction):
-            return Ball.from_fraction(other, self.prec)
-        raise TypeError("cannot mix Ball with %r" % type(other))
-
-    def __add__(self, other):
-        return ball_add(self, self._lift(other))
-
-    def __sub__(self, other):
-        return ball_sub(self, self._lift(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ball_mul_rat(self, other, 1)
-        if isinstance(other, Fraction):
-            return ball_mul_rat(self, other.numerator, other.denominator)
-        return ball_mul(self, self._lift(other))
+            return ball_mul_rat(self, other.numerator, other.denominator, self.prec)
+        return ball_mul(self, other, max(self.prec, other.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +145,7 @@ class Ball:
 # ---------------------------------------------------------------------------
 
 
-def ball_add(a: Ball, b: Ball, prec: int | None = None) -> Ball:
-    prec = prec or max(a.prec, b.prec)
+def ball_add(a: Ball, b: Ball, prec: int) -> Ball:
     mid, err = bf_add(a.mid, b.mid, prec)
     return Ball(mid, rup_add(rup_add(a.rad, b.rad), err), prec)
 
@@ -167,12 +154,11 @@ def ball_neg(a: Ball) -> Ball:
     return Ball(bf_neg(a.mid), a.rad, a.prec)
 
 
-def ball_sub(a: Ball, b: Ball, prec: int | None = None) -> Ball:
+def ball_sub(a: Ball, b: Ball, prec: int) -> Ball:
     return ball_add(a, ball_neg(b), prec)
 
 
-def ball_mul(a: Ball, b: Ball, prec: int | None = None) -> Ball:
-    prec = prec or max(a.prec, b.prec)
+def ball_mul(a: Ball, b: Ball, prec: int) -> Ball:
     mid, err = bf_mul(a.mid, b.mid, prec)
     rad = err
     if b.rad.sign:
@@ -184,9 +170,8 @@ def ball_mul(a: Ball, b: Ball, prec: int | None = None) -> Ball:
     return Ball(mid, rad, prec)
 
 
-def ball_mul_rat(a: Ball, p: int, q: int, prec: int | None = None) -> Ball:
+def ball_mul_rat(a: Ball, p: int, q: int, prec: int) -> Ball:
     """a * p/q for integers p, q with q > 0."""
-    prec = prec or a.prec
     if q <= 0:
         raise ValueError("q must be positive")
     mid, err = bf_mul_rat(a.mid, p, q, prec)
@@ -196,8 +181,7 @@ def ball_mul_rat(a: Ball, p: int, q: int, prec: int | None = None) -> Ball:
     return Ball(mid, rad, prec)
 
 
-def ball_div(a: Ball, b: Ball, prec: int | None = None) -> Ball:
-    prec = prec or max(a.prec, b.prec)
+def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
     denom_low = bf_add_exact(bf_abs(b.mid), bf_neg(b.rad))
     if denom_low.sign <= 0:
         raise DivisionByIntervalContainingZero(
@@ -212,8 +196,7 @@ def ball_div(a: Ball, b: Ball, prec: int | None = None) -> Ball:
     return Ball(mid, rad, prec)
 
 
-def ball_pow_int(a: Ball, n: int, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
     if n < 0:
         return ball_div(Ball.from_int(1, prec), ball_pow_int(a, -n, prec), prec)
     result = Ball.from_int(1, prec)
@@ -239,8 +222,7 @@ def ball_widen(a: Ball, extra: BigFloat) -> Ball:
     return Ball(a.mid, rup_add(a.rad, extra), a.prec)
 
 
-def ball_hull(a: Ball, b: Ball, prec: int | None = None) -> Ball:
-    prec = prec or max(a.prec, b.prec)
+def ball_hull(a: Ball, b: Ball, prec: int) -> Ball:
     lo_a, lo_b = a.inf(), b.inf()
     hi_a, hi_b = a.sup(), b.sup()
     lo = lo_a if bf_cmp(lo_a, lo_b) <= 0 else lo_b
@@ -333,12 +315,8 @@ def _fx_tail(x: tuple[int, int], p: int, q: int, limit: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def certainly_less(a: Ball, b: Ball) -> TriBool:
-    if bf_cmp(a.sup(), b.inf()) < 0:
-        return TriBool.CERTAINLY_TRUE
-    if bf_cmp(a.inf(), b.sup()) > 0:
-        return TriBool.CERTAINLY_FALSE
-    return TriBool.UNKNOWN
+def certainly_less(a: Ball, b: Ball) -> bool:
+    return bf_cmp(a.sup(), b.inf()) < 0
 
 
 def certainly_positive(a: Ball) -> bool:
@@ -423,8 +401,7 @@ def _tol(prec: int) -> BigFloat:
     return bf_two_power(-prec - 8)
 
 
-def sqrt_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def sqrt_ball(a: Ball, prec: int) -> Ball:
     lo = a.inf()
     if lo.sign < 0:
         raise DomainViolation("sqrt of a ball reaching below zero")
@@ -439,15 +416,13 @@ def sqrt_ball(a: Ball, prec: int | None = None) -> Ball:
 
 def _exp_thin(x: BigFloat, prec: int) -> Ball:
     w = prec + 16
-    if x.sign == 0:
-        return Ball.from_int(1, prec)
     fx = bf_to_float(x)
     if abs(fx) > 1 << 40:
         raise DomainViolation("exp argument out of supported range")
     k = int(round(fx * 1.4426950408889634))
     t = Ball.point(x, w)
     if k:
-        t = ball_sub(t, ball_mul_rat(ln2_ball(w), k, 1), w)
+        t = ball_sub(t, ball_mul_rat(ln2_ball(w), k, 1, w), w)
     if bf_cmp(t.mag_sup(), BigFloat(1, 3, -2)) > 0:
         raise DomainViolation("exp argument reduction failed")
     # |t| <= 3/4; sum exp(t) with factorial tail bound
@@ -471,10 +446,7 @@ def _exp_thin(x: BigFloat, prec: int) -> Ball:
     return ball_round(result, prec)
 
 
-def exp_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
-    if a.rad.sign == 0:
-        return _exp_thin(a.mid, prec)
+def exp_ball(a: Ball, prec: int) -> Ball:
     return ball_hull(_exp_thin(a.inf(), prec), _exp_thin(a.sup(), prec), prec)
 
 
@@ -517,13 +489,10 @@ def _log_thin(x: BigFloat, prec: int) -> Ball:
     return ball_round(total, prec)
 
 
-def log_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def log_ball(a: Ball, prec: int) -> Ball:
     lo = a.inf()
     if lo.sign <= 0:
         raise DomainViolation("log of a ball reaching below zero")
-    if a.rad.sign == 0:
-        return _log_thin(a.mid, prec)
     return ball_hull(_log_thin(lo, prec), _log_thin(a.sup(), prec), prec)
 
 
@@ -556,8 +525,6 @@ def _atan_core(b: Ball, prec: int) -> Ball:
 
 def _atan_thin(x: BigFloat, prec: int) -> Ball:
     w = prec + 16
-    if x.sign == 0:
-        return Ball.from_int(0, prec)
     ax = bf_abs(x)
     if bf_cmp(ax, ONE) > 0:
         inv = ball_div(Ball.from_int(1, w), Ball.point(ax, w), w)
@@ -574,15 +541,13 @@ def bf_half_pi(prec: int) -> Ball:
     return Ball(bf_shift(p.mid, -1), bf_shift(p.rad, -1), prec)
 
 
-def atan_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def atan_ball(a: Ball, prec: int) -> Ball:
     if a.rad.sign == 0:
         return _atan_thin(a.mid, prec)
     return ball_hull(_atan_thin(a.inf(), prec), _atan_thin(a.sup(), prec), prec)
 
 
-def asin_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def asin_ball(a: Ball, prec: int) -> Ball:
     w = prec + 8
     one = Ball.from_int(1, w)
     inner = ball_sub(one, ball_mul(a, a, w), w)
@@ -625,34 +590,23 @@ def _sin_cos_thin(x: BigFloat, prec: int, want_sin: bool) -> Ball:
     return ball_round(total, prec)
 
 
-def sin_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def sin_ball(a: Ball, prec: int) -> Ball:
     out = _sin_cos_thin(a.mid, prec, want_sin=True)
     # |sin'| <= 1, widen by the argument radius
     return ball_widen(out, a.rad)
 
 
-def cos_ball(a: Ball, prec: int | None = None) -> Ball:
-    prec = prec or a.prec
+def cos_ball(a: Ball, prec: int) -> Ball:
     out = _sin_cos_thin(a.mid, prec, want_sin=False)
     return ball_widen(out, a.rad)
 
 
-def pow_rational(a: Ball, p: int, q: int, prec: int | None = None) -> Ball:
+def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     """a**(p/q) for a certainly positive ball; q > 0."""
-    prec = prec or a.prec
     if q <= 0:
         raise ValueError("q must be positive")
-    g = gcd(abs(p), q)
-    if g > 1:
-        p //= g
-        q //= g
-    if p == 0:
-        return Ball.from_int(1, prec)
     if not certainly_positive(a):
         raise NonPositiveBase("pow_rational base must be certainly positive")
-    if q == 1:
-        return ball_pow_int(a, p, prec)
     if q == 2:
         # x**(p/2) is monotone on x > 0: evaluate at the endpoints
         w = prec + 8
@@ -727,12 +681,28 @@ def ball_to_str(b: Ball, max_digits: int | None = None) -> str:
     return "%s +/- %s" % (mid_str, rad_str)
 
 
+# the largest decimal exponent a parsed ball string may carry; at the 65536-bit
+# precision cap `ball_to_str` writes exponents of about 20000 at most
+MAX_DECIMAL_EXPONENT = 100_000
+
+
+def _exact_decimal(s: str) -> Fraction:
+    """The exact value of a decimal string whose exponent is at most
+    MAX_DECIMAL_EXPONENT in magnitude, so a short string cannot make the
+    parse expand a huge power of ten."""
+    exp = s.partition("e")[2] or s.partition("E")[2]
+    # five characters or fewer cannot spell an exponent past the bound
+    if len(exp) > 5 and abs(int(exp)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError("decimal exponent beyond %d in %r" % (MAX_DECIMAL_EXPONENT, s))
+    return Fraction(s)
+
+
 def ball_str_fractions(s: str) -> tuple[Fraction, Fraction]:
     """The exact midpoint and radius of a "<mid> +/- <rad>" string."""
     mid_part, sep, rad_part = s.partition("+/-")
     if not sep:
         raise ValueError("missing '+/-' separator in %r" % s)
-    mid, rad = Fraction(mid_part), Fraction(rad_part)
+    mid, rad = _exact_decimal(mid_part), _exact_decimal(rad_part)
     if rad < 0:
         raise ValueError("negative radius in %r" % s)
     return mid, rad

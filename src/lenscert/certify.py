@@ -65,6 +65,8 @@ DEFAULT_TARGET_WIDTH = 1e-12
 DEFAULT_PREC_START = 128
 DEFAULT_PREC_MAX = 1 << 16
 QUADRATURE_MAX_N = 24
+# the agreement paths run at this fixed precision, whatever the certificate's
+AGREEMENT_PREC = 64
 AGREEMENT_WIDTH = 1e-6
 
 
@@ -186,8 +188,6 @@ def certify_dimension(
     quadrature_max_n: int = QUADRATURE_MAX_N,
     lens_eval=None,
     specfun_eval=None,
-    quadrature_eval=None,
-    polynomial_eval=None,
 ) -> Certificate:
     """Certify the strict inequality at one dimension, escalating precision.
 
@@ -203,8 +203,6 @@ def certify_dimension(
     """
     lens_eval = lens_eval or geom.lens_quantities
     specfun_eval = specfun_eval or geom.competitor_energy_specfun
-    quadrature_eval = quadrature_eval or geom.competitor_energy_quadrature
-    polynomial_eval = polynomial_eval or oracle.polynomial_m_value
 
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
@@ -249,11 +247,12 @@ def certify_dimension(
     agreement_ok = True
     if n <= quadrature_max_n:
         for entry, en in zip(entries, energies):
-            ok = True
-            quad = quadrature_eval(entry.k, entry.l, 64, target_width=AGREEMENT_WIDTH)
-            ok = ok and intersects(en.m_value, quad.m_value)
+            quad = geom.competitor_energy_quadrature(
+                entry.k, entry.l, AGREEMENT_PREC, target_width=AGREEMENT_WIDTH
+            )
+            ok = intersects(en.m_value, quad.m_value)
             if entry.k % 2 == 1 and entry.l % 2 == 1:
-                poly = polynomial_eval(entry.k, entry.l, prec)
+                poly = oracle.polynomial_m_value(entry.k, entry.l, AGREEMENT_PREC)
                 ok = ok and intersects(en.m_value, poly.m_value)
             entry.path_agreement = ok
             if not ok:
@@ -481,7 +480,7 @@ def plot_rows(
         def attempt(prec: int, final: bool) -> Ball:
             lens = geom.lens_quantities(n, prec)
             en = geom.competitor_energy_specfun(k, l, prec)
-            return ball_sub(lens.lambda_plane, en.m_value)
+            return ball_sub(lens.lambda_plane, en.m_value, prec)
 
         gap, _, done = _escalate(
             attempt, lambda g: _narrow(g, tw), prec_start, prec_max

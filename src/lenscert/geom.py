@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import oracle, specfun
 from .bigfloat import bf_from_float, bf_to_float
 from .ball import (
     Ball,
-    TriBool,
     atan_ball,
     ball_add,
     ball_div,
@@ -53,7 +51,6 @@ __all__ = [
     "lens_quantities",
     "LawsonConstants",
     "lawson_constants",
-    "EnergyPath",
     "CompetitorEnergy",
     "competitor_energy_specfun",
     "competitor_energy_quadrature",
@@ -184,14 +181,8 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
         ("rho > 0", certainly_positive(rho)),
         ("h > 0", certainly_positive(h)),
         ("d > 0", certainly_positive(d)),
-        (
-            "lambda < rho - d",
-            certainly_less(lam, ball_sub(rho, d, w)) is TriBool.CERTAINLY_TRUE,
-        ),
-        (
-            "1 < r - h",
-            certainly_less(one, ball_sub(r, h, w)) is TriBool.CERTAINLY_TRUE,
-        ),
+        ("lambda < rho - d", certainly_less(lam, ball_sub(rho, d, w))),
+        ("1 < r - h", certainly_less(one, ball_sub(r, h, w))),
     ]
     for name, ok in checks:
         if not ok:
@@ -215,12 +206,6 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
 # ---------------------------------------------------------------------------
 
 
-class EnergyPath(Enum):
-    SPECIAL_FUNCTION = "SpecialFunction"
-    QUADRATURE = "Quadrature"
-    POLYNOMIAL_EXACT = "PolynomialExact"
-
-
 @dataclass
 class CompetitorEnergy:
     k: int
@@ -229,7 +214,6 @@ class CompetitorEnergy:
     perimeter: Ball
     cone_disc: Ball
     m_value: Ball
-    path: EnergyPath
     prec: int
 
 
@@ -240,7 +224,6 @@ def assemble_competitor(
     s1p: Ball,
     s2p: Ball,
     prec: int,
-    path: EnergyPath,
 ) -> CompetitorEnergy:
     """Common final assembly from the four arc integrals.
 
@@ -277,7 +260,6 @@ def assemble_competitor(
         ball_round(perimeter, prec),
         ball_round(cone, prec),
         ball_round(m, prec),
-        path,
         prec,
     )
 
@@ -303,7 +285,7 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
     else:
         s2v = _arc_shifted(l, k + 1, r, h, one, w)
         s2p = _arc_shifted(l, k - 1, r, h, one, w)
-    return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec, EnergyPath.SPECIAL_FUNCTION)
+    return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
 def _arc_shifted(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: int) -> Ball:
@@ -368,7 +350,7 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -
         s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)
         s2v = ball_mul(ball_pow_int(consts.r, k + 2, ws), j2v, ws)
         s2p = ball_mul(ball_pow_int(consts.r, k, ws), j2p, ws)
-        out = assemble_competitor(consts, s1v, s2v, s1p, s2p, prec, EnergyPath.QUADRATURE)
+        out = assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
         achieved = bf_to_float(out.m_value.width())
         if achieved <= float(target_width):
             return out
@@ -413,6 +395,4 @@ def table_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
-    if n < 4:
-        raise NoValidPair("no competitor pairs below dimension 4")
     return [(k, n - 2 - k) for k in range(1, n - 2) if _valid_ratio(k, n - 2 - k)]

@@ -123,8 +123,6 @@ def arc_profile_quadrature(
             vals = _arc_profile_values(radius, offset, kk, exponents, endp)
             for i in range(arity):
                 slop[i] = rup_add(slop[i], rup_mul(endp.rad, vals[i].mag_sup()))
-    if total_len.sign == 0:
-        return tuple(Ball(ZERO, slop[i], w) for i in range(arity))
 
     # on the arc range radius*sin(t) - offset stays within [0, radius - offset]
     bmax = ball_sub(radius, offset, w).mag_sup()
@@ -161,27 +159,18 @@ def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: 
     because the lowering paths carry factors q resp. r.  Summing absolute
     values keeps this an overestimate of the true derivative magnitude.
     """
-    terms = {(kk, j, 0): Fraction(1)}  # (p, q, r) -> coefficient in powers of R
-    rpow = {(kk, j, 0): 0}
+    terms = {(kk, j, 0): Fraction(1)}  # (p, q, r) -> coefficient of R**(kk - p)
     for _ in range(order):
         new: dict = {}
-        new_r: dict = {}
         for (p, q, r), coef in terms.items():
-            ri = rpow[(p, q, r)]
-            for key, c2, r2 in (
-                ((p - 1, q + 1, r), coef * p, ri + 1),
-                ((p, q - 1, r + 1), -coef * q, ri),
-                ((p, q + 1, r - 1), coef * r, ri),
+            for key, c2 in (
+                ((p - 1, q + 1, r), coef * p),
+                ((p, q - 1, r + 1), -coef * q),
+                ((p, q + 1, r - 1), coef * r),
             ):
-                if c2 == 0:
-                    continue
-                if key in new:
-                    # coefficients of equal (p,q,r) always share the R power
-                    new[key] += c2
-                else:
-                    new[key] = c2
-                    new_r[key] = r2
-        terms, rpow = new, new_r
+                if c2:
+                    new[key] = new.get(key, 0) + c2
+        terms = new
     rmag = rup(radius.mag_sup())
     bmax = rup(bmax)
     bpows = [rup(ONE)]
@@ -192,7 +181,7 @@ def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: 
         rpows.append(rup_mul(rpows[-1], rmag))
     total = ZERO
     for (p, q, r), coef in terms.items():
-        mag = rup_mul_rat(rup_mul(bpows[max(p, 0)], rpows[rpow[(p, q, r)]]), abs(coef.numerator), coef.denominator)
+        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef.numerator), coef.denominator)
         mag = rup_mul(mag, _trig_product_bound(q, r))
         total = rup_add(total, mag)
     return total
@@ -487,9 +476,7 @@ def polynomial_m_value(k: int, l: int, prec: int):
     s1p = _binomial_arc_sum(rho_p, d_p, l - 1, (l - 1) // 2, k, lam_p, rd_p)
     s2v = _binomial_arc_sum(r_p, h_p, k + 1, (k + 1) // 2, l, one_p, rh_p)
     s2p = _binomial_arc_sum(r_p, h_p, k - 1, (k - 1) // 2, l, one_p, rh_p)
-    return geom.assemble_competitor(
-        consts, s1v, s2v, s1p, s2p, prec, geom.EnergyPath.POLYNOMIAL_EXACT
-    )
+    return geom.assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
 @dataclass(frozen=True)

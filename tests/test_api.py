@@ -4,6 +4,7 @@ reached from the tests alone."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -26,6 +27,20 @@ def test_all_exports_resolve():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_ball_operations_take_an_explicit_precision():
+    """no function that `lenscert.ball` exports gives its `prec` parameter a
+    default, so every caller states the precision it works at"""
+    from lenscert import ball
+
+    takes_prec = {
+        name: inspect.signature(fn).parameters["prec"]
+        for name in ball.__all__
+        if inspect.isfunction(fn := getattr(ball, name)) and "prec" in inspect.signature(fn).parameters
+    }
+    assert {"ball_add", "ball_mul", "ball_div", "sqrt_ball", "pow_rational"} <= set(takes_prec)
+    assert sorted(name for name, p in takes_prec.items() if p.default is not inspect.Parameter.empty) == []
 
 
 def test_fixed_point_kernel_defined_only_in_ball():

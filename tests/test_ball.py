@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from lenscert.ball import (
+    MAX_DECIMAL_EXPONENT,
     Ball,
-    TriBool,
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
@@ -18,6 +19,7 @@ from lenscert.ball import (
     ball_hull,
     ball_mul,
     ball_pow_int,
+    ball_str_fractions,
     ball_sub,
     ball_to_str,
     ball_widen,
@@ -45,7 +47,7 @@ def rand_fraction(rng, bits=30):
 
 def test_exact_integer_add():
     one = Ball.from_int(1, 64)
-    two = ball_add(one, one)
+    two = ball_add(one, one, 64)
     assert two.rad.sign == 0
     assert _contains(two, 2)
 
@@ -53,12 +55,12 @@ def test_exact_integer_add():
 def test_mul_inverse_identity():
     a = Ball.from_int(3, 64)
     inv = Ball.from_fraction(Fraction(1, 3), 64)
-    assert _contains(ball_mul(a, inv), 1)
+    assert _contains(ball_mul(a, inv, 64), 1)
 
 
 def test_div_two_precision_consistency():
-    lo = ball_div(Ball.from_int(1, 64), Ball.from_int(3, 64))
-    hi = ball_div(Ball.from_int(1, 128), Ball.from_int(3, 128))
+    lo = ball_div(Ball.from_int(1, 64), Ball.from_int(3, 64), 64)
+    hi = ball_div(Ball.from_int(1, 128), Ball.from_int(3, 128), 128)
     assert intersects(lo, hi)
     assert bf_cmp(hi.width(), lo.width()) <= 0
 
@@ -66,7 +68,7 @@ def test_div_two_precision_consistency():
 def test_division_by_zero_interval():
     z = Ball(Ball.from_int(0, 64).mid, bf_two_power(-4), 64)
     with pytest.raises(DivisionByIntervalContainingZero):
-        ball_div(Ball.from_int(1, 64), z)
+        ball_div(Ball.from_int(1, 64), z, 64)
 
 
 def test_soundness_identities_random():
@@ -78,10 +80,10 @@ def test_soundness_identities_random():
             continue
         x = Ball.from_fraction(f, 96)
         y = Ball.from_fraction(1 / f, 96)
-        assert _contains(ball_mul(x, y), 1)
+        assert _contains(ball_mul(x, y, 96), 1)
         g = rand_fraction(rng)
         yb = Ball.from_fraction(g, 96)
-        assert _contains(ball_sub(ball_add(x, yb), yb), f)
+        assert _contains(ball_sub(ball_add(x, yb, 96), yb, 96), f)
 
 
 def test_two_precision_consistency_random_ops():
@@ -91,11 +93,11 @@ def test_two_precision_consistency_random_ops():
         a48, b48 = Ball.from_fraction(f, 48), Ball.from_fraction(g, 48)
         a96, b96 = Ball.from_fraction(f, 96), Ball.from_fraction(g, 96)
         for op in (ball_add, ball_sub, ball_mul):
-            r48, r96 = op(a48, b48), op(a96, b96)
+            r48, r96 = op(a48, b48, 48), op(a96, b96, 96)
             assert intersects(r48, r96)
             assert bf_cmp(r96.width(), r48.width()) <= 0
         if not _contains(b48, 0):
-            r48, r96 = ball_div(a48, b48), ball_div(a96, b96)
+            r48, r96 = ball_div(a48, b48, 48), ball_div(a96, b96, 96)
             assert intersects(r48, r96)
             assert bf_cmp(r96.width(), r48.width()) <= 0
 
@@ -109,8 +111,8 @@ def test_monotone_inclusion():
         b = Ball.from_fraction(g, 64)
         aw = ball_widen(a, bf_two_power(-20))
         for op in (ball_add, ball_mul, ball_sub, ball_div):
-            narrow = op(a, b)
-            wide = op(aw, b)
+            narrow = op(a, b, 64)
+            wide = op(aw, b, 64)
             assert bf_cmp(wide.inf(), narrow.inf()) <= 0
             assert bf_cmp(wide.sup(), narrow.sup()) >= 0
 
@@ -119,12 +121,13 @@ def test_certainly_less_basics():
     mk = lambda mid, rad: ball_widen(Ball.from_fraction(Fraction(mid), 64), rad)
     a = mk(1, bf_two_power(-3))
     b = mk(2, bf_two_power(-3))
-    assert certainly_less(a, b) is TriBool.CERTAINLY_TRUE
-    assert certainly_less(b, a) is TriBool.CERTAINLY_FALSE
-    # overlapping balls cannot decide the predicate
+    assert certainly_less(a, b) is True
+    assert certainly_less(b, a) is False
+    # overlapping balls cannot decide the predicate either way
     wide_a = mk(1, bf_two_power(0))
     wide_b = mk(2, bf_two_power(0))
-    assert certainly_less(wide_a, wide_b) is TriBool.UNKNOWN
+    assert certainly_less(wide_a, wide_b) is False
+    assert certainly_less(wide_b, wide_a) is False
 
 
 def test_certainly_less_antisymmetric_random():
@@ -132,24 +135,20 @@ def test_certainly_less_antisymmetric_random():
     for _ in range(300):
         a = ball_widen(Ball.from_fraction(rand_fraction(rng), 64), bf_two_power(rng.randint(-30, 0)))
         b = ball_widen(Ball.from_fraction(rand_fraction(rng), 64), bf_two_power(rng.randint(-30, 0)))
-        both = (
-            certainly_less(a, b) is TriBool.CERTAINLY_TRUE
-            and certainly_less(b, a) is TriBool.CERTAINLY_TRUE
-        )
-        assert not both
+        assert not (certainly_less(a, b) and certainly_less(b, a))
 
 
 def test_pow_int():
     a = Ball.from_fraction(Fraction(3, 7), 96)
-    assert _contains(ball_pow_int(a, 5), Fraction(3, 7) ** 5)
-    assert _contains(ball_pow_int(a, 0), 1)
-    assert _contains(ball_pow_int(a, -2), Fraction(7, 3) ** 2)
+    assert _contains(ball_pow_int(a, 5, 96), Fraction(3, 7) ** 5)
+    assert _contains(ball_pow_int(a, 0, 96), 1)
+    assert _contains(ball_pow_int(a, -2, 96), Fraction(7, 3) ** 2)
 
 
 def test_hull():
     a = Ball.from_int(1, 64)
     b = Ball.from_int(5, 64)
-    h = ball_hull(a, b)
+    h = ball_hull(a, b, 64)
     assert _contains(h, 1) and _contains(h, 5) and _contains(h, 3)
 
 
@@ -173,10 +172,23 @@ class TestSerialization:
         assert _contains(back, Fraction(-355, 113))
 
     def test_higher_precision_parse_still_encloses(self):
-        b = ball_div(Ball.from_int(2, 64), Ball.from_int(7, 64))
+        b = ball_div(Ball.from_int(2, 64), Ball.from_int(7, 64), 64)
         s = ball_to_str(b)
         back = ball_from_str(s, 256)
         assert _contains(back, Fraction(2, 7))
+
+    def test_exponent_bound(self):
+        """a decimal exponent of magnitude up to MAX_DECIMAL_EXPONENT parses
+        exactly; one beyond it is a ValueError, in either case of "e" and in
+        either part of the string, raised before any power of ten is expanded
+        (parsing 1e+10000000 exactly takes seconds)"""
+        top = MAX_DECIMAL_EXPONENT
+        assert ball_str_fractions("1e+%d +/- 1E-%d" % (top, top)) == (Fraction(10) ** top, Fraction(10) ** -top)
+        for s in ("1e+%d +/- 0" % (top + 1), "1 +/- 1E-%d" % (top + 1), "1e+10000000 +/- 0"):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError):
+                ball_str_fractions(s)
+            assert time.perf_counter() - t0 < 0.5
 
 
 class TestFixedPointKernel:

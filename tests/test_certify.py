@@ -88,7 +88,7 @@ class TestCertifyDimension:
             en = geom.competitor_energy_specfun(k, l, prec)
             return geom.CompetitorEnergy(
                 k, l, en.volume, en.perimeter, en.cone_disc,
-                lens.lambda_plane, en.path, prec,
+                lens.lambda_plane, prec,
             )
 
         cert = C.certify_dimension(
@@ -106,7 +106,7 @@ class TestCertifyDimension:
             wrong_mid = (en.m_value + Ball.from_int(1, prec)).mid
             poisoned = Ball(wrong_mid, bf_two_power(-prec), prec)
             return geom.CompetitorEnergy(
-                k, l, en.volume, en.perimeter, en.cone_disc, poisoned, en.path, prec
+                k, l, en.volume, en.perimeter, en.cone_disc, poisoned, prec
             )
 
         cert = C.certify_dimension(8, pairs=[(3, 3)], specfun_eval=poisoned_specfun)
@@ -154,7 +154,7 @@ class TestCertifyDimension:
                 m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
                     geom.lens_quantities(8, prec).lambda_plane
                 )
-                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m, en.path, prec)
+                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m, prec)
             return en
 
         cert = C.certify_dimension(8, specfun_eval=specfun_eval, quadrature_max_n=0)
@@ -169,6 +169,15 @@ class TestCertifyDimension:
         assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(26)
         for e in cert.entries:
             assert e.m_value == ball_to_str(geom.competitor_energy_specfun(e.k, e.l, 128).m_value)
+
+    def test_low_precision_cap_ends_undecided(self):
+        """the agreement paths run at AGREEMENT_PREC whatever the certificate's
+        precision, so a 16-bit cap at n = 24 gives an Undecided certificate
+        instead of a NonPositiveBase from the polynomial path"""
+        cert = C.certify_dimension(24, prec_start=16, prec_max=16)
+        assert cert.verdict == "Undecided" and cert.precision_bits == 16
+        assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(24)
+        assert all(e.path_agreement for e in cert.entries)
 
     def test_invalid_pair_raises_after_an_early_stop(self):
         """an invalid explicit pair still raises its own error when the lens
@@ -295,9 +304,10 @@ class TestCertifyRange:
         }
         assert C.replay_certificate(cert) == "Proven"
 
-    @pytest.mark.parametrize("lam", ["7.29e+0", "7.29e+0 +/- -1e-9"])
+    @pytest.mark.parametrize("lam", ["7.29e+0", "7.29e+0 +/- -1e-9", "7.29e+1000000 +/- 0"])
     def test_replay_rejects_malformed_ball(self, lam):
-        """a ball string without "+/-", or with a negative radius, is an error"""
+        """a ball string without "+/-", with a negative radius, or with an
+        exponent past MAX_DECIMAL_EXPONENT is an error"""
         cert = C.certify_dimension(8).to_dict()
         cert["lambda_plane"] = lam
         with pytest.raises(ValueError):
@@ -367,7 +377,7 @@ class TestPlot:
         rows = C.plot_rows(range(8, 12))
         gaps = [ball_from_str(r.gap, 128) for r in rows]
         for a, b in zip(gaps, gaps[1:]):
-            assert certainly_less(b, a) is TriBool.CERTAINLY_TRUE
+            assert certainly_less(b, a)
 
 
 class TestExactReports:

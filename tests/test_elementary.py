@@ -47,7 +47,7 @@ def test_pi_width_and_independent_formula():
 
 
 def test_pi_against_arctan_of_one():
-    four_atan1 = ball_mul_rat(atan_ball(Ball.from_int(1, 160)), 4, 1)
+    four_atan1 = ball_mul_rat(atan_ball(Ball.from_int(1, 160), 160), 4, 1, 160)
     assert intersects(four_atan1, pi_ball(160))
 
 
@@ -67,15 +67,15 @@ def test_ln2_holds_decimal_value(prec):
 
 
 def test_ln2_vs_log_kernel():
-    assert intersects(ln2_ball(128), log_ball(Ball.from_int(2, 128)))
+    assert intersects(ln2_ball(128), log_ball(Ball.from_int(2, 128), 128))
 
 
 def test_sqrt_identities():
     a = Ball.from_int(2, 128)
-    s = sqrt_ball(a)
-    assert _contains(ball_mul(s, s), 2)
+    s = sqrt_ball(a, 128)
+    assert _contains(ball_mul(s, s, 128), 2)
     with pytest.raises(DomainViolation):
-        sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)))
+        sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)), 64)
 
 
 def test_exp_log_round_trip():
@@ -83,17 +83,17 @@ def test_exp_log_round_trip():
     for _ in range(40):
         f = Fraction(rng.randint(1, 4000), rng.randint(1, 4000))
         x = Ball.from_fraction(f, 96)
-        assert _contains(log_ball(exp_ball(x)), f)
+        assert _contains(log_ball(exp_ball(x, 96), 96), f)
 
 
 def test_arcsin_special_value():
-    half = sqrt_ball(Ball.from_fraction(Fraction(1, 4), 128))
-    assert intersects(ball_mul_rat(asin_ball(half), 6, 1), pi_ball(128))
+    half = sqrt_ball(Ball.from_fraction(Fraction(1, 4), 128), 128)
+    assert intersects(ball_mul_rat(asin_ball(half, 128), 6, 1, 128), pi_ball(128))
 
 
 def test_arcsin_domain_error():
     with pytest.raises(DomainViolation):
-        asin_ball(Ball.from_int(1, 64))
+        asin_ball(Ball.from_int(1, 64), 64)
 
 
 def test_sin_cos_pythagoras_random():
@@ -101,24 +101,24 @@ def test_sin_cos_pythagoras_random():
     for _ in range(50):
         f = Fraction(rng.randint(1, 600), 400)
         x = Ball.from_fraction(f, 96)
-        s, c = sin_ball(x), cos_ball(x)
-        assert _contains(ball_add(ball_mul(s, s), ball_mul(c, c)), 1)
+        s, c = sin_ball(x, 96), cos_ball(x, 96)
+        assert _contains(ball_add(ball_mul(s, s, 96), ball_mul(c, c, 96), 96), 1)
 
 
 def test_pow_rational_round_trip():
     a = Ball.from_int(2, 128)
-    r = pow_rational(a, 7, 8)
-    assert _contains(pow_rational(r, 8, 7), 2)
-    assert _contains(pow_rational(a, 0, 1), 1)
-    assert _contains(pow_rational(Ball.from_int(4, 128), 1, 2), 2)
+    r = pow_rational(a, 7, 8, 128)
+    assert _contains(pow_rational(r, 8, 7, 128), 2)
+    assert _contains(pow_rational(a, 0, 1, 128), 1)
+    assert _contains(pow_rational(Ball.from_int(4, 128), 1, 2, 128), 2)
     with pytest.raises(NonPositiveBase):
-        pow_rational(Ball.from_int(-1, 64), 1, 3)
+        pow_rational(Ball.from_int(-1, 64), 1, 3, 64)
 
 
 def test_pow_rational_two_precision():
     for p, q in ((3, 5), (-2, 7), (9, 4)):
-        lo = pow_rational(Ball.from_fraction(Fraction(7, 3), 64), p, q)
-        hi = pow_rational(Ball.from_fraction(Fraction(7, 3), 160), p, q)
+        lo = pow_rational(Ball.from_fraction(Fraction(7, 3), 64), p, q, 64)
+        hi = pow_rational(Ball.from_fraction(Fraction(7, 3), 160), p, q, 160)
         assert intersects(lo, hi)
         assert bf_cmp(hi.width(), lo.width()) <= 0
 

@@ -81,16 +81,16 @@ class TestLensQuantities:
         prec = 128
         lq = geom.lens_quantities(8, prec)
         w7 = specfun.unit_ball_volume(7, prec)
-        inner = ball_mul_rat(pi_ball(prec), 560, 3072) - ball_mul_rat(
-            sqrt_ball(Ball.from_int(3, prec)), 837, 3072
+        inner = ball_mul_rat(pi_ball(prec), 560, 3072, prec) - ball_mul_rat(
+            sqrt_ball(Ball.from_int(3, prec), prec), 837, 3072, prec
         )
-        assert intersects(lq.lens_volume, ball_mul(w7, inner))
+        assert intersects(lq.lens_volume, ball_mul(w7, inner, prec))
         assert abs(bf_to_float(lq.lens_volume.mid) - 0.476115) < 1e-6
 
     def test_assembly_identity(self):
         """recomputing lambda from the stored components reproduces it"""
         lq = geom.lens_quantities(12, 128)
-        rebuilt = ball_div(lq.cap_area * 2 - lq.disc_term, pow_rational(lq.lens_volume, 11, 12, 128))
+        rebuilt = ball_div(ball_mul_rat(lq.cap_area, 2, 1, 128) - lq.disc_term, pow_rational(lq.lens_volume, 11, 12, 128), 128)
         assert intersects(rebuilt, lq.lambda_plane)
 
     @pytest.mark.parametrize("n", [8, 9, 16, 51, 396, 1000, 2700])
@@ -131,11 +131,11 @@ class TestLawsonConstants:
     def test_balanced_pair_exact_values(self):
         prec = 128
         c = geom.lawson_constants(3, 3, prec)
-        s3 = sqrt_ball(Ball.from_int(3, prec))
-        assert intersects(c.h, ball_add(Ball.from_int(1, prec), s3))
+        s3 = sqrt_ball(Ball.from_int(3, prec), prec)
+        assert intersects(c.h, ball_add(Ball.from_int(1, prec), s3, prec))
         assert intersects(
             c.r,
-            ball_add(sqrt_ball(Ball.from_int(6, prec)), sqrt_ball(Ball.from_int(2, prec))),
+            ball_add(sqrt_ball(Ball.from_int(6, prec), prec), sqrt_ball(Ball.from_int(2, prec), prec), prec),
         )
         assert intersects(c.d, c.h) and intersects(c.rho, c.r)
         assert _contains(c.lambda_, 1)
@@ -144,10 +144,11 @@ class TestLawsonConstants:
     def test_corner_consistency(self, k, l):
         """r^2 - (1+h)^2 contains lambda^2 and rho^2 - (lambda+d)^2 contains 1"""
         c = geom.lawson_constants(k, l, 128)
-        one = Ball.from_int(1, c.r.prec)
-        lhs = ball_sub(ball_mul(c.r, c.r), ball_pow_int(ball_add(one, c.h), 2))
+        w = c.r.prec
+        one = Ball.from_int(1, w)
+        lhs = ball_sub(ball_mul(c.r, c.r, w), ball_pow_int(ball_add(one, c.h, w), 2, w), w)
         assert _contains(lhs, Fraction(k, l))
-        rhs = ball_sub(ball_mul(c.rho, c.rho), ball_pow_int(ball_add(c.lambda_, c.d), 2))
+        rhs = ball_sub(ball_mul(c.rho, c.rho, w), ball_pow_int(ball_add(c.lambda_, c.d, w), 2, w), w)
         assert _contains(rhs, 1)
 
     @pytest.mark.parametrize("k,l", [(1, 5), (5, 1), (1, 4), (9, 2)])
@@ -173,16 +174,17 @@ class TestCompetitorEnergy:
         prec = 128
         en = geom.competitor_energy_specfun(3, 3, prec)
         ref = ball_mul_rat(
-            ball_mul(ball_pow_int(pi_ball(prec), 4), sqrt_ball(Ball.from_int(2, prec))),
+            ball_mul(ball_pow_int(pi_ball(prec), 4, prec), sqrt_ball(Ball.from_int(2, prec), prec), prec),
             4,
             7,
+            prec,
         )
         assert intersects(en.cone_disc, ref)
 
     def test_assembly_identity(self):
         en = geom.competitor_energy_specfun(4, 5, 128)
         n = 4 + 5 + 2
-        rebuilt = ball_div(en.perimeter - en.cone_disc, pow_rational(en.volume, n - 1, n, 128))
+        rebuilt = ball_div(en.perimeter - en.cone_disc, pow_rational(en.volume, n - 1, n, 128), 128)
         assert intersects(rebuilt, en.m_value)
 
     def test_volume_exceeds_slab_term(self):
@@ -190,10 +192,10 @@ class TestCompetitorEnergy:
             en = geom.competitor_energy_specfun(k, l, 128)
             prec = 128
             ww = ball_mul(
-                specfun.unit_ball_volume(k + 1, prec), specfun.unit_ball_volume(l + 1, prec)
+                specfun.unit_ball_volume(k + 1, prec), specfun.unit_ball_volume(l + 1, prec), prec
             )
             slab = ball_mul(
-                ww, pow_rational(Ball.from_fraction(Fraction(k, l), prec), k + 1, 2, prec)
+                ww, pow_rational(Ball.from_fraction(Fraction(k, l), prec), k + 1, 2, prec), prec
             )
             assert bf_cmp(slab.sup(), en.volume.inf()) < 0
 

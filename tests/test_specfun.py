@@ -64,7 +64,7 @@ class TestUnitBallVolume:
     def test_omega7(self):
         w7 = specfun.unit_ball_volume(7, 128)
         ref = ball_mul_rat(
-            ball_mul(pi_ball(128), ball_mul(pi_ball(128), pi_ball(128))), 16, 105
+            ball_mul(pi_ball(128), ball_mul(pi_ball(128), pi_ball(128), 128), 128), 16, 105, 128
         )
         assert intersects(w7, ref)
 
@@ -74,7 +74,7 @@ class TestUnitBallVolume:
         for m in range(3, 41):
             lhs = specfun.unit_ball_volume(m, prec)
             rhs = ball_mul_rat(
-                ball_mul(pi_ball(prec), specfun.unit_ball_volume(m - 2, prec)), 2, m
+                ball_mul(pi_ball(prec), specfun.unit_ball_volume(m - 2, prec), prec), 2, m, prec
             )
             assert intersects(lhs, rhs)
 
@@ -88,7 +88,7 @@ class TestGauss2F1:
     def test_arcsin_identity_quarter(self):
         z = Ball.from_fraction(Fraction(1, 4), 128)
         f = specfun.gauss_2f1(Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), z, 128)
-        assert intersects(ball_mul_rat(f, 3, 1), pi_ball(128))
+        assert intersects(ball_mul_rat(f, 3, 1, 128), pi_ball(128))
 
     def test_arcsin_identity_random(self):
         rng = random.Random(10)
@@ -106,8 +106,8 @@ class TestGauss2F1:
         prec = 128
         z = Ball.from_fraction(Fraction(1, 4), prec)
         f = specfun.gauss_2f1(Fraction(1, 2), Fraction(-5, 2), Fraction(3, 2), z, prec)
-        ref = ball_mul_rat(sqrt_ball(Ball.from_int(3, prec)), 9, 32) + ball_mul_rat(
-            pi_ball(prec), 5, 48
+        ref = ball_mul_rat(sqrt_ball(Ball.from_int(3, prec), prec), 9, 32, prec) + ball_mul_rat(
+            pi_ball(prec), 5, 48, prec
         )
         assert intersects(f, ref)
         assert abs(bf_to_float(f.mid) - 0.8143885) < 1e-7
@@ -245,10 +245,11 @@ class TestAppellF1:
                 if k != l:
                     arcs += [(l, k + 1, c.r, c.h, one), (l, k - 1, c.r, c.h, one)]
                 for kk, e2, radius, offset, corner in arcs:
-                    length = ball_sub(ball_sub(radius, offset), corner)
-                    dsum = ball_add(ball_add(radius, offset), corner)
-                    x = ball_neg(ball_div(length, corner))
-                    y = ball_neg(ball_div(length, dsum))
+                    w = radius.prec
+                    length = ball_sub(ball_sub(radius, offset, w), corner, w)
+                    dsum = ball_add(ball_add(radius, offset, w), corner, w)
+                    x = ball_neg(ball_div(length, corner, w))
+                    y = ball_neg(ball_div(length, dsum, w))
                     xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
                     e = Fraction(e2, 2)
                     params = (Fraction(1), Fraction(-kk), -e, e + 2)

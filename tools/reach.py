@@ -1,0 +1,159 @@
+"""Print every line of src/lenscert that the command-line surface never runs.
+
+Usage: python3 tools/reach.py
+
+The script takes no arguments.  It installs a line tracer (`sys.settrace`)
+before lenscert is imported, then runs, in this one process, through
+`lenscert.cli.main`:
+
+- `certify` over 4..24, over 4..14 with `--pairs all`, over 25..40 at width
+  1e-45, over 150..200, at n = 8 with width 1e-200 and `--prec-max 512`,
+  over 8..9 with `--jobs 2`, and at 396, 1000 and 2700 with `--long-run`;
+- `table` over 4..16, over 8..12 with 40 digits, and in each format;
+- `plot` over 8..20, and `exact` in both modes;
+- the command-line error inputs;
+
+and `certify.replay_certificate` on every certificate written, and on one
+tampered certificate.  Worker processes started by `--jobs 2` are not
+traced, so the lines only they run (`certify._certify_one`) are listed.
+
+Each unreached line is printed as `file:line: source`, followed by a count
+per file.  The run takes about a minute and a half on a 2-core container,
+most of it in the traced `--long-run` and 150..200 dimensions.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import dis
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lenscert"
+
+CERTIFY_RUNS = [
+    ["--n", "4..24"],
+    ["--n", "4..14", "--pairs", "all"],
+    ["--n", "25..40", "--width", "1e-45"],
+    ["--n", "150..200"],
+    ["--n", "8", "--width", "1e-200", "--prec-max", "512"],
+    ["--n", "8..9", "--jobs", "2"],
+    ["--n", "396", "--long-run"],
+    ["--n", "1000", "--long-run"],
+    ["--n", "2700", "--long-run"],
+]
+
+OTHER_RUNS = [
+    ["table", "--n", "4..16"],
+    ["table", "--n", "8..12", "--digits", "40"],
+    ["table", "--n", "8..9", "--format", "json"],
+    ["table", "--n", "8..9", "--format", "markdown"],
+    ["plot", "--n", "8..20"],
+    ["exact", "--n", "12", "--mode", "lens"],
+    ["exact", "--n", "12", "--mode", "simons"],
+]
+
+# each ends in one `error:` line (exit 1) or an argparse usage error (exit 2)
+ERROR_RUNS = [
+    ["certify", "--n", "x"],
+    ["certify", "--n", "9..8"],
+    ["certify", "--n", "201"],
+    ["certify", "--n", "2701", "--long-run"],
+    ["certify", "--n", "8", "--width", "0"],
+    ["certify", "--n", "8", "--width", "inf"],
+    ["certify", "--n", "8", "--prec-start", "0"],
+    ["certify", "--n", "8", "--prec-max", "64"],
+    ["certify", "--n", "8", "--jobs", "0"],
+    ["certify", "--n", "8", "--out", "/nonexistent-dir/certs.json"],
+    ["certify", "--n", "8", "--pairs", "none"],
+    ["table", "--n", "8", "--digits", "0"],
+    ["table", "--n", "8", "--format", "xml"],
+    ["exact", "--n", "41", "--mode", "lens"],
+    ["exact", "--n", "10", "--mode", "simons"],
+]
+
+
+def executable_lines(path: pathlib.Path) -> set[int]:
+    """The line numbers that start an instruction in any code object of the
+    file, module level included."""
+    lines = set()
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, line in dis.findlinestarts(code) if line is not None)
+        todo += [c for c in code.co_consts if hasattr(c, "co_code")]
+    return lines
+
+
+def run_surface(tmp: str) -> None:
+    from lenscert import certify, cli
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+
+    outs = []
+    for i, args in enumerate(CERTIFY_RUNS):
+        outs.append(os.path.join(tmp, "certs%d.json" % i))
+        run(["certify", *args, "--out", outs[-1]])
+    for args in OTHER_RUNS + ERROR_RUNS:
+        run(args)
+    # a failing run removes the --out file it created
+    run(["certify", "--n", "3..9", "--out", os.path.join(tmp, "failed.json")])
+
+    certs = [cert for path in outs for cert in json.loads(pathlib.Path(path).read_text())]
+    for cert in certs:
+        certify.replay_certificate(cert)
+    tampered = copy.deepcopy(certs[0])
+    tampered["entries"][0]["m_value"] = tampered["lambda_plane"]
+    certify.replay_certificate(tampered)
+
+
+def main() -> int:
+    seen: dict[str, set[int]] = {}
+    prefix = str(PACKAGE) + os.sep
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def trace(frame, event, arg):
+        path = frame.f_code.co_filename
+        if not path.startswith(prefix):
+            return None
+        seen.setdefault(path, set()).add(frame.f_lineno)
+        return local
+
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.settrace(trace)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_surface(tmp)
+    finally:
+        sys.settrace(None)
+
+    total = 0
+    counts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        missing = sorted(executable_lines(path) - seen.get(str(path), set()))
+        source = path.read_text().splitlines()
+        for line in missing:
+            print("%s:%d: %s" % (path.relative_to(ROOT), line, source[line - 1].strip()))
+        counts.append("%s %d" % (path.name, len(missing)))
+        total += len(missing)
+    print("unreached lines: %d (%s)" % (total, ", ".join(counts)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
