@@ -2,6 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .ball import Ball, TriBool, certainly_less
+from .ball import Ball, TriBool
 
-__all__ = ["Ball", "TriBool", "certainly_less", "__version__"]
+__all__ = ["Ball", "TriBool", "__version__"]

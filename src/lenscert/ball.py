@@ -56,7 +56,6 @@ __all__ = [
     "ball_hull",
     "ball_widen",
     "ball_from_endpoints",
-    "certainly_less",
     "certainly_positive",
     "intersects",
     "pi_ball",
@@ -313,10 +312,6 @@ def _fx_tail(x: tuple[int, int], p: int, q: int, limit: int) -> int | None:
 # ---------------------------------------------------------------------------
 # comparison predicates
 # ---------------------------------------------------------------------------
-
-
-def certainly_less(a: Ball, b: Ball) -> bool:
-    return bf_cmp(a.sup(), b.inf()) < 0
 
 
 def certainly_positive(a: Ball) -> bool:
@@ -681,8 +676,8 @@ def ball_to_str(b: Ball, max_digits: int | None = None) -> str:
     return "%s +/- %s" % (mid_str, rad_str)
 
 
-# the largest decimal exponent a parsed ball string may carry; at the 65536-bit
-# precision cap `ball_to_str` writes exponents of about 20000 at most
+# the largest decimal exponent a parsed ball string may carry; at the 8192-bit
+# precision cap `ball_to_str` writes exponents of about 2500 at most
 MAX_DECIMAL_EXPONENT = 100_000
 
 

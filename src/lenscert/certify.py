@@ -34,7 +34,6 @@ from .ball import (
 from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
 from .errors import (
     InvalidArgument,
-    InvalidGeometry,
     NoValidPair,
     NonPositiveBase,
     PrecisionExhausted,
@@ -63,7 +62,9 @@ __all__ = [
 
 DEFAULT_TARGET_WIDTH = 1e-12
 DEFAULT_PREC_START = 128
-DEFAULT_PREC_MAX = 1 << 16
+# the largest power of two whose ball strings (about prec log10(2) digits) fit
+# the 4300-digit int/str limit of Python; also the largest cap allowed
+DEFAULT_PREC_MAX = 1 << 13
 QUADRATURE_MAX_N = 24
 # the agreement paths run at this fixed precision, whatever the certificate's
 AGREEMENT_PREC = 64
@@ -94,8 +95,8 @@ class Certificate:
 
 
 def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
-    """The competitor pairs certified at dimension n: "default", "all", or an
-    explicit list, each pair of which must satisfy k + l + 2 == n."""
+    """The competitor pairs certified at dimension n: "default", "all", or a
+    non-empty explicit list, each pair of which must satisfy k + l + 2 == n."""
     if n < 4:
         raise NoValidPair("no competitor pairs below dimension 4")
     if pairs == "default":
@@ -103,6 +104,8 @@ def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
     if pairs == "all":
         return geom.all_pairs(n)
     out = [tuple(p) for p in pairs]
+    if not out:
+        raise NoValidPair("no competitor pair given for dimension %d" % n)
     for k, l in out:
         if k + l + 2 != n:
             raise ValueError("pair (%d,%d) does not match dimension %d" % (k, l, n))
@@ -148,6 +151,11 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
     if prec_max < prec_start:
         raise InvalidArgument(
             "precision cap %r is below the starting precision %r" % (prec_max, prec_start)
+        )
+    if prec_max > DEFAULT_PREC_MAX:
+        raise InvalidArgument(
+            "precision cap %r is above %d bits, the largest a certificate can be written at"
+            % (prec_max, DEFAULT_PREC_MAX)
         )
     prec = prec_start
     while True:
@@ -215,12 +223,7 @@ def certify_dimension(
         energies = []
         entries = []
         for k, l in pair_list:
-            try:
-                en = specfun_eval(k, l, prec)
-            except InvalidGeometry:
-                if pairs != "all":
-                    raise
-                continue
+            en = specfun_eval(k, l, prec)
             if not (final or _narrow(en.m_value, tw)):
                 return None
             m_str = ball_to_str(en.m_value)
@@ -229,8 +232,6 @@ def certify_dimension(
                 return None
             energies.append(en)
             entries.append(CertEntry(en.k, en.l, m_str, None, strict.value))
-        if not energies:
-            raise NoValidPair("no geometrically valid pair at dimension %d" % n)
         return lens, lam_str, energies, entries
 
     def accepted(result) -> bool:
@@ -388,13 +389,15 @@ def table_rows(
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,
 ) -> list[TableRow]:
-    if digits < 1:
-        raise InvalidArgument("digits must be at least 1, got %r" % digits)
+    # no enclosure within the precision cap pins more decimals
+    max_digits = int(prec_max * math.log10(2))
+    if not 1 <= digits <= max_digits:
+        raise InvalidArgument("digits must be from 1 to %d, got %r" % (max_digits, digits))
     rows = []
-    width_cap = bf_from_float(0.5 * 10.0 ** (-digits))
+    width_cap = Fraction(1, 2 * 10**digits)
 
     def pinned(b: Ball) -> bool:
-        return certified_decimal(b, digits) is not None and bf_cmp(b.width(), width_cap) < 0
+        return certified_decimal(b, digits) is not None and bf_to_fraction(b.width()) < width_cap
 
     def accepted(balls: list[Ball]) -> bool:
         return all(pinned(b) for b in balls)

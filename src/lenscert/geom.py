@@ -31,12 +31,9 @@ from .ball import (
     ball_pow_int,
     ball_round,
     ball_sub,
-    certainly_less,
     certainly_positive,
-    cos_ball,
     pi_ball,
     pow_rational,
-    sin_ball,
     sqrt_ball,
 )
 from .errors import (
@@ -135,70 +132,63 @@ class LawsonConstants:
     k: int
     l: int
     lambda_: Ball
-    theta: Ball
     h: Ball
     r: Ball
     d: Ball
     rho: Ball
     prec: int
 
+    @property
+    def theta(self) -> Ball:
+        """The corner angle atan(lambda); only the quadrature path integrates
+        over an angle."""
+        return atan_ball(self.lambda_, self.prec + 8)
+
 
 def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
-    """Arc constants of the competitor slice; raises InvalidGeometry when the
-    construction degenerates (index ratio outside (1/3, 3))."""
-    if k < 1 or l < 1:
-        raise InvalidGeometry("indices must be positive")
+    """Arc constants of the competitor slice, in closed form; raises
+    InvalidGeometry when the construction degenerates (index ratio outside
+    (1/3, 3), which also excludes indices below 1).
+
+    With theta = atan(lambda), lambda = sqrt(k/l), the arc constants are
+    d = tan(pi/6 + theta) - lambda, rho = sec(pi/6 + theta),
+    h = lambda tan(2pi/3 - theta) - 1 and r = lambda sec(2pi/3 - theta).
+    With s = sqrt(k), t = sqrt(l), u = sqrt(k+l) the angle-sum formulas
+    (cos theta = t/u, sin theta = s/u) turn them into
+
+        lambda = sqrt(k/l),   D_u = t (sqrt3 t - s),   rho = 2tu / D_u,   d = (k+l) / D_u,
+                              D_v = t (sqrt3 s - t),   r   = 2su / D_v,   h = (k+l) / D_v.
+
+    The construction is valid when d, rho, h, r > 0, lambda < rho - d and
+    1 < r - h, which is exactly the integer rule `_valid_ratio(k, l)`:
+
+    - D_u = t (3l - k) / (sqrt3 t + s) and D_v = t (3k - l) / (sqrt3 s + t),
+      so D_u > 0 iff 3l > k and D_v > 0 iff 3k > l; then d, rho, h, r > 0.
+    - Given both, lambda < rho - d iff s D_u < t (2tu - (k+l)) iff
+      sqrt3 s + t < 2u iff 2 sqrt3 st < k + 3l iff (k - 3l)^2 > 0, which
+      3l > k makes true; and 1 < r - h iff sqrt3 t + s < 2u iff
+      (3k - l)^2 > 0, which 3k > l makes true.
+
+    The code evaluates the quotient forms
+
+        rho = 2u (sqrt3 t + s) / (3l - k),         d = (k+l) (sqrt3 t + s) / (t (3l - k)),
+        r = 2 lambda u (sqrt3 s + t) / (3k - l),   h = (k+l) (sqrt3 s + t) / (t (3k - l)),
+
+    which subtract no balls, so each constant is certainly positive at every
+    precision.
+    """
+    if not _valid_ratio(k, l):
+        raise InvalidGeometry("(%d,%d): index ratio outside (1/3, 3)" % (k, l))
     w = prec + 16
+    s, t, u, sqrt3 = (sqrt_ball(Ball.from_int(m, w), w) for m in (k, l, k + l, 3))
+    e_u = ball_add(ball_mul(sqrt3, t, w), s, w)
+    e_v = ball_add(ball_mul(sqrt3, s, w), t, w)
     lam = sqrt_ball(Ball.from_fraction(Fraction(k, l), w), w)
-    theta = atan_ball(lam, w)
-    pi = pi_ball(w)
-    one = Ball.from_int(1, w)
-
-    angle_u = ball_add(ball_mul_rat(pi, 1, 6, w), theta, w)  # pi/6 + theta
-    cos_u = cos_ball(angle_u, w)
-    if not certainly_positive(cos_u):
-        raise InvalidGeometry("(%d,%d): outer arc angle reaches pi/2" % (k, l))
-    tan_u = ball_div(sin_ball(angle_u, w), cos_u, w)
-    sec_u = ball_div(one, cos_u, w)
-    d = ball_sub(tan_u, lam, w)
-    rho = sec_u
-
-    if k == l:
-        # theta = pi/4 exactly, both arcs coincide up to reflection
-        h, r = d, rho
-    else:
-        angle_v = ball_sub(ball_mul_rat(pi, 2, 3, w), theta, w)  # 2*pi/3 - theta
-        cos_v = cos_ball(angle_v, w)
-        if not certainly_positive(cos_v):
-            raise InvalidGeometry("(%d,%d): inner arc angle reaches pi/2" % (k, l))
-        tan_v = ball_div(sin_ball(angle_v, w), cos_v, w)
-        sec_v = ball_div(one, cos_v, w)
-        h = ball_sub(ball_mul(lam, tan_v, w), one, w)
-        r = ball_mul(lam, sec_v, w)
-
-    checks = [
-        ("r > 0", certainly_positive(r)),
-        ("rho > 0", certainly_positive(rho)),
-        ("h > 0", certainly_positive(h)),
-        ("d > 0", certainly_positive(d)),
-        ("lambda < rho - d", certainly_less(lam, ball_sub(rho, d, w))),
-        ("1 < r - h", certainly_less(one, ball_sub(r, h, w))),
-    ]
-    for name, ok in checks:
-        if not ok:
-            raise InvalidGeometry("(%d,%d): validity gate failed: %s" % (k, l, name))
-
-    return LawsonConstants(
-        k,
-        l,
-        ball_round(lam, prec + 8),
-        ball_round(theta, prec + 8),
-        ball_round(h, prec + 8),
-        ball_round(r, prec + 8),
-        ball_round(d, prec + 8),
-        ball_round(rho, prec + 8),
-        prec,
-    )
+    rho = ball_mul_rat(ball_mul(u, e_u, w), 2, 3 * l - k, w)
+    d = ball_mul_rat(ball_div(e_u, t, w), k + l, 3 * l - k, w)
+    r = ball_mul_rat(ball_mul(ball_mul(lam, u, w), e_v, w), 2, 3 * k - l, w)
+    h = ball_mul_rat(ball_div(e_v, t, w), k + l, 3 * k - l, w)
+    return LawsonConstants(k, l, *(ball_round(b, prec + 8) for b in (lam, h, r, d, rho)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +320,13 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -
         + bf_to_float(consts.r.mag_sup()) ** (k + 2)
     ) * (k + 2) * (l + 2)
     share = max(float(target_width) / pref / 2, 1e-200)
+    theta = consts.theta
     for _ in range(8):
         ws = max(w, int(-math.log2(share)) + 64)
         pi = pi_ball(ws)
         half_pi = ball_mul_rat(pi, 1, 2, ws)
-        angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), consts.theta, ws)
-        angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), consts.theta, ws)
+        angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), theta, ws)
+        angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), theta, ws)
         share_bf = bf_from_float(share)
         j1p, j1v = oracle.arc_profile_quadrature(
             consts.rho, consts.d, k, (l, l + 2), angle_u, half_pi, ws, share_bf

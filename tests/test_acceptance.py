@@ -27,13 +27,17 @@ from lenscert.ball import (
     ball_mul,
     ball_mul_rat,
     ball_sub,
-    certainly_less,
     intersects,
     pi_ball,
     pow_rational,
     sqrt_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_float, bf_to_fraction
+
+
+def _certainly_less(a, b) -> bool:
+    """every point of a lies below every point of b"""
+    return bf_cmp(a.sup(), b.inf()) < 0
 
 
 def _contains(b, x) -> bool:
@@ -231,7 +235,7 @@ class TestCriterion2DeskScale:
             lam = ball_from_str(c.lambda_plane, c.precision_bits)
             for e in c.entries:
                 mv = ball_from_str(e.m_value, c.precision_bits)
-                assert certainly_less(mv, lam)
+                assert _certainly_less(mv, lam)
 
 
 class TestCriterion3ExactLens8:
@@ -302,10 +306,10 @@ class TestCriterion5TriplePath:
 
 class TestCriterion6Monotonicity:
     def _certified_compare(self, make_a, make_b):
-        """certainly_less(a, b) with precision escalation"""
+        """_certainly_less(a, b) with precision escalation"""
         prec = 128
         while prec <= 4096:
-            if certainly_less(make_a(prec), make_b(prec)):
+            if _certainly_less(make_a(prec), make_b(prec)):
                 return True
             prec *= 2
         return False
@@ -319,12 +323,12 @@ class TestCriterion6Monotonicity:
             k, l = geom.default_pairs(n)[0]
             gaps[n] = ball_sub(lens[n], geom.competitor_energy_specfun(k, l, prec).m_value, prec)
         for n in range(8, 64):
-            v = certainly_less(lens[n], lens[n + 1]) or self._certified_compare(
+            v = _certainly_less(lens[n], lens[n + 1]) or self._certified_compare(
                 lambda p: geom.lens_quantities(n, p).lambda_plane,
                 lambda p: geom.lens_quantities(n + 1, p).lambda_plane,
             )
             assert v, "lens energy at n=%d vs %d" % (n, n + 1)
-            assert certainly_less(gaps[n + 1], gaps[n]), "gap at n=%d vs %d" % (n, n + 1)
+            assert _certainly_less(gaps[n + 1], gaps[n]), "gap at n=%d vs %d" % (n, n + 1)
         print("\n[criterion 6] monotonicity certified over 8..64 in %.1fs" % (time.time() - t0))
 
 

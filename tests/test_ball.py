@@ -23,7 +23,6 @@ from lenscert.ball import (
     ball_sub,
     ball_to_str,
     ball_widen,
-    certainly_less,
     intersects,
 )
 from lenscert.bigfloat import bf_cmp, bf_from_float, bf_shift, bf_to_fraction, bf_two_power
@@ -115,27 +114,6 @@ def test_monotone_inclusion():
             wide = op(aw, b, 64)
             assert bf_cmp(wide.inf(), narrow.inf()) <= 0
             assert bf_cmp(wide.sup(), narrow.sup()) >= 0
-
-
-def test_certainly_less_basics():
-    mk = lambda mid, rad: ball_widen(Ball.from_fraction(Fraction(mid), 64), rad)
-    a = mk(1, bf_two_power(-3))
-    b = mk(2, bf_two_power(-3))
-    assert certainly_less(a, b) is True
-    assert certainly_less(b, a) is False
-    # overlapping balls cannot decide the predicate either way
-    wide_a = mk(1, bf_two_power(0))
-    wide_b = mk(2, bf_two_power(0))
-    assert certainly_less(wide_a, wide_b) is False
-    assert certainly_less(wide_b, wide_a) is False
-
-
-def test_certainly_less_antisymmetric_random():
-    rng = random.Random(3)
-    for _ in range(300):
-        a = ball_widen(Ball.from_fraction(rand_fraction(rng), 64), bf_two_power(rng.randint(-30, 0)))
-        b = ball_widen(Ball.from_fraction(rand_fraction(rng), 64), bf_two_power(rng.randint(-30, 0)))
-        assert not (certainly_less(a, b) and certainly_less(b, a))
 
 
 def test_pow_int():

@@ -2,13 +2,14 @@ import decimal
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from lenscert import certify as C
 from lenscert import cli, geom, oracle
-from lenscert.ball import Ball, ball_from_str, ball_to_str, ball_widen, certainly_less, TriBool
-from lenscert.bigfloat import bf_to_float, bf_two_power
+from lenscert.ball import Ball, ball_from_str, ball_to_str, ball_widen, TriBool
+from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import (
     InvalidArgument,
     InvalidGeometry,
@@ -179,6 +180,13 @@ class TestCertifyDimension:
         assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(24)
         assert all(e.path_agreement for e in cert.entries)
 
+    def test_every_valid_pair_listed_at_low_precision(self):
+        """at 8 bits `--pairs all` lists every pair with 1/3 < k/l < 3,
+        (9, 26) next to the boundary included"""
+        cert = C.certify_dimension(37, pairs="all", prec_start=8, prec_max=8)
+        assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
+        assert (9, 26) in geom.all_pairs(37)
+
     def test_invalid_pair_raises_after_an_early_stop(self):
         """an invalid explicit pair still raises its own error when the lens
         rejects the first attempt before the pair is reached"""
@@ -187,7 +195,7 @@ class TestCertifyDimension:
 
     @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
                                         {"target_width": float("nan")}, {"target_width": float("inf")},
-                                        {"prec_max": 64}])
+                                        {"prec_max": 64}, {"prec_max": 16384}])
     def test_invalid_driver_arguments_raise(self, kwargs):
         """a start precision below one bit, a cap below the start precision, or
         a width no enclosure can meet raises at once instead of escalating for
@@ -202,6 +210,10 @@ class TestCertifyDimension:
     def test_rejects_low_dimension(self):
         with pytest.raises(NoValidPair):
             C.certify_dimension(3, pairs=[(1, 0)])
+
+    def test_rejects_empty_pair_list(self):
+        with pytest.raises(NoValidPair):
+            C.certify_dimension(8, pairs=[])
 
     def test_n2700_proven_at_128_bits(self):
         """the largest long-run dimension certifies without escalation"""
@@ -354,6 +366,14 @@ class TestTable:
         assert [(r.k, r.l) for r in rows] == [(3, 3)]
         assert calls == [256]
 
+    def test_digits_past_float_range(self):
+        """330 decimals, where 10.0 ** -330 is 0.0, are pinned and round to
+        the 8-decimal entries"""
+        rows = C.table_rows([8], digits=330)
+        assert len(rows[0].m_8dp.partition(".")[2]) == 330
+        assert C._round_fixed(Fraction(rows[0].lambda_plane_8dp), 8) == "7.29128238"
+        assert C._round_fixed(Fraction(rows[0].m_8dp), 8) == "6.81857964"
+
     def test_certified_decimal_rejects_wide_balls(self):
         b = ball_widen(Ball.from_int(1, 64), bf_two_power(-3))
         assert C.certified_decimal(b, 8) is None
@@ -377,7 +397,7 @@ class TestPlot:
         rows = C.plot_rows(range(8, 12))
         gaps = [ball_from_str(r.gap, 128) for r in rows]
         for a, b in zip(gaps, gaps[1:]):
-            assert certainly_less(b, a)
+            assert bf_cmp(b.sup(), a.inf()) < 0
 
 
 class TestExactReports:
@@ -482,13 +502,15 @@ class TestCli:
             ["certify", "--n", "8..9", "--jobs", "-1"],
             ["table", "--n", "8", "--digits", "0"],
             ["table", "--n", "8", "--digits", "-1"],
+            ["table", "--n", "8", "--digits", "5000"],
+            ["certify", "--n", "30", "--prec-start", "16384", "--prec-max", "16384"],
             ["certify", "--n", "8", "--out", "{missing}/x.json"],
             ["table", "--n", "8", "--out", "{missing}/x.csv"],
         ],
         ids=[
             "range-not-int", "range-empty", "width-0", "width-neg", "width-nan", "width-inf",
             "prec-start-0", "prec-start-neg", "prec-max-100", "prec-max-0", "jobs-0", "jobs-neg", "digits-0", "digits-neg",
-            "certify-out-missing-dir", "table-out-missing-dir",
+            "digits-5000", "prec-max-16384", "certify-out-missing-dir", "table-out-missing-dir",
         ],
     )
     def test_input_error_is_one_line(self, argv, tmp_path):

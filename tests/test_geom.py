@@ -162,6 +162,56 @@ class TestLawsonConstants:
         with pytest.raises(InvalidGeometry):
             geom.lawson_constants(3, 9, 128)
 
+    @pytest.mark.parametrize(
+        "k,l", [(1, 1), (3, 3), (2, 4), (9, 26), (26, 9), (14, 41), (41, 14), (1348, 1350), (1349, 1350)]
+    )
+    def test_closed_forms_enclose_mpmath_angles(self, k, l):
+        """the 128-bit constants enclose mpmath's angle construction at 50
+        digits, up to the reference's rounding: theta = atan sqrt(k/l),
+        d = tan(pi/6 + theta) - lambda, rho = sec(pi/6 + theta),
+        h = lambda tan(2pi/3 - theta) - 1 and r = lambda sec(2pi/3 - theta)"""
+        mpmath = pytest.importorskip("mpmath")
+        c = geom.lawson_constants(k, l, 128)
+        with mpmath.workdps(50):
+            lam = mpmath.sqrt(mpmath.mpf(k) / l)
+            theta = mpmath.atan(lam)
+            u, v = mpmath.pi / 6 + theta, 2 * mpmath.pi / 3 - theta
+            refs = {
+                "lambda": (c.lambda_, lam),
+                "theta": (c.theta, theta),
+                "d": (c.d, mpmath.tan(u) - lam),
+                "rho": (c.rho, mpmath.sec(u)),
+                "h": (c.h, lam * mpmath.tan(v) - 1),
+                "r": (c.r, lam * mpmath.sec(v)),
+            }
+        for name, (b, ref) in refs.items():
+            x = _mp_fraction(ref)
+            assert abs(bf_to_fraction(b.mid) - x) <= bf_to_fraction(b.rad) + abs(x) / 10**45, name
+
+    @pytest.mark.parametrize("prec", [8, 64, 128])
+    def test_invalid_exactly_outside_ratio_rule(self, prec):
+        """for every k, l >= 1 with k + l <= 60 the constants exist exactly
+        when 1/3 < k/l < 3, at any precision"""
+        for k in range(1, 60):
+            for l in range(1, 61 - k):
+                if geom._valid_ratio(k, l):
+                    geom.lawson_constants(k, l, prec)
+                else:
+                    with pytest.raises(InvalidGeometry):
+                        geom.lawson_constants(k, l, prec)
+
+    def test_validity_conditions_hold_for_certain(self):
+        """for every valid pair with k + l <= 200 the 64-bit constants decide
+        d, rho, h, r > 0, lambda < rho - d and 1 < r - h"""
+        for n in range(2, 201):
+            for k, l in ((k, n - k) for k in range(1, n) if geom._valid_ratio(k, n - k)):
+                c = geom.lawson_constants(k, l, 64)
+                w = c.rho.prec
+                for b in (c.d, c.rho, c.h, c.r):
+                    assert b.inf().sign > 0, (k, l)
+                assert bf_cmp(c.lambda_.sup(), ball_sub(c.rho, c.d, w).inf()) < 0, (k, l)
+                assert bf_cmp(Ball.from_int(1, w).sup(), ball_sub(c.r, c.h, w).inf()) < 0, (k, l)
+
 
 class TestCompetitorEnergy:
     @pytest.mark.parametrize("k,l", sorted(M_VALUES))

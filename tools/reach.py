@@ -69,10 +69,12 @@ ERROR_RUNS = [
     ["certify", "--n", "8", "--width", "inf"],
     ["certify", "--n", "8", "--prec-start", "0"],
     ["certify", "--n", "8", "--prec-max", "64"],
+    ["certify", "--n", "8", "--prec-max", "16384"],
     ["certify", "--n", "8", "--jobs", "0"],
     ["certify", "--n", "8", "--out", "/nonexistent-dir/certs.json"],
     ["certify", "--n", "8", "--pairs", "none"],
     ["table", "--n", "8", "--digits", "0"],
+    ["table", "--n", "8", "--digits", "5000"],
     ["table", "--n", "8", "--format", "xml"],
     ["exact", "--n", "41", "--mode", "lens"],
     ["exact", "--n", "10", "--mode", "simons"],
