@@ -4,11 +4,14 @@ Every operation returns a Ball that contains {f(x, y) : x in a, y in b}.
 Midpoints are rounded to the working precision and the exact rounding error
 is absorbed into the radius, so soundness never relies on directed hardware
 rounding.  Elementary functions run an argument-reduced Taylor series whose
-truncation remainder is bounded explicitly and added to the radius.
+truncation remainder is bounded explicitly and added to the radius.  Rational
+powers take a q-th root in fixed point: a float and integer Newton steps
+propose it, and an exact fixed-point power check accepts each bound.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 
@@ -596,23 +599,78 @@ def cos_ball(a: Ball, prec: int) -> Ball:
     return ball_widen(out, a.rad)
 
 
+def _fx_root(z: tuple[int, int], q: int, W: int, upper: bool) -> int:
+    """An integer c with (c * 2**-W)**q certainly at least z when `upper`,
+    at most z otherwise, for a fixed-point z >= 1 whose midpoint is at
+    least 2**W.
+
+    A float proposes c near 2**W * z**(1/q) and integer Newton steps refine
+    it; only the fixed-point power of c, radius included, decides.  A
+    rejected c steps outward, the step doubling each time, until accepted.
+    Upward, with C = c * 2**-W, the power's midpoint is about C**q * 2**W
+    ulps and its radius, made only of the floors of products of the exact c,
+    about q * C**(q-1) ulps, so the gap to z grows without bound and some
+    step clears it.  Downward, any c <= 2**W is a lower bound, as z >= 1, so
+    c stops there at the latest.
+    """
+    zm, zr = z
+    one = 1 << W
+    lc = (math.log2(zm) - W) / q + W
+    k = int(lc)
+    c = (int(2.0 ** (lc - k) * 2.0**52) << k) >> 52
+    # Newton on c**q = zm * 2**(W*(q-1)); the float gives about 40 bits
+    for _ in range(W.bit_length()):
+        nxt = ((q - 1) * c + (zm << W) // _fx_pow((c, 0), q - 1, W)[0]) // q
+        if abs(nxt - c) <= 1:
+            break
+        c = nxt
+    # z's relative radius moves the root by about 1/q of it
+    step = c * zr // (q * zm) + 1
+    while True:
+        pm, pr = _fx_pow((c, 0), q, W)
+        if (pm - pr >= zm + zr) if upper else (c <= one or pm + pr <= zm - zr):
+            return c
+        c = c + step if upper else max(c - step, one)
+        step *= 2
+
+
 def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
-    """a**(p/q) for a certainly positive ball; q > 0."""
+    """a**(p/q) for a certainly positive ball; q > 0.
+
+    x**(|p|/q) is increasing on x > 0, so the lower bound comes from a.inf()
+    and the upper one from a.sup(); a negative p takes the reciprocal.  For an
+    endpoint x = f * 2**g with f in [1, 2), F = f**|p| is enclosed in fixed
+    point at W = w + _FX_GUARD bits by _fx_pow, and 2**h with h >= 0 is a
+    power of two certainly at most F (h = 0 always is, as f >= 1).
+    With g*|p| + h = q*s + t and 0 <= t < q,
+
+        x**(|p|/q) = z**(1/q) * 2**s,  z = F * 2**(t - h) >= 1,
+
+    where z lies in the fixed-point enclosure _fx_mul_rat(F, 2**t, 2**h).
+    _fx_root returns an integer c whose fixed-point power is certainly on the
+    wanted side of that whole enclosure, so c * 2**(s - W) bounds
+    x**(|p|/q) from the wanted side; it also terminates, as argued there.
+    z lies in [1, 2**(q+1)), so the root is below 4 and the accepted c are
+    a few ulps of 2**-W from it.
+    """
     if q <= 0:
         raise ValueError("q must be positive")
     if not certainly_positive(a):
         raise NonPositiveBase("pow_rational base must be certainly positive")
-    if q == 2:
-        # x**(p/2) is monotone on x > 0: evaluate at the endpoints
-        w = prec + 8
-        lo_b = sqrt_ball(ball_pow_int(Ball.point(a.inf(), w), abs(p), w), w)
-        hi_b = sqrt_ball(ball_pow_int(Ball.point(a.sup(), w), abs(p), w), w)
-        out = ball_from_endpoints(lo_b.inf(), hi_b.sup(), w)
-        if p < 0:
-            out = ball_div(Ball.from_int(1, w), out, w)
-        return ball_round(out, prec)
     w = prec + 16
-    out = exp_ball(ball_mul_rat(log_ball(a, w), p, q, w), w)
+    W = w + _FX_GUARD
+    e = abs(p)
+    ends = []
+    for x, upper in ((a.inf(), False), (a.sup(), True)):
+        g = bf_msb_exp(x) - 1
+        F = _fx_pow(_fx_from_ball(Ball.point(bf_shift(x, -g), W), W), e, W)
+        h = max(0, (F[0] - F[1]).bit_length() - 1 - W)
+        s, t = divmod(g * e + h, q)
+        c = _fx_root(_fx_mul_rat(F, 1 << t, 1 << h), q, W, upper)
+        ends.append(bf_shift(bf_from_int(c), s - W))
+    out = ball_from_endpoints(ends[0], ends[1], w)
+    if p < 0:
+        out = ball_div(Ball.from_int(1, w), out, w)
     return ball_round(out, prec)
 
 

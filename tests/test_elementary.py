@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lenscert import ball, certify
 from lenscert.ball import (
     Ball,
     asin_ball,
@@ -21,7 +23,7 @@ from lenscert.ball import (
     sin_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_msb_exp, bf_round, bf_to_fraction, bf_two_power
 from lenscert.errors import DomainViolation, NonPositiveBase
 
 
@@ -122,3 +124,64 @@ def test_pow_rational_two_precision():
         assert intersects(lo, hi)
         assert bf_cmp(hi.width(), lo.width()) <= 0
 
+
+# binary exponents from the n = 2700 lens volume (about 1e-3142) up to 2**600
+POW_EXPONENTS = (-10437, -3000, -130, -1, 0, 1, 77, 600)
+POW_PRECISIONS = (8, 24, 53, 128, 144, 256, 512)
+
+
+def _assert_power_enclosed(r, x, p, q):
+    """lo**q <= y**p <= hi**q on exact rationals, where y runs over the
+    endpoints of x that bound x**(p/q) from below and from above"""
+    lo, hi = bf_to_fraction(r.inf()), bf_to_fraction(r.sup())
+    below, above = bf_to_fraction(x.inf()), bf_to_fraction(x.sup())
+    if p < 0:
+        below, above = above, below
+    assert 0 < lo and lo**q <= below**p and above**p <= hi**q
+
+
+@pytest.mark.parametrize("n", [9, 57, 200])
+def test_pow_rational_encloses_exact_power(n):
+    """every result encloses the exact power; a point input gives a result at
+    most 4 ulps wide"""
+    rng = random.Random(n)
+    for p in (0, 1, 2, 3, -2, n - 1):
+        for q in (1, 2, 3, 7, n):
+            for g in (POW_EXPONENTS[0], POW_EXPONENTS[-1], *rng.sample(POW_EXPONENTS, 2)):
+                prec = rng.choice(POW_PRECISIONS)
+                # a random prec-bit midpoint in [2**g, 2**(g+1)]
+                mid, _ = bf_round(1, rng.getrandbits(prec + 40) | 1 << prec + 40, g - prec - 40, prec)
+                x = Ball.point(mid, prec)
+                r = pow_rational(x, p, q, prec)
+                _assert_power_enclosed(r, x, p, q)
+                four_ulps = bf_two_power(bf_msb_exp(r.mid) - prec + 2)
+                assert bf_cmp(r.width(), four_ulps) <= 0
+                wide = ball_widen(x, bf_two_power(bf_msb_exp(mid) - prec - rng.randint(1, 40)))
+                _assert_power_enclosed(pow_rational(wide, p, q, prec), wide, p, q)
+
+
+def test_pow_rational_uses_no_exp_log_or_sqrt(monkeypatch):
+    """exp, log and sqrt raise when pow_rational is on the call stack (atan
+    still reaches sqrt by itself), and the certificates that need rational
+    powers still come out: the q = 2 arc powers (n = 9), the agreement paths
+    (n = 24), a 256-bit escalation (n = 101 at width 1e-45) and the table"""
+    target = ball.pow_rational.__code__
+
+    def forbid(orig):
+        def guarded(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                assert frame.f_code is not target, "pow_rational called " + orig.__name__
+                frame = frame.f_back
+            return orig(*args)
+
+        return guarded
+
+    for name in ("exp_ball", "log_ball", "sqrt_ball"):
+        monkeypatch.setattr(ball, name, forbid(getattr(ball, name)))
+    for n in (9, 24):
+        assert certify.certify_dimension(n).verdict == "Proven"
+    cert = certify.certify_dimension(101, target_width=1e-45)
+    assert (cert.verdict, cert.precision_bits) == ("Proven", 256)
+    rows = certify.table_rows(range(8, 10))
+    assert [r.lambda_plane_8dp for r in rows] == ["7.29128238", "7.93735360"]
