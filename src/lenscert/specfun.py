@@ -8,20 +8,21 @@ past which every term ratio is at most some q < 1 in absolute value (q = |z|
 from the exact `_ratio_threshold` on), the series stops at the first term t
 with |t| q / (1 - q) <= tol and is widened by that bound; a terminating
 series that reaches its last term first is complete.  Appell F1, for
-c >= a > 0 and a non-positive integer b1, follows the iterated reduction,
-whose outer series obeys the same rule with every inner 2F1 bounded by
-U = (1 + |x|)^(-b1).
+c >= a > 0 and a non-positive integer b1, is one convolution of its x and y
+series; each side stops by the same rule on its terms weighted by
+(a)_j / (c)_j, with the tail also multiplied by a bound on the other side's
+absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).
 
-The 2F1 series and the F1 outer series run on the fixed-point kernel of
-`ball`: terms are int pairs (m +/- r) 2**-W, each costing one exact rational
-scaling and one product with z (or y), sums are int adds, and the tail test
-compares ints with floor(tol 2**W).  The scale is W = w + _FX_GUARD plus a
-headroom that keeps the rounding floor of a term's radius from outliving
-the tail test.  For 2F1 that radius settles near (1+|z|)/(1-|z|) ulps and
-the tail multiplies it by |z|/(1-|z|), so the headroom is
-log2((1+|z|)/(1-|z|)^2) + 1 bits; for the F1 outer series the tail
-multiplies the coefficient's radius by U, so it is log2 U bits.  The
-midpoint needs no headroom: the first term is 1 and tol is absolute.
+The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
+terms are int pairs (m +/- r) 2**-W, each costing one exact rational
+scaling and one product with z (or x, y), sums are int adds, and the tail
+test compares ints with floor(tol 2**W).  The scale is W = w + _FX_GUARD
+plus a headroom that keeps the rounding floor of a term's radius from
+outliving the tail test.  For 2F1 that radius settles near
+(1+|z|)/(1-|z|) ulps and the tail multiplies it by |z|/(1-|z|), so the
+headroom is log2((1+|z|)/(1-|z|)^2) + 1 bits; the F1 tails multiply it by U
+or V, so there it is log2 max(U, V) bits.  The midpoint needs no headroom:
+the first term is 1 and tol is absolute.
 """
 
 from __future__ import annotations
@@ -29,16 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .bigfloat import (
     BigFloat,
     bf_from_int,
-    bf_msb_exp,
     bf_shift,
     bf_to_fraction,
     bf_two_power,
-    rup,
-    rup_mul_rat,
 )
 from .ball import (
     _FX_GUARD,
@@ -46,6 +45,7 @@ from .ball import (
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
+    _fx_pow,
     _fx_tail,
     _fx_to_ball,
     ball_mul_rat,
@@ -233,24 +233,92 @@ def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-def _abs_pochhammer_bound(b: Fraction, tsup: Fraction, w: int) -> BigFloat:
-    """Upper bound for sum_m |(b)_m| / m! tsup^m = sum_m C(-b, m) tsup^m =
-    (1 + tsup)^(-b), for a non-positive integer b."""
-    return rup(Ball.from_fraction((1 + tsup) ** int(-b), w).mag_sup())
+def _pow_sup(base: Fraction, k: int, w: int) -> Fraction:
+    """An upper bound for base**k (base >= 1, k >= 0) over the denominator
+    2**w: base rounded up to scale w, then the top m + r of its fixed-point
+    power."""
+    m, r = _fx_pow((_fr_ceil(base * (1 << w)), 0), k, w)
+    return Fraction(m + r, 1 << w)
+
+
+def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: int, w: int):
+    """One side of the F1 double sum: the unweighted terms (b)_j z^j / j! at
+    scale W, as lists of midpoints and radii, and the tail bound in ulps of
+    scale W on what the side drops (0 when a terminating side is complete).
+
+    The side stops at the first j past the ratio threshold of (a, b; c)
+    whose weighted term t_j = (a)_j (b)_j z^j / ((c)_j j!) passes the
+    `_fx_tail` test with factor other / (1 - |z|), where `other` bounds the
+    absolute sum of the other side's unweighted terms.  That test multiplies
+    the radius of t_j by `other`, so the weighted terms run at scale W plus
+    log2(other) bits of headroom; they only decide where the side stops.
+    """
+    order = _terminating_order(a, b)
+    n1 = _ratio_threshold(a, b, c)
+    factor = other / (1 - zsup)
+    room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
+    Wt = W + room
+    limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
+    zx, zt = _fx_from_ball(z, W), _fx_from_ball(z, Wt)
+    ia, ib, ic, d = _scaled(a, b, c)
+    budget = order if order is not None else n1 + 64 * w + 256
+    weighted, unweighted = (1 << Wt, 0), (1 << W, 0)
+    mids, rads = [1 << W], [0]
+    j = 0
+    while j != order:
+        p, q = _term_ratio(ia, ib, ic, d, j)
+        weighted = _fx_mul(_fx_mul_rat(weighted, p, q), zt, Wt)
+        unweighted = _fx_mul(_fx_mul_rat(unweighted, ib + j * d, (j + 1) * d), zx, W)
+        j += 1
+        if n1 <= j != order:
+            tail = _fx_tail(weighted, factor.numerator, factor.denominator, limit)
+            if tail is not None:
+                return mids, rads, -(-tail >> room)
+        mids.append(unweighted[0])
+        rads.append(unweighted[1])
+        if j > budget:
+            raise PrecisionExhausted("F1 series did not reach its tail tolerance")
+    return mids, rads, 0
 
 
 def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
     """First Appell function F1(a; b1, b2; c; x, y) for c >= a > 0, b1 a
-    non-positive integer and x, y certainly inside the unit disc, by the
-    iterated reduction
+    non-positive integer and x, y certainly inside the unit disc, as one
+    convolution of two truncated series:
 
-        sum_n [(a)_n (b2)_n / ((c)_n n!)] y^n 2F1(a+n, b1; c+n; x).
+        F1 = sum_s w_s C_s,  C_s = sum_{m+n=s} A_m B_n,
 
-    Every inner value is at most U = (1 + |x|)^(-b1), so once the outer term
-    ratio stays below |y| the rest of the sum is at most
-    |coef_n| U (1 + |y| / (1 - |y|)).  Each inner value comes from the module
-    attribute `gauss_2f1`, so a wrapper that counts or times it sees every
-    call, and is converted to fixed point once.
+    with w_s = (a)_s / (c)_s, A_m = (b1)_m x^m / m! and B_n = (b2)_n y^n / n!.
+    As c >= a > 0, each factor (a+j)/(c+j) of w lies in (0, 1], so w_s is in
+    (0, 1] and w_{m+n} <= min(w_m, w_n).
+
+    Tails.  Since |(b)_n| <= (|b|)_n, the absolute sums of the two sides are
+    at most U = sum_m C(-b1, m) |x|^m = (1 + |x|)^(-b1) and
+    V = (1 - |y|)^(-|b2|) <= (1 - |y|)^(-ceil|b2|), both rounded up.  Each
+    side keeps its indices below M (x) or N (y); everything dropped lies in
+    {m >= M} or in {n >= N}.  As w_{m+n} <= w_m, the first part is at most
+    sum_{m>=M} w_m |A_m| sum_n |B_n| <= V sum_{m>=M} |t_m|, with
+    t_m = w_m A_m the weighted x term, and past the ratio threshold each
+    |t_{m+1} / t_m| <= |x|, so this is at most V |t_M| / (1 - |x|): the
+    `_fx_tail` bound of `_f1_side`, at most tol.  As w_{m+n} <= w_n, the
+    second part is at most U |t_N| / (1 - |y|) in the same way.  A
+    terminating side that reaches its last term drops nothing.
+
+    Rounding.  The sides are fixed-point enclosures (A_m +/- rA_m) 2**-W.
+    C_s is summed exactly at scale 2**-2W, and its radius is
+    sum (|A_m| + rA_m) rB_n + rA_m |B_n|, which bounds every product error
+    |A B - A_m B_n|; the midpoint is floored to scale W, and the radius is
+    ceiled there with one more ulp for the floor.  Horner in s then applies
+    (a+s)/(c+s) with `_fx_mul_rat`, which floors and adds an ulp, so every
+    C_s, its radius included, ends weighted by w_s.
+
+    The sides and the sum run at W = w + _FX_GUARD with no headroom.
+    Rounding leaves A_m and B_n a few ulps of relative error while they grow
+    and a few ulps of absolute error after, so it reaches the result as the
+    same small relative error in sum w_{m+n} |A_m| |B_n|, which is |F1|
+    when all terms share a sign, as at the competitor's arguments.  Only the
+    tail tests multiply a radius by U or V, so only the weighted terms carry
+    log2 U or log2 V more bits (see `_f1_side`).
     """
     a, b1, b2, c = Fraction(a), Fraction(b1), Fraction(b2), Fraction(c)
     if not (c >= a > 0 and _is_nonpos_int(b1)):
@@ -261,33 +329,24 @@ def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = 
         raise DomainViolation("F1 arguments must lie certainly inside the unit disc")
     tol = tol or _default_tol(prec)
     w = prec + 8
-    order = int(-b2) if _is_nonpos_int(b2) else None
-    n1 = _ratio_threshold(a, b2, c)
-    u_bound = _abs_pochhammer_bound(b1, xsup, w)
-    # the tail multiplies the coefficient's radius by U
-    W = w + _FX_GUARD + bf_msb_exp(u_bound)
-    tail_factor = bf_to_fraction(u_bound) * (1 + ysup / (1 - ysup))
-    inner_tol = rup_mul_rat(tol, 1, 64)
-    yx = _fx_from_ball(y, W)
-    limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
-    sum_m = sum_r = 0
-    coef = (1 << W, 0)
-    n = 0
-    budget = order if order is not None else n1 + 64 * w + 256
-    ia, ib2, ic, d = _scaled(a, b2, c)
-    while True:
-        inner = _fx_from_ball(gauss_2f1(a + n, b1, c + n, x, w, inner_tol), W)
-        term_m, term_r = _fx_mul(coef, inner, W)
-        sum_m += term_m
-        sum_r += term_r
-        if n == order:
-            return _fx_to_ball((sum_m, sum_r), W, prec)
-        p, q = _term_ratio(ia, ib2, ic, d, n)
-        coef = _fx_mul(_fx_mul_rat(coef, p, q), yx, W)
-        n += 1
-        if n1 <= n != order:
-            tail = _fx_tail(coef, tail_factor.numerator, tail_factor.denominator, limit)
-            if tail is not None:
-                return _fx_to_ball((sum_m, sum_r + tail), W, prec)
-        if n > budget:
-            raise PrecisionExhausted("F1 outer series did not converge")
+    u_bound = _pow_sup(1 + xsup, int(-b1), w)
+    v_bound = _pow_sup(1 / (1 - ysup), _fr_ceil(abs(b2)), w)
+    W = w + _FX_GUARD
+    am, ar, x_tail = _f1_side(a, b1, c, x, xsup, v_bound, tol, W, w)
+    bm, br, y_tail = _f1_side(a, b2, c, y, ysup, u_bound, tol, W, w)
+    # B reversed, so that the pairs m + n = s are two aligned slices
+    na, nb = len(am), len(bm)
+    bm, br, bmag = bm[::-1], br[::-1], [abs(v) for v in reversed(bm)]
+    asup = [abs(v) + r for v, r in zip(am, ar)]
+    ia, _, ic, d = _scaled(a, a, c)
+    acc_m = acc_r = 0
+    for s in range(na + nb - 2, -1, -1):
+        lo, hi = max(0, s - nb + 1), min(s + 1, na)
+        k = nb - 1 - s  # B_(s-m) sits at index m + k of the reversed lists
+        mid = sum(map(mul, am[lo:hi], bm[lo + k : hi + k]))
+        rad = sum(map(mul, asup[lo:hi], br[lo + k : hi + k]))
+        rad += sum(map(mul, ar[lo:hi], bmag[lo + k : hi + k]))
+        acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), ia + s * d, ic + s * d)
+        acc_m += mid >> W
+        acc_r += -(-rad >> W) + 1
+    return _fx_to_ball((acc_m, acc_r + x_tail + y_tail), W, prec)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from lenscert.ball import (
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import RADIUS_PREC, bf_cmp, bf_to_float, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_to_float, bf_to_fraction, bf_two_power
 from lenscert.errors import DivergentParameters, DomainViolation, InvalidC
 
 
@@ -165,6 +166,22 @@ class TestGauss2F1:
             TestAgainstMpmath._check(out, ref, prec, None)
 
 
+def _record_sides(monkeypatch) -> list:
+    """Make `specfun._f1_side` append (number of kept terms, tail bound in
+    ulps) to the returned list for every side it builds; `appell_f1` builds
+    its x side first"""
+    sides = []
+    build = specfun._f1_side
+
+    def recording_side(*args):
+        mids, rads, tail = build(*args)
+        sides.append((len(mids), tail))
+        return mids, rads, tail
+
+    monkeypatch.setattr(specfun, "_f1_side", recording_side)
+    return sides
+
+
 class TestAppellF1:
     def test_trivial_zero_bs(self):
         x = Ball.from_fraction(Fraction(1, 3), 64)
@@ -260,6 +277,76 @@ class TestAppellF1:
                     checked += 1
         assert checked == 86
 
+    @pytest.mark.parametrize("n,width,bits", [(24, 1e-12, 128), (101, 1e-45, 256), (200, 1e-12, 128)])
+    def test_certify_calls_no_2f1_inside_f1(self, monkeypatch, n, width, bits):
+        """F1 sums its double series itself: with `gauss_2f1` raising while
+        `appell_f1` is on the call stack, certification still ends Proven at
+        the usual precision, and the lens still calls `gauss_2f1`"""
+        from lenscert import certify
+
+        f1_code = specfun.appell_f1.__code__
+        inner = specfun.gauss_2f1
+        calls = []
+
+        def guarded_2f1(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is f1_code:
+                    raise AssertionError("gauss_2f1 called inside appell_f1")
+                frame = frame.f_back
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "gauss_2f1", guarded_2f1)
+        cert = certify.certify_dimension(n, target_width=width)
+        assert (cert.verdict, cert.precision_bits) == ("Proven", bits)
+        assert calls
+
+    def test_truncated_sides_enclose_exact_value(self, monkeypatch):
+        """with kk >= 300, both sides stop at their certified tails, the x
+        side before kk, and the result still encloses the exact value: the
+        terminating double sum of F1(1; -kk, -e; e+2; x, y) for integer e,
+        and (1-x)^kk (1-y)^(-b2) for F1(a; -kk, b2; a; x, y), with b2 = -e
+        or with b2 = 1 > 0, whose y side never terminates and is bounded
+        through V = 1 / (1 - |y|).  The arguments are chosen so that at the
+        2^-40 tolerance the tails, not rounding, set the radius"""
+        rng = random.Random(15)
+        sides = _record_sides(monkeypatch)
+        for case in range(18):
+            kk, e = rng.randint(300, 340), rng.randint(20, 26)
+            tol = rng.choice((None, bf_two_power(-40)))
+            if case % 3 == 0:
+                prec = 128
+                xf, yf = -Fraction(rng.randint(280, 400), 1000), -Fraction(rng.randint(1, 8), 2**18)
+                a, b2, c = Fraction(1), Fraction(-e), Fraction(e + 2)
+                # A_m = C(kk, m) (-x)^m and B_n = C(e, n) (-y)^n, as integers
+                # over the denominators q^kk and v^e
+                p, q = -xf.numerator, xf.denominator
+                u, v = -yf.numerator, yf.denominator
+                x_terms = [math.comb(kk, m) * p**m * q ** (kk - m) for m in range(kk + 1)]
+                y_terms = [math.comb(e, n) * u**n * v ** (e - n) for n in range(e + 1)]
+                exact, w_s = Fraction(0), Fraction(1)  # w_s = (1)_s / (e+2)_s
+                for s in range(kk + e + 1):
+                    lo, hi = max(0, s - e), min(s, kk)
+                    exact += w_s * sum(x_terms[m] * y_terms[s - m] for m in range(lo, hi + 1))
+                    w_s *= Fraction(1 + s) / (c + s)
+                exact /= q**kk * v**e
+            else:
+                prec = 256
+                a = c = Fraction(rng.randint(1, 5))
+                xf = rng.choice((-1, 1)) * Fraction(rng.randint(200, 250), 1000)
+                if case % 3 == 1:
+                    yf, b2 = -Fraction(rng.randint(1, 8), 2**24), Fraction(-e)
+                else:
+                    yf, b2 = rng.choice((-1, 1)) * Fraction(rng.randint(1, 256), 1024), Fraction(1)
+                exact = (1 - xf) ** kk * (1 - yf) ** -b2
+            del sides[:]
+            x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
+            out = specfun.appell_f1(a, Fraction(-kk), b2, c, x, y, prec, tol)
+            (x_kept, x_tail), (_, y_tail) = sides
+            assert x_kept < kk and x_tail > 0 and y_tail > 0, (case, sides)
+            assert _contains(out, exact), case
+
 
 def _ratio(a: Fraction, b: Fraction, c: Fraction, m: int) -> Fraction:
     return (a + m) * (b + m) / ((c + m) * (m + 1))
@@ -351,28 +438,28 @@ class TestTailRule:
         if tol_exp is None:
             assert bf_to_fraction(out.width()) <= abs(total) / 2 ** (prec - 8)
 
-    def test_competitor_outer_terms_n200(self, monkeypatch):
-        """each Appell F1 of the n = 200 balanced competitor stops its outer
-        series at the certified tail: at most 30 inner 2F1 evaluations"""
+    @staticmethod
+    def _side_records(monkeypatch, k, l, prec):
+        """[(x side, y side)] per Appell F1 of the competitor (k, l)"""
         from lenscert import geom
 
-        counts = []
-        inner = specfun.gauss_2f1
-        outer = specfun.appell_f1
+        sides = _record_sides(monkeypatch)
+        geom.competitor_energy_specfun(k, l, prec)
+        return list(zip(sides[::2], sides[1::2]))
 
-        def counting_2f1(*args, **kwargs):
-            counts[-1] += 1
-            return inner(*args, **kwargs)
+    def test_competitor_y_side_terms_n200(self, monkeypatch):
+        """each Appell F1 of the n = 200 balanced competitor stops its y side
+        at the certified tail: at most 30 terms"""
+        records = self._side_records(monkeypatch, 99, 99, 128)
+        assert len(records) == 2
+        assert all(0 < y_terms <= 30 and tail > 0 for _, (y_terms, tail) in records), records
 
-        def counting_f1(*args, **kwargs):
-            counts.append(0)
-            return outer(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, "gauss_2f1", counting_2f1)
-        monkeypatch.setattr(specfun, "appell_f1", counting_f1)
-        geom.competitor_energy_specfun(99, 99, 128)
-        assert len(counts) == 2
-        assert all(0 < c <= 30 for c in counts), counts
+    def test_competitor_x_side_stops_before_kk_n1000(self, monkeypatch):
+        """at n = 1000 the x side of each F1 of the balanced competitor
+        (kk = 499) stops at its certified tail, well before its last term"""
+        records = self._side_records(monkeypatch, 499, 499, 128)
+        assert len(records) == 2
+        assert all(x_terms < 499 // 2 and tail > 0 for (x_terms, tail), _ in records), records
 
     @pytest.mark.parametrize(
         "a,b,c",
@@ -398,24 +485,26 @@ class TestTailRule:
         assert bf_to_fraction(out.width()) <= abs(ref) / 2 ** (prec - 24)
 
     def test_competitor_n396_outer_headroom(self):
-        """n = 396: the F1 outer tail multiplies the coefficient radius by
-        U = sum |(-196)_m| / m! |x|^m, about 2^35, and the scale's log2 U
+        """n = 396: the F1 y-side tail multiplies the weighted term's radius
+        by U = sum |(-196)_m| / m! |x|^m, about 2^35, and the scale's log2 U
         headroom keeps that under the tolerance"""
         from lenscert import geom
 
         e = geom.competitor_energy_specfun(196, 198, 128)
         assert bf_to_fraction(e.m_value.width()) < Fraction(1, 10**12)
 
-    def test_abs_pochhammer_bound_terminating(self):
-        """for b = -kk the bound is (1 + t)^kk, the term-by-term sum of
-        C(kk, m) t^m, rounded up to a radius-precision float"""
+    def test_pow_sup_bounds_the_power(self):
+        """the F1 bounds U = (1 + t)^kk and V = (1 - t)^(-k) come out at
+        least the exact power and at most (2k + 64) ulps of scale w above
+        it, relative to the power"""
         rng = random.Random(13)
-        for _ in range(40):
-            kk, w = rng.randint(0, 300), rng.choice((64, 144, 300))
-            t = Fraction(rng.randint(1, 1 << 40), 1 << rng.randint(40, 44))
-            exact = sum(math.comb(kk, m) * t**m for m in range(kk + 1))
-            got = bf_to_fraction(specfun._abs_pochhammer_bound(Fraction(-kk), t, w))
-            assert exact <= got <= exact * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2))), (kk, t, w)
+        for _ in range(60):
+            k, w = rng.randint(0, 700), rng.choice((64, 144, 300))
+            t = Fraction(rng.randint(1, 1 << 40), 1 << rng.randint(41, 44))
+            for base in (1 + t, 1 / (1 - t)):
+                exact = base**k
+                got = specfun._pow_sup(base, k, w)
+                assert exact <= got <= exact * (1 + Fraction(2 * k + 64, 2**w)), (k, t, w)
 
     def test_integer_term_ratio_matches_fraction(self):
         """the integer term ratio of the series loops is exactly the

@@ -18,8 +18,7 @@ tampered certificate.  Worker processes started by `--jobs 2` are not
 traced, so the lines only they run (`certify._certify_one`) are listed.
 
 Each unreached line is printed as `file:line: source`, followed by a count
-per file.  The run takes about a minute and a half on a 2-core container,
-most of it in the traced `--long-run` and 150..200 dimensions.
+per file.  The run takes about half a minute on a 2-core container.
 """
 
 from __future__ import annotations
