@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -134,17 +133,18 @@ def _verdict(stricts: list[TriBool], agreement_ok: bool, done: bool) -> str:
     return "Proven"
 
 
-def _escalate(attempt, accepted, prec_start: int, prec_max: int):
-    """Run attempt(prec, final) from prec_start, doubling prec until
-    accepted(result) holds or the next doubling would exceed prec_max.
+def _escalate(enclosures, ok, prec_start: int, prec_max: int):
+    """Run an attempt at prec_start bits, doubling prec until an attempt is
+    accepted or the next doubling would exceed prec_max.
 
-    `final` tells the attempt that it is the last one allowed; this is the only
-    place that works it out.  A non-final attempt may stop at its first
-    enclosure that fails the acceptance test and return None, which rejects it
-    like a failed acceptance test.  The final attempt computes everything and
-    never returns None.  A cancellation the ball layer reports
-    (PrecisionExhausted, NonPositiveBase) rejects the attempt too; on the
-    final attempt it propagates.  Returns (result, prec, accepted).
+    An attempt draws the items of the generator `enclosures(prec)`, one per
+    enclosure, and is accepted when ok(item) holds for every item.  `ok` is
+    the client's only acceptance test.  A non-final attempt stops at its first
+    failing item, so the later items are never computed; the final attempt,
+    the last one the cap allows, takes every item.  This is the only place
+    that works out which attempt is final.  A cancellation the ball layer
+    reports (PrecisionExhausted, NonPositiveBase) rejects the attempt too; on
+    the final attempt it propagates.  Returns (items, prec, accepted).
     """
     if prec_start < 1:
         raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
@@ -160,16 +160,20 @@ def _escalate(attempt, accepted, prec_start: int, prec_max: int):
     prec = prec_start
     while True:
         final = prec * 2 > prec_max
+        items, accepted = [], True
         try:
-            result = attempt(prec, final)
+            for item in enclosures(prec):
+                if not ok(item):
+                    accepted = False
+                    if not final:
+                        break
+                items.append(item)
         except (PrecisionExhausted, NonPositiveBase):
             if final:
                 raise
         else:
-            if result is not None and accepted(result):
-                return result, prec, True
-            if final:
-                return result, prec, False
+            if accepted or final:
+                return items, prec, accepted
         prec *= 2
 
 
@@ -199,12 +203,9 @@ def certify_dimension(
 ) -> Certificate:
     """Certify the strict inequality at one dimension, escalating precision.
 
-    An attempt is accepted when the lens energy and every competitor energy
-    are at most `target_width` wide and every strictness test is decided.  A
-    non-final attempt stops at the first enclosure that fails this test (the
-    lens first, then pair by pair), so a precision too low for the target
-    costs one lens evaluation, not every competitor.  The final attempt
-    computes every pair, so an Undecided certificate lists them all.
+    The enclosures handed to `_escalate` are the lens energy, then the
+    competitor energies pair by pair; the acceptance test is that each is at
+    most `target_width` wide and, for a pair, decides strictness.
 
     The evaluator arguments exist for fault-injection tests; the defaults are
     the library paths.
@@ -215,54 +216,43 @@ def certify_dimension(
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
 
-    def attempt(prec: int, final: bool):
-        lens = lens_eval(n, prec)
-        if not (final or _narrow(lens.lambda_plane, tw)):
-            return None
-        lam_str = ball_to_str(lens.lambda_plane)
-        energies = []
-        entries = []
+    def enclosures(prec: int):
+        # (ball, entry) per enclosure; the lens has no entry
+        lam = lens_eval(n, prec).lambda_plane
+        yield lam, None
+        lam_str = ball_to_str(lam)
         for k, l in pair_list:
             en = specfun_eval(k, l, prec)
-            if not (final or _narrow(en.m_value, tw)):
-                return None
             m_str = ball_to_str(en.m_value)
-            strict = strictness(m_str, lam_str)
-            if not final and strict is TriBool.UNKNOWN:
-                return None
-            energies.append(en)
-            entries.append(CertEntry(en.k, en.l, m_str, None, strict.value))
-        return lens, lam_str, energies, entries
+            yield en.m_value, CertEntry(en.k, en.l, m_str, None, strictness(m_str, lam_str).value)
 
-    def accepted(result) -> bool:
-        lens, _, energies, entries = result
-        widths_ok = _narrow(lens.lambda_plane, tw) and all(
-            _narrow(en.m_value, tw) for en in energies
-        )
-        return widths_ok and all(e.strict != TriBool.UNKNOWN.value for e in entries)
+    def ok(item) -> bool:
+        ball, entry = item
+        return _narrow(ball, tw) and (entry is None or entry.strict != TriBool.UNKNOWN.value)
 
-    result, prec, done = _escalate(attempt, accepted, prec_start, prec_max)
-    _, lam_str, energies, entries = result
+    items, prec, done = _escalate(enclosures, ok, prec_start, prec_max)
+    (lam, _), *pairs_out = items
+    entries = [entry for _, entry in pairs_out]
 
     # independent-path agreement below the quadrature ceiling
     agreement_ok = True
     if n <= quadrature_max_n:
-        for entry, en in zip(entries, energies):
+        for m, entry in pairs_out:
             quad = geom.competitor_energy_quadrature(
                 entry.k, entry.l, AGREEMENT_PREC, target_width=AGREEMENT_WIDTH
             )
-            ok = intersects(en.m_value, quad.m_value)
+            agree = intersects(m, quad.m_value)
             if entry.k % 2 == 1 and entry.l % 2 == 1:
                 poly = oracle.polynomial_m_value(entry.k, entry.l, AGREEMENT_PREC)
-                ok = ok and intersects(en.m_value, poly.m_value)
-            entry.path_agreement = ok
-            if not ok:
+                agree = agree and intersects(m, poly.m_value)
+            entry.path_agreement = agree
+            if not agree:
                 agreement_ok = False
 
     return Certificate(
         n=n,
         precision_bits=prec,
-        lambda_plane=lam_str,
+        lambda_plane=ball_to_str(lam),
         entries=entries,
         verdict=_verdict([TriBool(e.strict) for e in entries], agreement_ok, done),
         timestamp=datetime.now(timezone.utc).isoformat(),
@@ -324,6 +314,8 @@ def certify(
     workers = min(jobs or 1, len(ns), os.cpu_count() or 1)
     with open_output(out) if out else contextlib.nullcontext() as write:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
         else:
@@ -383,14 +375,9 @@ def certified_decimal(b: Ball, digits: int) -> str | None:
     return lo if lo == hi else None
 
 
-def table_rows(
-    n_range,
-    digits: int = 8,
-    prec_start: int = DEFAULT_PREC_START,
-    prec_max: int = DEFAULT_PREC_MAX,
-) -> list[TableRow]:
+def table_rows(n_range, digits: int = 8) -> list[TableRow]:
     # no enclosure within the precision cap pins more decimals
-    max_digits = int(prec_max * math.log10(2))
+    max_digits = int(DEFAULT_PREC_MAX * math.log10(2))
     if not 1 <= digits <= max_digits:
         raise InvalidArgument("digits must be from 1 to %d, got %r" % (max_digits, digits))
     rows = []
@@ -399,23 +386,15 @@ def table_rows(
     def pinned(b: Ball) -> bool:
         return certified_decimal(b, digits) is not None and bf_to_fraction(b.width()) < width_cap
 
-    def accepted(balls: list[Ball]) -> bool:
-        return all(pinned(b) for b in balls)
-
     for n in sorted(n_range):
         pair_list = geom.table_pairs(n)
 
-        def attempt(prec: int, final: bool) -> list[Ball] | None:
-            # a non-final attempt stops at the first ball that is not pinned;
-            # `accepted` tests the last one
-            balls = [geom.lens_quantities(n, prec).lambda_plane]
+        def enclosures(prec: int):
+            yield geom.lens_quantities(n, prec).lambda_plane
             for k, l in pair_list:
-                if not (final or pinned(balls[-1])):
-                    return None
-                balls.append(geom.competitor_energy_specfun(k, l, prec).m_value)
-            return balls
+                yield geom.competitor_energy_specfun(k, l, prec).m_value
 
-        balls, _, done = _escalate(attempt, accepted, prec_start, prec_max)
+        balls, _, done = _escalate(enclosures, pinned, DEFAULT_PREC_START, DEFAULT_PREC_MAX)
         if not done:
             raise PrecisionExhausted(
                 "cannot certify %d decimals at dimension %d" % (digits, n)
@@ -469,24 +448,19 @@ class PlotRow:
     gap: str
 
 
-def plot_rows(
-    n_range,
-    prec_start: int = DEFAULT_PREC_START,
-    prec_max: int = DEFAULT_PREC_MAX,
-    target_width: float = DEFAULT_TARGET_WIDTH,
-) -> list[PlotRow]:
+def plot_rows(n_range) -> list[PlotRow]:
     rows = []
-    tw = _target_width(target_width)
+    tw = bf_from_float(DEFAULT_TARGET_WIDTH)
     for n in sorted(n_range):
         k, l = geom.default_pairs(n)[0]
 
-        def attempt(prec: int, final: bool) -> Ball:
+        def enclosures(prec: int):
             lens = geom.lens_quantities(n, prec)
             en = geom.competitor_energy_specfun(k, l, prec)
-            return ball_sub(lens.lambda_plane, en.m_value, prec)
+            yield ball_sub(lens.lambda_plane, en.m_value, prec)
 
-        gap, _, done = _escalate(
-            attempt, lambda g: _narrow(g, tw), prec_start, prec_max
+        (gap,), _, done = _escalate(
+            enclosures, lambda g: _narrow(g, tw), DEFAULT_PREC_START, DEFAULT_PREC_MAX
         )
         if not done:
             raise PrecisionExhausted("gap width target unreachable at n=%d" % n)
@@ -505,8 +479,9 @@ def render_plot_csv(rows: list[PlotRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def exact_report(n: int, mode: str, prec: int = 128) -> dict:
+def exact_report(n: int, mode: str) -> dict:
     """Symbolic components plus a certified numeric cross-check."""
+    prec = 128
     if mode == "lens":
         if n < 3 or n > 40:
             raise UnsupportedDimension("exact lens mode supports 3 <= n <= 40")

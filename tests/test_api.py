@@ -170,3 +170,19 @@ def test_only_escalate_decides_the_final_attempt():
         node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef) and node.name == "_escalate"
     )
     assert rule.search(ast.get_source_segment(text, escalate))
+
+
+def test_only_escalate_knows_the_final_attempt():
+    """attempts take only `prec`: no function in `certify.py` but `_escalate`
+    has a parameter named `final`"""
+    src = pathlib.Path(lenscert.__file__).parent
+    tree = ast.parse((src / "certify.py").read_text())
+    funcs = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert funcs
+    taking = [
+        getattr(f, "name", "<lambda>")
+        for f in funcs
+        for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+        if a.arg == "final"
+    ]
+    assert [name for name in taking if name != "_escalate"] == []

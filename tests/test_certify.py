@@ -1,3 +1,4 @@
+import concurrent.futures
 import decimal
 import json
 import subprocess
@@ -21,42 +22,64 @@ from lenscert.errors import (
 
 
 class TestEscalate:
-    """`_escalate` alone decides which attempt is the final one"""
+    """`_escalate` alone decides which attempt is the final one: a non-final
+    attempt stops at its first failing item, the final one takes every item"""
 
     def run(self, results, prec_start=128, prec_max=1000):
+        """results(prec) lists the items of the attempt at prec; an exception
+        among them is raised when it is drawn.  `calls` records each attempt
+        as (prec, number of items drawn)."""
         calls = []
 
-        def attempt(prec, final):
-            calls.append((prec, final))
-            result = results(prec, final)
-            if isinstance(result, Exception):
-                raise result
-            return result
+        def enclosures(prec):
+            calls.append([prec, 0])
+            for item in results(prec):
+                if isinstance(item, Exception):
+                    raise item
+                calls[-1][1] += 1
+                yield item
 
-        out = C._escalate(attempt, lambda r: r == "ok", prec_start, prec_max)
-        return out, calls
+        out = C._escalate(enclosures, lambda item: item == "ok", prec_start, prec_max)
+        return out, [tuple(c) for c in calls]
 
-    def test_final_flag_follows_the_cap(self):
-        out, calls = self.run(lambda prec, final: "wide")
-        assert calls == [(128, False), (256, False), (512, True)]
-        assert out == ("wide", 512, False)
-        out, calls = self.run(lambda prec, final: "wide", prec_max=128)
-        assert calls == [(128, True)]
-        assert out == ("wide", 128, False)
+    def test_final_attempt_follows_the_cap(self):
+        out, calls = self.run(lambda prec: ["wide", "wide"])
+        assert calls == [(128, 1), (256, 1), (512, 2)]
+        assert out == (["wide", "wide"], 512, False)
+        out, calls = self.run(lambda prec: ["wide", "wide"], prec_max=128)
+        assert calls == [(128, 2)]
+        assert out == (["wide", "wide"], 128, False)
 
-    def test_none_from_a_non_final_attempt_doubles(self):
-        out, calls = self.run(lambda prec, final: "ok" if prec == 256 else None)
-        assert calls == [(128, False), (256, False)]
-        assert out == ("ok", 256, True)
+    def test_failing_item_of_a_non_final_attempt_doubles(self):
+        out, calls = self.run(lambda prec: ["ok", "ok"] if prec == 256 else ["wide", "ok"])
+        assert calls == [(128, 1), (256, 2)]
+        assert out == (["ok", "ok"], 256, True)
 
     def test_cancellation_on_the_final_attempt_propagates(self):
         with pytest.raises(PrecisionExhausted):
-            self.run(lambda prec, final: PrecisionExhausted("at %d bits" % prec))
+            self.run(lambda prec: [PrecisionExhausted("at %d bits" % prec)])
         out, calls = self.run(
-            lambda prec, final: "ok" if final else PrecisionExhausted("at %d bits" % prec)
+            lambda prec: ["ok"] if prec == 512 else ["ok", PrecisionExhausted("at %d bits" % prec)]
         )
-        assert calls == [(128, False), (256, False), (512, True)]
-        assert out == ("ok", 512, True)
+        assert calls == [(128, 1), (256, 1), (512, 1)]
+        assert out == (["ok"], 512, True)
+
+    def test_non_final_attempt_never_resumes_after_a_failing_item(self):
+        """the generator of a rejected non-final attempt is not resumed past
+        its first failing item, so nothing after it is computed"""
+        produced, resumed = [], []
+
+        def enclosures(prec):
+            for i, item in enumerate(["ok", "wide", "ok", "ok"]):
+                produced.append((prec, i))
+                yield item
+                resumed.append((prec, i))
+
+        out = C._escalate(enclosures, lambda item: item == "ok", 128, 256)
+        assert out == (["ok", "wide", "ok", "ok"], 256, False)
+        assert [i for p, i in produced if p == 128] == [0, 1]
+        assert [i for p, i in resumed if p == 128] == [0]
+        assert [i for p, i in resumed if p == 256] == [0, 1, 2, 3]
 
 
 class TestCertifyDimension:
@@ -255,7 +278,7 @@ class TestCertifyRange:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(C, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         monkeypatch.setattr(C.os, "cpu_count", lambda: 2)
         certs = C.certify([8, 9, 10], jobs=100_000)
         assert requested == [2]
