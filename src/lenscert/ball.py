@@ -3,10 +3,12 @@
 Every operation returns a Ball that contains {f(x, y) : x in a, y in b}.
 Midpoints are rounded to the working precision and the exact rounding error
 is absorbed into the radius, so soundness never relies on directed hardware
-rounding.  Elementary functions run an argument-reduced Taylor series whose
-truncation remainder is bounded explicitly and added to the radius.  Rational
-powers take a q-th root in fixed point: a float and integer Newton steps
-propose it, and an exact fixed-point power check accepts each bound.
+rounding.  Elementary functions sum a Taylor series whose truncation
+remainder is bounded explicitly and added to the radius: exp and log in Ball
+arithmetic after argument reduction, sin, cos and the atan series in the
+fixed-point kernel (`_fx_*`, int midpoint-radius pairs at scale 2**-W).
+Rational powers take a q-th root in fixed point: a float and integer Newton
+steps propose it, and an exact fixed-point power check accepts each bound.
 """
 
 from __future__ import annotations
@@ -495,30 +497,33 @@ def log_ball(a: Ball, prec: int) -> Ball:
 
 
 def _atan_core(b: Ball, prec: int) -> Ball:
-    """atan for 0 <= b <= 1 (after two argument halvings the series is fast)."""
+    """atan for 0 <= b <= 1.
+
+    Two argument halvings in balls bring b below tan(pi/16) < 0.2, where
+    the alternating series runs in fixed point at the midpoint m of b; as
+    atan is 1-Lipschitz, b's radius widens the sum.  The remainder is at
+    most the first omitted term, and the loop stops once that term's bound
+    is at most one ulp at w (the `_fx_tail` test).
+    """
     w = prec + 16
     one = Ball.from_int(1, w)
     for _ in range(2):
         denom = ball_add(one, sqrt_ball(ball_add(one, ball_mul(b, b, w), w), w), w)
         b = ball_div(b, denom, w)
-    # |b| <= 0.2; alternating series with remainder <= first omitted term
-    b2 = ball_mul(b, b, w)
-    term = b
-    total = b
+    W = w + _FX_GUARD
+    m, r = _fx_from_ball(b, W)
+    x2 = _fx_mul((m, 0), (m, 0), W)
+    power, total_m, total_r = (m, 0), m, r
     j = 0
-    tol = _tol(prec)
     while True:
         j += 1
-        term = ball_neg(ball_mul(term, b2, w))
-        contrib = ball_mul_rat(term, 1, 2 * j + 1, w)
-        m = contrib.mag_sup()
-        if bf_cmp(m, tol) <= 0:
-            total = ball_widen(total, m)
-            break
-        total = ball_add(total, contrib, w)
-        if j > 4 * w:
-            raise DomainViolation("atan series failed to converge")
-    return ball_mul_rat(total, 4, 1, w)
+        power = _fx_mul(power, x2, W)
+        term = _fx_mul_rat(power, 1, 2 * j + 1)
+        tail = _fx_tail(term, 1, 1, 1 << _FX_GUARD)
+        if tail is not None:
+            return ball_mul_rat(_fx_to_ball((total_m, total_r + tail), W, w), 4, 1, w)
+        total_m += -term[0] if j & 1 else term[0]
+        total_r += term[1]
 
 
 def _atan_thin(x: BigFloat, prec: int) -> Ball:
@@ -554,49 +559,44 @@ def asin_ball(a: Ball, prec: int) -> Ball:
     return ball_round(atan_ball(ball_div(a, sqrt_ball(inner, w), w), w), prec)
 
 
-def _sin_cos_thin(x: BigFloat, prec: int, want_sin: bool) -> Ball:
-    w = prec + 16
-    ax = bf_abs(x)
-    if bf_cmp(ax, bf_from_int(8)) > 0:
+def _fx_sin_cos(x: tuple[int, int], W: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(sin x, cos x) in fixed point for x = (m +/- r) * 2**-W, |m| <= 8 * 2**W.
+
+    The series runs at the midpoint: its terms x**k / k! go to cos for even
+    k and to sin for odd k, with the sign (-1)**(k // 2).  Once
+    |x| / (k + 1) <= 1/2 the terms after the k-th add up to at most the
+    k-th, so what either sum drops is at most the last term's bound; the
+    loop stops once that bound is at most one ulp at W - _FX_GUARD (the
+    `_fx_tail` test) and widens both sums by it, and by r, as sin and cos
+    are 1-Lipschitz.
+    """
+    m, r = x
+    if abs(m) > 8 << W:
         raise DomainViolation("sin/cos argument out of supported range (|x| <= 8)")
-    xb = Ball.point(x, w)
-    x2 = ball_mul(xb, xb, w)
-    x2_sup = x2.mag_sup()
-    if want_sin:
-        term = xb
-        base = 1
-    else:
-        term = Ball.from_int(1, w)
-        base = 0
-    total = term
-    j = 0
-    tol = _tol(prec)
+    term = (1 << W, 0)
+    sums = [[1 << W, 0], [0, 0]]  # cos, sin
+    k = 0
     while True:
-        j += 1
-        d1 = base + 2 * j - 1
-        d2 = base + 2 * j
-        term = ball_neg(ball_mul_rat(ball_mul(term, x2, w), 1, d1 * d2, w))
-        m = term.mag_sup()
-        ratio_den = (base + 2 * j + 1) * (base + 2 * j + 2)
-        if bf_cmp(m, tol) <= 0 and bf_cmp(x2_sup, bf_from_int(ratio_den // 2)) < 0:
-            # next-term magnitudes decrease from here; alternating tail bound
-            total = ball_widen(total, m)
-            break
-        total = ball_add(total, term, w)
-        if j > 4 * w:
-            raise DomainViolation("sin/cos series failed to converge")
-    return ball_round(total, prec)
+        k += 1
+        term = _fx_mul_rat(_fx_mul(term, (m, 0), W), 1, k)
+        part = sums[k & 1]
+        part[0] += -term[0] if k & 2 else term[0]
+        part[1] += term[1]
+        if 2 * abs(m) <= (k + 1) << W:
+            tail = _fx_tail(term, 1, 1, 1 << _FX_GUARD)
+            if tail is not None:
+                (cm, cr), (sm, sr) = sums
+                return (sm, sr + tail + r), (cm, cr + tail + r)
 
 
 def sin_ball(a: Ball, prec: int) -> Ball:
-    out = _sin_cos_thin(a.mid, prec, want_sin=True)
-    # |sin'| <= 1, widen by the argument radius
-    return ball_widen(out, a.rad)
+    W = prec + 16 + _FX_GUARD
+    return _fx_to_ball(_fx_sin_cos(_fx_from_ball(a, W), W)[0], W, prec)
 
 
 def cos_ball(a: Ball, prec: int) -> Ball:
-    out = _sin_cos_thin(a.mid, prec, want_sin=False)
-    return ball_widen(out, a.rad)
+    W = prec + 16 + _FX_GUARD
+    return _fx_to_ball(_fx_sin_cos(_fx_from_ball(a, W), W)[1], W, prec)
 
 
 def _fx_root(z: tuple[int, int], q: int, W: int, upper: bool) -> int:

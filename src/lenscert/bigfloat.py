@@ -46,9 +46,6 @@ __all__ = [
 # Radii only need a handful of bits; they are always rounded upward.
 RADIUS_PREC = 30
 
-# Exponent gap beyond which an addend only matters as a one-ulp perturbation.
-_GAP_SLACK = 64
-
 
 class BigFloat:
     """Immutable normalized binary float: sign * man * 2**exp, man odd."""
@@ -226,28 +223,8 @@ def bf_add_exact(a: BigFloat, b: BigFloat) -> BigFloat:
 
 
 def bf_add(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
-    if a.sign == 0:
-        r, e = bf_round(b.sign, b.man, b.exp, prec)
-        return r, e
-    if b.sign == 0:
-        r, e = bf_round(a.sign, a.man, a.exp, prec)
-        return r, e
-    gap = prec + _GAP_SLACK
-    ta = a.exp + a.man.bit_length()
-    tb = b.exp + b.man.bit_length()
-    # one operand entirely below the other's rounding horizon: treat it as
-    # an extra error term rather than materializing a huge shift
-    if tb <= ta - gap:
-        r, e = bf_round(a.sign, a.man, a.exp, prec)
-        return r, bf_add_exact(e, bf_two_power(tb))
-    if ta <= tb - gap:
-        r, e = bf_round(b.sign, b.man, b.exp, prec)
-        return r, bf_add_exact(e, bf_two_power(ta))
-    e0 = min(a.exp, b.exp)
-    m = (a.sign * a.man << (a.exp - e0)) + (b.sign * b.man << (b.exp - e0))
-    if m == 0:
-        return ZERO, ZERO
-    return bf_round(1 if m > 0 else -1, abs(m), e0, prec)
+    s = bf_add_exact(a, b)
+    return bf_round(s.sign, s.man, s.exp, prec)
 
 
 def bf_mul(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:

@@ -41,19 +41,17 @@ from .ball import (
     _fx_from_ball,
     _fx_mul,
     _fx_pow,
+    _fx_sin_cos,
     _fx_to_ball,
     ball_add,
     ball_div,
     ball_mul,
     ball_mul_rat,
-    ball_pow_int,
     ball_round,
     ball_sub,
     ball_widen,
-    cos_ball,
     pi_ball,
     pow_rational,
-    sin_ball,
     sqrt_ball,
 )
 from .errors import DomainViolation, QuadratureBudgetExceeded
@@ -76,16 +74,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _arc_profile_values(radius: Ball, offset: Ball, k: int, exponents: tuple[int, ...], t: Ball):
-    """(radius*sin t - offset)**k * cos(t)**j for each j in exponents."""
-    w = t.prec
-    s = sin_ball(t, w)
-    c = cos_ball(t, w)
-    base = ball_sub(ball_mul(radius, s, w), offset, w)
-    bk = ball_pow_int(base, k, w)
-    return tuple(ball_mul(bk, ball_pow_int(c, j, w), w) for j in exponents)
-
-
 # evaluations one arc quadrature may spend: 3 per Gauss-3 piece
 QUADRATURE_BUDGET = 400_000
 
@@ -102,7 +90,7 @@ def arc_profile_quadrature(
 ) -> tuple[Ball, ...]:
     """Three-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j.
 
-    One pass of the fixed-point node kernel `_arc_gauss3_pass` (one certified
+    One pass of the fixed-point node kernel `_arc_gauss3_pass` (fixed-point
     sin/cos series, exact integer sums, one ulp per product) runs at the
     smallest node count n whose remainder bound max(d6) L^7 / (2016000 n^6),
     from a global bound d6 on the sixth derivative over the length L, is at
@@ -110,23 +98,25 @@ def arc_profile_quadrature(
     it meets the target; a caller that needs a narrower one asks again with a
     smaller target.  A pass that would spend more than QUADRATURE_BUDGET
     evaluations raises QuadratureBudgetExceeded.
+
+    The pass integrates from lower.mid to upper.mid; every result is widened
+    by (lower.rad + upper.rad) * bmax^kk, with bmax = |radius - offset|,
+    for the integral over the endpoint bands.  Like d6, that bound on |f|
+    rests on |radius sin t - offset| <= bmax: on the arc range the value
+    lies in [0, bmax], and on the tiny endpoint bands it stays at most bmax
+    (sin t <= 1) and falls below 0 by at most radius times the band's
+    width.
     """
     a0, b0 = lower.mid, upper.mid
     total_len = bf_add_exact(b0, bf_neg(a0))
     if total_len.sign < 0:
         raise ValueError("integration endpoints out of order")
-    arity = len(exponents)
-
-    slop = [ZERO] * arity
-    for endp in (lower, upper):
-        if endp.rad.sign:
-            vals = _arc_profile_values(radius, offset, kk, exponents, endp)
-            for i in range(arity):
-                slop[i] = rup_add(slop[i], rup_mul(endp.rad, vals[i].mag_sup()))
 
     # on the arc range radius*sin(t) - offset stays within [0, radius - offset]
     bmax = ball_sub(radius, offset, w).mag_sup()
     d6_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 6) for j in exponents]
+    # bmax^kk, the order-0 bound, holds for every j as |cos t| <= 1
+    slop = rup_mul(rup_add(lower.rad, upper.rad), _arc_derivative_bound(radius, bmax, kk, 0, 0))
 
     length_fr = bf_to_fraction(total_len)
     d6_max = max(bf_to_fraction(b) for b in d6_bounds)
@@ -134,7 +124,7 @@ def arc_profile_quadrature(
     if 3 * n > QUADRATURE_BUDGET:
         raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
     out = _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds)
-    return tuple(ball_widen(out[i], slop[i]) for i in range(arity))
+    return tuple(ball_widen(b, slop) for b in out)
 
 
 def _remainder_nodes(need: Fraction) -> int:
@@ -205,9 +195,10 @@ def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_boun
     The node loop works on midpoint-radius pairs of plain ints, (m +/- r) *
     2**-W with W = w + _FX_GUARD: sums are exact, and each product carries
     the input radii plus one ulp for its floored midpoint (`_fx_mul`).
-    `radius`, `offset`, the first node's sin/cos and the two rotation steps
-    are converted once per pass, and node trig values advance by the
-    angle-addition recurrence.  The two accumulators go back to balls once,
+    `radius`, `offset` and three angles, the first node and the two
+    rotation steps, are converted once per pass, `_fx_sin_cos` gives their
+    sin and cos, and node trig values advance by the angle-addition
+    recurrence.  The two accumulators go back to balls once,
     before the Gauss weights; the per-piece remainder is
     |f^(6)| * piece_len^7 / 2016000.
     """
@@ -221,9 +212,9 @@ def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_boun
 
     W = w + _FX_GUARD
     rad_fx, (om, orad) = _fx_from_ball(radius, W), _fx_from_ball(offset, W)
-    s, c = _fx_from_ball(sin_ball(theta, w), W), _fx_from_ball(cos_ball(theta, w), W)
-    step_in = _fx_from_ball(sin_ball(off_in, w), W), _fx_from_ball(cos_ball(off_in, w), W)
-    step_across = _fx_from_ball(sin_ball(step_out, w), W), _fx_from_ball(cos_ball(step_out, w), W)
+    s, c = _fx_sin_cos(_fx_from_ball(theta, W), W)
+    step_in = _fx_sin_cos(_fx_from_ball(off_in, W), W)
+    step_across = _fx_sin_cos(_fx_from_ball(step_out, W), W)
 
     arity = len(exponents)
     acc_mid = [(0, 0)] * arity

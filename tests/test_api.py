@@ -66,6 +66,23 @@ def test_fixed_point_kernel_defined_only_in_ball():
         assert {"_fx_from_ball", "_fx_mul", "_fx_to_ball"} <= set(vars(mod)), mod.__name__
 
 
+def test_arc_integrand_only_in_the_fixed_point_pass():
+    """no function in `lenscert.oracle` calls `sin_ball`, `cos_ball` or
+    `ball_pow_int`: the arc integrand is evaluated in the fixed-point Gauss-3
+    pass alone"""
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "oracle.py").read_text())
+    calls = [
+        "%s:%d %s" % (func.name, node.lineno, name)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in {"sin_ball", "cos_ball", "ball_pow_int"}
+    ]
+    assert calls == []
+
+
 def test_no_unused_imports():
     """no module of the package imports a name it never uses; a name listed
     in `__all__` counts as used"""

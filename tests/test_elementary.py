@@ -107,6 +107,56 @@ def test_sin_cos_pythagoras_random():
         assert _contains(ball_add(ball_mul(s, s, 96), ball_mul(c, c, 96), 96), 1)
 
 
+# angles over [-8, 8] in steps of 1/8, both ends included, and tiny ones
+TRIG_POINTS = [Fraction(i, 8) for i in range(-64, 65)] + [Fraction(1, 1 << 70), Fraction(-3, 1 << 200)]
+# atan arguments over [-10, 10], on both sides of 1, where the argument is
+# inverted, and densely inside [-1, 1], where the series runs on the argument
+ATAN_POINTS = sorted(
+    {Fraction(i, 4) for i in range(-40, 41)}
+    | {Fraction(i, 64) for i in range(-64, 65)}
+    | {Fraction(-1, 1 << 90), Fraction(99, 10)}
+)
+
+
+def _mp_values(mpmath, f, b: Ball) -> list[Fraction]:
+    """mpmath's f at 500 bits at the exact inf, midpoint and sup of b"""
+    out = []
+    with mpmath.workprec(500):
+        for end in (b.inf(), b.mid, b.sup()):
+            v = f(mpmath.ldexp(end.sign * end.man, end.exp))
+            man, exp = v.man_exp  # man is |mantissa|
+            out.append((-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp)
+    return out
+
+
+def _check_against_mpmath(mpmath, points, functions, prec):
+    """each (ours, ref) of functions: ours encloses ref at every point and on
+    a ball of radius 2**(-prec/2) around it, and a point result is at most
+    4 ulps of 2**-prec wide"""
+    for f in points:
+        point = Ball.from_fraction(f, prec)
+        for x in (point, ball_widen(point, bf_two_power(-prec // 2))):
+            for ours, ref in functions:
+                got = ours(x, prec)
+                assert all(_contains(got, v) for v in _mp_values(mpmath, ref, x)), (prec, f, x, ours)
+                if x is point:
+                    assert bf_cmp(got.width(), bf_two_power(2 - prec)) <= 0, (prec, f, ours)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_sin_cos_enclose_mpmath(prec):
+    """sin_ball and cos_ball over [-8, 8] and at tiny angles"""
+    mpmath = pytest.importorskip("mpmath")
+    _check_against_mpmath(mpmath, TRIG_POINTS, ((sin_ball, mpmath.sin), (cos_ball, mpmath.cos)), prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_atan_encloses_mpmath(prec):
+    """atan_ball for |x| <= 10"""
+    mpmath = pytest.importorskip("mpmath")
+    _check_against_mpmath(mpmath, ATAN_POINTS, ((atan_ball, mpmath.atan),), prec)
+
+
 def test_pow_rational_round_trip():
     a = Ball.from_int(2, 128)
     r = pow_rational(a, 7, 8, 128)
