@@ -140,8 +140,8 @@ class LawsonConstants:
 
     @property
     def theta(self) -> Ball:
-        """The corner angle atan(lambda); only the quadrature path integrates
-        over an angle."""
+        """The corner angle atan(lambda) at the constants' precision;
+        `competitor_energy_quadrature` computes it at its pass precision."""
         return atan_ball(self.lambda_, self.prec + 8)
 
 
@@ -314,15 +314,17 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -
     # observed overshoot of the assembled m-value width; the working
     # precision tracks the demanded width so recurrence noise stays below it.
     # The first trial splits half the target over both arcs' prefactors; on
-    # the default pairs of n = 8..24 it lands at 0.2 to 0.6 of the target
+    # the default pairs of n = 8..24 it lands at 0.03 to 0.5 of the target
     pref = (
         bf_to_float(consts.rho.mag_sup()) ** (l + 2)
         + bf_to_float(consts.r.mag_sup()) ** (k + 2)
     ) * (k + 2) * (l + 2)
     share = max(float(target_width) / pref / 2, 1e-200)
-    theta = consts.theta
     for _ in range(8):
         ws = max(w, int(-math.log2(share)) + 64)
+        # theta = atan(lambda) at ws: the endpoint radii scale the
+        # quadrature's slop by bmax^kk
+        theta = atan_ball(sqrt_ball(Ball.from_fraction(Fraction(k, l), ws), ws), ws)
         pi = pi_ball(ws)
         half_pi = ball_mul_rat(pi, 1, 2, ws)
         angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), theta, ws)

@@ -1,14 +1,14 @@
 """Second evaluation paths for the certificate's agreement check, and the
 exact values behind the `exact` reports.
 
-Contains the verified fixed-point Gauss-3 quadrature of the competitor's arc
-integrands, the exact cosine-power recursion for the lens quantities, the
-polynomial evaluation of the competitor energy for odd index pairs, and exact
-arithmetic in the field Q(sqrt2, sqrt3) for the balanced odd case.  The
-competitor paths share `geom.lawson_constants` and `geom.assemble_competitor`
-with the special-function path they check, so they are independent in the
-arc integrals only; the references that share no code with lenscert are the
-mpmath evaluations in the tests.
+Contains the verified fixed-point five-point Gauss-Legendre quadrature of
+the competitor's arc integrands, the exact cosine-power recursion for the
+lens quantities, the polynomial evaluation of the competitor energy for odd
+index pairs, and exact arithmetic in the field Q(sqrt2, sqrt3) for the
+balanced odd case.  The competitor paths share `geom.lawson_constants` and
+`geom.assemble_competitor` with the special-function path they check, so
+they are independent in the arc integrals only; the references that share
+no code with lenscert are the mpmath evaluations in the tests.
 
 Normalization rule for the exact balanced-case field elements: the numerator
 and denominator of M(k,k) are each scaled by the least positive rational that
@@ -17,6 +17,7 @@ turns all four coordinates into coprime integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +75,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# evaluations one arc quadrature may spend: 3 per Gauss-3 piece
+# evaluations one arc quadrature may spend: 5 per Gauss-Legendre piece
 QUADRATURE_BUDGET = 400_000
+
+# c5 = (5!)^4 / (11 (10!)^3): on a piece of length h the five-point rule
+# misses the integral by c5 h^11 f^(10)(xi) (Abramowitz-Stegun 25.4.29-30)
+GAUSS5_REMAINDER = Fraction(math.factorial(5) ** 4, 11 * math.factorial(10) ** 3)
 
 
 def arc_profile_quadrature(
@@ -88,12 +93,13 @@ def arc_profile_quadrature(
     w: int,
     target_width: BigFloat,
 ) -> tuple[Ball, ...]:
-    """Three-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j.
+    """Five-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j
+    for each j of the ascending `exponents`.
 
-    One pass of the fixed-point node kernel `_arc_gauss3_pass` (fixed-point
+    One pass of the fixed-point node kernel `_arc_gauss5_pass` (fixed-point
     sin/cos series, exact integer sums, one ulp per product) runs at the
-    smallest node count n whose remainder bound max(d6) L^7 / (2016000 n^6),
-    from a global bound d6 on the sixth derivative over the length L, is at
+    smallest node count n whose remainder bound c5 max(d10) L^11 / n^10,
+    from a global bound d10 on the tenth derivative over the length L, is at
     most a quarter of the target width.  The result is sound whether or not
     it meets the target; a caller that needs a narrower one asks again with a
     smaller target.  A pass that would spend more than QUADRATURE_BUDGET
@@ -101,7 +107,7 @@ def arc_profile_quadrature(
 
     The pass integrates from lower.mid to upper.mid; every result is widened
     by (lower.rad + upper.rad) * bmax^kk, with bmax = |radius - offset|,
-    for the integral over the endpoint bands.  Like d6, that bound on |f|
+    for the integral over the endpoint bands.  Like d10, that bound on |f|
     rests on |radius sin t - offset| <= bmax: on the arc range the value
     lies in [0, bmax], and on the tiny endpoint bands it stays at most bmax
     (sin t <= 1) and falls below 0 by at most radius times the band's
@@ -114,27 +120,29 @@ def arc_profile_quadrature(
 
     # on the arc range radius*sin(t) - offset stays within [0, radius - offset]
     bmax = ball_sub(radius, offset, w).mag_sup()
-    d6_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 6) for j in exponents]
+    d10_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 10) for j in exponents]
     # bmax^kk, the order-0 bound, holds for every j as |cos t| <= 1
     slop = rup_mul(rup_add(lower.rad, upper.rad), _arc_derivative_bound(radius, bmax, kk, 0, 0))
 
     length_fr = bf_to_fraction(total_len)
-    d6_max = max(bf_to_fraction(b) for b in d6_bounds)
-    n = _remainder_nodes(4 * d6_max * length_fr**7 / (2016000 * bf_to_fraction(target_width)))
-    if 3 * n > QUADRATURE_BUDGET:
+    d10_max = max(bf_to_fraction(b) for b in d10_bounds)
+    n = _remainder_nodes(
+        4 * GAUSS5_REMAINDER * d10_max * length_fr**11 / bf_to_fraction(target_width)
+    )
+    if 5 * n > QUADRATURE_BUDGET:
         raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
-    out = _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds)
+    out = _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bounds)
     return tuple(ball_widen(b, slop) for b in out)
 
 
 def _remainder_nodes(need: Fraction) -> int:
-    """Smallest n >= 1 with n**6 >= need."""
+    """Smallest n >= 1 with n**10 >= need."""
     if need <= 1:
         return 1
-    n = math.ceil(2 ** ((math.log2(need.numerator) - math.log2(need.denominator)) / 6))
-    while n**6 < need:
+    n = math.ceil(2 ** ((math.log2(need.numerator) - math.log2(need.denominator)) / 10))
+    while n**10 < need:
         n += 1
-    while n > 1 and (n - 1) ** 6 >= need:
+    while n > 1 and (n - 1) ** 10 >= need:
         n -= 1
     return n
 
@@ -144,12 +152,13 @@ def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: 
     on a range where 0 <= radius*sin(t) - offset <= bmax.
 
     Differentiates the term algebra K * b^p * cos^q * sin^r symbolically
-    (b' = R cos, cos' = -sin, sin' = cos), tracking |K| magnitudes and using
-    |b| <= bmax, |sin|,|cos| <= 1.  Exponents of cos/sin never go negative
-    because the lowering paths carry factors q resp. r.  Summing absolute
-    values keeps this an overestimate of the true derivative magnitude.
+    (b' = R cos, cos' = -sin, sin' = cos), tracking the integer
+    coefficients K and using |b| <= bmax, |sin|,|cos| <= 1.  Exponents of
+    cos/sin never go negative because the lowering paths carry factors q
+    resp. r, and p never exceeds kk.  Summing absolute values keeps this an
+    overestimate of the true derivative magnitude.
     """
-    terms = {(kk, j, 0): Fraction(1)}  # (p, q, r) -> coefficient of R**(kk - p)
+    terms = {(kk, j, 0): 1}  # (p, q, r) -> coefficient of R**(kk - p)
     for _ in range(order):
         new: dict = {}
         for (p, q, r), coef in terms.items():
@@ -164,19 +173,20 @@ def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: 
     rmag = rup(radius.mag_sup())
     bmax = rup(bmax)
     bpows = [rup(ONE)]
-    for _ in range(kk + order):
+    for _ in range(kk):
         bpows.append(rup_mul(bpows[-1], bmax))
     rpows = [rup(ONE)]
     for _ in range(order):
         rpows.append(rup_mul(rpows[-1], rmag))
     total = ZERO
     for (p, q, r), coef in terms.items():
-        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef.numerator), coef.denominator)
+        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef), 1)
         mag = rup_mul(mag, _trig_product_bound(q, r))
         total = rup_add(total, mag)
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _trig_product_bound(q: int, r: int) -> BigFloat:
     """Upper bound for max |cos^q t sin^r t| = sqrt(q^q r^r / (q+r)^(q+r))."""
     if q <= 0 or r <= 0:
@@ -189,62 +199,79 @@ def _trig_product_bound(q: int, r: int) -> BigFloat:
     return rup(bf_shift(bf_from_int(root), -40))
 
 
-def _arc_gauss3_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d6_bounds):
-    """Three-point Gauss-Legendre on n uniform pieces, run in fixed point.
+def _gauss5_rule(w: int) -> tuple[tuple[Ball, Ball], tuple[Ball, Ball, Ball]]:
+    """Five-point Gauss-Legendre on [-1, 1] as balls at w: the nodes x1 < x2
+    of 0, +/-x1, +/-x2, x1,2 = sqrt(5 -/+ 2 sqrt(10/7)) / 3, and the weights
+    w0 = 128/225 at 0 and w1,2 = (322 +/- 13 sqrt70) / 900 at +/-x1,2."""
+    s70 = sqrt_ball(Ball.from_int(70, w), w)
+    five, two_r = Ball.from_int(5, w), ball_mul_rat(s70, 2, 7, w)  # 2 sqrt(10/7)
+    x1, x2 = (ball_mul_rat(sqrt_ball(op(five, two_r, w), w), 1, 3, w) for op in (ball_sub, ball_add))
+    base, spread = Ball.from_int(322, w), ball_mul_rat(s70, 13, 1, w)
+    w1, w2 = (ball_mul_rat(op(base, spread, w), 1, 900, w) for op in (ball_add, ball_sub))
+    return (x1, x2), (Ball.from_fraction(Fraction(128, 225), w), w1, w2)
+
+
+# weight class (0: centre, 1: inner, 2: outer) of the five nodes of a piece
+_NODE_CLASS = (2, 1, 0, 1, 2)
+
+
+def _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bounds):
+    """Five-point Gauss-Legendre on n uniform pieces, run in fixed point.
 
     The node loop works on midpoint-radius pairs of plain ints, (m +/- r) *
     2**-W with W = w + _FX_GUARD: sums are exact, and each product carries
     the input radii plus one ulp for its floored midpoint (`_fx_mul`).
-    `radius`, `offset` and three angles, the first node and the two
+    `radius`, `offset` and four angles, the first node and the three
     rotation steps, are converted once per pass, `_fx_sin_cos` gives their
     sin and cos, and node trig values advance by the angle-addition
-    recurrence.  The two accumulators go back to balls once,
-    before the Gauss weights; the per-piece remainder is
-    |f^(6)| * piece_len^7 / 2016000.
+    recurrence.  Each node adds to the accumulator of its weight class;
+    the three accumulators go back to balls once, before the Gauss weights.
     """
     delta = Ball.from_fraction(length_fr / n, w)
-    # nodes at midpoint and midpoint -/+ sqrt(3/5)/2 * delta; weights 5/9, 8/9, 5/9
-    gamma = sqrt_ball(Ball.from_fraction(Fraction(3, 5), w), w)
-    off_in = ball_mul(ball_mul_rat(delta, 1, 2, w), gamma, w)
-    step_out = ball_sub(delta, ball_mul_rat(off_in, 2, 1, w), w)  # across pieces
-    first = ball_sub(ball_mul_rat(delta, 1, 2, w), off_in, w)
-    theta = ball_add(Ball.point(a0, w), first, w)
+    half = ball_mul_rat(delta, 1, 2, w)
+    (x1, x2), weights = _gauss5_rule(w)
+    # the nodes of a piece sit at half * (1 - x2, 1 - x1, 1, 1 + x1, 1 + x2),
+    # so the steps are outer, inner, inner, outer, then across to the next piece
+    gap = ball_sub(Ball.from_int(1, w), x2, w)
+    theta = ball_add(Ball.point(a0, w), ball_mul(half, gap, w), w)
+    angles = (ball_mul(half, ball_sub(x2, x1, w), w), ball_mul(half, x1, w), ball_mul(delta, gap, w))
 
     W = w + _FX_GUARD
     rad_fx, (om, orad) = _fx_from_ball(radius, W), _fx_from_ball(offset, W)
     s, c = _fx_sin_cos(_fx_from_ball(theta, W), W)
-    step_in = _fx_sin_cos(_fx_from_ball(off_in, W), W)
-    step_across = _fx_sin_cos(_fx_from_ball(step_out, W), W)
+    outer, inner, across = (_fx_sin_cos(_fx_from_ball(b, W), W) for b in angles)
+    steps = (outer, inner, inner, outer, across)
 
     arity = len(exponents)
-    acc_mid = [(0, 0)] * arity
-    acc_side = [(0, 0)] * arity
-    for i in range(3 * n):
+    accs = [[(0, 0)] * arity for _ in weights]
+    for i in range(5 * n):
+        pos = i % 5
         bm, br = _fx_mul(rad_fx, s, W)
         bk = _fx_pow((bm - om, br + orad), kk, W)
-        acc = acc_mid if i % 3 == 1 else acc_side
+        acc = accs[_NODE_CLASS[pos]]
+        cpow, prev = None, 0
         for idx, j in enumerate(exponents):
-            tm, tr = _fx_mul(bk, _fx_pow(c, j, W), W)
+            # each power from the last one: cos^(j+2) = cos^j cos^2
+            cstep = _fx_pow(c, j - prev, W)
+            cpow, prev = (cstep if cpow is None else _fx_mul(cpow, cstep, W)), j
+            tm, tr = _fx_mul(bk, cpow, W)
             am, ar = acc[idx]
             acc[idx] = (am + tm, ar + tr)
-        if i + 1 < 3 * n:
-            sd, cd = step_across if i % 3 == 2 else step_in
+        if i + 1 < 5 * n:
+            sd, cd = steps[pos]
             (sc_m, sc_r), (cs_m, cs_r) = _fx_mul(s, cd, W), _fx_mul(c, sd, W)
             (cc_m, cc_r), (ss_m, ss_r) = _fx_mul(c, cd, W), _fx_mul(s, sd, W)
             s, c = (sc_m + cs_m, sc_r + cs_r), (cc_m - ss_m, cc_r + ss_r)
+    # n pieces of remainder c5 delta^11 |f^(10)|
     dsup = delta.mag_sup()
-    d2 = rup_mul(dsup, dsup)
-    d7 = rup_mul(rup_mul(rup_mul(d2, d2), d2), dsup)
+    scale = rup_mul_rat(dsup, n * GAUSS5_REMAINDER.numerator, GAUSS5_REMAINDER.denominator)
+    for _ in range(10):
+        scale = rup_mul(scale, dsup)
     out = []
     for idx in range(arity):
-        side, mid = _fx_to_ball(acc_side[idx], W, w), _fx_to_ball(acc_mid[idx], W, w)
-        total = ball_add(
-            ball_mul_rat(ball_mul(side, delta, w), 5, 18, w),
-            ball_mul_rat(ball_mul(mid, delta, w), 4, 9, w),
-            w,
-        )
-        err = rup_mul_rat(rup_mul(d6_bounds[idx], d7), n, 2016000)
-        out.append(ball_widen(total, err))
+        parts = [ball_mul(wt, _fx_to_ball(acc[idx], W, w), w) for wt, acc in zip(weights, accs)]
+        total = ball_add(ball_add(parts[0], parts[1], w), parts[2], w)
+        out.append(ball_widen(ball_mul(total, half, w), rup_mul(d10_bounds[idx], scale)))
     return out
 
 

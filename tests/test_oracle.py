@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from lenscert.ball import (
     ball_add,
     ball_mul,
     ball_mul_rat,
+    ball_neg,
+    ball_pow_int,
     ball_sub,
     ball_widen,
     intersects,
@@ -36,9 +39,10 @@ class TestArcProfileQuadrature:
 
     def test_one_pass_per_arc_on_default_pairs(self, monkeypatch):
         """the predicted node count and the first share meet the agreement
-        width at once: one iteration, one Gauss-3 pass per arc"""
+        width at once: one iteration, one five-point Gauss-Legendre pass per
+        arc, and at n = 24 at most 125 evaluations (25 pieces) per arc"""
         arcs, passes = [], []
-        arc_quad, gauss3 = oracle.arc_profile_quadrature, oracle._arc_gauss3_pass
+        arc_quad, node_pass = oracle.arc_profile_quadrature, oracle._arc_gauss5_pass
 
         def counting_arc(*args, **kwargs):
             arcs.append(args[2])
@@ -46,10 +50,10 @@ class TestArcProfileQuadrature:
 
         def counting_pass(*args, **kwargs):
             passes.append(args[6])
-            return gauss3(*args, **kwargs)
+            return node_pass(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "arc_profile_quadrature", counting_arc)
-        monkeypatch.setattr(oracle, "_arc_gauss3_pass", counting_pass)
+        monkeypatch.setattr(oracle, "_arc_gauss5_pass", counting_pass)
         for n in range(8, 25):
             for k, l in geom.default_pairs(n):
                 arcs.clear()
@@ -58,6 +62,34 @@ class TestArcProfileQuadrature:
                 assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
                 assert arcs == ([k] if k == l else [k, l]), (k, l, arcs)
                 assert len(passes) == len(arcs), (k, l, passes)
+                if n == 24:
+                    assert all(5 * pieces <= 125 for pieces in passes), (k, l, passes)
+
+    def test_gauss5_rule_table(self):
+        """sum w_i x_i^d encloses the integral of x^d over [-1, 1] for
+        d = 0..9, and for d = 10 the rule misses it by the remainder
+        2^11 10! c5: nodes, weights and remainder constant agree"""
+        w = 128
+        (x1, x2), (w0, w1, w2) = oracle._gauss5_rule(w)
+        zero = Ball.from_int(0, w)
+        rule = [(zero, w0), (x1, w1), (ball_neg(x1), w1), (x2, w2), (ball_neg(x2), w2)]
+        tight = bf_two_power(-100)
+        for d in range(11):
+            total = zero
+            for x, weight in rule:
+                total = ball_add(total, ball_mul(weight, ball_pow_int(x, d, w), w), w)
+            exact = Fraction(2, d + 1) if d % 2 == 0 else Fraction(0)
+            if d == 10:
+                total = ball_sub(Ball.from_fraction(exact, w), total, w)
+                exact = 2**11 * math.factorial(10) * oracle.GAUSS5_REMAINDER
+            assert _contains(total, exact), d
+            assert bf_cmp(total.width(), tight) <= 0, d
+
+    def test_pass_precision_angle_keeps_wide_pair_narrow(self):
+        """the corner angle is computed at the pass precision, so its radius
+        times bmax^16 does not set the width of (16,6)"""
+        q = geom.competitor_energy_quadrature(16, 6, 64, target_width=1e-6)
+        assert bf_cmp(q.m_value.width(), bf_from_float(1e-9)) < 0
 
     @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])
     def test_arc_pass_encloses_mpmath(self, k, l):
