@@ -4,12 +4,13 @@ The renormalized lens energy comes from one Gauss hypergeometric series with
 positive terms at z = 3/4, an incomplete beta value; the competitor energy
 comes from the arc construction whose circular-arc constants are produced
 here.
-Its arc integrals are evaluated on the special-function route, and for the
-agreement check on verified quadrature and, for odd index pairs, on the
-exact polynomial expansion (`oracle.polynomial_m_value`).  All three share
-`lawson_constants` and `assemble_competitor`, so they cross-check the arc
-integrals only; the references that share no code with lenscert are the
-mpmath evaluations in the tests.
+Its arc integrals are evaluated in two corner passes, one per arc: on the
+special-function route, and for the agreement check on verified quadrature
+and, for odd index pairs, on the exact polynomial expansion
+(`oracle.polynomial_m_value`).  All three share `lawson_constants` and
+`assemble_competitor`, so they cross-check the arc integrals only; the
+references that share no code with lenscert are the mpmath evaluations in
+the tests.
 """
 
 from __future__ import annotations
@@ -215,10 +216,11 @@ def assemble_competitor(
     s2p: Ball,
     prec: int,
 ) -> CompetitorEnergy:
-    """Common final assembly from the four arc integrals.
+    """Common final assembly from the two corner passes.
 
-    s1v/s1p are the u-arc integrals (without the leading rho of the
-    perimeter form), s2v/s2p the v-arc ones.
+    s1v/s1p are the volume and perimeter integrals of the u-arc pass
+    (without the leading rho of the perimeter form), s2v/s2p those of the
+    v-arc pass.
     """
     k, l = consts.k, consts.l
     n = k + l + 2
@@ -255,7 +257,8 @@ def assemble_competitor(
 
 
 def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
-    """Competitor energy through the special-function representation.
+    """Competitor energy through the special-function representation, in
+    two corner passes of one Appell F1 call each (one pass when k = l).
 
     Each arc integral is recentered at its corner before applying the
     Euler-type integral identity, which keeps every hypergeometric series
@@ -266,42 +269,40 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
     consts = lawson_constants(k, l, prec)
     w = prec + 16
     lam, rho, d, r, h = consts.lambda_, consts.rho, consts.d, consts.r, consts.h
-    one = Ball.from_int(1, w)
-
-    s1v = _arc_shifted(k, l + 1, rho, d, lam, w)
-    s1p = _arc_shifted(k, l - 1, rho, d, lam, w)
-    if k == l:
-        s2v, s2p = s1v, s1p
-    else:
-        s2v = _arc_shifted(l, k + 1, r, h, one, w)
-        s2p = _arc_shifted(l, k - 1, r, h, one, w)
+    s1p, s1v = _arc_corner(k, l - 1, rho, d, lam, w)
+    s2p, s2v = (s1p, s1v) if k == l else _arc_corner(l, k - 1, r, h, Ball.from_int(1, w), w)
     return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
-def _arc_shifted(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: int) -> Ball:
-    """integral of u^kk (radius^2 - (u+offset)^2)^(e2/2) from `corner` to
-    radius - offset, via the corner-centered Appell representation:
+def _arc_corner(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: int) -> tuple[Ball, Ball]:
+    """The perimeter and volume integrals of one arc: the integrals of
+    u^kk (radius^2 - (u+offset)^2)^(f/2) from `corner` to radius - offset
+    for f = e2 and f = e2 + 2, via the corner-centered Appell representation
 
         L^(e+1) corner^kk D^e F1(1, -kk, -e; e+2; -L/corner, -L/D) / (e+1)
 
-    with L = radius - offset - corner, D = radius + offset + corner, e = e2/2.
-    All series terms are nonnegative, so no precision is lost to cancellation.
+    with L = radius - offset - corner, D = radius + offset + corner, e = f/2.
+    One `appell_f1` call gives both F1 values, as e + 1 turns (-e, e+2) into
+    (-e-1, e+3), and the volume prefactor is the perimeter's times L D, over
+    e + 2.  All series terms are nonnegative, so no precision is lost to
+    cancellation.
     """
     e = Fraction(e2, 2)
     length = ball_sub(ball_sub(radius, offset, w), corner, w)
     dsum = ball_add(ball_add(radius, offset, w), corner, w)
     x = ball_neg(ball_div(length, corner, w))
     y = ball_neg(ball_div(length, dsum, w))
-    f1 = specfun.appell_f1(Fraction(1), Fraction(-kk), -e, e + 2, x, y, w)
+    f1p, f1v = specfun.appell_f1(Fraction(1), Fraction(-kk), -e, e + 2, x, y, w)
     if e2 % 2 == 0:
         lpow = ball_pow_int(length, e2 // 2 + 1, w)
         dpow = ball_pow_int(dsum, e2 // 2, w)
     else:
         lpow = pow_rational(length, e2 + 2, 2, w)
         dpow = pow_rational(dsum, e2, 2, w)
-    out = ball_mul(ball_mul(lpow, dpow, w), ball_mul(ball_pow_int(corner, kk, w), f1, w), w)
-    ef = e + 1
-    return ball_mul_rat(out, ef.denominator, ef.numerator, w)
+    pre, ck = ball_mul(lpow, dpow, w), ball_pow_int(corner, kk, w)
+    per = ball_mul(pre, ball_mul(ck, f1p, w), w)
+    vol = ball_mul(ball_mul(pre, ball_mul(length, dsum, w), w), ball_mul(ck, f1v, w), w)
+    return tuple(ball_mul_rat(v, f.denominator, f.numerator, w) for v, f in ((per, e + 1), (vol, e + 2)))
 
 
 def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -> CompetitorEnergy:

@@ -149,16 +149,34 @@ def _remainder_nodes(need: Fraction) -> int:
 
 def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: int) -> BigFloat:
     """Upper bound for |d^order/dt^order (radius sin t - offset)^kk cos^j t|
-    on a range where 0 <= radius*sin(t) - offset <= bmax.
+    on a range where 0 <= radius*sin(t) - offset <= bmax: the sum over the
+    terms of `_derivative_terms` of |K| R^(kk-p) bmax^p max |cos^q sin^r|.
+    Summing absolute values keeps this an overestimate of the true
+    derivative magnitude."""
+    rmag = rup(radius.mag_sup())
+    bmax = rup(bmax)
+    bpows = [rup(ONE)]
+    for _ in range(kk):
+        bpows.append(rup_mul(bpows[-1], bmax))
+    rpows = [rup(ONE)]
+    for _ in range(order):
+        rpows.append(rup_mul(rpows[-1], rmag))
+    total = ZERO
+    for (p, q, r), coef in _derivative_terms(kk, j, order):
+        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef), 1)
+        mag = rup_mul(mag, _trig_product_bound(q, r))
+        total = rup_add(total, mag)
+    return total
 
-    Differentiates the term algebra K * b^p * cos^q * sin^r symbolically
-    (b' = R cos, cos' = -sin, sin' = cos), tracking the integer
-    coefficients K and using |b| <= bmax, |sin|,|cos| <= 1.  Exponents of
-    cos/sin never go negative because the lowering paths carry factors q
-    resp. r, and p never exceeds kk.  Summing absolute values keeps this an
-    overestimate of the true derivative magnitude.
-    """
-    terms = {(kk, j, 0): 1}  # (p, q, r) -> coefficient of R**(kk - p)
+
+@functools.lru_cache(maxsize=None)
+def _derivative_terms(kk: int, j: int, order: int) -> tuple:
+    """The terms ((p, q, r), K) of d^order/dt^order b^kk cos^j t, each
+    K R^(kk-p) b^p cos^q sin^r: the term algebra differentiated symbolically
+    (b' = R cos, cos' = -sin, sin' = cos) with integer coefficients K.
+    Exponents of cos/sin never go negative because the lowering paths carry
+    factors q resp. r, and p never exceeds kk."""
+    terms = {(kk, j, 0): 1}
     for _ in range(order):
         new: dict = {}
         for (p, q, r), coef in terms.items():
@@ -170,20 +188,7 @@ def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: 
                 if c2:
                     new[key] = new.get(key, 0) + c2
         terms = new
-    rmag = rup(radius.mag_sup())
-    bmax = rup(bmax)
-    bpows = [rup(ONE)]
-    for _ in range(kk):
-        bpows.append(rup_mul(bpows[-1], bmax))
-    rpows = [rup(ONE)]
-    for _ in range(order):
-        rpows.append(rup_mul(rpows[-1], rmag))
-    total = ZERO
-    for (p, q, r), coef in terms.items():
-        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef), 1)
-        mag = rup_mul(mag, _trig_product_bound(q, r))
-        total = rup_add(total, mag)
-    return total
+    return tuple(terms.items())
 
 
 @functools.lru_cache(maxsize=None)

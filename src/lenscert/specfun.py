@@ -11,7 +11,8 @@ series that reaches its last term first is complete.  Appell F1, for
 c >= a > 0 and a non-positive integer b1, is one convolution of its x and y
 series; each side stops by the same rule on its terms weighted by
 (a)_j / (c)_j, with the tail also multiplied by a bound on the other side's
-absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).
+absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).  The same
+convolution also gives F1(a; b1, b2-1; c+1; x, y).
 
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -280,10 +281,13 @@ def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W
     return mids, rads, 0
 
 
-def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
-    """First Appell function F1(a; b1, b2; c; x, y) for c >= a > 0, b1 a
-    non-positive integer and x, y certainly inside the unit disc, as one
-    convolution of two truncated series:
+def appell_f1(
+    a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = None
+) -> tuple[Ball, Ball]:
+    """The pair F1(a; b1, b2; c; x, y), F1(a; b1, b2-1; c+1; x, y) of first
+    Appell functions, for c >= a > 0, b1 a non-positive integer and x, y
+    certainly inside the unit disc, from one convolution of two truncated
+    series:
 
         F1 = sum_s w_s C_s,  C_s = sum_{m+n=s} A_m B_n,
 
@@ -303,15 +307,25 @@ def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = 
     second part is at most U |t_N| / (1 - |y|) in the same way.  A
     terminating side that reaches its last term drops nothing.
 
+    The second value.  Its y side, as a series in t, is sum_n (b2-1)_n
+    (y t)^n / n! = (1 - y t)^(-b2) (1 - y t), so its diagonal sums are
+    C'_s = C_s - y C_{s-1} (C_{-1} = 0, s up to one past the last C_s),
+    weighted by
+    w'_s = (a)_s / (c+1)_s = w_s c / (c+s) in a second Horner pass.  It drops
+    sum w'_{m+n} A_m B_n - y sum w'_{m+n+1} A_m B_n over the same set, and
+    w'_{s+1} = w_s c (a+s) / ((c+s) (c+1+s)) with c (a+s) <= (c+s)^2, so both
+    w'_s and w'_{s+1} are at most w_s: its tail is (1 + |y|) times the first.
+
     Rounding.  The sides are fixed-point enclosures (A_m +/- rA_m) 2**-W.
     C_s is summed exactly at scale 2**-2W, and its radius is
     sum (|A_m| + rA_m) rB_n + rA_m |B_n|, which bounds every product error
     |A B - A_m B_n|; the midpoint is floored to scale W, and the radius is
-    ceiled there with one more ulp for the floor.  Horner in s then applies
-    (a+s)/(c+s) with `_fx_mul_rat`, which floors and adds an ulp, so every
-    C_s, its radius included, ends weighted by w_s.
+    ceiled there with one more ulp for the floor.  C'_s takes y C_{s-1} with
+    `_fx_mul` on the enclosure of y.  Horner in s then applies (a+s)/(c+s),
+    or (a+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
+    every C_s, its radius included, ends weighted by w_s (or w'_s).
 
-    The sides and the sum run at W = w + _FX_GUARD with no headroom.
+    The sides and the sums run at W = w + _FX_GUARD with no headroom.
     Rounding leaves A_m and B_n a few ulps of relative error while they grow
     and a few ulps of absolute error after, so it reaches the result as the
     same small relative error in sum w_{m+n} |A_m| |B_n|, which is |F1|
@@ -338,14 +352,25 @@ def appell_f1(a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = 
     bm, br, bmag = bm[::-1], br[::-1], [abs(v) for v in reversed(bm)]
     asup = [abs(v) + r for v, r in zip(am, ar)]
     ia, _, ic, d = _scaled(a, a, c)
-    acc_m = acc_r = 0
+    sums = []  # C_s for s from na + nb - 2 down to 0
     for s in range(na + nb - 2, -1, -1):
         lo, hi = max(0, s - nb + 1), min(s + 1, na)
         k = nb - 1 - s  # B_(s-m) sits at index m + k of the reversed lists
         mid = sum(map(mul, am[lo:hi], bm[lo + k : hi + k]))
         rad = sum(map(mul, asup[lo:hi], br[lo + k : hi + k]))
         rad += sum(map(mul, ar[lo:hi], bmag[lo + k : hi + k]))
-        acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), ia + s * d, ic + s * d)
-        acc_m += mid >> W
-        acc_r += -(-rad >> W) + 1
-    return _fx_to_ball((acc_m, acc_r + x_tail + y_tail), W, prec)
+        sums.append((mid >> W, -(-rad >> W) + 1))
+    # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0
+    yx, zero = _fx_from_ball(y, W), (0, 0)
+    y_prev = (_fx_mul(v, yx, W) for v in sums + [zero])
+    shifted = [(cm - pm, cr + pr) for (cm, cr), (pm, pr) in zip([zero] + sums, y_prev)]
+    tail = x_tail + y_tail
+    out = []
+    for cs, shift, t in ((sums, 0, tail), (shifted, d, _fr_ceil(tail * (1 + ysup)))):
+        acc_m = acc_r = 0
+        for s, (cm, cr) in zip(range(len(cs) - 1, -1, -1), cs):
+            acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), ia + s * d, ic + shift + s * d)
+            acc_m += cm
+            acc_r += cr
+        out.append(_fx_to_ball((acc_m, acc_r + t), W, prec))
+    return tuple(out)

@@ -267,6 +267,21 @@ class TestCompetitorEnergy:
             ref = _mp_fraction(_mpmath_competitor_energy(mpmath, k, l))
         assert abs(bf_to_fraction(m.mid) - ref) <= bf_to_fraction(m.rad) + Fraction(1, 10**45)
 
+    @pytest.mark.parametrize("k,l,calls", [(3, 3, 1), (2, 4, 2), (49, 49, 1), (48, 50, 2)])
+    def test_one_f1_call_per_corner(self, monkeypatch, k, l, calls):
+        """each arc corner takes its perimeter and volume integrals from one
+        `appell_f1` call: two per pair, one when k = l"""
+        count = []
+        inner = specfun.appell_f1
+
+        def counting(*args, **kwargs):
+            count.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "appell_f1", counting)
+        geom.competitor_energy_specfun(k, l, 128)
+        assert len(count) == calls
+
     def test_quadrature_path_agrees(self):
         for k, l in ((3, 3), (4, 4), (3, 5), (2, 4), (3, 4)):
             s = geom.competitor_energy_specfun(k, l, 128)

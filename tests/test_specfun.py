@@ -182,18 +182,34 @@ def _record_sides(monkeypatch) -> list:
     return sides
 
 
+def _terminating_f1(a: Fraction, kk: int, e: int, c: Fraction, xf: Fraction, yf: Fraction) -> Fraction:
+    """F1(a; -kk, -e; c; x, y) for integers kk, e >= 0, exactly: the double
+    sum of w_s A_m B_n, w_s = (a)_s / (c)_s, with A_m = C(kk, m) (-x)^m and
+    B_n = C(e, n) (-y)^n as integers over the denominators q^kk and v^e"""
+    p, q = -xf.numerator, xf.denominator
+    u, v = -yf.numerator, yf.denominator
+    x_terms = [math.comb(kk, m) * p**m * q ** (kk - m) for m in range(kk + 1)]
+    y_terms = [math.comb(e, n) * u**n * v ** (e - n) for n in range(e + 1)]
+    exact, w_s = Fraction(0), Fraction(1)
+    for s in range(kk + e + 1):
+        lo, hi = max(0, s - e), min(s, kk)
+        exact += w_s * sum(x_terms[m] * y_terms[s - m] for m in range(lo, hi + 1))
+        w_s *= (a + s) / (c + s)
+    return exact / (q**kk * v**e)
+
+
 class TestAppellF1:
     def test_trivial_zero_bs(self):
         x = Ball.from_fraction(Fraction(1, 3), 64)
         y = Ball.from_fraction(Fraction(-1, 5), 64)
-        out = specfun.appell_f1(2, 0, 0, 3, x, y, 64)
+        out = specfun.appell_f1(2, 0, 0, 3, x, y, 64)[0]
         assert _contains(out, 1)
 
     def test_y_zero_reduces_to_2f1(self):
         prec = 96
         x = Ball.from_fraction(Fraction(1, 3), prec)
         zero = Ball.from_int(0, prec)
-        f1 = specfun.appell_f1(4, -5, Fraction(-5, 2), 5, x, zero, prec)
+        f1 = specfun.appell_f1(4, -5, Fraction(-5, 2), 5, x, zero, prec)[0]
         f21 = specfun.gauss_2f1(4, -5, 5, x, prec)
         assert intersects(f1, f21)
         # widths comparable: within a factor of 32
@@ -203,7 +219,7 @@ class TestAppellF1:
         prec = 96
         x = Ball.from_fraction(Fraction(1, 3), prec)
         y = Ball.from_fraction(Fraction(-1, 5), prec)
-        out = specfun.appell_f1(4, -2, -2, 5, x, y, prec)
+        out = specfun.appell_f1(4, -2, -2, 5, x, y, prec)[0]
         exact = Fraction(0)
         for m in range(3):
             for n in range(3):
@@ -237,17 +253,18 @@ class TestAppellF1:
         prec = 80
         xf, yf = Fraction(8837, 10000), Fraction(-1516, 10000)
         params = (Fraction(4), Fraction(-2), Fraction(-2), Fraction(5))
-        out = specfun.appell_f1(*params, Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec), prec)
+        out = specfun.appell_f1(*params, Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec), prec)[0]
         with mpmath.workprec(prec + 64):
             ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in params + (xf, yf))))
         TestAgainstMpmath._check(out, ref, prec, None)
 
     def test_competitor_argument_sets_enclose_mpmath(self):
-        """F1(1, -kk, -e; e+2; x, y) at the arguments x = -L/corner,
-        y = -L/D that `geom._arc_shifted` forms for the four arcs of the
-        default pairs of n = 8..24 (two for a balanced pair) encloses
-        mpmath.appellf1 at the midpoints of the x and y balls, which lie in
-        them"""
+        """both values of the one `appell_f1` call that `geom._arc_corner`
+        makes per arc corner, F1(1, -kk, -e; e+2; x, y) and
+        F1(1, -kk, -e-1; e+3; x, y) at x = -L/corner, y = -L/D, for the two
+        corner passes of the default pairs of n = 8..24 (one for a balanced
+        pair), enclose mpmath.appellf1 at the midpoints of the x and y balls,
+        which lie in them"""
         from lenscert import geom
         from lenscert.ball import ball_add, ball_neg, ball_sub
 
@@ -258,10 +275,10 @@ class TestAppellF1:
             for k, l in geom.default_pairs(n):
                 c = geom.lawson_constants(k, l, prec)
                 one = Ball.from_int(1, prec)
-                arcs = [(k, l + 1, c.rho, c.d, c.lambda_), (k, l - 1, c.rho, c.d, c.lambda_)]
+                corners = [(k, l - 1, c.rho, c.d, c.lambda_)]
                 if k != l:
-                    arcs += [(l, k + 1, c.r, c.h, one), (l, k - 1, c.r, c.h, one)]
-                for kk, e2, radius, offset, corner in arcs:
+                    corners.append((l, k - 1, c.r, c.h, one))
+                for kk, e2, radius, offset, corner in corners:
                     w = radius.prec
                     length = ball_sub(ball_sub(radius, offset, w), corner, w)
                     dsum = ball_add(ball_add(radius, offset, w), corner, w)
@@ -270,11 +287,12 @@ class TestAppellF1:
                     xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
                     e = Fraction(e2, 2)
                     params = (Fraction(1), Fraction(-kk), -e, e + 2)
-                    out = specfun.appell_f1(*params, x, y, prec)
-                    with mpmath.workprec(prec + 64):
-                        ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in params + (xf, yf))))
-                    _assert_encloses(out, ref, prec)
-                    checked += 1
+                    for out, shift in zip(specfun.appell_f1(*params, x, y, prec), (0, 1)):
+                        args = params[:2] + (params[2] - shift, params[3] + shift, xf, yf)
+                        with mpmath.workprec(prec + 64):
+                            ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in args)))
+                        _assert_encloses(out, ref, prec)
+                        checked += 1
         assert checked == 86
 
     @pytest.mark.parametrize("n,width,bits", [(24, 1e-12, 128), (101, 1e-45, 256), (200, 1e-12, 128)])
@@ -308,8 +326,10 @@ class TestAppellF1:
         terminating double sum of F1(1; -kk, -e; e+2; x, y) for integer e,
         and (1-x)^kk (1-y)^(-b2) for F1(a; -kk, b2; a; x, y), with b2 = -e
         or with b2 = 1 > 0, whose y side never terminates and is bounded
-        through V = 1 / (1 - |y|).  The arguments are chosen so that at the
-        2^-40 tolerance the tails, not rounding, set the radius"""
+        through V = 1 / (1 - |y|).  The second value, F1(a; -kk, b2-1; c+1;
+        x, y), encloses its terminating double sum.  The arguments are
+        chosen so that at the 2^-40 tolerance the tails, not rounding, set
+        the radius"""
         rng = random.Random(15)
         sides = _record_sides(monkeypatch)
         for case in range(18):
@@ -319,18 +339,7 @@ class TestAppellF1:
                 prec = 128
                 xf, yf = -Fraction(rng.randint(280, 400), 1000), -Fraction(rng.randint(1, 8), 2**18)
                 a, b2, c = Fraction(1), Fraction(-e), Fraction(e + 2)
-                # A_m = C(kk, m) (-x)^m and B_n = C(e, n) (-y)^n, as integers
-                # over the denominators q^kk and v^e
-                p, q = -xf.numerator, xf.denominator
-                u, v = -yf.numerator, yf.denominator
-                x_terms = [math.comb(kk, m) * p**m * q ** (kk - m) for m in range(kk + 1)]
-                y_terms = [math.comb(e, n) * u**n * v ** (e - n) for n in range(e + 1)]
-                exact, w_s = Fraction(0), Fraction(1)  # w_s = (1)_s / (e+2)_s
-                for s in range(kk + e + 1):
-                    lo, hi = max(0, s - e), min(s, kk)
-                    exact += w_s * sum(x_terms[m] * y_terms[s - m] for m in range(lo, hi + 1))
-                    w_s *= Fraction(1 + s) / (c + s)
-                exact /= q**kk * v**e
+                exact = _terminating_f1(a, kk, e, c, xf, yf)
             else:
                 prec = 256
                 a = c = Fraction(rng.randint(1, 5))
@@ -342,10 +351,34 @@ class TestAppellF1:
                 exact = (1 - xf) ** kk * (1 - yf) ** -b2
             del sides[:]
             x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
-            out = specfun.appell_f1(a, Fraction(-kk), b2, c, x, y, prec, tol)
+            out, second = specfun.appell_f1(a, Fraction(-kk), b2, c, x, y, prec, tol)
             (x_kept, x_tail), (_, y_tail) = sides
             assert x_kept < kk and x_tail > 0 and y_tail > 0, (case, sides)
             assert _contains(out, exact), case
+            assert _contains(second, _terminating_f1(a, kk, int(1 - b2), c + 1, xf, yf)), case
+
+    @pytest.mark.parametrize(
+        "kk,xf,yf,tol_exp",
+        [
+            (60, Fraction(-1, 5), Fraction(-1, 2), -10),
+            (61, Fraction(-1, 4), Fraction(-1, 2), -12),
+            (80, Fraction(1, 5), Fraction(-3, 4), -20),
+        ],
+    )
+    def test_second_value_tail_factor_is_sharp(self, kk, xf, yf, tol_exp):
+        """F1(a; -kk, 0; a; x, y) = (1-x)^kk and F1(a; -kk, -1; a+1; x, y),
+        with a = 10^9, so w_s and w'_s stay near 1, and y < 0, so
+        B'_0 + B'_1 = 1 + |y|: the x side stops at its ratio threshold, where
+        its tail bound is nearly attained, the y side is complete, and the
+        second value drops more than its tail bound without the factor
+        (1 + |y|), whose radius the tail sets"""
+        prec, a = 128, Fraction(10**9)
+        x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
+        first, second = specfun.appell_f1(a, -kk, 0, a, x, y, prec, bf_two_power(tol_exp))
+        exact = _terminating_f1(a, kk, 1, a + 1, xf, yf)
+        assert _contains(first, (1 - xf) ** kk) and _contains(second, exact)
+        gap = abs(bf_to_fraction(second.mid) - exact)
+        assert gap * (1 + abs(yf)) > bf_to_fraction(second.rad)
 
 
 def _ratio(a: Fraction, b: Fraction, c: Fraction, m: int) -> Fraction:
@@ -417,7 +450,7 @@ class TestTailRule:
         x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
         e = Fraction(e2, 2)
         a, b1, b2, c = Fraction(1), Fraction(-kk), -e, e + 2
-        out = specfun.appell_f1(a, b1, b2, c, x, y, prec, tol)
+        out = specfun.appell_f1(a, b1, b2, c, x, y, prec, tol)[0]
         n_max = int(e) if e.denominator == 1 else 60
         total = Fraction(0)
         for n in range(n_max + 1):
@@ -448,17 +481,18 @@ class TestTailRule:
         return list(zip(sides[::2], sides[1::2]))
 
     def test_competitor_y_side_terms_n200(self, monkeypatch):
-        """each Appell F1 of the n = 200 balanced competitor stops its y side
-        at the certified tail: at most 30 terms"""
+        """the one Appell F1 call of the n = 200 balanced competitor stops
+        its y side at the certified tail: at most 30 terms"""
         records = self._side_records(monkeypatch, 99, 99, 128)
-        assert len(records) == 2
+        assert len(records) == 1
         assert all(0 < y_terms <= 30 and tail > 0 for _, (y_terms, tail) in records), records
 
     def test_competitor_x_side_stops_before_kk_n1000(self, monkeypatch):
-        """at n = 1000 the x side of each F1 of the balanced competitor
-        (kk = 499) stops at its certified tail, well before its last term"""
+        """at n = 1000 the x side of the one F1 call of the balanced
+        competitor (kk = 499) stops at its certified tail, well before its
+        last term"""
         records = self._side_records(monkeypatch, 499, 499, 128)
-        assert len(records) == 2
+        assert len(records) == 1
         assert all(x_terms < 499 // 2 and tail > 0 for (x_terms, tail), _ in records), records
 
     @pytest.mark.parametrize(
@@ -584,7 +618,7 @@ class TestAgainstMpmath:
             params = (Fraction(1), Fraction(-kk), -e, e + 2)
             x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
             tol = bf_two_power(tol_exp) if tol_exp else None
-            out = specfun.appell_f1(*params, x, y, prec, tol)
+            out = specfun.appell_f1(*params, x, y, prec, tol)[0]
             with mpmath.workprec(prec + 64):
                 args = (_mp(mpmath, v) for v in params + (xf, yf))
                 ref = _mp_fraction(mpmath.appellf1(*args))
