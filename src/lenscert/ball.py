@@ -131,6 +131,7 @@ class Ball:
         return "Ball(%s)" % ball_to_str(self, max_digits=12)
 
     # -- operators: Ball +, -, * Ball, and Ball * Fraction ------------------
+    # their only caller is the generic arc routine `oracle._arc_poly_integrals`
 
     def __add__(self, other: "Ball") -> "Ball":
         return ball_add(self, other, max(self.prec, other.prec))

@@ -14,7 +14,7 @@ from . import __version__, certify as certify_mod
 from .errors import InvalidArgument, LensCertError
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range:
     lo, sep, hi = spec.partition("..")
     try:
         lo_i = int(lo)
@@ -23,7 +23,7 @@ def _parse_range(spec: str) -> list[int]:
         raise InvalidArgument("bad dimension %r (expected N or N..M)" % spec) from None
     if hi_i < lo_i:
         raise InvalidArgument("empty range %r" % spec)
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,12 +70,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "certify":
+            # a range, so its upper end is checked before any list is built
             ns = _parse_range(args.n)
             cap = LONG_RUN_CAP if args.long_run else DESK_SCALE_CAP
-            if max(ns) > cap:
+            if ns[-1] > cap:
                 raise LensCertError(
                     "dimension %d above cap %d (use --long-run for up to %d)"
-                    % (max(ns), cap, LONG_RUN_CAP)
+                    % (ns[-1], cap, LONG_RUN_CAP)
                 )
             certs = certify_mod.certify(
                 ns,

@@ -6,7 +6,7 @@ comes from the arc construction whose circular-arc constants are produced
 here.
 Its arc integrals are evaluated in two corner passes, one per arc: on the
 special-function route, and for the agreement check on verified quadrature
-and, for odd index pairs, on the exact polynomial expansion
+and, for odd index pairs, on the polynomial expansion
 (`oracle.polynomial_m_value`).  All three share `lawson_constants` and
 `assemble_competitor`, so they cross-check the arc integrals only; the
 references that share no code with lenscert are the mpmath evaluations in
@@ -305,7 +305,7 @@ def _arc_corner(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: i
     return tuple(ball_mul_rat(v, f.denominator, f.numerator, w) for v, f in ((per, e + 1), (vol, e + 2)))
 
 
-def competitor_energy_quadrature(k: int, l: int, prec: int, target_width=1e-7) -> CompetitorEnergy:
+def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float) -> CompetitorEnergy:
     """Competitor energy through verified quadrature of the arc integrals,
     after the smoothing substitutions u + d = rho sin(phi), v + h = r sin(phi)."""
     consts = lawson_constants(k, l, prec)

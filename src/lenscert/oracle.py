@@ -5,10 +5,12 @@ Contains the verified fixed-point five-point Gauss-Legendre quadrature of
 the competitor's arc integrands, the exact cosine-power recursion for the
 lens quantities, the polynomial evaluation of the competitor energy for odd
 index pairs, and exact arithmetic in the field Q(sqrt2, sqrt3) for the
-balanced odd case.  The competitor paths share `geom.lawson_constants` and
-`geom.assemble_competitor` with the special-function path they check, so
-they are independent in the arc integrals only; the references that share
-no code with lenscert are the mpmath evaluations in the tests.
+balanced odd case.  One integrand polynomial per arc, `_arc_poly_integrals`,
+serves both the ball-valued polynomial path and the exact field path.  The
+competitor paths share `geom.lawson_constants` and `geom.assemble_competitor`
+with the special-function path they check, so they are independent in the
+arc integrals only; the references that share no code with lenscert are the
+mpmath evaluations in the tests.
 
 Normalization rule for the exact balanced-case field elements: the numerator
 and denominator of M(k,k) are each scaled by the least positive rational that
@@ -434,48 +436,52 @@ def _normalize_q23(x: QSqrt23) -> tuple[QSqrt23, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_arc_sum(rad_pows, off_pows, lead_pow: int, half: int, other_deg: int, lo_pows, up_pows):
-    """sum_j C(half,j)(-1)^j radius^(lead_pow-2j) sum_i C(2j,i) offset^(2j-i)
-    * (upper^(deg+i+1) - lower^(deg+i+1)) / (deg+i+1)
+def _arc_poly_integrals(radius, offset, kk: int, m: int, lower, upper) -> tuple:
+    """The integrals over [lower, upper] of u^kk q^(m-1) and u^kk q^m, with
+    q = radius^2 - (u + offset)^2 = c0 + c1 u - u^2.
 
-    Works for any commutative value type supporting +,-,* and rational
-    scaling via multiplication; the *_pows arguments are precomputed power
-    tables of the respective constants and endpoints.
+    The coefficients of q^j come from those of q^(j-1) times c0 + c1 u - u^2,
+    and each antiderivative u^(kk+1) sum_t q_t u^t / (kk+t+1) is evaluated
+    at both ends by Horner.  Works for any commutative value type with +, -,
+    * and * Fraction: the leading coefficient of q^j, (-1)^j, stays a
+    Fraction, and every product keeps a value of the type on its left.
     """
-    total = None
-    for j in range(half + 1):
-        inner = None
-        for i in range(2 * j + 1):
-            e = other_deg + i + 1
-            diff = up_pows[e] - lo_pows[e]
-            piece = diff * Fraction(math.comb(2 * j, i), e)
-            piece = piece * off_pows[2 * j - i]
-            inner = piece if inner is None else inner + piece
-        inner = inner * Fraction((-1) ** j * math.comb(half, j))
-        piece = inner * rad_pows[lead_pow - 2 * j]
-        total = piece if total is None else total + piece
-    return total
+    c0, c1 = radius * radius - offset * offset, offset * Fraction(-2)
+    ends = []
+    for u in (lower, upper):
+        u_pow = u
+        for _ in range(kk):
+            u_pow = u_pow * u
+        ends.append((u, u_pow))
 
+    def times_q(p):
+        # p (c0 + c1 u), then minus p u^2
+        lin = [c0 * p[0]] + [c0 * a + c1 * b for a, b in zip(p[1:], p)] + [c1 * p[-1]]
+        return lin[:2] + [x - y for x, y in zip(lin[2:], p)] + [-p[-1]]
 
-def _power_table_balls(x: Ball, n: int, w: int) -> list[Ball]:
-    out = [Ball.from_int(1, w)]
-    for _ in range(n):
-        out.append(ball_mul(out[-1], x, w))
-    return out
+    def integral(p):
+        scaled = [c * Fraction(1, kk + t + 1) for t, c in enumerate(p)]
+        lo, up = (u_pow * horner(scaled, u) for u, u_pow in ends)
+        return up - lo
 
+    def horner(a, u):
+        acc = a[-1]
+        for c in reversed(a[:-1]):
+            acc = u * acc + c
+        return acc
 
-def _power_table_q23(x: QSqrt23, n: int) -> list[QSqrt23]:
-    out = [QSqrt23.from_rational(1)]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
+    poly = [Fraction(1)]
+    for _ in range(m - 1):
+        poly = times_q(poly)
+    return integral(poly), integral(times_q(poly))
 
 
 def polynomial_m_value(k: int, l: int, prec: int):
-    """Competitor energy for odd k, l via exact binomial expansion.
+    """Competitor energy for odd k, l from the polynomial arc integrands.
 
-    The integrands are polynomials, so only the geometric constants carry
-    enclosure radii; all coefficients are exact rationals.
+    For odd indices each arc integrand u^kk q^j is a polynomial, expanded
+    once per arc by `_arc_poly_integrals`; only the geometric constants
+    and the rounding of the ball operations carry enclosure radii.
     """
     from . import geom
 
@@ -483,22 +489,12 @@ def polynomial_m_value(k: int, l: int, prec: int):
         raise DomainViolation("polynomial path requires both indices odd")
     consts = geom.lawson_constants(k, l, prec + 16)
     w = prec + 16
-    deg = k + l + 4
-    rho_p = _power_table_balls(consts.rho, deg, w)
-    d_p = _power_table_balls(consts.d, deg, w)
-    r_p = _power_table_balls(consts.r, deg, w)
-    h_p = _power_table_balls(consts.h, deg, w)
-    lam_p = _power_table_balls(consts.lambda_, deg, w)
-    rd = ball_sub(consts.rho, consts.d, w)
-    rh = ball_sub(consts.r, consts.h, w)
-    rd_p = _power_table_balls(rd, deg, w)
-    rh_p = _power_table_balls(rh, deg, w)
-    one_p = [Ball.from_int(1, w)] * (deg + 1)
-
-    s1v = _binomial_arc_sum(rho_p, d_p, l + 1, (l + 1) // 2, k, lam_p, rd_p)
-    s1p = _binomial_arc_sum(rho_p, d_p, l - 1, (l - 1) // 2, k, lam_p, rd_p)
-    s2v = _binomial_arc_sum(r_p, h_p, k + 1, (k + 1) // 2, l, one_p, rh_p)
-    s2p = _binomial_arc_sum(r_p, h_p, k - 1, (k - 1) // 2, l, one_p, rh_p)
+    rho, d, r, h = consts.rho, consts.d, consts.r, consts.h
+    s1p, s1v = _arc_poly_integrals(rho, d, k, (l + 1) // 2, consts.lambda_, ball_sub(rho, d, w))
+    if k == l:
+        s2p, s2v = s1p, s1v
+    else:
+        s2p, s2v = _arc_poly_integrals(r, h, l, (k + 1) // 2, Ball.from_int(1, w), ball_sub(r, h, w))
     return geom.assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
@@ -526,18 +522,13 @@ def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:
     n = 2 * k + 2
     r = QSqrt23(Fraction(0), Fraction(1), Fraction(0), Fraction(1))  # sqrt2 + sqrt6
     h = QSqrt23(Fraction(1), Fraction(0), Fraction(1), Fraction(0))  # 1 + sqrt3
-    deg = 2 * k + 4
-    r_pows = _power_table_q23(r, deg)
-    h_pows = _power_table_q23(h, deg)
-    rh_pows = _power_table_q23(r - h, deg)
-    one_pows = [QSqrt23.from_rational(1)] * (deg + 1)
-
-    s_p = _binomial_arc_sum(r_pows, h_pows, k, (k - 1) // 2, k, one_pows, rh_pows)
-    s_v = _binomial_arc_sum(r_pows, h_pows, k + 1, (k + 1) // 2, k, one_pows, rh_pows)
+    one = QSqrt23.from_rational(1)
+    # the perimeter integral carries one factor r beyond q^((k-1)/2)
+    s_p, s_v = _arc_poly_integrals(r, h, k, (k + 1) // 2, one, r - h)
 
     sqrt2 = QSqrt23(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    num_raw = s_p * Fraction(2 * (k + 1) ** 2) - sqrt2 * Fraction((k + 1) ** 2, 2 * k + 1)
-    den_raw = QSqrt23.from_rational(1) + s_v * Fraction(2 * (k + 1))
+    num_raw = s_p * r * Fraction(2 * (k + 1) ** 2) - sqrt2 * Fraction((k + 1) ** 2, 2 * k + 1)
+    den_raw = one + s_v * Fraction(2 * (k + 1))
 
     num, num_scale = _normalize_q23(num_raw)
     den, den_scale = _normalize_q23(den_raw)

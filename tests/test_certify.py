@@ -504,6 +504,25 @@ class TestCli:
         assert r.returncode == 1
         assert "cap" in r.stderr
 
+    def test_cap_checked_before_the_range_is_built(self):
+        """a range far above the cap ends in one `error:` line without
+        building its list; the child runs under a 1 GiB address-space limit,
+        so a list of 10**12 dimensions fails there, not in this process"""
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = subprocess.run(
+            [sys.executable, "-m", "lenscert.cli", "certify", "--n", "8..%d" % 10**12],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
+
     def test_error_exit(self):
         r = self.run_cli("plot", "--n", "2")
         assert r.returncode == 1

@@ -226,6 +226,46 @@ class TestPolynomialMValue:
                 f = geom.competitor_energy_specfun(k, l, 128)
                 assert intersects(p.m_value, f.m_value), (k, l)
 
+    @pytest.mark.parametrize("k,l", [(11, 11), (9, 11)])
+    def test_narrow_at_64_bits(self, k, l):
+        """one integrand polynomial per arc, evaluated by Horner, keeps the
+        64-bit enclosure below 1e-14 wide"""
+        en = oracle.polynomial_m_value(k, l, 64)
+        assert bf_to_fraction(en.m_value.width()) < Fraction(1, 10**14)
+
+    @pytest.mark.parametrize("k,l,calls", [(11, 11, 1), (9, 11, 2)])
+    def test_one_expansion_per_arc(self, monkeypatch, k, l, calls):
+        """both integrals of an arc come from one call, and k = l reuses it"""
+        seen = []
+        inner = oracle._arc_poly_integrals
+
+        def counted(*args):
+            seen.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(oracle, "_arc_poly_integrals", counted)
+        oracle.polynomial_m_value(k, l, 64)
+        assert len(seen) == calls
+
+    def test_arc_integrals_on_fractions(self):
+        """the generic routine on exact rationals against mpmath quadrature
+        of u^kk (radius^2 - (u + offset)^2)^j for j = m - 1 and m"""
+        mpmath = pytest.importorskip("mpmath")
+        radius, offset, lower, upper = Fraction(7, 3), Fraction(2, 5), Fraction(1, 4), Fraction(3, 2)
+        kk, m = 3, 2
+        got = oracle._arc_poly_integrals(radius, offset, kk, m, lower, upper)
+
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        with mpmath.workdps(40):
+            for j, value in zip((m - 1, m), got):
+                assert isinstance(value, Fraction)
+                ref = mpmath.quad(
+                    lambda u: u**kk * (mp(radius) ** 2 - (u + mp(offset)) ** 2) ** j, [mp(lower), mp(upper)]
+                )
+                assert abs(mp(value) - ref) < mpmath.mpf(10) ** -30
+
 
 class TestExactSimons:
     def test_published_integers_k3(self):
@@ -238,6 +278,25 @@ class TestExactSimons:
         )
         assert ex.num_scale == Fraction(105, 16)
         assert ex.den_scale == Fraction(105, 8)
+
+    @pytest.mark.parametrize(
+        "k,num,den,num_scale,den_scale",
+        [
+            (5, (-4500598784, 3182404559, -2598424576, 1837363660),
+             (5931977602, -4194541568, 3424828137, -2421719040), Fraction(385, 4), Fraction(1155, 4)),
+            (7, (-4090398310400, 2892348385227, -2361592578048, 1669898126406),
+             (4063509078760, -2873334824960, 2346068057701, -1658920632320), Fraction(15015, 64), Fraction(45045, 64)),
+            (11, (-17368997933789216768, 12281736221397623455, -10027995632628662272, 7090863713540813258),
+             (589471508663483653214, -416819301092213915648, 340331534206465465203, -240650735689012346880),
+             Fraction(437437, 48), Fraction(22309287, 16)),
+        ],
+    )
+    def test_recorded_integers(self, k, num, den, num_scale, den_scale):
+        """normalised elements and scales, pinned for k = 5, 7, 11"""
+        ex = oracle.exact_simons_m(k)
+        assert ex.num == oracle.QSqrt23(*map(Fraction, num))
+        assert ex.den == oracle.QSqrt23(*map(Fraction, den))
+        assert (ex.num_scale, ex.den_scale) == (num_scale, den_scale)
 
     def test_assembled_value_k3(self):
         from lenscert.certify import certified_decimal
