@@ -197,32 +197,28 @@ def certify_dimension(
     target_width: float = DEFAULT_TARGET_WIDTH,
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,
-    quadrature_max_n: int = QUADRATURE_MAX_N,
-    lens_eval=None,
-    specfun_eval=None,
 ) -> Certificate:
     """Certify the strict inequality at one dimension, escalating precision.
 
-    The enclosures handed to `_escalate` are the lens energy, then the
-    competitor energies pair by pair; the acceptance test is that each is at
-    most `target_width` wide and, for a pair, decides strictness.
-
-    The evaluator arguments exist for fault-injection tests; the defaults are
-    the library paths.
+    The enclosures handed to `_escalate` are the lens energy
+    (`geom.lens_quantities`), then the competitor energies pair by pair
+    (`geom.competitor_energy_specfun`); the acceptance test is that each is
+    at most `target_width` wide and, for a pair, decides strictness.  Both
+    evaluators are looked up on `geom` at call time, so a tracer or a test
+    can substitute them.  Up to n = QUADRATURE_MAX_N each pair's enclosure
+    must also intersect the quadrature value and, for odd pairs, the
+    polynomial value, both at AGREEMENT_PREC bits.
     """
-    lens_eval = lens_eval or geom.lens_quantities
-    specfun_eval = specfun_eval or geom.competitor_energy_specfun
-
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
 
     def enclosures(prec: int):
         # (ball, entry) per enclosure; the lens has no entry
-        lam = lens_eval(n, prec).lambda_plane
+        lam = geom.lens_quantities(n, prec).lambda_plane
         yield lam, None
         lam_str = ball_to_str(lam)
         for k, l in pair_list:
-            en = specfun_eval(k, l, prec)
+            en = geom.competitor_energy_specfun(k, l, prec)
             m_str = ball_to_str(en.m_value)
             yield en.m_value, CertEntry(en.k, en.l, m_str, None, strictness(m_str, lam_str).value)
 
@@ -236,7 +232,7 @@ def certify_dimension(
 
     # independent-path agreement below the quadrature ceiling
     agreement_ok = True
-    if n <= quadrature_max_n:
+    if n <= QUADRATURE_MAX_N:
         for m, entry in pairs_out:
             quad = geom.competitor_energy_quadrature(
                 entry.k, entry.l, AGREEMENT_PREC, target_width=AGREEMENT_WIDTH
@@ -320,7 +316,6 @@ def certify(
                 certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
         else:
             certs = [certify_dimension(n, **kwargs) for n in ns]
-        certs.sort(key=lambda c: c.n)
         if write:
             write(json.dumps([c.to_dict() for c in certs], indent=1) + "\n")
     return certs

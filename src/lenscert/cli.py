@@ -69,15 +69,15 @@ LONG_RUN_CAP = 2700
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "certify":
+        if args.command != "exact":
             # a range, so its upper end is checked before any list is built
             ns = _parse_range(args.n)
-            cap = LONG_RUN_CAP if args.long_run else DESK_SCALE_CAP
+            certify = args.command == "certify"
+            cap = DESK_SCALE_CAP if certify and not args.long_run else LONG_RUN_CAP
             if ns[-1] > cap:
-                raise LensCertError(
-                    "dimension %d above cap %d (use --long-run for up to %d)"
-                    % (ns[-1], cap, LONG_RUN_CAP)
-                )
+                hint = " (use --long-run for up to %d)" % LONG_RUN_CAP if certify else ""
+                raise LensCertError("dimension %d above cap %d%s" % (ns[-1], cap, hint))
+        if args.command == "certify":
             certs = certify_mod.certify(
                 ns,
                 pairs=args.pairs,
@@ -96,12 +96,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "table":
             with certify_mod.open_output(args.out) as write:
-                rows = certify_mod.table_rows(_parse_range(args.n), digits=args.digits)
+                rows = certify_mod.table_rows(ns, digits=args.digits)
                 write(certify_mod.render_table(rows, args.format))
             return 0
         if args.command == "plot":
             with certify_mod.open_output(args.out) as write:
-                write(certify_mod.render_plot_csv(certify_mod.plot_rows(_parse_range(args.n))))
+                write(certify_mod.render_plot_csv(certify_mod.plot_rows(ns)))
             return 0
         if args.command == "exact":
             report = certify_mod.exact_report(args.n, args.mode)

@@ -332,13 +332,13 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float)
         angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), theta, ws)
         share_bf = bf_from_float(share)
         j1p, j1v = oracle.arc_profile_quadrature(
-            consts.rho, consts.d, k, (l, l + 2), angle_u, half_pi, ws, share_bf
+            consts.rho, consts.d, k, l, angle_u, half_pi, ws, share_bf
         )
         if k == l:
             j2p, j2v = j1p, j1v
         else:
             j2p, j2v = oracle.arc_profile_quadrature(
-                consts.r, consts.h, l, (k, k + 2), angle_v, half_pi, ws, share_bf
+                consts.r, consts.h, l, k, angle_v, half_pi, ws, share_bf
             )
         s1v = ball_mul(ball_pow_int(consts.rho, l + 2, ws), j1v, ws)
         s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)

@@ -89,14 +89,14 @@ def arc_profile_quadrature(
     radius: Ball,
     offset: Ball,
     kk: int,
-    exponents: tuple[int, ...],
+    jj: int,
     lower: Ball,
     upper: Ball,
     w: int,
     target_width: BigFloat,
-) -> tuple[Ball, ...]:
+) -> tuple[Ball, Ball]:
     """Five-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j
-    for each j of the ascending `exponents`.
+    for j = jj and j = jj + 2: the pair (J_jj, J_jj+2), both from one pass.
 
     One pass of the fixed-point node kernel `_arc_gauss5_pass` (fixed-point
     sin/cos series, exact integer sums, one ulp per product) runs at the
@@ -122,7 +122,7 @@ def arc_profile_quadrature(
 
     # on the arc range radius*sin(t) - offset stays within [0, radius - offset]
     bmax = ball_sub(radius, offset, w).mag_sup()
-    d10_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 10) for j in exponents]
+    d10_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 10) for j in (jj, jj + 2)]
     # bmax^kk, the order-0 bound, holds for every j as |cos t| <= 1
     slop = rup_mul(rup_add(lower.rad, upper.rad), _arc_derivative_bound(radius, bmax, kk, 0, 0))
 
@@ -133,7 +133,7 @@ def arc_profile_quadrature(
     )
     if 5 * n > QUADRATURE_BUDGET:
         raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
-    out = _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bounds)
+    out = _arc_gauss5_pass(radius, offset, kk, jj, a0, length_fr, n, w, d10_bounds)
     return tuple(ball_widen(b, slop) for b in out)
 
 
@@ -222,7 +222,7 @@ def _gauss5_rule(w: int) -> tuple[tuple[Ball, Ball], tuple[Ball, Ball, Ball]]:
 _NODE_CLASS = (2, 1, 0, 1, 2)
 
 
-def _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bounds):
+def _arc_gauss5_pass(radius, offset, kk, jj, a0, length_fr, n, w, d10_bounds):
     """Five-point Gauss-Legendre on n uniform pieces, run in fixed point.
 
     The node loop works on midpoint-radius pairs of plain ints, (m +/- r) *
@@ -231,8 +231,9 @@ def _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bou
     `radius`, `offset` and four angles, the first node and the three
     rotation steps, are converted once per pass, `_fx_sin_cos` gives their
     sin and cos, and node trig values advance by the angle-addition
-    recurrence.  Each node adds to the accumulator of its weight class;
-    the three accumulators go back to balls once, before the Gauss weights.
+    recurrence.  At each node cos^(jj+2) = cos^jj cos^2, and both integrands
+    add to the accumulators of the node's weight class; the three pairs of
+    accumulators go back to balls once, before the Gauss weights.
     """
     delta = Ball.from_fraction(length_fr / n, w)
     half = ball_mul_rat(delta, 1, 2, w)
@@ -249,18 +250,15 @@ def _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bou
     outer, inner, across = (_fx_sin_cos(_fx_from_ball(b, W), W) for b in angles)
     steps = (outer, inner, inner, outer, across)
 
-    arity = len(exponents)
-    accs = [[(0, 0)] * arity for _ in weights]
+    accs = [[(0, 0), (0, 0)] for _ in weights]
     for i in range(5 * n):
         pos = i % 5
         bm, br = _fx_mul(rad_fx, s, W)
         bk = _fx_pow((bm - om, br + orad), kk, W)
         acc = accs[_NODE_CLASS[pos]]
-        cpow, prev = None, 0
-        for idx, j in enumerate(exponents):
-            # each power from the last one: cos^(j+2) = cos^j cos^2
-            cstep = _fx_pow(c, j - prev, W)
-            cpow, prev = (cstep if cpow is None else _fx_mul(cpow, cstep, W)), j
+        cj = _fx_pow(c, jj, W)
+        cj2 = _fx_mul(cj, _fx_mul(c, c, W), W)
+        for idx, cpow in enumerate((cj, cj2)):
             tm, tr = _fx_mul(bk, cpow, W)
             am, ar = acc[idx]
             acc[idx] = (am + tm, ar + tr)
@@ -275,10 +273,10 @@ def _arc_gauss5_pass(radius, offset, kk, exponents, a0, length_fr, n, w, d10_bou
     for _ in range(10):
         scale = rup_mul(scale, dsup)
     out = []
-    for idx in range(arity):
+    for idx, d10 in enumerate(d10_bounds):
         parts = [ball_mul(wt, _fx_to_ball(acc[idx], W, w), w) for wt, acc in zip(weights, accs)]
         total = ball_add(ball_add(parts[0], parts[1], w), parts[2], w)
-        out.append(ball_widen(ball_mul(total, half, w), rup_mul(d10_bounds[idx], scale)))
+        out.append(ball_widen(ball_mul(total, half, w), rup_mul(d10, scale)))
     return out
 
 
@@ -379,8 +377,6 @@ class QSqrt23:
         other = _lift_q23(other)
         return QSqrt23(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-_lift_q23(other))
 
@@ -397,8 +393,6 @@ class QSqrt23:
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
         )
-
-    __rmul__ = __mul__
 
     def to_ball(self, prec: int) -> Ball:
         w = prec + 8

@@ -373,7 +373,7 @@ class TestCriterion7Soundness:
         lower = ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w)
         outs = [
             oracle.arc_profile_quadrature(
-                consts.rho, consts.d, 4, (6, 8), lower, ball_mul_rat(pi, 1, 2, w), w,
+                consts.rho, consts.d, 4, 6, lower, ball_mul_rat(pi, 1, 2, w), w,
                 bf_from_float(target),
             )
             for target in (1e-6, 1e-18)

@@ -57,6 +57,26 @@ def test_mul_inverse_identity():
     assert _contains(ball_mul(a, inv, 64), 1)
 
 
+@pytest.mark.parametrize(
+    "am,ar,bm,br",
+    [
+        (Fraction(1, 1024), 1, Fraction(-3, 1024), 2),
+        (0, 0.5, 0, 3),
+        (Fraction(-5, 64), 4, Fraction(1, 8), 8),
+    ],
+)
+def test_mul_wide_balls_near_zero(am, ar, bm, br):
+    """for midpoints near 0 and large radii, most of the product's range
+    comes from a.rad * b.rad: the product encloses every endpoint product,
+    computed exactly"""
+    a = ball_widen(Ball.from_fraction(am, 64), bf_from_float(ar))
+    b = ball_widen(Ball.from_fraction(bm, 64), bf_from_float(br))
+    out = ball_mul(a, b, 64)
+    for x in (a.inf(), a.sup()):
+        for y in (b.inf(), b.sup()):
+            assert _contains(out, bf_to_fraction(x) * bf_to_fraction(y)), (x, y)
+
+
 def test_div_two_precision_consistency():
     lo = ball_div(Ball.from_int(1, 64), Ball.from_int(3, 64), 64)
     hi = ball_div(Ball.from_int(1, 128), Ball.from_int(3, 128), 128)

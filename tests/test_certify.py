@@ -104,28 +104,29 @@ class TestCertifyDimension:
         gap = lens.lambda_plane - en.m_value
         assert abs(bf_to_float(gap.mid) - 0.47270274) < 1e-7
 
-    def test_synthetic_equal_inputs_undecided(self):
+    def test_synthetic_equal_inputs_undecided(self, monkeypatch):
         """M forced equal to the lens energy cannot certify strictness"""
+        specfun = geom.competitor_energy_specfun
 
         def fake_specfun(k, l, prec):
             lens = geom.lens_quantities(k + l + 2, prec)
-            en = geom.competitor_energy_specfun(k, l, prec)
+            en = specfun(k, l, prec)
             return geom.CompetitorEnergy(
                 k, l, en.volume, en.perimeter, en.cone_disc,
                 lens.lambda_plane, prec,
             )
 
-        cert = C.certify_dimension(
-            8, pairs=[(3, 3)], specfun_eval=fake_specfun,
-            prec_max=512, quadrature_max_n=0,
-        )
+        monkeypatch.setattr(geom, "competitor_energy_specfun", fake_specfun)
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
+        cert = C.certify_dimension(8, pairs=[(3, 3)], prec_max=512)
         assert cert.verdict == "Undecided"
 
-    def test_fault_injection_degrades_to_failed(self):
+    def test_fault_injection_degrades_to_failed(self, monkeypatch):
         """zeroed radii around a perturbed midpoint must trip path agreement"""
+        specfun = geom.competitor_energy_specfun
 
         def poisoned_specfun(k, l, prec):
-            en = geom.competitor_energy_specfun(k, l, prec)
+            en = specfun(k, l, prec)
             off = Ball.from_fraction(1, prec) * Ball.from_fraction(1, prec)
             wrong_mid = (en.m_value + Ball.from_int(1, prec)).mid
             poisoned = Ball(wrong_mid, bf_two_power(-prec), prec)
@@ -133,47 +134,55 @@ class TestCertifyDimension:
                 k, l, en.volume, en.perimeter, en.cone_disc, poisoned, prec
             )
 
-        cert = C.certify_dimension(8, pairs=[(3, 3)], specfun_eval=poisoned_specfun)
+        monkeypatch.setattr(geom, "competitor_energy_specfun", poisoned_specfun)
+        cert = C.certify_dimension(8, pairs=[(3, 3)])
         assert cert.verdict == "Failed"
         assert cert.entries[0].path_agreement is False
 
-    def test_cancellation_rejects_the_attempt(self):
+    def test_cancellation_rejects_the_attempt(self, monkeypatch):
         """a ball-layer cancellation below 256 bits escalates the precision;
         on the last allowed attempt it propagates"""
+        lens_quantities = geom.lens_quantities
 
         def lens_eval(n, prec):
             if prec < 256:
                 raise NonPositiveBase("synthetic cancellation at %d bits" % prec)
-            return geom.lens_quantities(n, prec)
+            return lens_quantities(n, prec)
 
-        cert = C.certify_dimension(8, lens_eval=lens_eval, quadrature_max_n=0)
+        monkeypatch.setattr(geom, "lens_quantities", lens_eval)
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
+        cert = C.certify_dimension(8)
         assert cert.verdict == "Proven"
         assert cert.precision_bits == 256
         with pytest.raises(NonPositiveBase):
-            C.certify_dimension(8, lens_eval=lens_eval, prec_max=128, quadrature_max_n=0)
+            C.certify_dimension(8, prec_max=128)
 
-    def test_too_wide_lens_stops_the_attempt(self):
+    def test_too_wide_lens_stops_the_attempt(self, monkeypatch):
         """at a width 128 bits cannot reach, the 128-bit attempt stops after
         the lens: the competitors run at 256 bits only"""
         calls = []
+        specfun = geom.competitor_energy_specfun
 
         def specfun_eval(k, l, prec):
             calls.append(prec)
-            return geom.competitor_energy_specfun(k, l, prec)
+            return specfun(k, l, prec)
 
-        cert = C.certify_dimension(26, target_width=1e-45, quadrature_max_n=0, specfun_eval=specfun_eval)
+        monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
+        cert = C.certify_dimension(26, target_width=1e-45)
         assert cert.verdict == "Proven" and cert.precision_bits == 256
         assert calls == [256, 256]
 
     @pytest.mark.parametrize("miss", ["width", "strictness"])
-    def test_missing_pair_stops_the_attempt(self, miss):
+    def test_missing_pair_stops_the_attempt(self, miss, monkeypatch):
         """a pair that is too wide or leaves strictness undecided at 128 bits
         stops the attempt before the next pair runs"""
         calls = []
+        specfun = geom.competitor_energy_specfun
 
         def specfun_eval(k, l, prec):
             calls.append((k, l, prec))
-            en = geom.competitor_energy_specfun(k, l, prec)
+            en = specfun(k, l, prec)
             if prec == 128 and (k, l) == (3, 3):
                 m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
                     geom.lens_quantities(8, prec).lambda_plane
@@ -181,14 +190,17 @@ class TestCertifyDimension:
                 en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m, prec)
             return en
 
-        cert = C.certify_dimension(8, specfun_eval=specfun_eval, quadrature_max_n=0)
+        monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
+        cert = C.certify_dimension(8)
         assert cert.verdict == "Proven" and cert.precision_bits == 256
         assert calls == [(3, 3, 128), (3, 3, 256), (2, 4, 256)]
 
-    def test_final_attempt_lists_every_pair(self):
+    def test_final_attempt_lists_every_pair(self, monkeypatch):
         """when no precision above the start is allowed, the one attempt is
         final and serializes every pair, however wide"""
-        cert = C.certify_dimension(26, target_width=1e-45, prec_max=128, quadrature_max_n=0)
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
+        cert = C.certify_dimension(26, target_width=1e-45, prec_max=128)
         assert cert.verdict == "Undecided" and cert.precision_bits == 128
         assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(26)
         for e in cert.entries:
@@ -226,9 +238,10 @@ class TestCertifyDimension:
         with pytest.raises(InvalidArgument):
             C.certify_dimension(8, **kwargs)
 
-    def test_pair_of_another_dimension_rejected(self):
+    def test_pair_of_another_dimension_rejected(self, monkeypatch):
+        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         with pytest.raises(ValueError):
-            C.certify_dimension(8, pairs=[(2, 3)], quadrature_max_n=0)
+            C.certify_dimension(8, pairs=[(2, 3)])
 
     def test_rejects_low_dimension(self):
         with pytest.raises(NoValidPair):
@@ -505,23 +518,25 @@ class TestCli:
         assert "cap" in r.stderr
 
     def test_cap_checked_before_the_range_is_built(self):
-        """a range far above the cap ends in one `error:` line without
-        building its list; the child runs under a 1 GiB address-space limit,
-        so a list of 10**12 dimensions fails there, not in this process"""
+        """for each range command, a range far above the cap ends in one
+        `error:` line without building its list; the child runs under a
+        1 GiB address-space limit, so a list of 10**12 dimensions fails
+        there, not in this process"""
         import resource
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        r = subprocess.run(
-            [sys.executable, "-m", "lenscert.cli", "certify", "--n", "8..%d" % 10**12],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=limit_memory,
-        )
-        assert r.returncode == 1, r.stderr
-        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
+        for command in ("certify", "table", "plot"):
+            r = subprocess.run(
+                [sys.executable, "-m", "lenscert.cli", command, "--n", "8..%d" % 10**12],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                preexec_fn=limit_memory,
+            )
+            assert r.returncode == 1, (command, r.stderr)
+            assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, (command, r.stderr)
 
     def test_error_exit(self):
         r = self.run_cli("plot", "--n", "2")

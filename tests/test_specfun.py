@@ -234,6 +234,29 @@ class TestAppellF1:
                 )
         assert _contains(out, exact)
 
+    def test_floor_of_each_diagonal_sum_is_covered(self, monkeypatch):
+        """with exact sides (zero radii, the terms of dyadic x and y at W =
+        26), only the extra ulp on each C_s covers the floor of its midpoint:
+        both values still enclose their exact terminating double sums.  The
+        sides `_f1_side` builds carry at least one ulp of radius on every
+        term past the first, and the ceiling of that radius in C_s hides a
+        missing ulp"""
+        prec, kk, e = 2, 2, 3
+        a, c = Fraction(74649, 7), Fraction(450029, 42)
+        xf, yf = Fraction(2131, 4096), Fraction(-45, 64)
+
+        def exact_side(a, b, c, z, zsup, other, tol, W, w):
+            zf, order = bf_to_fraction(z.mid), int(-b)
+            terms = [math.comb(order, j) * (-zf) ** j * 2**W for j in range(order + 1)]
+            assert all(t.denominator == 1 for t in terms)
+            return [int(t) for t in terms], [0] * len(terms), 0
+
+        monkeypatch.setattr(specfun, "_f1_side", exact_side)
+        x, y = Ball.from_fraction(xf, 64), Ball.from_fraction(yf, 64)
+        first, second = specfun.appell_f1(a, -kk, -e, c, x, y, prec)
+        assert _contains(first, _terminating_f1(a, kk, e, c, xf, yf))
+        assert _contains(second, _terminating_f1(a, kk, e + 1, c + 1, xf, yf))
+
     def test_domain_checks(self):
         """both arguments must lie certainly inside the unit disc, even in a
         terminating direction, and b1 must be a non-positive integer"""

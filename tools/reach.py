@@ -11,7 +11,8 @@ before lenscert is imported, then runs, in this one process, through
   over 8..9 with `--jobs 2`, and at 396, 1000 and 2700 with `--long-run`;
 - `table` over 4..16, over 8..12 with 40 digits, and in each format;
 - `plot` over 8..20, and `exact` in both modes;
-- the command-line error inputs;
+- the command-line error inputs, among them `table` and `plot` over
+  8..10^12, which end at the dimension cap before the range is built;
 
 and `certify.replay_certificate` on every certificate written, and on one
 tampered certificate.  Worker processes started by `--jobs 2` are not
@@ -75,6 +76,8 @@ ERROR_RUNS = [
     ["table", "--n", "8", "--digits", "0"],
     ["table", "--n", "8", "--digits", "5000"],
     ["table", "--n", "8", "--format", "xml"],
+    ["table", "--n", "8..1000000000000"],
+    ["plot", "--n", "8..1000000000000"],
     ["exact", "--n", "41", "--mode", "lens"],
     ["exact", "--n", "10", "--mode", "simons"],
 ]
