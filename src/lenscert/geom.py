@@ -1,7 +1,8 @@
 """Lens and Lawson-competitor energy functionals.
 
 The renormalized lens energy comes from one Gauss hypergeometric series with
-positive terms at z = 3/4, an incomplete beta value; the competitor energy
+positive terms, an incomplete beta value moved from z = 3/4 to z = 1/4 by a
+quadratic transformation; the competitor energy
 comes from the arc construction whose circular-arc constants are produced
 here.
 Its arc integrals are evaluated in two corner passes, one per arc: on the
@@ -92,6 +93,13 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
 
         2 I_n = 2 (sqrt3/2)^(n+1) / (n+1) 2F1(1/2, (n+1)/2; (n+3)/2; 3/4).
 
+    As c = a + b + 1/2, the quadratic transformation
+    F(a, b; a+b+1/2; 4z(1-z)) = F(2a, 2b; a+b+1/2; z) (DLMF §15.8) at
+    z = 1/4 turns that 2F1 into 2F1(1, n+1; (n+3)/2; 1/4), whose terms are
+    still positive and whose term ratio (n+1+j) / ((n+3)/2+j) / 4 is at most
+    1/2, against 3/4 in the limit at z = 3/4: at n = 116 the 128-bit lens
+    sums 114 terms, where the z = 3/4 form needs 362.
+
     The cap area (n-1) omega_{n-1} I_{n-2} follows from the Wallis reduction
     n I_n = (n-1) I_{n-2} - (sqrt3/2)^(n-1) / 2 as (n V + disc) / 2, so
     2 cap - disc = n V and lambda_plane = (2 cap - disc) / V^((n-1)/n) is
@@ -103,8 +111,8 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     omega = specfun.unit_ball_volume(n - 1, w)
     disc = ball_mul(omega, _sqrt3_half_power(n - 1, w), w)
 
-    three_quarters = Ball.from_fraction(Fraction(3, 4), w)
-    f = specfun.gauss_2f1(Fraction(1, 2), Fraction(n + 1, 2), Fraction(n + 3, 2), three_quarters, w)
+    quarter = Ball.from_fraction(Fraction(1, 4), w)
+    f = specfun.gauss_2f1(Fraction(1), Fraction(n + 1), Fraction(n + 3, 2), quarter, w)
     # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1))
     vol = ball_mul_rat(ball_mul(disc, f, w), 3, 2 * (n + 1), w)
     cap = ball_mul_rat(ball_add(ball_mul_rat(vol, n, 1, w), disc, w), 1, 2, w)

@@ -3,16 +3,41 @@
 Half-integer gamma values are exact, a rational or a rational times
 sqrt(pi), and give the unit-ball volumes.
 Every hypergeometric series, terminating or not, needs its arguments
-certainly inside the unit disc and follows one tail rule: from an index N
-past which every term ratio is at most some q < 1 in absolute value (q = |z|
-from the exact `_ratio_threshold` on), the series stops at the first term t
-with |t| q / (1 - q) <= tol and is widened by that bound; a terminating
-series that reaches its last term first is complete.  Appell F1, for
-c >= a > 0 and a non-positive integer b1, is one convolution of its x and y
-series; each side stops by the same rule on its terms weighted by
-(a)_j / (c)_j, with the tail also multiplied by a bound on the other side's
-absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).  The same
-convolution also gives F1(a; b1, b2-1; c+1; x, y).
+certainly inside the unit disc and follows one tail rule, after Johansson,
+"Computing hypergeometric functions rigorously" (ACM TOMS 45(3), 2019):
+the tail is bounded from the actual term ratios
+r_j = (a+j)(b+j) / ((c+j)(j+1)), through one index N and one bound
+R >= |r_j| for every j >= N (for a terminating series, every j below its
+order) with q = |z| R < 1, both computed once per series by `_tail_ratio`.
+From N on each |t_(j+1)| <= q |t_j|, so the terms past t_m sum to at most
+|t_m| q / (1 - q); the series stops at the first m >= N where that is at
+most tol and is widened by it, and a terminating series that reaches its
+last term first is complete.
+
+N and R.  Write r_j as (a+j)/(j+1) times (b+j)/(c+j), or as (b+j)/(j+1)
+times (a+j)/(c+j).  Where s + j > 0, a factor |p+j| / (s+j) does not
+increase if p >= s (it is 1 + (p-s)/(s+j) >= 0), or if p + j <= 0 up to
+the order of a terminating series, p + order <= 1 (its numerator falls and
+its denominator grows); then it is at most its value at N on j >= N.
+Otherwise p < s, and it is at most 1 wherever p + s + 2j >= 0.  So each
+form bounds |r_j| on j >= N by the product R of those two bounds at N,
+which does not increase with N.  N is the first index where both bounds
+hold and |z| R <= (1 + |z|)/2 for one of the forms, R the smaller
+product where both do, found by a linear search, since the series sums at
+least N terms anyway; such an index exists, as R tends to at most 1, and
+for a terminating series with none below its order N is the order and
+R = 0.  So q <= (1 + |z|)/2, and the tail factor q/(1-q) never exceeds
+(1 + |z|)/(1 - |z|).  Every series of lenscert has a = 1, so
+the first form is r_j = (b+j)/(c+j): the lens series (b = n+1 > c) gets
+N = 0 and q < 1/2, the F1 x side (b = -kk) N = 0 and q = |x| kk/(e+2) at
+the competitor's arguments, and the F1 y side (b = -e, c = e+2) N = 0 and
+R = 1, or R = e/(e+2) when e is an integer.
+
+Appell F1, for c >= a > 0 and a non-positive integer b1, is one convolution
+of its x and y series; each side stops by the same rule on its terms
+weighted by (a)_j / (c)_j, with the tail also multiplied by a bound on the
+other side's absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).
+The same convolution also gives F1(a; b1, b2-1; c+1; x, y).
 
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -20,10 +45,10 @@ scaling and one product with z (or x, y), sums are int adds, and the tail
 test compares ints with floor(tol 2**W).  The scale is W = w + _FX_GUARD
 plus a headroom that keeps the rounding floor of a term's radius from
 outliving the tail test.  For 2F1 that radius settles near
-(1+|z|)/(1-|z|) ulps and the tail multiplies it by |z|/(1-|z|), so the
-headroom is log2((1+|z|)/(1-|z|)^2) + 1 bits; the F1 tails multiply it by U
-or V, so there it is log2 max(U, V) bits.  The midpoint needs no headroom:
-the first term is 1 and tol is absolute.
+(1+|z|)/(1-q) ulps once the terms fall, and the tail multiplies it by
+q/(1-q) < 1/(1-q), so the headroom is log2((1+|z|)/(1-q)^2) + 1 bits; the
+F1 tails multiply it by U or V, so there it is log2 max(U, V) bits.  The
+midpoint needs no headroom: the first term is 1 and tol is absolute.
 """
 
 from __future__ import annotations
@@ -146,28 +171,47 @@ def _term_ratio(ia: int, ib: int, ic: int, d: int, m: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _ratio_threshold(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """Smallest N with |(a+m)(b+m) / ((c+m)(m+1))| <= 1 for every m >= N (for
-    a terminating series, every m below its order).  From `top` on all four
-    factors are nonnegative and (a+b-c-1) m + ab - c <= 0; below it each m is
-    decided exactly, by an integer comparison with the denominators cleared."""
+def _tail_ratio(a: Fraction, b: Fraction, c: Fraction, zsup: Fraction) -> tuple[int, Fraction]:
+    """(N, R) with |r_j| <= R for every j >= N (for a terminating series,
+    every j below its order), where r_j = (a+j)(b+j) / ((c+j)(j+1)) is the
+    term ratio, and q = zsup R <= (1 + zsup)/2.  See the module docstring
+    for the rule; a, b, c are taken over their common denominator d."""
     order = _terminating_order(a, b)
-    if order is not None:
-        top = order
-    else:
-        t = a + b - c - 1
-        if t > 0:
-            raise DivergentParameters("term-ratio bound unavailable: a+b > c+1")
-        if t == 0 and c - a * b < 0:
-            raise DivergentParameters("term-ratio bound unavailable")
-        n_lin = 0 if t == 0 else _fr_ceil((a * b - c) / -t)
-        top = max(0, n_lin, _fr_ceil(-a), _fr_ceil(-b), _fr_ceil(-c))
-    ia, ib, ic, q = _scaled(a, b, c)
-    for m in range(top - 1, -1, -1):
-        mq = m * q
-        if abs((ia + mq) * (ib + mq)) > abs((ic + mq) * (m + 1) * q):
-            return m + 1
-    return 0
+    ia, ib, ic, d = _scaled(a, b, c)
+    zn, zd = zsup.numerator, zsup.denominator
+
+    def factor(p: int, s: int):
+        """(start, g) with g(j) = (u, v), u/v >= |p+i| / (s+i) for
+        start <= j <= i (i below the order of a terminating series) where
+        v > 0, for the factor (p/d + i) / (s/d + i).  A falling factor's v
+        is negative until s + j turns positive, and `fits` fails there; a
+        bounded one starts past -(p+s)/2 > -s."""
+        if p >= s or (order is not None and p + order * d <= d):
+            return 0, lambda j: (abs(p + j * d), s + j * d)
+        return max(0, -((p + s) // (2 * d))), lambda j: (1, 1)
+
+    def form(p1: int, p2: int, stop) -> tuple[int, Fraction] | None:
+        (n1, g1), (n2, g2) = factor(p1, d), factor(p2, ic)
+
+        def bound(j: int) -> tuple[int, int]:
+            (u1, v1), (u2, v2) = g1(j), g2(j)
+            return u1 * u2, v1 * v2
+
+        def fits(j: int) -> bool:
+            u, v = bound(j)
+            return (order is not None and j >= order) or 2 * zn * u <= (zd + zn) * v
+
+        # a linear search up to `stop`: the series sums at least N terms anyway
+        n = max(n1, n2)
+        while n <= stop and not fits(n):
+            n += 1
+        if n > stop:
+            return None
+        return n, Fraction(*bound(n)) if order is None or n < order else Fraction(0)
+
+    first = form(ia, ib, math.inf)
+    second = form(ib, ia, first[0])
+    return min(first, second) if second else first
 
 
 def _default_tol(prec: int) -> BigFloat:
@@ -195,11 +239,12 @@ def gauss_2f1_detailed(
         raise DivergentParameters("|z| must be certainly below 1")
     tol = tol or _default_tol(prec)
     w = prec + 8
-    n1 = _ratio_threshold(a, b, c)
-    tail_factor = zsup / (1 - zsup)
-    # headroom log2((1+|z|)/(1-|z|)^2) + 1, rounded up: for x = p/q,
+    n1, bound = _tail_ratio(a, b, c, zsup)
+    ratio = zsup * bound
+    tail_factor = ratio / (1 - ratio)
+    # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q,
     # log2 x < bitlen(p) - bitlen(q) + 1
-    room = (1 + zsup) / (1 - zsup) ** 2
+    room = (1 + zsup) / (1 - ratio) ** 2
     W = w + _FX_GUARD + room.numerator.bit_length() - room.denominator.bit_length() + 2
     zx = _fx_from_ball(z, W)
     limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
@@ -218,7 +263,7 @@ def gauss_2f1_detailed(
             tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
             if tail is not None:
                 last = bf_shift(bf_from_int(abs(term[0]) + term[1]), -W)
-                record = SeriesTail(m + 1, zsup, last, bf_shift(bf_from_int(tail), -W))
+                record = SeriesTail(m + 1, ratio, last, bf_shift(bf_from_int(tail), -W))
                 return _fx_to_ball((sum_m, sum_r + tail), W, prec), record
         if m > budget:
             raise PrecisionExhausted("2F1 series did not reach its tail tolerance")
@@ -246,16 +291,20 @@ def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W
     scale W, as lists of midpoints and radii, and the tail bound in ulps of
     scale W on what the side drops (0 when a terminating side is complete).
 
-    The side stops at the first j past the ratio threshold of (a, b; c)
-    whose weighted term t_j = (a)_j (b)_j z^j / ((c)_j j!) passes the
-    `_fx_tail` test with factor other / (1 - |z|), where `other` bounds the
-    absolute sum of the other side's unweighted terms.  That test multiplies
-    the radius of t_j by `other`, so the weighted terms run at scale W plus
-    log2(other) bits of headroom; they only decide where the side stops.
+    The side stops at the first j >= N, with (N, R) the tail ratio of
+    (a, b; c), whose weighted term t_j = (a)_j (b)_j z^j / ((c)_j j!)
+    passes the `_fx_tail` test with factor other / (1 - q), q = |z| R,
+    where `other` bounds the absolute sum of the other side's unweighted
+    terms.  For the competitor's x side (a = 1, b = -kk) that is N = 0 and
+    q = |x| kk/(e+2), so it stops as soon as its weighted terms are small
+    enough (85 terms at the balanced pair of n = 2700, not the (kk - e)/2
+    it takes for |r_j| to fall to 1).  That test multiplies the radius of
+    t_j by `other`, so the weighted terms run at scale W plus log2(other)
+    bits of headroom; they only decide where the side stops.
     """
     order = _terminating_order(a, b)
-    n1 = _ratio_threshold(a, b, c)
-    factor = other / (1 - zsup)
+    n1, bound = _tail_ratio(a, b, c, zsup)
+    factor = other / (1 - zsup * bound)
     room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
@@ -301,11 +350,14 @@ def appell_f1(
     side keeps its indices below M (x) or N (y); everything dropped lies in
     {m >= M} or in {n >= N}.  As w_{m+n} <= w_m, the first part is at most
     sum_{m>=M} w_m |A_m| sum_n |B_n| <= V sum_{m>=M} |t_m|, with
-    t_m = w_m A_m the weighted x term, and past the ratio threshold each
-    |t_{m+1} / t_m| <= |x|, so this is at most V |t_M| / (1 - |x|): the
-    `_fx_tail` bound of `_f1_side`, at most tol.  As w_{m+n} <= w_n, the
-    second part is at most U |t_N| / (1 - |y|) in the same way.  A
-    terminating side that reaches its last term drops nothing.
+    t_m = w_m A_m the weighted x term.  Its ratio t_{m+1} / t_m is r_m x,
+    with r_m the term ratio of (a, b1; c), so if (K, R) is the tail ratio of
+    that series (module docstring), |t_{m+1} / t_m| <= q = |x| R < 1 for
+    every m >= K, and for M >= K the first part is at most V |t_M| / (1 - q):
+    the `_fx_tail` bound of `_f1_side`, at most tol.  As w_{m+n} <= w_n, the
+    second part is at most U |t_N| / (1 - q'), with q' = |y| R' from the
+    tail ratio of (a, b2; c), in the same way.  A terminating side that
+    reaches its last term drops nothing.
 
     The second value.  Its y side, as a series in t, is sum_n (b2-1)_n
     (y t)^n / n! = (1 - y t)^(-b2) (1 - y t), so its diagonal sums are

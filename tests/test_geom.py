@@ -120,6 +120,23 @@ class TestLensQuantities:
             assert abs(bf_to_fraction(b.mid) - r) <= bf_to_fraction(b.rad) + r / 10**45, (n, name)
         assert bf_cmp(lq.lambda_plane.width(), bf_from_float(1e-35)) < 0
 
+    @pytest.mark.parametrize("n", [3, 8, 25, 120, 396, 2700])
+    def test_quarter_series_matches_three_quarter_series(self, monkeypatch, n):
+        """lambda_plane from the lens's series 2F1(1, n+1; (n+3)/2; 1/4)
+        intersects lambda_plane rebuilt from 2F1(1/2, (n+1)/2; (n+3)/2; 3/4),
+        the same value by the quadratic transformation F(a, b; a+b+1/2;
+        4z(1-z)) = F(2a, 2b; a+b+1/2; z) at z = 1/4 (DLMF §15.8)"""
+        lam = geom.lens_quantities(n, 256).lambda_plane
+        gauss_2f1 = specfun.gauss_2f1
+
+        def three_quarter_series(a, b, c, z, prec):
+            assert (a, b, c) == (1, n + 1, Fraction(n + 3, 2)) and _contains(z, Fraction(1, 4))
+            z = Ball.from_fraction(Fraction(3, 4), prec)
+            return gauss_2f1(Fraction(1, 2), Fraction(n + 1, 2), c, z, prec)
+
+        monkeypatch.setattr(specfun, "gauss_2f1", three_quarter_series)
+        assert intersects(lam, geom.lens_quantities(n, 256).lambda_plane)
+
     def test_positive_entries(self):
         for n in (3, 4, 17, 40):
             lq = geom.lens_quantities(n, 96)

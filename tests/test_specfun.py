@@ -151,19 +151,26 @@ class TestGauss2F1:
 
     @pytest.mark.parametrize("zf", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_lens_parameters_enclose_mpmath(self, zf):
-        """2F1(1/2, (n+1)/2; (n+3)/2; z), the lens's series at z = 3/4, for n
-        from 3 to 2700, and 2F1(1/2, m/2; 3/2; z) for odd m from -1 to -41
-        enclose mpmath.hyp2f1 at 64 bits beyond the working precision"""
+        """2F1(1, n+1; (n+3)/2; z), the lens's series at z = 1/4, and
+        2F1(1/2, (n+1)/2; (n+3)/2; z), its form at z = 3/4 before the
+        quadratic transformation, for n from 3 to 2700, and 2F1(1/2, m/2;
+        3/2; z) for odd m from -1 to -41 enclose mpmath.hyp2f1 at 64 bits
+        beyond the working precision.  The lens's series is also summed to
+        the tolerance 2^-40, where its tail bound sets the radius"""
         mpmath = pytest.importorskip("mpmath")
         prec = 128
         z = Ball.from_fraction(zf, prec)
-        params = [(Fraction(1, 2), Fraction(n + 1, 2), Fraction(n + 3, 2)) for n in (3, 8, 51, 396, 2700)]
+        ns = (3, 8, 51, 396, 2700)
+        lens = [(Fraction(1), Fraction(n + 1), Fraction(n + 3, 2)) for n in ns]
+        params = [(Fraction(1, 2), Fraction(n + 1, 2), Fraction(n + 3, 2)) for n in ns]
         params += [(Fraction(1, 2), Fraction(m, 2), Fraction(3, 2)) for m in range(-1, -42, -2)]
-        for a, b, c in params:
-            out = specfun.gauss_2f1(a, b, c, z, prec)
+        cases = [(p, None) for p in lens + params] + [(p, -40) for p in lens]
+        for (a, b, c), tol_exp in cases:
+            tol = bf_two_power(tol_exp) if tol_exp else None
+            out = specfun.gauss_2f1(a, b, c, z, prec, tol)
             with mpmath.workprec(prec + 64):
                 ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, zf))))
-            TestAgainstMpmath._check(out, ref, prec, None)
+            TestAgainstMpmath._check(out, ref, prec, tol_exp)
 
 
 def _record_sides(monkeypatch) -> list:
@@ -380,24 +387,49 @@ class TestAppellF1:
             assert _contains(out, exact), case
             assert _contains(second, _terminating_f1(a, kk, int(1 - b2), c + 1, xf, yf)), case
 
+    def test_x_side_stops_below_the_unit_ratio_index(self, monkeypatch):
+        """with kk >= 300 and a small |x|, the x side of F1(1; -kk, -e; e+2;
+        x, y) stops at the tolerance 2^-40 before the first index where its
+        unweighted ratio |r_j| = (kk - j)/(e + 2 + j) falls to 1, bounding
+        its tail with q = |x| |r_N| > |x|, and both values still enclose
+        their exact terminating double sums; the tail sets the radius"""
+        rng = random.Random(16)
+        sides = _record_sides(monkeypatch)
+        for case in range(6):
+            kk, e = rng.randint(300, 340), rng.randint(20, 26)
+            xf, yf = -Fraction(rng.randint(40, 60), 1000), -Fraction(rng.randint(1, 64), 1024)
+            a, b1, c = Fraction(1), Fraction(-kk), Fraction(e + 2)
+            unit = min(j for j in range(kk) if abs(_ratio(a, b1, c, j)) <= 1)
+            del sides[:]
+            x, y = Ball.from_fraction(xf, 128), Ball.from_fraction(yf, 128)
+            first, second = specfun.appell_f1(a, b1, -e, c, x, y, 128, bf_two_power(-40))
+            (x_kept, x_tail), _ = sides
+            assert x_kept < unit and x_tail > 0, (case, sides, unit)
+            assert _contains(first, _terminating_f1(a, kk, e, c, xf, yf)), case
+            assert _contains(second, _terminating_f1(a, kk, e + 1, c + 1, xf, yf)), case
+
     @pytest.mark.parametrize(
         "kk,xf,yf,tol_exp",
         [
-            (60, Fraction(-1, 5), Fraction(-1, 2), -10),
-            (61, Fraction(-1, 4), Fraction(-1, 2), -12),
-            (80, Fraction(1, 5), Fraction(-3, 4), -20),
+            (300, Fraction(-1, 5), Fraction(-1, 2), 67),
+            (301, Fraction(-1, 4), Fraction(-1, 2), 85),
+            (400, Fraction(-1, 5), Fraction(-3, 4), 90),
         ],
     )
-    def test_second_value_tail_factor_is_sharp(self, kk, xf, yf, tol_exp):
+    def test_second_value_tail_factor_is_sharp(self, monkeypatch, kk, xf, yf, tol_exp):
         """F1(a; -kk, 0; a; x, y) = (1-x)^kk and F1(a; -kk, -1; a+1; x, y),
         with a = 10^9, so w_s and w'_s stay near 1, and y < 0, so
-        B'_0 + B'_1 = 1 + |y|: the x side stops at its ratio threshold, where
-        its tail bound is nearly attained, the y side is complete, and the
-        second value drops more than its tail bound without the factor
-        (1 + |y|), whose radius the tail sets"""
+        B'_0 + B'_1 = 1 + |y|.  The x side stops at the first index N its
+        tail ratio allows, where the ratios stay near q and its tail bound is
+        nearly attained (the tolerance sits just above that bound, relative
+        to (1-x)^kk), the y side is complete, and the second value drops more
+        than its tail bound without the factor (1 + |y|), whose radius the
+        tail sets"""
         prec, a = 128, Fraction(10**9)
+        sides = _record_sides(monkeypatch)
         x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
         first, second = specfun.appell_f1(a, -kk, 0, a, x, y, prec, bf_two_power(tol_exp))
+        assert sides[0][0] == specfun._tail_ratio(a, Fraction(-kk), a, abs(xf))[0], sides
         exact = _terminating_f1(a, kk, 1, a + 1, xf, yf)
         assert _contains(first, (1 - xf) ** kk) and _contains(second, exact)
         gap = abs(bf_to_fraction(second.mid) - exact)
@@ -414,27 +446,32 @@ def _nonpos_order(*ps: Fraction):
 
 
 class TestTailRule:
-    def test_ratio_threshold_exact(self):
-        """the threshold is sound (|r(m)| <= 1 from N on, to m = 500 or the
-        order of a terminating series) and tight (|r(N-1)| > 1)"""
+    def test_tail_ratio_exact(self):
+        """the tail ratio (N, R) is sound, |r(m)| <= R from N on (to N + 500,
+        or to the order of a terminating series), and gives
+        q = |z| R <= (1 + |z|)/2, over random (a, b, c, |z|): a quarter of
+        them with a = 1 and b > c, whose ratios fall towards 1, a quarter
+        terminating at order 2 with a in (-1, 0), whose |a + j| grows, and
+        the rest with any signs, a + b > c + 1 among them"""
         rng = random.Random(4)
         checked = 0
-        for _ in range(400):
-            a = Fraction(rng.randint(-60, 90), rng.randint(1, 4))
-            b = -Fraction(rng.randint(0, 240), rng.choice((1, 2)))
+        for i in range(400):
+            zsup = Fraction(rng.randint(1, 999), 1000)
             c = Fraction(rng.randint(-60, 160), rng.randint(1, 4))
+            if i % 4 == 0:
+                a, b = Fraction(1), c + Fraction(rng.randint(1, 400), rng.choice((1, 2)))
+            elif i % 4 == 1:
+                a, b, c = -Fraction(rng.randint(1, 255), 256), Fraction(-2), Fraction(rng.randint(1, 40), 16)
+            else:
+                a = Fraction(rng.randint(-60, 90), rng.randint(1, 4))
+                b = Fraction(rng.randint(-240, 60), rng.choice((1, 2)))
             if c.denominator == 1 and c <= 0:
                 continue
             order = _nonpos_order(a, b)
-            try:
-                n = specfun._ratio_threshold(a, b, c)
-            except DivergentParameters:
-                assert order is None and a + b - c - 1 >= 0
-                continue
-            top = 500 if order is None else order
-            assert all(abs(_ratio(a, b, c, m)) <= 1 for m in range(n, top)), (a, b, c, n)
-            if n > 0:
-                assert abs(_ratio(a, b, c, n - 1)) > 1, (a, b, c, n)
+            n, bound = specfun._tail_ratio(a, b, c, zsup)
+            top = n + 500 if order is None else order
+            assert 2 * zsup * bound <= 1 + zsup, (a, b, c, zsup, n, bound)
+            assert all(abs(_ratio(a, b, c, m)) <= bound for m in range(n, top)), (a, b, c, zsup, n, bound)
             checked += 1
         assert checked > 300
 
