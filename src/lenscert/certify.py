@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -70,27 +69,30 @@ AGREEMENT_PREC = 64
 AGREEMENT_WIDTH = 1e-6
 
 
-@dataclass
 class CertEntry:
-    k: int
-    l: int
-    m_value: str
-    path_agreement: bool | None
-    strict: str
+    __slots__ = ("k", "l", "m_value", "path_agreement", "strict")
+
+    def __init__(self, k: int, l: int, m_value: str, path_agreement: bool | None, strict: str):
+        self.k, self.l, self.m_value = k, l, m_value
+        self.path_agreement, self.strict = path_agreement, strict
 
 
-@dataclass
 class Certificate:
-    n: int
-    precision_bits: int
-    lambda_plane: str
-    entries: list[CertEntry]
-    verdict: str
-    tool_version: str = __version__
-    timestamp: str = ""
+    __slots__ = ("n", "precision_bits", "lambda_plane", "entries", "verdict", "tool_version", "timestamp")
+
+    def __init__(
+        self, n: int, precision_bits: int, lambda_plane: str, entries: list[CertEntry], verdict: str,
+        tool_version: str = __version__, timestamp: str = "",
+    ):
+        self.n, self.precision_bits, self.lambda_plane = n, precision_bits, lambda_plane
+        self.entries, self.verdict = entries, verdict
+        self.tool_version, self.timestamp = tool_version, timestamp
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The JSON object, keys in `__slots__` order: that order is the file layout."""
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["entries"] = [{name: getattr(e, name) for name in e.__slots__} for e in self.entries]
+        return out
 
 
 def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
@@ -341,13 +343,12 @@ def replay_certificate(cert: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TableRow:
-    n: int
-    k: int
-    l: int
-    lambda_plane_8dp: str | None
-    m_8dp: str
+    __slots__ = ("n", "k", "l", "lambda_plane_8dp", "m_8dp")
+
+    def __init__(self, n: int, k: int, l: int, lambda_plane_8dp: str | None, m_8dp: str):
+        self.n, self.k, self.l = n, k, l
+        self.lambda_plane_8dp, self.m_8dp = lambda_plane_8dp, m_8dp
 
 
 def _round_fixed(fr: Fraction, digits: int) -> str:
@@ -435,12 +436,11 @@ def render_table(rows: list[TableRow], fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PlotRow:
-    n: int
-    k: int
-    l: int
-    gap: str
+    __slots__ = ("n", "k", "l", "gap")
+
+    def __init__(self, n: int, k: int, l: int, gap: str):
+        self.n, self.k, self.l, self.gap = n, k, l, gap
 
 
 def plot_rows(n_range) -> list[PlotRow]:

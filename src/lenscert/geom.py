@@ -17,7 +17,6 @@ the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle, specfun
@@ -65,14 +64,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LensQuantities:
-    n: int
-    cap_area: Ball
-    lens_volume: Ball
-    disc_term: Ball
-    lambda_plane: Ball
-    prec: int
+    __slots__ = ("n", "cap_area", "lens_volume", "disc_term", "lambda_plane", "prec")
+
+    def __init__(
+        self, n: int, cap_area: Ball, lens_volume: Ball, disc_term: Ball, lambda_plane: Ball, prec: int
+    ):
+        self.n, self.cap_area, self.lens_volume = n, cap_area, lens_volume
+        self.disc_term, self.lambda_plane, self.prec = disc_term, lambda_plane, prec
 
 
 def _sqrt3_half_power(e: int, w: int) -> Ball:
@@ -136,16 +135,12 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LawsonConstants:
-    k: int
-    l: int
-    lambda_: Ball
-    h: Ball
-    r: Ball
-    d: Ball
-    rho: Ball
-    prec: int
+    __slots__ = ("k", "l", "lambda_", "h", "r", "d", "rho", "prec")
+
+    def __init__(self, k: int, l: int, lambda_: Ball, h: Ball, r: Ball, d: Ball, rho: Ball, prec: int):
+        self.k, self.l, self.lambda_, self.prec = k, l, lambda_, prec
+        self.h, self.r, self.d, self.rho = h, r, d, rho
 
     @property
     def theta(self) -> Ball:
@@ -205,15 +200,14 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CompetitorEnergy:
-    k: int
-    l: int
-    volume: Ball
-    perimeter: Ball
-    cone_disc: Ball
-    m_value: Ball
-    prec: int
+    __slots__ = ("k", "l", "volume", "perimeter", "cone_disc", "m_value", "prec")
+
+    def __init__(
+        self, k: int, l: int, volume: Ball, perimeter: Ball, cone_disc: Ball, m_value: Ball, prec: int
+    ):
+        self.k, self.l, self.volume, self.perimeter = k, l, volume, perimeter
+        self.cone_disc, self.m_value, self.prec = cone_disc, m_value, prec
 
 
 def assemble_competitor(

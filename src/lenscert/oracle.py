@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigfloat import (
@@ -285,13 +284,13 @@ def _arc_gauss5_pass(radius, offset, kk, jj, a0, length_fr, n, w, d10_bounds):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LensExact:
     """Exact value a + b*sqrt(3) + c*pi."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        self.a, self.b, self.c = a, b, c
 
     def __sub__(self, other: "LensExact") -> "LensExact":
         return LensExact(self.a - other.a, self.b - other.b, self.c - other.c)
@@ -360,14 +359,16 @@ def lambda_plane_exact_ball(n: int, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QSqrt23:
     """a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational coordinates."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(
+        self, a: Fraction = Fraction(0), b: Fraction = Fraction(0),
+        c: Fraction = Fraction(0), d: Fraction = Fraction(0),
+    ):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
     def from_rational(cls, x) -> "QSqrt23":
@@ -492,16 +493,16 @@ def polynomial_m_value(k: int, l: int, prec: int):
     return geom.assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
-@dataclass(frozen=True)
 class SimonsExact:
     """Exact balanced-case competitor energy data for odd k (n = 2k + 2)."""
 
-    k: int
-    num: QSqrt23
-    den: QSqrt23
-    num_scale: Fraction
-    den_scale: Fraction
-    assembled: Ball
+    __slots__ = ("k", "num", "den", "num_scale", "den_scale", "assembled")
+
+    def __init__(
+        self, k: int, num: QSqrt23, den: QSqrt23, num_scale: Fraction, den_scale: Fraction, assembled: Ball
+    ):
+        self.k, self.num, self.den = k, num, den
+        self.num_scale, self.den_scale, self.assembled = num_scale, den_scale, assembled
 
 
 def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:

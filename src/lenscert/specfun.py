@@ -54,7 +54,6 @@ midpoint needs no headroom: the first term is 1 and tol is absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -97,12 +96,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HalfGamma:
     """Value q * sqrt(pi)**s with q rational and s in {0, 1}."""
 
-    q: Fraction
-    s: int
+    __slots__ = ("q", "s")
+
+    def __init__(self, q: Fraction, s: int):
+        self.q, self.s = q, s
 
 
 def gamma_half(two_x: int) -> HalfGamma:
@@ -133,14 +133,13 @@ def unit_ball_volume(m: int, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SeriesTail:
     """Truncation record: tail >= |last_term| * q / (1 - q)."""
 
-    n_terms: int
-    ratio: Fraction
-    last_term: BigFloat
-    tail: BigFloat
+    __slots__ = ("n_terms", "ratio", "last_term", "tail")
+
+    def __init__(self, n_terms: int, ratio: Fraction, last_term: BigFloat, tail: BigFloat):
+        self.n_terms, self.ratio, self.last_term, self.tail = n_terms, ratio, last_term, tail
 
 
 def _fr_ceil(x: Fraction) -> int:

@@ -5,9 +5,12 @@ reached from the tests alone."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import lenscert
 
@@ -27,6 +30,21 @@ def test_all_exports_resolve():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """a cold `import lenscert.cli`, which every command-line run pays, adds
+    neither `dataclasses` nor `inspect` to the loaded modules: the record
+    types are plain classes"""
+    code = (
+        "import sys; before = set(sys.modules); import lenscert.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lenscert.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    new = set(run.stdout.split())
+    assert "lenscert.cli" in new
+    assert new & {"dataclasses", "inspect"} == set()
 
 
 def test_ball_operations_take_an_explicit_precision():

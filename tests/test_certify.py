@@ -1,6 +1,7 @@
 import concurrent.futures
 import decimal
 import json
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -317,6 +318,22 @@ class TestCertifyRange:
         da.pop("timestamp")
         db.pop("timestamp")
         assert da == db
+
+    def test_certificate_layout(self):
+        """the keys of a certificate and of each entry come in one fixed
+        order, which is the JSON file layout; the dict survives a `json`
+        round trip, and the certificate pickles as a worker returns it"""
+        cert = C.certify_dimension(8)
+        d = cert.to_dict()
+        keys = ["n", "precision_bits", "lambda_plane", "entries", "verdict", "tool_version", "timestamp"]
+        assert list(d) == keys
+        assert d["entries"]
+        for entry in d["entries"]:
+            assert list(entry) == ["k", "l", "m_value", "path_agreement", "strict"]
+        text = json.dumps(d, indent=1)
+        assert json.loads(text) == d
+        assert json.dumps(json.loads(text), indent=1) == text
+        assert json.dumps(pickle.loads(pickle.dumps(cert)).to_dict(), indent=1) == text
 
     def test_replay_flags_tampering(self):
         """an m_value equal to lambda_plane leaves strictness undecided; one
