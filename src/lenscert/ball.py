@@ -9,6 +9,7 @@ arithmetic after argument reduction, sin, cos and the atan series in the
 fixed-point kernel (`_fx_*`, int midpoint-radius pairs at scale 2**-W).
 Rational powers take a q-th root in fixed point: a float and integer Newton
 steps propose it, and an exact fixed-point power check accepts each bound.
+Integer powers are fixed-point binary powering of the base scaled by 2**-g.
 """
 
 from __future__ import annotations
@@ -202,17 +203,14 @@ def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
 
 
 def ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
+    """a**n: with 2**g <= a.mag_sup() < 2**(g+1), a read at scale 2**-(W - g)
+    encloses a * 2**-g at scale 2**-W; its n-th power read at scale
+    2**-(W - g*n) is that power times 2**(g*n)."""
     if n < 0:
         return ball_div(Ball.from_int(1, prec), ball_pow_int(a, -n, prec), prec)
-    result = Ball.from_int(1, prec)
-    base = a
-    while n:
-        if n & 1:
-            result = ball_mul(result, base, prec)
-        n >>= 1
-        if n:
-            base = ball_mul(base, base, prec)
-    return result
+    W = prec + 16 + _FX_GUARD
+    g = bf_msb_exp(a.mag_sup()) - 1
+    return _fx_to_ball(_fx_pow(_fx_from_ball(a, W - g), n, W), W - g * n, prec)
 
 
 def ball_round(a: Ball, prec: int) -> Ball:

@@ -82,7 +82,7 @@ class Certificate:
 
     def __init__(
         self, n: int, precision_bits: int, lambda_plane: str, entries: list[CertEntry], verdict: str,
-        tool_version: str = __version__, timestamp: str = "",
+        timestamp: str, tool_version: str = __version__,
     ):
         self.n, self.precision_bits, self.lambda_plane = n, precision_bits, lambda_plane
         self.entries, self.verdict = entries, verdict

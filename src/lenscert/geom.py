@@ -74,13 +74,11 @@ class LensQuantities:
         self.disc_term, self.lambda_plane, self.prec = disc_term, lambda_plane, prec
 
 
-def _sqrt3_half_power(e: int, w: int) -> Ball:
-    """(sqrt(3)/2)**e for e >= 0: a rational, or a rational times sqrt(3)."""
-    mag = Fraction(3, 4) ** (e // 2)
-    if e % 2 == 0:
-        return Ball.from_fraction(mag, w)
-    half = mag / 2
-    return ball_mul_rat(sqrt_ball(Ball.from_int(3, w), w), half.numerator, half.denominator, w)
+def _root_power(fr: Fraction, root: Ball, e: int, w: int) -> Ball:
+    """sqrt(fr)**e for e >= 0, given root = sqrt(fr): the rational fr**(e/2)
+    for even e, and root times the rational fr**((e-1)/2) for odd e."""
+    mag = fr ** (e // 2)
+    return ball_mul_rat(root, mag.numerator, mag.denominator, w) if e % 2 else Ball.from_fraction(mag, w)
 
 
 def lens_quantities(n: int, prec: int) -> LensQuantities:
@@ -108,7 +106,8 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
         raise ValueError("dimension must be at least 3")
     w = prec + 16
     omega = specfun.unit_ball_volume(n - 1, w)
-    disc = ball_mul(omega, _sqrt3_half_power(n - 1, w), w)
+    root = sqrt_ball(Ball.from_fraction(Fraction(3, 4), w), w)
+    disc = ball_mul(omega, _root_power(Fraction(3, 4), root, n - 1, w), w)
 
     quarter = Ball.from_fraction(Fraction(1, 4), w)
     f = specfun.gauss_2f1(Fraction(1), Fraction(n + 1), Fraction(n + 3, 2), quarter, w)
@@ -227,13 +226,10 @@ def assemble_competitor(
     k, l = consts.k, consts.l
     n = k + l + 2
     w = prec + 16
-    wk = specfun.unit_ball_volume(k + 1, w)
-    wl = specfun.unit_ball_volume(l + 1, w)
-    ww = ball_mul(wk, wl, w)
+    ww = specfun.unit_ball_volume_product((k + 1, l + 1), w)
 
-    lam_k1 = ball_pow_int(consts.lambda_, k + 1, w)
     inner_vol = ball_add(
-        lam_k1,
+        _root_power(Fraction(k, l), consts.lambda_, k + 1, w),
         ball_add(ball_mul_rat(s1v, k + 1, 1, w), ball_mul_rat(s2v, l + 1, 1, w), w),
         w,
     )
@@ -270,13 +266,17 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
     """
     consts = lawson_constants(k, l, prec)
     w = prec + 16
-    lam, rho, d, r, h = consts.lambda_, consts.rho, consts.d, consts.r, consts.h
-    s1p, s1v = _arc_corner(k, l - 1, rho, d, lam, w)
-    s2p, s2v = (s1p, s1v) if k == l else _arc_corner(l, k - 1, r, h, Ball.from_int(1, w), w)
+    lam, ratio = consts.lambda_, Fraction(k, l)
+    s1p, s1v = _arc_corner(k, l - 1, consts.rho, consts.d, lam, Fraction(1), _root_power(ratio, lam, k, w), w)
+    s2p, s2v = (s1p, s1v) if k == l else _arc_corner(
+        l, k - 1, consts.r, consts.h, Ball.from_int(1, w), ratio, _root_power(ratio, lam, k - 1, w), w
+    )
     return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
-def _arc_corner(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: int) -> tuple[Ball, Ball]:
+def _arc_corner(
+    kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, ld: Fraction, cpow: Ball, w: int
+) -> tuple[Ball, Ball]:
     """The perimeter and volume integrals of one arc: the integrals of
     u^kk (radius^2 - (u+offset)^2)^(f/2) from `corner` to radius - offset
     for f = e2 and f = e2 + 2, via the corner-centered Appell representation
@@ -288,23 +288,27 @@ def _arc_corner(kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, w: i
     (-e-1, e+3), and the volume prefactor is the perimeter's times L D, over
     e + 2.  All series terms are nonnegative, so no precision is lost to
     cancellation.
+
+    Both arcs pass through the corner (lambda, 1), so L D = radius^2 -
+    (offset + corner)^2 is an exact rational `ld`, the prefactor is L cpow
+    with cpow = ld^e corner^kk, and -L/D = -L^2 / ld.  By the closed forms
+    of `lawson_constants` (s = sqrt k, t = sqrt l, u = sqrt(k+l)):
+
+    - u-arc: d + lambda = (l + sqrt3 st)/D_u, rho = 2tu/D_u and
+      D_u^2 = 3l^2 + kl - 2 sqrt3 l st = 4 t^2 u^2 - (l + sqrt3 st)^2,
+      so ld = 1, and cpow = lambda^k for e2 = l - 1;
+    - v-arc: h + 1 = (k + sqrt3 st)/D_v, r = 2su/D_v, and
+      4 s^2 u^2 - (k + sqrt3 st)^2 = k (3k + l - 2 sqrt3 st) while
+      D_v^2 = l (3k + l - 2 sqrt3 st), so ld = k/l, and with corner 1 and
+      e2 = k - 1, cpow = (k/l)^((k-1)/2) = lambda^(k-1).
     """
     e = Fraction(e2, 2)
     length = ball_sub(ball_sub(radius, offset, w), corner, w)
-    dsum = ball_add(ball_add(radius, offset, w), corner, w)
     x = ball_neg(ball_div(length, corner, w))
-    y = ball_neg(ball_div(length, dsum, w))
-    f1p, f1v = specfun.appell_f1(Fraction(1), Fraction(-kk), -e, e + 2, x, y, w)
-    if e2 % 2 == 0:
-        lpow = ball_pow_int(length, e2 // 2 + 1, w)
-        dpow = ball_pow_int(dsum, e2 // 2, w)
-    else:
-        lpow = pow_rational(length, e2 + 2, 2, w)
-        dpow = pow_rational(dsum, e2, 2, w)
-    pre, ck = ball_mul(lpow, dpow, w), ball_pow_int(corner, kk, w)
-    per = ball_mul(pre, ball_mul(ck, f1p, w), w)
-    vol = ball_mul(ball_mul(pre, ball_mul(length, dsum, w), w), ball_mul(ck, f1v, w), w)
-    return tuple(ball_mul_rat(v, f.denominator, f.numerator, w) for v, f in ((per, e + 1), (vol, e + 2)))
+    y = ball_neg(ball_mul_rat(ball_mul(length, length, w), ld.denominator, ld.numerator, w))
+    pre = ball_mul(length, cpow, w)
+    per, vol = (ball_mul(pre, f, w) for f in specfun.appell_f1(Fraction(1), Fraction(-kk), -e, e + 2, x, y, w))
+    return ball_mul_rat(per, 2, e2 + 2, w), ball_mul_rat(vol, 2 * ld.numerator, (e2 + 4) * ld.denominator, w)
 
 
 def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float) -> CompetitorEnergy:

@@ -57,7 +57,7 @@ from .ball import (
     sqrt_ball,
 )
 from .errors import DomainViolation, QuadratureBudgetExceeded
-from .specfun import unit_ball_volume
+from .specfun import unit_ball_volume, unit_ball_volume_product
 
 __all__ = [
     "arc_profile_quadrature",
@@ -314,14 +314,8 @@ def _cos_power_integrals(n_max: int) -> list[LensExact]:
     """I_m = integral of cos(t)**m over [pi/6, pi/2], m = 0..n_max, exact."""
     out = [LensExact(Fraction(0), Fraction(0), Fraction(1, 3)), LensExact(Fraction(1, 2), Fraction(0), Fraction(0))]
     for m in range(2, n_max + 1):
-        prev = out[m - 2].scale(Fraction(m - 1, m))
-        t = (m - 1) // 2
-        mag = Fraction(3, 4) ** t
-        if (m - 1) % 2 == 0:
-            bnd = LensExact(mag / (2 * m), Fraction(0), Fraction(0))
-        else:
-            bnd = LensExact(Fraction(0), mag / (4 * m), Fraction(0))
-        out.append(prev - bnd)
+        # m I_m = (m-1) I_{m-2} - (sqrt3/2)^(m-1) / 2
+        out.append(out[m - 2].scale(Fraction(m - 1, m)) - _sqrt3_half_power(m - 1).scale(Fraction(1, 2 * m)))
     return out
 
 
@@ -364,10 +358,7 @@ class QSqrt23:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(
-        self, a: Fraction = Fraction(0), b: Fraction = Fraction(0),
-        c: Fraction = Fraction(0), d: Fraction = Fraction(0),
-    ):
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
@@ -529,7 +520,7 @@ def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:
     den, den_scale = _normalize_q23(den_raw)
 
     w = prec + 16
-    omega = unit_ball_volume(k + 1, w)
-    m = ball_mul(pow_rational(ball_mul(omega, omega, w), 1, n, w), num_raw.to_ball(w), w)
+    ww = unit_ball_volume_product((k + 1, k + 1), w)
+    m = ball_mul(pow_rational(ww, 1, n, w), num_raw.to_ball(w), w)
     m = ball_div(m, pow_rational(den_raw.to_ball(w), n - 1, n, w), w)
     return SimonsExact(k, num, den, num_scale, den_scale, ball_round(m, prec))

@@ -84,6 +84,7 @@ __all__ = [
     "HalfGamma",
     "gamma_half",
     "unit_ball_volume",
+    "unit_ball_volume_product",
     "SeriesTail",
     "gauss_2f1",
     "gauss_2f1_detailed",
@@ -119,13 +120,19 @@ def gamma_half(two_x: int) -> HalfGamma:
 
 def unit_ball_volume(m: int, prec: int) -> Ball:
     """Volume of the unit ball in R**m: pi**(m/2) / Gamma(m/2 + 1)."""
-    if m < 1:
+    return unit_ball_volume_product((m,), prec)
+
+
+def unit_ball_volume_product(dims: tuple[int, ...], prec: int) -> Ball:
+    """The product of omega_m over m in dims as one power of pi over one
+    rational: omega_m = pi**(m//2) / q_m for Gamma(m/2 + 1) = q_m sqrt(pi)**(m % 2)
+    (DLMF §5.19(iii)), as for odd m that sqrt(pi) cancels a half-power of pi."""
+    if min(dims) < 1:
         raise ValueError("dimension must be positive")
-    g = gamma_half(m + 2)
-    # for odd m the explicit sqrt(pi) of Gamma cancels one half-power of pi
+    q = math.prod((gamma_half(m + 2).q for m in dims), start=Fraction(1))
     w = prec + 8
-    out = ball_mul_rat(ball_pow_int(pi_ball(w), m // 2, w), g.q.denominator, g.q.numerator, w)
-    return ball_round(out, prec)
+    out = ball_pow_int(pi_ball(w), sum(m // 2 for m in dims), w)
+    return ball_round(ball_mul_rat(out, q.denominator, q.numerator, w), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,21 @@ def test_arc_integrand_only_in_the_fixed_point_pass():
     assert calls == []
 
 
+def test_arc_corner_takes_no_ball_powers():
+    """`geom._arc_corner` calls neither `ball_pow_int` nor `pow_rational`:
+    L D at the corner is an exact rational, and the caller passes the
+    corner power built from integers and one root"""
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "geom.py").read_text())
+    (func,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_arc_corner"]
+    calls = [
+        "%d %s" % (node.lineno, name)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in {"ball_pow_int", "pow_rational"}
+    ]
+    assert calls == []
+
+
 def test_no_unused_imports():
     """no module of the package imports a name it never uses; a name listed
     in `__all__` counts as used"""

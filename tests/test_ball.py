@@ -143,6 +143,32 @@ def test_pow_int():
     assert _contains(ball_pow_int(a, -2, 96), Fraction(7, 3) ** 2)
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 10**30), Fraction(1), Fraction(10**30)])
+@pytest.mark.parametrize("prec", [64, 128])
+def test_pow_int_encloses_exact_endpoint_powers(scale, prec):
+    """ball_pow_int(a, n) encloses x**n for every x in a, checked against the
+    exact powers of a's endpoints (and 0 for even n when a contains 0), for
+    negative, zero and sign-straddling midpoints, radii from 2**-100 of the
+    midpoint to several times it, magnitudes near 1e-30, 1 and 1e30, and
+    exponents up to 1350; a thin ball's power stays thin"""
+    rng = random.Random(prec)
+    for trial in range(12):
+        mid = rand_fraction(rng) * scale if trial % 4 else Fraction(0)
+        rad = abs(rand_fraction(rng)) * scale * Fraction(1, 2 ** rng.choice([0, 20, 100]))
+        a = ball_widen(Ball.from_fraction(mid, prec), bf_from_float(float(rad)))
+        lo, hi = bf_to_fraction(a.inf()), bf_to_fraction(a.sup())
+        for n in (0, 1, 2, 3, 50, 1350):
+            out = ball_pow_int(a, n, prec)
+            powers = [lo**n, hi**n] + ([Fraction(0)] if n and lo < 0 < hi else [])
+            assert bf_to_fraction(out.inf()) <= min(powers) and max(powers) <= bf_to_fraction(out.sup()), (a, n)
+        if lo > 0 or hi < 0:
+            point = Ball.from_fraction(mid, prec)
+            for n in (1, 3, 50):
+                out = ball_pow_int(point, -n, prec)
+                assert _contains(out, bf_to_fraction(point.mid) ** -n), (point, -n)
+                assert bf_to_fraction(out.rad) <= abs(bf_to_fraction(out.mid)) * n / 2 ** (prec - 8)
+
+
 def test_hull():
     a = Ball.from_int(1, 64)
     b = Ball.from_int(5, 64)

@@ -157,9 +157,14 @@ class TestLawsonConstants:
         assert intersects(c.d, c.h) and intersects(c.rho, c.r)
         assert _contains(c.lambda_, 1)
 
-    @pytest.mark.parametrize("k,l", [(3, 4), (2, 5), (5, 7), (9, 4)])
+    @pytest.mark.parametrize(
+        "k,l",
+        [(3, 4), (2, 5), (5, 7), (9, 4), (4, 11), (11, 4)]
+        + [p for n in (25, 200, 1000, 2700) for p in geom.default_pairs(n)],
+    )
     def test_corner_consistency(self, k, l):
-        """r^2 - (1+h)^2 contains lambda^2 and rho^2 - (lambda+d)^2 contains 1"""
+        """r^2 - (1+h)^2 contains lambda^2 = k/l and rho^2 - (lambda+d)^2
+        contains 1: the exact L D of `geom._arc_corner` on the v- and u-arc"""
         c = geom.lawson_constants(k, l, 128)
         w = c.r.prec
         one = Ball.from_int(1, w)
@@ -167,6 +172,22 @@ class TestLawsonConstants:
         assert _contains(lhs, Fraction(k, l))
         rhs = ball_sub(ball_mul(c.rho, c.rho, w), ball_pow_int(ball_add(c.lambda_, c.d, w), 2, w), w)
         assert _contains(rhs, 1)
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 5), (4, 11), (11, 4), (22, 24), (1348, 1350)])
+    def test_corner_consistency_mpmath_angles(self, k, l):
+        """the two corner identities hold for mpmath's angle construction at
+        50 digits, built without lenscert: with theta = atan sqrt(k/l),
+        rho = sec(pi/6 + theta), d = tan(pi/6 + theta) - lambda,
+        r = lambda sec(2pi/3 - theta) and h = lambda tan(2pi/3 - theta) - 1"""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam = mpmath.sqrt(mpmath.mpf(k) / l)
+            theta = mpmath.atan(lam)
+            u, v = mpmath.pi / 6 + theta, 2 * mpmath.pi / 3 - theta
+            rho, d = mpmath.sec(u), mpmath.tan(u) - lam
+            r, h = lam * mpmath.sec(v), lam * mpmath.tan(v) - 1
+            assert abs(rho**2 - (d + lam) ** 2 - 1) < mpmath.mpf(10) ** -45 * rho**2
+            assert abs(r**2 - (h + 1) ** 2 - mpmath.mpf(k) / l) < mpmath.mpf(10) ** -45 * r**2
 
     @pytest.mark.parametrize("k,l", [(1, 5), (5, 1), (1, 4), (9, 2)])
     def test_invalid_geometry(self, k, l):
