@@ -213,9 +213,11 @@ def certify_dimension(
     """
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
+    lam_str = None  # set by every attempt past its lens, by the returned one last
 
     def enclosures(prec: int):
         # (ball, entry) per enclosure; the lens has no entry
+        nonlocal lam_str
         lam = geom.lens_quantities(n, prec).lambda_plane
         yield lam, None
         lam_str = ball_to_str(lam)
@@ -229,7 +231,7 @@ def certify_dimension(
         return _narrow(ball, tw) and (entry is None or entry.strict != TriBool.UNKNOWN.value)
 
     items, prec, done = _escalate(enclosures, ok, prec_start, prec_max)
-    (lam, _), *pairs_out = items
+    pairs_out = items[1:]
     entries = [entry for _, entry in pairs_out]
 
     # independent-path agreement below the quadrature ceiling
@@ -250,7 +252,7 @@ def certify_dimension(
     return Certificate(
         n=n,
         precision_bits=prec,
-        lambda_plane=ball_to_str(lam),
+        lambda_plane=lam_str,
         entries=entries,
         verdict=_verdict([TriBool(e.strict) for e in entries], agreement_ok, done),
         timestamp=datetime.now(timezone.utc).isoformat(),

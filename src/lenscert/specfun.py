@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .bigfloat import (
     BigFloat,
@@ -298,15 +297,21 @@ def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W
     scale W on what the side drops (0 when a terminating side is complete).
 
     The side stops at the first j >= N, with (N, R) the tail ratio of
-    (a, b; c), whose weighted term t_j = (a)_j (b)_j z^j / ((c)_j j!)
-    passes the `_fx_tail` test with factor other / (1 - q), q = |z| R,
-    where `other` bounds the absolute sum of the other side's unweighted
-    terms.  For the competitor's x side (a = 1, b = -kk) that is N = 0 and
-    q = |x| kk/(e+2), so it stops as soon as its weighted terms are small
-    enough (85 terms at the balanced pair of n = 2700, not the (kk - e)/2
-    it takes for |r_j| to fall to 1).  That test multiplies the radius of
-    t_j by `other`, so the weighted terms run at scale W plus log2(other)
-    bits of headroom; they only decide where the side stops.
+    (a, b; c), whose weighted term t_j = w_j (b)_j z^j / j!, with
+    w_j = (a)_j / (c)_j, passes the `_fx_tail` test with factor
+    other / (1 - q), q = |z| R, where `other` bounds the absolute sum of the
+    other side's unweighted terms.  For the competitor's x side (a = 1,
+    b = -kk) that is N = 0 and q = |x| kk/(e+2), so it stops as soon as its
+    weighted terms are small enough (85 terms at the balanced pair of
+    n = 2700, not the (kk - e)/2 it takes for |r_j| to fall to 1).
+
+    That test multiplies the radius of a term by `other`, so the one term
+    sequence runs at scale W plus log2(other) bits of headroom, and each
+    term is stored at scale W with its midpoint floored and its radius
+    rounded up, plus one ulp for the floor.  The test takes t_j as the term
+    times wm 2**-we >= w_j, where each factor (a+j)/(c+j) <= 1 multiplies
+    wm, shifted left to leave a quotient above 2**64, and the quotient is
+    rounded up; so the bound is at most (1 + 2**-64)**j w_j.
     """
     order = _terminating_order(a, b)
     n1, bound = _tail_ratio(a, b, c, zsup)
@@ -314,26 +319,76 @@ def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W
     room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
-    zx, zt = _fx_from_ball(z, W), _fx_from_ball(z, Wt)
+    zt = _fx_from_ball(z, Wt)
     ia, ib, ic, d = _scaled(a, b, c)
     budget = order if order is not None else n1 + 64 * w + 256
-    weighted, unweighted = (1 << Wt, 0), (1 << W, 0)
+    term, wm, we = (1 << Wt, 0), 1 << 64, 64
     mids, rads = [1 << W], [0]
     j = 0
     while j != order:
-        p, q = _term_ratio(ia, ib, ic, d, j)
-        weighted = _fx_mul(_fx_mul_rat(weighted, p, q), zt, Wt)
-        unweighted = _fx_mul(_fx_mul_rat(unweighted, ib + j * d, (j + 1) * d), zx, W)
+        term = _fx_mul(_fx_mul_rat(term, ib + j * d, (j + 1) * d), zt, Wt)
+        num, den = wm * (ia + j * d), ic + j * d
+        shift = max(0, 65 + den.bit_length() - num.bit_length())
+        wm, we = -(-(num << shift) // den), we + shift
         j += 1
         if n1 <= j != order:
-            tail = _fx_tail(weighted, factor.numerator, factor.denominator, limit)
+            tail = _fx_tail(term, wm * factor.numerator, factor.denominator << we, limit)
             if tail is not None:
                 return mids, rads, -(-tail >> room)
-        mids.append(unweighted[0])
-        rads.append(unweighted[1])
+        mids.append(term[0] >> room)
+        rads.append(-(-term[1] >> room) + 1)
         if j > budget:
             raise PrecisionExhausted("F1 series did not reach its tail tolerance")
     return mids, rads, 0
+
+
+def _pack(values: list[int], size: int) -> int:
+    """sum v_i 2**(8 size i) for |v_i| < 2**(8 size - 1), built from
+    two's-complement slots of `size` bytes: each slot holds v_i less a
+    borrow of 1 when the slot below it holds a negative value, as the
+    two's complement of the whole int does (the inverse of `_unpack`)."""
+    out, borrow = [], 0
+    for v in values:
+        v -= borrow
+        out.append(v.to_bytes(size, "little", signed=True))
+        borrow = v < 0
+    return int.from_bytes(b"".join(out), "little", signed=True)
+
+
+def _unpack(z: int, size: int, count: int) -> list[int]:
+    """The values c_s of z = sum_{s < count} c_s 2**(8 size s), each
+    |c_s| < 2**(8 size - 1): slot s of the two's complement of z reads
+    c_s less a borrow of 1 when the part of z below it is negative, which
+    it is exactly when slot s - 1 reads negative."""
+    data = z.to_bytes(size * count, "little", signed=True)
+    out, borrow = [], 0
+    for i in range(0, size * count, size):
+        v = int.from_bytes(data[i : i + size], "little", signed=True)
+        out.append(v + borrow)
+        borrow = v < 0
+    return out
+
+
+def _diagonal_sums(am: list[int], ar: list[int], bm: list[int], br: list[int], W: int):
+    """(C_s, its radius) at scale W for s from 0 to na + nb - 2, for the
+    sides (A_m +/- rA_m) 2**-W and (B_n +/- rB_n) 2**-W: the midpoints from
+    one product of packed ints (Kronecker substitution), the radii from two
+    more, as set out under Rounding in `appell_f1`.  A slot holds a sum of
+    min(na, nb) products and a sign bit: the bits of the largest operands
+    plus bitlen(min(na, nb)) + 1, and one more for the radius, which adds
+    two such sums."""
+    def top(values: list[int]) -> int:
+        return max(map(abs, values)).bit_length()
+
+    count, spread = len(am) + len(bm) - 1, min(len(am), len(bm)).bit_length() + 1
+    size = (top(am) + top(bm) + spread + 7) // 8
+    mids = _unpack(_pack(am, size) * _pack(bm, size), size, count)
+    t = max(W - 40, 0)
+    asup = [-(-(abs(v) + r) >> t) for v, r in zip(am, ar)]
+    bsup = [-(-abs(v) >> t) for v in bm]
+    size = (max(top(asup) + top(br), top(ar) + top(bsup)) + spread + 8) // 8
+    rads = _pack(asup, size) * _pack(br, size) + _pack(ar, size) * _pack(bsup, size)
+    return [(m >> W, -(-r >> (W - t)) + 1) for m, r in zip(mids, _unpack(rads, size, count))]
 
 
 def appell_f1(
@@ -374,22 +429,32 @@ def appell_f1(
     w'_{s+1} = w_s c (a+s) / ((c+s) (c+1+s)) with c (a+s) <= (c+s)^2, so both
     w'_s and w'_{s+1} are at most w_s: its tail is (1 + |y|) times the first.
 
-    Rounding.  The sides are fixed-point enclosures (A_m +/- rA_m) 2**-W.
-    C_s is summed exactly at scale 2**-2W, and its radius is
-    sum (|A_m| + rA_m) rB_n + rA_m |B_n|, which bounds every product error
-    |A B - A_m B_n|; the midpoint is floored to scale W, and the radius is
-    ceiled there with one more ulp for the floor.  C'_s takes y C_{s-1} with
-    `_fx_mul` on the enclosure of y.  Horner in s then applies (a+s)/(c+s),
-    or (a+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
+    Rounding.  The sides are fixed-point enclosures (A_m +/- rA_m) 2**-W,
+    with A_0 = B_0 = 2**W exact.  `_diagonal_sums` sums every C_s exactly at
+    scale 2**-2W, from one product of two packed ints, and floors it to
+    scale W.  Its radius bounds sum (|A_m| + rA_m) rB_n + rA_m |B_n|, which
+    bounds every product error |A B - A_m B_n|, with the operands
+    |A_m| + rA_m and |B_n| rounded up to multiples of 2**(W-40); it is
+    rounded up to scale W, with one more ulp for the floor.  Rounding the
+    operands adds less than 2**(W-40) (rB_n + rA_m) per pair, and as
+    w_{m+n} <= min(w_m, w_n) at most 2**(W-40) (na sum_n w_n rB_n +
+    nb sum_m w_m rA_m) over all s once weighted, while the pairs with m = 0
+    or n = 0 alone make the weighted exact radius at least
+    2**W (sum_n w_n rB_n + sum_m w_m rA_m): so it widens the radius by at
+    most (na + nb) 2**-40 of itself.  The operands are rounded by the
+    absolute 2**(W-40), not relative to the largest one: at n = 2700 the
+    largest A_m is about 2**204 times A_0.  C'_s takes y C_{s-1} with `_fx_mul`
+    on the enclosure of y.  Horner in s then applies (a+s)/(c+s), or
+    (a+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
     every C_s, its radius included, ends weighted by w_s (or w'_s).
 
-    The sides and the sums run at W = w + _FX_GUARD with no headroom.
+    The sides are stored and summed at W = w + _FX_GUARD with no headroom.
     Rounding leaves A_m and B_n a few ulps of relative error while they grow
     and a few ulps of absolute error after, so it reaches the result as the
     same small relative error in sum w_{m+n} |A_m| |B_n|, which is |F1|
     when all terms share a sign, as at the competitor's arguments.  Only the
-    tail tests multiply a radius by U or V, so only the weighted terms carry
-    log2 U or log2 V more bits (see `_f1_side`).
+    tail tests multiply a radius by U or V, so only the term sequence of
+    each side runs with log2 V or log2 U more bits (see `_f1_side`).
     """
     a, b1, b2, c = Fraction(a), Fraction(b1), Fraction(b2), Fraction(c)
     if not (c >= a > 0 and _is_nonpos_int(b1)):
@@ -405,19 +470,8 @@ def appell_f1(
     W = w + _FX_GUARD
     am, ar, x_tail = _f1_side(a, b1, c, x, xsup, v_bound, tol, W, w)
     bm, br, y_tail = _f1_side(a, b2, c, y, ysup, u_bound, tol, W, w)
-    # B reversed, so that the pairs m + n = s are two aligned slices
-    na, nb = len(am), len(bm)
-    bm, br, bmag = bm[::-1], br[::-1], [abs(v) for v in reversed(bm)]
-    asup = [abs(v) + r for v, r in zip(am, ar)]
+    sums = _diagonal_sums(am, ar, bm, br, W)[::-1]  # C_s for s from na + nb - 2 down to 0
     ia, _, ic, d = _scaled(a, a, c)
-    sums = []  # C_s for s from na + nb - 2 down to 0
-    for s in range(na + nb - 2, -1, -1):
-        lo, hi = max(0, s - nb + 1), min(s + 1, na)
-        k = nb - 1 - s  # B_(s-m) sits at index m + k of the reversed lists
-        mid = sum(map(mul, am[lo:hi], bm[lo + k : hi + k]))
-        rad = sum(map(mul, asup[lo:hi], br[lo + k : hi + k]))
-        rad += sum(map(mul, ar[lo:hi], bmag[lo + k : hi + k]))
-        sums.append((mid >> W, -(-rad >> W) + 1))
     # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0
     yx, zero = _fx_from_ball(y, W), (0, 0)
     y_prev = (_fx_mul(v, yx, W) for v in sums + [zero])

@@ -270,6 +270,83 @@ class TestAppellF1:
         assert _contains(first, _terminating_f1(a, kk, e, c, xf, yf))
         assert _contains(second, _terminating_f1(a, kk, e + 1, c + 1, xf, yf))
 
+    def test_diagonal_sums_match_double_loop(self):
+        """the packed-product diagonal sums against a direct double loop at
+        W = 168, over random signed sides with zeros, one-element and very
+        unequal sides, magnitudes up to 2^400, and sides of one repeated
+        extreme value, which fill a slot: every midpoint is the exact sum
+        floored, and every radius is at least the exact one,
+        ceil(sum (|A_m| + rA_m) rB_n + rA_m |B_n|) + 1 at scale W, and at
+        most that sum with every operand rounded up by 2^(W-40).  With
+        A_0 = B_0 = 2^W exact, as in `_f1_side`, the radii sum to at most
+        (1 + (na+nb) 2^-40) times the exact ones, plus one ulp each"""
+        rng = random.Random(25)
+        W, t = 168, 128
+
+        def side(length, extreme):
+            if extreme:
+                v = rng.choice((-1, 1)) * (2 ** rng.randint(300, 400) - 1)
+                return [v] * length, [2 ** rng.randint(0, 60) - 1] * length
+            mag = [rng.choice((0, rng.randint(0, 2 ** rng.randint(0, 400)))) for _ in range(length)]
+            return (
+                [rng.choice((-1, 1)) * v for v in mag],
+                [rng.choice((0, rng.randint(0, 2 ** rng.randint(0, 60)))) for _ in range(length)],
+            )
+
+        for case in range(150):
+            if case % 2:
+                na, nb = rng.choice(((1, 1), (1, 40), (200, 2), (3, 90), (7, 7), (8, 9)))
+            else:
+                na, nb = rng.randint(1, 60), rng.randint(1, 60)
+            (am, ar), (bm, br) = side(na, case % 5 == 0), side(nb, case % 5 == 0)
+            exact_start = case % 3 == 0
+            if exact_start:
+                am[0], ar[0], bm[0], br[0] = 1 << W, 0, 1 << W, 0
+            got = specfun._diagonal_sums(am, ar, bm, br, W)
+            assert len(got) == na + nb - 1, case
+            want_sum = got_sum = 0
+            for s, (mid, rad) in enumerate(got):
+                pairs = [(m, s - m) for m in range(max(0, s - nb + 1), min(s, na - 1) + 1)]
+                exact = sum(am[m] * bm[n] for m, n in pairs)
+                err = sum((abs(am[m]) + ar[m]) * br[n] + ar[m] * abs(bm[n]) for m, n in pairs)
+                slack = sum(br[n] + ar[m] for m, n in pairs) << t
+                assert mid == exact >> W, (case, s)
+                assert -(-err >> W) + 1 <= rad <= -(-(err + slack) >> W) + 1, (case, s)
+                want_sum += -(-err >> W) + 1
+                got_sum += rad
+            if exact_start:
+                assert got_sum <= want_sum * (1 + Fraction(na + nb, 2**40)) + len(got), case
+
+    def test_side_weight_bound_is_tight(self):
+        """the bound wm 2^-we on w_j = (a)_j / (c)_j that `_f1_side` passes
+        to its tail test is at least w_j and at most (1 + j 2^-62) w_j, for
+        j up to 2000 and c up to 1350: at z = 0 and other = 1 the tail
+        factor is 1, so the test's p/q is the bound itself"""
+        zero = Ball.from_int(0, 64)
+        cases = [(1, 1350), (1, Fraction(3, 2)), (Fraction(1, 3), 1350), (5, 5)]
+        cases += [(Fraction(74649, 7), Fraction(450029, 42)), (Fraction(7, 2), Fraction(2697, 2))]
+        for a, c in cases:
+            a, c, b = Fraction(a), Fraction(c), Fraction(-2001)
+            bounds = []
+
+            def recording_tail(x, p, q, limit):
+                bounds.append((p, q))
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(specfun, "_fx_tail", recording_tail)
+                specfun._f1_side(a, b, c, zero, Fraction(0), Fraction(1), bf_two_power(-80), 96, 72)
+            first = max(1, specfun._tail_ratio(a, b, c, Fraction(0))[0])
+            assert len(bounds) == 2001 - first, (a, c)
+            num, den = a.numerator * c.denominator, c.numerator * a.denominator
+            exact_num, exact_den, scale = 1, 1, a.denominator * c.denominator
+            for j in range(1, 2001):
+                exact_num *= num + (j - 1) * scale
+                exact_den *= den + (j - 1) * scale
+                if j >= first:
+                    p, q = bounds[j - first]
+                    assert p * exact_den >= q * exact_num, (a, c, j)
+                    assert p * exact_den * 2**62 <= q * exact_num * (2**62 + j), (a, c, j)
+
     def test_domain_checks(self):
         """both arguments must lie certainly inside the unit disc, even in a
         terminating direction, and b1 must be a non-positive integer"""

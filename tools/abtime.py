@@ -1,0 +1,131 @@
+"""Time two lenscert source trees against each other in one process.
+
+Usage: python3 tools/abtime.py PARENT CHANGE [--workload desk]
+                               [--seeds 1..10] [--rounds 3]
+
+PARENT and CHANGE are repository roots, each holding `src/lenscert`.  Both
+packages are loaded into this one interpreter through `importlib`, as
+`lenscert_parent` and `lenscert_change`, so that both sides run on the same
+interpreter and under the same load of a shared machine; separate benchmark
+runs of one tree on a shared 2-core host spread by 6% to 35%.  A workload's
+seed sets and target width come from `bench/run.py` of the repository this
+script is in (`sample_dims`, `WORKLOADS`).
+
+Each side first certifies every seed set once, untimed, and the two
+certificate lists are compared with their timestamps removed.  Then each
+round runs every seed set once on each side, back to back, and the side
+that goes first swaps every round.  A pass is one
+`certify.certify(dims, target_width=width, out=path)` call writing its JSON
+to a temporary file, as in the benchmark's plain pass.  The script prints
+the median change/parent ratio of the per-pass times with its quartiles,
+over all pairs and per seed, and each side's median pass time.  A ratio
+below 1 means the change is faster.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import pathlib
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def load_tree(root: str, name: str):
+    """The `certify` module of the lenscert package under root/src, loaded
+    as the package `name`; its modules import each other relatively, so
+    they resolve inside that package."""
+    pkg = pathlib.Path(root).resolve() / "src" / "lenscert"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(name + ".certify")
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("_bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("..")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def certificates(certify, dims, width, path: str) -> list[dict]:
+    out = []
+    for cert in certify.certify(dims, target_width=width, out=path):
+        d = cert.to_dict()
+        d.pop("timestamp", None)
+        out.append(d)
+    return out
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", default="desk")
+    ap.add_argument("--seeds", default="1..10", help="seed or range, e.g. 3 or 1..10")
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args(argv)
+
+    bench = load_bench()
+    if args.workload not in bench.WORKLOADS:
+        ap.error("unknown workload %r; choose from %s" % (args.workload, sorted(bench.WORKLOADS)))
+    width = bench.WORKLOADS[args.workload]["width"]
+    seeds = seed_range(args.seeds)
+    dims = {seed: bench.sample_dims(args.workload, seed) for seed in seeds}
+    mods = {side: load_tree(root, "lenscert_" + side) for side, root in zip(SIDES, (args.parent, args.change))}
+
+    with tempfile.TemporaryDirectory(prefix="abtime-") as tmp:
+        path = os.path.join(tmp, "certs.json")
+        differ = [
+            seed
+            for seed in seeds
+            if certificates(mods["parent"], dims[seed], width, path)
+            != certificates(mods["change"], dims[seed], width, path)
+        ]
+        times = {side: {seed: [] for seed in seeds} for side in SIDES}
+        for rnd in range(args.rounds):
+            for seed in seeds:
+                order = SIDES if (rnd + seed) % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    t0 = time.perf_counter()
+                    mods[side].certify(dims[seed], target_width=width, out=path)
+                    times[side][seed].append(time.perf_counter() - t0)
+
+    ratios = {
+        seed: [c / p for p, c in zip(times["parent"][seed], times["change"][seed])] for seed in seeds
+    }
+    every = [r for seed in seeds for r in ratios[seed]]
+    q1, med, q3 = quartiles(every)
+    print("workload %s, seeds %s, %d rounds, %d pairs" % (args.workload, args.seeds, args.rounds, len(every)))
+    print("certificates: %s" % ("identical" if not differ else "differ for seeds %s" % differ))
+    for seed in seeds:
+        print("  seed %-4d dims %-40s ratio %.3f" % (seed, dims[seed], statistics.median(ratios[seed])))
+    for side in SIDES:
+        print("%-6s median pass %.4f s" % (side, statistics.median(t for ts in times[side].values() for t in ts)))
+    print("change/parent: median %.3f (quartiles %.3f-%.3f), change faster in %d of %d pairs"
+          % (med, q1, q3, sum(r < 1 for r in every), len(every)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
