@@ -67,6 +67,8 @@ QUADRATURE_MAX_N = 24
 # the agreement paths run at this fixed precision, whatever the certificate's
 AGREEMENT_PREC = 64
 AGREEMENT_WIDTH = 1e-6
+# the largest n of `exact --mode simons`; n = 200 needs 512 bits
+EXACT_SIMONS_CAP = 200
 
 
 class CertEntry:
@@ -477,14 +479,20 @@ def render_plot_csv(rows: list[PlotRow]) -> str:
 
 
 def exact_report(n: int, mode: str) -> dict:
-    """Symbolic components plus a certified numeric cross-check."""
-    prec = 128
+    """Symbolic components plus a certified numeric cross-check.  The exact
+    parts are computed once; both paths are then enclosed by `_escalate`
+    from 128 bits, doubling while an attempt cancels (simons mode needs 256
+    bits from n = 76 on and 512 at n = 200)."""
     if mode == "lens":
         if n < 3 or n > 40:
             raise UnsupportedDimension("exact lens mode supports 3 <= n <= 40")
         cap, vol = oracle.lens_exact_wallis(n)
-        exact_ball = oracle.lambda_plane_exact_ball(n, prec)
-        general = geom.lens_quantities(n, prec).lambda_plane
+        exact_ball, general = _exact_paths(
+            lambda prec: (
+                oracle.lambda_plane_exact_ball(n, cap, vol, prec),
+                geom.lens_quantities(n, prec).lambda_plane,
+            )
+        )
         return {
             "mode": "lens",
             "n": n,
@@ -499,9 +507,13 @@ def exact_report(n: int, mode: str) -> dict:
             raise UnsupportedDimension(
                 "exact balanced mode needs n = 2k+2 with k odd (n divisible by 4)"
             )
+        if n > EXACT_SIMONS_CAP:
+            raise UnsupportedDimension("exact simons mode supports n <= %d" % EXACT_SIMONS_CAP)
         k = (n - 2) // 2
-        ex = oracle.exact_simons_m(k, prec)
-        general = geom.competitor_energy_specfun(k, k, prec).m_value
+        ex = oracle.exact_simons_m(k)
+        exact_ball, general = _exact_paths(
+            lambda prec: (ex.assembled(prec), geom.competitor_energy_specfun(k, k, prec).m_value)
+        )
         return {
             "mode": "simons",
             "n": n,
@@ -510,11 +522,20 @@ def exact_report(n: int, mode: str) -> dict:
             "denominator": _q23_dict(ex.den),
             "numerator_scale": str(ex.num_scale),
             "denominator_scale": str(ex.den_scale),
-            "m_exact_path": ball_to_str(ex.assembled),
+            "m_exact_path": ball_to_str(exact_ball),
             "m_general_path": ball_to_str(general),
-            "paths_intersect": intersects(ex.assembled, general),
+            "paths_intersect": intersects(exact_ball, general),
         }
     raise ValueError("unknown exact mode %r" % mode)
+
+
+def _exact_paths(paths):
+    """paths(prec), the (exact path, general path) pair of an exact report,
+    from the first attempt whose enclosures do not cancel."""
+    items, _, _ = _escalate(
+        lambda prec: [paths(prec)], lambda pair: True, DEFAULT_PREC_START, DEFAULT_PREC_MAX
+    )
+    return items[0]
 
 
 def _lens_exact_dict(x: oracle.LensExact) -> dict:

@@ -110,7 +110,7 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     disc = ball_mul(omega, _root_power(Fraction(3, 4), root, n - 1, w), w)
 
     quarter = Ball.from_fraction(Fraction(1, 4), w)
-    f = specfun.gauss_2f1(Fraction(1), Fraction(n + 1), Fraction(n + 3, 2), quarter, w)
+    f = specfun.gauss_2f1(n + 1, Fraction(n + 3, 2), quarter, w)
     # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1))
     vol = ball_mul_rat(ball_mul(disc, f, w), 3, 2 * (n + 1), w)
     cap = ball_mul_rat(ball_add(ball_mul_rat(vol, n, 1, w), disc, w), 1, 2, w)
@@ -307,7 +307,7 @@ def _arc_corner(
     x = ball_neg(ball_div(length, corner, w))
     y = ball_neg(ball_mul_rat(ball_mul(length, length, w), ld.denominator, ld.numerator, w))
     pre = ball_mul(length, cpow, w)
-    per, vol = (ball_mul(pre, f, w) for f in specfun.appell_f1(Fraction(1), Fraction(-kk), -e, e + 2, x, y, w))
+    per, vol = (ball_mul(pre, f, w) for f in specfun.appell_f1(-kk, -e, e + 2, x, y, w))
     return ball_mul_rat(per, 2, e2 + 2, w), ball_mul_rat(vol, 2 * ld.numerator, (e2 + 4) * ld.denominator, w)
 
 

@@ -337,10 +337,10 @@ def _sqrt3_half_power(e: int) -> LensExact:
     return LensExact(Fraction(0), mag / 2, Fraction(0))
 
 
-def lambda_plane_exact_ball(n: int, prec: int) -> Ball:
-    """Renormalized lens energy assembled from the exact cosine-power parts."""
+def lambda_plane_exact_ball(n: int, cap: LensExact, vol: LensExact, prec: int) -> Ball:
+    """Renormalized lens energy assembled from the exact cosine-power parts
+    (cap, vol) = lens_exact_wallis(n)."""
     w = prec + 16
-    cap, vol = lens_exact_wallis(n)
     num = cap.scale(2) - _sqrt3_half_power(n - 1)
     omega = unit_ball_volume(n - 1, w)
     out = ball_mul(num.to_ball(w), pow_rational(omega, 1, n, w), w)
@@ -487,25 +487,32 @@ def polynomial_m_value(k: int, l: int, prec: int):
 class SimonsExact:
     """Exact balanced-case competitor energy data for odd k (n = 2k + 2)."""
 
-    __slots__ = ("k", "num", "den", "num_scale", "den_scale", "assembled")
+    __slots__ = ("k", "num", "den", "num_scale", "den_scale")
 
-    def __init__(
-        self, k: int, num: QSqrt23, den: QSqrt23, num_scale: Fraction, den_scale: Fraction, assembled: Ball
-    ):
+    def __init__(self, k: int, num: QSqrt23, den: QSqrt23, num_scale: Fraction, den_scale: Fraction):
         self.k, self.num, self.den = k, num, den
-        self.num_scale, self.den_scale, self.assembled = num_scale, den_scale, assembled
+        self.num_scale, self.den_scale = num_scale, den_scale
+
+    def assembled(self, prec: int) -> Ball:
+        """M(k,k) at prec bits: the outer rational powers and the volume
+        prefactor applied to the raw elements num / num_scale and
+        den / den_scale."""
+        n, w = 2 * self.k + 2, prec + 16
+        ww = unit_ball_volume_product((self.k + 1, self.k + 1), w)
+        num_raw, den_raw = self.num * (1 / self.num_scale), self.den * (1 / self.den_scale)
+        m = ball_mul(pow_rational(ww, 1, n, w), num_raw.to_ball(w), w)
+        m = ball_div(m, pow_rational(den_raw.to_ball(w), n - 1, n, w), w)
+        return ball_round(m, prec)
 
 
-def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:
+def exact_simons_m(k: int) -> SimonsExact:
     """M(k,k) for odd k, exactly in Q(sqrt2, sqrt3) up to the outer radicals.
 
     num/den are the scaled coprime-integer field elements (see the module
-    docstring for the normalization rule); `assembled` applies the outer
-    rational powers and the sqrt(pi)/volume prefactors to the raw elements.
+    docstring for the normalization rule); `assembled(prec)` encloses M(k,k).
     """
     if k % 2 == 0 or k < 1:
         raise DomainViolation("balanced exact path requires odd k")
-    n = 2 * k + 2
     r = QSqrt23(Fraction(0), Fraction(1), Fraction(0), Fraction(1))  # sqrt2 + sqrt6
     h = QSqrt23(Fraction(1), Fraction(0), Fraction(1), Fraction(0))  # 1 + sqrt3
     one = QSqrt23.from_rational(1)
@@ -518,9 +525,4 @@ def exact_simons_m(k: int, prec: int = 128) -> SimonsExact:
 
     num, num_scale = _normalize_q23(num_raw)
     den, den_scale = _normalize_q23(den_raw)
-
-    w = prec + 16
-    ww = unit_ball_volume_product((k + 1, k + 1), w)
-    m = ball_mul(pow_rational(ww, 1, n, w), num_raw.to_ball(w), w)
-    m = ball_div(m, pow_rational(den_raw.to_ball(w), n - 1, n, w), w)
-    return SimonsExact(k, num, den, num_scale, den_scale, ball_round(m, prec))
+    return SimonsExact(k, num, den, num_scale, den_scale)

@@ -1,43 +1,39 @@
 """Certified special functions.
 
-Half-integer gamma values are exact, a rational or a rational times
-sqrt(pi), and give the unit-ball volumes.
-Every hypergeometric series, terminating or not, needs its arguments
-certainly inside the unit disc and follows one tail rule, after Johansson,
-"Computing hypergeometric functions rigorously" (ACM TOMS 45(3), 2019):
-the tail is bounded from the actual term ratios
-r_j = (a+j)(b+j) / ((c+j)(j+1)), through one index N and one bound
-R >= |r_j| for every j >= N (for a terminating series, every j below its
-order) with q = |z| R < 1, both computed once per series by `_tail_ratio`.
-From N on each |t_(j+1)| <= q |t_j|, so the terms past t_m sum to at most
-|t_m| q / (1 - q); the series stops at the first m >= N where that is at
-most tol and is widened by it, and a terminating series that reaches its
-last term first is complete.
+Unit-ball volumes are exact: a power of pi over a rational.
+Both hypergeometric series of lenscert have a = 1: the lens series
+2F1(1, n+1; (n+3)/2; 1/4) and the competitor's Appell F1(1; -kk, -e; e+2;
+x, y).  Each series needs its arguments certainly inside the unit disc and
+follows one tail rule, after Johansson, "Computing hypergeometric functions
+rigorously" (ACM TOMS 45(3), 2019): the tail is bounded from the actual
+term ratios, which with a = 1 are r_j = (b+j)/(c+j), through one index N
+and one bound R >= |r_j| for every j >= N (for a terminating series, every
+j below its order) with q = |z| R < 1, both computed once per series by
+`_tail_ratio`.  From N on each |t_(j+1)| <= q |t_j|, so the terms past t_m
+sum to at most |t_m| q / (1 - q); the series stops at the first m >= N
+where that is at most the tolerance tol = 2**(-prec-12) and is widened by
+it, and a terminating series that reaches its last term first is complete.
 
-N and R.  Write r_j as (a+j)/(j+1) times (b+j)/(c+j), or as (b+j)/(j+1)
-times (a+j)/(c+j).  Where s + j > 0, a factor |p+j| / (s+j) does not
-increase if p >= s (it is 1 + (p-s)/(s+j) >= 0), or if p + j <= 0 up to
-the order of a terminating series, p + order <= 1 (its numerator falls and
-its denominator grows); then it is at most its value at N on j >= N.
-Otherwise p < s, and it is at most 1 wherever p + s + 2j >= 0.  So each
-form bounds |r_j| on j >= N by the product R of those two bounds at N,
-which does not increase with N.  N is the first index where both bounds
-hold and |z| R <= (1 + |z|)/2 for one of the forms, R the smaller
-product where both do, found by a linear search, since the series sums at
+N and R.  As c >= 1, c + j > 0 for every j >= 0.  The factor |b+j| / (c+j)
+does not increase if b >= c (it is 1 + (b-c)/(c+j) >= 0), or if b + j <= 0
+up to the order of a terminating series, b + order <= 1 (its numerator
+falls and its denominator grows); then it is at most its value at N on
+j >= N, and R is that value.  Otherwise b < c, and it is at most R = 1
+wherever b + c + 2j >= 0.  N is the first index where that bound holds and
+|z| R <= (1 + |z|)/2, found by a linear search, since the series sums at
 least N terms anyway; such an index exists, as R tends to at most 1, and
 for a terminating series with none below its order N is the order and
 R = 0.  So q <= (1 + |z|)/2, and the tail factor q/(1-q) never exceeds
-(1 + |z|)/(1 - |z|).  Every series of lenscert has a = 1, so
-the first form is r_j = (b+j)/(c+j): the lens series (b = n+1 > c) gets
-N = 0 and q < 1/2, the F1 x side (b = -kk) N = 0 and q = |x| kk/(e+2) at
-the competitor's arguments, and the F1 y side (b = -e, c = e+2) N = 0 and
+(1 + |z|)/(1 - |z|).  The lens series (b = n+1 > c) gets N = 0 and
+q < 1/2, the F1 x side (b = -kk) N = 0 and q = |x| kk/(e+2) at the
+competitor's arguments, and the F1 y side (b = -e, c = e+2) N = 0 and
 R = 1, or R = e/(e+2) when e is an integer.
 
-Appell F1, for c >= a > 0 and a non-positive integer b1, is one convolution
-of its x and y series; each side stops by the same rule on its terms
-weighted by (a)_j / (c)_j, with the tail also multiplied by a bound on the
-other side's absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).
-The same convolution also gives F1(a; b1, b2-1; c+1; x, y).
+Appell F1, for c >= 1 and a non-positive integer b1, is one convolution of
+its x and y series; each side stops by the same rule on its terms weighted
+by s! / (c)_s, with the tail also multiplied by a bound on the other side's
+absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).  The same
+convolution also gives F1(1; b1, b2-1; c+1; x, y).
 
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -56,13 +52,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bigfloat import (
-    BigFloat,
-    bf_from_int,
-    bf_shift,
-    bf_to_fraction,
-    bf_two_power,
-)
+from .bigfloat import BigFloat, bf_to_fraction, bf_two_power
 from .ball import (
     _FX_GUARD,
     Ball,
@@ -77,44 +67,14 @@ from .ball import (
     ball_round,
     pi_ball,
 )
-from .errors import DivergentParameters, DomainViolation, InvalidC, PrecisionExhausted
+from .errors import DivergentParameters, DomainViolation, PrecisionExhausted
 
-__all__ = [
-    "HalfGamma",
-    "gamma_half",
-    "unit_ball_volume",
-    "unit_ball_volume_product",
-    "SeriesTail",
-    "gauss_2f1",
-    "gauss_2f1_detailed",
-    "appell_f1",
-]
+__all__ = ["unit_ball_volume", "unit_ball_volume_product", "gauss_2f1", "appell_f1"]
 
 
 # ---------------------------------------------------------------------------
-# exact gamma at half-integer arguments
+# unit-ball volumes
 # ---------------------------------------------------------------------------
-
-
-class HalfGamma:
-    """Value q * sqrt(pi)**s with q rational and s in {0, 1}."""
-
-    __slots__ = ("q", "s")
-
-    def __init__(self, q: Fraction, s: int):
-        self.q, self.s = q, s
-
-
-def gamma_half(two_x: int) -> HalfGamma:
-    """Gamma(two_x / 2) for two_x >= 1, exactly."""
-    if two_x < 1:
-        raise ValueError("argument must be a positive half-integer")
-    if two_x % 2 == 0:
-        m = two_x // 2
-        return HalfGamma(Fraction(math.factorial(m - 1)), 0)
-    m = (two_x - 1) // 2
-    q = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-    return HalfGamma(q, 1)
 
 
 def unit_ball_volume(m: int, prec: int) -> Ball:
@@ -125,27 +85,23 @@ def unit_ball_volume(m: int, prec: int) -> Ball:
 def unit_ball_volume_product(dims: tuple[int, ...], prec: int) -> Ball:
     """The product of omega_m over m in dims as one power of pi over one
     rational: omega_m = pi**(m//2) / q_m for Gamma(m/2 + 1) = q_m sqrt(pi)**(m % 2)
-    (DLMF §5.19(iii)), as for odd m that sqrt(pi) cancels a half-power of pi."""
+    (DLMF §5.19(iii)), as for odd m that sqrt(pi) cancels a half-power of pi.
+    q_m is (m/2)! for even m and m!! / 2**((m+1)/2) for odd m, so the product
+    of the q_m is an integer over a power of two, in lowest terms once the
+    common power of two is taken out."""
     if min(dims) < 1:
         raise ValueError("dimension must be positive")
-    q = math.prod((gamma_half(m + 2).q for m in dims), start=Fraction(1))
+    num = math.prod(math.factorial(m // 2) if m % 2 == 0 else math.prod(range(1, m + 1, 2)) for m in dims)
+    e = sum((m + 1) // 2 for m in dims if m % 2)
+    t = min(e, (num & -num).bit_length() - 1)  # the power of two num and 2**e share
     w = prec + 8
     out = ball_pow_int(pi_ball(w), sum(m // 2 for m in dims), w)
-    return ball_round(ball_mul_rat(out, q.denominator, q.numerator, w), prec)
+    return ball_round(ball_mul_rat(out, 1 << (e - t), num >> t, w), prec)
 
 
 # ---------------------------------------------------------------------------
 # Gauss 2F1 with certified tails
 # ---------------------------------------------------------------------------
-
-
-class SeriesTail:
-    """Truncation record: tail >= |last_term| * q / (1 - q)."""
-
-    __slots__ = ("n_terms", "ratio", "last_term", "tail")
-
-    def __init__(self, n_terms: int, ratio: Fraction, last_term: BigFloat, tail: BigFloat):
-        self.n_terms, self.ratio, self.last_term, self.tail = n_terms, ratio, last_term, tail
 
 
 def _fr_ceil(x: Fraction) -> int:
@@ -156,95 +112,56 @@ def _is_nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-def _scaled(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """(ia, ib, ic, d) with a, b, c = ia/d, ib/d, ic/d over their least
-    common denominator d."""
-    d = math.lcm(a.denominator, b.denominator, c.denominator)
-    return int(a * d), int(b * d), int(c * d), d
+def _order(b: Fraction) -> int | None:
+    """The order of a series with numerator parameter b, if it terminates."""
+    return int(-b) if _is_nonpos_int(b) else None
 
 
-def _term_ratio(ia: int, ib: int, ic: int, d: int, m: int) -> tuple[int, int]:
-    """(a+m)(b+m) / ((c+m)(m+1)) for a, b, c = ia/d, ib/d, ic/d, as the
-    (numerator, denominator) that Fraction gives: lowest terms, denominator
-    positive."""
-    md = m * d
-    p = (ia + md) * (ib + md)
-    q = (ic + md) * (m + 1) * d
-    g = math.gcd(p, q)
-    if q < 0:
-        g = -g
-    return p // g, q // g
+def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
+    """(ib, ic, d) with b, c = ib/d, ic/d over their least common
+    denominator d."""
+    d = math.lcm(b.denominator, c.denominator)
+    return int(b * d), int(c * d), d
 
 
-def _tail_ratio(a: Fraction, b: Fraction, c: Fraction, zsup: Fraction) -> tuple[int, Fraction]:
+def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> tuple[int, Fraction]:
     """(N, R) with |r_j| <= R for every j >= N (for a terminating series,
-    every j below its order), where r_j = (a+j)(b+j) / ((c+j)(j+1)) is the
-    term ratio, and q = zsup R <= (1 + zsup)/2.  See the module docstring
-    for the rule; a, b, c are taken over their common denominator d."""
-    order = _terminating_order(a, b)
-    ia, ib, ic, d = _scaled(a, b, c)
+    every j below its order), where r_j = (b+j)/(c+j) is the term ratio for
+    a = 1 and c >= 1, and q = zsup R <= (1 + zsup)/2.  See the module
+    docstring for the rule; b, c are taken over their common denominator d."""
+    order = _order(b)
+    ib, ic, d = _scaled(b, c)
     zn, zd = zsup.numerator, zsup.denominator
+    if ib >= ic or (order is not None and ib + order * d <= d):
+        n, bound = 0, lambda j: (abs(ib + j * d), ic + j * d)
+    else:
+        n, bound = max(0, -((ib + ic) // (2 * d))), lambda j: (1, 1)
 
-    def factor(p: int, s: int):
-        """(start, g) with g(j) = (u, v), u/v >= |p+i| / (s+i) for
-        start <= j <= i (i below the order of a terminating series) where
-        v > 0, for the factor (p/d + i) / (s/d + i).  A falling factor's v
-        is negative until s + j turns positive, and `fits` fails there; a
-        bounded one starts past -(p+s)/2 > -s."""
-        if p >= s or (order is not None and p + order * d <= d):
-            return 0, lambda j: (abs(p + j * d), s + j * d)
-        return max(0, -((p + s) // (2 * d))), lambda j: (1, 1)
+    def fits(j: int) -> bool:
+        u, v = bound(j)
+        return (order is not None and j >= order) or 2 * zn * u <= (zd + zn) * v
 
-    def form(p1: int, p2: int, stop) -> tuple[int, Fraction] | None:
-        (n1, g1), (n2, g2) = factor(p1, d), factor(p2, ic)
-
-        def bound(j: int) -> tuple[int, int]:
-            (u1, v1), (u2, v2) = g1(j), g2(j)
-            return u1 * u2, v1 * v2
-
-        def fits(j: int) -> bool:
-            u, v = bound(j)
-            return (order is not None and j >= order) or 2 * zn * u <= (zd + zn) * v
-
-        # a linear search up to `stop`: the series sums at least N terms anyway
-        n = max(n1, n2)
-        while n <= stop and not fits(n):
-            n += 1
-        if n > stop:
-            return None
-        return n, Fraction(*bound(n)) if order is None or n < order else Fraction(0)
-
-    first = form(ia, ib, math.inf)
-    second = form(ib, ia, first[0])
-    return min(first, second) if second else first
+    while not fits(n):
+        n += 1
+    return n, Fraction(*bound(n)) if order is None or n < order else Fraction(0)
 
 
 def _default_tol(prec: int) -> BigFloat:
     return bf_two_power(-prec - 12)
 
 
-def _terminating_order(a: Fraction, b: Fraction) -> int | None:
-    orders = [int(-p) for p in (a, b) if _is_nonpos_int(p)]
-    if not orders:
-        return None
-    return min(orders)
-
-
-def gauss_2f1_detailed(
-    a, b, c, z: Ball, prec: int, tol: BigFloat | None = None
-) -> tuple[Ball, SeriesTail]:
-    """2F1(a, b; c; z) for |z| certainly below 1, with its tail record.  A
-    terminating series needs no case of its own: the term after its last is
-    0 up to rounding, so it passes the tail test, and its true tail is 0."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if _is_nonpos_int(c):
-        raise InvalidC("c must not be a non-positive integer")
+def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
+    """2F1(1, b; c; z) for c >= 1 and |z| certainly below 1.  A terminating
+    series needs no case of its own: the term after its last is 0 up to
+    rounding, so it passes the tail test, and its true tail is 0."""
+    b, c = Fraction(b), Fraction(c)
+    if c < 1:
+        raise DivergentParameters("2F1 tail bound needs c >= 1")
     zsup = Fraction(bf_to_fraction(z.mag_sup()))
     if zsup >= 1:
         raise DivergentParameters("|z| must be certainly below 1")
-    tol = tol or _default_tol(prec)
     w = prec + 8
-    n1, bound = _tail_ratio(a, b, c, zsup)
+    n1, bound = _tail_ratio(b, c, zsup)
     ratio = zsup * bound
     tail_factor = ratio / (1 - ratio)
     # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q,
@@ -252,30 +169,23 @@ def gauss_2f1_detailed(
     room = (1 + zsup) / (1 - ratio) ** 2
     W = w + _FX_GUARD + room.numerator.bit_length() - room.denominator.bit_length() + 2
     zx = _fx_from_ball(z, W)
-    limit = _fx_from_ball(Ball.point(tol, w), W)[0]  # floor(tol * 2**W)
+    limit = _fx_from_ball(Ball.point(_default_tol(prec), w), W)[0]  # floor(tol * 2**W)
     term = (1 << W, 0)
     sum_m, sum_r = term
     m = 0
     budget = n1 + 64 * (prec + 16) + 256
-    ia, ib, ic, d = _scaled(a, b, c)
+    ib, ic, d = _scaled(b, c)
     while True:
-        p, q = _term_ratio(ia, ib, ic, d, m)
-        term = _fx_mul(_fx_mul_rat(term, p, q), zx, W)
+        term = _fx_mul(_fx_mul_rat(term, ib + m * d, ic + m * d), zx, W)
         sum_m += term[0]
         sum_r += term[1]
         m += 1
         if n1 <= m:
             tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
             if tail is not None:
-                last = bf_shift(bf_from_int(abs(term[0]) + term[1]), -W)
-                record = SeriesTail(m + 1, ratio, last, bf_shift(bf_from_int(tail), -W))
-                return _fx_to_ball((sum_m, sum_r + tail), W, prec), record
+                return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if m > budget:
             raise PrecisionExhausted("2F1 series did not reach its tail tolerance")
-
-
-def gauss_2f1(a, b, c, z: Ball, prec: int, tol: BigFloat | None = None) -> Ball:
-    return gauss_2f1_detailed(a, b, c, z, prec, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +201,17 @@ def _pow_sup(base: Fraction, k: int, w: int) -> Fraction:
     return Fraction(m + r, 1 << w)
 
 
-def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: int, w: int):
+def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: int, w: int):
     """One side of the F1 double sum: the unweighted terms (b)_j z^j / j! at
     scale W, as lists of midpoints and radii, and the tail bound in ulps of
     scale W on what the side drops (0 when a terminating side is complete).
 
     The side stops at the first j >= N, with (N, R) the tail ratio of
-    (a, b; c), whose weighted term t_j = w_j (b)_j z^j / j!, with
-    w_j = (a)_j / (c)_j, passes the `_fx_tail` test with factor
+    (b; c), whose weighted term t_j = w_j (b)_j z^j / j!, with
+    w_j = j! / (c)_j, passes the `_fx_tail` test with factor
     other / (1 - q), q = |z| R, where `other` bounds the absolute sum of the
-    other side's unweighted terms.  For the competitor's x side (a = 1,
-    b = -kk) that is N = 0 and q = |x| kk/(e+2), so it stops as soon as its
+    other side's unweighted terms.  For the competitor's x side (b = -kk)
+    that is N = 0 and q = |x| kk/(e+2), so it stops as soon as its
     weighted terms are small enough (85 terms at the balanced pair of
     n = 2700, not the (kk - e)/2 it takes for |r_j| to fall to 1).
 
@@ -309,25 +219,25 @@ def _f1_side(a, b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W
     sequence runs at scale W plus log2(other) bits of headroom, and each
     term is stored at scale W with its midpoint floored and its radius
     rounded up, plus one ulp for the floor.  The test takes t_j as the term
-    times wm 2**-we >= w_j, where each factor (a+j)/(c+j) <= 1 multiplies
+    times wm 2**-we >= w_j, where each factor (1+j)/(c+j) <= 1 multiplies
     wm, shifted left to leave a quotient above 2**64, and the quotient is
     rounded up; so the bound is at most (1 + 2**-64)**j w_j.
     """
-    order = _terminating_order(a, b)
-    n1, bound = _tail_ratio(a, b, c, zsup)
+    order = _order(b)
+    n1, bound = _tail_ratio(b, c, zsup)
     factor = other / (1 - zsup * bound)
     room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
     zt = _fx_from_ball(z, Wt)
-    ia, ib, ic, d = _scaled(a, b, c)
+    ib, ic, d = _scaled(b, c)
     budget = order if order is not None else n1 + 64 * w + 256
     term, wm, we = (1 << Wt, 0), 1 << 64, 64
     mids, rads = [1 << W], [0]
     j = 0
     while j != order:
         term = _fx_mul(_fx_mul_rat(term, ib + j * d, (j + 1) * d), zt, Wt)
-        num, den = wm * (ia + j * d), ic + j * d
+        num, den = wm * (j + 1) * d, ic + j * d
         shift = max(0, 65 + den.bit_length() - num.bit_length())
         wm, we = -(-(num << shift) // den), we + shift
         j += 1
@@ -391,18 +301,16 @@ def _diagonal_sums(am: list[int], ar: list[int], bm: list[int], br: list[int], W
     return [(m >> W, -(-r >> (W - t)) + 1) for m, r in zip(mids, _unpack(rads, size, count))]
 
 
-def appell_f1(
-    a, b1, b2, c, x: Ball, y: Ball, prec: int, tol: BigFloat | None = None
-) -> tuple[Ball, Ball]:
-    """The pair F1(a; b1, b2; c; x, y), F1(a; b1, b2-1; c+1; x, y) of first
-    Appell functions, for c >= a > 0, b1 a non-positive integer and x, y
+def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
+    """The pair F1(1; b1, b2; c; x, y), F1(1; b1, b2-1; c+1; x, y) of first
+    Appell functions, for c >= 1, b1 a non-positive integer and x, y
     certainly inside the unit disc, from one convolution of two truncated
     series:
 
         F1 = sum_s w_s C_s,  C_s = sum_{m+n=s} A_m B_n,
 
-    with w_s = (a)_s / (c)_s, A_m = (b1)_m x^m / m! and B_n = (b2)_n y^n / n!.
-    As c >= a > 0, each factor (a+j)/(c+j) of w lies in (0, 1], so w_s is in
+    with w_s = s! / (c)_s, A_m = (b1)_m x^m / m! and B_n = (b2)_n y^n / n!.
+    As c >= 1, each factor (1+j)/(c+j) of w lies in (0, 1], so w_s is in
     (0, 1] and w_{m+n} <= min(w_m, w_n).
 
     Tails.  Since |(b)_n| <= (|b|)_n, the absolute sums of the two sides are
@@ -412,21 +320,21 @@ def appell_f1(
     {m >= M} or in {n >= N}.  As w_{m+n} <= w_m, the first part is at most
     sum_{m>=M} w_m |A_m| sum_n |B_n| <= V sum_{m>=M} |t_m|, with
     t_m = w_m A_m the weighted x term.  Its ratio t_{m+1} / t_m is r_m x,
-    with r_m the term ratio of (a, b1; c), so if (K, R) is the tail ratio of
+    with r_m the term ratio of (b1; c), so if (K, R) is the tail ratio of
     that series (module docstring), |t_{m+1} / t_m| <= q = |x| R < 1 for
     every m >= K, and for M >= K the first part is at most V |t_M| / (1 - q):
     the `_fx_tail` bound of `_f1_side`, at most tol.  As w_{m+n} <= w_n, the
     second part is at most U |t_N| / (1 - q'), with q' = |y| R' from the
-    tail ratio of (a, b2; c), in the same way.  A terminating side that
+    tail ratio of (b2; c), in the same way.  A terminating side that
     reaches its last term drops nothing.
 
     The second value.  Its y side, as a series in t, is sum_n (b2-1)_n
     (y t)^n / n! = (1 - y t)^(-b2) (1 - y t), so its diagonal sums are
     C'_s = C_s - y C_{s-1} (C_{-1} = 0, s up to one past the last C_s),
     weighted by
-    w'_s = (a)_s / (c+1)_s = w_s c / (c+s) in a second Horner pass.  It drops
+    w'_s = s! / (c+1)_s = w_s c / (c+s) in a second Horner pass.  It drops
     sum w'_{m+n} A_m B_n - y sum w'_{m+n+1} A_m B_n over the same set, and
-    w'_{s+1} = w_s c (a+s) / ((c+s) (c+1+s)) with c (a+s) <= (c+s)^2, so both
+    w'_{s+1} = w_s c (1+s) / ((c+s) (c+1+s)) with c (1+s) <= (c+s)^2, so both
     w'_s and w'_{s+1} are at most w_s: its tail is (1 + |y|) times the first.
 
     Rounding.  The sides are fixed-point enclosures (A_m +/- rA_m) 2**-W,
@@ -444,8 +352,8 @@ def appell_f1(
     most (na + nb) 2**-40 of itself.  The operands are rounded by the
     absolute 2**(W-40), not relative to the largest one: at n = 2700 the
     largest A_m is about 2**204 times A_0.  C'_s takes y C_{s-1} with `_fx_mul`
-    on the enclosure of y.  Horner in s then applies (a+s)/(c+s), or
-    (a+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
+    on the enclosure of y.  Horner in s then applies (1+s)/(c+s), or
+    (1+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
     every C_s, its radius included, ends weighted by w_s (or w'_s).
 
     The sides are stored and summed at W = w + _FX_GUARD with no headroom.
@@ -456,22 +364,22 @@ def appell_f1(
     tail tests multiply a radius by U or V, so only the term sequence of
     each side runs with log2 V or log2 U more bits (see `_f1_side`).
     """
-    a, b1, b2, c = Fraction(a), Fraction(b1), Fraction(b2), Fraction(c)
-    if not (c >= a > 0 and _is_nonpos_int(b1)):
-        raise DivergentParameters("F1 tail bound needs c >= a > 0 and b1 a non-positive integer")
+    b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
+    if not (c >= 1 and _is_nonpos_int(b1)):
+        raise DivergentParameters("F1 tail bound needs c >= 1 and b1 a non-positive integer")
     xsup = Fraction(bf_to_fraction(x.mag_sup()))
     ysup = Fraction(bf_to_fraction(y.mag_sup()))
     if xsup >= 1 or ysup >= 1:
         raise DomainViolation("F1 arguments must lie certainly inside the unit disc")
-    tol = tol or _default_tol(prec)
+    tol = _default_tol(prec)
     w = prec + 8
     u_bound = _pow_sup(1 + xsup, int(-b1), w)
     v_bound = _pow_sup(1 / (1 - ysup), _fr_ceil(abs(b2)), w)
     W = w + _FX_GUARD
-    am, ar, x_tail = _f1_side(a, b1, c, x, xsup, v_bound, tol, W, w)
-    bm, br, y_tail = _f1_side(a, b2, c, y, ysup, u_bound, tol, W, w)
+    am, ar, x_tail = _f1_side(b1, c, x, xsup, v_bound, tol, W, w)
+    bm, br, y_tail = _f1_side(b2, c, y, ysup, u_bound, tol, W, w)
     sums = _diagonal_sums(am, ar, bm, br, W)[::-1]  # C_s for s from na + nb - 2 down to 0
-    ia, _, ic, d = _scaled(a, a, c)
+    ic, d = c.numerator, c.denominator
     # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0
     yx, zero = _fx_from_ball(y, W), (0, 0)
     y_prev = (_fx_mul(v, yx, W) for v in sums + [zero])
@@ -481,7 +389,7 @@ def appell_f1(
     for cs, shift, t in ((sums, 0, tail), (shifted, d, _fr_ceil(tail * (1 + ysup)))):
         acc_m = acc_r = 0
         for s, (cm, cr) in zip(range(len(cs) - 1, -1, -1), cs):
-            acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), ia + s * d, ic + shift + s * d)
+            acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), (s + 1) * d, ic + shift + s * d)
             acc_m += cm
             acc_r += cr
         out.append(_fx_to_ball((acc_m, acc_r + t), W, prec))

@@ -274,14 +274,14 @@ class TestCriterion3ExactLens8:
 
 class TestCriterion4ExactM33:
     def test_field_integers_and_value(self):
-        ex = oracle.exact_simons_m(3, 128)
+        ex = oracle.exact_simons_m(3)
         assert (ex.num.a, ex.num.b, ex.num.c, ex.num.d) == (
             Fraction(-699776), Fraction(494843), Fraction(-404096), Fraction(285740),
         )
         assert (ex.den.a, ex.den.b, ex.den.c, ex.den.d) == (
             Fraction(913063), Fraction(-645632), Fraction(527138), Fraction(-372736),
         )
-        assert C.certified_decimal(ex.assembled, 8) == "6.81857964"
+        assert C.certified_decimal(ex.assembled(128), 8) == "6.81857964"
         print("\n[criterion 4] exact field coefficients reproduced; "
               "assembled value rounds to 6.81857964")
 
@@ -351,18 +351,18 @@ class TestCriterion7Soundness:
         assert intersects(lo, hi)
         assert bf_cmp(hi.width(), lo.width()) <= 0
 
-    def test_tail_bound_validity(self):
+    def test_tail_bound_validity(self, monkeypatch):
+        """the lens series of n = 8 summed to the tolerance 2^-120 lies
+        inside its sum to 2^-48"""
         from lenscert import specfun
         from lenscert.bigfloat import bf_two_power
 
         z = Ball.from_fraction(Fraction(1, 4), 128)
-        coarse, tail = specfun.gauss_2f1_detailed(
-            Fraction(1, 2), Fraction(-9, 2), Fraction(3, 2), z, 128, tol=bf_two_power(-48)
-        )
-        fine, _ = specfun.gauss_2f1_detailed(
-            Fraction(1, 2), Fraction(-9, 2), Fraction(3, 2), z, 128, tol=bf_two_power(-120)
-        )
-        assert _encloses(coarse, fine)
+        sums = []
+        for tol_exp in (-48, -120):
+            monkeypatch.setattr(specfun, "_default_tol", lambda prec: bf_two_power(tol_exp))
+            sums.append(specfun.gauss_2f1(9, Fraction(11, 2), z, 128))
+        assert _encloses(*sums)
 
     def test_quadrature_refinement(self):
         """a tighter target on the arc quadrature gives an enclosure that

@@ -264,6 +264,47 @@ class TestCertifyDimension:
         assert low.verdict == "Proven" and high.verdict == "Proven"
 
 
+# (n, target width or None for the default) -> (precision_bits, lambda_plane,
+# {(k, l): m_value}), as certify_dimension wrote them when the series code was
+# last changed; a change that keeps "the same results" keeps these strings
+PINNED_CERTIFICATES = {
+    (8, None): (128, "7.2912823782433119809389949447376811846422e+0 +/- 6.3e-39", {
+        (3, 3): "6.818579639198558368209552180791135310953e+0 +/- 1.1e-38",
+        (2, 4): "6.800440501295683096029181112973072925576e+0 +/- 1.3e-38",
+    }),
+    (25, None): (128, "1.5500235623907975959381547180767778051492e+1 +/- 9.4e-39", {
+        (11, 12): "1.5155167504809549081450969585761642350778e+1 +/- 3.3e-38",
+    }),
+    (200, None): (128, "4.9226205787895514171383334026759021297544e+1 +/- 3.3e-38", {
+        (99, 99): "4.9070500878841341782023507226520584700441e+1 +/- 5.5e-38",
+        (98, 100): "4.907050088451637657751988691426921893233e+1 +/- 8.8e-38",
+    }),
+    (2700, None): (128, "1.85412305139778968918788493342033331410505e+2 +/- 9.8e-39", {
+        (1349, 1349): "1.8536755141856634148256654032944279344822e+2 +/- 1.8e-37",
+        (1348, 1350): "1.8536755141857510718284006682867486529798e+2 +/- 1.3e-37",
+    }),
+    (121, 1e-45): (
+        256,
+        "3.775243330242454169843465554695256578149142324550562922248575886945741017478459e+1 +/- 9.4e-77",
+        {
+            (59, 60): "3.755860180473188326042344143846179438389816895564202446956539650774941412544966e+1"
+            " +/- 2.9e-76",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("n,width", list(PINNED_CERTIFICATES))
+def test_certificate_strings_pinned(n, width):
+    """precision_bits, lambda_plane and every m_value of certify_dimension
+    are exactly the pinned strings"""
+    cert = C.certify_dimension(n, target_width=width or C.DEFAULT_TARGET_WIDTH)
+    bits, lam, m_values = PINNED_CERTIFICATES[n, width]
+    assert cert.verdict == "Proven"
+    assert (cert.precision_bits, cert.lambda_plane) == (bits, lam)
+    assert {(e.k, e.l): e.m_value for e in cert.entries} == m_values
+
+
 class TestCertifyRange:
     def test_range_and_replay(self, tmp_path):
         out = tmp_path / "certs.json"
@@ -481,6 +522,16 @@ class TestExactReports:
         with pytest.raises(UnsupportedDimension):
             C.exact_report(10, "simons")
 
+    def test_simons_n76_escalates_past_cancellation(self):
+        """at n = 76 the 128-bit exact-path assembly cancels to a base that is
+        not certainly positive; the report escalates and both paths come out
+        narrow and intersecting"""
+        from lenscert.ball import ball_str_fractions
+
+        rep = C.exact_report(76, "simons")
+        assert rep["paths_intersect"] is True
+        assert ball_str_fractions(rep["m_exact_path"])[1] < Fraction(1, 10**30)
+
 
 class TestCli:
     def run_cli(self, *args, timeout=None):
@@ -523,6 +574,14 @@ class TestCli:
         r = self.run_cli("exact", "--n", "8", "--mode", "simons")
         assert r.returncode == 0, r.stderr
         assert "-699776" in r.stdout
+
+    def test_exact_simons_cap(self):
+        """simons mode stops above n = 200 with one `error:` line, before any
+        exact or ball arithmetic"""
+        for n in ("204", "4000000000"):
+            r = self.run_cli("exact", "--n", n, "--mode", "simons", timeout=30)
+            assert r.returncode == 1, r.stderr
+            assert r.stderr.splitlines() == ["error: exact simons mode supports n <= 200"]
 
     def test_long_run_certifies_at_start_precision(self, capsys):
         """the lens side has no cancellation, so n = 396 needs no escalation"""

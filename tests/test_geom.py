@@ -125,14 +125,17 @@ class TestLensQuantities:
         """lambda_plane from the lens's series 2F1(1, n+1; (n+3)/2; 1/4)
         intersects lambda_plane rebuilt from 2F1(1/2, (n+1)/2; (n+3)/2; 3/4),
         the same value by the quadratic transformation F(a, b; a+b+1/2;
-        4z(1-z)) = F(2a, 2b; a+b+1/2; z) at z = 1/4 (DLMF §15.8)"""
+        4z(1-z)) = F(2a, 2b; a+b+1/2; z) at z = 1/4 (DLMF §15.8).  The z = 3/4
+        series is summed as 2F1(1, (n+2)/2; (n+3)/2; 3/4) / 2, by Euler's
+        transformation F(a, b; c; z) = (1-z)^(c-a-b) F(c-a, c-b; c; z)
+        (DLMF 15.8.1)"""
         lam = geom.lens_quantities(n, 256).lambda_plane
         gauss_2f1 = specfun.gauss_2f1
 
-        def three_quarter_series(a, b, c, z, prec):
-            assert (a, b, c) == (1, n + 1, Fraction(n + 3, 2)) and _contains(z, Fraction(1, 4))
+        def three_quarter_series(b, c, z, prec):
+            assert (b, c) == (n + 1, Fraction(n + 3, 2)) and _contains(z, Fraction(1, 4))
             z = Ball.from_fraction(Fraction(3, 4), prec)
-            return gauss_2f1(Fraction(1, 2), Fraction(n + 1, 2), c, z, prec)
+            return ball_mul_rat(gauss_2f1(Fraction(n + 2, 2), c, z, prec), 1, 2, prec)
 
         monkeypatch.setattr(specfun, "gauss_2f1", three_quarter_series)
         assert intersects(lam, geom.lens_quantities(n, 256).lambda_plane)

@@ -177,7 +177,7 @@ class TestLensExactWallis:
 
     def test_lambda_exact_ball(self):
         for n in (8, 9, 12, 15):
-            exact = oracle.lambda_plane_exact_ball(n, 128)
+            exact = oracle.lambda_plane_exact_ball(n, *oracle.lens_exact_wallis(n), 128)
             general = geom.lens_quantities(n, 128).lambda_plane
             assert intersects(exact, general)
 
@@ -307,7 +307,7 @@ class TestExactSimons:
         from lenscert.certify import certified_decimal
 
         ex = oracle.exact_simons_m(3)
-        assert certified_decimal(ex.assembled, 8) == "6.81857964"
+        assert certified_decimal(ex.assembled(128), 8) == "6.81857964"
 
     def test_zero_field_error_before_embedding(self):
         """the field pipeline is exact: scaled elements have denominator one"""
@@ -320,14 +320,14 @@ class TestExactSimons:
 
     def test_matches_polynomial_path(self):
         for k in (1, 3, 5, 7):
-            ex = oracle.exact_simons_m(k, 128)
+            ex = oracle.exact_simons_m(k)
             p = oracle.polynomial_m_value(k, k, 128)
-            assert intersects(ex.assembled, p.m_value)
+            assert intersects(ex.assembled(128), p.m_value)
 
     def test_k1_below_lens_energy(self):
-        ex = oracle.exact_simons_m(1, 128)
+        ex = oracle.exact_simons_m(1)
         lam4 = geom.lens_quantities(4, 128).lambda_plane
-        assert bf_cmp(ex.assembled.sup(), lam4.inf()) < 0
+        assert bf_cmp(ex.assembled(128).sup(), lam4.inf()) < 0
 
     def test_rejects_even_k(self):
         with pytest.raises(DomainViolation):

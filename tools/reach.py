@@ -10,7 +10,8 @@ before lenscert is imported, then runs, in this one process, through
   1e-45, over 150..200, at n = 8 with width 1e-200 and `--prec-max 512`,
   over 8..9 with `--jobs 2`, and at 396, 1000 and 2700 with `--long-run`;
 - `table` over 4..16, over 8..12 with 40 digits, and in each format;
-- `plot` over 8..20, and `exact` in both modes;
+- `plot` over 8..20, and `exact` in both modes (simons at n = 12 and at
+  n = 76, where the 128-bit attempt cancels);
 - the command-line error inputs, among them `table` and `plot` over
   8..10^12, which end at the dimension cap before the range is built;
 
@@ -57,6 +58,7 @@ OTHER_RUNS = [
     ["plot", "--n", "8..20"],
     ["exact", "--n", "12", "--mode", "lens"],
     ["exact", "--n", "12", "--mode", "simons"],
+    ["exact", "--n", "76", "--mode", "simons"],
 ]
 
 # each ends in one `error:` line (exit 1) or an argparse usage error (exit 2)
@@ -80,6 +82,7 @@ ERROR_RUNS = [
     ["plot", "--n", "8..1000000000000"],
     ["exact", "--n", "41", "--mode", "lens"],
     ["exact", "--n", "10", "--mode", "simons"],
+    ["exact", "--n", "204", "--mode", "simons"],
 ]
 
 

@@ -1,0 +1,92 @@
+"""Compare what the command-line surface prints and writes on two lenscert trees.
+
+Usage: python3 tools/sameout.py PARENT CHANGE
+
+PARENT and CHANGE are repository roots, each holding `src/lenscert`.  The
+commands are those of `tools/reach.py` (`CERTIFY_RUNS`, each with `--out`,
+`OTHER_RUNS`, `ERROR_RUNS`, and a failing `certify` whose `--out` file must
+not be left behind), imported from it so that the list is written in one
+place.  Each command runs as `python3 -m lenscert.cli` in its own process,
+with PYTHONPATH set to the tree's `src` and the working directory a fresh
+temporary directory per tree, so relative `--out` paths read the same on
+both sides.  The script prints one line for every command whose exit code,
+stdout or stderr differ, and for every `--out` file whose certificates
+differ once their timestamps are removed (or that exists on one side only),
+then a summary.  It exits 1 when anything differs.  Only the standard
+library is used; a run takes about twice the time of `tools/reach.py`.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+
+def load_reach():
+    spec = importlib.util.spec_from_file_location("_reach", pathlib.Path(__file__).with_name("reach.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands() -> list[tuple[list[str], str | None]]:
+    """(argv, the --out file it writes or None) for every command of the surface."""
+    reach = load_reach()
+    out = []
+    for i, args in enumerate(reach.CERTIFY_RUNS):
+        path = "certs%d.json" % i
+        out.append((["certify", *args, "--out", path], path))
+    out += [(args, None) for args in reach.OTHER_RUNS + reach.ERROR_RUNS]
+    out.append((["certify", "--n", "3..9", "--out", "failed.json"], "failed.json"))
+    return out
+
+
+def certificates(path: pathlib.Path):
+    """The certificates of an --out file without their timestamps, or None
+    when the file does not exist."""
+    if not path.exists():
+        return None
+    certs = json.loads(path.read_text())
+    for cert in certs:
+        cert.pop("timestamp", None)
+    return certs
+
+
+def run_tree(root: str, cmds) -> list[tuple]:
+    """(exit code, stdout, stderr, certificates) per command on one tree."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root).resolve() / "src"))
+    results = []
+    with tempfile.TemporaryDirectory(prefix="sameout-") as tmp:
+        for argv, out in cmds:
+            r = subprocess.run(
+                [sys.executable, "-m", "lenscert.cli", *argv], cwd=tmp, env=env, capture_output=True, text=True
+            )
+            results.append((r.returncode, r.stdout, r.stderr, out and certificates(pathlib.Path(tmp, out))))
+    return results
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    cmds = commands()
+    parent, change = (run_tree(root, cmds) for root in args)
+    fields = ("exit code", "stdout", "stderr", "certificates")
+    differ = 0
+    for (argv, _), p, c in zip(cmds, parent, change):
+        diffs = [name for name, a, b in zip(fields, p, c) if a != b]
+        if diffs:
+            differ += 1
+            print("differ (%s): lenscert %s" % (", ".join(diffs), " ".join(argv)))
+    print("%d of %d commands differ" % (differ, len(cmds)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
