@@ -210,8 +210,9 @@ def certify_dimension(
     at most `target_width` wide and, for a pair, decides strictness.  Both
     evaluators are looked up on `geom` at call time, so a tracer or a test
     can substitute them.  Up to n = QUADRATURE_MAX_N each pair's enclosure
-    must also intersect the quadrature value and, for odd pairs, the
-    polynomial value, both at AGREEMENT_PREC bits.
+    must also intersect the exact-moment value of
+    `geom.competitor_energy_quadrature`, at most AGREEMENT_WIDTH wide, and,
+    for odd pairs, the polynomial value, both at AGREEMENT_PREC bits.
     """
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
@@ -481,8 +482,9 @@ def render_plot_csv(rows: list[PlotRow]) -> str:
 def exact_report(n: int, mode: str) -> dict:
     """Symbolic components plus a certified numeric cross-check.  The exact
     parts are computed once; both paths are then enclosed by `_escalate`
-    from 128 bits, doubling while an attempt cancels (simons mode needs 256
-    bits from n = 76 on and 512 at n = 200)."""
+    from 128 bits, doubling while an attempt cancels or either path is wider
+    than DEFAULT_TARGET_WIDTH (simons mode needs 256 bits from n = 56 on and
+    512 from n = 120 on)."""
     if mode == "lens":
         if n < 3 or n > 40:
             raise UnsupportedDimension("exact lens mode supports 3 <= n <= 40")
@@ -531,9 +533,14 @@ def exact_report(n: int, mode: str) -> dict:
 
 def _exact_paths(paths):
     """paths(prec), the (exact path, general path) pair of an exact report,
-    from the first attempt whose enclosures do not cancel."""
+    from the first attempt whose enclosures do not cancel and are both at
+    most DEFAULT_TARGET_WIDTH wide."""
+    tw = bf_from_float(DEFAULT_TARGET_WIDTH)
     items, _, _ = _escalate(
-        lambda prec: [paths(prec)], lambda pair: True, DEFAULT_PREC_START, DEFAULT_PREC_MAX
+        lambda prec: [paths(prec)],
+        lambda pair: all(_narrow(b, tw) for b in pair),
+        DEFAULT_PREC_START,
+        DEFAULT_PREC_MAX,
     )
     return items[0]
 

@@ -6,8 +6,8 @@ quadratic transformation; the competitor energy
 comes from the arc construction whose circular-arc constants are produced
 here.
 Its arc integrals are evaluated in two corner passes, one per arc: on the
-special-function route, and for the agreement check on verified quadrature
-and, for odd index pairs, on the polynomial expansion
+special-function route, and for the agreement check from exact
+trigonometric moments and, for odd index pairs, on the polynomial expansion
 (`oracle.polynomial_m_value`).  All three share `lawson_constants` and
 `assemble_competitor`, so they cross-check the arc integrals only; the
 references that share no code with lenscert are the mpmath evaluations in
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from . import oracle, specfun
-from .bigfloat import bf_from_float, bf_to_float
+from .bigfloat import bf_cmp, bf_from_float, bf_to_float
 from .ball import (
     Ball,
     atan_ball,
@@ -143,8 +143,7 @@ class LawsonConstants:
 
     @property
     def theta(self) -> Ball:
-        """The corner angle atan(lambda) at the constants' precision;
-        `competitor_energy_quadrature` computes it at its pass precision."""
+        """The corner angle atan(lambda) at the constants' precision."""
         return atan_ball(self.lambda_, self.prec + 8)
 
 
@@ -312,52 +311,51 @@ def _arc_corner(
 
 
 def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float) -> CompetitorEnergy:
-    """Competitor energy through verified quadrature of the arc integrals,
-    after the smoothing substitutions u + d = rho sin(phi), v + h = r sin(phi)."""
-    consts = lawson_constants(k, l, prec)
-    w = prec + 16
+    """Competitor energy with the arc integrals, after the substitutions
+    u + d = rho sin(phi) and v + h = r sin(phi), taken from exact
+    trigonometric moments (`oracle.arc_profile_quadrature`) in one pass.
 
-    # measured-feedback loop: run at a trial tolerance, tighten by the
-    # observed overshoot of the assembled m-value width; the working
-    # precision tracks the demanded width so recurrence noise stays below it.
-    # The first trial splits half the target over both arcs' prefactors; on
-    # the default pairs of n = 8..24 it lands at 0.03 to 0.5 of the target
-    pref = (
-        bf_to_float(consts.rho.mag_sup()) ** (l + 2)
-        + bf_to_float(consts.r.mag_sup()) ** (k + 2)
-    ) * (k + 2) * (l + 2)
-    share = max(float(target_width) / pref / 2, 1e-200)
-    for _ in range(8):
-        ws = max(w, int(-math.log2(share)) + 64)
-        # theta = atan(lambda) at ws: the endpoint radii scale the
-        # quadrature's slop by bmax^kk
-        theta = atan_ball(sqrt_ball(Ball.from_fraction(Fraction(k, l), ws), ws), ws)
-        pi = pi_ball(ws)
-        half_pi = ball_mul_rat(pi, 1, 2, ws)
-        angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), theta, ws)
+    The arcs start at the corner angles pi/6 + theta and 2pi/3 - theta, with
+    theta = atan(lambda), and never at an angle derived from rho, d, r or h:
+    that is what lets this path catch a fault in those constants.  The
+    constants and angles are taken at the pass precision ws, which covers
+    the bits `_moment_bits` says the moments lose.  A result wider than
+    target_width raises QuadratureBudgetExceeded, so an agreement ball is
+    never wide enough to make the check vacuous.
+    """
+    ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
+    consts = lawson_constants(k, l, ws)
+    theta, pi = consts.theta, pi_ball(ws)
+    angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), theta, ws)
+    j1p, j1v = oracle.arc_profile_quadrature(consts.rho, consts.d, k, l, angle_u, ws)
+    if k == l:
+        j2p, j2v = j1p, j1v
+    else:
         angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), theta, ws)
-        share_bf = bf_from_float(share)
-        j1p, j1v = oracle.arc_profile_quadrature(
-            consts.rho, consts.d, k, l, angle_u, half_pi, ws, share_bf
+        j2p, j2v = oracle.arc_profile_quadrature(consts.r, consts.h, l, k, angle_v, ws)
+    s1v = ball_mul(ball_pow_int(consts.rho, l + 2, ws), j1v, ws)
+    s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)
+    s2v = ball_mul(ball_pow_int(consts.r, k + 2, ws), j2v, ws)
+    s2p = ball_mul(ball_pow_int(consts.r, k, ws), j2p, ws)
+    out = assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
+    if bf_cmp(out.m_value.width(), bf_from_float(target_width)) > 0:
+        raise QuadratureBudgetExceeded(
+            "moment m-value width %.2e misses target %.2e at pair (%d,%d)"
+            % (bf_to_float(out.m_value.width()), target_width, k, l)
         )
-        if k == l:
-            j2p, j2v = j1p, j1v
-        else:
-            j2p, j2v = oracle.arc_profile_quadrature(
-                consts.r, consts.h, l, k, angle_v, half_pi, ws, share_bf
-            )
-        s1v = ball_mul(ball_pow_int(consts.rho, l + 2, ws), j1v, ws)
-        s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)
-        s2v = ball_mul(ball_pow_int(consts.r, k + 2, ws), j2v, ws)
-        s2p = ball_mul(ball_pow_int(consts.r, k, ws), j2p, ws)
-        out = assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
-        achieved = bf_to_float(out.m_value.width())
-        if achieved <= float(target_width):
-            return out
-        share = share * float(target_width) / achieved / 4
-    raise QuadratureBudgetExceeded(
-        "quadrature m-value width %.2e misses target %.2e at pair (%d,%d)"
-        % (achieved, float(target_width), k, l)
+    return out
+
+
+def _moment_bits(kk: int, jj: int) -> float:
+    """The bits `oracle.arc_profile_quadrature` loses on the arc of pair
+    index kk and cosine power jj: kk log2((R+o)/(R-o)) in the binomial sum
+    and (jj+2) log2(1/cos a) in the cosine recursion.  By the closed forms
+    of `lawson_constants`, (R+o)/(R-o) = (2 sqrt(jj) + sqrt(kk+jj)) /
+    (2 sqrt(jj) - sqrt(kk+jj)) and cos a = (sqrt(3 jj) - sqrt(kk)) /
+    (2 sqrt(kk+jj)) on both arcs."""
+    e, u = math.sqrt(jj), math.sqrt(kk + jj)
+    return kk * math.log2((2 * e + u) / (2 * e - u)) + (jj + 2) * math.log2(
+        2 * u / (math.sqrt(3 * jj) - math.sqrt(kk))
     )
 
 

@@ -1,8 +1,8 @@
 """Second evaluation paths for the certificate's agreement check, and the
 exact values behind the `exact` reports.
 
-Contains the verified fixed-point five-point Gauss-Legendre quadrature of
-the competitor's arc integrands, the exact cosine-power recursion for the
+Contains the competitor's arc integrals from exact trigonometric moments,
+summed on the fixed-point kernel, the exact cosine-power recursion for the
 lens quantities, the polynomial evaluation of the competitor energy for odd
 index pairs, and exact arithmetic in the field Q(sqrt2, sqrt3) for the
 balanced odd case.  One integrand polynomial per arc, `_arc_poly_integrals`,
@@ -19,30 +19,15 @@ turns all four coordinates into coprime integers.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
-from .bigfloat import (
-    BigFloat,
-    ONE,
-    ZERO,
-    bf_add_exact,
-    bf_from_int,
-    bf_neg,
-    bf_shift,
-    bf_to_fraction,
-    rup,
-    rup_add,
-    rup_mul,
-    rup_mul_rat,
-)
 from .ball import (
     _FX_GUARD,
     Ball,
     _fx_from_ball,
     _fx_mul,
-    _fx_pow,
+    _fx_mul_rat,
     _fx_sin_cos,
     _fx_to_ball,
     ball_add,
@@ -51,12 +36,11 @@ from .ball import (
     ball_mul_rat,
     ball_round,
     ball_sub,
-    ball_widen,
     pi_ball,
     pow_rational,
     sqrt_ball,
 )
-from .errors import DomainViolation, QuadratureBudgetExceeded
+from .errors import DomainViolation
 from .specfun import unit_ball_volume, unit_ball_volume_product
 
 __all__ = [
@@ -72,211 +56,73 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# verified quadrature of the competitor's arc integrands
+# the competitor's arc integrals from exact trigonometric moments
 # ---------------------------------------------------------------------------
 
 
-# evaluations one arc quadrature may spend: 5 per Gauss-Legendre piece
-QUADRATURE_BUDGET = 400_000
-
-# c5 = (5!)^4 / (11 (10!)^3): on a piece of length h the five-point rule
-# misses the integral by c5 h^11 f^(10)(xi) (Abramowitz-Stegun 25.4.29-30)
-GAUSS5_REMAINDER = Fraction(math.factorial(5) ** 4, 11 * math.factorial(10) ** 3)
-
-
 def arc_profile_quadrature(
-    radius: Ball,
-    offset: Ball,
-    kk: int,
-    jj: int,
-    lower: Ball,
-    upper: Ball,
-    w: int,
-    target_width: BigFloat,
+    radius: Ball, offset: Ball, kk: int, jj: int, lower: Ball, w: int
 ) -> tuple[Ball, Ball]:
-    """Five-point Gauss-Legendre quadrature of (radius sin t - offset)^kk cos(t)^j
-    for j = jj and j = jj + 2: the pair (J_jj, J_jj+2), both from one pass.
+    """The integrals over [a, pi/2], a in the ball `lower`, of
+    (radius sin t - offset)^kk cos(t)^j for j = jj and j = jj + 2: the pair
+    (J_jj, J_jj+2), exactly from the moments I(i, j) of sin^i cos^j over
+    [a, pi/2] (Gradshteyn-Ryzhik 2.511).  With s = sin a and c = cos a,
 
-    One pass of the fixed-point node kernel `_arc_gauss5_pass` (fixed-point
-    sin/cos series, exact integer sums, one ulp per product) runs at the
-    smallest node count n whose remainder bound c5 max(d10) L^11 / n^10,
-    from a global bound d10 on the tenth derivative over the length L, is at
-    most a quarter of the target width.  The result is sound whether or not
-    it meets the target; a caller that needs a narrower one asks again with a
-    smaller target.  A pass that would spend more than QUADRATURE_BUDGET
-    evaluations raises QuadratureBudgetExceeded.
+        J_j = sum_p C(kk, p) radius^p (-offset)^(kk-p) I(p, j),
+        I(0, 0) = pi/2 - a,   I(0, 1) = 1 - s,   I(1, j) = c^(j+1) / (j+1),
+        j I(0, j) = (j-1) I(0, j-2) - s c^(j-1),
+        (i+j) I(i, j) = (i-1) I(i-2, j) + s^(i-1) c^(j+1).
 
-    The pass integrates from lower.mid to upper.mid; every result is widened
-    by (lower.rad + upper.rad) * bmax^kk, with bmax = |radius - offset|,
-    for the integral over the endpoint bands.  Like d10, that bound on |f|
-    rests on |radius sin t - offset| <= bmax: on the arc range the value
-    lies in [0, bmax], and on the tiny endpoint bands it stays at most bmax
-    (sin t <= 1) and falls below 0 by at most radius times the band's
-    width.
+    All of it runs on the fixed-point kernel at W = w + _FX_GUARD, so the
+    only rounding is one ulp per product and quotient.  s and c come from
+    `_fx_sin_cos` of `lower`, whose radius thereby reaches every moment, and
+    never from radius or offset.  The binomial sum cancels about
+    kk log2((radius + offset) / (radius - offset)) bits and the I(0, j)
+    recursion about (jj + 2) log2(1/c) bits; the caller sizes w for both.
     """
-    a0, b0 = lower.mid, upper.mid
-    total_len = bf_add_exact(b0, bf_neg(a0))
-    if total_len.sign < 0:
-        raise ValueError("integration endpoints out of order")
-
-    # on the arc range radius*sin(t) - offset stays within [0, radius - offset]
-    bmax = ball_sub(radius, offset, w).mag_sup()
-    d10_bounds = [_arc_derivative_bound(radius, bmax, kk, j, 10) for j in (jj, jj + 2)]
-    # bmax^kk, the order-0 bound, holds for every j as |cos t| <= 1
-    slop = rup_mul(rup_add(lower.rad, upper.rad), _arc_derivative_bound(radius, bmax, kk, 0, 0))
-
-    length_fr = bf_to_fraction(total_len)
-    d10_max = max(bf_to_fraction(b) for b in d10_bounds)
-    n = _remainder_nodes(
-        4 * GAUSS5_REMAINDER * d10_max * length_fr**11 / bf_to_fraction(target_width)
-    )
-    if 5 * n > QUADRATURE_BUDGET:
-        raise QuadratureBudgetExceeded("arc quadrature budget exhausted")
-    out = _arc_gauss5_pass(radius, offset, kk, jj, a0, length_fr, n, w, d10_bounds)
-    return tuple(ball_widen(b, slop) for b in out)
-
-
-def _remainder_nodes(need: Fraction) -> int:
-    """Smallest n >= 1 with n**10 >= need."""
-    if need <= 1:
-        return 1
-    n = math.ceil(2 ** ((math.log2(need.numerator) - math.log2(need.denominator)) / 10))
-    while n**10 < need:
-        n += 1
-    while n > 1 and (n - 1) ** 10 >= need:
-        n -= 1
-    return n
-
-
-def _arc_derivative_bound(radius: Ball, bmax: BigFloat, kk: int, j: int, order: int) -> BigFloat:
-    """Upper bound for |d^order/dt^order (radius sin t - offset)^kk cos^j t|
-    on a range where 0 <= radius*sin(t) - offset <= bmax: the sum over the
-    terms of `_derivative_terms` of |K| R^(kk-p) bmax^p max |cos^q sin^r|.
-    Summing absolute values keeps this an overestimate of the true
-    derivative magnitude."""
-    rmag = rup(radius.mag_sup())
-    bmax = rup(bmax)
-    bpows = [rup(ONE)]
-    for _ in range(kk):
-        bpows.append(rup_mul(bpows[-1], bmax))
-    rpows = [rup(ONE)]
-    for _ in range(order):
-        rpows.append(rup_mul(rpows[-1], rmag))
-    total = ZERO
-    for (p, q, r), coef in _derivative_terms(kk, j, order):
-        mag = rup_mul_rat(rup_mul(bpows[p], rpows[kk - p]), abs(coef), 1)
-        mag = rup_mul(mag, _trig_product_bound(q, r))
-        total = rup_add(total, mag)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _derivative_terms(kk: int, j: int, order: int) -> tuple:
-    """The terms ((p, q, r), K) of d^order/dt^order b^kk cos^j t, each
-    K R^(kk-p) b^p cos^q sin^r: the term algebra differentiated symbolically
-    (b' = R cos, cos' = -sin, sin' = cos) with integer coefficients K.
-    Exponents of cos/sin never go negative because the lowering paths carry
-    factors q resp. r, and p never exceeds kk."""
-    terms = {(kk, j, 0): 1}
-    for _ in range(order):
-        new: dict = {}
-        for (p, q, r), coef in terms.items():
-            for key, c2 in (
-                ((p - 1, q + 1, r), coef * p),
-                ((p, q - 1, r + 1), -coef * q),
-                ((p, q + 1, r - 1), coef * r),
-            ):
-                if c2:
-                    new[key] = new.get(key, 0) + c2
-        terms = new
-    return tuple(terms.items())
-
-
-@functools.lru_cache(maxsize=None)
-def _trig_product_bound(q: int, r: int) -> BigFloat:
-    """Upper bound for max |cos^q t sin^r t| = sqrt(q^q r^r / (q+r)^(q+r))."""
-    if q <= 0 or r <= 0:
-        return rup(ONE)
-    m2 = Fraction(q**q * r**r, (q + r) ** (q + r))
-    # upper bound of the square root of an exact rational
-    scale = 1 << 40
-    num = m2.numerator * scale * scale
-    root = math.isqrt(num // m2.denominator) + 1
-    return rup(bf_shift(bf_from_int(root), -40))
-
-
-def _gauss5_rule(w: int) -> tuple[tuple[Ball, Ball], tuple[Ball, Ball, Ball]]:
-    """Five-point Gauss-Legendre on [-1, 1] as balls at w: the nodes x1 < x2
-    of 0, +/-x1, +/-x2, x1,2 = sqrt(5 -/+ 2 sqrt(10/7)) / 3, and the weights
-    w0 = 128/225 at 0 and w1,2 = (322 +/- 13 sqrt70) / 900 at +/-x1,2."""
-    s70 = sqrt_ball(Ball.from_int(70, w), w)
-    five, two_r = Ball.from_int(5, w), ball_mul_rat(s70, 2, 7, w)  # 2 sqrt(10/7)
-    x1, x2 = (ball_mul_rat(sqrt_ball(op(five, two_r, w), w), 1, 3, w) for op in (ball_sub, ball_add))
-    base, spread = Ball.from_int(322, w), ball_mul_rat(s70, 13, 1, w)
-    w1, w2 = (ball_mul_rat(op(base, spread, w), 1, 900, w) for op in (ball_add, ball_sub))
-    return (x1, x2), (Ball.from_fraction(Fraction(128, 225), w), w1, w2)
-
-
-# weight class (0: centre, 1: inner, 2: outer) of the five nodes of a piece
-_NODE_CLASS = (2, 1, 0, 1, 2)
-
-
-def _arc_gauss5_pass(radius, offset, kk, jj, a0, length_fr, n, w, d10_bounds):
-    """Five-point Gauss-Legendre on n uniform pieces, run in fixed point.
-
-    The node loop works on midpoint-radius pairs of plain ints, (m +/- r) *
-    2**-W with W = w + _FX_GUARD: sums are exact, and each product carries
-    the input radii plus one ulp for its floored midpoint (`_fx_mul`).
-    `radius`, `offset` and four angles, the first node and the three
-    rotation steps, are converted once per pass, `_fx_sin_cos` gives their
-    sin and cos, and node trig values advance by the angle-addition
-    recurrence.  At each node cos^(jj+2) = cos^jj cos^2, and both integrands
-    add to the accumulators of the node's weight class; the three pairs of
-    accumulators go back to balls once, before the Gauss weights.
-    """
-    delta = Ball.from_fraction(length_fr / n, w)
-    half = ball_mul_rat(delta, 1, 2, w)
-    (x1, x2), weights = _gauss5_rule(w)
-    # the nodes of a piece sit at half * (1 - x2, 1 - x1, 1, 1 + x1, 1 + x2),
-    # so the steps are outer, inner, inner, outer, then across to the next piece
-    gap = ball_sub(Ball.from_int(1, w), x2, w)
-    theta = ball_add(Ball.point(a0, w), ball_mul(half, gap, w), w)
-    angles = (ball_mul(half, ball_sub(x2, x1, w), w), ball_mul(half, x1, w), ball_mul(delta, gap, w))
-
     W = w + _FX_GUARD
-    rad_fx, (om, orad) = _fx_from_ball(radius, W), _fx_from_ball(offset, W)
-    s, c = _fx_sin_cos(_fx_from_ball(theta, W), W)
-    outer, inner, across = (_fx_sin_cos(_fx_from_ball(b, W), W) for b in angles)
-    steps = (outer, inner, inner, outer, across)
+    one = (1 << W, 0)
 
-    accs = [[(0, 0), (0, 0)] for _ in weights]
-    for i in range(5 * n):
-        pos = i % 5
-        bm, br = _fx_mul(rad_fx, s, W)
-        bk = _fx_pow((bm - om, br + orad), kk, W)
-        acc = accs[_NODE_CLASS[pos]]
-        cj = _fx_pow(c, jj, W)
-        cj2 = _fx_mul(cj, _fx_mul(c, c, W), W)
-        for idx, cpow in enumerate((cj, cj2)):
-            tm, tr = _fx_mul(bk, cpow, W)
-            am, ar = acc[idx]
-            acc[idx] = (am + tm, ar + tr)
-        if i + 1 < 5 * n:
-            sd, cd = steps[pos]
-            (sc_m, sc_r), (cs_m, cs_r) = _fx_mul(s, cd, W), _fx_mul(c, sd, W)
-            (cc_m, cc_r), (ss_m, ss_r) = _fx_mul(c, cd, W), _fx_mul(s, sd, W)
-            s, c = (sc_m + cs_m, sc_r + cs_r), (cc_m - ss_m, cc_r + ss_r)
-    # n pieces of remainder c5 delta^11 |f^(10)|
-    dsup = delta.mag_sup()
-    scale = rup_mul_rat(dsup, n * GAUSS5_REMAINDER.numerator, GAUSS5_REMAINDER.denominator)
-    for _ in range(10):
-        scale = rup_mul(scale, dsup)
+    def powers(x, e):
+        out = [one]
+        for _ in range(e):
+            out.append(_fx_mul(out[-1], x, W))
+        return out
+
+    def step(prev, coef, term, div):
+        # (coef * prev + term) / div
+        return _fx_mul_rat((coef * prev[0] + term[0], coef * prev[1] + term[1]), 1, div)
+
+    am, ar = _fx_from_ball(lower, W)
+    s, c = _fx_sin_cos((am, ar), W)
+    spow, cpow = powers(s, kk - 1), powers(c, jj + 3)
+    # I(0, j) along the parity of jj, up to jj + 2
+    if jj % 2:
+        cos_moments = {1: (one[0] - s[0], s[1])}
+    else:
+        hm, hr = _fx_from_ball(ball_mul_rat(pi_ball(w), 1, 2, w), W)
+        cos_moments = {0: (hm - am, hr + ar)}
+    for j in range(jj % 2 + 2, jj + 3, 2):
+        cos_moments[j] = step(cos_moments[j - 2], j - 1, _fx_mul((-s[0], s[1]), cpow[j - 1], W), j)
+
+    om, orad = _fx_from_ball(offset, W)
+    rpow, opow = powers(_fx_from_ball(radius, W), kk), powers((-om, orad), kk)
+    coefs = []
+    for p in range(kk + 1):
+        m, r = _fx_mul(rpow[p], opow[kk - p], W)
+        coefs.append((math.comb(kk, p) * m, math.comb(kk, p) * r))
+
     out = []
-    for idx, d10 in enumerate(d10_bounds):
-        parts = [ball_mul(wt, _fx_to_ball(acc[idx], W, w), w) for wt, acc in zip(weights, accs)]
-        total = ball_add(ball_add(parts[0], parts[1], w), parts[2], w)
-        out.append(ball_widen(ball_mul(total, half, w), rup_mul(d10, scale)))
-    return out
+    for j in (jj, jj + 2):
+        moments = [cos_moments[j], _fx_mul_rat(cpow[j + 1], 1, j + 1)]
+        for i in range(2, kk + 1):
+            moments.append(step(moments[i - 2], i - 1, _fx_mul(spow[i - 1], cpow[j + 1], W), i + j))
+        total_m = total_r = 0
+        for coef, moment in zip(coefs, moments):
+            tm, tr = _fx_mul(coef, moment, W)
+            total_m, total_r = total_m + tm, total_r + tr
+        out.append(_fx_to_ball((total_m, total_r), W, w))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

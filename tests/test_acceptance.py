@@ -7,7 +7,7 @@ verbatim.  Six published M entries (every pair containing an even index)
 disagree with the competitor construction itself; `M_ERRATA` holds the
 certified digits for those pairs, and the table test asserts them and that
 the published digits are refuted.  For even pairs the library has two
-evaluation paths (special function and verified quadrature), for all-odd
+evaluation paths (special function and exact trigonometric moments), for all-odd
 pairs three (plus the exact polynomial path).  `test_m_reference_mpmath`
 settles every row with an mpmath evaluation that shares no code with
 lenscert.
@@ -365,19 +365,13 @@ class TestCriterion7Soundness:
         assert _encloses(*sums)
 
     def test_quadrature_refinement(self):
-        """a tighter target on the arc quadrature gives an enclosure that
-        intersects the looser one and is no wider"""
-        w = 96
-        consts = geom.lawson_constants(4, 6, w)
-        pi = pi_ball(w)
-        lower = ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w)
-        outs = [
-            oracle.arc_profile_quadrature(
-                consts.rho, consts.d, 4, 6, lower, ball_mul_rat(pi, 1, 2, w), w,
-                bf_from_float(target),
-            )
-            for target in (1e-6, 1e-18)
-        ]
+        """the arc moments at a higher precision give an enclosure that
+        intersects the lower-precision one and is no wider"""
+        outs = []
+        for w in (96, 192):
+            consts = geom.lawson_constants(4, 6, w)
+            lower = ball_add(ball_mul_rat(pi_ball(w), 1, 6, w), consts.theta, w)
+            outs.append(oracle.arc_profile_quadrature(consts.rho, consts.d, 4, 6, lower, w))
         for loose, tight in zip(*outs):
             assert intersects(loose, tight)
             assert bf_cmp(tight.width(), loose.width()) <= 0

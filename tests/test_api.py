@@ -86,8 +86,8 @@ def test_fixed_point_kernel_defined_only_in_ball():
 
 def test_arc_integrand_only_in_the_fixed_point_pass():
     """no function in `lenscert.oracle` calls `sin_ball`, `cos_ball` or
-    `ball_pow_int`: the arc integrand is evaluated in the fixed-point
-    five-point Gauss-Legendre pass alone"""
+    `ball_pow_int`: the arc endpoint's sin and cos and every power of the
+    arc moments are taken on the fixed-point kernel alone"""
     tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "oracle.py").read_text())
     calls = [
         "%s:%d %s" % (func.name, node.lineno, name)

@@ -10,7 +10,7 @@ import pytest
 
 from lenscert import certify as C
 from lenscert import cli, geom, oracle
-from lenscert.ball import Ball, ball_from_str, ball_to_str, ball_widen, TriBool
+from lenscert.ball import Ball, ball_from_str, ball_mul, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import (
     InvalidArgument,
@@ -139,6 +139,24 @@ class TestCertifyDimension:
         cert = C.certify_dimension(8, pairs=[(3, 3)])
         assert cert.verdict == "Failed"
         assert cert.entries[0].path_agreement is False
+
+    def test_small_fault_in_d_fails_agreement(self, monkeypatch):
+        """d and h scaled by 1 + 1e-9 move the special-function value, while
+        the moment path takes its arc endpoints from the corner angle: its
+        narrow balls disagree on both pairs of n = 24, also on (10,12), which
+        has no polynomial path"""
+        lawson_constants = geom.lawson_constants
+        scale = Ball.from_fraction(Fraction(10**9 + 1, 10**9), 256)
+
+        def faulty_constants(k, l, prec):
+            c = lawson_constants(k, l, prec)
+            d, h = (ball_mul(b, scale, prec + 8) for b in (c.d, c.h))
+            return geom.LawsonConstants(k, l, c.lambda_, h, c.r, d, c.rho, c.prec)
+
+        monkeypatch.setattr(geom, "lawson_constants", faulty_constants)
+        cert = C.certify_dimension(24)
+        assert cert.verdict == "Failed"
+        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(11, 11, False), (10, 12, False)]
 
     def test_cancellation_rejects_the_attempt(self, monkeypatch):
         """a ball-layer cancellation below 256 bits escalates the precision;
@@ -531,6 +549,15 @@ class TestExactReports:
         rep = C.exact_report(76, "simons")
         assert rep["paths_intersect"] is True
         assert ball_str_fractions(rep["m_exact_path"])[1] < Fraction(1, 10**30)
+
+    def test_simons_n72_escalates_past_a_wide_exact_path(self):
+        """at n = 72 the 128-bit exact path does not cancel but is about 0.4
+        wide; the report escalates until both paths meet the default width"""
+        from lenscert.ball import ball_str_fractions
+
+        rep = C.exact_report(72, "simons")
+        assert rep["paths_intersect"] is True
+        assert ball_str_fractions(rep["m_exact_path"])[1] <= Fraction(5, 10**13)
 
 
 class TestCli:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from lenscert.ball import (
     ball_add,
     ball_mul,
     ball_mul_rat,
-    ball_neg,
     ball_pow_int,
     ball_sub,
     ball_widen,
@@ -38,114 +36,110 @@ class TestArcProfileQuadrature:
         p = oracle.polynomial_m_value(3, 3, 128)
         assert intersects(q.m_value, p.m_value)
 
-    def test_budget_raises(self):
+    def test_wider_than_target_raises(self):
+        """a target the one pass cannot meet raises instead of returning a
+        ball wide enough to make the agreement check vacuous"""
         with pytest.raises(QuadratureBudgetExceeded):
             geom.competitor_energy_quadrature(5, 7, 64, target_width=1e-30)
 
     def test_one_pass_per_arc_on_default_pairs(self, monkeypatch):
-        """the predicted node count and the first share meet the agreement
-        width at once: one iteration, one five-point Gauss-Legendre pass per
-        arc, and at n = 24 at most 125 evaluations (25 pieces) per arc"""
-        arcs, passes = [], []
-        arc_quad, node_pass = oracle.arc_profile_quadrature, oracle._arc_gauss5_pass
+        """one moment evaluation per arc (one when k = l) meets the agreement
+        width on the default pairs of n = 8..24"""
+        arcs = []
+        arc_quad = oracle.arc_profile_quadrature
 
-        def counting_arc(*args, **kwargs):
+        def counting_arc(*args):
             arcs.append(args[2])
-            return arc_quad(*args, **kwargs)
-
-        def counting_pass(*args, **kwargs):
-            passes.append(args[6])
-            return node_pass(*args, **kwargs)
+            return arc_quad(*args)
 
         monkeypatch.setattr(oracle, "arc_profile_quadrature", counting_arc)
-        monkeypatch.setattr(oracle, "_arc_gauss5_pass", counting_pass)
         for n in range(8, 25):
             for k, l in geom.default_pairs(n):
                 arcs.clear()
-                passes.clear()
                 q = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
                 assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
                 assert arcs == ([k] if k == l else [k, l]), (k, l, arcs)
-                assert len(passes) == len(arcs), (k, l, passes)
-                if n == 24:
-                    assert all(5 * pieces <= 125 for pieces in passes), (k, l, passes)
 
-    def test_gauss5_rule_table(self):
-        """sum w_i x_i^d encloses the integral of x^d over [-1, 1] for
-        d = 0..9, and for d = 10 the rule misses it by the remainder
-        2^11 10! c5: nodes, weights and remainder constant agree"""
-        w = 128
-        (x1, x2), (w0, w1, w2) = oracle._gauss5_rule(w)
-        zero = Ball.from_int(0, w)
-        rule = [(zero, w0), (x1, w1), (ball_neg(x1), w1), (x2, w2), (ball_neg(x2), w2)]
-        tight = bf_two_power(-100)
-        for d in range(11):
-            total = zero
-            for x, weight in rule:
-                total = ball_add(total, ball_mul(weight, ball_pow_int(x, d, w), w), w)
-            exact = Fraction(2, d + 1) if d % 2 == 0 else Fraction(0)
-            if d == 10:
-                total = ball_sub(Ball.from_fraction(exact, w), total, w)
-                exact = 2**11 * math.factorial(10) * oracle.GAUSS5_REMAINDER
-            assert _contains(total, exact), d
-            assert bf_cmp(total.width(), tight) <= 0, d
+    def test_moments_match_polynomial_arcs(self):
+        """for odd pairs the moment integrals, times radius^jj resp.
+        radius^(jj+2), intersect the exact u-polynomial integrals of
+        `_arc_poly_integrals` on both arcs: two exact formulas, no mpmath"""
+        w = 256
+        for n in range(4, 25):
+            for k, l in geom.all_pairs(n):
+                if k % 2 == 0 or l % 2 == 0:
+                    continue
+                consts = geom.lawson_constants(k, l, w)
+                pi = pi_ball(w)
+                arcs = [
+                    (consts.rho, consts.d, k, l, ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w),
+                     consts.lambda_),
+                    (consts.r, consts.h, l, k, ball_sub(ball_mul_rat(pi, 2, 3, w), consts.theta, w),
+                     Ball.from_int(1, w)),
+                ]
+                for radius, offset, kk, jj, angle, corner in arcs:
+                    moments = oracle.arc_profile_quadrature(radius, offset, kk, jj, angle, w)
+                    poly = oracle._arc_poly_integrals(
+                        radius, offset, kk, (jj + 1) // 2, corner, ball_sub(radius, offset, w)
+                    )
+                    for e, got, exact in zip((jj, jj + 2), moments, poly):
+                        scaled = ball_mul(ball_pow_int(radius, e, w), got, w)
+                        assert intersects(scaled, exact), (k, l, kk, e)
+                        assert bf_cmp(scaled.width(), bf_two_power(-100)) <= 0, (k, l, kk, e)
 
     def test_pass_precision_angle_keeps_wide_pair_narrow(self):
-        """the corner angle is computed at the pass precision, so its radius
-        times bmax^16 does not set the width of (16,6)"""
+        """the constants and the corner angle are taken at the pass
+        precision, so their radii, amplified by the binomial cancellation of
+        the arc with k = 16, do not set the width of (16,6)"""
         q = geom.competitor_energy_quadrature(16, 6, 64, target_width=1e-6)
         assert bf_cmp(q.m_value.width(), bf_from_float(1e-9)) < 0
 
     @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])
     def test_arc_pass_encloses_mpmath(self, k, l):
-        """both arc integrals of a pair, at a loose and a tight target, enclose
-        mpmath.quad of (rho sin t - d)^k cos^j t at 40 digits; with the lower
-        endpoint widened by 2^-20 the enclosure keeps that slop and holds the
-        integrals from both ends of the endpoint ball"""
+        """both arc integrals of a pair, at 64 and 128 bits, enclose mpmath.quad
+        of (rho sin t - d)^k cos^j t at 40 digits; with the lower endpoint
+        widened by 2^-20 the enclosure holds the integrals from both ends of
+        the endpoint ball"""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             self._check_arcs_against_mpmath(mpmath, k, l)
 
     @staticmethod
     def _check_arcs_against_mpmath(mpmath, k, l):
-        w = 100
-        consts = geom.lawson_constants(k, l, w)
-        pi = pi_ball(w)
-        half_pi = ball_mul_rat(pi, 1, 2, w)
         theta = mpmath.atan(mpmath.sqrt(mpmath.mpf(k) / l))
         slop = mpmath.ldexp(1, -20)
-        arcs = [
-            (consts.rho, consts.d, k, l,
-             ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w), mpmath.pi / 6 + theta),
-            (consts.r, consts.h, l, k,
-             ball_sub(ball_mul_rat(pi, 2, 3, w), consts.theta, w), 2 * mpmath.pi / 3 - theta),
-        ]
-        for radius, offset, kk, jj, lower, lower_mp in arcs:
-            # the integrand at the parameter midpoints, which lie in the balls
-            rad_mp, off_mp = (
-                mpmath.ldexp(b.mid.sign * b.mid.man, b.mid.exp) for b in (radius, offset)
-            )
-            inputs = [
-                (lower, 1e-8, [lower_mp]),
-                (lower, 1e-20, [lower_mp]),
-                (ball_widen(lower, bf_two_power(-20)), 1e-20, [lower_mp - slop, lower_mp + slop]),
+        for w, width in ((64, 1e-10), (128, 1e-29)):
+            consts = geom.lawson_constants(k, l, w)
+            pi = pi_ball(w)
+            arcs = [
+                (consts.rho, consts.d, k, l,
+                 ball_add(ball_mul_rat(pi, 1, 6, w), consts.theta, w), mpmath.pi / 6 + theta),
+                (consts.r, consts.h, l, k,
+                 ball_sub(ball_mul_rat(pi, 2, 3, w), consts.theta, w), 2 * mpmath.pi / 3 - theta),
             ]
-            for start, target, starts_mp in inputs:
-                out = oracle.arc_profile_quadrature(
-                    radius, offset, kk, jj, start, half_pi, w, bf_from_float(target)
+            for radius, offset, kk, jj, lower, lower_mp in arcs:
+                # the integrand at the parameter midpoints, which lie in the balls
+                rad_mp, off_mp = (
+                    mpmath.ldexp(b.mid.sign * b.mid.man, b.mid.exp) for b in (radius, offset)
                 )
-                for j, got in zip((jj, jj + 2), out):
-                    for a in starts_mp:
-                        exact, err = mpmath.quad(
-                            lambda t: (rad_mp * mpmath.sin(t) - off_mp) ** kk * mpmath.cos(t) ** j,
-                            [a, mpmath.pi / 2],
-                            error=True,
-                        )
-                        assert err < 1e-30
-                        man, exp = exact.man_exp
-                        assert _contains(got, Fraction(man) * Fraction(2) ** exp), (kk, j, target)
-                    if start is lower:
-                        assert bf_cmp(got.width(), bf_from_float(target)) <= 0
+                inputs = [
+                    (lower, [lower_mp]),
+                    (ball_widen(lower, bf_two_power(-20)), [lower_mp - slop, lower_mp + slop]),
+                ]
+                for start, starts_mp in inputs:
+                    out = oracle.arc_profile_quadrature(radius, offset, kk, jj, start, w)
+                    for j, got in zip((jj, jj + 2), out):
+                        for a in starts_mp:
+                            exact, err = mpmath.quad(
+                                lambda t: (rad_mp * mpmath.sin(t) - off_mp) ** kk * mpmath.cos(t) ** j,
+                                [a, mpmath.pi / 2],
+                                error=True,
+                            )
+                            assert err < 1e-30
+                            man, exp = exact.man_exp
+                            assert _contains(got, Fraction(man) * Fraction(2) ** exp), (kk, j, w)
+                        if start is lower:
+                            assert bf_cmp(got.width(), bf_from_float(width)) <= 0, (kk, j, w)
 
 
 class TestLensExactWallis:

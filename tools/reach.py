@@ -6,7 +6,7 @@ The script takes no arguments.  It installs a line tracer (`sys.settrace`)
 before lenscert is imported, then runs, in this one process, through
 `lenscert.cli.main`:
 
-- `certify` over 4..24, over 4..14 with `--pairs all`, over 25..40 at width
+- `certify` over 4..24, over 4..24 with `--pairs all`, over 25..40 at width
   1e-45, over 150..200, at n = 8 with width 1e-200 and `--prec-max 512`,
   over 8..9 with `--jobs 2`, and at 396, 1000 and 2700 with `--long-run`;
 - `table` over 4..16, over 8..12 with 40 digits, and in each format;
@@ -40,7 +40,7 @@ PACKAGE = ROOT / "src" / "lenscert"
 
 CERTIFY_RUNS = [
     ["--n", "4..24"],
-    ["--n", "4..14", "--pairs", "all"],
+    ["--n", "4..24", "--pairs", "all"],
     ["--n", "25..40", "--width", "1e-45"],
     ["--n", "150..200"],
     ["--n", "8", "--width", "1e-200", "--prec-max", "512"],
