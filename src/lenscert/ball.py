@@ -203,11 +203,11 @@ def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
 
 
 def ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
-    """a**n: with 2**g <= a.mag_sup() < 2**(g+1), a read at scale 2**-(W - g)
-    encloses a * 2**-g at scale 2**-W; its n-th power read at scale
-    2**-(W - g*n) is that power times 2**(g*n)."""
+    """a**n for n >= 0: with 2**g <= a.mag_sup() < 2**(g+1), a read at scale
+    2**-(W - g) encloses a * 2**-g at scale 2**-W; its n-th power read at
+    scale 2**-(W - g*n) is that power times 2**(g*n)."""
     if n < 0:
-        return ball_div(Ball.from_int(1, prec), ball_pow_int(a, -n, prec), prec)
+        raise ValueError("exponent must be non-negative")
     W = prec + 16 + _FX_GUARD
     g = bf_msb_exp(a.mag_sup()) - 1
     return _fx_to_ball(_fx_pow(_fx_from_ball(a, W - g), n, W), W - g * n, prec)
@@ -634,43 +634,38 @@ def _fx_root(z: tuple[int, int], q: int, W: int, upper: bool) -> int:
 
 
 def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
-    """a**(p/q) for a certainly positive ball; q > 0.
+    """a**(p/q) for a certainly positive ball; p >= 0 and q > 0.
 
-    x**(|p|/q) is increasing on x > 0, so the lower bound comes from a.inf()
-    and the upper one from a.sup(); a negative p takes the reciprocal.  For an
-    endpoint x = f * 2**g with f in [1, 2), F = f**|p| is enclosed in fixed
-    point at W = w + _FX_GUARD bits by _fx_pow, and 2**h with h >= 0 is a
-    power of two certainly at most F (h = 0 always is, as f >= 1).
-    With g*|p| + h = q*s + t and 0 <= t < q,
+    x**(p/q) is increasing on x > 0, so the lower bound comes from a.inf()
+    and the upper one from a.sup().  For an endpoint x = f * 2**g with f in
+    [1, 2), F = f**p is enclosed in fixed point at W = w + _FX_GUARD bits by
+    _fx_pow, and 2**h with h >= 0 is a power of two certainly at most F
+    (h = 0 always is, as f >= 1).  With g*p + h = q*s + t and 0 <= t < q,
 
-        x**(|p|/q) = z**(1/q) * 2**s,  z = F * 2**(t - h) >= 1,
+        x**(p/q) = z**(1/q) * 2**s,  z = F * 2**(t - h) >= 1,
 
     where z lies in the fixed-point enclosure _fx_mul_rat(F, 2**t, 2**h).
     _fx_root returns an integer c whose fixed-point power is certainly on the
     wanted side of that whole enclosure, so c * 2**(s - W) bounds
-    x**(|p|/q) from the wanted side; it also terminates, as argued there.
+    x**(p/q) from the wanted side; it also terminates, as argued there.
     z lies in [1, 2**(q+1)), so the root is below 4 and the accepted c are
     a few ulps of 2**-W from it.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if p < 0 or q <= 0:
+        raise ValueError("p must be non-negative and q positive")
     if not certainly_positive(a):
         raise NonPositiveBase("pow_rational base must be certainly positive")
     w = prec + 16
     W = w + _FX_GUARD
-    e = abs(p)
     ends = []
     for x, upper in ((a.inf(), False), (a.sup(), True)):
         g = bf_msb_exp(x) - 1
-        F = _fx_pow(_fx_from_ball(Ball.point(bf_shift(x, -g), W), W), e, W)
+        F = _fx_pow(_fx_from_ball(Ball.point(bf_shift(x, -g), W), W), p, W)
         h = max(0, (F[0] - F[1]).bit_length() - 1 - W)
-        s, t = divmod(g * e + h, q)
+        s, t = divmod(g * p + h, q)
         c = _fx_root(_fx_mul_rat(F, 1 << t, 1 << h), q, W, upper)
         ends.append(bf_shift(bf_from_int(c), s - W))
-    out = ball_from_endpoints(ends[0], ends[1], w)
-    if p < 0:
-        out = ball_div(Ball.from_int(1, w), out, w)
-    return ball_round(out, prec)
+    return ball_round(ball_from_endpoints(ends[0], ends[1], w), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .ball import (
 )
 from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
 from .errors import (
+    DivergentParameters,
     InvalidArgument,
     NoValidPair,
     NonPositiveBase,
@@ -97,22 +98,15 @@ class Certificate:
         return out
 
 
-def _resolve_pairs(n: int, pairs) -> list[tuple[int, int]]:
-    """The competitor pairs certified at dimension n: "default", "all", or a
-    non-empty explicit list, each pair of which must satisfy k + l + 2 == n."""
+def _resolve_pairs(n: int, pairs: str) -> list[tuple[int, int]]:
+    """The competitor pairs certified at dimension n: "default" or "all"."""
     if n < 4:
         raise NoValidPair("no competitor pairs below dimension 4")
     if pairs == "default":
         return geom.default_pairs(n)
     if pairs == "all":
         return geom.all_pairs(n)
-    out = [tuple(p) for p in pairs]
-    if not out:
-        raise NoValidPair("no competitor pair given for dimension %d" % n)
-    for k, l in out:
-        if k + l + 2 != n:
-            raise ValueError("pair (%d,%d) does not match dimension %d" % (k, l, n))
-    return out
+    raise InvalidArgument("pairs must be 'default' or 'all', got %r" % (pairs,))
 
 
 def strictness(m_value: str, lambda_plane: str) -> TriBool:
@@ -147,8 +141,11 @@ def _escalate(enclosures, ok, prec_start: int, prec_max: int):
     failing item, so the later items are never computed; the final attempt,
     the last one the cap allows, takes every item.  This is the only place
     that works out which attempt is final.  A cancellation the ball layer
-    reports (PrecisionExhausted, NonPositiveBase) rejects the attempt too; on
-    the final attempt it propagates.  Returns (items, prec, accepted).
+    reports (PrecisionExhausted, NonPositiveBase) rejects the attempt too, and
+    so does a series argument ball too wide for its tail bound
+    (DivergentParameters, which the competitor's F1 x side raises at a few
+    bits); on the final attempt it propagates.  Returns (items, prec,
+    accepted).
     """
     if prec_start < 1:
         raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
@@ -172,7 +169,7 @@ def _escalate(enclosures, ok, prec_start: int, prec_max: int):
                     if not final:
                         break
                 items.append(item)
-        except (PrecisionExhausted, NonPositiveBase):
+        except (PrecisionExhausted, NonPositiveBase, DivergentParameters):
             if final:
                 raise
         else:
@@ -190,14 +187,14 @@ def _target_width(target_width: float):
 
 
 def _narrow(b: Ball, tw) -> bool:
-    """The width test of `certify_dimension` and `plot_rows`: b is at most tw
-    wide."""
+    """The width test of `certify_dimension`, its agreement rule and
+    `plot_rows`: b is at most tw wide."""
     return bf_cmp(b.width(), tw) <= 0
 
 
 def certify_dimension(
     n: int,
-    pairs="default",
+    pairs: str = "default",
     target_width: float = DEFAULT_TARGET_WIDTH,
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,
@@ -209,10 +206,13 @@ def certify_dimension(
     (`geom.competitor_energy_specfun`); the acceptance test is that each is
     at most `target_width` wide and, for a pair, decides strictness.  Both
     evaluators are looked up on `geom` at call time, so a tracer or a test
-    can substitute them.  Up to n = QUADRATURE_MAX_N each pair's enclosure
-    must also intersect the exact-moment value of
-    `geom.competitor_energy_quadrature`, at most AGREEMENT_WIDTH wide, and,
-    for odd pairs, the polynomial value, both at AGREEMENT_PREC bits.
+    can substitute them.  Up to n = QUADRATURE_MAX_N each pair is checked
+    against its second paths at AGREEMENT_PREC bits: the exact-moment value
+    of `geom.competitor_energy_quadrature` and, for odd pairs, the
+    polynomial value of `oracle.polynomial_m_value`.  A second-path value
+    agrees only when it is at most AGREEMENT_WIDTH wide and intersects the
+    pair's enclosure; a pair with a value that does not sets its
+    `path_agreement` to false, and the certificate is Failed.
     """
     pair_list = _resolve_pairs(n, pairs)
     tw = _target_width(target_width)
@@ -240,17 +240,13 @@ def certify_dimension(
     # independent-path agreement below the quadrature ceiling
     agreement_ok = True
     if n <= QUADRATURE_MAX_N:
+        aw = bf_from_float(AGREEMENT_WIDTH)
         for m, entry in pairs_out:
-            quad = geom.competitor_energy_quadrature(
-                entry.k, entry.l, AGREEMENT_PREC, target_width=AGREEMENT_WIDTH
-            )
-            agree = intersects(m, quad.m_value)
+            others = [geom.competitor_energy_quadrature(entry.k, entry.l, AGREEMENT_PREC)]
             if entry.k % 2 == 1 and entry.l % 2 == 1:
-                poly = oracle.polynomial_m_value(entry.k, entry.l, AGREEMENT_PREC)
-                agree = agree and intersects(m, poly.m_value)
-            entry.path_agreement = agree
-            if not agree:
-                agreement_ok = False
+                others.append(oracle.polynomial_m_value(entry.k, entry.l, AGREEMENT_PREC))
+            entry.path_agreement = all(_narrow(o.m_value, aw) and intersects(m, o.m_value) for o in others)
+            agreement_ok = agreement_ok and entry.path_agreement
 
     return Certificate(
         n=n,
@@ -294,7 +290,7 @@ def open_output(out: str | None):
 
 def certify(
     n_range,
-    pairs="default",
+    pairs: str = "default",
     target_width: float = DEFAULT_TARGET_WIDTH,
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,

@@ -21,10 +21,6 @@ class DivergentParameters(LensCertError):
     pass
 
 
-class QuadratureBudgetExceeded(LensCertError):
-    pass
-
-
 class InvalidGeometry(LensCertError):
     pass
 

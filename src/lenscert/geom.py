@@ -8,7 +8,9 @@ here.
 Its arc integrals are evaluated in two corner passes, one per arc: on the
 special-function route, and for the agreement check from exact
 trigonometric moments and, for odd index pairs, on the polynomial expansion
-(`oracle.polynomial_m_value`).  All three share `lawson_constants` and
+(`oracle.polynomial_m_value`).  Neither agreement value is checked
+where it is computed: `certify.certify_dimension` holds both to one
+width-and-intersection rule.  All three share `lawson_constants` and
 `assemble_competitor`, so they cross-check the arc integrals only; the
 references that share no code with lenscert are the mpmath evaluations in
 the tests.
@@ -20,7 +22,6 @@ import math
 from fractions import Fraction
 
 from . import oracle, specfun
-from .bigfloat import bf_cmp, bf_from_float, bf_to_float
 from .ball import (
     Ball,
     atan_ball,
@@ -37,12 +38,7 @@ from .ball import (
     pow_rational,
     sqrt_ball,
 )
-from .errors import (
-    InvalidGeometry,
-    NoValidPair,
-    PrecisionExhausted,
-    QuadratureBudgetExceeded,
-)
+from .errors import InvalidGeometry, NoValidPair, PrecisionExhausted
 
 __all__ = [
     "LensQuantities",
@@ -65,13 +61,11 @@ __all__ = [
 
 
 class LensQuantities:
-    __slots__ = ("n", "cap_area", "lens_volume", "disc_term", "lambda_plane", "prec")
+    __slots__ = ("n", "cap_area", "lens_volume", "disc_term", "lambda_plane")
 
-    def __init__(
-        self, n: int, cap_area: Ball, lens_volume: Ball, disc_term: Ball, lambda_plane: Ball, prec: int
-    ):
+    def __init__(self, n: int, cap_area: Ball, lens_volume: Ball, disc_term: Ball, lambda_plane: Ball):
         self.n, self.cap_area, self.lens_volume = n, cap_area, lens_volume
-        self.disc_term, self.lambda_plane, self.prec = disc_term, lambda_plane, prec
+        self.disc_term, self.lambda_plane = disc_term, lambda_plane
 
 
 def _root_power(fr: Fraction, root: Ball, e: int, w: int) -> Ball:
@@ -121,7 +115,6 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
         ball_round(vol, prec),
         ball_round(disc, prec),
         ball_round(lam, prec),
-        prec,
     )
     for b in (out.cap_area, out.lens_volume, out.disc_term, out.lambda_plane):
         if not certainly_positive(b):
@@ -199,13 +192,11 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
 
 
 class CompetitorEnergy:
-    __slots__ = ("k", "l", "volume", "perimeter", "cone_disc", "m_value", "prec")
+    __slots__ = ("k", "l", "volume", "perimeter", "cone_disc", "m_value")
 
-    def __init__(
-        self, k: int, l: int, volume: Ball, perimeter: Ball, cone_disc: Ball, m_value: Ball, prec: int
-    ):
+    def __init__(self, k: int, l: int, volume: Ball, perimeter: Ball, cone_disc: Ball, m_value: Ball):
         self.k, self.l, self.volume, self.perimeter = k, l, volume, perimeter
-        self.cone_disc, self.m_value, self.prec = cone_disc, m_value, prec
+        self.cone_disc, self.m_value = cone_disc, m_value
 
 
 def assemble_competitor(
@@ -249,7 +240,6 @@ def assemble_competitor(
         ball_round(perimeter, prec),
         ball_round(cone, prec),
         ball_round(m, prec),
-        prec,
     )
 
 
@@ -310,7 +300,7 @@ def _arc_corner(
     return ball_mul_rat(per, 2, e2 + 2, w), ball_mul_rat(vol, 2 * ld.numerator, (e2 + 4) * ld.denominator, w)
 
 
-def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float) -> CompetitorEnergy:
+def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:
     """Competitor energy with the arc integrals, after the substitutions
     u + d = rho sin(phi) and v + h = r sin(phi), taken from exact
     trigonometric moments (`oracle.arc_profile_quadrature`) in one pass.
@@ -319,9 +309,9 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float)
     theta = atan(lambda), and never at an angle derived from rho, d, r or h:
     that is what lets this path catch a fault in those constants.  The
     constants and angles are taken at the pass precision ws, which covers
-    the bits `_moment_bits` says the moments lose.  A result wider than
-    target_width raises QuadratureBudgetExceeded, so an agreement ball is
-    never wide enough to make the check vacuous.
+    the bits `_moment_bits` says the moments lose.  The width of the result
+    is not checked here: `certify.certify_dimension` holds every second
+    path to one agreement width.
     """
     ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
     consts = lawson_constants(k, l, ws)
@@ -337,13 +327,7 @@ def competitor_energy_quadrature(k: int, l: int, prec: int, target_width: float)
     s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)
     s2v = ball_mul(ball_pow_int(consts.r, k + 2, ws), j2v, ws)
     s2p = ball_mul(ball_pow_int(consts.r, k, ws), j2p, ws)
-    out = assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
-    if bf_cmp(out.m_value.width(), bf_from_float(target_width)) > 0:
-        raise QuadratureBudgetExceeded(
-            "moment m-value width %.2e misses target %.2e at pair (%d,%d)"
-            % (bf_to_float(out.m_value.width()), target_width, k, l)
-        )
-    return out
+    return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
 def _moment_bits(kk: int, jj: int) -> float:

@@ -6,28 +6,26 @@ Both hypergeometric series of lenscert have a = 1: the lens series
 x, y).  Each series needs its arguments certainly inside the unit disc and
 follows one tail rule, after Johansson, "Computing hypergeometric functions
 rigorously" (ACM TOMS 45(3), 2019): the tail is bounded from the actual
-term ratios, which with a = 1 are r_j = (b+j)/(c+j), through one index N
-and one bound R >= |r_j| for every j >= N (for a terminating series, every
-j below its order) with q = |z| R < 1, both computed once per series by
-`_tail_ratio`.  From N on each |t_(j+1)| <= q |t_j|, so the terms past t_m
-sum to at most |t_m| q / (1 - q); the series stops at the first m >= N
-where that is at most the tolerance tol = 2**(-prec-12) and is widened by
-it, and a terminating series that reaches its last term first is complete.
+term ratios, which with a = 1 are r_j = (b+j)/(c+j), through one bound
+R >= |r_j| for every j >= 0 (for a terminating series, every j below its
+order) with q = |z| R <= (1 + |z|)/2, computed once per series by
+`_tail_ratio`.  So each |t_(j+1)| <= q |t_j|, the terms past t_m sum to at
+most |t_m| q / (1 - q), and the series stops at the first m where that is
+at most the tolerance tol = 2**(-prec-12) and is widened by it; a
+terminating series that reaches its last term first is complete.
 
-N and R.  As c >= 1, c + j > 0 for every j >= 0.  The factor |b+j| / (c+j)
-does not increase if b >= c (it is 1 + (b-c)/(c+j) >= 0), or if b + j <= 0
-up to the order of a terminating series, b + order <= 1 (its numerator
-falls and its denominator grows); then it is at most its value at N on
-j >= N, and R is that value.  Otherwise b < c, and it is at most R = 1
-wherever b + c + 2j >= 0.  N is the first index where that bound holds and
-|z| R <= (1 + |z|)/2, found by a linear search, since the series sums at
-least N terms anyway; such an index exists, as R tends to at most 1, and
-for a terminating series with none below its order N is the order and
-R = 0.  So q <= (1 + |z|)/2, and the tail factor q/(1-q) never exceeds
-(1 + |z|)/(1 - |z|).  The lens series (b = n+1 > c) gets N = 0 and
-q < 1/2, the F1 x side (b = -kk) N = 0 and q = |x| kk/(e+2) at the
-competitor's arguments, and the F1 y side (b = -e, c = e+2) N = 0 and
-R = 1, or R = e/(e+2) when e is an integer.
+R.  As c >= 1, c + j > 0 for every j >= 0.  The factor |b+j| / (c+j)
+does not increase if b >= c (it is 1 + (b-c)/(c+j) >= 0), or if the series
+terminates (up to its order its numerator falls and its denominator
+grows); then R = |b|/c, its value at j = 0.  Otherwise b < c, and
+-(c+j) <= b+j < c+j for every j >= 0 when b + c >= 0, so R = 1.  A series
+with b + c < 0 in that case, or with q > (1 + |z|)/2, raises
+DivergentParameters; so the tail factor q/(1-q) never exceeds
+(1 + |z|)/(1 - |z|).  The lens series (b = n+1 > c) gets q < 1/2, the F1
+x side (b = -kk) q = |x| kk/(e+2), which at the exact x stays at least
+0.3 below (1 + |x|)/2 on every valid pair up to n = 2700 (an x ball only a
+few bits wide may not fit), and the F1 y side (b = -e, c = e+2) R = 1, or
+R = e/(e+2) when e is an integer.
 
 Appell F1, for c >= 1 and a non-positive integer b1, is one convolution of
 its x and y series; each side stops by the same rule on its terms weighted
@@ -112,11 +110,6 @@ def _is_nonpos_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
-def _order(b: Fraction) -> int | None:
-    """The order of a series with numerator parameter b, if it terminates."""
-    return int(-b) if _is_nonpos_int(b) else None
-
-
 def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
     """(ib, ic, d) with b, c = ib/d, ic/d over their least common
     denominator d."""
@@ -124,26 +117,18 @@ def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
     return int(b * d), int(c * d), d
 
 
-def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> tuple[int, Fraction]:
-    """(N, R) with |r_j| <= R for every j >= N (for a terminating series,
-    every j below its order), where r_j = (b+j)/(c+j) is the term ratio for
-    a = 1 and c >= 1, and q = zsup R <= (1 + zsup)/2.  See the module
-    docstring for the rule; b, c are taken over their common denominator d."""
-    order = _order(b)
-    ib, ic, d = _scaled(b, c)
-    zn, zd = zsup.numerator, zsup.denominator
-    if ib >= ic or (order is not None and ib + order * d <= d):
-        n, bound = 0, lambda j: (abs(ib + j * d), ic + j * d)
+def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
+    """R with |r_j| <= R for every j >= 0 (for a terminating series, every
+    j below its order), where r_j = (b+j)/(c+j) is the term ratio for a = 1
+    and c >= 1, and q = zsup R <= (1 + zsup)/2; see the module docstring for
+    the rule.  Raises DivergentParameters when the rule gives no such R."""
+    if b >= c or _is_nonpos_int(b):
+        bound = abs(b) / c
     else:
-        n, bound = max(0, -((ib + ic) // (2 * d))), lambda j: (1, 1)
-
-    def fits(j: int) -> bool:
-        u, v = bound(j)
-        return (order is not None and j >= order) or 2 * zn * u <= (zd + zn) * v
-
-    while not fits(n):
-        n += 1
-    return n, Fraction(*bound(n)) if order is None or n < order else Fraction(0)
+        bound = Fraction(1) if b + c >= 0 else None
+    if bound is None or 2 * zsup * bound > 1 + zsup:
+        raise DivergentParameters("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
+    return bound
 
 
 def _default_tol(prec: int) -> BigFloat:
@@ -161,8 +146,7 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
     if zsup >= 1:
         raise DivergentParameters("|z| must be certainly below 1")
     w = prec + 8
-    n1, bound = _tail_ratio(b, c, zsup)
-    ratio = zsup * bound
+    ratio = zsup * _tail_ratio(b, c, zsup)
     tail_factor = ratio / (1 - ratio)
     # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q,
     # log2 x < bitlen(p) - bitlen(q) + 1
@@ -173,17 +157,16 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
     term = (1 << W, 0)
     sum_m, sum_r = term
     m = 0
-    budget = n1 + 64 * (prec + 16) + 256
+    budget = 64 * (prec + 16) + 256
     ib, ic, d = _scaled(b, c)
     while True:
         term = _fx_mul(_fx_mul_rat(term, ib + m * d, ic + m * d), zx, W)
         sum_m += term[0]
         sum_r += term[1]
         m += 1
-        if n1 <= m:
-            tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
-            if tail is not None:
-                return _fx_to_ball((sum_m, sum_r + tail), W, prec)
+        tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
+        if tail is not None:
+            return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if m > budget:
             raise PrecisionExhausted("2F1 series did not reach its tail tolerance")
 
@@ -206,14 +189,14 @@ def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: i
     scale W, as lists of midpoints and radii, and the tail bound in ulps of
     scale W on what the side drops (0 when a terminating side is complete).
 
-    The side stops at the first j >= N, with (N, R) the tail ratio of
-    (b; c), whose weighted term t_j = w_j (b)_j z^j / j!, with
-    w_j = j! / (c)_j, passes the `_fx_tail` test with factor
-    other / (1 - q), q = |z| R, where `other` bounds the absolute sum of the
-    other side's unweighted terms.  For the competitor's x side (b = -kk)
-    that is N = 0 and q = |x| kk/(e+2), so it stops as soon as its
-    weighted terms are small enough (85 terms at the balanced pair of
-    n = 2700, not the (kk - e)/2 it takes for |r_j| to fall to 1).
+    The side stops at the first j whose weighted term
+    t_j = w_j (b)_j z^j / j!, with w_j = j! / (c)_j, passes the `_fx_tail`
+    test with factor other / (1 - q), q = |z| R for the tail ratio R of
+    (b; c), where `other` bounds the absolute sum of the other side's
+    unweighted terms.  For the competitor's x side (b = -kk) that is
+    q = |x| kk/(e+2), so it stops as soon as its weighted terms are small
+    enough (85 terms at the balanced pair of n = 2700, not the (kk - e)/2
+    it takes for |r_j| to fall to 1).
 
     That test multiplies the radius of a term by `other`, so the one term
     sequence runs at scale W plus log2(other) bits of headroom, and each
@@ -223,15 +206,14 @@ def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: i
     wm, shifted left to leave a quotient above 2**64, and the quotient is
     rounded up; so the bound is at most (1 + 2**-64)**j w_j.
     """
-    order = _order(b)
-    n1, bound = _tail_ratio(b, c, zsup)
-    factor = other / (1 - zsup * bound)
+    order = int(-b) if _is_nonpos_int(b) else None  # where a terminating side ends
+    factor = other / (1 - zsup * _tail_ratio(b, c, zsup))
     room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
     zt = _fx_from_ball(z, Wt)
     ib, ic, d = _scaled(b, c)
-    budget = order if order is not None else n1 + 64 * w + 256
+    budget = order if order is not None else 64 * w + 256
     term, wm, we = (1 << Wt, 0), 1 << 64, 64
     mids, rads = [1 << W], [0]
     j = 0
@@ -241,7 +223,7 @@ def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: i
         shift = max(0, 65 + den.bit_length() - num.bit_length())
         wm, we = -(-(num << shift) // den), we + shift
         j += 1
-        if n1 <= j != order:
+        if j != order:
             tail = _fx_tail(term, wm * factor.numerator, factor.denominator << we, limit)
             if tail is not None:
                 return mids, rads, -(-tail >> room)
@@ -320,9 +302,9 @@ def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     {m >= M} or in {n >= N}.  As w_{m+n} <= w_m, the first part is at most
     sum_{m>=M} w_m |A_m| sum_n |B_n| <= V sum_{m>=M} |t_m|, with
     t_m = w_m A_m the weighted x term.  Its ratio t_{m+1} / t_m is r_m x,
-    with r_m the term ratio of (b1; c), so if (K, R) is the tail ratio of
-    that series (module docstring), |t_{m+1} / t_m| <= q = |x| R < 1 for
-    every m >= K, and for M >= K the first part is at most V |t_M| / (1 - q):
+    with r_m the term ratio of (b1; c), so if R is the tail ratio of that
+    series (module docstring), |t_{m+1} / t_m| <= q = |x| R < 1 for every
+    m >= 0, and the first part is at most V |t_M| / (1 - q):
     the `_fx_tail` bound of `_f1_side`, at most tol.  As w_{m+n} <= w_n, the
     second part is at most U |t_N| / (1 - q'), with q' = |y| R' from the
     tail ratio of (b2; c), in the same way.  A terminating side that

@@ -293,7 +293,7 @@ class TestCriterion5TriplePath:
         for n in range(4, 21):
             for k, l in geom.all_pairs(n):
                 spec = geom.competitor_energy_specfun(k, l, 128)
-                quad = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
+                quad = geom.competitor_energy_quadrature(k, l, 64)
                 assert bf_cmp(quad.m_value.width(), bf_from_float(1e-6)) <= 0
                 assert intersects(spec.m_value, quad.m_value), (k, l)
                 if k % 2 == 1 and l % 2 == 1:

@@ -13,8 +13,8 @@ from lenscert import cli, geom, oracle
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import (
+    DivergentParameters,
     InvalidArgument,
-    InvalidGeometry,
     NonPositiveBase,
     NoValidPair,
     PrecisionExhausted,
@@ -114,12 +114,12 @@ class TestCertifyDimension:
             en = specfun(k, l, prec)
             return geom.CompetitorEnergy(
                 k, l, en.volume, en.perimeter, en.cone_disc,
-                lens.lambda_plane, prec,
+                lens.lambda_plane,
             )
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", fake_specfun)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
-        cert = C.certify_dimension(8, pairs=[(3, 3)], prec_max=512)
+        cert = C.certify_dimension(8, prec_max=512)
         assert cert.verdict == "Undecided"
 
     def test_fault_injection_degrades_to_failed(self, monkeypatch):
@@ -132,13 +132,13 @@ class TestCertifyDimension:
             wrong_mid = (en.m_value + Ball.from_int(1, prec)).mid
             poisoned = Ball(wrong_mid, bf_two_power(-prec), prec)
             return geom.CompetitorEnergy(
-                k, l, en.volume, en.perimeter, en.cone_disc, poisoned, prec
+                k, l, en.volume, en.perimeter, en.cone_disc, poisoned
             )
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", poisoned_specfun)
-        cert = C.certify_dimension(8, pairs=[(3, 3)])
+        cert = C.certify_dimension(8)
         assert cert.verdict == "Failed"
-        assert cert.entries[0].path_agreement is False
+        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(3, 3, False), (2, 4, False)]
 
     def test_small_fault_in_d_fails_agreement(self, monkeypatch):
         """d and h scaled by 1 + 1e-9 move the special-function value, while
@@ -158,6 +158,25 @@ class TestCertifyDimension:
         assert cert.verdict == "Failed"
         assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(11, 11, False), (10, 12, False)]
 
+    def test_too_wide_agreement_value_fails_the_pair(self, monkeypatch, tmp_path):
+        """a second-path value wider than AGREEMENT_WIDTH fails its pair and
+        the batch goes on: at 1e-30 every pair of n = 8..9 fails, (3,3) with
+        its polynomial path included, and the file is written; at 1e-17
+        only the polynomial value of (11,11), about 3.6e-16 wide, is too
+        wide, while its moment value and both values of (10,12) are not"""
+        monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-30)
+        out = tmp_path / "certs.json"
+        certs = C.certify(range(8, 10), out=str(out))
+        assert [c.verdict for c in certs] == ["Failed", "Failed"]
+        assert [(e.k, e.l, e.path_agreement) for c in certs for e in c.entries] == [
+            (3, 3, False), (2, 4, False), (3, 4, False)
+        ]
+        assert [c["verdict"] for c in json.loads(out.read_text())] == ["Failed", "Failed"]
+        monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-17)
+        cert = C.certify_dimension(24)
+        assert cert.verdict == "Failed"
+        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(11, 11, False), (10, 12, True)]
+
     def test_cancellation_rejects_the_attempt(self, monkeypatch):
         """a ball-layer cancellation below 256 bits escalates the precision;
         on the last allowed attempt it propagates"""
@@ -175,6 +194,17 @@ class TestCertifyDimension:
         assert cert.precision_bits == 256
         with pytest.raises(NonPositiveBase):
             C.certify_dimension(8, prec_max=128)
+
+    def test_series_argument_too_wide_rejects_the_attempt(self):
+        """at 1 bit the x ball of the (26,9) u-arc is too wide for the
+        first-term tail bound, which raises DivergentParameters; at a width
+        the lens meets at 1 bit that rejects the attempt like a cancellation,
+        and n = 37 with all its pairs escalates to a Proven certificate"""
+        with pytest.raises(DivergentParameters):
+            geom.competitor_energy_specfun(26, 9, 1)
+        cert = C.certify_dimension(37, pairs="all", target_width=1000.0, prec_start=1)
+        assert cert.verdict == "Proven" and cert.precision_bits > 1
+        assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
 
     def test_too_wide_lens_stops_the_attempt(self, monkeypatch):
         """at a width 128 bits cannot reach, the 128-bit attempt stops after
@@ -206,7 +236,7 @@ class TestCertifyDimension:
                 m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
                     geom.lens_quantities(8, prec).lambda_plane
                 )
-                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m, prec)
+                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m)
             return en
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)
@@ -241,12 +271,6 @@ class TestCertifyDimension:
         assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
         assert (9, 26) in geom.all_pairs(37)
 
-    def test_invalid_pair_raises_after_an_early_stop(self):
-        """an invalid explicit pair still raises its own error when the lens
-        rejects the first attempt before the pair is reached"""
-        with pytest.raises(InvalidGeometry):
-            C.certify_dimension(8, pairs=[(1, 5)], target_width=1e-45)
-
     @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
                                         {"target_width": float("nan")}, {"target_width": float("inf")},
                                         {"prec_max": 64}, {"prec_max": 16384}])
@@ -257,18 +281,21 @@ class TestCertifyDimension:
         with pytest.raises(InvalidArgument):
             C.certify_dimension(8, **kwargs)
 
-    def test_pair_of_another_dimension_rejected(self, monkeypatch):
-        monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
-        with pytest.raises(ValueError):
+    def test_pair_of_another_dimension_rejected(self):
+        """pairs are named, "default" or "all": a list raises at once, before
+        any attempt runs"""
+        with pytest.raises(InvalidArgument):
             C.certify_dimension(8, pairs=[(2, 3)])
 
     def test_rejects_low_dimension(self):
         with pytest.raises(NoValidPair):
-            C.certify_dimension(3, pairs=[(1, 0)])
+            C.certify_dimension(3)
 
     def test_rejects_empty_pair_list(self):
-        with pytest.raises(NoValidPair):
-            C.certify_dimension(8, pairs=[])
+        """an empty list is no pair name either, nor is any name but the two"""
+        for pairs in ([], "none"):
+            with pytest.raises(InvalidArgument):
+                C.certify_dimension(8, pairs=pairs)
 
     def test_n2700_proven_at_128_bits(self):
         """the largest long-run dimension certifies without escalation"""

@@ -165,10 +165,12 @@ def test_pow_rational_round_trip():
     assert _contains(pow_rational(Ball.from_int(4, 128), 1, 2, 128), 2)
     with pytest.raises(NonPositiveBase):
         pow_rational(Ball.from_int(-1, 64), 1, 3, 64)
+    with pytest.raises(ValueError):
+        pow_rational(a, -2, 7, 64)
 
 
 def test_pow_rational_two_precision():
-    for p, q in ((3, 5), (-2, 7), (9, 4)):
+    for p, q in ((3, 5), (2, 7), (9, 4)):
         lo = pow_rational(Ball.from_fraction(Fraction(7, 3), 64), p, q, 64)
         hi = pow_rational(Ball.from_fraction(Fraction(7, 3), 160), p, q, 160)
         assert intersects(lo, hi)
@@ -185,8 +187,6 @@ def _assert_power_enclosed(r, x, p, q):
     endpoints of x that bound x**(p/q) from below and from above"""
     lo, hi = bf_to_fraction(r.inf()), bf_to_fraction(r.sup())
     below, above = bf_to_fraction(x.inf()), bf_to_fraction(x.sup())
-    if p < 0:
-        below, above = above, below
     assert 0 < lo and lo**q <= below**p and above**p <= hi**q
 
 
@@ -195,7 +195,7 @@ def test_pow_rational_encloses_exact_power(n):
     """every result encloses the exact power; a point input gives a result at
     most 4 ulps wide"""
     rng = random.Random(n)
-    for p in (0, 1, 2, 3, -2, n - 1):
+    for p in (0, 1, 2, 3, n - 1):
         for q in (1, 2, 3, 7, n):
             for g in (POW_EXPONENTS[0], POW_EXPONENTS[-1], *rng.sample(POW_EXPONENTS, 2)):
                 prec = rng.choice(POW_PRECISIONS)

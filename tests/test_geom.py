@@ -25,7 +25,7 @@ def _contains(b, x) -> bool:
     return abs(Fraction(x) - bf_to_fraction(b.mid)) <= bf_to_fraction(b.rad)
 
 # certified reference values (8 decimals).  Every M entry is reproduced by the
-# special-function and verified-quadrature paths (and, for all-odd pairs, the
+# special-function and exact-moment paths (and, for all-odd pairs, the
 # exact polynomial path), and by the mpmath evaluation that shares no code
 # with lenscert, tests/test_acceptance.py::TestCriterion1Table::
 # test_m_reference_mpmath.  For the six pairs with an even index these are
@@ -326,7 +326,7 @@ class TestCompetitorEnergy:
     def test_quadrature_path_agrees(self):
         for k, l in ((3, 3), (4, 4), (3, 5), (2, 4), (3, 4)):
             s = geom.competitor_energy_specfun(k, l, 128)
-            q = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
+            q = geom.competitor_energy_quadrature(k, l, 64)
             assert intersects(s.m_value, q.m_value)
             assert intersects(s.volume, q.volume)
             assert intersects(s.perimeter, q.perimeter)

@@ -16,7 +16,7 @@ from lenscert.ball import (
     sqrt_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
-from lenscert.errors import DomainViolation, QuadratureBudgetExceeded
+from lenscert.errors import DomainViolation
 
 
 def _contains(b, x) -> bool:
@@ -32,15 +32,9 @@ def _coords(x) -> tuple[Fraction, ...]:
 class TestArcProfileQuadrature:
     def test_matches_polynomial_path(self):
         prec = 64
-        q = geom.competitor_energy_quadrature(3, 3, prec, target_width=1e-6)
+        q = geom.competitor_energy_quadrature(3, 3, prec)
         p = oracle.polynomial_m_value(3, 3, 128)
         assert intersects(q.m_value, p.m_value)
-
-    def test_wider_than_target_raises(self):
-        """a target the one pass cannot meet raises instead of returning a
-        ball wide enough to make the agreement check vacuous"""
-        with pytest.raises(QuadratureBudgetExceeded):
-            geom.competitor_energy_quadrature(5, 7, 64, target_width=1e-30)
 
     def test_one_pass_per_arc_on_default_pairs(self, monkeypatch):
         """one moment evaluation per arc (one when k = l) meets the agreement
@@ -56,7 +50,7 @@ class TestArcProfileQuadrature:
         for n in range(8, 25):
             for k, l in geom.default_pairs(n):
                 arcs.clear()
-                q = geom.competitor_energy_quadrature(k, l, 64, target_width=1e-6)
+                q = geom.competitor_energy_quadrature(k, l, 64)
                 assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
                 assert arcs == ([k] if k == l else [k, l]), (k, l, arcs)
 
@@ -91,7 +85,7 @@ class TestArcProfileQuadrature:
         """the constants and the corner angle are taken at the pass
         precision, so their radii, amplified by the binomial cancellation of
         the arc with k = 16, do not set the width of (16,6)"""
-        q = geom.competitor_energy_quadrature(16, 6, 64, target_width=1e-6)
+        q = geom.competitor_energy_quadrature(16, 6, 64)
         assert bf_cmp(q.m_value.width(), bf_from_float(1e-9)) < 0
 
     @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])

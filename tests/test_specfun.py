@@ -141,16 +141,18 @@ class TestGauss2F1:
             _assert_encloses(f, ref, prec)
 
     def test_n8_closed_form_value(self):
-        """2F1(1, 4; 3/2; 1/4) = 4/3 + 40 pi sqrt3 / 243: Euler's
-        transformation (DLMF 15.8.1) of 2F1(1/2, -5/2; 3/2; 1/4) =
-        9 sqrt3/32 + 5 pi/48 is (3/4)^(7/2) times it"""
+        """the lens series of n = 8, 2F1(1, 9; 11/2; 1/4), is 9 I_8 /
+        (sqrt3/2)^9 with I_8 the integral of sin^8 over [0, pi/3], which the
+        Wallis reduction 8 I_8 = 7 I_6 - (sqrt3/2)^7 / 2 from I_0 = pi/3
+        gives as 35 pi/384 - 279 sqrt3/2048: so it is
+        140 pi sqrt3 / 81 - 31/4"""
         prec = 128
         z = Ball.from_fraction(Fraction(1, 4), prec)
-        f = specfun.gauss_2f1(4, Fraction(3, 2), z, prec)
+        f = specfun.gauss_2f1(9, Fraction(11, 2), z, prec)
         s3 = sqrt_ball(Ball.from_int(3, prec), prec)
-        ref = Ball.from_fraction(Fraction(4, 3), prec) + ball_mul_rat(ball_mul(pi_ball(prec), s3, prec), 40, 243, prec)
+        ref = ball_mul_rat(ball_mul(pi_ball(prec), s3, prec), 140, 81, prec) - Ball.from_fraction(Fraction(31, 4), prec)
         assert intersects(f, ref)
-        assert abs(bf_to_float(f.mid) - 2.2290367) < 1e-7
+        assert abs(bf_to_float(f.mid) - 1.6548856) < 1e-7
 
     def test_terminating_encloses_exact_rational(self):
         z = Ball.from_fraction(Fraction(1, 4), 96)
@@ -191,17 +193,20 @@ class TestGauss2F1:
     def test_lens_parameters_enclose_mpmath(self, zf):
         """2F1(1, n+1; (n+3)/2; z), the lens's series at z = 1/4, and
         2F1(1, (n+2)/2; (n+3)/2; z), twice its form at z = 3/4 before the
-        quadratic transformation, for n from 3 to 2700, and 2F1(1, m/2; 3/2;
-        z) for odd m from -1 to -41 enclose mpmath.hyp2f1 at 64 bits beyond
-        the working precision.  The lens's series is also summed to the
-        tolerance 2^-40, where its tail bound sets the radius"""
+        quadratic transformation, for n from 3 to 2700, and 2F1(1, m/2;
+        2 - m/2; z), the shape of the F1 y side, for odd m from -1 to -41
+        enclose mpmath.hyp2f1 at 64 bits beyond the working precision.  The
+        lens's series is also summed to the tolerance 2^-40, where its tail
+        bound sets the radius.  It is taken wherever its first-term bound
+        q = z (n+1) / ((n+3)/2) fits, q <= (1 + z)/2: for every n at
+        z <= 1/4, only for n = 3 at z = 1/2 and never at 3/4"""
         mpmath = pytest.importorskip("mpmath")
         prec = 128
         z = Ball.from_fraction(zf, prec)
         ns = (3, 8, 51, 396, 2700)
-        lens = [(Fraction(n + 1), Fraction(n + 3, 2)) for n in ns]
+        lens = [(Fraction(n + 1), Fraction(n + 3, 2)) for n in ns if 4 * zf * (n + 1) <= (1 + zf) * (n + 3)]
         params = [(Fraction(n + 2, 2), Fraction(n + 3, 2)) for n in ns]
-        params += [(Fraction(m, 2), Fraction(3, 2)) for m in range(-1, -42, -2)]
+        params += [(Fraction(m, 2), 2 - Fraction(m, 2)) for m in range(-1, -42, -2)]
         cases = [(p, None) for p in lens + params] + [(p, -40) for p in lens]
         for (b, c), tol_exp in cases:
             with pytest.MonkeyPatch.context() as mp:
@@ -371,16 +376,14 @@ class TestAppellF1:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(specfun, "_fx_tail", recording_tail)
                 specfun._f1_side(b, c, zero, Fraction(0), Fraction(1), bf_two_power(-80), 96, 72)
-            first = max(1, specfun._tail_ratio(b, c, Fraction(0))[0])
-            assert len(bounds) == 2001 - first, c
+            assert len(bounds) == 2000, c
             exact_num, exact_den = 1, 1
             for j in range(1, 2001):
                 exact_num *= j * c.denominator
                 exact_den *= c.numerator + (j - 1) * c.denominator
-                if j >= first:
-                    p, q = bounds[j - first]
-                    assert p * exact_den >= q * exact_num, (c, j)
-                    assert p * exact_den * 2**62 <= q * exact_num * (2**62 + j), (c, j)
+                p, q = bounds[j - 1]
+                assert p * exact_den >= q * exact_num, (c, j)
+                assert p * exact_den * 2**62 <= q * exact_num * (2**62 + j), (c, j)
 
     def test_domain_checks(self):
         """both arguments must lie certainly inside the unit disc, even in a
@@ -480,7 +483,8 @@ class TestAppellF1:
         through V = 1 / (1 - |y|).  The second value, F1(1; -kk, b2-1; c+1;
         x, y), encloses its terminating double sum.  The arguments are
         chosen so that at the 2^-40 tolerance the tails, not rounding, set
-        the radius"""
+        the radius, and |x| so that the x side's first-term tail bound fits,
+        |x| kk/c <= (1 + |x|)/2"""
         rng = random.Random(15)
         sides = _record_sides(monkeypatch)
         for case in range(18):
@@ -488,13 +492,13 @@ class TestAppellF1:
             tol_exp = rng.choice((None, -40))
             if case % 3 == 0:
                 prec = 128
-                xf, yf = -Fraction(rng.randint(280, 400), 1000), -Fraction(rng.randint(1, 8), 2**18)
+                xf, yf = -Fraction(rng.randint(10, 33), 1000), -Fraction(rng.randint(1, 8), 2**18)
                 b2, c = Fraction(-e), Fraction(e + 2)
                 exact = _terminating_f1(kk, e, c, xf, yf)
             else:
                 prec = 256
                 c = Fraction(1)
-                xf = rng.choice((-1, 1)) * Fraction(rng.randint(200, 250), 1000)
+                xf = rng.choice((-1, 1)) * Fraction(rng.randint(50, 140), 100000)
                 if case % 3 == 1:
                     yf, b2 = -Fraction(rng.randint(1, 8), 2**24), Fraction(-e)
                 else:
@@ -514,14 +518,14 @@ class TestAppellF1:
         """with kk >= 300 and a small |x|, the x side of F1(1; -kk, -e; e+2;
         x, y) stops at the tolerance 2^-40 before the first index where its
         ratio |r_j| = (kk - j)/(e + 2 + j) falls to 1, bounding its tail
-        with q = |x| |r_N| > |x|, and both values still enclose their exact
+        with q = |x| |r_0| > |x|, and both values still enclose their exact
         terminating double sums; the tail sets the radius"""
         rng = random.Random(16)
         sides = _record_sides(monkeypatch)
         _tolerance(monkeypatch, -40)
         for case in range(6):
             kk, e = rng.randint(300, 340), rng.randint(20, 26)
-            xf, yf = -Fraction(rng.randint(40, 60), 1000), -Fraction(rng.randint(1, 64), 1024)
+            xf, yf = -Fraction(rng.randint(20, 33), 1000), -Fraction(rng.randint(1, 64), 1024)
             b1, c = Fraction(-kk), Fraction(e + 2)
             unit = min(j for j in range(kk) if abs(_ratio(b1, c, j)) <= 1)
             del sides[:]
@@ -567,12 +571,15 @@ def _ratio(b: Fraction, c: Fraction, m: int) -> Fraction:
 
 class TestTailRule:
     def test_tail_ratio_exact(self):
-        """the tail ratio (N, R) is sound, |r(m)| <= R from N on (to N + 500,
-        or to the order of a terminating series), and gives
-        q = |z| R <= (1 + |z|)/2, over random (b, c >= 1, |z|): a third of
-        them with b > c, whose ratios fall towards 1, a third terminating,
-        and the rest with b below c, of either sign"""
+        """the tail ratio R holds from the first term, |r(m)| <= R for m
+        from 0 to 500 (or to the order of a terminating series), and gives
+        q = |z| R <= (1 + |z|)/2, or the call raises DivergentParameters,
+        which it does only when |z| max(|r(0)|, 1) > (1 + |z|)/2 or b + c < 0,
+        over random (b, c >= 1, |z|): a third of them with b > c, whose
+        ratios fall towards 1, a third terminating, and the rest with b below
+        c, of either sign; both outcomes occur in every third"""
         rng = random.Random(4)
+        outcomes = set()
         for i in range(400):
             zsup = Fraction(rng.randint(1, 999), 1000)
             c = 1 + Fraction(rng.randint(0, 640), rng.randint(1, 4))
@@ -583,10 +590,43 @@ class TestTailRule:
             else:
                 b = c - Fraction(rng.randint(1, 900), rng.choice((1, 2)))
             order = int(-b) if b.denominator == 1 and b <= 0 else None
-            n, bound = specfun._tail_ratio(b, c, zsup)
-            top = n + 500 if order is None else order
-            assert 2 * zsup * bound <= 1 + zsup, (b, c, zsup, n, bound)
-            assert all(abs(_ratio(b, c, m)) <= bound for m in range(n, top)), (b, c, zsup, n, bound)
+            try:
+                bound = specfun._tail_ratio(b, c, zsup)
+            except DivergentParameters:
+                outcomes.add((i % 3, False))
+                assert 2 * zsup * max(abs(b) / c, 1) > 1 + zsup or b + c < 0, (b, c, zsup)
+                continue
+            outcomes.add((i % 3, True))
+            top = 500 if order is None else order
+            assert 2 * zsup * bound <= 1 + zsup, (b, c, zsup, bound)
+            assert all(abs(_ratio(b, c, m)) <= bound for m in range(top)), (b, c, zsup, bound)
+        assert len(outcomes) == 6, outcomes
+
+    def test_bound_that_misses_at_the_first_term_raises(self):
+        """b = 2c at |z| = 0.9 gives q = 1.8 > 0.95, and b < c with
+        b + c < 0 has |r(0)| > 1 with no first-term bound of 1: both raise,
+        from `_tail_ratio` and from `gauss_2f1`, instead of summing past a
+        later start index"""
+        z = Ball.from_fraction(Fraction(9, 10), 64)
+        for b, c in ((Fraction(6), Fraction(3)), (Fraction(-7, 2), Fraction(3, 2))):
+            with pytest.raises(DivergentParameters):
+                specfun._tail_ratio(b, c, Fraction(9, 10))
+            with pytest.raises(DivergentParameters):
+                specfun.gauss_2f1(b, c, z, 64)
+
+    def test_most_lopsided_pairs_n2700(self):
+        """the competitor at the first and last valid pair of n = 2700, k/l
+        just above 1/3 and just below 3, evaluates at 128 bits: each F1 side
+        fits its first-term tail bound, and the two mirror pairs give the
+        same energy"""
+        from lenscert import geom
+
+        pairs = geom.all_pairs(2700)
+        (k, l), last = pairs[0], pairs[-1]
+        assert last == (l, k) and 3 * k > l > 3 * (k - 1)
+        first, second = (geom.competitor_energy_specfun(*p, 128).m_value for p in (pairs[0], last))
+        assert intersects(first, second)
+        assert bf_cmp(first.width(), bf_two_power(-90)) <= 0 and bf_cmp(second.width(), bf_two_power(-90)) <= 0
 
     @pytest.mark.parametrize("kk,e2,shift", [(40, 40, 0), (40, 41, 7), (99, 99, 30)])
     @pytest.mark.parametrize("tol_exp", [None, -40])
@@ -678,8 +718,8 @@ class TestTailRule:
         "a,b,c",
         [
             (Fraction(1), Fraction(1, 3), Fraction(3, 2)),
-            (Fraction(1), Fraction(-7, 2), Fraction(3, 2)),
-            (Fraction(1), Fraction(-11, 2), Fraction(9, 2)),
+            (Fraction(1), Fraction(-7, 2), Fraction(9, 2)),
+            (Fraction(1), Fraction(-11, 2), Fraction(13, 2)),
         ],
     )
     @pytest.mark.parametrize("zf", [Fraction(99, 100), Fraction(-99, 100)])
@@ -744,8 +784,13 @@ class TestAgainstMpmath:
 
     @staticmethod
     def _case(rng):
-        kk, e = rng.randint(1, 80), Fraction(rng.randint(1, 80), 2)
-        xf = -Fraction(rng.randint(400, 2700), 10000)
+        """parameters whose x series fits its first-term tail bound,
+        |x| kk/(e+2) <= (1 + |x|)/2, as the competitor's do"""
+        while True:
+            kk, e = rng.randint(1, 80), Fraction(rng.randint(1, 80), 2)
+            xf = -Fraction(rng.randint(400, 2700), 10000)
+            if 2 * abs(xf) * kk <= (1 + abs(xf)) * (e + 2):
+                break
         yf = -Fraction(rng.randint(30, 450), 10000)
         return kk, e, xf, yf, rng.choice((64, 128, 256))
 

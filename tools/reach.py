@@ -8,7 +8,9 @@ before lenscert is imported, then runs, in this one process, through
 
 - `certify` over 4..24, over 4..24 with `--pairs all`, over 25..40 at width
   1e-45, over 150..200, at n = 8 with width 1e-200 and `--prec-max 512`,
-  over 8..9 with `--jobs 2`, and at 396, 1000 and 2700 with `--long-run`;
+  over 8..9 with `--jobs 2`, at 396, 1000 and 2700 with `--long-run`, and
+  over every pair of n = 400 with `--long-run --pairs all`, whose most
+  lopsided pairs have the tightest series tail bounds;
 - `table` over 4..16, over 8..12 with 40 digits, and in each format;
 - `plot` over 8..20, and `exact` in both modes (simons at n = 12 and at
   n = 76, where the 128-bit attempt cancels);
@@ -20,7 +22,7 @@ tampered certificate.  Worker processes started by `--jobs 2` are not
 traced, so the lines only they run (`certify._certify_one`) are listed.
 
 Each unreached line is printed as `file:line: source`, followed by a count
-per file.  The run takes 10 to 15 s on a 2-core container.
+per file.  The run takes 15 to 20 s on a 2-core container.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ CERTIFY_RUNS = [
     ["--n", "396", "--long-run"],
     ["--n", "1000", "--long-run"],
     ["--n", "2700", "--long-run"],
+    ["--n", "400", "--long-run", "--pairs", "all"],
 ]
 
 OTHER_RUNS = [
