@@ -46,7 +46,7 @@ from .bigfloat import (
     rup_mul,
     rup_mul_rat,
 )
-from .errors import DivisionByIntervalContainingZero, DomainViolation, NonPositiveBase
+from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
     "Ball",
@@ -190,7 +190,7 @@ def ball_mul_rat(a: Ball, p: int, q: int, prec: int) -> Ball:
 def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
     denom_low = bf_add_exact(bf_abs(b.mid), bf_neg(b.rad))
     if denom_low.sign <= 0:
-        raise DivisionByIntervalContainingZero(
+        raise PrecisionExhausted(
             "divisor ball contains zero: %s" % ball_to_str(b, max_digits=8)
         )
     mid, err = bf_div(a.mid, b.mid, prec)
@@ -403,7 +403,7 @@ def _tol(prec: int) -> BigFloat:
 def sqrt_ball(a: Ball, prec: int) -> Ball:
     lo = a.inf()
     if lo.sign < 0:
-        raise DomainViolation("sqrt of a ball reaching below zero")
+        raise PrecisionExhausted("sqrt of a ball reaching below zero")
     hi = a.sup()
     lo_r, lo_e = bf_sqrt(lo, prec + 4)
     hi_r, hi_e = bf_sqrt(hi, prec + 4)
@@ -417,13 +417,13 @@ def _exp_thin(x: BigFloat, prec: int) -> Ball:
     w = prec + 16
     fx = bf_to_float(x)
     if abs(fx) > 1 << 40:
-        raise DomainViolation("exp argument out of supported range")
+        raise InvalidArgument("exp argument out of supported range")
     k = int(round(fx * 1.4426950408889634))
     t = Ball.point(x, w)
     if k:
         t = ball_sub(t, ball_mul_rat(ln2_ball(w), k, 1, w), w)
     if bf_cmp(t.mag_sup(), BigFloat(1, 3, -2)) > 0:
-        raise DomainViolation("exp argument reduction failed")
+        raise PrecisionExhausted("exp argument reduction failed")
     # |t| <= 3/4; sum exp(t) with factorial tail bound
     tol = _tol(prec)
     term = Ball.from_int(1, w)
@@ -440,7 +440,7 @@ def _exp_thin(x: BigFloat, prec: int) -> Ball:
             total = ball_widen(total, tail)
             break
         if j > 4 * w:
-            raise DomainViolation("exp series failed to converge")
+            raise PrecisionExhausted("exp series failed to converge")
     result = Ball(bf_shift(total.mid, k), bf_shift(total.rad, k), w)
     return ball_round(result, prec)
 
@@ -451,7 +451,7 @@ def exp_ball(a: Ball, prec: int) -> Ball:
 
 def _log_thin(x: BigFloat, prec: int) -> Ball:
     if x.sign <= 0:
-        raise DomainViolation("log of a nonpositive value")
+        raise InvalidArgument("log of a nonpositive value")
     w = prec + 16
     s = bf_msb_exp(x)  # x in [2**(s-1), 2**s)
     y = bf_shift(x, -s)  # y in [1/2, 1)
@@ -464,7 +464,7 @@ def _log_thin(x: BigFloat, prec: int) -> Ball:
     u2 = ball_mul(u, u, w)
     u2_sup = u2.mag_sup()
     if bf_cmp(u2_sup, BigFloat(1, 1, -1)) >= 0:
-        raise DomainViolation("log argument reduction failed")
+        raise PrecisionExhausted("log argument reduction failed")
     term = u
     total = ball_mul_rat(u, 1, 1, w)
     j = 0
@@ -481,7 +481,7 @@ def _log_thin(x: BigFloat, prec: int) -> Ball:
             total = ball_widen(total, tail)
             break
         if j > 4 * w:
-            raise DomainViolation("log series failed to converge")
+            raise PrecisionExhausted("log series failed to converge")
     total = ball_mul_rat(total, 2, 1, w)
     if s:
         total = ball_add(total, ball_mul_rat(ln2_ball(w), s, 1, w), w)
@@ -491,7 +491,7 @@ def _log_thin(x: BigFloat, prec: int) -> Ball:
 def log_ball(a: Ball, prec: int) -> Ball:
     lo = a.inf()
     if lo.sign <= 0:
-        raise DomainViolation("log of a ball reaching below zero")
+        raise PrecisionExhausted("log of a ball reaching below zero")
     return ball_hull(_log_thin(lo, prec), _log_thin(a.sup(), prec), prec)
 
 
@@ -554,7 +554,7 @@ def asin_ball(a: Ball, prec: int) -> Ball:
     one = Ball.from_int(1, w)
     inner = ball_sub(one, ball_mul(a, a, w), w)
     if not certainly_positive(inner):
-        raise DomainViolation("asin argument must lie certainly inside (-1, 1)")
+        raise PrecisionExhausted("asin argument must lie certainly inside (-1, 1)")
     return ball_round(atan_ball(ball_div(a, sqrt_ball(inner, w), w), w), prec)
 
 
@@ -571,7 +571,7 @@ def _fx_sin_cos(x: tuple[int, int], W: int) -> tuple[tuple[int, int], tuple[int,
     """
     m, r = x
     if abs(m) > 8 << W:
-        raise DomainViolation("sin/cos argument out of supported range (|x| <= 8)")
+        raise InvalidArgument("sin/cos argument out of supported range (|x| <= 8)")
     term = (1 << W, 0)
     sums = [[1 << W, 0], [0, 0]]  # cos, sin
     k = 0
@@ -654,7 +654,7 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     if p < 0 or q <= 0:
         raise ValueError("p must be non-negative and q positive")
     if not certainly_positive(a):
-        raise NonPositiveBase("pow_rational base must be certainly positive")
+        raise PrecisionExhausted("pow_rational base must be certainly positive")
     w = prec + 16
     W = w + _FX_GUARD
     ends = []

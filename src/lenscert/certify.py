@@ -30,14 +30,7 @@ from .ball import (
     intersects,
 )
 from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
-from .errors import (
-    DivergentParameters,
-    InvalidArgument,
-    NoValidPair,
-    NonPositiveBase,
-    PrecisionExhausted,
-    UnsupportedDimension,
-)
+from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
     "CertEntry",
@@ -101,7 +94,7 @@ class Certificate:
 def _resolve_pairs(n: int, pairs: str) -> list[tuple[int, int]]:
     """The competitor pairs certified at dimension n: "default" or "all"."""
     if n < 4:
-        raise NoValidPair("no competitor pairs below dimension 4")
+        raise InvalidArgument("no competitor pairs below dimension 4")
     if pairs == "default":
         return geom.default_pairs(n)
     if pairs == "all":
@@ -140,12 +133,12 @@ def _escalate(enclosures, ok, prec_start: int, prec_max: int):
     the client's only acceptance test.  A non-final attempt stops at its first
     failing item, so the later items are never computed; the final attempt,
     the last one the cap allows, takes every item.  This is the only place
-    that works out which attempt is final.  A cancellation the ball layer
-    reports (PrecisionExhausted, NonPositiveBase) rejects the attempt too, and
-    so does a series argument ball too wide for its tail bound
-    (DivergentParameters, which the competitor's F1 x side raises at a few
-    bits); on the final attempt it propagates.  Returns (items, prec,
-    accepted).
+    that works out which attempt is final.  An attempt that raises
+    PrecisionExhausted, the library's one signal that an enclosure at this
+    precision does not decide something (a sign, a domain, a tail bound),
+    is rejected too; on the final attempt the error propagates.  Any other
+    error propagates at once, as no precision mends it.  Returns (items,
+    prec, accepted).
     """
     if prec_start < 1:
         raise InvalidArgument("starting precision must be at least 1 bit, got %r" % prec_start)
@@ -169,7 +162,7 @@ def _escalate(enclosures, ok, prec_start: int, prec_max: int):
                     if not final:
                         break
                 items.append(item)
-        except (PrecisionExhausted, NonPositiveBase, DivergentParameters):
+        except PrecisionExhausted:
             if final:
                 raise
         else:
@@ -483,7 +476,7 @@ def exact_report(n: int, mode: str) -> dict:
     512 from n = 120 on)."""
     if mode == "lens":
         if n < 3 or n > 40:
-            raise UnsupportedDimension("exact lens mode supports 3 <= n <= 40")
+            raise InvalidArgument("exact lens mode supports 3 <= n <= 40")
         cap, vol = oracle.lens_exact_wallis(n)
         exact_ball, general = _exact_paths(
             lambda prec: (
@@ -502,11 +495,11 @@ def exact_report(n: int, mode: str) -> dict:
         }
     if mode == "simons":
         if n < 4 or n % 4 != 0:
-            raise UnsupportedDimension(
+            raise InvalidArgument(
                 "exact balanced mode needs n = 2k+2 with k odd (n divisible by 4)"
             )
         if n > EXACT_SIMONS_CAP:
-            raise UnsupportedDimension("exact simons mode supports n <= %d" % EXACT_SIMONS_CAP)
+            raise InvalidArgument("exact simons mode supports n <= %d" % EXACT_SIMONS_CAP)
         k = (n - 2) // 2
         ex = oracle.exact_simons_m(k)
         exact_ball, general = _exact_paths(

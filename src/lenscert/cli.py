@@ -76,7 +76,7 @@ def main(argv=None) -> int:
             cap = DESK_SCALE_CAP if certify and not args.long_run else LONG_RUN_CAP
             if ns[-1] > cap:
                 hint = " (use --long-run for up to %d)" % LONG_RUN_CAP if certify else ""
-                raise LensCertError("dimension %d above cap %d%s" % (ns[-1], cap, hint))
+                raise InvalidArgument("dimension %d above cap %d%s" % (ns[-1], cap, hint))
         if args.command == "certify":
             certs = certify_mod.certify(
                 ns,

@@ -5,37 +5,11 @@ class LensCertError(Exception):
     """Base class for all library errors."""
 
 
-class DivisionByIntervalContainingZero(LensCertError):
-    pass
-
-
-class NonPositiveBase(LensCertError):
-    pass
-
-
-class DomainViolation(LensCertError):
-    pass
-
-
-class DivergentParameters(LensCertError):
-    pass
-
-
-class InvalidGeometry(LensCertError):
-    pass
-
-
 class PrecisionExhausted(LensCertError):
-    pass
-
-
-class NoValidPair(LensCertError):
-    pass
-
-
-class UnsupportedDimension(LensCertError):
-    pass
+    """An enclosure at this precision does not decide something the
+    computation needs (a sign, a domain, a tail bound or a series budget);
+    more bits may decide it."""
 
 
 class InvalidArgument(LensCertError, ValueError):
-    """An argument outside the range the library accepts."""
+    """An argument outside the range the library accepts at any precision."""

@@ -38,7 +38,7 @@ from .ball import (
     pow_rational,
     sqrt_ball,
 )
-from .errors import InvalidGeometry, NoValidPair, PrecisionExhausted
+from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
     "LensQuantities",
@@ -142,7 +142,7 @@ class LawsonConstants:
 
 def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
     """Arc constants of the competitor slice, in closed form; raises
-    InvalidGeometry when the construction degenerates (index ratio outside
+    InvalidArgument when the construction degenerates (index ratio outside
     (1/3, 3), which also excludes indices below 1).
 
     With theta = atan(lambda), lambda = sqrt(k/l), the arc constants are
@@ -173,7 +173,7 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
     precision.
     """
     if not _valid_ratio(k, l):
-        raise InvalidGeometry("(%d,%d): index ratio outside (1/3, 3)" % (k, l))
+        raise InvalidArgument("(%d,%d): index ratio outside (1/3, 3)" % (k, l))
     w = prec + 16
     s, t, u, sqrt3 = (sqrt_ball(Ball.from_int(m, w), w) for m in (k, l, k + l, 3))
     e_u = ball_add(ball_mul(sqrt3, t, w), s, w)
@@ -355,7 +355,7 @@ def _valid_ratio(k: int, l: int) -> bool:
 def default_pairs(n: int) -> list[tuple[int, int]]:
     """Central pairs: even n -> (k,k) plus (k-1,k+1) from n >= 8; odd -> (k-1,k)."""
     if n < 4:
-        raise NoValidPair("no competitor pairs below dimension 4")
+        raise InvalidArgument("no competitor pairs below dimension 4")
     if n % 2 == 0:
         k = n // 2 - 1
         pairs = [(k, k)]

@@ -40,7 +40,7 @@ from .ball import (
     pow_rational,
     sqrt_ball,
 )
-from .errors import DomainViolation
+from .errors import InvalidArgument
 from .specfun import unit_ball_volume, unit_ball_volume_product
 
 __all__ = [
@@ -318,7 +318,7 @@ def polynomial_m_value(k: int, l: int, prec: int):
     from . import geom
 
     if k % 2 == 0 or l % 2 == 0:
-        raise DomainViolation("polynomial path requires both indices odd")
+        raise InvalidArgument("polynomial path requires both indices odd")
     consts = geom.lawson_constants(k, l, prec + 16)
     w = prec + 16
     rho, d, r, h = consts.rho, consts.d, consts.r, consts.h
@@ -358,7 +358,7 @@ def exact_simons_m(k: int) -> SimonsExact:
     docstring for the normalization rule); `assembled(prec)` encloses M(k,k).
     """
     if k % 2 == 0 or k < 1:
-        raise DomainViolation("balanced exact path requires odd k")
+        raise InvalidArgument("balanced exact path requires odd k")
     r = QSqrt23(Fraction(0), Fraction(1), Fraction(0), Fraction(1))  # sqrt2 + sqrt6
     h = QSqrt23(Fraction(1), Fraction(0), Fraction(1), Fraction(0))  # 1 + sqrt3
     one = QSqrt23.from_rational(1)

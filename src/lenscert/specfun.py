@@ -20,7 +20,7 @@ terminates (up to its order its numerator falls and its denominator
 grows); then R = |b|/c, its value at j = 0.  Otherwise b < c, and
 -(c+j) <= b+j < c+j for every j >= 0 when b + c >= 0, so R = 1.  A series
 with b + c < 0 in that case, or with q > (1 + |z|)/2, raises
-DivergentParameters; so the tail factor q/(1-q) never exceeds
+PrecisionExhausted; so the tail factor q/(1-q) never exceeds
 (1 + |z|)/(1 - |z|).  The lens series (b = n+1 > c) gets q < 1/2, the F1
 x side (b = -kk) q = |x| kk/(e+2), which at the exact x stays at least
 0.3 below (1 + |x|)/2 on every valid pair up to n = 2700 (an x ball only a
@@ -65,7 +65,7 @@ from .ball import (
     ball_round,
     pi_ball,
 )
-from .errors import DivergentParameters, DomainViolation, PrecisionExhausted
+from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = ["unit_ball_volume", "unit_ball_volume_product", "gauss_2f1", "appell_f1"]
 
@@ -121,13 +121,13 @@ def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
     """R with |r_j| <= R for every j >= 0 (for a terminating series, every
     j below its order), where r_j = (b+j)/(c+j) is the term ratio for a = 1
     and c >= 1, and q = zsup R <= (1 + zsup)/2; see the module docstring for
-    the rule.  Raises DivergentParameters when the rule gives no such R."""
+    the rule.  Raises PrecisionExhausted when the rule gives no such R."""
     if b >= c or _is_nonpos_int(b):
         bound = abs(b) / c
     else:
         bound = Fraction(1) if b + c >= 0 else None
     if bound is None or 2 * zsup * bound > 1 + zsup:
-        raise DivergentParameters("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
+        raise PrecisionExhausted("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
     return bound
 
 
@@ -141,10 +141,10 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
     rounding, so it passes the tail test, and its true tail is 0."""
     b, c = Fraction(b), Fraction(c)
     if c < 1:
-        raise DivergentParameters("2F1 tail bound needs c >= 1")
+        raise InvalidArgument("2F1 tail bound needs c >= 1")
     zsup = Fraction(bf_to_fraction(z.mag_sup()))
     if zsup >= 1:
-        raise DivergentParameters("|z| must be certainly below 1")
+        raise PrecisionExhausted("|z| must be certainly below 1")
     w = prec + 8
     ratio = zsup * _tail_ratio(b, c, zsup)
     tail_factor = ratio / (1 - ratio)
@@ -348,11 +348,11 @@ def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     """
     b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
     if not (c >= 1 and _is_nonpos_int(b1)):
-        raise DivergentParameters("F1 tail bound needs c >= 1 and b1 a non-positive integer")
+        raise InvalidArgument("F1 tail bound needs c >= 1 and b1 a non-positive integer")
     xsup = Fraction(bf_to_fraction(x.mag_sup()))
     ysup = Fraction(bf_to_fraction(y.mag_sup()))
     if xsup >= 1 or ysup >= 1:
-        raise DomainViolation("F1 arguments must lie certainly inside the unit disc")
+        raise PrecisionExhausted("F1 arguments must lie certainly inside the unit disc")
     tol = _default_tol(prec)
     w = prec + 8
     u_bound = _pow_sup(1 + xsup, int(-b1), w)

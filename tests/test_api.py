@@ -11,8 +11,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import lenscert
+from lenscert import certify, geom, oracle, specfun
+from lenscert.ball import Ball, ball_div, ball_widen, pow_rational, sqrt_ball
+from lenscert.bigfloat import bf_two_power
+from lenscert.errors import InvalidArgument, PrecisionExhausted
 
 
 def _modules():
@@ -236,3 +243,55 @@ def test_only_escalate_knows_the_final_attempt():
         if a.arg == "final"
     ]
     assert [name for name in taking if name != "_escalate"] == []
+
+
+def test_errors_are_two_kinds():
+    """`lenscert.errors` defines the base class and its two kinds, and the
+    escalation driver catches the one that more bits may mend, by name"""
+    from lenscert import errors
+
+    classes = {name for name, obj in vars(errors).items() if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert classes == {"LensCertError", "PrecisionExhausted", "InvalidArgument"}
+    assert issubclass(errors.InvalidArgument, ValueError)
+    assert not issubclass(errors.PrecisionExhausted, ValueError)
+    text = (pathlib.Path(lenscert.__file__).parent / "certify.py").read_text()
+    escalate = next(
+        node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef) and node.name == "_escalate"
+    )
+    handlers = [ast.unparse(node.type) for node in ast.walk(escalate) if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["PrecisionExhausted"]
+
+
+_STRADDLE = ball_widen(Ball.from_int(0, 64), bf_two_power(-4))
+_SMALL = Ball.from_fraction(Fraction(1, 5), 64)
+_TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
+
+
+@pytest.mark.parametrize(
+    "kind,call",
+    [
+        pytest.param(PrecisionExhausted, lambda: ball_div(Ball.from_int(1, 64), _STRADDLE, 64), id="ball_div"),
+        pytest.param(PrecisionExhausted, lambda: pow_rational(_STRADDLE, 1, 3, 64), id="pow_rational"),
+        pytest.param(
+            PrecisionExhausted,
+            lambda: sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)), 64),
+            id="sqrt_ball",
+        ),
+        pytest.param(PrecisionExhausted, lambda: specfun.appell_f1(-3, -2, 3, _TO_ONE, _SMALL, 64), id="appell_f1"),
+        pytest.param(PrecisionExhausted, lambda: geom.competitor_energy_specfun(26, 9, 1), id="competitor_energy"),
+        pytest.param(InvalidArgument, lambda: geom.lawson_constants(1, 4, 64), id="lawson_constants"),
+        pytest.param(InvalidArgument, lambda: geom.default_pairs(3), id="default_pairs"),
+        pytest.param(InvalidArgument, lambda: certify.exact_report(10, "simons"), id="exact_report"),
+        pytest.param(
+            InvalidArgument, lambda: specfun.gauss_2f1(Fraction(1, 2), Fraction(1, 2), _SMALL, 64), id="gauss_2f1"
+        ),
+        pytest.param(InvalidArgument, lambda: oracle.polynomial_m_value(2, 3, 64), id="polynomial_m_value"),
+    ],
+)
+def test_raise_site_signals_its_kind(kind, call):
+    """an enclosure that does not decide raises PrecisionExhausted, which the
+    escalation driver retries with more bits; an argument outside what the
+    function accepts raises InvalidArgument, at any precision"""
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind

@@ -12,14 +12,7 @@ from lenscert import certify as C
 from lenscert import cli, geom, oracle
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
-from lenscert.errors import (
-    DivergentParameters,
-    InvalidArgument,
-    NonPositiveBase,
-    NoValidPair,
-    PrecisionExhausted,
-    UnsupportedDimension,
-)
+from lenscert.errors import InvalidArgument, PrecisionExhausted
 
 
 class TestEscalate:
@@ -184,7 +177,7 @@ class TestCertifyDimension:
 
         def lens_eval(n, prec):
             if prec < 256:
-                raise NonPositiveBase("synthetic cancellation at %d bits" % prec)
+                raise PrecisionExhausted("synthetic cancellation at %d bits" % prec)
             return lens_quantities(n, prec)
 
         monkeypatch.setattr(geom, "lens_quantities", lens_eval)
@@ -192,19 +185,28 @@ class TestCertifyDimension:
         cert = C.certify_dimension(8)
         assert cert.verdict == "Proven"
         assert cert.precision_bits == 256
-        with pytest.raises(NonPositiveBase):
+        with pytest.raises(PrecisionExhausted):
             C.certify_dimension(8, prec_max=128)
 
     def test_series_argument_too_wide_rejects_the_attempt(self):
         """at 1 bit the x ball of the (26,9) u-arc is too wide for the
-        first-term tail bound, which raises DivergentParameters; at a width
+        first-term tail bound, which raises PrecisionExhausted; at a width
         the lens meets at 1 bit that rejects the attempt like a cancellation,
         and n = 37 with all its pairs escalates to a Proven certificate"""
-        with pytest.raises(DivergentParameters):
+        with pytest.raises(PrecisionExhausted):
             geom.competitor_energy_specfun(26, 9, 1)
         cert = C.certify_dimension(37, pairs="all", target_width=1000.0, prec_start=1)
         assert cert.verdict == "Proven" and cert.precision_bits > 1
         assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
+
+    def test_f1_argument_ball_reaching_the_unit_circle_rejects_the_attempt(self):
+        """at n = 133 with all pairs from 1 bit, the F1 argument balls of a
+        low-precision attempt reach |x| = 1; that rejects the attempt like any
+        other undecided enclosure, so the run escalates to Proven at 32 bits
+        and the command line exits 0 instead of ending in an error"""
+        cert = C.certify_dimension(133, "all", 1000.0, 1)
+        assert cert.verdict == "Proven" and cert.precision_bits == 32
+        assert cli.main(["certify", "--n", "133", "--pairs", "all", "--prec-start", "1", "--width", "1000"]) == 0
 
     def test_too_wide_lens_stops_the_attempt(self, monkeypatch):
         """at a width 128 bits cannot reach, the 128-bit attempt stops after
@@ -258,7 +260,7 @@ class TestCertifyDimension:
     def test_low_precision_cap_ends_undecided(self):
         """the agreement paths run at AGREEMENT_PREC whatever the certificate's
         precision, so a 16-bit cap at n = 24 gives an Undecided certificate
-        instead of a NonPositiveBase from the polynomial path"""
+        instead of a PrecisionExhausted from the polynomial path"""
         cert = C.certify_dimension(24, prec_start=16, prec_max=16)
         assert cert.verdict == "Undecided" and cert.precision_bits == 16
         assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(24)
@@ -288,7 +290,7 @@ class TestCertifyDimension:
             C.certify_dimension(8, pairs=[(2, 3)])
 
     def test_rejects_low_dimension(self):
-        with pytest.raises(NoValidPair):
+        with pytest.raises(InvalidArgument):
             C.certify_dimension(3)
 
     def test_rejects_empty_pair_list(self):
@@ -529,7 +531,7 @@ class TestPlot:
             assert gap.inf().sign > 0
 
     def test_refuses_low_dimension(self):
-        with pytest.raises(NoValidPair):
+        with pytest.raises(InvalidArgument):
             C.plot_rows([2])
 
     def test_gap_decreasing_on_sample(self):
@@ -562,9 +564,9 @@ class TestExactReports:
         assert rep["paths_intersect"] is True
 
     def test_unsupported_dimensions(self):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(InvalidArgument):
             C.exact_report(41, "lens")
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(InvalidArgument):
             C.exact_report(10, "simons")
 
     def test_simons_n76_escalates_past_cancellation(self):

@@ -17,7 +17,7 @@ from lenscert.ball import (
     sqrt_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_float, bf_to_fraction
-from lenscert.errors import InvalidGeometry, NoValidPair
+from lenscert.errors import InvalidArgument
 
 
 def _contains(b, x) -> bool:
@@ -194,13 +194,13 @@ class TestLawsonConstants:
 
     @pytest.mark.parametrize("k,l", [(1, 5), (5, 1), (1, 4), (9, 2)])
     def test_invalid_geometry(self, k, l):
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidArgument):
             geom.lawson_constants(k, l, 128)
 
     def test_ratio_boundary_is_invalid(self):
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidArgument):
             geom.lawson_constants(1, 3, 128)
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidArgument):
             geom.lawson_constants(3, 9, 128)
 
     @pytest.mark.parametrize(
@@ -238,7 +238,7 @@ class TestLawsonConstants:
                 if geom._valid_ratio(k, l):
                     geom.lawson_constants(k, l, prec)
                 else:
-                    with pytest.raises(InvalidGeometry):
+                    with pytest.raises(InvalidArgument):
                         geom.lawson_constants(k, l, prec)
 
     def test_validity_conditions_hold_for_certain(self):
@@ -345,7 +345,7 @@ class TestPairSelection:
         assert geom.default_pairs(9) == [(3, 4)]
         assert geom.default_pairs(4) == [(1, 1)]
         assert geom.default_pairs(6) == [(2, 2)]
-        with pytest.raises(NoValidPair):
+        with pytest.raises(InvalidArgument):
             geom.default_pairs(3)
 
     def test_table_pairs(self):
@@ -359,7 +359,7 @@ class TestPairSelection:
         assert geom.table_pairs(6) == [(2, 2)]
         assert geom.table_pairs(4) == [(1, 1)]
         for n in (2, 3):
-            with pytest.raises(NoValidPair):
+            with pytest.raises(InvalidArgument):
                 geom.table_pairs(n)
 
     def test_plot_pair(self):

@@ -16,7 +16,7 @@ from lenscert.ball import (
     sqrt_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
-from lenscert.errors import DomainViolation
+from lenscert.errors import InvalidArgument
 
 
 def _contains(b, x) -> bool:
@@ -196,7 +196,7 @@ class TestQSqrt23:
 
 class TestPolynomialMValue:
     def test_rejects_even_indices(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidArgument):
             oracle.polynomial_m_value(2, 4, 96)
 
     @pytest.mark.parametrize(
@@ -318,5 +318,5 @@ class TestExactSimons:
         assert bf_cmp(ex.assembled(128).sup(), lam4.inf()) < 0
 
     def test_rejects_even_k(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidArgument):
             oracle.exact_simons_m(2)

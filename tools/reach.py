@@ -10,7 +10,9 @@ before lenscert is imported, then runs, in this one process, through
   1e-45, over 150..200, at n = 8 with width 1e-200 and `--prec-max 512`,
   over 8..9 with `--jobs 2`, at 396, 1000 and 2700 with `--long-run`, and
   over every pair of n = 400 with `--long-run --pairs all`, whose most
-  lopsided pairs have the tightest series tail bounds;
+  lopsided pairs have the tightest series tail bounds, and over every pair
+  of n = 133 from 1 bit at width 1000, whose low-precision attempts are
+  rejected on an F1 argument ball that reaches the unit circle;
 - `table` over 4..16, over 8..12 with 40 digits, and in each format;
 - `plot` over 8..20, and `exact` in both modes (simons at n = 12 and at
   n = 76, where the 128-bit attempt cancels);
@@ -22,7 +24,7 @@ tampered certificate.  Worker processes started by `--jobs 2` are not
 traced, so the lines only they run (`certify._certify_one`) are listed.
 
 Each unreached line is printed as `file:line: source`, followed by a count
-per file.  The run takes 15 to 20 s on a 2-core container.
+per file.  The run takes about 20 s on a 2-core container.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ CERTIFY_RUNS = [
     ["--n", "1000", "--long-run"],
     ["--n", "2700", "--long-run"],
     ["--n", "400", "--long-run", "--pairs", "all"],
+    ["--n", "133", "--pairs", "all", "--prec-start", "1", "--width", "1000"],
 ]
 
 OTHER_RUNS = [
