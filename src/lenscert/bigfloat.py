@@ -160,30 +160,8 @@ def bf_shift(a: BigFloat, k: int) -> BigFloat:
 
 
 def bf_cmp(a: BigFloat, b: BigFloat) -> int:
-    """Exact comparison: -1, 0, or +1."""
-    if a.sign != b.sign:
-        return -1 if a.sign < b.sign else 1
-    if a.sign == 0:
-        return 0
-    c = _cmp_mag(a, b)
-    return c if a.sign > 0 else -c
-
-
-def _cmp_mag(a: BigFloat, b: BigFloat) -> int:
-    ta = a.exp + a.man.bit_length()
-    tb = b.exp + b.man.bit_length()
-    if ta != tb:
-        return -1 if ta < tb else 1
-    # same msb position, align on min exponent (shift bounded by bit lengths)
-    if a.exp >= b.exp:
-        x = a.man << (a.exp - b.exp)
-        y = b.man
-    else:
-        x = a.man
-        y = b.man << (b.exp - a.exp)
-    if x == y:
-        return 0
-    return -1 if x < y else 1
+    """Exact comparison: -1, 0, or +1, the sign of the exact difference."""
+    return bf_add_exact(a, bf_neg(b)).sign
 
 
 def bf_round(sign: int, man: int, exp: int, prec: int) -> tuple[BigFloat, BigFloat]:

@@ -13,6 +13,7 @@ reproduces every verdict.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -251,11 +252,6 @@ def certify_dimension(
     )
 
 
-def _certify_one(args):
-    n, kwargs = args
-    return certify_dimension(n, **kwargs)
-
-
 @contextlib.contextmanager
 def open_output(out: str | None):
     """A function that writes the finished text to the file `out`, or to
@@ -297,11 +293,8 @@ def certify(
     if jobs is not None and jobs < 1:
         raise InvalidArgument("jobs must be at least 1, got %r" % jobs)
     ns = sorted(n_range)
-    kwargs = dict(
-        pairs=pairs,
-        target_width=target_width,
-        prec_start=prec_start,
-        prec_max=prec_max,
+    one = functools.partial(
+        certify_dimension, pairs=pairs, target_width=target_width, prec_start=prec_start, prec_max=prec_max
     )
     workers = min(jobs or 1, len(ns), os.cpu_count() or 1)
     with open_output(out) if out else contextlib.nullcontext() as write:
@@ -309,9 +302,9 @@ def certify(
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                certs = list(pool.map(_certify_one, [(n, kwargs) for n in ns], chunksize=4))
+                certs = list(pool.map(one, ns, chunksize=4))
         else:
-            certs = [certify_dimension(n, **kwargs) for n in ns]
+            certs = list(map(one, ns))
         if write:
             write(json.dumps([c.to_dict() for c in certs], indent=1) + "\n")
     return certs
@@ -397,19 +390,7 @@ def table_rows(n_range, digits: int = 8) -> list[TableRow]:
 
 def render_table(rows: list[TableRow], fmt: str = "csv") -> str:
     if fmt == "json":
-        return json.dumps(
-            [
-                {
-                    "n": r.n,
-                    "k": r.k,
-                    "l": r.l,
-                    "lambda_plane_8dp": r.lambda_plane_8dp,
-                    "m_8dp": r.m_8dp,
-                }
-                for r in rows
-            ],
-            indent=1,
-        )
+        return json.dumps([{name: getattr(r, name) for name in r.__slots__} for r in rows], indent=1)
     lam = lambda r: r.lambda_plane_8dp if r.lambda_plane_8dp is not None else "---"
     if fmt == "csv":
         lines = ["n,k,l,lambda_plane,m"]

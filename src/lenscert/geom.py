@@ -61,11 +61,10 @@ __all__ = [
 
 
 class LensQuantities:
-    __slots__ = ("n", "cap_area", "lens_volume", "disc_term", "lambda_plane")
+    __slots__ = ("n", "lambda_plane")
 
-    def __init__(self, n: int, cap_area: Ball, lens_volume: Ball, disc_term: Ball, lambda_plane: Ball):
-        self.n, self.cap_area, self.lens_volume = n, cap_area, lens_volume
-        self.disc_term, self.lambda_plane = disc_term, lambda_plane
+    def __init__(self, n: int, lambda_plane: Ball):
+        self.n, self.lambda_plane = n, lambda_plane
 
 
 def _root_power(fr: Fraction, root: Ball, e: int, w: int) -> Ball:
@@ -76,7 +75,7 @@ def _root_power(fr: Fraction, root: Ball, e: int, w: int) -> Ball:
 
 
 def lens_quantities(n: int, prec: int) -> LensQuantities:
-    """Certified spherical-cap area, lens volume, and renormalized energy.
+    """Certified renormalized lens energy lambda_plane, from the lens volume.
 
     With I_m the integral of sin^m over [0, pi/3], the volume is
     2 omega_{n-1} I_n, and I_n is the incomplete beta value B_{3/4}((n+1)/2,
@@ -91,10 +90,11 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     1/2, against 3/4 in the limit at z = 3/4: at n = 116 the 128-bit lens
     sums 114 terms, where the z = 3/4 form needs 362.
 
-    The cap area (n-1) omega_{n-1} I_{n-2} follows from the Wallis reduction
-    n I_n = (n-1) I_{n-2} - (sqrt3/2)^(n-1) / 2 as (n V + disc) / 2, so
-    2 cap - disc = n V and lambda_plane = (2 cap - disc) / V^((n-1)/n) is
-    n V^(1/n).  Every step adds or multiplies positive balls.
+    The energy is (2 cap - disc) / V^((n-1)/n), with the cap area
+    (n-1) omega_{n-1} I_{n-2} and disc = omega_{n-1} (sqrt3/2)^(n-1).  The
+    Wallis reduction n I_n = (n-1) I_{n-2} - (sqrt3/2)^(n-1) / 2 gives
+    2 cap - disc = n V, so lambda_plane is n V^(1/n).  Every step multiplies
+    positive balls.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -107,19 +107,10 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     f = specfun.gauss_2f1(n + 1, Fraction(n + 3, 2), quarter, w)
     # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1))
     vol = ball_mul_rat(ball_mul(disc, f, w), 3, 2 * (n + 1), w)
-    cap = ball_mul_rat(ball_add(ball_mul_rat(vol, n, 1, w), disc, w), 1, 2, w)
-    lam = ball_mul_rat(pow_rational(vol, 1, n, w), n, 1, w)
-    out = LensQuantities(
-        n,
-        ball_round(cap, prec),
-        ball_round(vol, prec),
-        ball_round(disc, prec),
-        ball_round(lam, prec),
-    )
-    for b in (out.cap_area, out.lens_volume, out.disc_term, out.lambda_plane):
-        if not certainly_positive(b):
-            raise PrecisionExhausted("lens quantity not certainly positive at %d bits" % prec)
-    return out
+    lam = ball_round(ball_mul_rat(pow_rational(vol, 1, n, w), n, 1, w), prec)
+    if not certainly_positive(lam):
+        raise PrecisionExhausted("lens quantity not certainly positive at %d bits" % prec)
+    return LensQuantities(n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +183,10 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
 
 
 class CompetitorEnergy:
-    __slots__ = ("k", "l", "volume", "perimeter", "cone_disc", "m_value")
+    __slots__ = ("k", "l", "m_value")
 
-    def __init__(self, k: int, l: int, volume: Ball, perimeter: Ball, cone_disc: Ball, m_value: Ball):
-        self.k, self.l, self.volume, self.perimeter = k, l, volume, perimeter
-        self.cone_disc, self.m_value = cone_disc, m_value
+    def __init__(self, k: int, l: int, m_value: Ball):
+        self.k, self.l, self.m_value = k, l, m_value
 
 
 def assemble_competitor(
@@ -207,7 +197,8 @@ def assemble_competitor(
     s2p: Ball,
     prec: int,
 ) -> CompetitorEnergy:
-    """Common final assembly from the two corner passes.
+    """Common final assembly from the two corner passes: M = (perimeter -
+    cone disc) / volume^((n-1)/n).
 
     s1v/s1p are the volume and perimeter integrals of the u-arc pass
     (without the leading rho of the perimeter form), s2v/s2p those of the
@@ -233,14 +224,7 @@ def assemble_competitor(
     cone = ball_mul_rat(ball_mul(ww, cone_root, w), (k + 1) * (l + 1), k + l + 1, w)
 
     m = ball_div(ball_sub(perimeter, cone, w), pow_rational(volume, n - 1, n, w), w)
-    return CompetitorEnergy(
-        k,
-        l,
-        ball_round(volume, prec),
-        ball_round(perimeter, prec),
-        ball_round(cone, prec),
-        ball_round(m, prec),
-    )
+    return CompetitorEnergy(k, l, ball_round(m, prec))
 
 
 def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:

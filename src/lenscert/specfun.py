@@ -18,13 +18,14 @@ R.  As c >= 1, c + j > 0 for every j >= 0.  The factor |b+j| / (c+j)
 does not increase if b >= c (it is 1 + (b-c)/(c+j) >= 0), or if the series
 terminates (up to its order its numerator falls and its denominator
 grows); then R = |b|/c, its value at j = 0.  Otherwise b < c, and
--(c+j) <= b+j < c+j for every j >= 0 when b + c >= 0, so R = 1.  A series
-with b + c < 0 in that case, or with q > (1 + |z|)/2, raises
-PrecisionExhausted; so the tail factor q/(1-q) never exceeds
-(1 + |z|)/(1 - |z|).  The lens series (b = n+1 > c) gets q < 1/2, the F1
-x side (b = -kk) q = |x| kk/(e+2), which at the exact x stays at least
-0.3 below (1 + |x|)/2 on every valid pair up to n = 2700 (an x ball only a
-few bits wide may not fit), and the F1 y side (b = -e, c = e+2) R = 1, or
+-(c+j) <= b+j < c+j for every j >= 0 when b + c >= 0, so R = 1.  With
+b + c < 0 in that case the rule gives no R, whatever z is, and the series
+raises InvalidArgument.  With q > (1 + |z|)/2 it raises PrecisionExhausted.
+So the tail factor q/(1-q) never exceeds (1 + |z|)/(1 - |z|).  The lens
+series (b = n+1 > c) gets q < 1/2, the F1 x side (b = -kk)
+q = |x| kk/(e+2), which at the exact x stays at least 0.3 below
+(1 + |x|)/2 on every valid pair up to n = 2700 (an x ball only a few bits
+wide may not fit), and the F1 y side (b = -e, c = e+2) R = 1, or
 R = e/(e+2) when e is an integer.
 
 Appell F1, for c >= 1 and a non-positive integer b1, is one convolution of
@@ -121,13 +122,15 @@ def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
     """R with |r_j| <= R for every j >= 0 (for a terminating series, every
     j below its order), where r_j = (b+j)/(c+j) is the term ratio for a = 1
     and c >= 1, and q = zsup R <= (1 + zsup)/2; see the module docstring for
-    the rule.  Raises PrecisionExhausted when the rule gives no such R."""
+    the rule.  Raises InvalidArgument when b < c and b + c < 0, and
+    PrecisionExhausted when q exceeds (1 + zsup)/2."""
     if b >= c or _is_nonpos_int(b):
         bound = abs(b) / c
     else:
         bound = Fraction(1) if b + c >= 0 else None
     if bound is None or 2 * zsup * bound > 1 + zsup:
-        raise PrecisionExhausted("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
+        kind = InvalidArgument if bound is None else PrecisionExhausted
+        raise kind("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
     return bound
 
 

@@ -286,6 +286,11 @@ _TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
             InvalidArgument, lambda: specfun.gauss_2f1(Fraction(1, 2), Fraction(1, 2), _SMALL, 64), id="gauss_2f1"
         ),
         pytest.param(InvalidArgument, lambda: oracle.polynomial_m_value(2, 3, 64), id="polynomial_m_value"),
+        pytest.param(
+            InvalidArgument,
+            lambda: specfun._tail_ratio(Fraction(-7, 2), Fraction(3, 2), Fraction(9, 10)),
+            id="_tail_ratio",
+        ),
     ],
 )
 def test_raise_site_signals_its_kind(kind, call):

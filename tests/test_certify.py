@@ -100,15 +100,8 @@ class TestCertifyDimension:
 
     def test_synthetic_equal_inputs_undecided(self, monkeypatch):
         """M forced equal to the lens energy cannot certify strictness"""
-        specfun = geom.competitor_energy_specfun
-
         def fake_specfun(k, l, prec):
-            lens = geom.lens_quantities(k + l + 2, prec)
-            en = specfun(k, l, prec)
-            return geom.CompetitorEnergy(
-                k, l, en.volume, en.perimeter, en.cone_disc,
-                lens.lambda_plane,
-            )
+            return geom.CompetitorEnergy(k, l, geom.lens_quantities(k + l + 2, prec).lambda_plane)
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", fake_specfun)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
@@ -124,9 +117,7 @@ class TestCertifyDimension:
             off = Ball.from_fraction(1, prec) * Ball.from_fraction(1, prec)
             wrong_mid = (en.m_value + Ball.from_int(1, prec)).mid
             poisoned = Ball(wrong_mid, bf_two_power(-prec), prec)
-            return geom.CompetitorEnergy(
-                k, l, en.volume, en.perimeter, en.cone_disc, poisoned
-            )
+            return geom.CompetitorEnergy(k, l, poisoned)
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", poisoned_specfun)
         cert = C.certify_dimension(8)
@@ -238,7 +229,7 @@ class TestCertifyDimension:
                 m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
                     geom.lens_quantities(8, prec).lambda_plane
                 )
-                en = geom.CompetitorEnergy(k, l, en.volume, en.perimeter, en.cone_disc, m)
+                en = geom.CompetitorEnergy(k, l, m)
             return en
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lenscert import geom, oracle, specfun
+from lenscert import geom, oracle
 from lenscert.ball import (
     Ball,
     ball_add,
@@ -156,18 +156,11 @@ class TestLensExactWallis:
 
     @pytest.mark.parametrize("n", list(range(3, 41)))
     def test_matches_lens_quantities(self, n):
+        """lambda_plane from the exact cosine-power cap and volume meets the
+        general path's"""
         prec = 96
-        cap, vol = oracle.lens_exact_wallis(n)
-        lq = geom.lens_quantities(n, prec)
-        omega = specfun.unit_ball_volume(n - 1, prec)
-        assert intersects(ball_mul(cap.to_ball(prec), omega, prec), lq.cap_area)
-        assert intersects(ball_mul(vol.to_ball(prec), omega, prec), lq.lens_volume)
-
-    def test_lambda_exact_ball(self):
-        for n in (8, 9, 12, 15):
-            exact = oracle.lambda_plane_exact_ball(n, *oracle.lens_exact_wallis(n), 128)
-            general = geom.lens_quantities(n, 128).lambda_plane
-            assert intersects(exact, general)
+        exact = oracle.lambda_plane_exact_ball(n, *oracle.lens_exact_wallis(n), prec)
+        assert intersects(exact, geom.lens_quantities(n, prec).lambda_plane)
 
 
 class TestQSqrt23:

@@ -573,9 +573,10 @@ class TestTailRule:
     def test_tail_ratio_exact(self):
         """the tail ratio R holds from the first term, |r(m)| <= R for m
         from 0 to 500 (or to the order of a terminating series), and gives
-        q = |z| R <= (1 + |z|)/2, or the call raises PrecisionExhausted,
-        which it does only when |z| max(|r(0)|, 1) > (1 + |z|)/2 or b + c < 0,
-        over random (b, c >= 1, |z|): a third of them with b > c, whose
+        q = |z| R <= (1 + |z|)/2, or the call raises: InvalidArgument exactly
+        when b < c, b + c < 0 and the series does not terminate, and otherwise
+        PrecisionExhausted, only when |z| max(|r(0)|, 1) > (1 + |z|)/2, over
+        random (b, c >= 1, |z|): a third of them with b > c, whose
         ratios fall towards 1, a third terminating, and the rest with b below
         c, of either sign; both outcomes occur in every third"""
         rng = random.Random(4)
@@ -592,9 +593,11 @@ class TestTailRule:
             order = int(-b) if b.denominator == 1 and b <= 0 else None
             try:
                 bound = specfun._tail_ratio(b, c, zsup)
-            except PrecisionExhausted:
+            except (PrecisionExhausted, InvalidArgument) as err:
                 outcomes.add((i % 3, False))
-                assert 2 * zsup * max(abs(b) / c, 1) > 1 + zsup or b + c < 0, (b, c, zsup)
+                invalid = b < c and b + c < 0 and order is None
+                assert type(err) is (InvalidArgument if invalid else PrecisionExhausted), (b, c, zsup)
+                assert invalid or 2 * zsup * max(abs(b) / c, 1) > 1 + zsup, (b, c, zsup)
                 continue
             outcomes.add((i % 3, True))
             top = 500 if order is None else order
@@ -603,15 +606,19 @@ class TestTailRule:
         assert len(outcomes) == 6, outcomes
 
     def test_bound_that_misses_at_the_first_term_raises(self):
-        """b = 2c at |z| = 0.9 gives q = 1.8 > 0.95, and b < c with
-        b + c < 0 has |r(0)| > 1 with no first-term bound of 1: both raise,
-        from `_tail_ratio` and from `gauss_2f1`, instead of summing past a
-        later start index"""
+        """b = 2c at |z| = 0.9 gives q = 1.8 > 0.95 and raises
+        PrecisionExhausted; b < c with b + c < 0 has |r(0)| > 1 with no
+        first-term bound of 1, a case of the parameters alone, and raises
+        InvalidArgument.  Both raise from `_tail_ratio` and from `gauss_2f1`,
+        instead of summing past a later start index"""
         z = Ball.from_fraction(Fraction(9, 10), 64)
-        for b, c in ((Fraction(6), Fraction(3)), (Fraction(-7, 2), Fraction(3, 2))):
-            with pytest.raises(PrecisionExhausted):
+        for b, c, kind in (
+            (Fraction(6), Fraction(3), PrecisionExhausted),
+            (Fraction(-7, 2), Fraction(3, 2), InvalidArgument),
+        ):
+            with pytest.raises(kind):
                 specfun._tail_ratio(b, c, Fraction(9, 10))
-            with pytest.raises(PrecisionExhausted):
+            with pytest.raises(kind):
                 specfun.gauss_2f1(b, c, z, 64)
 
     def test_most_lopsided_pairs_n2700(self):
