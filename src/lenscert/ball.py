@@ -3,13 +3,13 @@
 Every operation returns a Ball that contains {f(x, y) : x in a, y in b}.
 Midpoints are rounded to the working precision and the exact rounding error
 is absorbed into the radius, so soundness never relies on directed hardware
-rounding.  Elementary functions sum a Taylor series whose truncation
-remainder is bounded explicitly and added to the radius: exp and log in Ball
-arithmetic after argument reduction, sin, cos and the atan series in the
-fixed-point kernel (`_fx_*`, int midpoint-radius pairs at scale 2**-W).
-Rational powers take a q-th root in fixed point: a float and integer Newton
-steps propose it, and an exact fixed-point power check accepts each bound.
-Integer powers are fixed-point binary powering of the base scaled by 2**-g.
+rounding.  The fixed-point kernel (`_fx_*`) keeps int midpoint-radius pairs at
+scale 2**-W, each rounding covered by the radius; division, square roots
+(from `math.isqrt`), integer powers, sin, cos and the atan series run on it,
+each operand read at a scale 2**-(W - g) that gives it W bits.  exp and log
+sum Taylor series in Ball arithmetic after argument reduction.  A rational
+power takes one q-th root for both bounds: a float and integer Newton steps
+propose it, and an exact fixed-point power check accepts each bound.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .bigfloat import (
     bf_add,
     bf_add_exact,
     bf_cmp,
-    bf_div,
     bf_from_fraction,
     bf_from_int,
     bf_mul,
@@ -36,13 +35,11 @@ from .bigfloat import (
     bf_neg,
     bf_round,
     bf_shift,
-    bf_sqrt,
     bf_to_float,
     bf_to_fraction,
     bf_two_power,
     rup,
     rup_add,
-    rup_div,
     rup_mul,
     rup_mul_rat,
 )
@@ -188,18 +185,11 @@ def ball_mul_rat(a: Ball, p: int, q: int, prec: int) -> Ball:
 
 
 def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
-    denom_low = bf_add_exact(bf_abs(b.mid), bf_neg(b.rad))
-    if denom_low.sign <= 0:
-        raise PrecisionExhausted(
-            "divisor ball contains zero: %s" % ball_to_str(b, max_digits=8)
-        )
-    mid, err = bf_div(a.mid, b.mid, prec)
-    rad = err
-    if a.rad.sign or b.rad.sign:
-        t = rup_add(rup(bf_abs(mid)), rup(err))
-        num = rup_add(a.rad, rup_mul(t, b.rad))
-        rad = rup_add(err, rup_div(num, denom_low))
-    return Ball(mid, rad, prec)
+    """a / b by `_fx_div`, with a and b each read at the scale that gives it
+    W bits; raises as `_fx_div` does when b reaches 0."""
+    W = prec + _FX_GUARD
+    ga, gb = bf_msb_exp(a.mid if a.mid.sign else a.rad), bf_msb_exp(b.mid)
+    return _fx_to_ball(_fx_div(_fx_from_ball(a, W - ga), _fx_from_ball(b, W - gb), W), W - ga + gb, prec)
 
 
 def ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
@@ -277,6 +267,14 @@ def _fx_to_ball(x: tuple[int, int], W: int, w: int) -> Ball:
     return Ball(mid, rup_add(err, bf_shift(bf_from_int(r), -W)), w)
 
 
+def _fx_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _fx_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] - b[0], a[1] + b[1]
+
+
 def _fx_mul(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
     """Fixed-point product: the midpoint is (a*b) >> W, and the radius covers
     the input radii plus one ulp for that floor."""
@@ -301,6 +299,29 @@ def _fx_pow(x: tuple[int, int], k: int, W: int) -> tuple[int, int]:
         if k:
             x = _fx_mul(x, x, W)
     return out or (1 << W, 0)
+
+
+def _fx_div(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
+    """Fixed-point quotient: the midpoint is floor(am * 2**W / bm), and the
+    radius (ar |bm| + |am| br) 2**W / (|bm| (|bm| - br)) >= |x/y - am/bm| 2**W,
+    rounded up, plus one ulp for that floor.  Raises InvalidArgument when b
+    is exactly 0, PrecisionExhausted when its enclosure reaches 0."""
+    (am, ar), (bm, br) = a, b
+    low = abs(bm) - br
+    if low <= 0:
+        raise (PrecisionExhausted if br else InvalidArgument)("fixed-point divisor reaches zero")
+    return (am << W) // bm, -(-((ar * abs(bm) + abs(am) * br) << W) // (abs(bm) * low)) + 1
+
+
+def _fx_sqrt(x: tuple[int, int]) -> tuple[int, int]:
+    """The root at scale 2**-W of x = (m +/- r) * 2**-2W, any W: it lies in
+    [isqrt(m - r), isqrt(m + r) + 1].  Raises InvalidArgument when x is a
+    point below 0, PrecisionExhausted when its enclosure reaches below 0."""
+    m, r = x
+    if m < r:
+        raise (PrecisionExhausted if r else InvalidArgument)("square root of a value reaching below zero")
+    lo, hi = math.isqrt(m - r), math.isqrt(m + r) + 1
+    return (lo + hi) >> 1, (hi - lo + 1) >> 1
 
 
 def _fx_tail(x: tuple[int, int], p: int, q: int, limit: int) -> int | None:
@@ -401,16 +422,15 @@ def _tol(prec: int) -> BigFloat:
 
 
 def sqrt_ball(a: Ball, prec: int) -> Ball:
-    lo = a.inf()
-    if lo.sign < 0:
-        raise PrecisionExhausted("sqrt of a ball reaching below zero")
-    hi = a.sup()
-    lo_r, lo_e = bf_sqrt(lo, prec + 4)
-    hi_r, hi_e = bf_sqrt(hi, prec + 4)
-    out = ball_from_endpoints(
-        bf_add_exact(lo_r, bf_neg(lo_e)), bf_add_exact(hi_r, hi_e), prec
-    )
-    return out
+    """sqrt(a) by `_fx_sqrt`, a read at scale 2**-(2W - 2j) for
+    2**(2j-2) <= a.sup() < 2**2j.  For a.inf() >= 0 that pair reaches below
+    0 only by its rounding, so it is cut to one that covers [0, m + r]."""
+    if a.inf().sign < 0:
+        raise (PrecisionExhausted if a.rad.sign else InvalidArgument)("sqrt of a ball reaching below zero")
+    W = prec + _FX_GUARD
+    j = (bf_msb_exp(a.sup()) + 1) // 2
+    m, r = _fx_from_ball(a, 2 * (W - j))
+    return _fx_to_ball(_fx_sqrt((max(m, r), r)), W - j, prec)
 
 
 def _exp_thin(x: BigFloat, prec: int) -> Ball:
@@ -476,8 +496,8 @@ def _log_thin(x: BigFloat, prec: int) -> Ball:
         total = ball_add(total, contrib, w)
         m = contrib.mag_sup()
         if bf_cmp(m, tol) <= 0:
-            # geometric tail with ratio u2 (< 1/20)
-            tail = rup_div(rup_mul(m, u2_sup), bf_add_exact(ONE, bf_neg(u2_sup)))
+            # geometric tail with ratio u2 < 1/2: at most 2 m u2
+            tail = bf_shift(rup_mul(m, u2_sup), 1)
             total = ball_widen(total, tail)
             break
         if j > 4 * w:
@@ -544,8 +564,6 @@ def bf_half_pi(prec: int) -> Ball:
 
 
 def atan_ball(a: Ball, prec: int) -> Ball:
-    if a.rad.sign == 0:
-        return _atan_thin(a.mid, prec)
     return ball_hull(_atan_thin(a.inf(), prec), _atan_thin(a.sup(), prec), prec)
 
 
@@ -598,74 +616,71 @@ def cos_ball(a: Ball, prec: int) -> Ball:
     return _fx_to_ball(_fx_sin_cos(_fx_from_ball(a, W), W)[1], W, prec)
 
 
-def _fx_root(z: tuple[int, int], q: int, W: int, upper: bool) -> int:
-    """An integer c with (c * 2**-W)**q certainly at least z when `upper`,
-    at most z otherwise, for a fixed-point z >= 1 whose midpoint is at
-    least 2**W.
-
-    A float proposes c near 2**W * z**(1/q) and integer Newton steps refine
-    it; only the fixed-point power of c, radius included, decides.  A
-    rejected c steps outward, the step doubling each time, until accepted.
-    Upward, with C = c * 2**-W, the power's midpoint is about C**q * 2**W
-    ulps and its radius, made only of the floors of products of the exact c,
-    about q * C**(q-1) ulps, so the gap to z grows without bound and some
-    step clears it.  Downward, any c <= 2**W is a lower bound, as z >= 1, so
-    c stops there at the latest.
-    """
-    zm, zr = z
-    one = 1 << W
-    lc = (math.log2(zm) - W) / q + W
-    k = int(lc)
-    c = (int(2.0 ** (lc - k) * 2.0**52) << k) >> 52
-    # Newton on c**q = zm * 2**(W*(q-1)); the float gives about 40 bits
-    for _ in range(W.bit_length()):
-        nxt = ((q - 1) * c + (zm << W) // _fx_pow((c, 0), q - 1, W)[0]) // q
-        if abs(nxt - c) <= 1:
-            break
-        c = nxt
-    # z's relative radius moves the root by about 1/q of it
-    step = c * zr // (q * zm) + 1
-    while True:
-        pm, pr = _fx_pow((c, 0), q, W)
-        if (pm - pr >= zm + zr) if upper else (c <= one or pm + pr <= zm - zr):
-            return c
-        c = c + step if upper else max(c - step, one)
-        step *= 2
-
-
 def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     """a**(p/q) for a certainly positive ball; p >= 0 and q > 0.
 
     x**(p/q) is increasing on x > 0, so the lower bound comes from a.inf()
-    and the upper one from a.sup().  For an endpoint x = f * 2**g with f in
-    [1, 2), F = f**p is enclosed in fixed point at W = w + _FX_GUARD bits by
-    _fx_pow, and 2**h with h >= 0 is a power of two certainly at most F
-    (h = 0 always is, as f >= 1).  With g*p + h = q*s + t and 0 <= t < q,
+    and the upper one from a.sup().  With 2**g <= a.inf() < 2**(g+1), each
+    endpoint x is f * 2**g with f >= 1, F = f**p is enclosed in fixed point
+    at W bits by _fx_pow, and 2**h with h >= 0 is certainly at most the F
+    of a.inf().  With g*p + h = q*s + t and 0 <= t < q,
 
         x**(p/q) = z**(1/q) * 2**s,  z = F * 2**(t - h) >= 1,
 
-    where z lies in the fixed-point enclosure _fx_mul_rat(F, 2**t, 2**h).
-    _fx_root returns an integer c whose fixed-point power is certainly on the
-    wanted side of that whole enclosure, so c * 2**(s - W) bounds
-    x**(p/q) from the wanted side; it also terminates, as argued there.
-    z lies in [1, 2**(q+1)), so the root is below 4 and the accepted c are
-    a few ulps of 2**-W from it.
+    where z lies in _fx_mul_rat(F, 2**t, 2**h).  Integers whose fixed-point
+    q-th powers are certainly below every z of a.inf(), and above every z of
+    a.sup(), times 2**(s - W), bound a**(p/q).
+
+    One Newton solve, at the mean zm of the two midpoints, serves both.  To
+    an end em the root moves by the factor (em/zm)**(1/q), em/zm <= 2, which
+    a float gives to about 50 bits (by log1p near 1, where logs cancel).
+    Each bound starts there, one step outward, the step covering the end's
+    radius, c * er / (q zm), the float's error and four ulps for the error
+    of c and the floors of the power.  Only the fixed-point power of a
+    candidate, radius included, decides; a rejected one steps outward, the
+    step doubling each time.  Upward, with C = c * 2**-W, the power's
+    midpoint is about C**q * 2**W ulps and its radius, made only of the
+    floors of products of the exact c, about q * C**(q-1) ulps, so the gap
+    grows without bound and some step clears it.  Downward, any c <= 2**W
+    is a lower bound, as z >= 1, so c stops there at the latest.
     """
     if p < 0 or q <= 0:
         raise ValueError("p must be non-negative and q positive")
     if not certainly_positive(a):
         raise PrecisionExhausted("pow_rational base must be certainly positive")
-    w = prec + 16
-    W = w + _FX_GUARD
-    ends = []
-    for x, upper in ((a.inf(), False), (a.sup(), True)):
-        g = bf_msb_exp(x) - 1
-        F = _fx_pow(_fx_from_ball(Ball.point(bf_shift(x, -g), W), W), p, W)
-        h = max(0, (F[0] - F[1]).bit_length() - 1 - W)
-        s, t = divmod(g * p + h, q)
-        c = _fx_root(_fx_mul_rat(F, 1 << t, 1 << h), q, W, upper)
-        ends.append(bf_shift(bf_from_int(c), s - W))
-    return ball_round(ball_from_endpoints(ends[0], ends[1], w), prec)
+    W = prec + 16 + _FX_GUARD
+    g = bf_msb_exp(a.inf()) - 1
+    F = [_fx_pow(_fx_from_ball(Ball.point(x, W), W - g), p, W) for x in (a.inf(), a.sup())]
+    h = max(0, (F[0][0] - F[0][1]).bit_length() - 1 - W)
+    s, t = divmod(g * p + h, q)
+    ends = [_fx_mul_rat(f, 1 << t, 1 << h) for f in F]
+    one = 1 << W
+    zm = (ends[0][0] + ends[1][0]) >> 1
+    lc = (math.log2(zm) - W) / q + W
+    k = int(lc)
+    c = (int(2.0 ** (lc - k) * 2.0**52) << k) >> 52
+    # Newton on c**q = zm * 2**(W*(q-1)); the float gives about 45 bits, and
+    # once a step d has q d**2 <= c the next one would be below half an ulp
+    for _ in range(W.bit_length()):
+        d = ((q - 1) * c + (zm << W) // _fx_pow((c, 0), q - 1, W)[0]) // q - c
+        c += d
+        if q * d * d <= c:
+            break
+    bounds = []
+    for (em, er), upper in zip(ends, (False, True)):
+        log_ratio = math.log1p((em - zm) / zm) if 2 * em > zm else math.log(em) - math.log(zm)
+        man, ex = math.frexp(math.expm1(log_ratio / q))
+        move = c * int(man * 2.0**53) >> (53 - ex)
+        step = c * er // (q * zm) + (abs(move) >> 48) + 4
+        b = c + move
+        while True:
+            b = b + step if upper else max(b - step, one)
+            pm, pr = _fx_pow((b, 0), q, W)
+            if (pm - pr >= em + er) if upper else (b <= one or pm + pr <= em - er):
+                break
+            step *= 2
+        bounds.append(bf_shift(bf_from_int(b), s - W))
+    return ball_from_endpoints(*bounds, prec)
 
 
 # ---------------------------------------------------------------------------

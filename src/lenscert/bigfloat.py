@@ -31,15 +31,12 @@ __all__ = [
     "bf_add_exact",
     "bf_mul",
     "bf_mul_rat",
-    "bf_div",
-    "bf_sqrt",
     "bf_two_power",
     "bf_msb_exp",
     "rup",
     "rup_add",
     "rup_mul",
     "rup_mul_rat",
-    "rup_div",
     "RADIUS_PREC",
 ]
 
@@ -206,8 +203,6 @@ def bf_add(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
 
 
 def bf_mul(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
-    if a.sign == 0 or b.sign == 0:
-        return ZERO, ZERO
     return bf_round(a.sign * b.sign, a.man * b.man, a.exp + b.exp, prec)
 
 
@@ -220,14 +215,6 @@ def bf_mul_rat(a: BigFloat, p: int, q: int, prec: int) -> tuple[BigFloat, BigFlo
     if q == 1:
         return bf_round(sign, num, a.exp, prec)
     return _div_mans(sign, num, q, a.exp, prec)
-
-
-def bf_div(a: BigFloat, b: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
-    if b.sign == 0:
-        raise ZeroDivisionError("BigFloat division by zero")
-    if a.sign == 0:
-        return ZERO, ZERO
-    return _div_mans(a.sign * b.sign, a.man, b.man, a.exp - b.exp, prec)
 
 
 def _div_mans(sign: int, num: int, den: int, exp: int, prec: int) -> tuple[BigFloat, BigFloat]:
@@ -243,29 +230,6 @@ def _div_mans(sign: int, num: int, den: int, exp: int, prec: int) -> tuple[BigFl
     quo |= 1
     r, e = bf_round(sign, quo, exp - shift, prec)
     return r, bf_add_exact(e, bf_two_power(exp - shift))
-
-
-def bf_sqrt(a: BigFloat, prec: int) -> tuple[BigFloat, BigFloat]:
-    """Square root of a >= 0 with exact error bound."""
-    if a.sign < 0:
-        raise ValueError("BigFloat sqrt of negative value")
-    if a.sign == 0:
-        return ZERO, ZERO
-    man, exp = a.man, a.exp
-    if exp & 1:
-        man <<= 1
-        exp -= 1
-    # want >= prec+3 result bits: result bits ~ (input bits)/2
-    s = prec + 3 - ((man.bit_length() + 1) // 2)
-    if s < 0:
-        s = 0
-    m2 = man << (2 * s)
-    r = math.isqrt(m2)
-    if r * r == m2:
-        return bf_round(1, r, exp // 2 - s, prec)
-    r |= 1
-    v, e = bf_round(1, r, exp // 2 - s, prec)
-    return v, bf_add_exact(e, bf_two_power(exp // 2 - s))
 
 
 def bf_from_fraction(fr: Fraction, prec: int) -> tuple[BigFloat, BigFloat]:
@@ -327,16 +291,3 @@ def rup_mul_rat(a: BigFloat, p: int, q: int) -> BigFloat:
         shift = 0
     quo = (num << shift) // q + 1
     return rup(_norm(1, quo, a.exp - shift))
-
-
-def rup_div(a: BigFloat, b: BigFloat) -> BigFloat:
-    """Upper bound for a / b, a >= 0, b > 0."""
-    if a.sign == 0:
-        return ZERO
-    if b.sign == 0:
-        raise ZeroDivisionError("radius division by zero")
-    shift = RADIUS_PREC + 2 - (a.man.bit_length() - b.man.bit_length())
-    if shift < 0:
-        shift = 0
-    quo = (a.man << shift) // b.man + 1
-    return rup(_norm(1, quo, a.exp - b.exp - shift))

@@ -2,18 +2,18 @@
 
 The renormalized lens energy comes from one Gauss hypergeometric series with
 positive terms, an incomplete beta value moved from z = 3/4 to z = 1/4 by a
-quadratic transformation; the competitor energy
-comes from the arc construction whose circular-arc constants are produced
-here.
-Its arc integrals are evaluated in two corner passes, one per arc: on the
-special-function route, and for the agreement check from exact
-trigonometric moments and, for odd index pairs, on the polynomial expansion
-(`oracle.polynomial_m_value`).  Neither agreement value is checked
-where it is computed: `certify.certify_dimension` holds both to one
-width-and-intersection rule.  All three share `lawson_constants` and
-`assemble_competitor`, so they cross-check the arc integrals only; the
-references that share no code with lenscert are the mpmath evaluations in
-the tests.
+quadratic transformation; the competitor energy comes from the arc
+construction whose circular-arc constants are produced here.  Around the
+series all of it runs on the fixed-point kernel of `ball`, with one
+conversion to Ball for each value handed on.  The arc integrals are
+evaluated in two corner passes, one per arc: on the special-function route,
+and for the agreement check from exact trigonometric moments and, for odd
+index pairs, on the polynomial expansion (`oracle.polynomial_m_value`).
+Neither agreement value is checked where it is computed:
+`certify.certify_dimension` holds both to one width-and-intersection rule.
+All three share `lawson_constants` and `assemble_competitor`, so they
+cross-check the arc integrals only; the references that share no code with
+lenscert are the mpmath evaluations in the tests.
 """
 
 from __future__ import annotations
@@ -23,21 +23,27 @@ from fractions import Fraction
 
 from . import oracle, specfun
 from .ball import (
+    _FX_GUARD,
     Ball,
+    _fx_add,
+    _fx_div,
+    _fx_from_ball,
+    _fx_mul,
+    _fx_mul_rat,
+    _fx_sqrt,
+    _fx_sub,
+    _fx_to_ball,
     atan_ball,
     ball_add,
-    ball_div,
     ball_mul,
     ball_mul_rat,
-    ball_neg,
     ball_pow_int,
-    ball_round,
     ball_sub,
     certainly_positive,
     pi_ball,
     pow_rational,
-    sqrt_ball,
 )
+from .bigfloat import bf_msb_exp
 from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
@@ -67,11 +73,14 @@ class LensQuantities:
         self.n, self.lambda_plane = n, lambda_plane
 
 
-def _root_power(fr: Fraction, root: Ball, e: int, w: int) -> Ball:
-    """sqrt(fr)**e for e >= 0, given root = sqrt(fr): the rational fr**(e/2)
-    for even e, and root times the rational fr**((e-1)/2) for odd e."""
+def _root_power(fr: Fraction, root: tuple[int, int], e: int, W: int) -> tuple[tuple[int, int], int]:
+    """(x, S): sqrt(fr)**e for e >= 0 in fixed point at scale 2**-S, given
+    root = sqrt(fr) at scale 2**-W: fr**(e/2) for even e, root fr**((e-1)/2)
+    for odd e.  S = W - floor(log2 sqrt(fr)**e), so x is about 2**W."""
+    S = W - math.floor(e * math.log2(fr) / 2)
     mag = fr ** (e // 2)
-    return ball_mul_rat(root, mag.numerator, mag.denominator, w) if e % 2 else Ball.from_fraction(mag, w)
+    p, q = mag.numerator << max(S - W, 0), mag.denominator << max(W - S, 0)
+    return _fx_mul_rat(root if e % 2 else (1 << W, 0), p, q), S
 
 
 def lens_quantities(n: int, prec: int) -> LensQuantities:
@@ -93,21 +102,22 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     The energy is (2 cap - disc) / V^((n-1)/n), with the cap area
     (n-1) omega_{n-1} I_{n-2} and disc = omega_{n-1} (sqrt3/2)^(n-1).  The
     Wallis reduction n I_n = (n-1) I_{n-2} - (sqrt3/2)^(n-1) / 2 gives
-    2 cap - disc = n V, so lambda_plane is n V^(1/n).  Every step multiplies
-    positive balls.
+    2 cap - disc = n V, so lambda_plane is n V^(1/n).  V is a fixed-point
+    product of positive values, with omega_{n-1} read at scale 2**-(W - g)
+    for 2**(g-1) <= omega_{n-1} < 2**g, so each factor carries W bits.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     w = prec + 16
+    W = w + _FX_GUARD
     omega = specfun.unit_ball_volume(n - 1, w)
-    root = sqrt_ball(Ball.from_fraction(Fraction(3, 4), w), w)
-    disc = ball_mul(omega, _root_power(Fraction(3, 4), root, n - 1, w), w)
-
-    quarter = Ball.from_fraction(Fraction(1, 4), w)
-    f = specfun.gauss_2f1(n + 1, Fraction(n + 3, 2), quarter, w)
-    # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1))
-    vol = ball_mul_rat(ball_mul(disc, f, w), 3, 2 * (n + 1), w)
-    lam = ball_round(ball_mul_rat(pow_rational(vol, 1, n, w), n, 1, w), prec)
+    f = specfun.gauss_2f1(n + 1, Fraction(n + 3, 2), Ball.from_fraction(Fraction(1, 4), w), w)
+    disc, S = _root_power(Fraction(3, 4), _fx_sqrt((3 << 2 * W - 2, 0)), n - 1, W)
+    g = bf_msb_exp(omega.mid)
+    disc = _fx_mul(_fx_from_ball(omega, W - g), disc, W)
+    # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1)), at scale 2**-(S - g)
+    vol = _fx_mul_rat(_fx_mul(disc, _fx_from_ball(f, W), W), 3, 2 * (n + 1))
+    lam = ball_mul_rat(pow_rational(_fx_to_ball(vol, S - g, w), 1, n, w), n, 1, prec)
     if not certainly_positive(lam):
         raise PrecisionExhausted("lens quantity not certainly positive at %d bits" % prec)
     return LensQuantities(n, lam)
@@ -160,21 +170,21 @@ def lawson_constants(k: int, l: int, prec: int) -> LawsonConstants:
         rho = 2u (sqrt3 t + s) / (3l - k),         d = (k+l) (sqrt3 t + s) / (t (3l - k)),
         r = 2 lambda u (sqrt3 s + t) / (3k - l),   h = (k+l) (sqrt3 s + t) / (t (3k - l)),
 
-    which subtract no balls, so each constant is certainly positive at every
-    precision.
+    in fixed point (s, t, u, sqrt3 and lambda from `_fx_sqrt`); they subtract
+    nothing, so each constant is certainly positive at every precision.
     """
     if not _valid_ratio(k, l):
         raise InvalidArgument("(%d,%d): index ratio outside (1/3, 3)" % (k, l))
-    w = prec + 16
-    s, t, u, sqrt3 = (sqrt_ball(Ball.from_int(m, w), w) for m in (k, l, k + l, 3))
-    e_u = ball_add(ball_mul(sqrt3, t, w), s, w)
-    e_v = ball_add(ball_mul(sqrt3, s, w), t, w)
-    lam = sqrt_ball(Ball.from_fraction(Fraction(k, l), w), w)
-    rho = ball_mul_rat(ball_mul(u, e_u, w), 2, 3 * l - k, w)
-    d = ball_mul_rat(ball_div(e_u, t, w), k + l, 3 * l - k, w)
-    r = ball_mul_rat(ball_mul(ball_mul(lam, u, w), e_v, w), 2, 3 * k - l, w)
-    h = ball_mul_rat(ball_div(e_v, t, w), k + l, 3 * k - l, w)
-    return LawsonConstants(k, l, *(ball_round(b, prec + 8) for b in (lam, h, r, d, rho)), prec)
+    W = prec + 16 + _FX_GUARD
+    s, t, u, sqrt3 = (_fx_sqrt((m << 2 * W, 0)) for m in (k, l, k + l, 3))
+    lam = _fx_sqrt(_fx_mul_rat((1 << 2 * W, 0), k, l))
+    e_u = _fx_add(_fx_mul(sqrt3, t, W), s)
+    e_v = _fx_add(_fx_mul(sqrt3, s, W), t)
+    rho = _fx_mul_rat(_fx_mul(u, e_u, W), 2, 3 * l - k)
+    d = _fx_mul_rat(_fx_div(e_u, t, W), k + l, 3 * l - k)
+    r = _fx_mul_rat(_fx_mul(_fx_mul(lam, u, W), e_v, W), 2, 3 * k - l)
+    h = _fx_mul_rat(_fx_div(e_v, t, W), k + l, 3 * k - l)
+    return LawsonConstants(k, l, *(_fx_to_ball(x, W, prec + 8) for x in (lam, h, r, d, rho)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -190,41 +200,42 @@ class CompetitorEnergy:
 
 
 def assemble_competitor(
-    consts: LawsonConstants,
-    s1v: Ball,
-    s2v: Ball,
-    s1p: Ball,
-    s2p: Ball,
-    prec: int,
+    consts: LawsonConstants, s1v: Ball, s2v: Ball, s1p: Ball, s2p: Ball, prec: int
 ) -> CompetitorEnergy:
     """Common final assembly from the two corner passes: M = (perimeter -
-    cone disc) / volume^((n-1)/n).
+    cone disc) / volume^((n-1)/n), in the factored form
+
+        M = ww^(1/n) (P' - C') / V'^((n-1)/n),
+
+    where ww = omega_{k+1} omega_{l+1}, and P', C' and V' are the
+    perimeter, cone disc and volume without ww:
+
+        V' = lambda^(k+1) + (k+1) s1v + (l+1) s2v,
+        P' = (k+1) (l+1) (rho s1p + r s2p),
+        C' = (k+1) (l+1) / (k+l+1) sqrt(k^k (k+l) / l^(k+1)).
 
     s1v/s1p are the volume and perimeter integrals of the u-arc pass
     (without the leading rho of the perimeter form), s2v/s2p those of the
-    v-arc pass.
+    v-arc pass.  P', C' and V' are near lambda^(k+1) in size, so they run in
+    fixed point at the scale 2**-S that `_root_power` picks for it; ww
+    enters through one rational power.
     """
     k, l = consts.k, consts.l
     n = k + l + 2
     w = prec + 16
+    W = w + _FX_GUARD
+    lam_pow, S = _root_power(Fraction(k, l), _fx_from_ball(consts.lambda_, W), k + 1, W)
+    s1v, s2v, s1p, s2p = (_fx_from_ball(b, S) for b in (s1v, s2v, s1p, s2p))
+    vol = _fx_add(lam_pow, _fx_add(_fx_mul_rat(s1v, k + 1, 1), _fx_mul_rat(s2v, l + 1, 1)))
+    rho, r = _fx_from_ball(consts.rho, W), _fx_from_ball(consts.r, W)
+    per = _fx_mul_rat(_fx_add(_fx_mul(rho, s1p, W), _fx_mul(r, s2p, W)), (k + 1) * (l + 1), 1)
+    cone_sq = _fx_mul_rat((1, 0), k**k * (k + l) << max(2 * S, 0), l ** (k + 1) << max(-2 * S, 0))
+    cone = _fx_mul_rat(_fx_sqrt(cone_sq), (k + 1) * (l + 1), k + l + 1)
+    # (P' - C') / V'^((n-1)/n): both at scale 2**-S, so the quotient is at 2**-W
+    quo = _fx_div(_fx_sub(per, cone), _fx_from_ball(pow_rational(_fx_to_ball(vol, S, w), n - 1, n, w), S), W)
     ww = specfun.unit_ball_volume_product((k + 1, l + 1), w)
-
-    inner_vol = ball_add(
-        _root_power(Fraction(k, l), consts.lambda_, k + 1, w),
-        ball_add(ball_mul_rat(s1v, k + 1, 1, w), ball_mul_rat(s2v, l + 1, 1, w), w),
-        w,
-    )
-    volume = ball_mul(ww, inner_vol, w)
-
-    inner_per = ball_add(ball_mul(consts.rho, s1p, w), ball_mul(consts.r, s2p, w), w)
-    perimeter = ball_mul_rat(ball_mul(ww, inner_per, w), (k + 1) * (l + 1), 1, w)
-
-    cone_fr = Fraction(k**k * (k + l), l ** (k + 1))
-    cone_root = sqrt_ball(Ball.from_fraction(cone_fr, w), w)
-    cone = ball_mul_rat(ball_mul(ww, cone_root, w), (k + 1) * (l + 1), k + l + 1, w)
-
-    m = ball_div(ball_sub(perimeter, cone, w), pow_rational(volume, n - 1, n, w), w)
-    return CompetitorEnergy(k, l, ball_round(m, prec))
+    m = _fx_mul(quo, _fx_from_ball(pow_rational(ww, 1, n, w), W), W)
+    return CompetitorEnergy(k, l, _fx_to_ball(m, W, prec))
 
 
 def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
@@ -239,16 +250,17 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
     """
     consts = lawson_constants(k, l, prec)
     w = prec + 16
-    lam, ratio = consts.lambda_, Fraction(k, l)
-    s1p, s1v = _arc_corner(k, l - 1, consts.rho, consts.d, lam, Fraction(1), _root_power(ratio, lam, k, w), w)
+    W = w + _FX_GUARD
+    lam, ratio = _fx_from_ball(consts.lambda_, W), Fraction(k, l)
+    s1p, s1v = _arc_corner(k, l - 1, consts.rho, consts.d, lam, Fraction(1), _root_power(ratio, lam, k, W), W, w)
     s2p, s2v = (s1p, s1v) if k == l else _arc_corner(
-        l, k - 1, consts.r, consts.h, Ball.from_int(1, w), ratio, _root_power(ratio, lam, k - 1, w), w
+        l, k - 1, consts.r, consts.h, (1 << W, 0), ratio, _root_power(ratio, lam, k - 1, W), W, w
     )
     return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
 def _arc_corner(
-    kk: int, e2: int, radius: Ball, offset: Ball, corner: Ball, ld: Fraction, cpow: Ball, w: int
+    kk: int, e2: int, radius: Ball, offset: Ball, corner: tuple, ld: Fraction, cpow: tuple, W: int, w: int
 ) -> tuple[Ball, Ball]:
     """The perimeter and volume integrals of one arc: the integrals of
     u^kk (radius^2 - (u+offset)^2)^(f/2) from `corner` to radius - offset
@@ -274,14 +286,20 @@ def _arc_corner(
       4 s^2 u^2 - (k + sqrt3 st)^2 = k (3k + l - 2 sqrt3 st) while
       D_v^2 = l (3k + l - 2 sqrt3 st), so ld = k/l, and with corner 1 and
       e2 = k - 1, cpow = (k/l)^((k-1)/2) = lambda^(k-1).
+
+    `corner` is fixed point at scale 2**-W and cpow = (pair, S) is from
+    `_root_power`; x and y reach `appell_f1` as balls.
     """
     e = Fraction(e2, 2)
-    length = ball_sub(ball_sub(radius, offset, w), corner, w)
-    x = ball_neg(ball_div(length, corner, w))
-    y = ball_neg(ball_mul_rat(ball_mul(length, length, w), ld.denominator, ld.numerator, w))
-    pre = ball_mul(length, cpow, w)
-    per, vol = (ball_mul(pre, f, w) for f in specfun.appell_f1(-kk, -e, e + 2, x, y, w))
-    return ball_mul_rat(per, 2, e2 + 2, w), ball_mul_rat(vol, 2 * ld.numerator, (e2 + 4) * ld.denominator, w)
+    cpow, S = cpow
+    length = _fx_sub(_fx_sub(_fx_from_ball(radius, W), _fx_from_ball(offset, W)), corner)
+    x = _fx_div((-length[0], length[1]), corner, W)
+    y = _fx_mul_rat(_fx_mul(length, length, W), -ld.denominator, ld.numerator)
+    pre = _fx_mul(length, cpow, W)
+    f1, f2 = specfun.appell_f1(-kk, -e, e + 2, _fx_to_ball(x, W, w), _fx_to_ball(y, W, w), w)
+    per = _fx_mul_rat(_fx_mul(pre, _fx_from_ball(f1, W), W), 2, e2 + 2)
+    vol = _fx_mul_rat(_fx_mul(pre, _fx_from_ball(f2, W), W), 2 * ld.numerator, (e2 + 4) * ld.denominator)
+    return _fx_to_ball(per, S, w), _fx_to_ball(vol, S, w)
 
 
 def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:

@@ -147,7 +147,7 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
         raise InvalidArgument("2F1 tail bound needs c >= 1")
     zsup = Fraction(bf_to_fraction(z.mag_sup()))
     if zsup >= 1:
-        raise PrecisionExhausted("|z| must be certainly below 1")
+        raise (PrecisionExhausted if z.rad.sign else InvalidArgument)("|z| must be certainly below 1")
     w = prec + 8
     ratio = zsup * _tail_ratio(b, c, zsup)
     tail_factor = ratio / (1 - ratio)

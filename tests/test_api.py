@@ -17,7 +17,7 @@ import pytest
 
 import lenscert
 from lenscert import certify, geom, oracle, specfun
-from lenscert.ball import Ball, ball_div, ball_widen, pow_rational, sqrt_ball
+from lenscert.ball import Ball, _fx_div, _fx_sqrt, ball_div, ball_widen, pow_rational, sqrt_ball
 from lenscert.bigfloat import bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
 
@@ -124,10 +124,11 @@ def test_arc_corner_takes_no_ball_powers():
 
 
 def test_no_unused_imports():
-    """no module of the package imports a name it never uses; a name listed
-    in `__all__` counts as used"""
+    """no module of the package, and no test module, imports a name it never
+    uses; a name listed in `__all__` counts as used"""
     unused = []
-    for path in sorted(pathlib.Path(lenscert.__file__).parent.glob("*.py")):
+    paths = pathlib.Path(lenscert.__file__).parent.glob("*.py"), pathlib.Path(__file__).parent.glob("*.py")
+    for path in sorted(p for ps in paths for p in ps):
         tree = ast.parse(path.read_text())
         imported = {}
         used = set()
@@ -277,9 +278,19 @@ _TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
             lambda: sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)), 64),
             id="sqrt_ball",
         ),
+        pytest.param(PrecisionExhausted, lambda: _fx_div((1, 0), (1, 1), 64), id="_fx_div"),
+        pytest.param(PrecisionExhausted, lambda: _fx_sqrt((1, 2)), id="_fx_sqrt"),
         pytest.param(PrecisionExhausted, lambda: specfun.appell_f1(-3, -2, 3, _TO_ONE, _SMALL, 64), id="appell_f1"),
         pytest.param(PrecisionExhausted, lambda: geom.competitor_energy_specfun(26, 9, 1), id="competitor_energy"),
         pytest.param(InvalidArgument, lambda: geom.lawson_constants(1, 4, 64), id="lawson_constants"),
+        pytest.param(InvalidArgument, lambda: sqrt_ball(Ball.from_int(-1, 64), 64), id="sqrt_ball_point"),
+        pytest.param(InvalidArgument, lambda: _fx_sqrt((-1, 0)), id="_fx_sqrt_point"),
+        pytest.param(InvalidArgument, lambda: _fx_div((1, 0), (0, 0), 64), id="_fx_div_point"),
+        pytest.param(
+            InvalidArgument,
+            lambda: specfun.gauss_2f1(1, 2, Ball.from_fraction(Fraction(5, 4), 64), 64),
+            id="gauss_2f1_point",
+        ),
         pytest.param(InvalidArgument, lambda: geom.default_pairs(3), id="default_pairs"),
         pytest.param(InvalidArgument, lambda: certify.exact_report(10, "simons"), id="exact_report"),
         pytest.param(

@@ -3,14 +3,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lenscert.ball import (
     MAX_DECIMAL_EXPONENT,
     Ball,
+    _fx_div,
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
     _fx_pow,
+    _fx_sqrt,
     _fx_tail,
     _fx_to_ball,
     ball_add,
@@ -24,8 +28,9 @@ from lenscert.ball import (
     ball_to_str,
     ball_widen,
     intersects,
+    pow_rational,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float, bf_shift, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
 from lenscert.errors import PrecisionExhausted
 
 
@@ -298,3 +303,56 @@ class TestFixedPointKernel:
                 assert exact > limit, (m, r, p, q, limit)
             else:
                 assert exact <= tail <= limit, (m, r, p, q, limit)
+
+    @staticmethod
+    def _pair(data, bits: int) -> tuple[int, int]:
+        """a fixed-point pair whose midpoint has up to `bits` bits, and whose
+        radius is 0, a few ulps, or up to the midpoint's size"""
+        m = data.draw(st.integers(-(1 << bits), 1 << bits))
+        r = data.draw(st.one_of(st.just(0), st.integers(0, 8), st.integers(0, abs(m))))
+        return m, r
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_div_encloses(self, data):
+        """`_fx_div` encloses the exact quotient at every corner of its two
+        pairs, and so on all of them, as x/y is monotone in each where y
+        keeps its sign, at scales of 1 to 512 bits"""
+        W = data.draw(st.integers(1, 512))
+        a = self._pair(data, W + 40)
+        b = self._pair(data, data.draw(st.integers(1, W + 40)))
+        assume(abs(b[0]) > b[1])
+        qm, qr = _fx_div(a, b, W)
+        for x in (a[0] - a[1], a[0], a[0] + a[1]):
+            for y in (b[0] - b[1], b[0], b[0] + b[1]):
+                assert abs(Fraction(x << W, y) - qm) <= qr, (a, b, W)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_sqrt_encloses(self, data):
+        """`_fx_sqrt` of (m +/- r) at scale 2**-2W encloses the root of both
+        ends and of the midpoint at scale 2**-W, W from 1 to 512 bits: each
+        point v has (lo)**2 <= v <= (hi)**2 for the output's ends"""
+        W = data.draw(st.integers(1, 512))
+        m = data.draw(st.integers(0, 1 << data.draw(st.integers(0, 2 * W + 40))))
+        r = data.draw(st.one_of(st.just(0), st.integers(0, min(m, 8)), st.integers(0, m)))
+        sm, sr = _fx_sqrt((m, r))
+        for v in (m - r, m, m + r):
+            assert max(sm - sr, 0) ** 2 <= v <= (sm + sr) ** 2, (m, r)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_pow_rational_encloses(self, data):
+        """`pow_rational`, whose bounds share one root solve, encloses
+        x**(p/q) at both ends and the midpoint of narrow and wide balls, at
+        1 to 512 bits: lo**q <= x**p <= hi**q for its output's ends"""
+        prec = data.draw(st.integers(1, 512))
+        p, q = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 40))
+        mid = Fraction(data.draw(st.integers(1, 1 << 64)), 1 << data.draw(st.integers(0, 100)))
+        a = Ball.from_fraction(mid, prec)
+        a = ball_widen(a, bf_from_float(float(mid) * 2.0 ** -data.draw(st.integers(0, prec + 8))))
+        assume(a.inf().sign > 0)
+        out = pow_rational(a, p, q, prec)
+        lo, hi = bf_to_fraction(out.inf()), bf_to_fraction(out.sup())
+        for x in (bf_to_fraction(a.inf()), mid, bf_to_fraction(a.sup())):
+            assert (lo <= 0 or lo**q <= x**p) and x**p <= hi**q, (a, p, q, prec)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lenscert import certify as C
-from lenscert import cli, geom, oracle
+from lenscert import cli, geom
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
@@ -114,7 +114,6 @@ class TestCertifyDimension:
 
         def poisoned_specfun(k, l, prec):
             en = specfun(k, l, prec)
-            off = Ball.from_fraction(1, prec) * Ball.from_fraction(1, prec)
             wrong_mid = (en.m_value + Ball.from_int(1, prec)).mid
             poisoned = Ball(wrong_mid, bf_two_power(-prec), prec)
             return geom.CompetitorEnergy(k, l, poisoned)
@@ -314,7 +313,7 @@ PINNED_CERTIFICATES = {
         (11, 12): "1.5155167504809549081450969585761642350778e+1 +/- 3.3e-38",
     }),
     (200, None): (128, "4.9226205787895514171383334026759021297544e+1 +/- 3.3e-38", {
-        (99, 99): "4.9070500878841341782023507226520584700441e+1 +/- 5.5e-38",
+        (99, 99): "4.9070500878841341782023507226520584700441e+1 +/- 5.4e-38",
         (98, 100): "4.907050088451637657751988691426921893233e+1 +/- 8.8e-38",
     }),
     (2700, None): (128, "1.85412305139778968918788493342033331410505e+2 +/- 9.8e-39", {

@@ -12,9 +12,10 @@ seed sets and target width come from `bench/run.py` of the repository this
 script is in (`sample_dims`, `WORKLOADS`).
 
 Each side first certifies every seed set once, untimed, and the two
-certificate lists are compared with their timestamps removed.  Then each
-round runs every seed set once on each side, back to back, and the side
-that goes first swaps every round.  A pass is one
+certificate lists are compared with their timestamps removed; when they
+differ, the report of `compare_certificates` in `tools/sameout.py`
+follows.  Then each round runs every seed set once on each side, back to
+back, and the side that goes first swaps every round.  A pass is one
 `certify.certify(dims, target_width=width, out=path)` call writing its JSON
 to a temporary file, as in the benchmark's plain pass.  The script prints
 the median change/parent ratio of the per-pass times with its quartiles,
@@ -51,8 +52,8 @@ def load_tree(root: str, name: str):
     return importlib.import_module(name + ".certify")
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("_bench_run", ROOT / "bench" / "run.py")
+def load_module(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
 
-    bench = load_bench()
+    bench = load_module("_bench_run", ROOT / "bench" / "run.py")
     if args.workload not in bench.WORKLOADS:
         ap.error("unknown workload %r; choose from %s" % (args.workload, sorted(bench.WORKLOADS)))
     width = bench.WORKLOADS[args.workload]["width"]
@@ -96,12 +97,10 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="abtime-") as tmp:
         path = os.path.join(tmp, "certs.json")
-        differ = [
-            seed
-            for seed in seeds
-            if certificates(mods["parent"], dims[seed], width, path)
-            != certificates(mods["change"], dims[seed], width, path)
-        ]
+        certs = {
+            seed: [certificates(mods[side], dims[seed], width, path) for side in SIDES] for seed in seeds
+        }
+        differ = [seed for seed in seeds if certs[seed][0] != certs[seed][1]]
         times = {side: {seed: [] for seed in seeds} for side in SIDES}
         for rnd in range(args.rounds):
             for seed in seeds:
@@ -118,6 +117,10 @@ def main(argv=None) -> int:
     q1, med, q3 = quartiles(every)
     print("workload %s, seeds %s, %d rounds, %d pairs" % (args.workload, args.seeds, args.rounds, len(every)))
     print("certificates: %s" % ("identical" if not differ else "differ for seeds %s" % differ))
+    if differ:
+        sameout = load_module("_sameout", ROOT / "tools" / "sameout.py")
+        for line in sameout.compare_certificates(*([c for s in differ for c in certs[s][i]] for i in (0, 1))):
+            print("  " + line)
     for seed in seeds:
         print("  seed %-4d dims %-40s ratio %.3f" % (seed, dims[seed], statistics.median(ratios[seed])))
     for side in SIDES:

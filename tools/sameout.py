@@ -12,8 +12,10 @@ temporary directory per tree, so relative `--out` paths read the same on
 both sides.  The script prints one line for every command whose exit code,
 stdout or stderr differ, and for every `--out` file whose certificates
 differ once their timestamps are removed (or that exists on one side only),
-then a summary.  It exits 1 when anything differs.  Only the standard
-library is used; a run takes about twice the time of `tools/reach.py`.
+then a summary.  Under a file whose certificates differ it prints the report
+of `compare_certificates`.  It exits 1 when anything differs.  Only the
+standard library is used; a run takes about twice the time of
+`tools/reach.py`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,49 @@ import sys
 import tempfile
 
 
-def load_reach():
-    spec = importlib.util.spec_from_file_location("_reach", pathlib.Path(__file__).with_name("reach.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_module(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_reach():
+    return load_module("_reach", ROOT / "tools" / "reach.py")
+
+
+def _shape(cert: dict) -> tuple:
+    """What two runs of the same proof must share exactly."""
+    entries = [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]]
+    return cert["n"], cert["verdict"], cert["precision_bits"], entries
+
+
+def compare_certificates(parent: list[dict], change: list[dict]) -> list[str]:
+    """Report lines on two lists of certificates: whether the dimensions,
+    verdicts, precision_bits, pairs and path_agreement are all the same, and
+    then whether every lambda_plane and m_value intersects its counterpart,
+    by the exact rational check of bench/run.py, with the largest ratio of
+    a change width to its parent width."""
+    same = len(parent) == len(change) and all(_shape(a) == _shape(b) for a, b in zip(parent, change))
+    lines = ["dimensions, verdicts, precision_bits, pairs and path_agreement: %s" % ("same" if same else "differ")]
+    if not same:
+        return lines
+    balls = []
+    for a, b in zip(parent, change):
+        balls.append((a["lambda_plane"], b["lambda_plane"]))
+        balls += [(ea["m_value"], eb["m_value"]) for ea, eb in zip(a["entries"], b["entries"])]
+    balls = [(a, b) for a, b in balls if a is not None and b is not None]
+    bench = load_module("_bench_run", ROOT / "bench" / "run.py")
+    apart = sum(not bench._encloses_same(a, b) for a, b in balls)
+    ratios = [bench.parse_ball(b)[1] / bench.parse_ball(a)[1] for a, b in balls if bench.parse_ball(a)[1]]
+    lines.append(
+        "%d of %d lambda_plane and m_value enclosures do not intersect their counterpart; "
+        "largest width ratio change/parent %s" % (apart, len(balls), "%.4f" % max(ratios) if ratios else "none")
+    )
+    return lines
 
 
 def commands() -> list[tuple[list[str], str | None]]:
@@ -84,6 +124,9 @@ def main(argv=None) -> int:
         if diffs:
             differ += 1
             print("differ (%s): lenscert %s" % (", ".join(diffs), " ".join(argv)))
+            if "certificates" in diffs and p[3] is not None and c[3] is not None:
+                for line in compare_certificates(p[3], c[3]):
+                    print("    " + line)
     print("%d of %d commands differ" % (differ, len(cmds)))
     return 1 if differ else 0
 
