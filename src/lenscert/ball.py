@@ -122,9 +122,6 @@ class Ball:
         """Upper bound for |x| over the ball."""
         return rup_add(rup(bf_abs(self.mid)), self.rad)
 
-    def width(self) -> BigFloat:
-        return bf_shift(self.rad, 1)
-
     def __repr__(self):
         return "Ball(%s)" % ball_to_str(self, max_digits=12)
 

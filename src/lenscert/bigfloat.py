@@ -19,7 +19,6 @@ __all__ = [
     "ONE",
     "bf_from_int",
     "bf_from_fraction",
-    "bf_from_float",
     "bf_to_fraction",
     "bf_to_float",
     "bf_neg",
@@ -89,16 +88,6 @@ def bf_from_int(n: int) -> BigFloat:
     if n == 0:
         return ZERO
     return _norm(1 if n > 0 else -1, abs(n), 0)
-
-
-def bf_from_float(x: float) -> BigFloat:
-    if x == 0.0:
-        return ZERO
-    if math.isinf(x) or math.isnan(x):
-        raise ValueError("cannot convert %r to BigFloat" % x)
-    m, e = math.frexp(x)
-    man = int(m * (1 << 53))
-    return _norm(1 if man > 0 else -1, abs(man), e - 53)
 
 
 def bf_to_fraction(a: BigFloat) -> Fraction:

@@ -1,13 +1,14 @@
 """Certification driver: precision escalation, inequality certificates,
 table and plot-data reproduction, and the exact-value reports.
 
-Strictness is decided on the *serialized* enclosures: `strictness` compares
-the exact decimal values of a certificate's `m_value` and `lambda_plane`
-strings, and `_verdict` turns the strictness values and the path agreement
-into a verdict.  Certification and `replay_certificate` call the same two
-functions, so a replay of a certificate file needs only `json`, `fractions`
-and these two functions with the parser `ball.ball_str_fractions`, and it
-reproduces every verdict.
+A certificate has one form, the JSON object that `certify_dimension` builds
+in file layout, and one verdict rule, `_replay`, which decides it from the
+object's fields alone: the exact decimal values of its `m_value` and
+`lambda_plane` strings, its `target_width`, its pairs and its
+`path_agreement` flags.  `certify_dimension` sets the verdict by calling
+`_replay` on the object it built and `replay_certificate` calls it on a
+file's, so a replay gives the stored verdict by construction, and needs
+only `json`, `fractions`, the parser `ball.ball_str_fractions` and `_replay`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from .ball import (
     ball_to_str,
     intersects,
 )
-from .bigfloat import bf_cmp, bf_from_float, bf_to_fraction
+from .bigfloat import bf_to_fraction
 from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
-    "CertEntry",
-    "Certificate",
     "certify_dimension",
     "certify",
     "strictness",
@@ -66,32 +65,6 @@ AGREEMENT_WIDTH = 1e-6
 EXACT_SIMONS_CAP = 200
 
 
-class CertEntry:
-    __slots__ = ("k", "l", "m_value", "path_agreement", "strict")
-
-    def __init__(self, k: int, l: int, m_value: str, path_agreement: bool | None, strict: str):
-        self.k, self.l, self.m_value = k, l, m_value
-        self.path_agreement, self.strict = path_agreement, strict
-
-
-class Certificate:
-    __slots__ = ("n", "precision_bits", "lambda_plane", "entries", "verdict", "tool_version", "timestamp")
-
-    def __init__(
-        self, n: int, precision_bits: int, lambda_plane: str, entries: list[CertEntry], verdict: str,
-        timestamp: str, tool_version: str = __version__,
-    ):
-        self.n, self.precision_bits, self.lambda_plane = n, precision_bits, lambda_plane
-        self.entries, self.verdict = entries, verdict
-        self.tool_version, self.timestamp = tool_version, timestamp
-
-    def to_dict(self) -> dict:
-        """The JSON object, keys in `__slots__` order: that order is the file layout."""
-        out = {name: getattr(self, name) for name in self.__slots__}
-        out["entries"] = [{name: getattr(e, name) for name in e.__slots__} for e in self.entries]
-        return out
-
-
 def _resolve_pairs(n: int, pairs: str) -> list[tuple[int, int]]:
     """The competitor pairs certified at dimension n: "default" or "all"."""
     if n < 4:
@@ -103,11 +76,10 @@ def _resolve_pairs(n: int, pairs: str) -> list[tuple[int, int]]:
     raise InvalidArgument("pairs must be 'default' or 'all', got %r" % (pairs,))
 
 
-def strictness(m_value: str, lambda_plane: str) -> TriBool:
-    """Whether M < lambda_plane holds over the two serialized balls, decided
-    on their exact decimal values."""
-    m_mid, m_rad = ball_str_fractions(m_value)
-    l_mid, l_rad = ball_str_fractions(lambda_plane)
+def strictness(m: tuple[Fraction, Fraction], lam: tuple[Fraction, Fraction]) -> TriBool:
+    """Whether M < lambda_plane holds over two balls, each given as the exact
+    (mid, rad) of its string (`ball_str_fractions`)."""
+    (m_mid, m_rad), (l_mid, l_rad) = m, lam
     if m_mid + m_rad < l_mid - l_rad:
         return TriBool.CERTAINLY_TRUE
     if m_mid - m_rad > l_mid + l_rad:
@@ -115,14 +87,11 @@ def strictness(m_value: str, lambda_plane: str) -> TriBool:
     return TriBool.UNKNOWN
 
 
-def _verdict(stricts: list[TriBool], agreement_ok: bool, done: bool) -> str:
-    """The verdict from the entries' strictness values, the path agreement
-    and whether an attempt met every acceptance test."""
-    if not agreement_ok or TriBool.CERTAINLY_FALSE in stricts:
-        return "Failed"
-    if not done or any(s is not TriBool.CERTAINLY_TRUE for s in stricts):
-        return "Undecided"
-    return "Proven"
+def _narrow(rad: Fraction, tw) -> bool:
+    """The one width rule: a ball of radius rad is at most tw wide,
+    2 rad <= tw, decided on the exact value of the float or int tw."""
+    p, q = tw.as_integer_ratio()
+    return 2 * rad.numerator * q <= p * rad.denominator
 
 
 def _escalate(enclosures, ok, prec_start: int, prec_max: int):
@@ -172,84 +141,89 @@ def _escalate(enclosures, ok, prec_start: int, prec_max: int):
         prec *= 2
 
 
-def _target_width(target_width: float):
-    """The width target as a BigFloat; it must be positive and finite, since
-    no enclosure meets a zero or negative width at any precision."""
-    if not 0 < target_width < math.inf:
-        raise InvalidArgument("target width must be positive and finite, got %r" % target_width)
-    return bf_from_float(target_width)
-
-
-def _narrow(b: Ball, tw) -> bool:
-    """The width test of `certify_dimension`, its agreement rule and
-    `plot_rows`: b is at most tw wide."""
-    return bf_cmp(b.width(), tw) <= 0
-
-
 def certify_dimension(
     n: int,
     pairs: str = "default",
     target_width: float = DEFAULT_TARGET_WIDTH,
     prec_start: int = DEFAULT_PREC_START,
     prec_max: int = DEFAULT_PREC_MAX,
-) -> Certificate:
-    """Certify the strict inequality at one dimension, escalating precision.
+) -> dict:
+    """Certify the strict inequality at one dimension, escalating precision,
+    and return the certificate: the JSON object, its keys in file layout.
 
     The enclosures handed to `_escalate` are the lens energy
     (`geom.lens_quantities`), then the competitor energies pair by pair
-    (`geom.competitor_energy_specfun`); the acceptance test is that each is
-    at most `target_width` wide and, for a pair, decides strictness.  Both
-    evaluators are looked up on `geom` at call time, so a tracer or a test
-    can substitute them.  Up to n = QUADRATURE_MAX_N each pair is checked
-    against its second paths at AGREEMENT_PREC bits: the exact-moment value
-    of `geom.competitor_energy_quadrature` and, for odd pairs, the
-    polynomial value of `oracle.polynomial_m_value`.  A second-path value
-    agrees only when it is at most AGREEMENT_WIDTH wide and intersects the
-    pair's enclosure; a pair with a value that does not sets its
-    `path_agreement` to false, and the certificate is Failed.
+    (`geom.competitor_energy_specfun`), each written with `ball_to_str`; the
+    acceptance test is that each written string meets the width rule
+    `_narrow` against the exact value of the recorded `target_width` and,
+    for a pair, decides strictness.  `ball_to_str` never narrows a ball, so
+    a lens whose own radius fails the rule is rejected before it is written.
+    Both evaluators are looked up on `geom` at call time, so a tracer or a
+    test can substitute them.  Up to n = QUADRATURE_MAX_N each pair is
+    checked against its second paths at AGREEMENT_PREC bits: the
+    exact-moment value of `geom.competitor_energy_quadrature` and, for odd
+    pairs, the polynomial value of `oracle.polynomial_m_value`.  A
+    second-path value agrees only when it is at most AGREEMENT_WIDTH wide
+    and intersects the pair's enclosure; a pair with a value that does not
+    sets its `path_agreement` to false.  The verdict is `_replay` of the
+    finished object.
     """
     pair_list = _resolve_pairs(n, pairs)
-    tw = _target_width(target_width)
-    lam_str = None  # set by every attempt past its lens, by the returned one last
+    if not 0 < target_width < math.inf:
+        raise InvalidArgument("target width must be positive and finite, got %r" % target_width)
+    width = float(target_width)
+    cert = {
+        "n": n,
+        "precision_bits": None,
+        "target_width": width,
+        "lambda_plane": None,
+        "entries": [],
+        "verdict": None,
+        "tool_version": __version__,
+        "timestamp": None,
+    }
+    balls = []  # the m_value balls of the latest attempt, for the agreement rule
 
     def enclosures(prec: int):
-        # (ball, entry) per enclosure; the lens has no entry
-        nonlocal lam_str
-        lam = geom.lens_quantities(n, prec).lambda_plane
-        yield lam, None
-        lam_str = ball_to_str(lam)
+        # (radius, strictness or None) per acceptance test; the lens has two,
+        # its own radius and then its string's
+        lens = geom.lens_quantities(n, prec).lambda_plane
+        yield bf_to_fraction(lens.rad), None
+        cert["lambda_plane"] = ball_to_str(lens)
+        lam = ball_str_fractions(cert["lambda_plane"])
+        yield lam[1], None
+        entries = cert["entries"] = []
+        balls.clear()
         for k, l in pair_list:
-            en = geom.competitor_energy_specfun(k, l, prec)
-            m_str = ball_to_str(en.m_value)
-            yield en.m_value, CertEntry(en.k, en.l, m_str, None, strictness(m_str, lam_str).value)
+            m_ball = geom.competitor_energy_specfun(k, l, prec).m_value
+            m_str = ball_to_str(m_ball)
+            m = ball_str_fractions(m_str)
+            strict = strictness(m, lam)
+            entries.append({"k": k, "l": l, "m_value": m_str, "path_agreement": None, "strict": strict.value})
+            balls.append(m_ball)
+            yield m[1], strict
 
     def ok(item) -> bool:
-        ball, entry = item
-        return _narrow(ball, tw) and (entry is None or entry.strict != TriBool.UNKNOWN.value)
+        rad, strict = item
+        return _narrow(rad, width) and strict is not TriBool.UNKNOWN
 
-    items, prec, done = _escalate(enclosures, ok, prec_start, prec_max)
-    pairs_out = items[1:]
-    entries = [entry for _, entry in pairs_out]
+    cert["precision_bits"] = _escalate(enclosures, ok, prec_start, prec_max)[1]
 
     # independent-path agreement below the quadrature ceiling
-    agreement_ok = True
     if n <= QUADRATURE_MAX_N:
-        aw = bf_from_float(AGREEMENT_WIDTH)
-        for m, entry in pairs_out:
-            others = [geom.competitor_energy_quadrature(entry.k, entry.l, AGREEMENT_PREC)]
-            if entry.k % 2 == 1 and entry.l % 2 == 1:
-                others.append(oracle.polynomial_m_value(entry.k, entry.l, AGREEMENT_PREC))
-            entry.path_agreement = all(_narrow(o.m_value, aw) and intersects(m, o.m_value) for o in others)
-            agreement_ok = agreement_ok and entry.path_agreement
+        for m_ball, entry in zip(balls, cert["entries"]):
+            k, l = entry["k"], entry["l"]
+            others = [geom.competitor_energy_quadrature(k, l, AGREEMENT_PREC)]
+            if k % 2 == 1 and l % 2 == 1:
+                others.append(oracle.polynomial_m_value(k, l, AGREEMENT_PREC))
+            entry["path_agreement"] = all(
+                _narrow(bf_to_fraction(o.m_value.rad), AGREEMENT_WIDTH) and intersects(m_ball, o.m_value)
+                for o in others
+            )
 
-    return Certificate(
-        n=n,
-        precision_bits=prec,
-        lambda_plane=lam_str,
-        entries=entries,
-        verdict=_verdict([TriBool(e.strict) for e in entries], agreement_ok, done),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    cert["verdict"] = _replay(cert)
+    cert["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return cert
 
 
 @contextlib.contextmanager
@@ -285,7 +259,7 @@ def certify(
     prec_max: int = DEFAULT_PREC_MAX,
     jobs: int | None = None,
     out: str | None = None,
-) -> list[Certificate]:
+) -> list[dict]:
     """Certify a range of dimensions; optionally write the JSON certificates
     to `out` (see `open_output`).
 
@@ -306,23 +280,59 @@ def certify(
         else:
             certs = list(map(one, ns))
         if write:
-            write(json.dumps([c.to_dict() for c in certs], indent=1) + "\n")
+            write(json.dumps(certs, indent=1) + "\n")
     return certs
 
 
-def replay_certificate(cert: dict) -> str:
-    """Recompute a certificate's verdict from its JSON alone.
+def _replay(cert: dict) -> str:
+    """The verdict of a certificate object, from its fields alone: the one
+    verdict rule, which `certify_dimension` applies to the object it builds
+    and `replay_certificate` to a file's.  Each ball string is parsed once.
 
-    Each entry's strictness comes from its exact decimal strings and the
-    agreement from its stored `path_agreement`.  A certificate with no
-    entries, or with an entry whose pair does not match its dimension, is
-    Failed: it carries no evidence for the inequality at n."""
-    entries = cert["entries"]
-    if not entries or any(e["k"] + e["l"] + 2 != cert["n"] for e in entries):
+    Failed: a key is missing, a field has the wrong type or a ball string
+    does not parse; there are no entries; a pair is not one of the
+    dimension's (k + l + 2 = n and 1/3 < k/l < 3); a `path_agreement` is not
+    true up to QUADRATURE_MAX_N, where the agreement check runs (false, or
+    not a boolean), or not null above it; the `target_width` is not a
+    positive finite number; an enclosure of these positive values lies
+    certainly at or below 0; or some M is certainly not below lambda_plane.
+    Undecided: some strictness is undecided, or some enclosure fails the
+    width rule against `target_width`; a certificate without that key (the
+    format before it was recorded) has no width test.  Proven otherwise.
+    """
+    try:
+        n, entries, width = cert["n"], cert["entries"], cert.get("target_width")
+        lam = ball_str_fractions(cert["lambda_plane"])
+        ms = [ball_str_fractions(e["m_value"]) for e in entries]
+        pairs = [(e["k"], e["l"]) for e in entries]
+        agreements = [e["path_agreement"] for e in entries]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
         return "Failed"
-    stricts = [strictness(e["m_value"], cert["lambda_plane"]) for e in entries]
-    agreement_ok = all(e["path_agreement"] is not False for e in entries)
-    return _verdict(stricts, agreement_ok, done=True)
+    balls = [lam, *ms]
+    stricts = [strictness(m, lam) for m in ms]
+    if (
+        type(n) is not int
+        or not entries
+        or not all(type(k) is int and type(l) is int and k + l + 2 == n and 0 < l < 3 * k and k < 3 * l
+                   for k, l in pairs)
+        # true where the agreement check runs, null above
+        or any(a is not (True if n <= QUADRATURE_MAX_N else None) for a in agreements)
+        or width is not None and not (type(width) in (int, float) and 0 < width < math.inf)
+        # mid + rad <= 0, by the sign of its numerator
+        or any(mid.numerator * rad.denominator + rad.numerator * mid.denominator <= 0 for mid, rad in balls)
+        or TriBool.CERTAINLY_FALSE in stricts
+    ):
+        return "Failed"
+    if TriBool.UNKNOWN in stricts or width is not None and not all(_narrow(rad, width) for _, rad in balls):
+        return "Undecided"
+    return "Proven"
+
+
+def replay_certificate(cert: dict) -> str:
+    """Recompute a certificate's verdict from its JSON alone, by `_replay`.
+    Certification calls `_replay` itself, so that a wrapper of this function
+    sees replays only."""
+    return _replay(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +377,7 @@ def table_rows(n_range, digits: int = 8) -> list[TableRow]:
     width_cap = Fraction(1, 2 * 10**digits)
 
     def pinned(b: Ball) -> bool:
-        return certified_decimal(b, digits) is not None and bf_to_fraction(b.width()) < width_cap
+        return certified_decimal(b, digits) is not None and 2 * bf_to_fraction(b.rad) < width_cap
 
     for n in sorted(n_range):
         pair_list = geom.table_pairs(n)
@@ -420,7 +430,6 @@ class PlotRow:
 
 def plot_rows(n_range) -> list[PlotRow]:
     rows = []
-    tw = bf_from_float(DEFAULT_TARGET_WIDTH)
     for n in sorted(n_range):
         k, l = geom.default_pairs(n)[0]
 
@@ -430,7 +439,10 @@ def plot_rows(n_range) -> list[PlotRow]:
             yield ball_sub(lens.lambda_plane, en.m_value, prec)
 
         (gap,), _, done = _escalate(
-            enclosures, lambda g: _narrow(g, tw), DEFAULT_PREC_START, DEFAULT_PREC_MAX
+            enclosures,
+            lambda g: _narrow(bf_to_fraction(g.rad), DEFAULT_TARGET_WIDTH),
+            DEFAULT_PREC_START,
+            DEFAULT_PREC_MAX,
         )
         if not done:
             raise PrecisionExhausted("gap width target unreachable at n=%d" % n)
@@ -505,10 +517,9 @@ def _exact_paths(paths):
     """paths(prec), the (exact path, general path) pair of an exact report,
     from the first attempt whose enclosures do not cancel and are both at
     most DEFAULT_TARGET_WIDTH wide."""
-    tw = bf_from_float(DEFAULT_TARGET_WIDTH)
     items, _, _ = _escalate(
         lambda prec: [paths(prec)],
-        lambda pair: all(_narrow(b, tw) for b in pair),
+        lambda pair: all(_narrow(bf_to_fraction(b.rad), DEFAULT_TARGET_WIDTH) for b in pair),
         DEFAULT_PREC_START,
         DEFAULT_PREC_MAX,
     )

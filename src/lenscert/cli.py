@@ -88,10 +88,10 @@ def main(argv=None) -> int:
                 out=args.out,
             )
             for c in certs:
-                print("n=%d verdict=%s precision=%d" % (c.n, c.verdict, c.precision_bits))
-            if any(c.verdict == "Failed" for c in certs):
+                print("n=%d verdict=%s precision=%d" % (c["n"], c["verdict"], c["precision_bits"]))
+            if any(c["verdict"] == "Failed" for c in certs):
                 return 1
-            if any(c.verdict == "Undecided" for c in certs):
+            if any(c["verdict"] == "Undecided" for c in certs):
                 return 2
             return 0
         if args.command == "table":

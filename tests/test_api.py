@@ -246,6 +246,37 @@ def test_only_escalate_knows_the_final_attempt():
     assert [name for name in taking if name != "_escalate"] == []
 
 
+def test_one_function_returns_the_verdicts():
+    """one function of `certify.py`, the verdict rule `_replay`, returns the
+    verdict strings, so certification and replay cannot decide apart"""
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "certify.py").read_text())
+    verdicts = {"Proven", "Undecided", "Failed"}
+    returning = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value in verdicts
+    }
+    assert returning == {"_replay"}
+
+
+def test_certify_reads_bigfloats_only_as_fractions():
+    """`certify.py` imports nothing from `lenscert.bigfloat` but
+    `bf_to_fraction`: every width and strictness test it makes is on exact
+    rationals"""
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "certify.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [
+        alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("bigfloat")
+        for alias in node.names
+    ]
+    assert names == ["bf_to_fraction"]
+    assert [ast.unparse(node) for node in imports if any(a.name.endswith("bigfloat") for a in node.names)] == []
+
+
 def test_errors_are_two_kinds():
     """`lenscert.errors` defines the base class and its two kinds, and the
     escalation driver catches the one that more bits may mend, by name"""

@@ -30,8 +30,13 @@ from lenscert.ball import (
     intersects,
     pow_rational,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_fraction, bf_to_fraction, bf_two_power
 from lenscert.errors import PrecisionExhausted
+
+
+def _bf(x: float):
+    """the float x as a BigFloat, exactly: 53 bits hold its mantissa"""
+    return bf_from_fraction(Fraction(x), 53)[0]
 
 
 def _contains(b, x) -> bool:
@@ -74,8 +79,8 @@ def test_mul_wide_balls_near_zero(am, ar, bm, br):
     """for midpoints near 0 and large radii, most of the product's range
     comes from a.rad * b.rad: the product encloses every endpoint product,
     computed exactly"""
-    a = ball_widen(Ball.from_fraction(am, 64), bf_from_float(ar))
-    b = ball_widen(Ball.from_fraction(bm, 64), bf_from_float(br))
+    a = ball_widen(Ball.from_fraction(am, 64), _bf(ar))
+    b = ball_widen(Ball.from_fraction(bm, 64), _bf(br))
     out = ball_mul(a, b, 64)
     for x in (a.inf(), a.sup()):
         for y in (b.inf(), b.sup()):
@@ -86,7 +91,7 @@ def test_div_two_precision_consistency():
     lo = ball_div(Ball.from_int(1, 64), Ball.from_int(3, 64), 64)
     hi = ball_div(Ball.from_int(1, 128), Ball.from_int(3, 128), 128)
     assert intersects(lo, hi)
-    assert bf_cmp(hi.width(), lo.width()) <= 0
+    assert bf_cmp(hi.rad, lo.rad) <= 0
 
 
 def test_division_by_zero_interval():
@@ -119,11 +124,11 @@ def test_two_precision_consistency_random_ops():
         for op in (ball_add, ball_sub, ball_mul):
             r48, r96 = op(a48, b48, 48), op(a96, b96, 96)
             assert intersects(r48, r96)
-            assert bf_cmp(r96.width(), r48.width()) <= 0
+            assert bf_cmp(r96.rad, r48.rad) <= 0
         if not _contains(b48, 0):
             r48, r96 = ball_div(a48, b48, 48), ball_div(a96, b96, 96)
             assert intersects(r48, r96)
-            assert bf_cmp(r96.width(), r48.width()) <= 0
+            assert bf_cmp(r96.rad, r48.rad) <= 0
 
 
 def test_monotone_inclusion():
@@ -161,7 +166,7 @@ def test_pow_int_encloses_exact_endpoint_powers(scale, prec):
     for trial in range(12):
         mid = rand_fraction(rng) * scale if trial % 4 else Fraction(0)
         rad = abs(rand_fraction(rng)) * scale * Fraction(1, 2 ** rng.choice([0, 20, 100]))
-        a = ball_widen(Ball.from_fraction(mid, prec), bf_from_float(float(rad)))
+        a = ball_widen(Ball.from_fraction(mid, prec), _bf(float(rad)))
         lo, hi = bf_to_fraction(a.inf()), bf_to_fraction(a.sup())
         for n in (0, 1, 2, 3, 50, 1350):
             out = ball_pow_int(a, n, prec)
@@ -230,7 +235,7 @@ class TestFixedPointKernel:
         mid = Fraction(rng.randint(-(1 << (bits + 3)), 1 << (bits + 3)), 1 << bits)
         b = Ball.from_fraction(mid, bits + 8)
         if rng.random() < 2 / 3:
-            b = ball_widen(b, bf_from_float(rng.random() * 2.0 ** -rng.randint(0, W + 8)))
+            b = ball_widen(b, _bf(rng.random() * 2.0 ** -rng.randint(0, W + 8)))
         return b
 
     @staticmethod
@@ -350,7 +355,7 @@ class TestFixedPointKernel:
         p, q = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 40))
         mid = Fraction(data.draw(st.integers(1, 1 << 64)), 1 << data.draw(st.integers(0, 100)))
         a = Ball.from_fraction(mid, prec)
-        a = ball_widen(a, bf_from_float(float(mid) * 2.0 ** -data.draw(st.integers(0, prec + 8))))
+        a = ball_widen(a, _bf(float(mid) * 2.0 ** -data.draw(st.integers(0, prec + 8))))
         assume(a.inf().sign > 0)
         out = pow_rational(a, p, q, prec)
         lo, hi = bf_to_fraction(out.inf()), bf_to_fraction(out.sup())

@@ -10,7 +10,7 @@ import pytest
 
 from lenscert import certify as C
 from lenscert import cli, geom
-from lenscert.ball import Ball, ball_from_str, ball_mul, ball_to_str, ball_widen, TriBool
+from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_fractions, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
 
@@ -79,17 +79,17 @@ class TestEscalate:
 class TestCertifyDimension:
     def test_n8_proven(self):
         cert = C.certify_dimension(8)
-        assert cert.verdict == "Proven"
-        assert cert.precision_bits == 128
-        assert [(e.k, e.l) for e in cert.entries] == [(3, 3), (2, 4)]
-        assert all(e.strict == "CertainlyTrue" for e in cert.entries)
-        assert all(e.path_agreement for e in cert.entries)
-        lam = ball_from_str(cert.lambda_plane, 128)
+        assert cert["verdict"] == "Proven"
+        assert cert["precision_bits"] == 128
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == [(3, 3), (2, 4)]
+        assert all(e["strict"] == "CertainlyTrue" for e in cert["entries"])
+        assert all(e["path_agreement"] for e in cert["entries"])
+        lam = ball_from_str(cert["lambda_plane"], 128)
         assert C.certified_decimal(lam, 8) == "7.29128238"
 
     def test_loose_width_still_proven(self):
         cert = C.certify_dimension(8, target_width=10.0)
-        assert cert.verdict == "Proven"
+        assert cert["verdict"] == "Proven"
 
     def test_gap_value_n8(self):
         """gap at n=8 for the central pair is about 0.47270274"""
@@ -106,7 +106,7 @@ class TestCertifyDimension:
         monkeypatch.setattr(geom, "competitor_energy_specfun", fake_specfun)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         cert = C.certify_dimension(8, prec_max=512)
-        assert cert.verdict == "Undecided"
+        assert cert["verdict"] == "Undecided"
 
     def test_fault_injection_degrades_to_failed(self, monkeypatch):
         """zeroed radii around a perturbed midpoint must trip path agreement"""
@@ -120,8 +120,8 @@ class TestCertifyDimension:
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", poisoned_specfun)
         cert = C.certify_dimension(8)
-        assert cert.verdict == "Failed"
-        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(3, 3, False), (2, 4, False)]
+        assert cert["verdict"] == "Failed"
+        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(3, 3, False), (2, 4, False)]
 
     def test_small_fault_in_d_fails_agreement(self, monkeypatch):
         """d and h scaled by 1 + 1e-9 move the special-function value, while
@@ -138,8 +138,8 @@ class TestCertifyDimension:
 
         monkeypatch.setattr(geom, "lawson_constants", faulty_constants)
         cert = C.certify_dimension(24)
-        assert cert.verdict == "Failed"
-        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(11, 11, False), (10, 12, False)]
+        assert cert["verdict"] == "Failed"
+        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(11, 11, False), (10, 12, False)]
 
     def test_too_wide_agreement_value_fails_the_pair(self, monkeypatch, tmp_path):
         """a second-path value wider than AGREEMENT_WIDTH fails its pair and
@@ -150,15 +150,15 @@ class TestCertifyDimension:
         monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-30)
         out = tmp_path / "certs.json"
         certs = C.certify(range(8, 10), out=str(out))
-        assert [c.verdict for c in certs] == ["Failed", "Failed"]
-        assert [(e.k, e.l, e.path_agreement) for c in certs for e in c.entries] == [
+        assert [c["verdict"] for c in certs] == ["Failed", "Failed"]
+        assert [(e["k"], e["l"], e["path_agreement"]) for c in certs for e in c["entries"]] == [
             (3, 3, False), (2, 4, False), (3, 4, False)
         ]
         assert [c["verdict"] for c in json.loads(out.read_text())] == ["Failed", "Failed"]
         monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-17)
         cert = C.certify_dimension(24)
-        assert cert.verdict == "Failed"
-        assert [(e.k, e.l, e.path_agreement) for e in cert.entries] == [(11, 11, False), (10, 12, True)]
+        assert cert["verdict"] == "Failed"
+        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(11, 11, False), (10, 12, True)]
 
     def test_cancellation_rejects_the_attempt(self, monkeypatch):
         """a ball-layer cancellation below 256 bits escalates the precision;
@@ -173,8 +173,8 @@ class TestCertifyDimension:
         monkeypatch.setattr(geom, "lens_quantities", lens_eval)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         cert = C.certify_dimension(8)
-        assert cert.verdict == "Proven"
-        assert cert.precision_bits == 256
+        assert cert["verdict"] == "Proven"
+        assert cert["precision_bits"] == 256
         with pytest.raises(PrecisionExhausted):
             C.certify_dimension(8, prec_max=128)
 
@@ -186,8 +186,8 @@ class TestCertifyDimension:
         with pytest.raises(PrecisionExhausted):
             geom.competitor_energy_specfun(26, 9, 1)
         cert = C.certify_dimension(37, pairs="all", target_width=1000.0, prec_start=1)
-        assert cert.verdict == "Proven" and cert.precision_bits > 1
-        assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
+        assert cert["verdict"] == "Proven" and cert["precision_bits"] > 1
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == geom.all_pairs(37)
 
     def test_f1_argument_ball_reaching_the_unit_circle_rejects_the_attempt(self):
         """at n = 133 with all pairs from 1 bit, the F1 argument balls of a
@@ -195,24 +195,30 @@ class TestCertifyDimension:
         other undecided enclosure, so the run escalates to Proven at 32 bits
         and the command line exits 0 instead of ending in an error"""
         cert = C.certify_dimension(133, "all", 1000.0, 1)
-        assert cert.verdict == "Proven" and cert.precision_bits == 32
+        assert cert["verdict"] == "Proven" and cert["precision_bits"] == 32
         assert cli.main(["certify", "--n", "133", "--pairs", "all", "--prec-start", "1", "--width", "1000"]) == 0
 
     def test_too_wide_lens_stops_the_attempt(self, monkeypatch):
         """at a width 128 bits cannot reach, the 128-bit attempt stops after
-        the lens: the competitors run at 256 bits only"""
-        calls = []
+        the lens, which it never writes: the competitors run at 256 bits only"""
+        calls, written = [], []
         specfun = geom.competitor_energy_specfun
 
         def specfun_eval(k, l, prec):
             calls.append(prec)
             return specfun(k, l, prec)
 
+        def to_str(b):
+            written.append(b.prec)
+            return ball_to_str(b)
+
         monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)
+        monkeypatch.setattr(C, "ball_to_str", to_str)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         cert = C.certify_dimension(26, target_width=1e-45)
-        assert cert.verdict == "Proven" and cert.precision_bits == 256
+        assert cert["verdict"] == "Proven" and cert["precision_bits"] == 256
         assert calls == [256, 256]
+        assert len(written) == 3 and min(written) >= 256
 
     @pytest.mark.parametrize("miss", ["width", "strictness"])
     def test_missing_pair_stops_the_attempt(self, miss, monkeypatch):
@@ -234,7 +240,7 @@ class TestCertifyDimension:
         monkeypatch.setattr(geom, "competitor_energy_specfun", specfun_eval)
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         cert = C.certify_dimension(8)
-        assert cert.verdict == "Proven" and cert.precision_bits == 256
+        assert cert["verdict"] == "Proven" and cert["precision_bits"] == 256
         assert calls == [(3, 3, 128), (3, 3, 256), (2, 4, 256)]
 
     def test_final_attempt_lists_every_pair(self, monkeypatch):
@@ -242,25 +248,25 @@ class TestCertifyDimension:
         final and serializes every pair, however wide"""
         monkeypatch.setattr(C, "QUADRATURE_MAX_N", 0)
         cert = C.certify_dimension(26, target_width=1e-45, prec_max=128)
-        assert cert.verdict == "Undecided" and cert.precision_bits == 128
-        assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(26)
-        for e in cert.entries:
-            assert e.m_value == ball_to_str(geom.competitor_energy_specfun(e.k, e.l, 128).m_value)
+        assert cert["verdict"] == "Undecided" and cert["precision_bits"] == 128
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == geom.default_pairs(26)
+        for e in cert["entries"]:
+            assert e["m_value"] == ball_to_str(geom.competitor_energy_specfun(e["k"], e["l"], 128).m_value)
 
     def test_low_precision_cap_ends_undecided(self):
         """the agreement paths run at AGREEMENT_PREC whatever the certificate's
         precision, so a 16-bit cap at n = 24 gives an Undecided certificate
         instead of a PrecisionExhausted from the polynomial path"""
         cert = C.certify_dimension(24, prec_start=16, prec_max=16)
-        assert cert.verdict == "Undecided" and cert.precision_bits == 16
-        assert [(e.k, e.l) for e in cert.entries] == geom.default_pairs(24)
-        assert all(e.path_agreement for e in cert.entries)
+        assert cert["verdict"] == "Undecided" and cert["precision_bits"] == 16
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == geom.default_pairs(24)
+        assert all(e["path_agreement"] for e in cert["entries"])
 
     def test_every_valid_pair_listed_at_low_precision(self):
         """at 8 bits `--pairs all` lists every pair with 1/3 < k/l < 3,
         (9, 26) next to the boundary included"""
         cert = C.certify_dimension(37, pairs="all", prec_start=8, prec_max=8)
-        assert [(e.k, e.l) for e in cert.entries] == geom.all_pairs(37)
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == geom.all_pairs(37)
         assert (9, 26) in geom.all_pairs(37)
 
     @pytest.mark.parametrize("kwargs", [{"prec_start": 0}, {"prec_start": -64}, {"target_width": 0.0},
@@ -292,13 +298,13 @@ class TestCertifyDimension:
     def test_n2700_proven_at_128_bits(self):
         """the largest long-run dimension certifies without escalation"""
         cert = C.certify_dimension(2700)
-        assert cert.verdict == "Proven"
-        assert cert.precision_bits == 128
+        assert cert["verdict"] == "Proven"
+        assert cert["precision_bits"] == 128
 
     def test_verdict_stability_under_higher_precision(self):
         low = C.certify_dimension(9, prec_start=128)
         high = C.certify_dimension(9, prec_start=256)
-        assert low.verdict == "Proven" and high.verdict == "Proven"
+        assert low["verdict"] == "Proven" and high["verdict"] == "Proven"
 
 
 # (n, target width or None for the default) -> (precision_bits, lambda_plane,
@@ -337,17 +343,17 @@ def test_certificate_strings_pinned(n, width):
     are exactly the pinned strings"""
     cert = C.certify_dimension(n, target_width=width or C.DEFAULT_TARGET_WIDTH)
     bits, lam, m_values = PINNED_CERTIFICATES[n, width]
-    assert cert.verdict == "Proven"
-    assert (cert.precision_bits, cert.lambda_plane) == (bits, lam)
-    assert {(e.k, e.l): e.m_value for e in cert.entries} == m_values
+    assert cert["verdict"] == "Proven"
+    assert (cert["precision_bits"], cert["lambda_plane"]) == (bits, lam)
+    assert {(e["k"], e["l"]): e["m_value"] for e in cert["entries"]} == m_values
 
 
 class TestCertifyRange:
     def test_range_and_replay(self, tmp_path):
         out = tmp_path / "certs.json"
         certs = C.certify(range(8, 13), out=str(out))
-        assert [c.n for c in certs] == [8, 9, 10, 11, 12]
-        assert all(c.verdict == "Proven" for c in certs)
+        assert [c["n"] for c in certs] == [8, 9, 10, 11, 12]
+        assert all(c["verdict"] == "Proven" for c in certs)
         data = json.loads(out.read_text())
         assert [C.replay_certificate(d) for d in data] == ["Proven"] * 5
 
@@ -374,7 +380,7 @@ class TestCertifyRange:
         monkeypatch.setattr(C.os, "cpu_count", lambda: 2)
         certs = C.certify([8, 9, 10], jobs=100_000)
         assert requested == [2]
-        assert [c.n for c in certs] == [8, 9, 10]
+        assert [c["n"] for c in certs] == [8, 9, 10]
         monkeypatch.setattr(C.os, "cpu_count", lambda: 64)
         C.certify([8, 9], jobs=100_000)
         assert requested == [2, 2]
@@ -392,18 +398,17 @@ class TestCertifyRange:
     def test_determinism_modulo_timestamp(self):
         a = C.certify_dimension(10)
         b = C.certify_dimension(10)
-        da, db = a.to_dict(), b.to_dict()
-        da.pop("timestamp")
-        db.pop("timestamp")
-        assert da == db
+        a.pop("timestamp")
+        b.pop("timestamp")
+        assert a == b
 
     def test_certificate_layout(self):
         """the keys of a certificate and of each entry come in one fixed
         order, which is the JSON file layout; the dict survives a `json`
         round trip, and the certificate pickles as a worker returns it"""
-        cert = C.certify_dimension(8)
-        d = cert.to_dict()
-        keys = ["n", "precision_bits", "lambda_plane", "entries", "verdict", "tool_version", "timestamp"]
+        d = C.certify_dimension(8)
+        keys = ["n", "precision_bits", "target_width", "lambda_plane", "entries", "verdict", "tool_version",
+                "timestamp"]
         assert list(d) == keys
         assert d["entries"]
         for entry in d["entries"]:
@@ -411,12 +416,12 @@ class TestCertifyRange:
         text = json.dumps(d, indent=1)
         assert json.loads(text) == d
         assert json.dumps(json.loads(text), indent=1) == text
-        assert json.dumps(pickle.loads(pickle.dumps(cert)).to_dict(), indent=1) == text
+        assert json.dumps(pickle.loads(pickle.dumps(d)), indent=1) == text
 
     def test_replay_flags_tampering(self):
         """an m_value equal to lambda_plane leaves strictness undecided; one
         whose midpoint lies 1 above lambda_plane's, at the same radius, fails"""
-        cert = C.certify_dimension(8).to_dict()
+        cert = C.certify_dimension(8)
         cert["entries"][0]["m_value"] = cert["lambda_plane"]
         assert C.replay_certificate(cert) == "Undecided"
         mid, rad = cert["lambda_plane"].split(" +/- ")
@@ -428,7 +433,7 @@ class TestCertifyRange:
     def test_replay_rejects_empty_or_foreign_entries(self):
         """a certificate with no entries, or with an entry whose pair does not
         match its dimension, carries no evidence for n and replays as Failed"""
-        cert = C.certify_dimension(8).to_dict()
+        cert = C.certify_dimension(8)
         assert C.replay_certificate({**cert, "entries": []}) == "Failed"
         cert["entries"][0]["k"] = cert["entries"][0]["l"] = 30
         assert C.replay_certificate(cert) == "Failed"
@@ -437,8 +442,9 @@ class TestCertifyRange:
         """balls that a 64-bit parse rounds onto each other are still ordered:
         strictness compares the exact decimal values"""
         lam, m = "1.00000000000000000000001e+0 +/- 0", "1e+0 +/- 0"
-        assert C.strictness(m, lam) is TriBool.CERTAINLY_TRUE
-        assert C.strictness(lam, m) is TriBool.CERTAINLY_FALSE
+        m_fr, lam_fr = ball_str_fractions(m), ball_str_fractions(lam)
+        assert C.strictness(m_fr, lam_fr) is TriBool.CERTAINLY_TRUE
+        assert C.strictness(lam_fr, m_fr) is TriBool.CERTAINLY_FALSE
         cert = {
             "n": 8,
             "precision_bits": 64,
@@ -450,11 +456,107 @@ class TestCertifyRange:
     @pytest.mark.parametrize("lam", ["7.29e+0", "7.29e+0 +/- -1e-9", "7.29e+1000000 +/- 0"])
     def test_replay_rejects_malformed_ball(self, lam):
         """a ball string without "+/-", with a negative radius, or with an
-        exponent past MAX_DECIMAL_EXPONENT is an error"""
-        cert = C.certify_dimension(8).to_dict()
+        exponent past MAX_DECIMAL_EXPONENT replays as Failed"""
+        cert = C.certify_dimension(8)
         cert["lambda_plane"] = lam
-        with pytest.raises(ValueError):
-            C.replay_certificate(cert)
+        assert C.replay_certificate(cert) == "Failed"
+
+
+class TestOneVerdict:
+    """`certify_dimension` sets its verdict by the rule that replay applies,
+    so every certificate replays from its JSON to the verdict it stores"""
+
+    @staticmethod
+    def replayed(cert: dict) -> str:
+        return C.replay_certificate(json.loads(json.dumps(cert)))
+
+    def test_missed_width_replays_undecided(self):
+        """at 512 bits both pairs of n = 8 decide strictness but are wider
+        than 1e-200: the certificate is Undecided, and so is its replay;
+        without its target_width, in the format before that key, it replays
+        with no width test, as Proven"""
+        cert = C.certify_dimension(8, target_width=1e-200, prec_max=512)
+        assert (cert["verdict"], cert["precision_bits"], cert["target_width"]) == ("Undecided", 512, 1e-200)
+        assert all(e["strict"] == "CertainlyTrue" for e in cert["entries"])
+        assert self.replayed(cert) == "Undecided"
+        legacy = {key: value for key, value in cert.items() if key != "target_width"}
+        assert self.replayed(legacy) == "Proven"
+
+    def test_low_precision_certificates_replay_to_their_verdict(self):
+        """every pair of n = 4..30 at width 1000 from one attempt at 1 to 4
+        bits, wherever no error is raised"""
+        verdicts = set()
+        for n in range(4, 31):
+            for prec in range(1, 5):
+                try:
+                    cert = C.certify_dimension(n, "all", 1000.0, prec, prec)
+                except PrecisionExhausted:
+                    continue
+                assert self.replayed(cert) == cert["verdict"], (n, prec)
+                verdicts.add(cert["verdict"])
+        assert verdicts == {"Proven", "Undecided"}
+
+    def test_tight_width_certificates_replay_to_their_verdict(self):
+        for n in range(25, 31):
+            cert = C.certify_dimension(n, target_width=1e-45)
+            assert self.replayed(cert) == cert["verdict"] == "Proven", n
+
+
+class TestReplayRejects:
+    """a hand edit that leaves a certificate without evidence for its
+    dimension, or malformed, replays as Failed and never raises"""
+
+    @pytest.mark.parametrize("n,pair", [(8, (1, 5)), (8, (5, 1)), (10, (2, 6))])
+    def test_pair_outside_the_valid_ratio(self, n, pair):
+        """k + l + 2 = n holds, but k/l is not strictly between 1/3 and 3"""
+        cert = C.certify_dimension(n)
+        cert["entries"][-1]["k"], cert["entries"][-1]["l"] = pair
+        assert C.replay_certificate(cert) == "Failed"
+
+    @pytest.mark.parametrize("n,agreement", [(8, None), (8, 1), (8, "true"), (25, True)])
+    def test_path_agreement_of_the_wrong_kind(self, n, agreement):
+        """a boolean up to QUADRATURE_MAX_N, where the agreement check runs,
+        and null above it"""
+        cert = C.certify_dimension(n)
+        cert["entries"][0]["path_agreement"] = agreement
+        assert C.replay_certificate(cert) == "Failed"
+
+    @pytest.mark.parametrize(
+        "lam,m", [(None, "-5e+0 +/- 1e+0"), (None, "-1e+0 +/- 1e+0"), ("-1e+0 +/- 1e+0", "-5e+0 +/- 1e+0")]
+    )
+    def test_enclosure_certainly_at_or_below_zero(self, lam, m):
+        """M and lambda_plane are positive, so an enclosure with mid + rad <= 0
+        is not one of them, although M below lambda_plane still holds"""
+        cert = C.certify_dimension(8)
+        for entry in cert["entries"]:
+            entry["m_value"] = m
+        cert["lambda_plane"] = lam or cert["lambda_plane"]
+        assert C.replay_certificate(cert) == "Failed"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["entries"][0].pop("path_agreement"),
+            lambda c: c.pop("lambda_plane"),
+            lambda c: c.update(n=8.0),
+            lambda c: c["entries"][0].update(k="3"),
+            lambda c: c["entries"][0].update(m_value=6.8),
+            lambda c: c.update(target_width="1e-12"),
+            lambda c: c.update(target_width=float("nan")),
+            lambda c: c.update(lambda_plane="abc +/- 1e-30"),
+            lambda c: c["entries"][0].update(m_value="1/0 +/- 0"),
+        ],
+        ids=["no-agreement", "no-lambda", "float-n", "str-k", "float-m", "str-width", "nan-width",
+             "unparsable", "zero-denominator"],
+    )
+    def test_malformed_certificate(self, edit):
+        cert = C.certify_dimension(8)
+        edit(cert)
+        assert C.replay_certificate(cert) == "Failed"
+
+    @pytest.mark.parametrize("cert", [None, [], "certificate"])
+    def test_not_an_object(self, cert):
+        assert C.replay_certificate(cert) == "Failed"
 
 
 class TestTable:

@@ -15,7 +15,7 @@ from lenscert.ball import (
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_float, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument
 
 
@@ -51,7 +51,7 @@ class TestArcProfileQuadrature:
             for k, l in geom.default_pairs(n):
                 arcs.clear()
                 q = geom.competitor_energy_quadrature(k, l, 64)
-                assert bf_cmp(q.m_value.width(), bf_from_float(1e-6)) <= 0
+                assert 2 * bf_to_fraction(q.m_value.rad) <= Fraction(1e-6)
                 assert arcs == ([k] if k == l else [k, l]), (k, l, arcs)
 
     def test_moments_match_polynomial_arcs(self):
@@ -79,14 +79,14 @@ class TestArcProfileQuadrature:
                     for e, got, exact in zip((jj, jj + 2), moments, poly):
                         scaled = ball_mul(ball_pow_int(radius, e, w), got, w)
                         assert intersects(scaled, exact), (k, l, kk, e)
-                        assert bf_cmp(scaled.width(), bf_two_power(-100)) <= 0, (k, l, kk, e)
+                        assert bf_cmp(scaled.rad, bf_two_power(-101)) <= 0, (k, l, kk, e)
 
     def test_pass_precision_angle_keeps_wide_pair_narrow(self):
         """the constants and the corner angle are taken at the pass
         precision, so their radii, amplified by the binomial cancellation of
         the arc with k = 16, do not set the width of (16,6)"""
         q = geom.competitor_energy_quadrature(16, 6, 64)
-        assert bf_cmp(q.m_value.width(), bf_from_float(1e-9)) < 0
+        assert 2 * bf_to_fraction(q.m_value.rad) < Fraction(1e-9)
 
     @pytest.mark.parametrize("k,l", [(2, 4), (11, 11), (10, 12), (3, 5)])
     def test_arc_pass_encloses_mpmath(self, k, l):
@@ -133,7 +133,7 @@ class TestArcProfileQuadrature:
                             man, exp = exact.man_exp
                             assert _contains(got, Fraction(man) * Fraction(2) ** exp), (kk, j, w)
                         if start is lower:
-                            assert bf_cmp(got.width(), bf_from_float(width)) <= 0, (kk, j, w)
+                            assert 2 * bf_to_fraction(got.rad) <= Fraction(width), (kk, j, w)
 
 
 class TestLensExactWallis:
@@ -217,7 +217,7 @@ class TestPolynomialMValue:
         """one integrand polynomial per arc, evaluated by Horner, keeps the
         64-bit enclosure below 1e-14 wide"""
         en = oracle.polynomial_m_value(k, l, 64)
-        assert bf_to_fraction(en.m_value.width()) < Fraction(1, 10**14)
+        assert 2 * bf_to_fraction(en.m_value.rad) < Fraction(1, 10**14)
 
     @pytest.mark.parametrize("k,l,calls", [(11, 11, 1), (9, 11, 2)])
     def test_one_expansion_per_arc(self, monkeypatch, k, l, calls):

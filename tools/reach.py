@@ -19,9 +19,10 @@ before lenscert is imported, then runs, in this one process, through
 - the command-line error inputs, among them `table` and `plot` over
   8..10^12, which end at the dimension cap before the range is built;
 
-and `certify.replay_certificate` on every certificate written, and on one
-tampered certificate.  Worker processes started by `--jobs 2` are not
-traced; the serial runs reach every line they run.
+and `certify.replay_certificate` on every certificate written, on one
+tampered certificate, and on the `HAND_EDITS` of the n = 8 one.  Worker
+processes started by `--jobs 2` are not traced; the serial runs reach
+every line they run.
 
 Each unreached line is printed as `file:line: source`, followed by a count
 per file.  The run takes about 11 s on a 2-core container.
@@ -92,6 +93,20 @@ ERROR_RUNS = [
 ]
 
 
+# edits of the n = 8 certificate that replay: a pair outside 1/3 < k/l < 3,
+# a null path_agreement where the agreement check runs, a missing key, an
+# m_value certainly below 0, a ball string without "+/-", and the format
+# without target_width
+HAND_EDITS = [
+    lambda c: c["entries"][-1].update(k=1, l=5),
+    lambda c: c["entries"][0].update(path_agreement=None),
+    lambda c: c["entries"][0].pop("path_agreement"),
+    lambda c: c["entries"][0].update(m_value="-5e+0 +/- 1e+0"),
+    lambda c: c.update(lambda_plane="7.29e+0"),
+    lambda c: c.pop("target_width"),
+]
+
+
 def executable_lines(path: pathlib.Path) -> set[int]:
     """The line numbers that start an instruction in any code object of the
     file, module level included."""
@@ -129,6 +144,11 @@ def run_surface(tmp: str) -> None:
     tampered = copy.deepcopy(certs[0])
     tampered["entries"][0]["m_value"] = tampered["lambda_plane"]
     certify.replay_certificate(tampered)
+    n8 = next(cert for cert in certs if cert["n"] == 8)
+    for edit in HAND_EDITS:
+        cert = copy.deepcopy(n8)
+        edit(cert)
+        certify.replay_certificate(cert)
 
 
 def main() -> int:

@@ -20,6 +20,7 @@ standard library is used; a run takes about twice the time of
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import json
 import os
@@ -49,14 +50,28 @@ def _shape(cert: dict) -> tuple:
     return cert["n"], cert["verdict"], cert["precision_bits"], entries
 
 
+def _target_widths(parent: list[dict], change: list[dict]) -> str:
+    """How the target_width keys compare: the same or different where both
+    sides have one, added where one side has it."""
+    kinds = collections.Counter()
+    for a, b in zip(parent, change):
+        if "target_width" in a and "target_width" in b:
+            kinds["same" if a["target_width"] == b["target_width"] else "differ"] += 1
+        elif "target_width" in a or "target_width" in b:
+            kinds["added on the %s side" % ("parent" if "target_width" in a else "change")] += 1
+    return "target_width: %s" % (", ".join("%d %s" % (v, k) for k, v in sorted(kinds.items())) or "on neither side")
+
+
 def compare_certificates(parent: list[dict], change: list[dict]) -> list[str]:
     """Report lines on two lists of certificates: whether the dimensions,
-    verdicts, precision_bits, pairs and path_agreement are all the same, and
-    then whether every lambda_plane and m_value intersects its counterpart,
-    by the exact rational check of bench/run.py, with the largest ratio of
-    a change width to its parent width."""
+    verdicts, precision_bits, pairs and path_agreement are all the same, how
+    their target_width keys compare, and then how many lambda_plane and
+    m_value strings are identical, whether every one intersects its
+    counterpart, by the exact rational check of bench/run.py, and the
+    largest ratio of a change width to its parent width."""
     same = len(parent) == len(change) and all(_shape(a) == _shape(b) for a, b in zip(parent, change))
     lines = ["dimensions, verdicts, precision_bits, pairs and path_agreement: %s" % ("same" if same else "differ")]
+    lines.append(_target_widths(parent, change))
     if not same:
         return lines
     balls = []
@@ -68,8 +83,9 @@ def compare_certificates(parent: list[dict], change: list[dict]) -> list[str]:
     apart = sum(not bench._encloses_same(a, b) for a, b in balls)
     ratios = [bench.parse_ball(b)[1] / bench.parse_ball(a)[1] for a, b in balls if bench.parse_ball(a)[1]]
     lines.append(
-        "%d of %d lambda_plane and m_value enclosures do not intersect their counterpart; "
-        "largest width ratio change/parent %s" % (apart, len(balls), "%.4f" % max(ratios) if ratios else "none")
+        "%d of %d lambda_plane and m_value strings identical, %d do not intersect their counterpart; "
+        "largest width ratio change/parent %s"
+        % (sum(a == b for a, b in balls), len(balls), apart, "%.4f" % max(ratios) if ratios else "none")
     )
     return lines
 
