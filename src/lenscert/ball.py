@@ -126,7 +126,8 @@ class Ball:
         return "Ball(%s)" % ball_to_str(self, max_digits=12)
 
     # -- operators: Ball +, -, * Ball, and Ball * Fraction ------------------
-    # their only caller is the generic arc routine `oracle._arc_poly_integrals`
+    # their only caller is `oracle._arc_poly_integrals` for the test reference
+    # `oracle.polynomial_m_value`; they go with it
 
     def __add__(self, other: "Ball") -> "Ball":
         return ball_add(self, other, max(self.prec, other.prec))

@@ -1,6 +1,10 @@
 """Certification driver: precision escalation, inequality certificates,
 table and plot-data reproduction, and the exact-value reports.
 
+Up to n = QUADRATURE_MAX_N a certificate also records, per pair, whether
+the special-function value agrees with one second path, the exact-moment
+value of `geom.competitor_energy_quadrature` at AGREEMENT_PREC bits.
+
 A certificate has one form, the JSON object that `certify_dimension` builds
 in file layout, and one verdict rule, `_replay`, which decides it from the
 object's fields alone: the exact decimal values of its `m_value` and
@@ -58,7 +62,7 @@ DEFAULT_PREC_START = 128
 # the 4300-digit int/str limit of Python; also the largest cap allowed
 DEFAULT_PREC_MAX = 1 << 13
 QUADRATURE_MAX_N = 24
-# the agreement paths run at this fixed precision, whatever the certificate's
+# the agreement path runs at this fixed precision, whatever the certificate's
 AGREEMENT_PREC = 64
 AGREEMENT_WIDTH = 1e-6
 # the largest n of `exact --mode simons`; n = 200 needs 512 bits
@@ -160,13 +164,11 @@ def certify_dimension(
     a lens whose own radius fails the rule is rejected before it is written.
     Both evaluators are looked up on `geom` at call time, so a tracer or a
     test can substitute them.  Up to n = QUADRATURE_MAX_N each pair is
-    checked against its second paths at AGREEMENT_PREC bits: the
-    exact-moment value of `geom.competitor_energy_quadrature` and, for odd
-    pairs, the polynomial value of `oracle.polynomial_m_value`.  A
-    second-path value agrees only when it is at most AGREEMENT_WIDTH wide
-    and intersects the pair's enclosure; a pair with a value that does not
-    sets its `path_agreement` to false.  The verdict is `_replay` of the
-    finished object.
+    checked against one second path at AGREEMENT_PREC bits, the exact-moment
+    value of `geom.competitor_energy_quadrature`.  It agrees only when it is
+    at most AGREEMENT_WIDTH wide and intersects the pair's enclosure; a pair
+    whose value does not sets its `path_agreement` to false.  The verdict is
+    `_replay` of the finished object.
     """
     pair_list = _resolve_pairs(n, pairs)
     if not 0 < target_width < math.inf:
@@ -212,14 +214,9 @@ def certify_dimension(
     # independent-path agreement below the quadrature ceiling
     if n <= QUADRATURE_MAX_N:
         for m_ball, entry in zip(balls, cert["entries"]):
-            k, l = entry["k"], entry["l"]
-            others = [geom.competitor_energy_quadrature(k, l, AGREEMENT_PREC)]
-            if k % 2 == 1 and l % 2 == 1:
-                others.append(oracle.polynomial_m_value(k, l, AGREEMENT_PREC))
-            entry["path_agreement"] = all(
-                _narrow(bf_to_fraction(o.m_value.rad), AGREEMENT_WIDTH) and intersects(m_ball, o.m_value)
-                for o in others
-            )
+            other = geom.competitor_energy_quadrature(entry["k"], entry["l"], AGREEMENT_PREC).m_value
+            narrow = _narrow(bf_to_fraction(other.rad), AGREEMENT_WIDTH)
+            entry["path_agreement"] = narrow and intersects(m_ball, other)
 
     cert["verdict"] = _replay(cert)
     cert["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -7,11 +7,10 @@ construction whose circular-arc constants are produced here.  Around the
 series all of it runs on the fixed-point kernel of `ball`, with one
 conversion to Ball for each value handed on.  The arc integrals are
 evaluated in two corner passes, one per arc: on the special-function route,
-and for the agreement check from exact trigonometric moments and, for odd
-index pairs, on the polynomial expansion (`oracle.polynomial_m_value`).
-Neither agreement value is checked where it is computed:
-`certify.certify_dimension` holds both to one width-and-intersection rule.
-All three share `lawson_constants` and `assemble_competitor`, so they
+and for the agreement check, its one second path, from exact trigonometric
+moments.  The agreement value is not checked where it is computed:
+`certify.certify_dimension` holds it to one width-and-intersection rule.
+Both share `lawson_constants` and `assemble_competitor`, so they
 cross-check the arc integrals only; the references that share no code with
 lenscert are the mpmath evaluations in the tests.
 """
@@ -312,8 +311,8 @@ def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:
     that is what lets this path catch a fault in those constants.  The
     constants and angles are taken at the pass precision ws, which covers
     the bits `_moment_bits` says the moments lose.  The width of the result
-    is not checked here: `certify.certify_dimension` holds every second
-    path to one agreement width.
+    is not checked here: `certify.certify_dimension` holds it to one
+    agreement width.
     """
     ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
     consts = lawson_constants(k, l, ws)

@@ -1,16 +1,16 @@
-"""Second evaluation paths for the certificate's agreement check, and the
+"""The second evaluation path of the certificate's agreement check, and the
 exact values behind the `exact` reports.
 
-Contains the competitor's arc integrals from exact trigonometric moments,
-summed on the fixed-point kernel, the exact cosine-power recursion for the
-lens quantities, the polynomial evaluation of the competitor energy for odd
-index pairs, and exact arithmetic in the field Q(sqrt2, sqrt3) for the
-balanced odd case.  One integrand polynomial per arc, `_arc_poly_integrals`,
-serves both the ball-valued polynomial path and the exact field path.  The
-competitor paths share `geom.lawson_constants` and `geom.assemble_competitor`
-with the special-function path they check, so they are independent in the
-arc integrals only; the references that share no code with lenscert are the
-mpmath evaluations in the tests.
+Contains the competitor's arc integrals from exact trigonometric moments on
+the fixed-point kernel, the agreement value of
+`geom.competitor_energy_quadrature`; the exact cosine-power lens recursion;
+and exact arithmetic in Q(sqrt2, sqrt3) for the balanced odd case, whose arc
+integrals are one polynomial per arc (`_arc_poly_integrals`).  In balls that
+polynomial is `polynomial_m_value`, a test reference that no certificate
+uses, kept while `bench/layers.py` names it.  The moment path shares
+`geom.lawson_constants` and `geom.assemble_competitor` with the path it
+checks, so it is independent in the arc integrals only; the references that
+share no code with lenscert are the mpmath evaluations in the tests.
 
 Normalization rule for the exact balanced-case field elements: the numerator
 and denominator of M(k,k) are each scaled by the least positive rational that
@@ -186,12 +186,15 @@ def _sqrt3_half_power(e: int) -> LensExact:
 def lambda_plane_exact_ball(n: int, cap: LensExact, vol: LensExact, prec: int) -> Ball:
     """Renormalized lens energy assembled from the exact cosine-power parts
     (cap, vol) = lens_exact_wallis(n)."""
-    w = prec + 16
     num = cap.scale(2) - _sqrt3_half_power(n - 1)
-    omega = unit_ball_volume(n - 1, w)
-    out = ball_mul(num.to_ball(w), pow_rational(omega, 1, n, w), w)
-    out = ball_div(out, pow_rational(vol.to_ball(w), n - 1, n, w), w)
-    return ball_round(out, prec)
+    return _exact_energy(lambda w: unit_ball_volume(n - 1, w), num, vol, n, prec)
+
+
+def _exact_energy(scale, num, den, n: int, prec: int) -> Ball:
+    """Both exact energies: scale(w)^(1/n) num / den^((n-1)/n), w = prec + 16."""
+    w = prec + 16
+    m = ball_mul(pow_rational(scale(w), 1, n, w), num.to_ball(w), w)
+    return ball_round(ball_div(m, pow_rational(den.to_ball(w), n - 1, n, w), w), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ def _normalize_q23(x: QSqrt23) -> tuple[QSqrt23, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial competitor-energy paths
+# the arc integrals as polynomials: the Simons path and a test reference
 # ---------------------------------------------------------------------------
 
 
@@ -274,9 +277,10 @@ def _arc_poly_integrals(radius, offset, kk: int, m: int, lower, upper) -> tuple:
 
     The coefficients of q^j come from those of q^(j-1) times c0 + c1 u - u^2,
     and each antiderivative u^(kk+1) sum_t q_t u^t / (kk+t+1) is evaluated
-    at both ends by Horner.  Works for any commutative value type with +, -,
-    * and * Fraction: the leading coefficient of q^j, (-1)^j, stays a
-    Fraction, and every product keeps a value of the type on its left.
+    at both ends by Horner, in `QSqrt23` (`exact_simons_m`) or, for the test
+    reference `polynomial_m_value`, `Ball`: the leading coefficient of q^j,
+    (-1)^j, stays a Fraction, and every product keeps a value of the type
+    on its left.
     """
     c0, c1 = radius * radius - offset * offset, offset * Fraction(-2)
     ends = []
@@ -309,11 +313,11 @@ def _arc_poly_integrals(radius, offset, kk: int, m: int, lower, upper) -> tuple:
 
 
 def polynomial_m_value(k: int, l: int, prec: int):
-    """Competitor energy for odd k, l from the polynomial arc integrands.
-
-    For odd indices each arc integrand u^kk q^j is a polynomial, expanded
-    once per arc by `_arc_poly_integrals`; only the geometric constants
-    and the rounding of the ball operations carry enclosure radii.
+    """Competitor energy for odd k, l from the polynomial arc integrands, one
+    `_arc_poly_integrals` expansion per arc: a test reference that no
+    certificate uses.  The moment path catches every fault this one does,
+    at most 8.6e-19 wide at 64 bits against up to 3.6e-16 here; this, and
+    with it the `Ball` operators, goes when `bench/layers.py` drops it.
     """
     from . import geom
 
@@ -340,15 +344,11 @@ class SimonsExact:
         self.num_scale, self.den_scale = num_scale, den_scale
 
     def assembled(self, prec: int) -> Ball:
-        """M(k,k) at prec bits: the outer rational powers and the volume
-        prefactor applied to the raw elements num / num_scale and
+        """M(k,k) at prec bits from the raw elements num / num_scale and
         den / den_scale."""
-        n, w = 2 * self.k + 2, prec + 16
-        ww = unit_ball_volume_product((self.k + 1, self.k + 1), w)
-        num_raw, den_raw = self.num * (1 / self.num_scale), self.den * (1 / self.den_scale)
-        m = ball_mul(pow_rational(ww, 1, n, w), num_raw.to_ball(w), w)
-        m = ball_div(m, pow_rational(den_raw.to_ball(w), n - 1, n, w), w)
-        return ball_round(m, prec)
+        ww = lambda w: unit_ball_volume_product((self.k + 1, self.k + 1), w)
+        num, den = self.num * (1 / self.num_scale), self.den * (1 / self.den_scale)
+        return _exact_energy(ww, num, den, 2 * self.k + 2, prec)
 
 
 def exact_simons_m(k: int) -> SimonsExact:

@@ -8,7 +8,7 @@ disagree with the competitor construction itself; `M_ERRATA` holds the
 certified digits for those pairs, and the table test asserts them and that
 the published digits are refuted.  For even pairs the library has two
 evaluation paths (special function and exact trigonometric moments), for all-odd
-pairs three (plus the exact polynomial path).  `test_m_reference_mpmath`
+pairs three (plus the polynomial test reference).  `test_m_reference_mpmath`
 settles every row with an mpmath evaluation that shares no code with
 lenscert.
 """

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lenscert import certify as C
-from lenscert import cli, geom
+from lenscert import cli, geom, oracle, specfun
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_fractions, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
@@ -123,30 +123,65 @@ class TestCertifyDimension:
         assert cert["verdict"] == "Failed"
         assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(3, 3, False), (2, 4, False)]
 
-    def test_small_fault_in_d_fails_agreement(self, monkeypatch):
-        """d and h scaled by 1 + 1e-9 move the special-function value, while
-        the moment path takes its arc endpoints from the corner angle: its
-        narrow balls disagree on both pairs of n = 24, also on (10,12), which
-        has no polynomial path"""
-        lawson_constants = geom.lawson_constants
+    @pytest.mark.parametrize("n", [8, 22, 24])
+    @pytest.mark.parametrize("fault", ["rho", "d", "r", "lambda_", "h", "f1"])
+    def test_small_fault_in_d_fails_agreement(self, fault, n, monkeypatch):
+        """the fault study at the dimensions with odd pairs: rho, d, r,
+        lambda or h scaled by 1 + 1e-9 in `geom.lawson_constants`, or the
+        perimeter integral (the first value of `specfun.appell_f1`), moves
+        the special-function value off the moment value, whose arcs start at
+        the corner angles; its narrow balls disagree on every pair.  The one
+        exception is h, which enters nothing when k = l (one arc), so its
+        fault fails the unbalanced pair only"""
         scale = Ball.from_fraction(Fraction(10**9 + 1, 10**9), 256)
+        if fault == "f1":
+            appell_f1 = specfun.appell_f1
 
-        def faulty_constants(k, l, prec):
-            c = lawson_constants(k, l, prec)
-            d, h = (ball_mul(b, scale, prec + 8) for b in (c.d, c.h))
-            return geom.LawsonConstants(k, l, c.lambda_, h, c.r, d, c.rho, c.prec)
+            def faulty_f1(*args):
+                f1, f2 = appell_f1(*args)
+                return ball_mul(f1, scale, f1.prec), f2
 
-        monkeypatch.setattr(geom, "lawson_constants", faulty_constants)
-        cert = C.certify_dimension(24)
+            monkeypatch.setattr(specfun, "appell_f1", faulty_f1)
+        else:
+            lawson_constants = geom.lawson_constants
+
+            def faulty_constants(k, l, prec):
+                c = lawson_constants(k, l, prec)
+                setattr(c, fault, ball_mul(getattr(c, fault), scale, prec + 8))
+                return c
+
+            monkeypatch.setattr(geom, "lawson_constants", faulty_constants)
+        cert = C.certify_dimension(n)
         assert cert["verdict"] == "Failed"
-        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(11, 11, False), (10, 12, False)]
+        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [
+            (k, l, fault == "h" and k == l) for k, l in geom.default_pairs(n)
+        ]
+
+    @pytest.mark.parametrize("n, pairs", [(8, "default"), (22, "default"), (24, "default"), (24, "all")])
+    def test_one_second_path_per_pair(self, n, pairs, monkeypatch):
+        """the agreement check computes one second value per pair, the moment
+        value at AGREEMENT_PREC, and never the polynomial value"""
+        calls = []
+
+        def counted(name, f):
+            def wrapper(k, l, prec):
+                calls.append((name, k, l, prec))
+                return f(k, l, prec)
+
+            return wrapper
+
+        monkeypatch.setattr(geom, "competitor_energy_quadrature", counted("moment", geom.competitor_energy_quadrature))
+        monkeypatch.setattr(oracle, "polynomial_m_value", counted("polynomial", oracle.polynomial_m_value))
+        cert = C.certify_dimension(n, pairs=pairs)
+        assert [(e["k"], e["l"]) for e in cert["entries"]] == C._resolve_pairs(n, pairs)
+        assert calls == [("moment", e["k"], e["l"], C.AGREEMENT_PREC) for e in cert["entries"]]
 
     def test_too_wide_agreement_value_fails_the_pair(self, monkeypatch, tmp_path):
         """a second-path value wider than AGREEMENT_WIDTH fails its pair and
-        the batch goes on: at 1e-30 every pair of n = 8..9 fails, (3,3) with
-        its polynomial path included, and the file is written; at 1e-17
-        only the polynomial value of (11,11), about 3.6e-16 wide, is too
-        wide, while its moment value and both values of (10,12) are not"""
+        the batch goes on: at 1e-30 every pair of n = 8..9 fails and the file
+        is written; at 6e-19 only the moment value of (10,12), about
+        8.6e-19 wide, is too wide, while that of (11,11), about 4.7e-19, is
+        not"""
         monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-30)
         out = tmp_path / "certs.json"
         certs = C.certify(range(8, 10), out=str(out))
@@ -155,10 +190,10 @@ class TestCertifyDimension:
             (3, 3, False), (2, 4, False), (3, 4, False)
         ]
         assert [c["verdict"] for c in json.loads(out.read_text())] == ["Failed", "Failed"]
-        monkeypatch.setattr(C, "AGREEMENT_WIDTH", 1e-17)
+        monkeypatch.setattr(C, "AGREEMENT_WIDTH", 6e-19)
         cert = C.certify_dimension(24)
         assert cert["verdict"] == "Failed"
-        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(11, 11, False), (10, 12, True)]
+        assert [(e["k"], e["l"], e["path_agreement"]) for e in cert["entries"]] == [(11, 11, True), (10, 12, False)]
 
     def test_cancellation_rejects_the_attempt(self, monkeypatch):
         """a ball-layer cancellation below 256 bits escalates the precision;
@@ -254,9 +289,9 @@ class TestCertifyDimension:
             assert e["m_value"] == ball_to_str(geom.competitor_energy_specfun(e["k"], e["l"], 128).m_value)
 
     def test_low_precision_cap_ends_undecided(self):
-        """the agreement paths run at AGREEMENT_PREC whatever the certificate's
+        """the agreement path runs at AGREEMENT_PREC whatever the certificate's
         precision, so a 16-bit cap at n = 24 gives an Undecided certificate
-        instead of a PrecisionExhausted from the polynomial path"""
+        whose pairs all agree, instead of an error from a 16-bit second path"""
         cert = C.certify_dimension(24, prec_start=16, prec_max=16)
         assert cert["verdict"] == "Undecided" and cert["precision_bits"] == 16
         assert [(e["k"], e["l"]) for e in cert["entries"]] == geom.default_pairs(24)

@@ -25,7 +25,7 @@ def _contains(b, x) -> bool:
 
 # certified reference values (8 decimals).  Every M entry is reproduced by the
 # special-function and exact-moment paths (and, for all-odd pairs, the
-# exact polynomial path), and by the mpmath evaluation that shares no code
+# polynomial test reference), and by the mpmath evaluation that shares no code
 # with lenscert, tests/test_acceptance.py::TestCriterion1Table::
 # test_m_reference_mpmath.  For the six pairs with an even index these are
 # the errata digits there, not the published table entries.
