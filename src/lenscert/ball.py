@@ -15,6 +15,7 @@ propose it, and an exact fixed-point power check accepts each bound.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from .bigfloat import (
     bf_round,
     bf_shift,
     bf_to_float,
-    bf_to_fraction,
     bf_two_power,
     rup,
     rup_add,
@@ -72,7 +72,7 @@ __all__ = [
     "cos_ball",
     "pow_rational",
     "ball_to_str",
-    "ball_str_fractions",
+    "ball_str_decimals",
     "ball_from_str",
 ]
 
@@ -635,11 +635,11 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     Each bound starts there, one step outward, the step covering the end's
     radius, c * er / (q zm), the float's error and four ulps for the error
     of c and the floors of the power.  Only the fixed-point power of a
-    candidate, radius included, decides; a rejected one steps outward, the
-    step doubling each time.  Upward, with C = c * 2**-W, the power's
-    midpoint is about C**q * 2**W ulps and its radius, made only of the
-    floors of products of the exact c, about q * C**(q-1) ulps, so the gap
-    grows without bound and some step clears it.  Downward, any c <= 2**W
+    candidate, radius included, decides (`_root_bound`); a rejected one
+    steps outward, the step doubling each time.  Upward, with C = c * 2**-W,
+    the power's midpoint is about C**q * 2**W ulps and its radius, made only
+    of the floors of products of the exact c, about q * C**(q-1) ulps, so the
+    gap grows without bound and some step clears it.  Downward, any c <= 2**W
     is a lower bound, as z >= 1, so c stops there at the latest.
     """
     if p < 0 or q <= 0:
@@ -652,7 +652,6 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     h = max(0, (F[0][0] - F[0][1]).bit_length() - 1 - W)
     s, t = divmod(g * p + h, q)
     ends = [_fx_mul_rat(f, 1 << t, 1 << h) for f in F]
-    one = 1 << W
     zm = (ends[0][0] + ends[1][0]) >> 1
     lc = (math.log2(zm) - W) / q + W
     k = int(lc)
@@ -670,15 +669,22 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
         man, ex = math.frexp(math.expm1(log_ratio / q))
         move = c * int(man * 2.0**53) >> (53 - ex)
         step = c * er // (q * zm) + (abs(move) >> 48) + 4
-        b = c + move
-        while True:
-            b = b + step if upper else max(b - step, one)
-            pm, pr = _fx_pow((b, 0), q, W)
-            if (pm - pr >= em + er) if upper else (b <= one or pm + pr <= em - er):
-                break
-            step *= 2
+        b = _root_bound(c + move, step, (em, er), q, W, upper)
         bounds.append(bf_shift(bf_from_int(b), s - W))
     return ball_from_endpoints(*bounds, prec)
+
+
+def _root_bound(b: int, step: int, end: tuple[int, int], q: int, W: int, upper: bool) -> int:
+    """The first of b + step, b + 3 step, b + 7 step, ... (upper), or of
+    b - step, b - 3 step, ... floored at 2**W, whose fixed-point q-th power at
+    W bits lies certainly above (below) every value of the fixed-point end."""
+    (em, er), one = end, 1 << W
+    while True:
+        b = b + step if upper else max(b - step, one)
+        pm, pr = _fx_pow((b, 0), q, W)
+        if (pm - pr >= em + er) if upper else (b <= one or pm + pr <= em - er):
+            return b
+        step *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +692,19 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-def _floor_log10(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("log10 of nonpositive value")
-    # estimate from binary magnitude, then correct exactly
-    num, den = x.numerator, x.denominator
-    e = int((num.bit_length() - den.bit_length()) * 0.30103) - 1
-    while 10 ** (e + 1) <= num / Fraction(den):
+def _times10(num: int, den: int, k: int) -> tuple[int, int]:
+    """(num / den) * 10**k as a ratio of integers."""
+    return (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+
+
+def _floor_log10(num: int, den: int) -> int:
+    """floor(log10(num / den)) for positive integers num and den: a float
+    estimate, corrected on integers (10**e <= num / den when the ratio
+    den 10**e / num is at most 1)."""
+    e = math.floor(math.log10(num) - math.log10(den))
+    while (r := _times10(den, num, e + 1))[0] <= r[1]:
         e += 1
-    while Fraction(10) ** e > x:
+    while (r := _times10(den, num, e))[0] > r[1]:
         e -= 1
     return e
 
@@ -702,78 +712,73 @@ def _floor_log10(x: Fraction) -> int:
 def _format_decimal(q: int, e10: int) -> str:
     """Scientific string for q * 10**e10 with q an integer."""
     s = str(abs(q))
-    exp = e10 + len(s) - 1
-    digits = s[0] + ("." + s[1:] if len(s) > 1 else "")
-    sign = "-" if q < 0 else ""
-    return "%s%se%+d" % (sign, digits, exp)
+    return "%s%s%se%+d" % ("-" if q < 0 else "", s[0], "." + s[1:] if s[1:] else "", e10 + len(s) - 1)
 
 
 def ball_to_str(b: Ball, max_digits: int | None = None) -> str:
-    mid_fr = bf_to_fraction(b.mid)
-    rad_fr = bf_to_fraction(b.rad)
-    if mid_fr == 0:
+    """"<mid> +/- <rad>": mid rounded half away from zero to the digits
+    that reach about rad/8, and rad rounded up to two digits after adding
+    the rounding error of mid, on the integers of the dyadic mid and rad."""
+    # |mid| = mn / den and the radius to write tn / td
+    e = min(b.mid.exp, b.rad.exp, 0)
+    mn, tn, td = b.mid.man << (b.mid.exp - e), b.rad.man << (b.rad.exp - e), 1 << -e
+    if not mn:
         mid_str = "0"
-        delta = Fraction(0)
     else:
-        e10 = _floor_log10(abs(mid_fr))
-        if rad_fr > 0:
+        e10 = _floor_log10(mn, td)
+        if tn:
             # print down to roughly rad/8 so the widening stays marginal
-            digits = e10 - _floor_log10(rad_fr / 8) + 1
-            digits = max(1, digits)
+            digits = max(1, e10 - _floor_log10(tn, 8 * td) + 1)
         else:
             digits = int(b.prec * 0.30103) + 2
         if max_digits is not None:
             digits = min(digits, max_digits)
         shift = digits - 1 - e10
-        scaled = mid_fr * Fraction(10) ** shift
-        q = int(scaled + Fraction(1, 2)) if scaled >= 0 else -int(-scaled + Fraction(1, 2))
-        mid_str = _format_decimal(q, -shift)
-        delta = abs(mid_fr - q * Fraction(10) ** (-shift))
-    total = rad_fr + delta
-    if total == 0:
-        rad_str = "0"
-    else:
-        er = _floor_log10(total)
-        scale = Fraction(10) ** (1 - er)
-        qr = total * scale
-        qr_int = qr.numerator // qr.denominator + (1 if qr.numerator % qr.denominator else 0)
-        rad_str = _format_decimal(qr_int, er - 1)
-    return "%s +/- %s" % (mid_str, rad_str)
+        num, den = _times10(mn, td, shift)
+        q = (2 * num + den) // (2 * den)
+        mid_str = _format_decimal(q if b.mid.sign > 0 else -q, -shift)
+        # add the rounding error |mid - q 10**-shift|
+        dn, dd = _times10(abs(num - q * den), den, -shift)
+        tn, td = tn * dd + dn * td, td * dd
+    if not tn:
+        return "%s +/- 0" % mid_str
+    er = _floor_log10(tn, td)
+    num, den = _times10(tn, td, 1 - er)
+    return "%s +/- %s" % (mid_str, _format_decimal(-(-num // den), er - 1))
 
 
 # the largest decimal exponent a parsed ball string may carry; at the 8192-bit
 # precision cap `ball_to_str` writes exponents of about 2500 at most
 MAX_DECIMAL_EXPONENT = 100_000
 
-
-def _exact_decimal(s: str) -> Fraction:
-    """The exact value of a decimal string whose exponent is at most
-    MAX_DECIMAL_EXPONENT in magnitude, so a short string cannot make the
-    parse expand a huge power of ten."""
-    exp = s.partition("e")[2] or s.partition("E")[2]
-    # five characters or fewer cannot spell an exponent past the bound
-    if len(exp) > 5 and abs(int(exp)) > MAX_DECIMAL_EXPONENT:
-        raise ValueError("decimal exponent beyond %d in %r" % (MAX_DECIMAL_EXPONENT, s))
-    return Fraction(s)
+# sign, digits, an optional point and digits, an optional exponent, twice
+_DECIMAL = r"([-+]?[0-9]+)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?"
+_BALL_STR = re.compile(r"\s*%s\s*\+/-\s*%s\s*" % (_DECIMAL, _DECIMAL))
 
 
-def ball_str_fractions(s: str) -> tuple[Fraction, Fraction]:
-    """The exact midpoint and radius of a "<mid> +/- <rad>" string."""
-    mid_part, sep, rad_part = s.partition("+/-")
-    if not sep:
-        raise ValueError("missing '+/-' separator in %r" % s)
-    mid, rad = _exact_decimal(mid_part), _exact_decimal(rad_part)
-    if rad < 0:
-        raise ValueError("negative radius in %r" % s)
-    return mid, rad
+def ball_str_decimals(s: str) -> tuple[int, int, int]:
+    """The exact midpoint and radius of a "<mid> +/- <rad>" string, whose
+    parts are decimals of the grammar above, as integers over one power of
+    ten: (mid, rad, den) for mid/den +/- rad/den.  A negative radius is a
+    ValueError, and so is an exponent beyond MAX_DECIMAL_EXPONENT in
+    magnitude, before a short string can expand a huge power of ten."""
+    match = _BALL_STR.fullmatch(s)
+    if match is None:
+        raise ValueError("not a ball string: %r" % (s,))
+    im, fm, xm, ir, fr, xr = match.groups("")
+    mid, rad, em, er = int(im + fm), int(ir + fr), int(xm or 0), int(xr or 0)
+    if rad < 0 or max(abs(em), abs(er)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError("negative radius or exponent beyond %d in %r" % (MAX_DECIMAL_EXPONENT, s))
+    em, er = em - len(fm), er - len(fr)
+    e = min(em, er, 0)
+    return mid * 10 ** (em - e), rad * 10 ** (er - e), 10**-e
 
 
 def ball_from_str(s: str, prec: int) -> Ball:
     """A ball at precision prec that encloses the string's ball.  The parse
     rounds outward, by an amount that depends on prec, so verdicts never use
     it: `certify.strictness` compares the exact values instead."""
-    mid_fr, rad_fr = ball_str_fractions(s)
-    mid, err = bf_from_fraction(mid_fr, prec)
-    rad_bf, rad_err = bf_from_fraction(rad_fr, RADIUS_PREC + 4)
-    rad = rup_add(rup_add(rup(rad_bf), rup(rad_err)), err)
-    return Ball(mid, rad, prec)
+    mid, rad, den = ball_str_decimals(s)
+    mid_bf, err = bf_from_fraction(Fraction(mid, den), prec)
+    rad_bf, rad_err = bf_from_fraction(Fraction(rad, den), RADIUS_PREC + 4)
+    return Ball(mid_bf, rup_add(rup_add(rup(rad_bf), rup(rad_err)), err), prec)

@@ -12,7 +12,9 @@ object's fields alone: the exact decimal values of its `m_value` and
 `path_agreement` flags.  `certify_dimension` sets the verdict by calling
 `_replay` on the object it built and `replay_certificate` calls it on a
 file's, so a replay gives the stored verdict by construction, and needs
-only `json`, `fractions`, the parser `ball.ball_str_fractions` and `_replay`.
+only `json`, the parser `ball.ball_str_decimals` and `_replay`, which
+decides on integers: each string's midpoint and radius over one power of
+ten, and `target_width` as an integer ratio.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import __version__, geom, oracle
 from .ball import (
     Ball,
     TriBool,
-    ball_str_fractions,
+    ball_str_decimals,
     ball_sub,
     ball_to_str,
     intersects,
@@ -80,22 +82,29 @@ def _resolve_pairs(n: int, pairs: str) -> list[tuple[int, int]]:
     raise InvalidArgument("pairs must be 'default' or 'all', got %r" % (pairs,))
 
 
-def strictness(m: tuple[Fraction, Fraction], lam: tuple[Fraction, Fraction]) -> TriBool:
+def strictness(m: tuple[int, int, int], lam: tuple[int, int, int]) -> TriBool:
     """Whether M < lambda_plane holds over two balls, each given as the exact
-    (mid, rad) of its string (`ball_str_fractions`)."""
-    (m_mid, m_rad), (l_mid, l_rad) = m, lam
-    if m_mid + m_rad < l_mid - l_rad:
+    (mid, rad, den) of its string (`ball_str_decimals`), decided on integers
+    by cross-multiplying the two denominators."""
+    (m_mid, m_rad, m_den), (l_mid, l_rad, l_den) = m, lam
+    if (m_mid + m_rad) * l_den < (l_mid - l_rad) * m_den:
         return TriBool.CERTAINLY_TRUE
-    if m_mid - m_rad > l_mid + l_rad:
+    if (m_mid - m_rad) * l_den > (l_mid + l_rad) * m_den:
         return TriBool.CERTAINLY_FALSE
     return TriBool.UNKNOWN
 
 
-def _narrow(rad: Fraction, tw) -> bool:
-    """The one width rule: a ball of radius rad is at most tw wide,
-    2 rad <= tw, decided on the exact value of the float or int tw."""
-    p, q = tw.as_integer_ratio()
-    return 2 * rad.numerator * q <= p * rad.denominator
+def _narrow(rad: tuple[int, int], tw) -> bool:
+    """The one width rule: a ball whose radius is the ratio rad of two
+    integers is at most tw wide, 2 rad <= tw, decided on integers with the
+    exact value of the float or int tw."""
+    (num, den), (p, q) = rad, tw.as_integer_ratio()
+    return 2 * num * q <= p * den
+
+
+def _radius(b: Ball) -> tuple[int, int]:
+    """The radius of an unwritten ball, for `_narrow`."""
+    return bf_to_fraction(b.rad).as_integer_ratio()
 
 
 def _escalate(enclosures, ok, prec_start: int, prec_max: int):
@@ -187,23 +196,23 @@ def certify_dimension(
     balls = []  # the m_value balls of the latest attempt, for the agreement rule
 
     def enclosures(prec: int):
-        # (radius, strictness or None) per acceptance test; the lens has two,
-        # its own radius and then its string's
+        # ((rad, den), strictness or None) per acceptance test; the lens has
+        # two, its own radius and then its string's
         lens = geom.lens_quantities(n, prec).lambda_plane
-        yield bf_to_fraction(lens.rad), None
+        yield _radius(lens), None
         cert["lambda_plane"] = ball_to_str(lens)
-        lam = ball_str_fractions(cert["lambda_plane"])
-        yield lam[1], None
+        lam = ball_str_decimals(cert["lambda_plane"])
+        yield lam[1:], None
         entries = cert["entries"] = []
         balls.clear()
         for k, l in pair_list:
             m_ball = geom.competitor_energy_specfun(k, l, prec).m_value
             m_str = ball_to_str(m_ball)
-            m = ball_str_fractions(m_str)
+            m = ball_str_decimals(m_str)
             strict = strictness(m, lam)
             entries.append({"k": k, "l": l, "m_value": m_str, "path_agreement": None, "strict": strict.value})
             balls.append(m_ball)
-            yield m[1], strict
+            yield m[1:], strict
 
     def ok(item) -> bool:
         rad, strict = item
@@ -215,7 +224,7 @@ def certify_dimension(
     if n <= QUADRATURE_MAX_N:
         for m_ball, entry in zip(balls, cert["entries"]):
             other = geom.competitor_energy_quadrature(entry["k"], entry["l"], AGREEMENT_PREC).m_value
-            narrow = _narrow(bf_to_fraction(other.rad), AGREEMENT_WIDTH)
+            narrow = _narrow(_radius(other), AGREEMENT_WIDTH)
             entry["path_agreement"] = narrow and intersects(m_ball, other)
 
     cert["verdict"] = _replay(cert)
@@ -284,7 +293,9 @@ def certify(
 def _replay(cert: dict) -> str:
     """The verdict of a certificate object, from its fields alone: the one
     verdict rule, which `certify_dimension` applies to the object it builds
-    and `replay_certificate` to a file's.  Each ball string is parsed once.
+    and `replay_certificate` to a file's.  Each ball string is parsed once,
+    into integers (`ball_str_decimals`), and every test below compares
+    integers; no Fraction is built.
 
     Failed: a key is missing, a field has the wrong type or a ball string
     does not parse; there are no entries; a pair is not one of the
@@ -299,11 +310,11 @@ def _replay(cert: dict) -> str:
     """
     try:
         n, entries, width = cert["n"], cert["entries"], cert.get("target_width")
-        lam = ball_str_fractions(cert["lambda_plane"])
-        ms = [ball_str_fractions(e["m_value"]) for e in entries]
+        lam = ball_str_decimals(cert["lambda_plane"])
+        ms = [ball_str_decimals(e["m_value"]) for e in entries]
         pairs = [(e["k"], e["l"]) for e in entries]
         agreements = [e["path_agreement"] for e in entries]
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return "Failed"
     balls = [lam, *ms]
     stricts = [strictness(m, lam) for m in ms]
@@ -315,12 +326,11 @@ def _replay(cert: dict) -> str:
         # true where the agreement check runs, null above
         or any(a is not (True if n <= QUADRATURE_MAX_N else None) for a in agreements)
         or width is not None and not (type(width) in (int, float) and 0 < width < math.inf)
-        # mid + rad <= 0, by the sign of its numerator
-        or any(mid.numerator * rad.denominator + rad.numerator * mid.denominator <= 0 for mid, rad in balls)
+        or any(mid + rad <= 0 for mid, rad, _ in balls)
         or TriBool.CERTAINLY_FALSE in stricts
     ):
         return "Failed"
-    if TriBool.UNKNOWN in stricts or width is not None and not all(_narrow(rad, width) for _, rad in balls):
+    if TriBool.UNKNOWN in stricts or width is not None and not all(_narrow(b[1:], width) for b in balls):
         return "Undecided"
     return "Proven"
 
@@ -437,7 +447,7 @@ def plot_rows(n_range) -> list[PlotRow]:
 
         (gap,), _, done = _escalate(
             enclosures,
-            lambda g: _narrow(bf_to_fraction(g.rad), DEFAULT_TARGET_WIDTH),
+            lambda g: _narrow(_radius(g), DEFAULT_TARGET_WIDTH),
             DEFAULT_PREC_START,
             DEFAULT_PREC_MAX,
         )
@@ -516,7 +526,7 @@ def _exact_paths(paths):
     most DEFAULT_TARGET_WIDTH wide."""
     items, _, _ = _escalate(
         lambda prec: [paths(prec)],
-        lambda pair: all(_narrow(bf_to_fraction(b.rad), DEFAULT_TARGET_WIDTH) for b in pair),
+        lambda pair: all(_narrow(_radius(b), DEFAULT_TARGET_WIDTH) for b in pair),
         DEFAULT_PREC_START,
         DEFAULT_PREC_MAX,
     )

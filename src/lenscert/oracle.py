@@ -252,18 +252,13 @@ def _lift_q23(x) -> QSqrt23:
 
 
 def _normalize_q23(x: QSqrt23) -> tuple[QSqrt23, Fraction]:
-    """Scale to coprime integer coordinates; returns (element, scale used)."""
-    denom_lcm = 1
-    for co in (x.a, x.b, x.c, x.d):
-        denom_lcm = denom_lcm * co.denominator // math.gcd(denom_lcm, co.denominator)
-    nums = [int(co * denom_lcm) for co in (x.a, x.b, x.c, x.d)]
-    g = 0
-    for v in nums:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        return x, Fraction(1)
-    scale = Fraction(denom_lcm, g)
-    return QSqrt23(*(Fraction(v // g) for v in nums)), scale
+    """Scale a nonzero element to coprime integer coordinates; returns
+    (element, scale used)."""
+    coords = (x.a, x.b, x.c, x.d)
+    denom_lcm = math.lcm(*(co.denominator for co in coords))
+    nums = [int(co * denom_lcm) for co in coords]
+    g = math.gcd(*nums)
+    return QSqrt23(*(Fraction(v // g) for v in nums)), Fraction(denom_lcm, g)
 
 
 # ---------------------------------------------------------------------------

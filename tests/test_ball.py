@@ -14,6 +14,7 @@ from lenscert.ball import (
     _fx_mul,
     _fx_mul_rat,
     _fx_pow,
+    _root_bound,
     _fx_sqrt,
     _fx_tail,
     _fx_to_ball,
@@ -23,7 +24,7 @@ from lenscert.ball import (
     ball_hull,
     ball_mul,
     ball_pow_int,
-    ball_str_fractions,
+    ball_str_decimals,
     ball_sub,
     ball_to_str,
     ball_widen,
@@ -187,6 +188,65 @@ def test_hull():
     assert _contains(h, 1) and _contains(h, 5) and _contains(h, 3)
 
 
+def _fraction_ball_to_str(b: Ball, max_digits: int | None = None) -> str:
+    """`ball_to_str` as it was written on Fractions, kept as the reference
+    that the integer writer must match byte for byte"""
+
+    def floor_log10(x: Fraction) -> int:
+        num, den = x.numerator, x.denominator
+        e = int((num.bit_length() - den.bit_length()) * 0.30103) - 1
+        while 10 ** (e + 1) <= num / Fraction(den):
+            e += 1
+        while Fraction(10) ** e > x:
+            e -= 1
+        return e
+
+    def fmt(q: int, e10: int) -> str:
+        s = str(abs(q))
+        return "%s%se%+d" % ("-" if q < 0 else "", s[0] + ("." + s[1:] if len(s) > 1 else ""), e10 + len(s) - 1)
+
+    mid_fr, rad_fr = bf_to_fraction(b.mid), bf_to_fraction(b.rad)
+    if mid_fr == 0:
+        mid_str, delta = "0", Fraction(0)
+    else:
+        e10 = floor_log10(abs(mid_fr))
+        digits = max(1, e10 - floor_log10(rad_fr / 8) + 1) if rad_fr > 0 else int(b.prec * 0.30103) + 2
+        if max_digits is not None:
+            digits = min(digits, max_digits)
+        shift = digits - 1 - e10
+        scaled = mid_fr * Fraction(10) ** shift
+        q = int(scaled + Fraction(1, 2)) if scaled >= 0 else -int(-scaled + Fraction(1, 2))
+        mid_str = fmt(q, -shift)
+        delta = abs(mid_fr - q * Fraction(10) ** (-shift))
+    total = rad_fr + delta
+    if total == 0:
+        return "%s +/- 0" % mid_str
+    er = floor_log10(total)
+    qr = total * Fraction(10) ** (1 - er)
+    return "%s +/- %s" % (mid_str, fmt(-(-qr.numerator // qr.denominator), er - 1))
+
+
+# the decimal grammar of a ball string part: sign, digits, an optional point
+# and digits, an optional exponent, with optional whitespace around
+_decimal_strings = st.builds(
+    lambda ws, sign, digits, point, exp: "%s%s%s%s%s%s" % (ws, sign, digits, point, exp, ws),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", min_size=1, max_size=60),
+    st.one_of(st.just(""), st.text("0123456789", max_size=60).map(lambda d: "." + d)),
+    st.one_of(
+        st.just(""),
+        st.builds(
+            lambda e, sign, zeros, x: "%s%s%s%d" % (e, sign, "0" * zeros, x),
+            st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 3),
+            st.integers(0, 400),
+        ),
+    ),
+)
+
+
 class TestSerialization:
     def test_round_trip_widens(self):
         rng = random.Random(9)
@@ -218,12 +278,42 @@ class TestSerialization:
         either part of the string, raised before any power of ten is expanded
         (parsing 1e+10000000 exactly takes seconds)"""
         top = MAX_DECIMAL_EXPONENT
-        assert ball_str_fractions("1e+%d +/- 1E-%d" % (top, top)) == (Fraction(10) ** top, Fraction(10) ** -top)
+        assert ball_str_decimals("1e+%d +/- 1E-%d" % (top, top)) == (10 ** (2 * top), 1, 10**top)
         for s in ("1e+%d +/- 0" % (top + 1), "1 +/- 1E-%d" % (top + 1), "1e+10000000 +/- 0"):
             t0 = time.perf_counter()
             with pytest.raises(ValueError):
-                ball_str_fractions(s)
+                ball_str_decimals(s)
             assert time.perf_counter() - t0 < 0.5
+
+    @given(_decimal_strings, _decimal_strings)
+    @settings(max_examples=300, deadline=None)
+    def test_parser_is_exact_on_its_grammar(self, mid, rad):
+        """`ball_str_decimals` gives exactly the value `Fraction` reads from
+        each part of every string of its grammar"""
+        assume(Fraction(rad) >= 0)
+        m, r, den = ball_str_decimals("%s+/-%s" % (mid, rad))
+        assert (Fraction(m, den), Fraction(r, den)) == (Fraction(mid), Fraction(rad))
+
+    def test_writer_matches_the_fraction_reference(self):
+        """the integer `ball_to_str` writes the strings of its Fraction
+        form: on zero, negative and exact (radius 0) balls, at 1 to 4 bits
+        and at working precisions, wide and narrow, with and without
+        max_digits, and at powers of ten and their neighbours, where a float
+        estimate of log10 misses"""
+        rng = random.Random(34)
+        balls = [Ball.from_int(0, 64), ball_widen(Ball.from_int(0, 64), bf_two_power(-7))]
+        for k in range(0, 40, 3):
+            for m in (10**k - 1, 10**k, -(10**k)):
+                balls += [ball_widen(Ball.from_int(m, 200), bf_two_power(-b)) for b in (5, 10, 20, 64, 150)]
+        for _ in range(400):
+            prec = rng.choice([1, 2, 3, 4, 53, 128, 256])
+            b = Ball.from_fraction(rand_fraction(rng, rng.randint(1, 200)), prec)
+            if rng.random() < 0.7:
+                b = ball_widen(b, bf_two_power(rng.randint(-300, 8)))
+            balls.append(b)
+        for b in balls:
+            for max_digits in (None, 1, 2, 12):
+                assert ball_to_str(b, max_digits) == _fraction_ball_to_str(b, max_digits)
 
 
 class TestFixedPointKernel:
@@ -361,3 +451,32 @@ class TestFixedPointKernel:
         lo, hi = bf_to_fraction(out.inf()), bf_to_fraction(out.sup())
         for x in (bf_to_fraction(a.inf()), mid, bf_to_fraction(a.sup())):
             assert (lo <= 0 or lo**q <= x**p) and x**p <= hi**q, (a, p, q, prec)
+
+    def test_root_bounds_before_rounding(self):
+        """the integer root bounds of `pow_rational` before rounding, with
+        the first step's margin removed: started one ulp from the exact root
+        of an end's edge with a step of one ulp, so that the acceptance test
+        alone decides, `_root_bound` returns a bound whose q-th power lies
+        beyond the edge exactly, and whose fixed-point power lies beyond it
+        certainly, radius included"""
+
+        def iroot(n, q):
+            x = 1 << -(-n.bit_length() // q)
+            while (y := ((q - 1) * x + n // x ** (q - 1)) // q) < x:
+                x = y
+            return x
+
+        rng = random.Random(31)
+        for _ in range(300):
+            W, q = rng.randint(40, 200), rng.randint(2, 9)
+            scale = W * (q - 1)
+            edge = rng.randint(1 << W, 1 << (W + 1)) ** q >> scale
+            er = rng.choice([0, rng.randint(1, 16), rng.randint(1, 1 << (W - 8))])
+            lo = edge - rng.randint(0, 4)
+            b = _root_bound(iroot(lo << scale, q) + 2, 1, (lo + er, er), q, W, False)
+            pm, pr = _fx_pow((b, 0), q, W)
+            assert b == 1 << W or (b**q <= lo << scale and pm + pr <= lo), (W, q, lo, er)
+            hi = edge + rng.randint(0, 4)
+            b = _root_bound(iroot(hi << scale, q) - 1, 1, (hi - er, er), q, W, True)
+            pm, pr = _fx_pow((b, 0), q, W)
+            assert b**q >= hi << scale and pm - pr >= hi, (W, q, hi, er)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import decimal
+import fractions
 import json
 import pickle
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from lenscert import certify as C
 from lenscert import cli, geom, oracle, specfun
-from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_fractions, ball_to_str, ball_widen, TriBool
+from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_decimals, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
 
@@ -477,9 +478,9 @@ class TestCertifyRange:
         """balls that a 64-bit parse rounds onto each other are still ordered:
         strictness compares the exact decimal values"""
         lam, m = "1.00000000000000000000001e+0 +/- 0", "1e+0 +/- 0"
-        m_fr, lam_fr = ball_str_fractions(m), ball_str_fractions(lam)
-        assert C.strictness(m_fr, lam_fr) is TriBool.CERTAINLY_TRUE
-        assert C.strictness(lam_fr, m_fr) is TriBool.CERTAINLY_FALSE
+        m_dec, lam_dec = ball_str_decimals(m), ball_str_decimals(lam)
+        assert C.strictness(m_dec, lam_dec) is TriBool.CERTAINLY_TRUE
+        assert C.strictness(lam_dec, m_dec) is TriBool.CERTAINLY_FALSE
         cert = {
             "n": 8,
             "precision_bits": 64,
@@ -487,6 +488,24 @@ class TestCertifyRange:
             "entries": [{"k": 3, "l": 3, "m_value": m, "path_agreement": True, "strict": "Unknown"}],
         }
         assert C.replay_certificate(cert) == "Proven"
+
+    def test_replay_builds_no_fraction(self, monkeypatch):
+        """replay parses and decides on integers: with `Fraction` construction
+        counted, replaying certificates from their JSON builds none"""
+        certs = [C.certify_dimension(8), C.certify_dimension(30, target_width=1e-45)]
+        certs = json.loads(json.dumps(certs))
+        made = []
+        new = fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+        assert Fraction(1, 3) and made == [(1, 3)]
+        made.clear()
+        assert [C.replay_certificate(c) for c in certs] == ["Proven", "Proven"]
+        assert made == []
 
     @pytest.mark.parametrize("lam", ["7.29e+0", "7.29e+0 +/- -1e-9", "7.29e+1000000 +/- 0"])
     def test_replay_rejects_malformed_ball(self, lam):
@@ -587,6 +606,27 @@ class TestReplayRejects:
     def test_malformed_certificate(self, edit):
         cert = C.certify_dimension(8)
         edit(cert)
+        assert C.replay_certificate(cert) == "Failed"
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda mid: "%d/%d" % Fraction(mid).as_integer_ratio(),
+            lambda mid: mid[:4] + "_" + mid[4:],
+            lambda mid: "." + mid.replace(".", "", 1).replace("e+0", "e+1"),
+            lambda mid: "\u0667" + mid[1:],
+        ],
+        ids=["ratio", "underscore", "leading-point", "non-ascii-digit"],
+    )
+    def test_decimal_forms_outside_the_grammar(self, form):
+        """`Fraction` reads these spellings of the lens midpoint to its exact
+        value, but the ball grammar (sign, ASCII digits, an optional point
+        and digits, an optional exponent) rejects them"""
+        cert = C.certify_dimension(8)
+        mid, rad = cert["lambda_plane"].split(" +/- ")
+        assert mid.startswith("7.") and mid.endswith("e+0")
+        assert Fraction(form(mid)) == Fraction(mid)
+        cert["lambda_plane"] = "%s +/- %s" % (form(mid), rad)
         assert C.replay_certificate(cert) == "Failed"
 
     @pytest.mark.parametrize("cert", [None, [], "certificate"])
@@ -700,20 +740,18 @@ class TestExactReports:
         """at n = 76 the 128-bit exact-path assembly cancels to a base that is
         not certainly positive; the report escalates and both paths come out
         narrow and intersecting"""
-        from lenscert.ball import ball_str_fractions
-
         rep = C.exact_report(76, "simons")
         assert rep["paths_intersect"] is True
-        assert ball_str_fractions(rep["m_exact_path"])[1] < Fraction(1, 10**30)
+        _, rad, den = ball_str_decimals(rep["m_exact_path"])
+        assert Fraction(rad, den) < Fraction(1, 10**30)
 
     def test_simons_n72_escalates_past_a_wide_exact_path(self):
         """at n = 72 the 128-bit exact path does not cancel but is about 0.4
         wide; the report escalates until both paths meet the default width"""
-        from lenscert.ball import ball_str_fractions
-
         rep = C.exact_report(72, "simons")
         assert rep["paths_intersect"] is True
-        assert ball_str_fractions(rep["m_exact_path"])[1] <= Fraction(5, 10**13)
+        _, rad, den = ball_str_decimals(rep["m_exact_path"])
+        assert Fraction(rad, den) <= Fraction(5, 10**13)
 
 
 class TestCli:

@@ -17,10 +17,15 @@ differ, the report of `compare_certificates` in `tools/sameout.py`
 follows.  Then each round runs every seed set once on each side, back to
 back, and the side that goes first swaps every round.  A pass is one
 `certify.certify(dims, target_width=width, out=path)` call writing its JSON
-to a temporary file, as in the benchmark's plain pass.  The script prints
-the median change/parent ratio of the per-pass times with its quartiles,
-over all pairs and per seed, and each side's median pass time.  A ratio
-below 1 means the change is faster.  Only the standard library is used.
+to a temporary file, as in the benchmark's plain pass.  After its pass,
+each side replays, with `certify.replay_certificate`, the certificates
+that its own untimed pass wrote and read back from JSON, REPLAY_REPS times
+over, and the time per certificate is recorded, as the benchmark's
+`replay_us_p50` is.  The script prints the median change/parent ratio of
+the per-pass times with its quartiles, over all pairs and per seed, each
+side's median pass time, and the same ratio and medians for the replay
+time per certificate.  A ratio below 1 means the change is faster.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# replays of a seed set per timing, so that one timing lasts milliseconds
+REPLAY_REPS = 50
 
 
 def load_tree(root: str, name: str):
@@ -76,9 +83,26 @@ def certificates(certify, dims, width, path: str) -> list[dict]:
     return certs
 
 
+def replay_time(certify, certs: list[dict]) -> float:
+    """Seconds per certificate of replaying certs REPLAY_REPS times."""
+    t0 = time.perf_counter()
+    for _ in range(REPLAY_REPS):
+        for cert in certs:
+            certify.replay_certificate(cert)
+    return (time.perf_counter() - t0) / (REPLAY_REPS * len(certs))
+
+
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
     return q1, q2, q3
+
+
+def ratio_line(what: str, parent: list[float], change: list[float]) -> str:
+    """The median change/parent ratio of paired times, with its quartiles."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, med, q3 = quartiles(ratios)
+    return "%s change/parent: median %.3f (quartiles %.3f-%.3f), change faster in %d of %d pairs" % (
+        what, med, q1, q3, sum(r < 1 for r in ratios), len(ratios))
 
 
 def main(argv=None) -> int:
@@ -105,6 +129,7 @@ def main(argv=None) -> int:
         }
         differ = [seed for seed in seeds if certs[seed][0] != certs[seed][1]]
         times = {side: {seed: [] for seed in seeds} for side in SIDES}
+        replays = {side: [] for side in SIDES}
         for rnd in range(args.rounds):
             for seed in seeds:
                 order = SIDES if (rnd + seed) % 2 == 0 else SIDES[::-1]
@@ -112,12 +137,12 @@ def main(argv=None) -> int:
                     t0 = time.perf_counter()
                     mods[side].certify(dims[seed], target_width=width, out=path)
                     times[side][seed].append(time.perf_counter() - t0)
+                    replays[side].append(replay_time(mods[side], certs[seed][SIDES.index(side)]))
 
     ratios = {
         seed: [c / p for p, c in zip(times["parent"][seed], times["change"][seed])] for seed in seeds
     }
     every = [r for seed in seeds for r in ratios[seed]]
-    q1, med, q3 = quartiles(every)
     print("workload %s, seeds %s, %d rounds, %d pairs" % (args.workload, args.seeds, args.rounds, len(every)))
     print("certificates: %s" % ("identical" if not differ else "differ for seeds %s" % differ))
     if differ:
@@ -126,10 +151,12 @@ def main(argv=None) -> int:
             print("  " + line)
     for seed in seeds:
         print("  seed %-4d dims %-40s ratio %.3f" % (seed, dims[seed], statistics.median(ratios[seed])))
+    passes = {side: [t for seed in seeds for t in times[side][seed]] for side in SIDES}
     for side in SIDES:
-        print("%-6s median pass %.4f s" % (side, statistics.median(t for ts in times[side].values() for t in ts)))
-    print("change/parent: median %.3f (quartiles %.3f-%.3f), change faster in %d of %d pairs"
-          % (med, q1, q3, sum(r < 1 for r in every), len(every)))
+        print("%-6s median pass %.4f s, replay %.2f us per certificate"
+              % (side, statistics.median(passes[side]), statistics.median(replays[side]) * 1e6))
+    print(ratio_line("pass", passes["parent"], passes["change"]))
+    print(ratio_line("replay", replays["parent"], replays["change"]))
     return 1 if differ else 0
 
 

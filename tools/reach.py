@@ -31,8 +31,12 @@ and then `  line: source` per line, followed by a count per file.  A group
 whose function never ran, and whose name a Python file under bench/
 mentions, is marked `kept: named by bench/<file>`: the benchmark looks it
 up by that name, so deleting it would break the benchmark.  Those files
-are searched on each run; no list is kept by hand.  The run takes about
-11 s on a 2-core container.
+are searched on each run; no list is kept by hand.  Then one pass over
+the call edges of the package source (`references`) marks, to a fixed
+point, a group whose function never ran and that only kept functions name
+as `kept: reached only from <functions>`: it goes when they go.  A call
+that names no function, such as an operator, gives no edge.  The run takes
+about 11 s on a 2-core container.
 """
 
 from __future__ import annotations
@@ -153,6 +157,26 @@ def bench_names(name: str) -> list[str]:
     return [str(f.relative_to(ROOT)) for f in sorted(BENCH.glob("*.py")) if word.search(f.read_text())]
 
 
+def references() -> dict[str, set[tuple[str, str]]]:
+    """The call edges of the package, read from its source: for each name,
+    the (file, function) pairs, named as in `functions` or "<module>",
+    whose code calls or otherwise names it as a variable or attribute."""
+    out: dict[str, set[tuple[str, str]]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        units = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                units += [("%s.%s" % (node.name, f.name), f) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                units.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+        for name, node in units:
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    word = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    out.setdefault(word, set()).add((str(path), name))
+    return out
+
+
 def run_surface(tmp: str) -> None:
     from lenscert import certify, cli
 
@@ -211,27 +235,47 @@ def main() -> int:
     finally:
         sys.settrace(None)
 
-    total = kept = 0
+    groups: dict[tuple[str, str], tuple[int, list[int]]] = {}  # (file, function) -> (first line, lines)
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         missing = sorted(executable_lines(path) - seen.get(str(path), set()))
-        source = path.read_text().splitlines()
         defs = functions(path)
-        groups: dict[tuple[str, int], list[int]] = {}
         for line in missing:
             spans = [(name, first) for name, first, last in defs if first <= line <= last]
-            groups.setdefault(spans[-1] if spans else ("<module>", 0), []).append(line)
-        for (name, first), lines in groups.items():
-            # only a function that never ran is kept for the benchmark alone
-            named = bench_names(name) if first and (str(path), first) not in entered else []
-            mark = "; kept: named by %s" % ", ".join(named) if named else ""
-            print("%s: %s (%d lines%s)" % (path.relative_to(ROOT), name, len(lines), mark))
-            for line in lines:
-                print("  %d: %s" % (line, source[line - 1].strip()))
-            kept += len(lines) if named else 0
+            name, first = spans[-1] if spans else ("<module>", 0)
+            groups.setdefault((str(path), name), (first, []))[1].append(line)
         counts.append("%s %d" % (path.name, len(missing)))
-        total += len(missing)
-    print("unreached lines: %d (%s); %d of them kept: named by bench/" % (total, ", ".join(counts), kept))
+
+    # only a function that never ran is kept for the benchmark alone: named
+    # by a file under bench/, or named only by such kept functions
+    idle = [key for key, (first, _) in groups.items() if first and (key[0], first) not in entered]
+    named = {key: bench_names(key[1]) for key in idle}
+    refs = references()
+    reached: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    grown = True
+    while grown:
+        grown = False
+        for key in idle:
+            who = refs.get(key[1].rsplit(".", 1)[-1], set()) - {key}
+            if not named[key] and key not in reached and who and all(named.get(w) or w in reached for w in who):
+                reached[key] = who
+                grown = True
+
+    total = kept = 0
+    for key, (first, lines) in groups.items():
+        path = pathlib.Path(key[0])
+        source = path.read_text().splitlines()
+        mark = ""
+        if named.get(key):
+            mark = "; kept: named by %s" % ", ".join(named[key])
+        elif key in reached:
+            mark = "; kept: reached only from %s" % ", ".join(sorted(w[1] for w in reached[key]))
+        print("%s: %s (%d lines%s)" % (path.relative_to(ROOT), key[1], len(lines), mark))
+        for line in lines:
+            print("  %d: %s" % (line, source[line - 1].strip()))
+        total += len(lines)
+        kept += len(lines) if mark else 0
+    print("unreached lines: %d (%s); %d of them kept for bench/" % (total, ", ".join(counts), kept))
     return 0
 
 
