@@ -5,8 +5,8 @@ Midpoints are rounded to the working precision and the exact rounding error
 is absorbed into the radius, so soundness never relies on directed hardware
 rounding.  The fixed-point kernel (`_fx_*`) keeps int midpoint-radius pairs at
 scale 2**-W, each rounding covered by the radius; division, square roots
-(from `math.isqrt`), integer powers, sin, cos and the atan series run on it,
-each operand read at a scale 2**-(W - g) that gives it W bits.  exp and log
+(from `math.isqrt`), integer powers, sin, cos and atan run on it, each
+operand read at a scale 2**-(W - g) that gives it W bits.  exp and log
 sum Taylor series in Ball arithmetic after argument reduction.  A rational
 power takes one q-th root for both bounds: a float and integer Newton steps
 propose it, and an exact fixed-point power check accepts each bound.
@@ -22,7 +22,6 @@ from fractions import Fraction
 from .bigfloat import (
     BigFloat,
     ZERO,
-    ONE,
     RADIUS_PREC,
     bf_abs,
     bf_add,
@@ -513,22 +512,25 @@ def log_ball(a: Ball, prec: int) -> Ball:
     return ball_hull(_log_thin(lo, prec), _log_thin(a.sup(), prec), prec)
 
 
-def _atan_core(b: Ball, prec: int) -> Ball:
-    """atan for 0 <= b <= 1.
+def _fx_atan(x: int, W: int) -> tuple[int, int]:
+    """atan(x * 2**-W) at scale 2**-W for an integer x.
 
-    Two argument halvings in balls bring b below tan(pi/16) < 0.2, where
-    the alternating series runs in fixed point at the midpoint m of b; as
-    atan is 1-Lipschitz, b's radius widens the sum.  The remainder is at
-    most the first omitted term, and the loop stops once that term's bound
-    is at most one ulp at w (the `_fx_tail` test).
+    For |x| above one the series runs on the floor of 1/|x|, one ulp of
+    radius for that floor, and atan |x| = pi/2 - atan(1/|x|).  Two halvings
+    atan y = 2 atan(y / (1 + sqrt(1 + y**2))) by `_fx_sqrt` and `_fx_div`
+    bring the argument below tan(pi/16) < 0.2, where the alternating series
+    runs at the pair's midpoint, widened by its radius as atan is
+    1-Lipschitz.  The remainder is at most the first omitted term, and the
+    loop stops once that term's bound is at most 2**_FX_GUARD ulps (the
+    `_fx_tail` test).
     """
-    w = prec + 16
-    one = Ball.from_int(1, w)
+    one, ax = 1 << W, abs(x)
+    y = ((one << W) // ax, 1) if ax > one else (ax, 0)
     for _ in range(2):
-        denom = ball_add(one, sqrt_ball(ball_add(one, ball_mul(b, b, w), w), w), w)
-        b = ball_div(b, denom, w)
-    W = w + _FX_GUARD
-    m, r = _fx_from_ball(b, W)
+        ym, yr = y
+        root = _fx_sqrt(((one << W) + ym * ym, (2 * abs(ym) + yr) * yr))
+        y = _fx_div(y, _fx_add((one, 0), root), W)
+    m, r = y
     x2 = _fx_mul((m, 0), (m, 0), W)
     power, total_m, total_r = (m, 0), m, r
     j = 0
@@ -538,31 +540,29 @@ def _atan_core(b: Ball, prec: int) -> Ball:
         term = _fx_mul_rat(power, 1, 2 * j + 1)
         tail = _fx_tail(term, 1, 1, 1 << _FX_GUARD)
         if tail is not None:
-            return ball_mul_rat(_fx_to_ball((total_m, total_r + tail), W, w), 4, 1, w)
+            break
         total_m += -term[0] if j & 1 else term[0]
         total_r += term[1]
-
-
-def _atan_thin(x: BigFloat, prec: int) -> Ball:
-    w = prec + 16
-    ax = bf_abs(x)
-    if bf_cmp(ax, ONE) > 0:
-        inv = ball_div(Ball.from_int(1, w), Ball.point(ax, w), w)
-        res = ball_sub(bf_half_pi(w), _atan_core(inv, w), w)
-    else:
-        res = _atan_core(Ball.point(ax, w), w)
-    if x.sign < 0:
-        res = ball_neg(res)
-    return ball_round(res, prec)
-
-
-def bf_half_pi(prec: int) -> Ball:
-    p = pi_ball(prec)
-    return Ball(bf_shift(p.mid, -1), bf_shift(p.rad, -1), prec)
+    total = 4 * total_m, 4 * (total_r + tail)
+    if ax > one:
+        total = _fx_sub(_fx_from_ball(pi_ball(W), W - 1), total)
+    return (total[0] if x >= 0 else -total[0]), total[1]
 
 
 def atan_ball(a: Ball, prec: int) -> Ball:
-    return ball_hull(_atan_thin(a.inf(), prec), _atan_thin(a.sup(), prec), prec)
+    """atan(a) from one fixed-point evaluation, at the midpoint.  a read at
+    scale 2**-W is m +/- r, r covering a's radius and the bits dropped from
+    its midpoint; `_fx_atan` encloses atan m, and by the mean value theorem
+    atan moves by at most r / (1 + max(|m| - r, 0)**2) over the ball, as
+    1 / (1 + t**2) is largest where |t| is least.  That bound, rounded up,
+    widens the radius; for r up to 1/8 it is at most 1.13 times the radius
+    of the exact hull."""
+    W = prec + 16 + _FX_GUARD
+    m, r = _fx_from_ball(a, W)
+    low = max(abs(m) - r, 0)
+    slope = -(-(r << 2 * W) // ((1 << 2 * W) + low * low))
+    am, ar = _fx_atan(m, W)
+    return _fx_to_ball((am, ar + slope), W, prec)
 
 
 def asin_ball(a: Ball, prec: int) -> Ball:

@@ -29,15 +29,12 @@ from .ball import (
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
+    _fx_pow,
     _fx_sqrt,
     _fx_sub,
     _fx_to_ball,
     atan_ball,
-    ball_add,
-    ball_mul,
     ball_mul_rat,
-    ball_pow_int,
-    ball_sub,
     certainly_positive,
     pi_ball,
     pow_rational,
@@ -136,7 +133,10 @@ class LawsonConstants:
 
     @property
     def theta(self) -> Ball:
-        """The corner angle atan(lambda) at the constants' precision."""
+        """The corner angle atan(lambda) at lambda's precision, prec + 8
+        bits: one fixed-point `atan_ball` evaluation at lambda's midpoint,
+        widened by the mean value theorem.  Only the moment path reads it,
+        once per pair."""
         return atan_ball(self.lambda_, self.prec + 8)
 
 
@@ -310,25 +310,43 @@ def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:
     theta = atan(lambda), and never at an angle derived from rho, d, r or h:
     that is what lets this path catch a fault in those constants.  The
     constants and angles are taken at the pass precision ws, which covers
-    the bits `_moment_bits` says the moments lose.  The width of the result
-    is not checked here: `certify.certify_dimension` holds it to one
-    agreement width.
+    the bits `_moment_bits` says the moments lose.  The angles, and the
+    integrals rho^l J, rho^(l+2) J, r^k J and r^(k+2) J that the moments J
+    scale to (`_radius_powers`), are formed on the fixed-point kernel, with
+    one ball for each value handed to `oracle.arc_profile_quadrature` and
+    `assemble_competitor`.  The width of the result is not checked here:
+    `certify.certify_dimension` holds it to one agreement width.
     """
     ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
+    W = ws + 16 + _FX_GUARD
     consts = lawson_constants(k, l, ws)
-    theta, pi = consts.theta, pi_ball(ws)
-    angle_u = ball_add(ball_mul_rat(pi, 1, 6, ws), theta, ws)
+    pi, theta = _fx_from_ball(pi_ball(ws), W), _fx_from_ball(consts.theta, W)
+    angle_u = _fx_to_ball(_fx_add(_fx_mul_rat(pi, 1, 6), theta), W, ws)
     j1p, j1v = oracle.arc_profile_quadrature(consts.rho, consts.d, k, l, angle_u, ws)
     if k == l:
         j2p, j2v = j1p, j1v
     else:
-        angle_v = ball_sub(ball_mul_rat(pi, 2, 3, ws), theta, ws)
+        angle_v = _fx_to_ball(_fx_sub(_fx_mul_rat(pi, 2, 3), theta), W, ws)
         j2p, j2v = oracle.arc_profile_quadrature(consts.r, consts.h, l, k, angle_v, ws)
-    s1v = ball_mul(ball_pow_int(consts.rho, l + 2, ws), j1v, ws)
-    s1p = ball_mul(ball_pow_int(consts.rho, l, ws), j1p, ws)
-    s2v = ball_mul(ball_pow_int(consts.r, k + 2, ws), j2v, ws)
-    s2p = ball_mul(ball_pow_int(consts.r, k, ws), j2p, ws)
+    s1p, s1v = _radius_powers(consts.rho, l, j1p, j1v, W, ws)
+    s2p, s2v = _radius_powers(consts.r, k, j2p, j2v, W, ws)
     return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
+
+
+def _radius_powers(radius: Ball, e: int, jp: Ball, jv: Ball, W: int, w: int) -> tuple[Ball, Ball]:
+    """(radius^e jp, radius^(e+2) jv) in fixed point: with
+    2**g <= radius < 2**(g+1), radius read at scale 2**-(W - g) is
+    radius 2**-g at scale 2**-W, in [1, 2), so its powers by `_fx_pow` keep
+    W bits, and each J read at the scale that gives it W bits; a product's
+    scale is the sum of its factors' scales less W."""
+    g = bf_msb_exp(radius.mid) - 1
+    x = _fx_from_ball(radius, W - g)
+    power = _fx_pow(x, e, W)
+    out = []
+    for p, f, j in ((power, e, jp), (_fx_mul(power, _fx_mul(x, x, W), W), e + 2, jv)):
+        gj = bf_msb_exp(j.mid)
+        out.append(_fx_to_ball(_fx_mul(p, _fx_from_ball(j, W - gj), W), W - g * f - gj, w))
+    return tuple(out)
 
 
 def _moment_bits(kk: int, jj: int) -> float:

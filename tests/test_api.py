@@ -123,6 +123,15 @@ def test_arc_corner_takes_no_ball_powers():
     assert calls == []
 
 
+def test_geom_imports_no_ball_arithmetic():
+    """`geom` imports none of `ball_add`, `ball_sub`, `ball_mul` and
+    `ball_pow_int`: its lens, arc set-ups, assembly and moment path run on
+    the fixed-point kernel, with one conversion to a ball per value handed on"""
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "geom.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"ball_add", "ball_sub", "ball_mul", "ball_pow_int"} == set()
+
+
 def test_no_unused_imports():
     """no module of the package, and no test module, imports a name it never
     uses; a name listed in `__all__` counts as used"""

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lenscert import certify as C
-from lenscert import cli, geom, oracle, specfun
+from lenscert import ball, cli, geom, oracle, specfun
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_decimals, ball_to_str, ball_widen, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
@@ -176,6 +176,24 @@ class TestCertifyDimension:
         cert = C.certify_dimension(n, pairs=pairs)
         assert [(e["k"], e["l"]) for e in cert["entries"]] == C._resolve_pairs(n, pairs)
         assert calls == [("moment", e["k"], e["l"], C.AGREEMENT_PREC) for e in cert["entries"]]
+
+    @pytest.mark.parametrize("n, pairs", [(8, "default"), (23, "default"), (24, "all"), (25, "default")])
+    def test_one_atan_per_agreement_pair(self, n, pairs, monkeypatch):
+        """certifying a dimension takes one arctangent per pair up to
+        QUADRATURE_MAX_N, the corner angle of the moment value, and none
+        above it, where no agreement check runs"""
+        calls = []
+        atan_ball = ball.atan_ball
+
+        def counted(a, prec):
+            calls.append(prec)
+            return atan_ball(a, prec)
+
+        for mod in (ball, geom):
+            monkeypatch.setattr(mod, "atan_ball", counted)
+        cert = C.certify_dimension(n, pairs=pairs)
+        assert cert["verdict"] == "Proven"
+        assert len(calls) == (len(cert["entries"]) if n <= C.QUADRATURE_MAX_N else 0)
 
     def test_too_wide_agreement_value_fails_the_pair(self, monkeypatch, tmp_path):
         """a second-path value wider than AGREEMENT_WIDTH fails its pair and

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from lenscert import ball, certify
 from lenscert.ball import (
     Ball,
+    _fx_atan,
     asin_ball,
     atan_ball,
     ball_add,
@@ -157,6 +159,38 @@ def test_atan_encloses_mpmath(prec):
     _check_against_mpmath(mpmath, ATAN_POINTS, ((atan_ball, mpmath.atan),), prec)
 
 
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_atan_ball_is_tight_on_wide_balls(prec):
+    """atan_ball on balls of radius 2**(-prec/2), 2**-20 and 1/8 around
+    ATAN_POINTS, among them balls across 0 and across 1: each result holds
+    mpmath's atan at the ends and the midpoint, and its radius is at most
+    1.25 times the radius of the exact hull, plus 4 ulps of 2**-prec"""
+    mpmath = pytest.importorskip("mpmath")
+    for f in ATAN_POINTS:
+        for e in (prec // 2, 20, 3):
+            x = ball_widen(Ball.from_fraction(f, prec), bf_two_power(-e))
+            got = atan_ball(x, prec)
+            lo, _, hi = values = _mp_values(mpmath, mpmath.atan, x)
+            assert all(_contains(got, v) for v in values), (prec, f, e)
+            assert bf_to_fraction(got.rad) <= Fraction(5, 8) * (hi - lo) + Fraction(4, 1 << prec), (prec, f, e)
+
+
+@pytest.mark.parametrize("W", [96, 160, 288])
+def test_fixed_point_atan_encloses_mpmath(W):
+    """`_fx_atan(x, W)`, the midpoint evaluation of atan_ball, holds atan of
+    x * 2**-W at every point of ATAN_POINTS and at 2**-W times 1/9 and 9 of
+    them (the pair, not its rounding to a ball, is checked), and its radius
+    stays below 2**(_FX_GUARD + 3) ulps"""
+    mpmath = pytest.importorskip("mpmath")
+    for f in ATAN_POINTS:
+        for g in (f, f / 9, f * 9):
+            x = math.floor(g * 2**W)
+            m, r = _fx_atan(x, W)
+            with mpmath.workprec(W + 64):
+                assert abs(mpmath.ldexp(mpmath.atan(mpmath.ldexp(x, -W)), W) - m) <= r, (W, g)
+            assert r < 1 << ball._FX_GUARD + 3, (W, g)
+
+
 def test_pow_rational_round_trip():
     a = Ball.from_int(2, 128)
     r = pow_rational(a, 7, 8, 128)
@@ -211,10 +245,10 @@ def test_pow_rational_encloses_exact_power(n):
 
 
 def test_pow_rational_uses_no_exp_log_or_sqrt(monkeypatch):
-    """exp, log and sqrt raise when pow_rational is on the call stack (atan
-    still reaches sqrt by itself), and the certificates that need rational
-    powers still come out: the q = 2 arc powers (n = 9), the agreement paths
-    (n = 24), a 256-bit escalation (n = 101 at width 1e-45) and the table"""
+    """exp, log and sqrt raise when pow_rational is on the call stack, and
+    the certificates that need rational powers still come out: the q = 2
+    arc powers (n = 9), the agreement paths (n = 24), a 256-bit escalation
+    (n = 101 at width 1e-45) and the table"""
     target = ball.pow_rational.__code__
 
     def forbid(orig):
