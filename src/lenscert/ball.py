@@ -298,6 +298,19 @@ def _fx_pow(x: tuple[int, int], k: int, W: int) -> tuple[int, int]:
     return out or (1 << W, 0)
 
 
+def _fx_pow_mid(x: int, k: int, W: int) -> int:
+    """The midpoint of `_fx_pow((x, 0), k, W)`, without its radius: the
+    same products, each floored at scale W."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else (out * x) >> W
+        k >>= 1
+        if k:
+            x = (x * x) >> W
+    return 1 << W if out is None else out
+
+
 def _fx_div(a: tuple[int, int], b: tuple[int, int], W: int) -> tuple[int, int]:
     """Fixed-point quotient: the midpoint is floor(am * 2**W / bm), and the
     radius (ar |bm| + |am| br) 2**W / (|bm| (|bm| - br)) >= |x/y - am/bm| 2**W,
@@ -394,6 +407,14 @@ def pi_ball(prec: int) -> Ball:
     out = Ball(mid, rad, prec)
     _PI_CACHE[prec] = out
     return out
+
+
+def _fx_pi(W: int) -> tuple[int, int]:
+    """pi at scale 2**-W, read from `pi_ball` at W rounded up to a multiple
+    of 64 bits, so that the fixed-point passes at nearby scales share one
+    cached evaluation.  The reading's radius is one ulp for the cut bits
+    plus that ball's radius, a few ulps at the multiple P >= W."""
+    return _fx_from_ball(pi_ball(-(-W // 64) * 64), W)
 
 
 def ln2_ball(prec: int) -> Ball:
@@ -545,7 +566,7 @@ def _fx_atan(x: int, W: int) -> tuple[int, int]:
         total_r += term[1]
     total = 4 * total_m, 4 * (total_r + tail)
     if ax > one:
-        total = _fx_sub(_fx_from_ball(pi_ball(W), W - 1), total)
+        total = _fx_sub(_fx_pi(W - 1), total)
     return (total[0] if x >= 0 else -total[0]), total[1]
 
 
@@ -659,7 +680,7 @@ def pow_rational(a: Ball, p: int, q: int, prec: int) -> Ball:
     # Newton on c**q = zm * 2**(W*(q-1)); the float gives about 45 bits, and
     # once a step d has q d**2 <= c the next one would be below half an ulp
     for _ in range(W.bit_length()):
-        d = ((q - 1) * c + (zm << W) // _fx_pow((c, 0), q - 1, W)[0]) // q - c
+        d = ((q - 1) * c + (zm << W) // _fx_pow_mid(c, q - 1, W)) // q - c
         c += d
         if q * d * d <= c:
             break

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 
 from . import __version__, geom, oracle
@@ -228,7 +228,11 @@ def certify_dimension(
             entry["path_agreement"] = narrow and intersects(m_ball, other)
 
     cert["verdict"] = _replay(cert)
-    cert["timestamp"] = datetime.now(timezone.utc).isoformat()
+    # UTC in the layout of `datetime.isoformat()`: microseconds only when
+    # not 0, then +00:00
+    seconds, ns = divmod(time.time_ns(), 10**9)
+    us = ".%06d" % (ns // 1000) if ns >= 1000 else ""
+    cert["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + us + "+00:00"
     return cert
 
 

@@ -29,6 +29,7 @@ from .ball import (
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
+    _fx_pi,
     _fx_pow,
     _fx_sqrt,
     _fx_sub,
@@ -36,7 +37,6 @@ from .ball import (
     atan_ball,
     ball_mul_rat,
     certainly_positive,
-    pi_ball,
     pow_rational,
 )
 from .bigfloat import bf_msb_exp
@@ -320,7 +320,7 @@ def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:
     ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
     W = ws + 16 + _FX_GUARD
     consts = lawson_constants(k, l, ws)
-    pi, theta = _fx_from_ball(pi_ball(ws), W), _fx_from_ball(consts.theta, W)
+    pi, theta = _fx_pi(W), _fx_from_ball(consts.theta, W)
     angle_u = _fx_to_ball(_fx_add(_fx_mul_rat(pi, 1, 6), theta), W, ws)
     j1p, j1v = oracle.arc_profile_quadrature(consts.rho, consts.d, k, l, angle_u, ws)
     if k == l:

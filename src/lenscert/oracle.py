@@ -28,6 +28,7 @@ from .ball import (
     _fx_from_ball,
     _fx_mul,
     _fx_mul_rat,
+    _fx_pi,
     _fx_sin_cos,
     _fx_to_ball,
     ball_add,
@@ -100,7 +101,7 @@ def arc_profile_quadrature(
     if jj % 2:
         cos_moments = {1: (one[0] - s[0], s[1])}
     else:
-        hm, hr = _fx_from_ball(ball_mul_rat(pi_ball(w), 1, 2, w), W)
+        hm, hr = _fx_pi(W - 1)  # pi/2 at scale W
         cos_moments = {0: (hm - am, hr + ar)}
     for j in range(jj % 2 + 2, jj + 3, 2):
         cos_moments[j] = step(cos_moments[j - 2], j - 1, _fx_mul((-s[0], s[1]), cpow[j - 1], W), j)

@@ -37,13 +37,22 @@ convolution also gives F1(1; b1, b2-1; c+1; x, y).
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
 scaling and one product with z (or x, y), sums are int adds, and the tail
-test compares ints with floor(tol 2**W).  The scale is W = w + _FX_GUARD
-plus a headroom that keeps the rounding floor of a term's radius from
-outliving the tail test.  For 2F1 that radius settles near
-(1+|z|)/(1-q) ulps once the terms fall, and the tail multiplies it by
-q/(1-q) < 1/(1-q), so the headroom is log2((1+|z|)/(1-q)^2) + 1 bits; the
-F1 tails multiply it by U or V, so there it is log2 max(U, V) bits.  The
-midpoint needs no headroom: the first term is 1 and tol is absolute.
+test compares ints with floor(tol 2**W).  The scaling and the product are
+the steps of `_fx_mul_rat` and `_fx_mul`, written out on bare ints in each
+loop, with the same floors and the same added ulps, as are the C' shift
+and the Horner passes of `appell_f1`; `_fx_tail` is the one call per
+term, the stopping test.  `tests/test_specfun.py::TestKernelEquality`
+holds every one of these loops to the kernel calls, int for int.  The
+set-up of both series runs on ints too: |z| is read from `mag_sup` as a
+dyadic, R from `_tail_ratio` is an int pair, and the tail factors are int
+pairs in no lowest terms, which changes neither the `_fx_tail` test nor
+its ceiling.  The scale is W = w + _FX_GUARD plus a headroom that keeps
+the rounding floor of a term's radius from outliving the tail test.  For
+2F1 that radius settles near (1+|z|)/(1-q) ulps once the terms fall, and
+the tail multiplies it by q/(1-q) < 1/(1-q), so the headroom is
+log2((1+|z|)/(1-q)^2) + 1 bits; the F1 tails multiply it by U or V, so
+there it is log2 max(U, V) bits.  The midpoint needs no headroom: the
+first term is 1 and tol is absolute.
 """
 
 from __future__ import annotations
@@ -51,13 +60,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bigfloat import BigFloat, bf_to_fraction, bf_two_power
+from .bigfloat import BigFloat, bf_two_power
 from .ball import (
     _FX_GUARD,
     Ball,
     _fx_from_ball,
-    _fx_mul,
-    _fx_mul_rat,
     _fx_pow,
     _fx_tail,
     _fx_to_ball,
@@ -118,19 +125,28 @@ def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
     return int(b * d), int(c * d), d
 
 
-def _tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
-    """R with |r_j| <= R for every j >= 0 (for a terminating series, every
-    j below its order), where r_j = (b+j)/(c+j) is the term ratio for a = 1
-    and c >= 1, and q = zsup R <= (1 + zsup)/2; see the module docstring for
-    the rule.  Raises InvalidArgument when b < c and b + c < 0, and
+def _sup(x: Ball) -> tuple[int, int]:
+    """(n, d) with |x| <= n/d: `mag_sup` as a dyadic, d a power of two."""
+    m = x.mag_sup()
+    return (m.man, 1 << -m.exp) if m.exp < 0 else (m.man << m.exp, 1)
+
+
+def _tail_ratio(bc: tuple[int, int, int], zsup: tuple[int, int]) -> tuple[int, int]:
+    """R = (rn, rd) with |r_j| <= R for every j >= 0 (for a terminating
+    series, every j below its order), where r_j = (b+j)/(c+j) is the term
+    ratio for a = 1, b and c = (ib, ic, d) from `_scaled` with c >= 1, and
+    q = zsup R <= (1 + zsup)/2 for zsup = (zn, zd); see the module docstring
+    for the rule.  Raises InvalidArgument when b < c and b + c < 0, and
     PrecisionExhausted when q exceeds (1 + zsup)/2."""
-    if b >= c or _is_nonpos_int(b):
-        bound = abs(b) / c
+    (ib, ic, d), (zn, zd) = bc, zsup
+    if ib >= ic or (ib <= 0 and ib % d == 0):
+        bound = abs(ib), ic
     else:
-        bound = Fraction(1) if b + c >= 0 else None
-    if bound is None or 2 * zsup * bound > 1 + zsup:
+        bound = (1, 1) if ib + ic >= 0 else None
+    if bound is None or 2 * zn * bound[0] > (zd + zn) * bound[1]:
         kind = InvalidArgument if bound is None else PrecisionExhausted
-        raise kind("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, zsup))
+        b, c, z = Fraction(ib, d), Fraction(ic, d), Fraction(zn, zd)
+        raise kind("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, z))
     return bound
 
 
@@ -145,29 +161,35 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
     b, c = Fraction(b), Fraction(c)
     if c < 1:
         raise InvalidArgument("2F1 tail bound needs c >= 1")
-    zsup = Fraction(bf_to_fraction(z.mag_sup()))
-    if zsup >= 1:
+    zn, zd = _sup(z)
+    if zn >= zd:
         raise (PrecisionExhausted if z.rad.sign else InvalidArgument)("|z| must be certainly below 1")
     w = prec + 8
-    ratio = zsup * _tail_ratio(b, c, zsup)
-    tail_factor = ratio / (1 - ratio)
-    # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q,
-    # log2 x < bitlen(p) - bitlen(q) + 1
-    room = (1 + zsup) / (1 - ratio) ** 2
-    W = w + _FX_GUARD + room.numerator.bit_length() - room.denominator.bit_length() + 2
-    zx = _fx_from_ball(z, W)
+    ib, ic, d = bc = _scaled(b, c)
+    rn, rd = _tail_ratio(bc, (zn, zd))
+    # q = qn/qd, and the tail factor q/(1-q) = qn/(qd - qn)
+    qn, qd = zn * rn, zd * rd
+    # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q in lowest
+    # terms, log2 x < bitlen(p) - bitlen(q) + 1
+    num, den = (zd + zn) * rd * qd, (qd - qn) ** 2
+    g = math.gcd(num, den)
+    W = w + _FX_GUARD + (num // g).bit_length() - (den // g).bit_length() + 2
+    zm, zr = _fx_from_ball(z, W)
+    azm = abs(zm)
     limit = _fx_from_ball(Ball.point(_default_tol(prec), w), W)[0]  # floor(tol * 2**W)
-    term = (1 << W, 0)
-    sum_m, sum_r = term
+    tm, tr = sum_m, sum_r = 1 << W, 0
     m = 0
     budget = 64 * (prec + 16) + 256
-    ib, ic, d = _scaled(b, c)
     while True:
-        term = _fx_mul(_fx_mul_rat(term, ib + m * d, ic + m * d), zx, W)
-        sum_m += term[0]
-        sum_r += term[1]
+        # the term times (b+m)/(c+m), then times z: `_fx_mul_rat`, then
+        # `_fx_mul`, on bare ints
+        p, q = ib + m * d, ic + m * d
+        um, ur = (tm * p) // q, -(-(tr * abs(p)) // q) + 1
+        tm, tr = (um * zm) >> W, -(-(abs(um) * zr + azm * ur + ur * zr) >> W) + 1
+        sum_m += tm
+        sum_r += tr
         m += 1
-        tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
+        tail = _fx_tail((tm, tr), qn, qd - qn, limit)
         if tail is not None:
             return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if m > budget:
@@ -179,18 +201,19 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-def _pow_sup(base: Fraction, k: int, w: int) -> Fraction:
-    """An upper bound for base**k (base >= 1, k >= 0) over the denominator
-    2**w: base rounded up to scale w, then the top m + r of its fixed-point
-    power."""
-    m, r = _fx_pow((_fr_ceil(base * (1 << w)), 0), k, w)
-    return Fraction(m + r, 1 << w)
+def _pow_sup(base: int, k: int, w: int) -> int:
+    """An upper bound at scale w for (base 2**-w)**k (base >= 2**w,
+    k >= 0): the top m + r of its fixed-point power."""
+    m, r = _fx_pow((base, 0), k, w)
+    return m + r
 
 
-def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: int, w: int):
-    """One side of the F1 double sum: the unweighted terms (b)_j z^j / j! at
-    scale W, as lists of midpoints and radii, and the tail bound in ulps of
-    scale W on what the side drops (0 when a terminating side is complete).
+def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: int, tol: BigFloat, W: int, w: int):
+    """One side of the F1 double sum, for b and c = bc from `_scaled`, |z| at
+    most zsup = (zn, zd) and `other` at scale w: the unweighted terms
+    (b)_j z^j / j! at scale W, as lists of midpoints and radii, and the tail
+    bound in ulps of scale W on what the side drops (0 when a terminating
+    side is complete).
 
     The side stops at the first j whose weighted term
     t_j = w_j (b)_j z^j / j!, with w_j = j! / (c)_j, passes the `_fx_tail`
@@ -199,39 +222,50 @@ def _f1_side(b, c, z: Ball, zsup: Fraction, other: Fraction, tol: BigFloat, W: i
     unweighted terms.  For the competitor's x side (b = -kk) that is
     q = |x| kk/(e+2), so it stops as soon as its weighted terms are small
     enough (85 terms at the balanced pair of n = 2700, not the (kk - e)/2
-    it takes for |r_j| to fall to 1).
+    it takes for |r_j| to fall to 1).  The factor is an int pair in no
+    lowest terms, which changes neither the test nor its ceiling.
 
     That test multiplies the radius of a term by `other`, so the one term
-    sequence runs at scale W plus log2(other) bits of headroom, and each
-    term is stored at scale W with its midpoint floored and its radius
-    rounded up, plus one ulp for the floor.  The test takes t_j as the term
-    times wm 2**-we >= w_j, where each factor (1+j)/(c+j) <= 1 multiplies
-    wm, shifted left to leave a quotient above 2**64, and the quotient is
-    rounded up; so the bound is at most (1 + 2**-64)**j w_j.
+    sequence runs at scale W plus bitlen(other) - w >= log2(other 2**-w)
+    bits of headroom, and each term is stored at scale W with its midpoint
+    floored and its radius rounded up, plus one ulp for the floor.  The test
+    takes t_j as the term times wm 2**-we >= w_j, where each factor
+    (1+j)/(c+j) <= 1 multiplies wm, shifted left to leave a quotient above
+    2**64, and the quotient is rounded up; so the bound is at most
+    (1 + 2**-64)**j w_j.
+
+    Each term step is `_fx_mul_rat` by (b+j)/(j+1), then `_fx_mul` by z,
+    written out on bare ints with the same floors and ulps;
+    `tests/test_specfun.py::TestKernelEquality` holds it to those calls int
+    for int.
     """
-    order = int(-b) if _is_nonpos_int(b) else None  # where a terminating side ends
-    factor = other / (1 - zsup * _tail_ratio(b, c, zsup))
-    room = other.numerator.bit_length() - other.denominator.bit_length() + 1  # >= log2(other)
+    (ib, ic, d), (zn, zd) = bc, zsup
+    order = -ib // d if ib <= 0 and ib % d == 0 else None  # where a terminating side ends
+    rn, rd = _tail_ratio(bc, zsup)
+    fn, fd = other * zd * rd, (zd * rd - zn * rn) << w  # other / (1 - q)
+    room = other.bit_length() - w
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
-    zt = _fx_from_ball(z, Wt)
-    ib, ic, d = _scaled(b, c)
+    zm, zr = _fx_from_ball(z, Wt)
+    azm = abs(zm)
     budget = order if order is not None else 64 * w + 256
-    term, wm, we = (1 << Wt, 0), 1 << 64, 64
+    tm, tr, wm, we = 1 << Wt, 0, 1 << 64, 64
     mids, rads = [1 << W], [0]
     j = 0
     while j != order:
-        term = _fx_mul(_fx_mul_rat(term, ib + j * d, (j + 1) * d), zt, Wt)
-        num, den = wm * (j + 1) * d, ic + j * d
+        p, q = ib + j * d, (j + 1) * d
+        um, ur = (tm * p) // q, -(-(tr * abs(p)) // q) + 1
+        tm, tr = (um * zm) >> Wt, -(-(abs(um) * zr + azm * ur + ur * zr) >> Wt) + 1
+        num, den = wm * q, ic + j * d
         shift = max(0, 65 + den.bit_length() - num.bit_length())
         wm, we = -(-(num << shift) // den), we + shift
         j += 1
         if j != order:
-            tail = _fx_tail(term, wm * factor.numerator, factor.denominator << we, limit)
+            tail = _fx_tail((tm, tr), wm * fn, fd << we, limit)
             if tail is not None:
                 return mids, rads, -(-tail >> room)
-        mids.append(term[0] >> room)
-        rads.append(-(-term[1] >> room) + 1)
+        mids.append(tm >> room)
+        rads.append(-(-tr >> room) + 1)
         if j > budget:
             raise PrecisionExhausted("F1 series did not reach its tail tolerance")
     return mids, rads, 0
@@ -336,10 +370,11 @@ def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     2**W (sum_n w_n rB_n + sum_m w_m rA_m): so it widens the radius by at
     most (na + nb) 2**-40 of itself.  The operands are rounded by the
     absolute 2**(W-40), not relative to the largest one: at n = 2700 the
-    largest A_m is about 2**204 times A_0.  C'_s takes y C_{s-1} with `_fx_mul`
-    on the enclosure of y.  Horner in s then applies (1+s)/(c+s), or
-    (1+s)/(c+1+s), with `_fx_mul_rat`, which floors and adds an ulp, so
-    every C_s, its radius included, ends weighted by w_s (or w'_s).
+    largest A_m is about 2**204 times A_0.  C'_s takes y C_{s-1} as
+    `_fx_mul` does, on the enclosure of y.  Horner in s then applies
+    (1+s)/(c+s), or (1+s)/(c+1+s), as `_fx_mul_rat` does, flooring and
+    adding an ulp, so every C_s, its radius included, ends weighted by w_s
+    (or w'_s).  Both steps are written out on bare ints.
 
     The sides are stored and summed at W = w + _FX_GUARD with no headroom.
     Rounding leaves A_m and B_n a few ulps of relative error while they grow
@@ -352,30 +387,36 @@ def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
     if not (c >= 1 and _is_nonpos_int(b1)):
         raise InvalidArgument("F1 tail bound needs c >= 1 and b1 a non-positive integer")
-    xsup = Fraction(bf_to_fraction(x.mag_sup()))
-    ysup = Fraction(bf_to_fraction(y.mag_sup()))
-    if xsup >= 1 or ysup >= 1:
+    (xn, xd), (yn, yd) = xsup, ysup = _sup(x), _sup(y)
+    if xn >= xd or yn >= yd:
         raise PrecisionExhausted("F1 arguments must lie certainly inside the unit disc")
     tol = _default_tol(prec)
     w = prec + 8
-    u_bound = _pow_sup(1 + xsup, int(-b1), w)
-    v_bound = _pow_sup(1 / (1 - ysup), _fr_ceil(abs(b2)), w)
+    # U and V from their bases 1 + |x| and 1 / (1 - |y|) rounded up to scale w
+    u_bound = _pow_sup((1 << w) - (-(xn << w) // xd), int(-b1), w)
+    v_bound = _pow_sup(-(-(yd << w) // (yd - yn)), _fr_ceil(abs(b2)), w)
     W = w + _FX_GUARD
-    am, ar, x_tail = _f1_side(b1, c, x, xsup, v_bound, tol, W, w)
-    bm, br, y_tail = _f1_side(b2, c, y, ysup, u_bound, tol, W, w)
+    am, ar, x_tail = _f1_side(_scaled(b1, c), x, xsup, v_bound, tol, W, w)
+    bm, br, y_tail = _f1_side(_scaled(b2, c), y, ysup, u_bound, tol, W, w)
     sums = _diagonal_sums(am, ar, bm, br, W)[::-1]  # C_s for s from na + nb - 2 down to 0
     ic, d = c.numerator, c.denominator
-    # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0
-    yx, zero = _fx_from_ball(y, W), (0, 0)
-    y_prev = (_fx_mul(v, yx, W) for v in sums + [zero])
-    shifted = [(cm - pm, cr + pr) for (cm, cr), (pm, pr) in zip([zero] + sums, y_prev)]
+    # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0, each y C_{s-1}
+    # by `_fx_mul` on bare ints
+    ym, yr = _fx_from_ball(y, W)
+    aym, shifted, cm, cr = abs(ym), [], 0, 0
+    for vm, vr in sums + [(0, 0)]:
+        shifted.append((cm - ((vm * ym) >> W), cr - (-(abs(vm) * yr + aym * vr + vr * yr) >> W) + 1))
+        cm, cr = vm, vr
     tail = x_tail + y_tail
     out = []
-    for cs, shift, t in ((sums, 0, tail), (shifted, d, _fr_ceil(tail * (1 + ysup)))):
+    for cs, shift, t in ((sums, 0, tail), (shifted, d, -(-tail * (yd + yn) // yd))):
+        # Horner in s: each step `_fx_mul_rat` by (1+s)/(c+shift+s), on bare ints
         acc_m = acc_r = 0
-        for s, (cm, cr) in zip(range(len(cs) - 1, -1, -1), cs):
-            acc_m, acc_r = _fx_mul_rat((acc_m, acc_r), (s + 1) * d, ic + shift + s * d)
-            acc_m += cm
-            acc_r += cr
+        p, q = len(cs) * d, ic + shift + (len(cs) - 1) * d
+        for cm, cr in cs:
+            acc_m = (acc_m * p) // q + cm
+            acc_r = -(-(acc_r * p) // q) + 1 + cr
+            p -= d
+            q -= d
         out.append(_fx_to_ball((acc_m, acc_r + t), W, prec))
     return tuple(out)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -6,7 +7,25 @@ from fractions import Fraction
 import pytest
 
 from lenscert import specfun
-from lenscert.ball import Ball, ball_div, ball_mul, ball_mul_rat, ball_widen, intersects, pi_ball, sqrt_ball
+from lenscert.ball import (
+    _FX_GUARD,
+    Ball,
+    _fx_add,
+    _fx_from_ball,
+    _fx_mul,
+    _fx_mul_rat,
+    _fx_pow,
+    _fx_pow_mid,
+    _fx_sub,
+    _fx_tail,
+    ball_div,
+    ball_mul,
+    ball_mul_rat,
+    ball_widen,
+    intersects,
+    pi_ball,
+    sqrt_ball,
+)
 from lenscert.bigfloat import bf_cmp, bf_to_float, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
 
@@ -249,6 +268,24 @@ def _terminating_f1(kk: int, e: int, c: Fraction, xf: Fraction, yf: Fraction) ->
     return exact / (q**kk * v**e)
 
 
+@functools.cache
+def _f1_double_sum(kk: int, e2: int, xf: Fraction, yf: Fraction, n_max: int) -> Fraction:
+    """F1(1, -kk, -e; e+2; x, y) for e = e2/2, exactly, with the outer sum
+    cut after n = n_max: sum_n (1)_n (-e)_n / ((e+2)_n n!) y^n times
+    sum_m (1+n)_m (-kk)_m / ((e+2+n)_m m!) x^m for m up to kk, each term
+    from the one before it"""
+    b1, b2, c = -kk, -Fraction(e2, 2), Fraction(e2, 2) + 2
+    total, coef = Fraction(0), Fraction(1)
+    for n in range(n_max + 1):
+        term = inner = Fraction(1)
+        for m in range(kk):
+            term *= (1 + n + m) * (b1 + m) / ((c + n + m) * (m + 1)) * xf
+            inner += term
+        total += coef * inner
+        coef *= (1 + n) * (b2 + n) / ((c + n) * (n + 1)) * yf
+    return total
+
+
 class TestAppellF1:
     """F1(1; b1, b2; c; x, y), the one form lenscert sums"""
 
@@ -300,8 +337,8 @@ class TestAppellF1:
         c = Fraction(3826, 3823)
         xf, yf = Fraction(455, 1024), Fraction(-31, 64)
 
-        def exact_side(b, c, z, zsup, other, tol, W, w):
-            zf, order = bf_to_fraction(z.mid), int(-b)
+        def exact_side(bc, z, zsup, other, tol, W, w):
+            zf, order = bf_to_fraction(z.mid), -bc[0] // bc[2]
             terms = [math.comb(order, j) * (-zf) ** j * 2**W for j in range(order + 1)]
             assert all(t.denominator == 1 for t in terms)
             return [int(t) for t in terms], [0] * len(terms), 0
@@ -363,7 +400,8 @@ class TestAppellF1:
         """the bound wm 2^-we on w_j = j! / (c)_j that `_f1_side` passes to
         its tail test is at least w_j and at most (1 + j 2^-62) w_j, for j
         up to 2000 and c from 1 to 1350: at z = 0 and other = 1 the tail
-        factor is 1, so the test's p/q is the bound itself"""
+        factor is 1, so the test's p/q is the bound itself (over a common
+        factor, which the ratio checks do not see)"""
         zero = Ball.from_int(0, 64)
         cases = [1350, Fraction(3, 2), 1, 5, Fraction(450029, 42), Fraction(2697, 2), Fraction(3826, 3823)]
         for c in cases:
@@ -375,7 +413,7 @@ class TestAppellF1:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(specfun, "_fx_tail", recording_tail)
-                specfun._f1_side(b, c, zero, Fraction(0), Fraction(1), bf_two_power(-80), 96, 72)
+                specfun._f1_side(specfun._scaled(b, c), zero, (0, 1), 1 << 72, bf_two_power(-80), 96, 72)
             assert len(bounds) == 2000, c
             exact_num, exact_den = 1, 1
             for j in range(1, 2001):
@@ -592,7 +630,7 @@ class TestTailRule:
                 b = c - Fraction(rng.randint(1, 900), rng.choice((1, 2)))
             order = int(-b) if b.denominator == 1 and b <= 0 else None
             try:
-                bound = specfun._tail_ratio(b, c, zsup)
+                bound = Fraction(*specfun._tail_ratio(specfun._scaled(b, c), (zsup.numerator, zsup.denominator)))
             except (PrecisionExhausted, InvalidArgument) as err:
                 outcomes.add((i % 3, False))
                 invalid = b < c and b + c < 0 and order is None
@@ -617,7 +655,7 @@ class TestTailRule:
             (Fraction(-7, 2), Fraction(3, 2), InvalidArgument),
         ):
             with pytest.raises(kind):
-                specfun._tail_ratio(b, c, Fraction(9, 10))
+                specfun._tail_ratio(specfun._scaled(b, c), (9, 10))
             with pytest.raises(kind):
                 specfun.gauss_2f1(b, c, z, 64)
 
@@ -641,24 +679,34 @@ class TestTailRule:
         """2F1(1, -kk; e+2+shift; z) at a z ball of nonzero radius stops at
         its certified tail before its last term and still contains the
         exact finite sum; at the loose tolerance the tail, not rounding,
-        sets the radius"""
+        sets the radius.  The terms are counted through the one `_fx_tail`
+        test each takes: the same series held back from stopping until
+        past its last term counts more than kk"""
         prec = 128
         _tolerance(monkeypatch, tol_exp)
-        terms = []
-        inner = specfun._fx_mul_rat
-
-        def counting(*args):
-            terms.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(specfun, "_fx_mul_rat", counting)
         zf = Fraction(-1317, 10000)
         z = Ball.from_fraction(zf, prec)
         assert z.rad.sign != 0
         b, c = Fraction(-kk), Fraction(e2, 2) + 2 + shift
-        out = specfun.gauss_2f1(b, c, z, prec)
+        inner = specfun._fx_tail
+
+        def count_terms(hold: int):
+            """the series, and its number of tail tests, with the first
+            `hold` of them failed"""
+            terms = []
+
+            def counting(*args):
+                terms.append(args)
+                return None if len(terms) <= hold else inner(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(specfun, "_fx_tail", counting)
+                return specfun.gauss_2f1(b, c, z, prec), len(terms)
+
+        out, terms = count_terms(0)
         exact = sum(poch(b, m) / poch(c, m) * zf**m for m in range(kk + 1))
-        assert len(terms) < kk
+        assert terms < kk
+        assert count_terms(kk)[1] > kk
         assert _contains(out, exact)
         if tol_exp is None:
             assert 2 * bf_to_fraction(out.rad) <= abs(exact) / 2 ** (prec - 8)
@@ -675,17 +723,9 @@ class TestTailRule:
         yf = Fraction(-173, 10000)
         x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
         e = Fraction(e2, 2)
-        a, b1, b2, c = Fraction(1), Fraction(-kk), -e, e + 2
-        out = specfun.appell_f1(b1, b2, c, x, y, prec)[0]
+        out = specfun.appell_f1(-kk, -e, e + 2, x, y, prec)[0]
         n_max = int(e) if e.denominator == 1 else 60
-        total = Fraction(0)
-        for n in range(n_max + 1):
-            coef = poch(a, n) * poch(b2, n) / (poch(c, n) * math.factorial(n)) * yf**n
-            inner = sum(
-                poch(a + n, m) * poch(b1, m) / (poch(c + n, m) * math.factorial(m)) * xf**m
-                for m in range(kk + 1)
-            )
-            total += coef * inner
+        total = _f1_double_sum(kk, e2, xf, yf, n_max)
         # |(a)_j / (c)_j| <= 1, |(-e)_n / n!| <= 2^e and sum |(-kk)_m| / m! |x|^m
         # = (1 + |x|)^kk, so the omitted outer terms stay below `rest`
         ysup = abs(yf)
@@ -754,16 +794,17 @@ class TestTailRule:
         assert 2 * bf_to_fraction(e.m_value.rad) < Fraction(1, 10**12)
 
     def test_pow_sup_bounds_the_power(self):
-        """the F1 bounds U = (1 + t)^kk and V = (1 - t)^(-k) come out at
-        least the exact power and at most (2k + 64) ulps of scale w above
-        it, relative to the power"""
+        """the F1 bounds U = (1 + t)^kk and V = (1 - t)^(-k), from the base
+        rounded up to scale w as `appell_f1` passes it, come out at least the
+        exact power and at most (2k + 64) ulps of scale w above it, relative
+        to the power"""
         rng = random.Random(13)
         for _ in range(60):
             k, w = rng.randint(0, 700), rng.choice((64, 144, 300))
             t = Fraction(rng.randint(1, 1 << 40), 1 << rng.randint(41, 44))
             for base in (1 + t, 1 / (1 - t)):
                 exact = base**k
-                got = specfun._pow_sup(base, k, w)
+                got = Fraction(specfun._pow_sup(-(-(base.numerator << w) // base.denominator), k, w), 1 << w)
                 assert exact <= got <= exact * (1 + Fraction(2 * k + 64, 2**w)), (k, t, w)
 
 
@@ -837,3 +878,324 @@ class TestAgainstMpmath:
                 args = (_mp(mpmath, v) for v in params + (xf, yf))
                 ref = _mp_fraction(mpmath.appellf1(1, *args))
             self._check(out, ref, prec, tol_exp)
+
+
+# ---------------------------------------------------------------------------
+# the inline term steps and Horner passes against the kernel calls
+# ---------------------------------------------------------------------------
+
+
+def _kernel_tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
+    """`specfun._tail_ratio` on Fractions, the form it took before its
+    arguments were ints"""
+    if b >= c or (b.denominator == 1 and b <= 0):
+        bound = abs(b) / c
+    else:
+        bound = Fraction(1) if b + c >= 0 else None
+    if bound is None or 2 * zsup * bound > 1 + zsup:
+        raise (InvalidArgument if bound is None else PrecisionExhausted)("no tail ratio")
+    return bound
+
+
+def _kernel_2f1(b, c, z: Ball, prec: int):
+    """`specfun.gauss_2f1` with its set-up on Fractions and each term step
+    one `_fx_mul_rat` and one `_fx_mul`: the pair it hands `_fx_to_ball`,
+    and its scale"""
+    b, c = Fraction(b), Fraction(c)
+    zsup = bf_to_fraction(z.mag_sup())
+    w = prec + 8
+    ratio = zsup * _kernel_tail_ratio(b, c, zsup)
+    tail_factor = ratio / (1 - ratio)
+    room = (1 + zsup) / (1 - ratio) ** 2
+    W = w + _FX_GUARD + room.numerator.bit_length() - room.denominator.bit_length() + 2
+    zx = _fx_from_ball(z, W)
+    limit = _fx_from_ball(Ball.point(specfun._default_tol(prec), w), W)[0]
+    term = total = (1 << W, 0)
+    ib, ic, d = specfun._scaled(b, c)
+    m = 0
+    while True:
+        term = _fx_mul(_fx_mul_rat(term, ib + m * d, ic + m * d), zx, W)
+        total = _fx_add(total, term)
+        m += 1
+        tail = _fx_tail(term, tail_factor.numerator, tail_factor.denominator, limit)
+        if tail is not None:
+            return (total[0], total[1] + tail), W
+
+
+def _kernel_side(b: Fraction, c: Fraction, z: Ball, zsup: Fraction, other: Fraction, tol, W: int, w: int):
+    """`specfun._f1_side` on Fractions, with each term step one
+    `_fx_mul_rat` and one `_fx_mul`"""
+    order = int(-b) if b.denominator == 1 and b <= 0 else None
+    factor = other / (1 - zsup * _kernel_tail_ratio(b, c, zsup))
+    room = other.numerator.bit_length() - other.denominator.bit_length() + 1
+    Wt = W + room
+    limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]
+    zt = _fx_from_ball(z, Wt)
+    ib, ic, d = specfun._scaled(b, c)
+    term, wm, we = (1 << Wt, 0), 1 << 64, 64
+    mids, rads = [1 << W], [0]
+    j = 0
+    while j != order:
+        term = _fx_mul(_fx_mul_rat(term, ib + j * d, (j + 1) * d), zt, Wt)
+        num, den = wm * (j + 1) * d, ic + j * d
+        shift = max(0, 65 + den.bit_length() - num.bit_length())
+        wm, we = -(-(num << shift) // den), we + shift
+        j += 1
+        if j != order:
+            tail = _fx_tail(term, wm * factor.numerator, factor.denominator << we, limit)
+            if tail is not None:
+                return mids, rads, -(-tail >> room)
+        mids.append(term[0] >> room)
+        rads.append(-(-term[1] >> room) + 1)
+    return mids, rads, 0
+
+
+def _kernel_f1(b1, b2, c, x: Ball, y: Ball, prec: int, sides=None, bounds=None):
+    """`specfun.appell_f1` with its set-up on Fractions, its sides from
+    `_kernel_side` (or `sides`, as (x side, y side)), and the C' shift and
+    both Horner passes made of `_fx_mul`, `_fx_mul_rat` and `_fx_add`: the
+    two pairs it hands `_fx_to_ball`, each with its scale.  The bounds it
+    gives its sides, (|x|, V) and (|y|, U), go to the list `bounds`"""
+    b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
+    xsup, ysup = bf_to_fraction(x.mag_sup()), bf_to_fraction(y.mag_sup())
+    tol = specfun._default_tol(prec)
+    w = prec + 8
+
+    def pow_sup(base: Fraction, k: int) -> Fraction:
+        m, r = _fx_pow((math.ceil(base * (1 << w)), 0), k, w)
+        return Fraction(m + r, 1 << w)
+
+    u_bound = pow_sup(1 + xsup, int(-b1))
+    v_bound = pow_sup(1 / (1 - ysup), math.ceil(abs(b2)))
+    W = w + _FX_GUARD
+    if bounds is not None:
+        bounds += [(xsup, v_bound), (ysup, u_bound)]
+    if sides is None:
+        sides = _kernel_side(b1, c, x, xsup, v_bound, tol, W, w), _kernel_side(b2, c, y, ysup, u_bound, tol, W, w)
+    (am, ar, x_tail), (bm, br, y_tail) = sides
+    sums = specfun._diagonal_sums(am, ar, bm, br, W)[::-1]
+    ic, d = c.numerator, c.denominator
+    yx, zero = _fx_from_ball(y, W), (0, 0)
+    y_prev = (_fx_mul(v, yx, W) for v in sums + [zero])
+    shifted = [_fx_sub(v, p) for v, p in zip([zero] + sums, y_prev)]
+    tail = x_tail + y_tail
+    out = []
+    for cs, shift, t in ((sums, 0, tail), (shifted, d, math.ceil(tail * (1 + ysup)))):
+        acc = (0, 0)
+        for s, cv in zip(range(len(cs) - 1, -1, -1), cs):
+            acc = _fx_add(_fx_mul_rat(acc, (s + 1) * d, ic + shift + s * d), cv)
+        out.append(((acc[0], acc[1] + t), W))
+    return out
+
+
+def _handed_on(fn, *args) -> list:
+    """fn(*args), run for the (pair, scale) of every `_fx_to_ball` call it
+    makes in `specfun`"""
+    seen = []
+    inner = specfun._fx_to_ball
+
+    def recording(x, W, w):
+        seen.append((x, W))
+        return inner(x, W, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_fx_to_ball", recording)
+        fn(*args)
+    return seen
+
+
+@functools.cache
+def _recorded_calls() -> dict:
+    """the arguments of every `gauss_2f1`, `appell_f1` and `_fx_pow_mid`
+    call that `certify_dimension` makes over the dimensions of seed 1 of the
+    `desk` workload of bench/run.py (width 1e-12) and of its `tight`
+    workload (width 1e-45, every 128-bit attempt rejected)"""
+    from lenscert import ball, certify
+
+    calls = {"2f1": [], "f1": [], "pow": []}
+
+    def recorder(key, fn):
+        def recording(*args):
+            calls[key].append(args)
+            return fn(*args)
+
+        return recording
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "gauss_2f1", recorder("2f1", specfun.gauss_2f1))
+        mp.setattr(specfun, "appell_f1", recorder("f1", specfun.appell_f1))
+        mp.setattr(ball, "_fx_pow_mid", recorder("pow", ball._fx_pow_mid))
+        for dims, width in (
+            ((41, 52, 84, 97, 121, 148, 173, 184), 1e-12),
+            ((26, 43, 53, 56, 68, 81, 86, 103, 109, 116), 1e-45),
+        ):
+            for n in dims:
+                assert certify.certify_dimension(n, target_width=width)["verdict"] == "Proven"
+    return calls
+
+
+def _random_ball(rng, zf: Fraction, prec: int) -> Ball:
+    """zf at prec bits, with a zero radius when zf is a short dyadic, and
+    otherwise, or on a coin flip, widened by a random power of two"""
+    out = Ball.from_fraction(zf, prec)
+    if out.rad.sign == 0 and rng.random() < 0.5:
+        return out
+    return ball_widen(out, bf_two_power(-rng.randint(prec // 2, prec + 20)))
+
+
+def _random_fraction(rng, top: Fraction) -> Fraction:
+    """a signed value of magnitude below top, a short dyadic a third of the
+    time, so that its ball can have a zero radius"""
+    if rng.random() < 1 / 3:
+        den = 2 ** rng.randint(1, 12)
+        return rng.choice((-1, 1)) * Fraction(rng.randint(0, max(0, math.ceil(top * den) - 1)), den)
+    return rng.choice((-1, 1)) * top * Fraction(rng.randint(0, 10**6 - 1), 10**6)
+
+
+class TestKernelEquality:
+    """The term steps of `gauss_2f1` and `_f1_side`, the C' shift and the
+    two Horner passes of `appell_f1` are written on bare ints, and the F1
+    set-up on integers; the Newton step of `pow_rational` takes a
+    midpoint-only power.  Each gives exactly the ints of the kernel calls it
+    stands for (`_kernel_2f1`, `_kernel_side`, `_kernel_f1`, `_fx_pow`), on
+    random arguments at scales W = 40..400 with zero and nonzero radii and
+    on every call of one `desk` and one `tight` pass: equal, not only
+    enclosing, since a lost ulp encloses as well."""
+
+    def test_2f1_term_steps(self):
+        rng = random.Random(36)
+        ran = 0
+        for case in range(160):
+            prec = rng.randint(16, 376)
+            kind = case % 3
+            if kind == 0:  # terminating
+                b, c = Fraction(-rng.randint(0, 60)), 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
+            elif kind == 1:  # b > c, ratios falling towards 1
+                c = 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
+                b = c + Fraction(rng.randint(1, 200), rng.choice((1, 2, 3)))
+            else:  # b < c with b + c >= 0, R = 1
+                c = 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
+                b = rng.choice((-1, 1)) * c * Fraction(rng.randint(0, 999), 1000)
+            # |z| R <= (1 + |z|)/2 for R = max(|b|/c, 1) wherever 2R > 1
+            ztop = min(Fraction(9, 10), 1 / max(2 * abs(b) / c - 1, Fraction(1, 2)))
+            z = _random_ball(rng, _random_fraction(rng, ztop), prec)
+            try:
+                want = [_kernel_2f1(b, c, z, prec)]
+            except (InvalidArgument, PrecisionExhausted) as err:
+                with pytest.raises(type(err)):
+                    specfun.gauss_2f1(b, c, z, prec)
+                continue
+            assert _handed_on(specfun.gauss_2f1, b, c, z, prec) == want, (b, c, z, prec)
+            ran += 1
+        assert ran >= 140
+        for b, c, z, prec in _recorded_calls()["2f1"]:
+            assert _handed_on(specfun.gauss_2f1, b, c, z, prec) == [_kernel_2f1(b, c, z, prec)], (b, c, prec)
+
+    def test_f1_side_term_steps(self):
+        rng = random.Random(37)
+        ran = 0
+        for case in range(160):
+            prec = rng.randint(16, 376)
+            w = prec + 8
+            c = 1 + Fraction(rng.randint(0, 200), rng.randint(1, 4))
+            if case % 2:
+                b = Fraction(-rng.randint(0, 120))
+            else:
+                b = rng.choice((-1, 1)) * c * Fraction(rng.randint(0, 999), 1000)
+            z = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
+            other = rng.randint(1 << w, 1 << (w + rng.randint(0, 60)))
+            tol = bf_two_power(-prec - rng.choice((12, 0, -40)))
+            zsup = specfun._sup(z)
+            args = (z, zsup, other, tol, w + 16, w)
+            try:
+                want = _kernel_side(b, c, z, Fraction(*zsup), Fraction(other, 1 << w), tol, w + 16, w)
+            except (InvalidArgument, PrecisionExhausted) as err:
+                with pytest.raises(type(err)):
+                    specfun._f1_side(specfun._scaled(b, c), *args)
+                continue
+            assert specfun._f1_side(specfun._scaled(b, c), *args) == want, (b, c, z, other, prec)
+            ran += 1
+        assert ran >= 120
+
+    def _check_f1(self, b1, b2, c, x, y, prec):
+        """appell_f1 hands `_fx_to_ball` the pairs of `_kernel_f1` and its
+        sides the same |x|, |y|, U and V, and each of its sides is the side
+        of `_kernel_side`"""
+        sides, bounds = [], []
+        inner = specfun._f1_side
+
+        def recording(*args):
+            sides.append((args, inner(*args)))
+            return sides[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_f1_side", recording)
+            got = _handed_on(specfun.appell_f1, b1, b2, c, x, y, prec)
+        assert got == _kernel_f1(b1, b2, c, x, y, prec, bounds=bounds), (b1, b2, c, x, y, prec)
+        w = prec + 8
+        assert [(Fraction(*args[2]), Fraction(args[3], 1 << w)) for args, _ in sides] == bounds
+        for (bc, z, zsup, other, tol, W, w), side in sides:
+            b, c = Fraction(bc[0], bc[2]), Fraction(bc[1], bc[2])
+            assert side == _kernel_side(b, c, z, Fraction(*zsup), Fraction(other, 1 << w), tol, W, w)
+
+    def test_f1_set_up_sides_and_horner(self):
+        rng = random.Random(38)
+        ran = 0
+        for case in range(90):
+            # a third at 16 to 40 bits, where |x| can have more bits than
+            # the scale w, so that the base 1 + |x| of U is rounded up
+            prec = rng.randint(16, 376 if case % 3 else 40)
+            kk = rng.randint(0, 80)
+            e = Fraction(rng.randint(0, 80), 2)
+            b2, c = rng.choice((-e, -e, Fraction(1), Fraction(3, 2))), e + 2 + rng.choice((0, 0, Fraction(1, 3)))
+            # |x| kk/c <= (1 + |x|)/2, the x side's first-term bound
+            xtop = min(Fraction(9, 10), 1 / max(2 * kk / c - 1, Fraction(1, 2)))
+            x = _random_ball(rng, _random_fraction(rng, xtop), prec)
+            y = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
+            try:
+                _kernel_f1(-kk, b2, c, x, y, prec)
+            except (InvalidArgument, PrecisionExhausted) as err:
+                with pytest.raises(type(err)):
+                    specfun.appell_f1(-kk, b2, c, x, y, prec)
+                continue
+            self._check_f1(-kk, b2, c, x, y, prec)
+            ran += 1
+        assert ran >= 80
+        for args in _recorded_calls()["f1"]:
+            self._check_f1(*args)
+
+    def test_horner_and_shift_on_random_sides(self):
+        """with both sides replaced by random signed terms (A_0 = B_0 = 2^W,
+        as `_f1_side` makes them) and random tails, the C' shift and both
+        Horner passes still give the kernel's ints"""
+        rng = random.Random(39)
+        for case in range(120):
+            prec = rng.randint(16, 376)
+            W = prec + 8 + 16
+
+            def side():
+                length = rng.randint(1, 60)
+                mids = [1 << W] + [rng.choice((-1, 1)) * rng.randint(0, 1 << (W + 30)) for _ in range(length - 1)]
+                rads = [0] + [rng.choice((0, rng.randint(1, 1 << 20))) for _ in range(length - 1)]
+                return mids, rads, rng.choice((0, rng.randint(1, 1 << 40)))
+
+            sides = side(), side()
+            c = 1 + Fraction(rng.randint(0, 200), rng.randint(1, 5))
+            x = Ball.from_fraction(Fraction(1, 8), prec)
+            y = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
+            stub = iter(sides)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(specfun, "_f1_side", lambda *args: next(stub))
+                got = _handed_on(specfun.appell_f1, -3, -2, c, x, y, prec)
+            assert got == _kernel_f1(-3, -2, c, x, y, prec, sides), (case, c, y, prec)
+
+    def test_newton_power_is_the_kernel_midpoint(self):
+        rng = random.Random(40)
+        calls = [
+            (rng.randint(1 << W, 1 << (W + 1)), rng.randint(0, 300), W)
+            for W in (rng.randint(40, 400) for _ in range(300))
+        ]
+        calls += _recorded_calls()["pow"]
+        assert len(calls) > 300
+        for x, k, W in calls:
+            assert _fx_pow_mid(x, k, W) == _fx_pow((x, 0), k, W)[0], (x, k, W)
