@@ -536,8 +536,8 @@ def log_ball(a: Ball, prec: int) -> Ball:
 def _fx_atan(x: int, W: int) -> tuple[int, int]:
     """atan(x * 2**-W) at scale 2**-W for an integer x.
 
-    For |x| above one the series runs on the floor of 1/|x|, one ulp of
-    radius for that floor, and atan |x| = pi/2 - atan(1/|x|).  Two halvings
+    For |x| above one the series runs on 1/|x| from `_fx_div`, its floor
+    with one ulp of radius, and atan |x| = pi/2 - atan(1/|x|).  Two halvings
     atan y = 2 atan(y / (1 + sqrt(1 + y**2))) by `_fx_sqrt` and `_fx_div`
     bring the argument below tan(pi/16) < 0.2, where the alternating series
     runs at the pair's midpoint, widened by its radius as atan is
@@ -546,7 +546,7 @@ def _fx_atan(x: int, W: int) -> tuple[int, int]:
     `_fx_tail` test).
     """
     one, ax = 1 << W, abs(x)
-    y = ((one << W) // ax, 1) if ax > one else (ax, 0)
+    y = _fx_div((one, 0), (ax, 0), W) if ax > one else (ax, 0)
     for _ in range(2):
         ym, yr = y
         root = _fx_sqrt(((one << W) + ym * ym, (2 * abs(ym) + yr) * yr))
@@ -575,13 +575,14 @@ def atan_ball(a: Ball, prec: int) -> Ball:
     scale 2**-W is m +/- r, r covering a's radius and the bits dropped from
     its midpoint; `_fx_atan` encloses atan m, and by the mean value theorem
     atan moves by at most r / (1 + max(|m| - r, 0)**2) over the ball, as
-    1 / (1 + t**2) is largest where |t| is least.  That bound, rounded up,
-    widens the radius; for r up to 1/8 it is at most 1.13 times the radius
-    of the exact hull."""
+    1 / (1 + t**2) is largest where |t| is least.  That bound, rounded up
+    by `_fx_tail` (it never exceeds r, the test's limit), widens the
+    radius; for r up to 1/8 it is at most 1.13 times the radius of the
+    exact hull."""
     W = prec + 16 + _FX_GUARD
     m, r = _fx_from_ball(a, W)
     low = max(abs(m) - r, 0)
-    slope = -(-(r << 2 * W) // ((1 << 2 * W) + low * low))
+    slope = _fx_tail((0, r), 1 << 2 * W, (1 << 2 * W) + low * low, r)
     am, ar = _fx_atan(m, W)
     return _fx_to_ball((am, ar + slope), W, prec)
 

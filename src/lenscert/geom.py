@@ -10,15 +10,15 @@ evaluated in two corner passes, one per arc: on the special-function route,
 and for the agreement check, its one second path, from exact trigonometric
 moments.  The agreement value is not checked where it is computed:
 `certify.certify_dimension` holds it to one width-and-intersection rule.
-Both share `lawson_constants` and `assemble_competitor`, so they
-cross-check the arc integrals only; the references that share no code with
+Both share `lawson_constants` and `assemble_competitor` (the ledger of
+`tests/test_independence.py` lists all they share), so they cross-check
+the arc integrals only; the references that share no code with
 lenscert are the mpmath evaluations in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import oracle, specfun
 from .ball import (
@@ -69,13 +69,15 @@ class LensQuantities:
         self.n, self.lambda_plane = n, lambda_plane
 
 
-def _root_power(fr: Fraction, root: tuple[int, int], e: int, W: int) -> tuple[tuple[int, int], int]:
-    """(x, S): sqrt(fr)**e for e >= 0 in fixed point at scale 2**-S, given
-    root = sqrt(fr) at scale 2**-W: fr**(e/2) for even e, root fr**((e-1)/2)
-    for odd e.  S = W - floor(log2 sqrt(fr)**e), so x is about 2**W."""
-    S = W - math.floor(e * math.log2(fr) / 2)
-    mag = fr ** (e // 2)
-    p, q = mag.numerator << max(S - W, 0), mag.denominator << max(W - S, 0)
+def _root_power(p: int, q: int, root: tuple[int, int], e: int, W: int) -> tuple[tuple[int, int], int]:
+    """(x, S): sqrt(p/q)**e for e >= 0 in fixed point at scale 2**-S, given
+    root = sqrt(p/q) at scale 2**-W: (p/q)**(e/2) for even e, root
+    (p/q)**((e-1)/2) for odd e, the power taken of p/q in lowest terms (for
+    k = l that is 1).  S = W - floor(log2 sqrt(p/q)**e), so x is about
+    2**W."""
+    S = W - math.floor(e * math.log2(p / q) / 2)
+    g = math.gcd(p, q)
+    p, q = (p // g) ** (e // 2) << max(S - W, 0), (q // g) ** (e // 2) << max(W - S, 0)
     return _fx_mul_rat(root if e % 2 else (1 << W, 0), p, q), S
 
 
@@ -90,10 +92,11 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
 
     As c = a + b + 1/2, the quadratic transformation
     F(a, b; a+b+1/2; 4z(1-z)) = F(2a, 2b; a+b+1/2; z) (DLMF §15.8) at
-    z = 1/4 turns that 2F1 into 2F1(1, n+1; (n+3)/2; 1/4), whose terms are
-    still positive and whose term ratio (n+1+j) / ((n+3)/2+j) / 4 is at most
-    1/2, against 3/4 in the limit at z = 3/4: at n = 116 the 128-bit lens
-    sums 114 terms, where the z = 3/4 form needs 362.
+    z = 1/4 turns that 2F1 into 2F1(1, n+1; (n+3)/2; 1/4), the series of
+    `specfun.gauss_2f1(n, w)`, whose terms are still positive and whose term
+    ratio (n+1+j) / ((n+3)/2+j) / 4 is at most 1/2, against 3/4 in the limit
+    at z = 3/4: at n = 116 the 128-bit lens sums 114 terms, where the
+    z = 3/4 form needs 362.
 
     The energy is (2 cap - disc) / V^((n-1)/n), with the cap area
     (n-1) omega_{n-1} I_{n-2} and disc = omega_{n-1} (sqrt3/2)^(n-1).  The
@@ -107,8 +110,8 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     w = prec + 16
     W = w + _FX_GUARD
     omega = specfun.unit_ball_volume(n - 1, w)
-    f = specfun.gauss_2f1(n + 1, Fraction(n + 3, 2), Ball.from_fraction(Fraction(1, 4), w), w)
-    disc, S = _root_power(Fraction(3, 4), _fx_sqrt((3 << 2 * W - 2, 0)), n - 1, W)
+    f = specfun.gauss_2f1(n, w)
+    disc, S = _root_power(3, 4, _fx_sqrt((3 << 2 * W - 2, 0)), n - 1, W)
     g = bf_msb_exp(omega.mid)
     disc = _fx_mul(_fx_from_ball(omega, W - g), disc, W)
     # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1)), at scale 2**-(S - g)
@@ -223,7 +226,7 @@ def assemble_competitor(
     n = k + l + 2
     w = prec + 16
     W = w + _FX_GUARD
-    lam_pow, S = _root_power(Fraction(k, l), _fx_from_ball(consts.lambda_, W), k + 1, W)
+    lam_pow, S = _root_power(k, l, _fx_from_ball(consts.lambda_, W), k + 1, W)
     s1v, s2v, s1p, s2p = (_fx_from_ball(b, S) for b in (s1v, s2v, s1p, s2p))
     vol = _fx_add(lam_pow, _fx_add(_fx_mul_rat(s1v, k + 1, 1), _fx_mul_rat(s2v, l + 1, 1)))
     rho, r = _fx_from_ball(consts.rho, W), _fx_from_ball(consts.r, W)
@@ -250,16 +253,16 @@ def competitor_energy_specfun(k: int, l: int, prec: int) -> CompetitorEnergy:
     consts = lawson_constants(k, l, prec)
     w = prec + 16
     W = w + _FX_GUARD
-    lam, ratio = _fx_from_ball(consts.lambda_, W), Fraction(k, l)
-    s1p, s1v = _arc_corner(k, l - 1, consts.rho, consts.d, lam, Fraction(1), _root_power(ratio, lam, k, W), W, w)
+    lam = _fx_from_ball(consts.lambda_, W)
+    s1p, s1v = _arc_corner(k, l - 1, consts.rho, consts.d, lam, (1, 1), _root_power(k, l, lam, k, W), W, w)
     s2p, s2v = (s1p, s1v) if k == l else _arc_corner(
-        l, k - 1, consts.r, consts.h, (1 << W, 0), ratio, _root_power(ratio, lam, k - 1, W), W, w
+        l, k - 1, consts.r, consts.h, (1 << W, 0), (k, l), _root_power(k, l, lam, k - 1, W), W, w
     )
     return assemble_competitor(consts, s1v, s2v, s1p, s2p, prec)
 
 
 def _arc_corner(
-    kk: int, e2: int, radius: Ball, offset: Ball, corner: tuple, ld: Fraction, cpow: tuple, W: int, w: int
+    kk: int, e2: int, radius: Ball, offset: Ball, corner: tuple, ld: tuple[int, int], cpow: tuple, W: int, w: int
 ) -> tuple[Ball, Ball]:
     """The perimeter and volume integrals of one arc: the integrals of
     u^kk (radius^2 - (u+offset)^2)^(f/2) from `corner` to radius - offset
@@ -268,36 +271,36 @@ def _arc_corner(
         L^(e+1) corner^kk D^e F1(1, -kk, -e; e+2; -L/corner, -L/D) / (e+1)
 
     with L = radius - offset - corner, D = radius + offset + corner, e = f/2.
-    One `appell_f1` call gives both F1 values, as e + 1 turns (-e, e+2) into
-    (-e-1, e+3), and the volume prefactor is the perimeter's times L D, over
-    e + 2.  All series terms are nonnegative, so no precision is lost to
-    cancellation.
+    One `specfun.appell_f1(kk, e2, x, y, w)` call gives both F1 values, as
+    e + 1 turns (-e, e+2) into (-e-1, e+3), and the volume prefactor is the
+    perimeter's times L D, over e + 2.  All series terms are nonnegative, so
+    no precision is lost to cancellation.
 
     Both arcs pass through the corner (lambda, 1), so L D = radius^2 -
-    (offset + corner)^2 is an exact rational `ld`, the prefactor is L cpow
-    with cpow = ld^e corner^kk, and -L/D = -L^2 / ld.  By the closed forms
+    (offset + corner)^2 is an exact rational, ld = (p, q) for p/q, the
+    prefactor is L cpow with cpow = (p/q)^e corner^kk, and
+    -L/D = -L^2 q / p.  By the closed forms
     of `lawson_constants` (s = sqrt k, t = sqrt l, u = sqrt(k+l)):
 
     - u-arc: d + lambda = (l + sqrt3 st)/D_u, rho = 2tu/D_u and
       D_u^2 = 3l^2 + kl - 2 sqrt3 l st = 4 t^2 u^2 - (l + sqrt3 st)^2,
-      so ld = 1, and cpow = lambda^k for e2 = l - 1;
+      so L D = 1, and cpow = lambda^k for e2 = l - 1;
     - v-arc: h + 1 = (k + sqrt3 st)/D_v, r = 2su/D_v, and
       4 s^2 u^2 - (k + sqrt3 st)^2 = k (3k + l - 2 sqrt3 st) while
-      D_v^2 = l (3k + l - 2 sqrt3 st), so ld = k/l, and with corner 1 and
+      D_v^2 = l (3k + l - 2 sqrt3 st), so L D = k/l, and with corner 1 and
       e2 = k - 1, cpow = (k/l)^((k-1)/2) = lambda^(k-1).
 
     `corner` is fixed point at scale 2**-W and cpow = (pair, S) is from
     `_root_power`; x and y reach `appell_f1` as balls.
     """
-    e = Fraction(e2, 2)
-    cpow, S = cpow
+    (p, q), (cpow, S) = ld, cpow
     length = _fx_sub(_fx_sub(_fx_from_ball(radius, W), _fx_from_ball(offset, W)), corner)
     x = _fx_div((-length[0], length[1]), corner, W)
-    y = _fx_mul_rat(_fx_mul(length, length, W), -ld.denominator, ld.numerator)
+    y = _fx_mul_rat(_fx_mul(length, length, W), -q, p)
     pre = _fx_mul(length, cpow, W)
-    f1, f2 = specfun.appell_f1(-kk, -e, e + 2, _fx_to_ball(x, W, w), _fx_to_ball(y, W, w), w)
+    f1, f2 = specfun.appell_f1(kk, e2, _fx_to_ball(x, W, w), _fx_to_ball(y, W, w), w)
     per = _fx_mul_rat(_fx_mul(pre, _fx_from_ball(f1, W), W), 2, e2 + 2)
-    vol = _fx_mul_rat(_fx_mul(pre, _fx_from_ball(f2, W), W), 2 * ld.numerator, (e2 + 4) * ld.denominator)
+    vol = _fx_mul_rat(_fx_mul(pre, _fx_from_ball(f2, W), W), 2 * p, (e2 + 4) * q)
     return _fx_to_ball(per, S, w), _fx_to_ball(vol, S, w)
 
 

@@ -1,38 +1,38 @@
 """Certified special functions.
 
 Unit-ball volumes are exact: a power of pi over a rational.
-Both hypergeometric series of lenscert have a = 1: the lens series
-2F1(1, n+1; (n+3)/2; 1/4) and the competitor's Appell F1(1; -kk, -e; e+2;
-x, y).  Each series needs its arguments certainly inside the unit disc and
-follows one tail rule, after Johansson, "Computing hypergeometric functions
-rigorously" (ACM TOMS 45(3), 2019): the tail is bounded from the actual
-term ratios, which with a = 1 are r_j = (b+j)/(c+j), through one bound
-R >= |r_j| for every j >= 0 (for a terminating series, every j below its
-order) with q = |z| R <= (1 + |z|)/2, computed once per series by
-`_tail_ratio`.  So each |t_(j+1)| <= q |t_j|, the terms past t_m sum to at
-most |t_m| q / (1 - q), and the series stops at the first m where that is
-at most the tolerance tol = 2**(-prec-12) and is widened by it; a
-terminating series that reaches its last term first is complete.
 
-R.  As c >= 1, c + j > 0 for every j >= 0.  The factor |b+j| / (c+j)
-does not increase if b >= c (it is 1 + (b-c)/(c+j) >= 0), or if the series
-terminates (up to its order its numerator falls and its denominator
-grows); then R = |b|/c, its value at j = 0.  Otherwise b < c, and
--(c+j) <= b+j < c+j for every j >= 0 when b + c >= 0, so R = 1.  With
-b + c < 0 in that case the rule gives no R, whatever z is, and the series
-raises InvalidArgument.  With q > (1 + |z|)/2 it raises PrecisionExhausted.
-So the tail factor q/(1-q) never exceeds (1 + |z|)/(1 - |z|).  The lens
-series (b = n+1 > c) gets q < 1/2, the F1 x side (b = -kk)
-q = |x| kk/(e+2), which at the exact x stays at least 0.3 below
-(1 + |x|)/2 on every valid pair up to n = 2700 (an x ball only a few bits
-wide may not fit), and the F1 y side (b = -e, c = e+2) R = 1, or
-R = e/(e+2) when e is an integer.
+lenscert sums two hypergeometric series, both with a = 1 and integer
+parameters: the lens series 2F1(1, n+1; (n+3)/2; 1/4) for n >= 1
+(`gauss_2f1(n, prec)`), and for each competitor arc the pair
+F1(1; -kk, -e; e+2; x, y), F1(1; -kk, -e-1; e+3; x, y) with e = e2/2
+(`appell_f1(kk, e2, x, y, prec)`, integers kk, e2 >= 0, x and y
+certainly inside the unit disc).  Both follow one tail rule, after
+Johansson, "Computing hypergeometric functions rigorously" (ACM TOMS
+45(3), 2019): the tail is bounded from the actual term ratios, which with
+a = 1 are r_j z with r_j = (b+j)/(c+j), through one bound R >= |r_j| for
+every j >= 0 (for a terminating series, every j below its order) with
+q = |z| R <= (1 + |z|)/2.  So each |t_(j+1)| <= q |t_j|, the terms past
+t_m sum to at most |t_m| q / (1 - q), and the series stops at the first m
+where that is at most the tolerance tol = 2**(-prec-12) and is widened by
+it; a terminating series that reaches its last term first is complete.
 
-Appell F1, for c >= 1 and a non-positive integer b1, is one convolution of
-its x and y series; each side stops by the same rule on its terms weighted
-by s! / (c)_s, with the tail also multiplied by a bound on the other side's
-absolute sum, U = (1 + |x|)^(-b1) or V = (1 - |y|)^(-ceil|b2|).  The same
-convolution also gives F1(1; b1, b2-1; c+1; x, y).
+R.  The lens series has b = n+1 >= c = (n+3)/2, so r_j = 1 + (b-c)/(c+j)
+does not increase and R = r_0: q = (n+1)/(2n+6) < 1/2, and the tail factor
+q/(1-q) is (n+1)/(n+5).  The F1 sides (`_tail_ratio`) have b <= 0 < c =
+e+2.  The x side (b = -kk) and, for integer e, the y side (b = -e)
+terminate, and up to their order |b+j| falls while c + j grows, so
+R = |b|/c: the x side gets q = |x| kk/(e+2), which at the exact x stays at
+least 0.3 below (1 + |x|)/2 on every valid pair up to n = 2700 (an x ball
+only a few bits wide may not fit, and then the side raises
+PrecisionExhausted).  For half-integer e the y side does not terminate,
+and |j - e| < e + 2 + j gives R = 1, q = |y|.
+
+Appell F1 is one convolution of its x and y series; each side stops by the
+same rule on its terms weighted by s! / (c)_s, with the tail also
+multiplied by a bound on the other side's absolute sum,
+U = (1 + |x|)^kk or V = (1 - |y|)^(-ceil e).  The same convolution also
+gives the second value.
 
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
@@ -40,20 +40,22 @@ scaling and one product with z (or x, y), sums are int adds, and the tail
 test compares ints with floor(tol 2**W).  The scaling and the product are
 the steps of `_fx_mul_rat` and `_fx_mul`, written out on bare ints in each
 loop, with the same floors and the same added ulps, as are the C' shift
-and the Horner passes of `appell_f1`; `_fx_tail` is the one call per
-term, the stopping test.  `tests/test_specfun.py::TestKernelEquality`
-holds every one of these loops to the kernel calls, int for int.  The
-set-up of both series runs on ints too: |z| is read from `mag_sup` as a
-dyadic, R from `_tail_ratio` is an int pair, and the tail factors are int
-pairs in no lowest terms, which changes neither the `_fx_tail` test nor
-its ceiling.  The scale is W = w + _FX_GUARD plus a headroom that keeps
-the rounding floor of a term's radius from outliving the tail test.  For
-2F1 that radius settles near (1+|z|)/(1-q) ulps once the terms fall, and
-the tail multiplies it by q/(1-q) < 1/(1-q), so the headroom is
-log2((1+|z|)/(1-q)^2) + 1 bits; the F1 tails multiply it by U or V, so
-there it is log2 max(U, V) bits.  The midpoint needs no headroom: the
-first term is 1 and tol is absolute.
+and the Horner passes of `appell_f1`; for the lens, z = 1/4 is exact, so
+its product is a shift by two bits.  `_fx_tail` is the one call per term,
+the stopping test.  `tests/test_specfun.py::TestKernelEquality` holds
+every one of these loops to the kernel calls, int for int.  The set-up of
+both series runs on ints: the lens's factors are fixed by n; for F1, |x|
+and |y| are read from `mag_sup` as dyadics, R from `_tail_ratio` is an int
+pair, and the tail factors are int pairs in no lowest terms, which changes
+neither the `_fx_tail` test nor its ceiling.  The scale is
+W = w + _FX_GUARD plus a headroom that keeps the rounding floor of a
+term's radius from outliving the tail test.  For 2F1 that radius settles
+near (1+z)/(1-q) ulps once the terms fall, and the tail multiplies it by
+q/(1-q) < 1/(1-q), so the headroom is log2((1+z)/(1-q)^2) + 1 bits; the F1
+tails multiply it by U or V, so there it is log2 max(U, V) bits.  The
+midpoint needs no headroom: the first term is 1 and tol is absolute.
 """
+
 
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ from .ball import (
     ball_round,
     pi_ball,
 )
-from .errors import InvalidArgument, PrecisionExhausted
+from .errors import PrecisionExhausted
 
 __all__ = ["unit_ball_volume", "unit_ball_volume_product", "gauss_2f1", "appell_f1"]
 
@@ -106,90 +108,37 @@ def unit_ball_volume_product(dims: tuple[int, ...], prec: int) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# Gauss 2F1 with certified tails
+# the lens series 2F1(1, n+1; (n+3)/2; 1/4)
 # ---------------------------------------------------------------------------
-
-
-def _fr_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _is_nonpos_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
-def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
-    """(ib, ic, d) with b, c = ib/d, ic/d over their least common
-    denominator d."""
-    d = math.lcm(b.denominator, c.denominator)
-    return int(b * d), int(c * d), d
-
-
-def _sup(x: Ball) -> tuple[int, int]:
-    """(n, d) with |x| <= n/d: `mag_sup` as a dyadic, d a power of two."""
-    m = x.mag_sup()
-    return (m.man, 1 << -m.exp) if m.exp < 0 else (m.man << m.exp, 1)
-
-
-def _tail_ratio(bc: tuple[int, int, int], zsup: tuple[int, int]) -> tuple[int, int]:
-    """R = (rn, rd) with |r_j| <= R for every j >= 0 (for a terminating
-    series, every j below its order), where r_j = (b+j)/(c+j) is the term
-    ratio for a = 1, b and c = (ib, ic, d) from `_scaled` with c >= 1, and
-    q = zsup R <= (1 + zsup)/2 for zsup = (zn, zd); see the module docstring
-    for the rule.  Raises InvalidArgument when b < c and b + c < 0, and
-    PrecisionExhausted when q exceeds (1 + zsup)/2."""
-    (ib, ic, d), (zn, zd) = bc, zsup
-    if ib >= ic or (ib <= 0 and ib % d == 0):
-        bound = abs(ib), ic
-    else:
-        bound = (1, 1) if ib + ic >= 0 else None
-    if bound is None or 2 * zn * bound[0] > (zd + zn) * bound[1]:
-        kind = InvalidArgument if bound is None else PrecisionExhausted
-        b, c, z = Fraction(ib, d), Fraction(ic, d), Fraction(zn, zd)
-        raise kind("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, z))
-    return bound
 
 
 def _default_tol(prec: int) -> BigFloat:
     return bf_two_power(-prec - 12)
 
 
-def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
-    """2F1(1, b; c; z) for c >= 1 and |z| certainly below 1.  A terminating
-    series needs no case of its own: the term after its last is 0 up to
-    rounding, so it passes the tail test, and its true tail is 0."""
-    b, c = Fraction(b), Fraction(c)
-    if c < 1:
-        raise InvalidArgument("2F1 tail bound needs c >= 1")
-    zn, zd = _sup(z)
-    if zn >= zd:
-        raise (PrecisionExhausted if z.rad.sign else InvalidArgument)("|z| must be certainly below 1")
+def gauss_2f1(n: int, prec: int) -> Ball:
+    """The lens series 2F1(1, n+1; (n+3)/2; 1/4) for n >= 1, with the tail
+    factor (n+1)/(n+5) of the module docstring."""
     w = prec + 8
-    ib, ic, d = bc = _scaled(b, c)
-    rn, rd = _tail_ratio(bc, (zn, zd))
-    # q = qn/qd, and the tail factor q/(1-q) = qn/(qd - qn)
-    qn, qd = zn * rn, zd * rd
-    # headroom log2((1+|z|)/(1-q)^2) + 1, rounded up: for x = p/q in lowest
-    # terms, log2 x < bitlen(p) - bitlen(q) + 1
-    num, den = (zd + zn) * rd * qd, (qd - qn) ** 2
+    # headroom log2((1+z)/(1-q)^2) + 1 = log2(5 (n+3)^2 / (n+5)^2) + 1,
+    # rounded up: for x = p/q in lowest terms, log2 x < bitlen(p) - bitlen(q) + 1
+    num, den = 5 * (n + 3) ** 2, (n + 5) ** 2
     g = math.gcd(num, den)
     W = w + _FX_GUARD + (num // g).bit_length() - (den // g).bit_length() + 2
-    zm, zr = _fx_from_ball(z, W)
-    azm = abs(zm)
     limit = _fx_from_ball(Ball.point(_default_tol(prec), w), W)[0]  # floor(tol * 2**W)
     tm, tr = sum_m, sum_r = 1 << W, 0
     m = 0
     budget = 64 * (prec + 16) + 256
     while True:
-        # the term times (b+m)/(c+m), then times z: `_fx_mul_rat`, then
-        # `_fx_mul`, on bare ints
-        p, q = ib + m * d, ic + m * d
-        um, ur = (tm * p) // q, -(-(tr * abs(p)) // q) + 1
-        tm, tr = (um * zm) >> W, -(-(abs(um) * zr + azm * ur + ur * zr) >> W) + 1
+        # the (positive) term times (n+1+m)/((n+3)/2+m), then times 1/4:
+        # `_fx_mul_rat`, then `_fx_mul` by the exact 2**(W-2), on bare ints
+        p, q = 2 * (n + 1 + m), n + 3 + 2 * m
+        um, ur = (tm * p) // q, -(-(tr * p) // q) + 1
+        tm, tr = um >> 2, -(-ur >> 2) + 1
         sum_m += tm
         sum_r += tr
         m += 1
-        tail = _fx_tail((tm, tr), qn, qd - qn, limit)
+        tail = _fx_tail((tm, tr), n + 1, n + 5, limit)
         if tail is not None:
             return _fx_to_ball((sum_m, sum_r + tail), W, prec)
         if m > budget:
@@ -201,6 +150,28 @@ def gauss_2f1(b, c, z: Ball, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
+def _sup(x: Ball) -> tuple[int, int]:
+    """(n, d) with |x| <= n/d: `mag_sup` as a dyadic, d a power of two."""
+    m = x.mag_sup()
+    return (m.man, 1 << -m.exp) if m.exp < 0 else (m.man << m.exp, 1)
+
+
+def _tail_ratio(bc: tuple[int, int, int], zsup: tuple[int, int]) -> tuple[int, int]:
+    """R = (rn, rd) with |r_j| <= R for every j >= 0 (for a terminating
+    side, every j below its order), where r_j = (b+j)/(c+j) is the term
+    ratio of an F1 side, b and c = (ib, ic, d) over their common denominator
+    d, b <= 0 < c and b + c > 0: |b|/c when b is an integer, 1 otherwise (see
+    the module docstring); and q = zsup R <= (1 + zsup)/2 for
+    zsup = (zn, zd).  Raises PrecisionExhausted when q exceeds
+    (1 + zsup)/2."""
+    (ib, ic, d), (zn, zd) = bc, zsup
+    rn, rd = (-ib, ic) if ib % d == 0 else (1, 1)
+    if 2 * zn * rn > (zd + zn) * rd:
+        b, c, z = Fraction(ib, d), Fraction(ic, d), Fraction(zn, zd)
+        raise PrecisionExhausted("no tail ratio from j = 0 for b = %s, c = %s, |z| <= %s" % (b, c, z))
+    return rn, rd
+
+
 def _pow_sup(base: int, k: int, w: int) -> int:
     """An upper bound at scale w for (base 2**-w)**k (base >= 2**w,
     k >= 0): the top m + r of its fixed-point power."""
@@ -209,8 +180,9 @@ def _pow_sup(base: int, k: int, w: int) -> int:
 
 
 def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: int, tol: BigFloat, W: int, w: int):
-    """One side of the F1 double sum, for b and c = bc from `_scaled`, |z| at
-    most zsup = (zn, zd) and `other` at scale w: the unweighted terms
+    """One side of the F1 double sum, for b and c = bc = (ib, ic, d) over
+    their common denominator d, |z| at most zsup = (zn, zd) and `other` at
+    scale w: the unweighted terms
     (b)_j z^j / j! at scale W, as lists of midpoints and radii, and the tail
     bound in ulps of scale W on what the side drops (0 when a terminating
     side is complete).
@@ -240,7 +212,7 @@ def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: in
     for int.
     """
     (ib, ic, d), (zn, zd) = bc, zsup
-    order = -ib // d if ib <= 0 and ib % d == 0 else None  # where a terminating side ends
+    order = -ib // d if ib % d == 0 else None  # where a terminating side ends
     rn, rd = _tail_ratio(bc, zsup)
     fn, fd = other * zd * rd, (zd * rd - zn * rn) << w  # other / (1 - q)
     room = other.bit_length() - w
@@ -320,21 +292,24 @@ def _diagonal_sums(am: list[int], ar: list[int], bm: list[int], br: list[int], W
     return [(m >> W, -(-r >> (W - t)) + 1) for m, r in zip(mids, _unpack(rads, size, count))]
 
 
-def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
+def appell_f1(kk: int, e2: int, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     """The pair F1(1; b1, b2; c; x, y), F1(1; b1, b2-1; c+1; x, y) of first
-    Appell functions, for c >= 1, b1 a non-positive integer and x, y
-    certainly inside the unit disc, from one convolution of two truncated
+    Appell functions for b1 = -kk, b2 = -e and c = e + 2, e = e2/2, with
+    integers kk, e2 >= 0 and x, y certainly inside the unit disc: the
+    perimeter and volume integrals of one competitor arc
+    (`geom._arc_corner`).  Both come from one convolution of two truncated
     series:
 
         F1 = sum_s w_s C_s,  C_s = sum_{m+n=s} A_m B_n,
 
     with w_s = s! / (c)_s, A_m = (b1)_m x^m / m! and B_n = (b2)_n y^n / n!.
-    As c >= 1, each factor (1+j)/(c+j) of w lies in (0, 1], so w_s is in
-    (0, 1] and w_{m+n} <= min(w_m, w_n).
+    As c >= 2, each factor (1+j)/(c+j) of w lies in (0, 1], so w_s is in
+    (0, 1] and w_{m+n} <= min(w_m, w_n).  Over their common denominator
+    d = 1 + (e2 & 1), b1, b2 and c are the int triples of the two sides.
 
     Tails.  Since |(b)_n| <= (|b|)_n, the absolute sums of the two sides are
-    at most U = sum_m C(-b1, m) |x|^m = (1 + |x|)^(-b1) and
-    V = (1 - |y|)^(-|b2|) <= (1 - |y|)^(-ceil|b2|), both rounded up.  Each
+    at most U = sum_m C(kk, m) |x|^m = (1 + |x|)^kk and
+    V = (1 - |y|)^(-e) <= (1 - |y|)^(-ceil e), both rounded up.  Each
     side keeps its indices below M (x) or N (y); everything dropped lies in
     {m >= M} or in {n >= N}.  As w_{m+n} <= w_m, the first part is at most
     sum_{m>=M} w_m |A_m| sum_n |B_n| <= V sum_{m>=M} |t_m|, with
@@ -384,22 +359,21 @@ def appell_f1(b1, b2, c, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball]:
     tail tests multiply a radius by U or V, so only the term sequence of
     each side runs with log2 V or log2 U more bits (see `_f1_side`).
     """
-    b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
-    if not (c >= 1 and _is_nonpos_int(b1)):
-        raise InvalidArgument("F1 tail bound needs c >= 1 and b1 a non-positive integer")
     (xn, xd), (yn, yd) = xsup, ysup = _sup(x), _sup(y)
     if xn >= xd or yn >= yd:
         raise PrecisionExhausted("F1 arguments must lie certainly inside the unit disc")
     tol = _default_tol(prec)
     w = prec + 8
     # U and V from their bases 1 + |x| and 1 / (1 - |y|) rounded up to scale w
-    u_bound = _pow_sup((1 << w) - (-(xn << w) // xd), int(-b1), w)
-    v_bound = _pow_sup(-(-(yd << w) // (yd - yn)), _fr_ceil(abs(b2)), w)
+    u_bound = _pow_sup((1 << w) - (-(xn << w) // xd), kk, w)
+    v_bound = _pow_sup(-(-(yd << w) // (yd - yn)), (e2 + 1) // 2, w)
     W = w + _FX_GUARD
-    am, ar, x_tail = _f1_side(_scaled(b1, c), x, xsup, v_bound, tol, W, w)
-    bm, br, y_tail = _f1_side(_scaled(b2, c), y, ysup, u_bound, tol, W, w)
+    d = 1 + (e2 & 1)
+    ed = e2 * d // 2  # e d, so that c = ic/d
+    ic = ed + 2 * d
+    am, ar, x_tail = _f1_side((-kk * d, ic, d), x, xsup, v_bound, tol, W, w)
+    bm, br, y_tail = _f1_side((-ed, ic, d), y, ysup, u_bound, tol, W, w)
     sums = _diagonal_sums(am, ar, bm, br, W)[::-1]  # C_s for s from na + nb - 2 down to 0
-    ic, d = c.numerator, c.denominator
     # C'_s = C_s - y C_{s-1} for s from na + nb - 1 down to 0, each y C_{s-1}
     # by `_fx_mul` on bare ints
     ym, yr = _fx_from_ball(y, W)

@@ -10,12 +10,13 @@ from lenscert.ball import (
     ball_mul_rat,
     ball_pow_int,
     ball_sub,
+    ball_widen,
     intersects,
     pi_ball,
     pow_rational,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_float, bf_to_fraction
+from lenscert.bigfloat import bf_cmp, bf_to_float, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument
 
 
@@ -115,23 +116,27 @@ class TestLensQuantities:
 
     @pytest.mark.parametrize("n", [3, 8, 25, 120, 396, 2700])
     def test_quarter_series_matches_three_quarter_series(self, monkeypatch, n):
-        """lambda_plane from the lens's series 2F1(1, n+1; (n+3)/2; 1/4)
-        intersects lambda_plane rebuilt from 2F1(1/2, (n+1)/2; (n+3)/2; 3/4),
-        the same value by the quadratic transformation F(a, b; a+b+1/2;
-        4z(1-z)) = F(2a, 2b; a+b+1/2; z) at z = 1/4 (DLMF §15.8).  The z = 3/4
-        series is summed as 2F1(1, (n+2)/2; (n+3)/2; 3/4) / 2, by Euler's
-        transformation F(a, b; c; z) = (1-z)^(c-a-b) F(c-a, c-b; c; z)
-        (DLMF 15.8.1)"""
-        lam = geom.lens_quantities(n, 256).lambda_plane
-        gauss_2f1 = specfun.gauss_2f1
+        """the lens's series 2F1(1, n+1; (n+3)/2; 1/4) encloses
+        2F1(1/2, (n+1)/2; (n+3)/2; 3/4), the same value by the quadratic
+        transformation F(a, b; a+b+1/2; 4z(1-z)) = F(2a, 2b; a+b+1/2; z) at
+        z = 1/4 (DLMF §15.8), from mpmath.hyp2f1 at three times the bits,
+        and lambda_plane rebuilt from a ball around that mpmath value
+        intersects lambda_plane"""
+        mpmath = pytest.importorskip("mpmath")
+        prec = 256
+        with mpmath.workprec(3 * prec):
+            half = mpmath.mpf(1) / 2
+            ref = _mp_fraction(mpmath.hyp2f1(half, (n + 1) * half, (n + 3) * half, mpmath.mpf(3) / 4))
+        series = specfun.gauss_2f1(n, prec)
+        assert abs(bf_to_fraction(series.mid) - ref) <= bf_to_fraction(series.rad) + ref / 2 ** (3 * prec - 16)
+        lam = geom.lens_quantities(n, prec).lambda_plane
 
-        def three_quarter_series(b, c, z, prec):
-            assert (b, c) == (n + 1, Fraction(n + 3, 2)) and _contains(z, Fraction(1, 4))
-            z = Ball.from_fraction(Fraction(3, 4), prec)
-            return ball_mul_rat(gauss_2f1(Fraction(n + 2, 2), c, z, prec), 1, 2, prec)
+        def three_quarter_series(m, w):
+            assert m == n
+            return ball_widen(Ball.from_fraction(ref, 3 * prec), bf_two_power(-(3 * prec - 18)))
 
         monkeypatch.setattr(specfun, "gauss_2f1", three_quarter_series)
-        assert intersects(lam, geom.lens_quantities(n, 256).lambda_plane)
+        assert intersects(lam, geom.lens_quantities(n, prec).lambda_plane)
 
     def test_positive_entries(self):
         for n in (3, 4, 17, 40):

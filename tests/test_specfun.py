@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -129,35 +130,48 @@ class TestUnitBallVolume:
 
 
 class TestGauss2F1:
-    """2F1(1, b; c; z), the one form lenscert sums"""
+    """The lens series 2F1(1, n+1; (n+3)/2; 1/4) of `gauss_2f1(n, prec)`,
+    and the 2F1 values that `appell_f1` sums when one side is empty (kk = 0
+    or y = 0)"""
 
     def test_empty_series(self):
-        z = Ball.from_fraction(Fraction(1, 3), 64)
-        out = specfun.gauss_2f1(0, Fraction(3, 2), z, 64)
-        assert _contains(out, 1)
+        """with kk = 0 the x side is the empty series, its one term 1 and no
+        tail, so F1(1; 0, -e; e+2; x, y) = 2F1(1, -e; e+2; y) gives the same
+        ints for any x, and encloses that terminating sum exactly for
+        integer e"""
+        prec = 64
+        y = Ball.from_fraction(Fraction(-1, 5), prec)
+        for e2 in range(8):
+            outs = [
+                _handed_on(specfun.appell_f1, 0, e2, Ball.from_fraction(xf, prec), y, prec)
+                for xf in (Fraction(1, 3), Fraction(-9, 10), Fraction(0))
+            ]
+            assert outs[0] == outs[1] == outs[2], e2
+            if e2 % 2 == 0:
+                first = specfun.appell_f1(0, e2, Ball.from_fraction(Fraction(1, 3), prec), y, prec)[0]
+                exact = _terminating_f1(0, e2 // 2, Fraction(e2 // 2 + 2), Fraction(0), Fraction(-1, 5))
+                assert _contains(first, exact)
 
     def test_arcsin_identity_quarter(self):
-        """2F1(1, 1; 3/2; z^2) = arcsin(z) / (z sqrt(1 - z^2)), Euler's
-        transformation (DLMF 15.8.1) of 2F1(1/2, 1/2; 3/2; z^2) =
-        arcsin(z) / z: at z^2 = 1/4 it is 2 pi sqrt(3) / 9"""
-        z = Ball.from_fraction(Fraction(1, 4), 128)
-        f = specfun.gauss_2f1(1, Fraction(3, 2), z, 128)
-        s3 = sqrt_ball(Ball.from_int(3, 128), 128)
-        assert intersects(f, ball_mul_rat(ball_mul(pi_ball(128), s3, 128), 2, 9, 128))
+        """the lens series is (n+1) I_n (2/sqrt3)^(n+1), with I_n the
+        integral of sin^n over [0, pi/3] (`geom.lens_quantities`), and the
+        Wallis reduction n I_n = (n-1) I_(n-2) - (sqrt3/2)^(n-1) / 2 gives
+        I_n from I_0 = arcsin(sqrt3/2) = pi/3 and I_1 = 1/2: for n = 1..40
+        at 128 bits it encloses that closed form from mpmath.asin at three
+        times the bits"""
+        prec = 128
+        for n, ref in enumerate(_lens_closed_forms(40, prec)):
+            if n:
+                _assert_encloses(specfun.gauss_2f1(n, prec), ref, prec, 3 * prec)
 
     def test_arcsin_identity_random(self):
-        """the same identity at 100 random z in (0, 0.9), against
-        mpmath.asin at 64 bits beyond the working precision"""
-        mpmath = pytest.importorskip("mpmath")
+        """the same closed form at 100 random n from 1 to 60 and precisions
+        from 16 to 400 bits"""
         rng = random.Random(10)
-        prec = 96
         for _ in range(100):
-            zf = Fraction(rng.randint(1, 900), 1000)
-            f = specfun.gauss_2f1(1, Fraction(3, 2), Ball.from_fraction(zf, prec), prec)
-            with mpmath.workprec(prec + 64):
-                t = _mp(mpmath, zf)
-                ref = _mp_fraction(mpmath.asin(mpmath.sqrt(t)) / mpmath.sqrt(t * (1 - t)))
-            _assert_encloses(f, ref, prec)
+            n, prec = rng.randint(1, 60), rng.randint(16, 400)
+            ref = _lens_closed_forms(n, prec)[n]
+            _assert_encloses(specfun.gauss_2f1(n, prec), ref, prec, 3 * prec)
 
     def test_n8_closed_form_value(self):
         """the lens series of n = 8, 2F1(1, 9; 11/2; 1/4), is 9 I_8 /
@@ -166,74 +180,74 @@ class TestGauss2F1:
         gives as 35 pi/384 - 279 sqrt3/2048: so it is
         140 pi sqrt3 / 81 - 31/4"""
         prec = 128
-        z = Ball.from_fraction(Fraction(1, 4), prec)
-        f = specfun.gauss_2f1(9, Fraction(11, 2), z, prec)
+        f = specfun.gauss_2f1(8, prec)
         s3 = sqrt_ball(Ball.from_int(3, prec), prec)
         ref = ball_mul_rat(ball_mul(pi_ball(prec), s3, prec), 140, 81, prec) - Ball.from_fraction(Fraction(31, 4), prec)
         assert intersects(f, ref)
         assert abs(bf_to_float(f.mid) - 1.6548856) < 1e-7
 
     def test_terminating_encloses_exact_rational(self):
-        z = Ball.from_fraction(Fraction(1, 4), 96)
-        f = specfun.gauss_2f1(-2, Fraction(3, 2), z, 96)
-        # exact rational sum: the term ratios are (b+j)/(c+j) z
-        t1 = Fraction(-2) / Fraction(3, 2) * Fraction(1, 4)
-        expected = 1 + t1 + t1 * Fraction(-1) / Fraction(5, 2) * Fraction(1, 4)
-        assert _contains(f, expected)
-        assert bf_cmp(f.rad, bf_two_power(-91)) <= 0
-
-    def test_invalid_c(self):
-        """the tail rule needs c >= 1"""
-        z = Ball.from_fraction(Fraction(1, 4), 64)
-        for c in (Fraction(1, 2), Fraction(0), Fraction(-1)):
-            with pytest.raises(InvalidArgument):
-                specfun.gauss_2f1(Fraction(1, 2), c, z, 64)
+        """with y = 0, F1(1; -kk, -e; e+2; x, 0) is the terminating
+        2F1(1, -kk; e+2; x), and the second value 2F1(1, -kk; e+3; x): at an
+        exact x both enclose their exact rational sums, within 2^-91, for e2
+        even and odd"""
+        xf = Fraction(1, 4)
+        zero = Ball.from_int(0, 96)
+        for kk, e2 in ((2, 0), (2, 1), (9, 6), (9, 7)):
+            first, second = specfun.appell_f1(kk, e2, Ball.from_fraction(xf, 96), zero, 96)
+            for out, c in ((first, Fraction(e2, 2) + 2), (second, Fraction(e2, 2) + 3)):
+                exact = sum(poch(Fraction(-kk), m) / poch(c, m) * xf**m for m in range(kk + 1))
+                assert _contains(out, exact), (kk, e2)
+                assert bf_cmp(out.rad, bf_two_power(-91)) <= 0
 
     def test_divergent_z(self):
+        """a series argument whose ball lies past 1 raises
+        PrecisionExhausted: `appell_f1` reads |x| and |y| before it sums"""
         z = ball_widen(Ball.from_fraction(Fraction(5, 4), 64), bf_two_power(-10))
+        small = Ball.from_fraction(Fraction(1, 5), 64)
         with pytest.raises(PrecisionExhausted):
-            specfun.gauss_2f1(Fraction(1, 2), Fraction(3, 2), z, 64)
+            specfun.appell_f1(0, 1, small, z, 64)
+        with pytest.raises(PrecisionExhausted):
+            specfun.appell_f1(1, 1, z, small, 64)
 
     def test_tail_bound_validity(self, monkeypatch):
         """an evaluation at the tolerance 2^-100 lands inside the one at
         2^-40, whose radius its tail sets, for the lens series of n = 3, 8
         and 12"""
-        z = Ball.from_fraction(Fraction(1, 4), 128)
         for n in (3, 8, 12):
-            b, c = Fraction(n + 1), Fraction(n + 3, 2)
             _tolerance(monkeypatch, -40)
-            coarse = specfun.gauss_2f1(b, c, z, 128)
+            coarse = specfun.gauss_2f1(n, 128)
             _tolerance(monkeypatch, -100)
-            fine = specfun.gauss_2f1(b, c, z, 128)
+            fine = specfun.gauss_2f1(n, 128)
             assert _encloses(coarse, fine)
             assert bf_cmp(coarse.rad, bf_two_power(-81)) > 0
 
     @pytest.mark.parametrize("zf", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_lens_parameters_enclose_mpmath(self, zf):
-        """2F1(1, n+1; (n+3)/2; z), the lens's series at z = 1/4, and
-        2F1(1, (n+2)/2; (n+3)/2; z), twice its form at z = 3/4 before the
-        quadratic transformation, for n from 3 to 2700, and 2F1(1, m/2;
-        2 - m/2; z), the shape of the F1 y side, for odd m from -1 to -41
-        enclose mpmath.hyp2f1 at 64 bits beyond the working precision.  The
-        lens's series is also summed to the tolerance 2^-40, where its tail
-        bound sets the radius.  It is taken wherever its first-term bound
-        q = z (n+1) / ((n+3)/2) fits, q <= (1 + z)/2: for every n at
-        z <= 1/4, only for n = 3 at z = 1/2 and never at 3/4"""
+        """2F1(1, -e; e+2; y), the F1 y side alone (kk = 0), for half-integer
+        e = e2/2 from 1/2 to 41/2 at y = zf, and at zf = 1/4 the lens series
+        2F1(1, n+1; (n+3)/2; 1/4) for n from 3 to 2700, enclose
+        mpmath.hyp2f1 at three times the working precision, both at the
+        default tolerance and at 2^-40, where the tail bound sets the
+        radius"""
         mpmath = pytest.importorskip("mpmath")
         prec = 128
-        z = Ball.from_fraction(zf, prec)
-        ns = (3, 8, 51, 396, 2700)
-        lens = [(Fraction(n + 1), Fraction(n + 3, 2)) for n in ns if 4 * zf * (n + 1) <= (1 + zf) * (n + 3)]
-        params = [(Fraction(n + 2, 2), Fraction(n + 3, 2)) for n in ns]
-        params += [(Fraction(m, 2), 2 - Fraction(m, 2)) for m in range(-1, -42, -2)]
-        cases = [(p, None) for p in lens + params] + [(p, -40) for p in lens]
-        for (b, c), tol_exp in cases:
+        x, y = Ball.from_fraction(Fraction(1, 3), prec), Ball.from_fraction(zf, prec)
+        for tol_exp in (None, -40):
             with pytest.MonkeyPatch.context() as mp:
                 _tolerance(mp, tol_exp)
-                out = specfun.gauss_2f1(b, c, z, prec)
-            with mpmath.workprec(prec + 64):
-                ref = _mp_fraction(mpmath.hyp2f1(1, *(_mp(mpmath, v) for v in (b, c, zf))))
-            TestAgainstMpmath._check(out, ref, prec, tol_exp)
+                cases = [
+                    ((-Fraction(e2, 2), Fraction(e2, 2) + 2, zf), specfun.appell_f1(0, e2, x, y, prec)[0])
+                    for e2 in range(1, 42, 2)
+                ]
+                if zf == Fraction(1, 4):
+                    cases += [
+                        ((Fraction(n + 1), Fraction(n + 3, 2), zf), specfun.gauss_2f1(n, prec))
+                        for n in (3, 8, 51, 396, 2700)
+                    ]
+            for args, out in cases:
+                ref = _mp_reference(mpmath, mpmath.hyp2f1, (1,) + args, prec)
+                TestAgainstMpmath._check(out, ref, prec, tol_exp, 3 * prec)
 
 
 def _record_sides(monkeypatch) -> list:
@@ -253,19 +267,26 @@ def _record_sides(monkeypatch) -> list:
 
 
 def _terminating_f1(kk: int, e: int, c: Fraction, xf: Fraction, yf: Fraction) -> Fraction:
-    """F1(1; -kk, -e; c; x, y) for integers kk, e >= 0, exactly: the double
-    sum of w_s A_m B_n, w_s = s! / (c)_s, with A_m = C(kk, m) (-x)^m and
-    B_n = C(e, n) (-y)^n as integers over the denominators q^kk and v^e"""
+    """F1(1; -kk, -e; c; x, y) for integers kk, e >= 0 and c >= 1, exactly:
+    the double sum of w_s A_m B_n, w_s = s! / (c)_s, with A_m = C(kk, m)
+    (-x)^m and B_n = C(e, n) (-y)^n as integers over the denominators q^kk
+    and v^e, and w_s = s! (c+s)_(S-s) / (c)_S over the one denominator
+    (c)_S, S = kk + e"""
+    assert c.denominator == 1 and c >= 1
+    c, top = int(c), kk + e
     p, q = -xf.numerator, xf.denominator
     u, v = -yf.numerator, yf.denominator
     x_terms = [math.comb(kk, m) * p**m * q ** (kk - m) for m in range(kk + 1)]
     y_terms = [math.comb(e, n) * u**n * v ** (e - n) for n in range(e + 1)]
-    exact, w_s = Fraction(0), Fraction(1)
-    for s in range(kk + e + 1):
+    rest = [1] * (top + 1)  # rest[s] = (c+s)_(S-s)
+    for s in range(top - 1, -1, -1):
+        rest[s] = rest[s + 1] * (c + s)
+    total, fact = 0, 1
+    for s in range(top + 1):
         lo, hi = max(0, s - e), min(s, kk)
-        exact += w_s * sum(x_terms[m] * y_terms[s - m] for m in range(lo, hi + 1))
-        w_s *= (1 + s) / (c + s)
-    return exact / (q**kk * v**e)
+        total += fact * rest[s] * sum(map(operator.mul, x_terms[lo : hi + 1], y_terms[s - hi : s - lo + 1][::-1]))
+        fact *= s + 1
+    return Fraction(total, q**kk * v**e * rest[0])
 
 
 @functools.cache
@@ -287,29 +308,39 @@ def _f1_double_sum(kk: int, e2: int, xf: Fraction, yf: Fraction, n_max: int) -> 
 
 
 class TestAppellF1:
-    """F1(1; b1, b2; c; x, y), the one form lenscert sums"""
+    """F1(1; -kk, -e; e+2; x, y) and F1(1; -kk, -e-1; e+3; x, y), e = e2/2,
+    the pair `appell_f1(kk, e2, x, y, prec)` sums"""
 
     def test_trivial_zero_bs(self):
         x = Ball.from_fraction(Fraction(1, 3), 64)
         y = Ball.from_fraction(Fraction(-1, 5), 64)
-        out = specfun.appell_f1(0, 0, 3, x, y, 64)[0]
-        assert _contains(out, 1)
+        first, second = specfun.appell_f1(0, 0, x, y, 64)
+        assert _contains(first, 1) and _contains(second, 1 - Fraction(-1, 5) / 3)
 
     def test_y_zero_reduces_to_2f1(self):
+        """with y = 0 both values are 2F1(1, -kk; e+2; x) and
+        2F1(1, -kk; e+3; x), and at an x ball of nonzero radius they
+        enclose mpmath.hyp2f1 at three times the working precision, within
+        a relative width of 2^-(prec-8), for e2 even and odd"""
+        mpmath = pytest.importorskip("mpmath")
         prec = 96
-        x = Ball.from_fraction(Fraction(1, 3), prec)
-        zero = Ball.from_int(0, prec)
-        f1 = specfun.appell_f1(-5, Fraction(-5, 2), 5, x, zero, prec)[0]
-        f21 = specfun.gauss_2f1(-5, 5, x, prec)
-        assert intersects(f1, f21)
-        # widths comparable: within a factor of 32
-        assert bf_to_fraction(f1.rad) <= 32 * bf_to_fraction(f21.rad) + Fraction(1, 2**81)
+        xf = Fraction(1, 3)
+        x, zero = Ball.from_fraction(xf, prec), Ball.from_int(0, prec)
+        assert x.rad.sign != 0
+        for kk, e2 in ((5, 5), (5, 4), (30, 57), (30, 56)):
+            for out, c in zip(specfun.appell_f1(kk, e2, x, zero, prec), (Fraction(e2, 2) + 2, Fraction(e2, 2) + 3)):
+                ref = _mp_reference(mpmath, mpmath.hyp2f1, (1, -kk, c, xf), prec)
+                TestAgainstMpmath._check(out, ref, prec, None, 3 * prec)
 
     def test_terminating_exact_double_sum(self):
+        """F1(1; -2, -e; e+2; x, y) at x = 1/3, y = -1/5 encloses its double
+        sum in exact rationals: all of it for e2 = 4, and for e2 = 3, whose y
+        side does not terminate, its first 80 outer terms together with a
+        bound on the rest"""
         prec = 96
-        x = Ball.from_fraction(Fraction(1, 3), prec)
-        y = Ball.from_fraction(Fraction(-1, 5), prec)
-        out = specfun.appell_f1(-2, -2, 5, x, y, prec)[0]
+        xf, yf = Fraction(1, 3), Fraction(-1, 5)
+        x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
+        out = specfun.appell_f1(2, 4, x, y, prec)[0]
         exact = Fraction(0)
         for m in range(3):
             for n in range(3):
@@ -317,24 +348,26 @@ class TestAppellF1:
                     math.factorial(m + n)
                     * poch(Fraction(-2), m)
                     * poch(Fraction(-2), n)
-                    / poch(Fraction(5), m + n)
+                    / poch(Fraction(4), m + n)
                     / (math.factorial(m) * math.factorial(n))
-                    * Fraction(1, 3) ** m
-                    * Fraction(-1, 5) ** n
+                    * xf**m
+                    * yf**n
                 )
         assert _contains(out, exact)
+        out = specfun.appell_f1(2, 3, x, y, prec)[0]
+        rest = 4 * (1 + xf) ** 2 * abs(yf) ** 81 / (1 - abs(yf))
+        assert abs(bf_to_fraction(out.mid) - _f1_double_sum(2, 3, xf, yf, 80)) + rest <= bf_to_fraction(out.rad)
 
     def test_floor_of_each_diagonal_sum_is_covered(self, monkeypatch):
-        """with exact sides (zero radii, the terms of dyadic x and y at W =
-        26), only the extra ulp on each C_s covers the floor of its midpoint:
-        both values still enclose their exact terminating double sums.  With
-        c just above 1 every Horner factor (1+s)/(c+s) is just below 1, so
-        its own floors are inexact and the weights w_s stay near 1.  The
-        sides `_f1_side` builds carry at least one ulp of radius on every
-        term past the first, and the ceiling of that radius in C_s hides a
+        """with exact sides (zero radii: the terms of dyadic x and y at
+        W = 26, which `_f1_side` would round), every diagonal sum is its
+        exact value floored to scale W, with the one ulp that covers that
+        floor as its whole radius, and both values still enclose their
+        exact terminating double sums (kk = 2, e2 = 6, so c = 5).  The sides
+        `_f1_side` builds carry at least one ulp of radius on every term
+        past the first, and the ceiling of that radius in C_s hides a
         missing ulp"""
         prec, kk, e = 2, 2, 3
-        c = Fraction(3826, 3823)
         xf, yf = Fraction(455, 1024), Fraction(-31, 64)
 
         def exact_side(bc, z, zsup, other, tol, W, w):
@@ -343,9 +376,22 @@ class TestAppellF1:
             assert all(t.denominator == 1 for t in terms)
             return [int(t) for t in terms], [0] * len(terms), 0
 
+        sums = []
+        inner = specfun._diagonal_sums
+
+        def recording(am, ar, bm, br, W):
+            sums.append(((am, bm, W), inner(am, ar, bm, br, W)))
+            return sums[-1][1]
+
         monkeypatch.setattr(specfun, "_f1_side", exact_side)
+        monkeypatch.setattr(specfun, "_diagonal_sums", recording)
         x, y = Ball.from_fraction(xf, 64), Ball.from_fraction(yf, 64)
-        first, second = specfun.appell_f1(-kk, -e, c, x, y, prec)
+        first, second = specfun.appell_f1(kk, 2 * e, x, y, prec)
+        ((am, bm, W), got), = sums
+        exact = [sum(am[m] * bm[s - m] for m in range(max(0, s - e), min(s, kk) + 1)) for s in range(kk + e + 1)]
+        assert got == [(v >> W, 1) for v in exact]
+        assert any(v % (1 << W) for v in exact)
+        c = Fraction(e + 2)
         assert _contains(first, _terminating_f1(kk, e, c, xf, yf))
         assert _contains(second, _terminating_f1(kk, e + 1, c + 1, xf, yf))
 
@@ -399,9 +445,10 @@ class TestAppellF1:
     def test_side_weight_bound_is_tight(self):
         """the bound wm 2^-we on w_j = j! / (c)_j that `_f1_side` passes to
         its tail test is at least w_j and at most (1 + j 2^-62) w_j, for j
-        up to 2000 and c from 1 to 1350: at z = 0 and other = 1 the tail
-        factor is 1, so the test's p/q is the bound itself (over a common
-        factor, which the ratio checks do not see)"""
+        up to 2000 and c from 1 to 1350, on the side b = -2001 over the
+        denominator of c: at z = 0 and other = 1 the tail factor is 1, so
+        the test's p/q is the bound itself (over a common factor, which the
+        ratio checks do not see)"""
         zero = Ball.from_int(0, 64)
         cases = [1350, Fraction(3, 2), 1, 5, Fraction(450029, 42), Fraction(2697, 2), Fraction(3826, 3823)]
         for c in cases:
@@ -413,7 +460,7 @@ class TestAppellF1:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(specfun, "_fx_tail", recording_tail)
-                specfun._f1_side(specfun._scaled(b, c), zero, (0, 1), 1 << 72, bf_two_power(-80), 96, 72)
+                specfun._f1_side(_scaled(b, c), zero, (0, 1), 1 << 72, bf_two_power(-80), 96, 72)
             assert len(bounds) == 2000, c
             exact_num, exact_den = 1, 1
             for j in range(1, 2001):
@@ -425,30 +472,26 @@ class TestAppellF1:
 
     def test_domain_checks(self):
         """both arguments must lie certainly inside the unit disc, even in a
-        terminating direction, b1 must be a non-positive integer and c at
-        least 1"""
+        terminating direction"""
         big = Ball.from_fraction(Fraction(3, 2), 64)
         small = Ball.from_fraction(Fraction(1, 5), 64)
         with pytest.raises(PrecisionExhausted):
-            specfun.appell_f1(-3, Fraction(-1, 2), 3, big, small, 64)
+            specfun.appell_f1(3, 1, big, small, 64)
         with pytest.raises(PrecisionExhausted):
-            specfun.appell_f1(-3, -2, 3, small, big, 64)
-        with pytest.raises(InvalidArgument):
-            specfun.appell_f1(Fraction(1, 2), Fraction(1, 2), 3, small, small, 64)
-        with pytest.raises(InvalidArgument):
-            specfun.appell_f1(-3, -2, Fraction(1, 2), small, small, 64)
+            specfun.appell_f1(3, 4, small, big, 64)
 
     def test_c_equals_a_plus_one_encloses_mpmath(self):
-        """F1(1; -2, -2; 2; x, y) at the competitor-shaped point x = 0.8837,
-        y = -0.1516 encloses mpmath.appellf1"""
+        """e2 = 0 gives c = 2 = a + 1: F1(1; -2, 0; 2; x, y) and
+        F1(1; -2, -1; 3; x, y) at x = 0.8837, y = -0.1516, where the x
+        side's first-term bound q = |x| is near its limit (1 + |x|)/2,
+        enclose mpmath.appellf1"""
         mpmath = pytest.importorskip("mpmath")
         prec = 80
         xf, yf = Fraction(8837, 10000), Fraction(-1516, 10000)
-        params = (Fraction(-2), Fraction(-2), Fraction(2))
-        out = specfun.appell_f1(*params, Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec), prec)[0]
-        with mpmath.workprec(prec + 64):
-            ref = _mp_fraction(mpmath.appellf1(1, *(_mp(mpmath, v) for v in params + (xf, yf))))
-        TestAgainstMpmath._check(out, ref, prec, None)
+        outs = specfun.appell_f1(2, 0, Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec), prec)
+        for out, params in zip(outs, ((-2, 0, 2), (-2, -1, 3))):
+            ref = _mp_reference(mpmath, mpmath.appellf1, (1,) + params + (xf, yf), prec)
+            TestAgainstMpmath._check(out, ref, prec, None, 3 * prec)
 
     def test_competitor_argument_sets_enclose_mpmath(self):
         """both values of the one `appell_f1` call that `geom._arc_corner`
@@ -478,12 +521,9 @@ class TestAppellF1:
                     y = ball_neg(ball_div(length, dsum, w))
                     xf, yf = bf_to_fraction(x.mid), bf_to_fraction(y.mid)
                     e = Fraction(e2, 2)
-                    params = (Fraction(-kk), -e, e + 2)
-                    for out, shift in zip(specfun.appell_f1(*params, x, y, prec), (0, 1)):
-                        args = (1, params[0], params[1] - shift, params[2] + shift, xf, yf)
-                        with mpmath.workprec(prec + 64):
-                            ref = _mp_fraction(mpmath.appellf1(*(_mp(mpmath, v) for v in args)))
-                        _assert_encloses(out, ref, prec)
+                    for out, shift in zip(specfun.appell_f1(kk, e2, x, y, prec), (0, 1)):
+                        args = (1, -kk, -e - shift, e + 2 + shift, xf, yf)
+                        _assert_encloses(out, _mp_reference(mpmath, mpmath.appellf1, args, prec), prec, 3 * prec)
                         checked += 1
         assert checked == 86
 
@@ -514,43 +554,43 @@ class TestAppellF1:
 
     def test_truncated_sides_enclose_exact_value(self, monkeypatch):
         """with kk >= 300, both sides stop at their certified tails, the x
-        side before kk, and the result still encloses the exact value: the
-        terminating double sum of F1(1; -kk, -e; e+2; x, y) for integer e,
-        and (1-x)^kk (1-y)^(-b2) for F1(1; -kk, b2; 1; x, y), with b2 = -e
-        or with b2 = 1 > 0, whose y side never terminates and is bounded
-        through V = 1 / (1 - |y|).  The second value, F1(1; -kk, b2-1; c+1;
-        x, y), encloses its terminating double sum.  The arguments are
-        chosen so that at the 2^-40 tolerance the tails, not rounding, set
-        the radius, and |x| so that the x side's first-term tail bound fits,
-        |x| kk/c <= (1 + |x|)/2"""
+        side before kk, and both values still enclose their exact values:
+        the terminating double sums for even e2, and for odd e2, whose y
+        side never terminates and is bounded through V = (1 - |y|)^(-ceil e),
+        mpmath.appellf1 at three times the working precision.  The
+        arguments are chosen so that at the 2^-40 tolerance the tails, not
+        rounding, set the radius, and |x| so that the x side's first-term
+        tail bound fits, |x| kk/c <= (1 + |x|)/2"""
+        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(15)
         sides = _record_sides(monkeypatch)
         for case in range(18):
             kk, e = rng.randint(300, 340), rng.randint(20, 26)
             tol_exp = rng.choice((None, -40))
             if case % 3 == 0:
-                prec = 128
+                prec, e2 = 128, 2 * e
                 xf, yf = -Fraction(rng.randint(10, 33), 1000), -Fraction(rng.randint(1, 8), 2**18)
-                b2, c = Fraction(-e), Fraction(e + 2)
-                exact = _terminating_f1(kk, e, c, xf, yf)
             else:
-                prec = 256
-                c = Fraction(1)
+                e2 = 2 * e + case % 3 - 1
                 xf = rng.choice((-1, 1)) * Fraction(rng.randint(50, 140), 100000)
-                if case % 3 == 1:
-                    yf, b2 = -Fraction(rng.randint(1, 8), 2**24), Fraction(-e)
+                if e2 % 2 == 0:
+                    prec, yf = 256, -Fraction(rng.randint(1, 8), 2**24)
                 else:
-                    yf, b2 = rng.choice((-1, 1)) * Fraction(rng.randint(1, 256), 1024), Fraction(1)
-                exact = (1 - xf) ** kk * (1 - yf) ** -b2
+                    prec, yf = 128, rng.choice((-1, 1)) * Fraction(rng.randint(1, 256), 1024)
             del sides[:]
             x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
             with pytest.MonkeyPatch.context() as mp:
                 _tolerance(mp, tol_exp)
-                out, second = specfun.appell_f1(Fraction(-kk), b2, c, x, y, prec)
+                outs = specfun.appell_f1(kk, e2, x, y, prec)
             (x_kept, x_tail), (_, y_tail) = sides
             assert x_kept < kk and x_tail > 0 and y_tail > 0, (case, sides)
-            assert _contains(out, exact), case
-            assert _contains(second, _terminating_f1(kk, int(1 - b2), c + 1, xf, yf)), case
+            for out, shift in zip(outs, (0, 1)):
+                c = Fraction(e2, 2) + 2 + shift
+                if e2 % 2 == 0:
+                    assert _contains(out, _terminating_f1(kk, e + shift, c, xf, yf)), case
+                else:
+                    ref = _mp_reference(mpmath, mpmath.appellf1, (1, -kk, 2 - c, c, xf, yf), prec)
+                    _assert_encloses(out, ref, prec, 3 * prec)
 
     def test_x_side_stops_below_the_unit_ratio_index(self, monkeypatch):
         """with kk >= 300 and a small |x|, the x side of F1(1; -kk, -e; e+2;
@@ -568,38 +608,11 @@ class TestAppellF1:
             unit = min(j for j in range(kk) if abs(_ratio(b1, c, j)) <= 1)
             del sides[:]
             x, y = Ball.from_fraction(xf, 128), Ball.from_fraction(yf, 128)
-            first, second = specfun.appell_f1(b1, -e, c, x, y, 128)
+            first, second = specfun.appell_f1(kk, 2 * e, x, y, 128)
             (x_kept, x_tail), _ = sides
             assert x_kept < unit and x_tail > 0, (case, sides, unit)
             assert _contains(first, _terminating_f1(kk, e, c, xf, yf)), case
             assert _contains(second, _terminating_f1(kk, e + 1, c + 1, xf, yf)), case
-
-    @pytest.mark.parametrize(
-        "kk,xf,yf,tol_exp",
-        [
-            (300, -Fraction(1, 2**74), Fraction(-99, 100), 67),
-            (301, -Fraction(1, 2**92), Fraction(-9, 10), 85),
-            (400, -Fraction(1, 2**97), Fraction(-3, 4), 90),
-        ],
-    )
-    def test_second_value_tail_factor_is_sharp(self, monkeypatch, kk, xf, yf, tol_exp):
-        """F1(1; -kk, 0; 6; x, y) = 2F1(1, -kk; 6; x) and F1(1; -kk, -1; 7;
-        x, y), with |x| so small that the x side stops at its first index,
-        keeping only A_0, and y < 0, so B'_0 + B'_1 = 1 + |y|.  The second
-        value drops A_1 (w'_1 + |y| w'_2) = A_1 w_1 (6/7) (1 + |y|/4) and
-        more, above the x side's tail bound A_1 w_1 / (1 - q) when
-        |y| > 2/3, so its radius, which the tail sets, needs a factor above
-        1: the bound's (1 + |y|) is not replaced by 1"""
-        prec, c = 128, Fraction(6)
-        sides = _record_sides(monkeypatch)
-        _tolerance(monkeypatch, -tol_exp)
-        x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
-        first, second = specfun.appell_f1(-kk, 0, c, x, y, prec)
-        assert sides[0][0] == 1, sides
-        exact = _terminating_f1(kk, 1, c + 1, xf, yf)
-        assert _contains(first, _terminating_f1(kk, 0, c, xf, yf)) and _contains(second, exact)
-        gap = abs(bf_to_fraction(second.mid) - exact)
-        assert gap * (1 + abs(yf)) > bf_to_fraction(second.rad)
 
 
 def _ratio(b: Fraction, c: Fraction, m: int) -> Fraction:
@@ -609,55 +622,46 @@ def _ratio(b: Fraction, c: Fraction, m: int) -> Fraction:
 
 class TestTailRule:
     def test_tail_ratio_exact(self):
-        """the tail ratio R holds from the first term, |r(m)| <= R for m
-        from 0 to 500 (or to the order of a terminating series), and gives
-        q = |z| R <= (1 + |z|)/2, or the call raises: InvalidArgument exactly
-        when b < c, b + c < 0 and the series does not terminate, and otherwise
-        PrecisionExhausted, only when |z| max(|r(0)|, 1) > (1 + |z|)/2, over
-        random (b, c >= 1, |z|): a third of them with b > c, whose
-        ratios fall towards 1, a third terminating, and the rest with b below
-        c, of either sign; both outcomes occur in every third"""
+        """the tail ratio R of an F1 side holds from the first term,
+        |r(m)| <= R for m from 0 to 500 (or to the order of a terminating
+        side), and gives q = |z| R <= (1 + |z|)/2, or the call raises
+        PrecisionExhausted, exactly when |z| |r(0)| > (1 + |z|)/2, over
+        random (kk, e2, |z|) with c = e2/2 + 2: a third of them x sides,
+        b = -kk, where both outcomes occur, and the rest y sides, b = -e2/2
+        for even and for odd e2, which never raise, as R <= 1 there"""
         rng = random.Random(4)
         outcomes = set()
         for i in range(400):
             zsup = Fraction(rng.randint(1, 999), 1000)
-            c = 1 + Fraction(rng.randint(0, 640), rng.randint(1, 4))
-            if i % 3 == 0:
-                b = c + Fraction(rng.randint(1, 400), rng.choice((1, 2)))
-            elif i % 3 == 1:
-                b = Fraction(-rng.randint(0, 300))
-            else:
-                b = c - Fraction(rng.randint(1, 900), rng.choice((1, 2)))
-            order = int(-b) if b.denominator == 1 and b <= 0 else None
+            kind, e2 = i % 3, rng.randint(0, 400)
+            if kind:
+                e2 = 2 * (e2 // 2) + kind - 1
+            c = Fraction(e2, 2) + 2
+            b = Fraction(-rng.randint(0, 300)) if kind == 0 else -Fraction(e2, 2)
+            order = int(-b) if b.denominator == 1 else None
             try:
-                bound = Fraction(*specfun._tail_ratio(specfun._scaled(b, c), (zsup.numerator, zsup.denominator)))
-            except (PrecisionExhausted, InvalidArgument) as err:
-                outcomes.add((i % 3, False))
-                invalid = b < c and b + c < 0 and order is None
-                assert type(err) is (InvalidArgument if invalid else PrecisionExhausted), (b, c, zsup)
-                assert invalid or 2 * zsup * max(abs(b) / c, 1) > 1 + zsup, (b, c, zsup)
+                bound = Fraction(*specfun._tail_ratio(_scaled(b, c), (zsup.numerator, zsup.denominator)))
+            except PrecisionExhausted:
+                outcomes.add((kind, False))
+                assert 2 * zsup * abs(b) / c > 1 + zsup, (b, c, zsup)
                 continue
-            outcomes.add((i % 3, True))
+            outcomes.add((kind, True))
             top = 500 if order is None else order
             assert 2 * zsup * bound <= 1 + zsup, (b, c, zsup, bound)
             assert all(abs(_ratio(b, c, m)) <= bound for m in range(top)), (b, c, zsup, bound)
-        assert len(outcomes) == 6, outcomes
+        assert outcomes == {(0, False), (0, True), (1, True), (2, True)}, outcomes
 
     def test_bound_that_misses_at_the_first_term_raises(self):
-        """b = 2c at |z| = 0.9 gives q = 1.8 > 0.95 and raises
-        PrecisionExhausted; b < c with b + c < 0 has |r(0)| > 1 with no
-        first-term bound of 1, a case of the parameters alone, and raises
-        InvalidArgument.  Both raise from `_tail_ratio` and from `gauss_2f1`,
-        instead of summing past a later start index"""
-        z = Ball.from_fraction(Fraction(9, 10), 64)
-        for b, c, kind in (
-            (Fraction(6), Fraction(3), PrecisionExhausted),
-            (Fraction(-7, 2), Fraction(3, 2), InvalidArgument),
-        ):
-            with pytest.raises(kind):
-                specfun._tail_ratio(specfun._scaled(b, c), (9, 10))
-            with pytest.raises(kind):
-                specfun.gauss_2f1(b, c, z, 64)
+        """the x side b = -20 over c = 5 (kk = 20, e2 = 6) at |x| = 0.9 gives
+        q = 3.6 > 0.95 and raises PrecisionExhausted from `_tail_ratio` and
+        from `appell_f1`, instead of summing past a later start index; a
+        half-integer y side has R = 1 and fits at any |y| < 1"""
+        x, small = Ball.from_fraction(Fraction(9, 10), 64), Ball.from_fraction(Fraction(1, 5), 64)
+        with pytest.raises(PrecisionExhausted):
+            specfun._tail_ratio((-20, 5, 1), (9, 10))
+        with pytest.raises(PrecisionExhausted):
+            specfun.appell_f1(20, 6, x, small, 64)
+        assert specfun._tail_ratio((-7, 11, 2), (999, 1000)) == (1, 1)
 
     def test_most_lopsided_pairs_n2700(self):
         """the competitor at the first and last valid pair of n = 2700, k/l
@@ -676,40 +680,40 @@ class TestTailRule:
     @pytest.mark.parametrize("kk,e2,shift", [(40, 40, 0), (40, 41, 7), (99, 99, 30)])
     @pytest.mark.parametrize("tol_exp", [None, -40])
     def test_terminating_2f1_stops_early_and_encloses(self, monkeypatch, kk, e2, shift, tol_exp):
-        """2F1(1, -kk; e+2+shift; z) at a z ball of nonzero radius stops at
-        its certified tail before its last term and still contains the
-        exact finite sum; at the loose tolerance the tail, not rounding,
-        sets the radius.  The terms are counted through the one `_fx_tail`
-        test each takes: the same series held back from stopping until
-        past its last term counts more than kk"""
+        """2F1(1, -kk; e+2+shift; z), the first value of `appell_f1(kk,
+        e2 + 2 shift, z, 0)`, at a z ball of nonzero radius: its x side
+        stops at its certified tail before its last term, and the value
+        still contains the exact finite sum; at the loose tolerance the
+        tail, not rounding, sets the radius.  Held back from stopping (its
+        `_fx_tail` tests failed), the side keeps all kk + 1 terms, with no
+        tail, and encloses the sum as well"""
         prec = 128
         _tolerance(monkeypatch, tol_exp)
         zf = Fraction(-1317, 10000)
-        z = Ball.from_fraction(zf, prec)
+        z, zero = Ball.from_fraction(zf, prec), Ball.from_int(0, prec)
         assert z.rad.sign != 0
-        b, c = Fraction(-kk), Fraction(e2, 2) + 2 + shift
-        inner = specfun._fx_tail
-
-        def count_terms(hold: int):
-            """the series, and its number of tail tests, with the first
-            `hold` of them failed"""
-            terms = []
-
-            def counting(*args):
-                terms.append(args)
-                return None if len(terms) <= hold else inner(*args)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(specfun, "_fx_tail", counting)
-                return specfun.gauss_2f1(b, c, z, prec), len(terms)
-
-        out, terms = count_terms(0)
-        exact = sum(poch(b, m) / poch(c, m) * zf**m for m in range(kk + 1))
-        assert terms < kk
-        assert count_terms(kk)[1] > kk
+        c = Fraction(e2, 2) + 2 + shift
+        exact = sum(poch(Fraction(-kk), m) / poch(c, m) * zf**m for m in range(kk + 1))
+        sides = _record_sides(monkeypatch)
+        out = specfun.appell_f1(kk, e2 + 2 * shift, z, zero, prec)[0]
+        (x_kept, x_tail), _ = sides
+        assert x_kept < kk and x_tail > 0
         assert _contains(out, exact)
         if tol_exp is None:
             assert 2 * bf_to_fraction(out.rad) <= abs(exact) / 2 ** (prec - 8)
+        del sides[:]
+        inner, tests = specfun._fx_tail, []
+
+        def held_back(*args):
+            """fails the x side's kk - 1 tests, which come first"""
+            tests.append(args)
+            return None if len(tests) < kk else inner(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_fx_tail", held_back)
+            held = specfun.appell_f1(kk, e2 + 2 * shift, z, zero, prec)[0]
+        assert sides[0] == (kk + 1, 0)
+        assert _contains(held, exact)
 
     @pytest.mark.parametrize("kk,e2", [(40, 40), (40, 41), (60, 59)])
     @pytest.mark.parametrize("tol_exp", [None, -40])
@@ -723,7 +727,7 @@ class TestTailRule:
         yf = Fraction(-173, 10000)
         x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
         e = Fraction(e2, 2)
-        out = specfun.appell_f1(-kk, -e, e + 2, x, y, prec)[0]
+        out = specfun.appell_f1(kk, e2, x, y, prec)[0]
         n_max = int(e) if e.denominator == 1 else 60
         total = _f1_double_sum(kk, e2, xf, yf, n_max)
         # |(a)_j / (c)_j| <= 1, |(-e)_n / n!| <= 2^e and sum |(-kk)_m| / m! |x|^m
@@ -764,24 +768,25 @@ class TestTailRule:
     @pytest.mark.parametrize(
         "a,b,c",
         [
-            (Fraction(1), Fraction(1, 3), Fraction(3, 2)),
-            (Fraction(1), Fraction(-7, 2), Fraction(9, 2)),
-            (Fraction(1), Fraction(-11, 2), Fraction(13, 2)),
+            (Fraction(1), Fraction(-1, 2), Fraction(5, 2)),
+                (Fraction(1), Fraction(-7, 2), Fraction(11, 2)),
+            (Fraction(1), Fraction(-11, 2), Fraction(15, 2)),
         ],
     )
     @pytest.mark.parametrize("zf", [Fraction(99, 100), Fraction(-99, 100)])
     def test_2f1_headroom_near_unit_z(self, a, b, c, zf):
-        """at |z| = 0.99 the fixed-point term radius of 2F1(a, b; c; z),
-        a = 1, settles near 200 ulps and the tail factor is 99: the scale's
-        headroom keeps their product under the tolerance, so the series
-        reaches its tail and encloses the mpmath value"""
+        """2F1(a, b; c; z) = 2F1(1, -e; e+2; z), e = -b half an odd integer,
+        is the y side of `appell_f1(0, 2e, x, z)` alone (kk = 0, so U = 1):
+        at |z| = 0.99 its tail factor is 1/(1 - |z|) = 100, and the side
+        still reaches its tail, enclosing mpmath.hyp2f1 at three times the
+        working precision with a relative width below 2^-(prec-24)"""
         mpmath = pytest.importorskip("mpmath")
-        prec = 128
-        z = ball_widen(Ball.from_fraction(zf, prec), bf_two_power(-135))
-        out = specfun.gauss_2f1(b, c, z, prec)
-        with mpmath.workdps(60):
-            ref = _mp_fraction(mpmath.hyp2f1(*(_mp(mpmath, v) for v in (a, b, c, zf))))
-        assert abs(bf_to_fraction(out.mid) - ref) <= bf_to_fraction(out.rad) + abs(ref) / 10**55
+        prec = 64
+        assert (a, c) == (1, 2 - b) and b.denominator == 2
+        z = ball_widen(Ball.from_fraction(zf, prec), bf_two_power(-71))
+        out = specfun.appell_f1(0, int(-2 * b), Ball.from_fraction(Fraction(1, 3), prec), z, prec)[0]
+        ref = _mp_reference(mpmath, mpmath.hyp2f1, (a, b, c, zf), prec)
+        assert abs(bf_to_fraction(out.mid) - ref) <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (3 * prec - 16)
         assert 2 * bf_to_fraction(out.rad) <= abs(ref) / 2 ** (prec - 24)
 
     def test_competitor_n396_outer_headroom(self):
@@ -817,34 +822,56 @@ def _mp_fraction(v) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
-def _assert_encloses(out, ref: Fraction, prec: int):
+def _mp_reference(mpmath, fn, args, prec: int) -> Fraction:
+    """fn(*args) from mpmath at three times prec bits, as a Fraction"""
+    with mpmath.workprec(3 * prec):
+        return _mp_fraction(fn(*(_mp(mpmath, Fraction(v)) for v in args)))
+
+
+@functools.cache
+def _lens_closed_forms(top: int, prec: int) -> list:
+    """(n+1) I_n (2/sqrt3)^(n+1) for n from 0 to top, I_n the integral of
+    sin^n over [0, pi/3], by the Wallis reduction n I_n = (n-1) I_(n-2) -
+    (sqrt3/2)^(n-1) / 2 from I_0 = arcsin(sqrt3/2) and I_1 = 1/2, in mpmath
+    at 3 prec + 64 bits (the upward reduction loses about n/5 bits)"""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(3 * prec + 64):
+        h = mpmath.sqrt(3) / 2
+        ints = [mpmath.asin(h), mpmath.mpf(1) / 2]
+        for n in range(2, top + 1):
+            ints.append(((n - 1) * ints[n - 2] - h ** (n - 1) / 2) / n)
+        return [_mp_fraction((n + 1) * ints[n] / h ** (n + 1)) for n in range(top + 1)]
+
+
+def _assert_encloses(out, ref: Fraction, prec: int, ref_bits: int | None = None):
     """out contains ref, up to the rounding of an mpmath reference computed
-    at 64 bits beyond prec"""
+    at ref_bits, by default 64 bits beyond prec"""
+    ref_bits = prec + 64 if ref_bits is None else ref_bits
     gap = abs(bf_to_fraction(out.mid) - ref)
-    assert gap <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (prec + 48)
+    assert gap <= bf_to_fraction(out.rad) + abs(ref) / 2 ** (ref_bits - 16)
 
 
 class TestAgainstMpmath:
-    """Competitor-shaped series, F1(1, -kk, -e; e+2; x, y) and
-    2F1(1, -kk; e+2+n; x), at balls x, y of the ranges the competitor
-    meets, enclose mpmath.appellf1 and mpmath.hyp2f1 at 64 bits beyond the
-    working precision, at the default tolerance and at 2^-40"""
+    """Competitor-shaped F1(1, -kk, -e; e+2; x, y), at balls x, y of the
+    ranges the competitor meets, and the lens series at random n enclose
+    mpmath.appellf1 and mpmath.hyp2f1 at 64 bits beyond the working
+    precision, at the default tolerance and at 2^-40"""
 
     @staticmethod
     def _case(rng):
-        """parameters whose x series fits its first-term tail bound,
-        |x| kk/(e+2) <= (1 + |x|)/2, as the competitor's do"""
+        """(kk, e2, x, y, prec) whose x series fits its first-term tail
+        bound, |x| kk/(e+2) <= (1 + |x|)/2, as the competitor's do"""
         while True:
-            kk, e = rng.randint(1, 80), Fraction(rng.randint(1, 80), 2)
+            kk, e2 = rng.randint(1, 80), rng.randint(1, 80)
             xf = -Fraction(rng.randint(400, 2700), 10000)
-            if 2 * abs(xf) * kk <= (1 + abs(xf)) * (e + 2):
+            if 2 * abs(xf) * kk <= (1 + abs(xf)) * (Fraction(e2, 2) + 2):
                 break
         yf = -Fraction(rng.randint(30, 450), 10000)
-        return kk, e, xf, yf, rng.choice((64, 128, 256))
+        return kk, e2, xf, yf, rng.choice((64, 128, 256))
 
     @staticmethod
-    def _check(out, ref, prec, tol_exp):
-        _assert_encloses(out, ref, prec)
+    def _check(out, ref, prec, tol_exp, ref_bits=None):
+        _assert_encloses(out, ref, prec, ref_bits)
         if tol_exp is None:
             assert 2 * bf_to_fraction(out.rad) <= abs(ref) / 2 ** (prec - 8)
 
@@ -854,14 +881,10 @@ class TestAgainstMpmath:
         _tolerance(monkeypatch, tol_exp)
         rng = random.Random(31 if tol_exp is None else 32)
         for _ in range(25):
-            kk, e, xf, _, prec = self._case(rng)
-            n = rng.randint(0, 40)
-            b, c = Fraction(-kk), e + 2 + n
-            x = Ball.from_fraction(xf, prec)
-            assert x.rad.sign != 0
-            out = specfun.gauss_2f1(b, c, x, prec)
+            n, prec = rng.randint(1, 2700), rng.choice((64, 128, 256))
+            out = specfun.gauss_2f1(n, prec)
             with mpmath.workprec(prec + 64):
-                ref = _mp_fraction(mpmath.hyp2f1(1, *(_mp(mpmath, v) for v in (b, c, xf))))
+                ref = _mp_fraction(mpmath.hyp2f1(1, n + 1, _mp(mpmath, Fraction(n + 3, 2)), mpmath.mpf(1) / 4))
             self._check(out, ref, prec, tol_exp)
 
     @pytest.mark.parametrize("tol_exp", [None, -40])
@@ -870,13 +893,12 @@ class TestAgainstMpmath:
         _tolerance(monkeypatch, tol_exp)
         rng = random.Random(33 if tol_exp is None else 34)
         for _ in range(25):
-            kk, e, xf, yf, prec = self._case(rng)
-            params = (Fraction(-kk), -e, e + 2)
+            kk, e2, xf, yf, prec = self._case(rng)
             x, y = Ball.from_fraction(xf, prec), Ball.from_fraction(yf, prec)
-            out = specfun.appell_f1(*params, x, y, prec)[0]
+            out = specfun.appell_f1(kk, e2, x, y, prec)[0]
+            e = Fraction(e2, 2)
             with mpmath.workprec(prec + 64):
-                args = (_mp(mpmath, v) for v in params + (xf, yf))
-                ref = _mp_fraction(mpmath.appellf1(1, *args))
+                ref = _mp_fraction(mpmath.appellf1(1, -kk, *(_mp(mpmath, v) for v in (-e, e + 2, xf, yf))))
             self._check(out, ref, prec, tol_exp)
 
 
@@ -885,9 +907,17 @@ class TestAgainstMpmath:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(b: Fraction, c: Fraction) -> tuple[int, int, int]:
+    """(ib, ic, d) with b, c = ib/d, ic/d over their least common
+    denominator d: the triple `_f1_side` takes"""
+    d = math.lcm(b.denominator, c.denominator)
+    return int(b * d), int(c * d), d
+
+
 def _kernel_tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
-    """`specfun._tail_ratio` on Fractions, the form it took before its
-    arguments were ints"""
+    """the tail ratio of 2F1(1, b; c; z) by the general rule, on Fractions:
+    |b|/c when b >= c or the series terminates, otherwise 1 when
+    b + c >= 0"""
     if b >= c or (b.denominator == 1 and b <= 0):
         bound = abs(b) / c
     else:
@@ -897,13 +927,15 @@ def _kernel_tail_ratio(b: Fraction, c: Fraction, zsup: Fraction) -> Fraction:
     return bound
 
 
-def _kernel_2f1(b, c, z: Ball, prec: int):
-    """`specfun.gauss_2f1` with its set-up on Fractions and each term step
-    one `_fx_mul_rat` and one `_fx_mul`: the pair it hands `_fx_to_ball`,
-    and its scale"""
-    b, c = Fraction(b), Fraction(c)
-    zsup = bf_to_fraction(z.mag_sup())
+def _kernel_2f1(n: int, prec: int):
+    """`specfun.gauss_2f1(n, prec)` with its set-up on Fractions from the
+    general tail rule at the ball z = 1/4, and each term step one
+    `_fx_mul_rat` and one `_fx_mul`: the pair it hands `_fx_to_ball`, and
+    its scale"""
+    b, c = Fraction(n + 1), Fraction(n + 3, 2)
     w = prec + 8
+    z = Ball.from_fraction(Fraction(1, 4), w)
+    zsup = bf_to_fraction(z.mag_sup())
     ratio = zsup * _kernel_tail_ratio(b, c, zsup)
     tail_factor = ratio / (1 - ratio)
     room = (1 + zsup) / (1 - ratio) ** 2
@@ -911,7 +943,7 @@ def _kernel_2f1(b, c, z: Ball, prec: int):
     zx = _fx_from_ball(z, W)
     limit = _fx_from_ball(Ball.point(specfun._default_tol(prec), w), W)[0]
     term = total = (1 << W, 0)
-    ib, ic, d = specfun._scaled(b, c)
+    ib, ic, d = _scaled(b, c)
     m = 0
     while True:
         term = _fx_mul(_fx_mul_rat(term, ib + m * d, ic + m * d), zx, W)
@@ -931,7 +963,7 @@ def _kernel_side(b: Fraction, c: Fraction, z: Ball, zsup: Fraction, other: Fract
     Wt = W + room
     limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]
     zt = _fx_from_ball(z, Wt)
-    ib, ic, d = specfun._scaled(b, c)
+    ib, ic, d = _scaled(b, c)
     term, wm, we = (1 << Wt, 0), 1 << 64, 64
     mids, rads = [1 << W], [0]
     j = 0
@@ -950,13 +982,14 @@ def _kernel_side(b: Fraction, c: Fraction, z: Ball, zsup: Fraction, other: Fract
     return mids, rads, 0
 
 
-def _kernel_f1(b1, b2, c, x: Ball, y: Ball, prec: int, sides=None, bounds=None):
-    """`specfun.appell_f1` with its set-up on Fractions, its sides from
-    `_kernel_side` (or `sides`, as (x side, y side)), and the C' shift and
-    both Horner passes made of `_fx_mul`, `_fx_mul_rat` and `_fx_add`: the
-    two pairs it hands `_fx_to_ball`, each with its scale.  The bounds it
-    gives its sides, (|x|, V) and (|y|, U), go to the list `bounds`"""
-    b1, b2, c = Fraction(b1), Fraction(b2), Fraction(c)
+def _kernel_f1(kk: int, e2: int, x: Ball, y: Ball, prec: int, sides=None, bounds=None):
+    """`specfun.appell_f1(kk, e2, x, y, prec)` with its set-up on Fractions
+    (b1 = -kk, b2 = -e2/2, c = e2/2 + 2), its sides from `_kernel_side` (or
+    `sides`, as (x side, y side)), and the C' shift and both Horner passes
+    made of `_fx_mul`, `_fx_mul_rat` and `_fx_add`: the two pairs it hands
+    `_fx_to_ball`, each with its scale.  The bounds it gives its sides,
+    (|x|, V) and (|y|, U), go to the list `bounds`"""
+    b1, b2, c = Fraction(-kk), -Fraction(e2, 2), Fraction(e2, 2) + 2
     xsup, ysup = bf_to_fraction(x.mag_sup()), bf_to_fraction(y.mag_sup())
     tol = specfun._default_tol(prec)
     w = prec + 8
@@ -1054,42 +1087,22 @@ def _random_fraction(rng, top: Fraction) -> Fraction:
 
 class TestKernelEquality:
     """The term steps of `gauss_2f1` and `_f1_side`, the C' shift and the
-    two Horner passes of `appell_f1` are written on bare ints, and the F1
-    set-up on integers; the Newton step of `pow_rational` takes a
-    midpoint-only power.  Each gives exactly the ints of the kernel calls it
-    stands for (`_kernel_2f1`, `_kernel_side`, `_kernel_f1`, `_fx_pow`), on
-    random arguments at scales W = 40..400 with zero and nonzero radii and
-    on every call of one `desk` and one `tight` pass: equal, not only
-    enclosing, since a lost ulp encloses as well."""
+    two Horner passes of `appell_f1` are written on bare ints, and the
+    set-up of both series on integers; the Newton step of `pow_rational`
+    takes a midpoint-only power.  Each gives exactly the ints of the kernel
+    calls it stands for (`_kernel_2f1`, `_kernel_side`, `_kernel_f1`,
+    `_fx_pow`), whose set-up runs on Fractions through the general tail
+    rule, on random n, (kk, e2) and arguments at scales W = 40..400 with
+    zero and nonzero radii and on every call of one `desk` and one `tight`
+    pass: equal, not only enclosing, since a lost ulp encloses as well."""
 
     def test_2f1_term_steps(self):
         rng = random.Random(36)
-        ran = 0
-        for case in range(160):
-            prec = rng.randint(16, 376)
-            kind = case % 3
-            if kind == 0:  # terminating
-                b, c = Fraction(-rng.randint(0, 60)), 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
-            elif kind == 1:  # b > c, ratios falling towards 1
-                c = 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
-                b = c + Fraction(rng.randint(1, 200), rng.choice((1, 2, 3)))
-            else:  # b < c with b + c >= 0, R = 1
-                c = 1 + Fraction(rng.randint(0, 120), rng.randint(1, 4))
-                b = rng.choice((-1, 1)) * c * Fraction(rng.randint(0, 999), 1000)
-            # |z| R <= (1 + |z|)/2 for R = max(|b|/c, 1) wherever 2R > 1
-            ztop = min(Fraction(9, 10), 1 / max(2 * abs(b) / c - 1, Fraction(1, 2)))
-            z = _random_ball(rng, _random_fraction(rng, ztop), prec)
-            try:
-                want = [_kernel_2f1(b, c, z, prec)]
-            except (InvalidArgument, PrecisionExhausted) as err:
-                with pytest.raises(type(err)):
-                    specfun.gauss_2f1(b, c, z, prec)
-                continue
-            assert _handed_on(specfun.gauss_2f1, b, c, z, prec) == want, (b, c, z, prec)
-            ran += 1
-        assert ran >= 140
-        for b, c, z, prec in _recorded_calls()["2f1"]:
-            assert _handed_on(specfun.gauss_2f1, b, c, z, prec) == [_kernel_2f1(b, c, z, prec)], (b, c, prec)
+        for _ in range(160):
+            n, prec = rng.choice((rng.randint(1, 60), rng.randint(1, 3000))), rng.randint(16, 376)
+            assert _handed_on(specfun.gauss_2f1, n, prec) == [_kernel_2f1(n, prec)], (n, prec)
+        for n, prec in _recorded_calls()["2f1"]:
+            assert _handed_on(specfun.gauss_2f1, n, prec) == [_kernel_2f1(n, prec)], (n, prec)
 
     def test_f1_side_term_steps(self):
         rng = random.Random(37)
@@ -1097,30 +1110,29 @@ class TestKernelEquality:
         for case in range(160):
             prec = rng.randint(16, 376)
             w = prec + 8
-            c = 1 + Fraction(rng.randint(0, 200), rng.randint(1, 4))
-            if case % 2:
-                b = Fraction(-rng.randint(0, 120))
-            else:
-                b = rng.choice((-1, 1)) * c * Fraction(rng.randint(0, 999), 1000)
+            kk, e2 = rng.randint(0, 120), rng.randint(0, 400)
+            c = Fraction(e2, 2) + 2
+            b = Fraction(-kk) if case % 2 else -Fraction(e2, 2)
             z = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
             other = rng.randint(1 << w, 1 << (w + rng.randint(0, 60)))
             tol = bf_two_power(-prec - rng.choice((12, 0, -40)))
             zsup = specfun._sup(z)
-            args = (z, zsup, other, tol, w + 16, w)
+            args = (_scaled(b, c), z, zsup, other, tol, w + 16, w)
             try:
                 want = _kernel_side(b, c, z, Fraction(*zsup), Fraction(other, 1 << w), tol, w + 16, w)
-            except (InvalidArgument, PrecisionExhausted) as err:
-                with pytest.raises(type(err)):
-                    specfun._f1_side(specfun._scaled(b, c), *args)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    specfun._f1_side(*args)
                 continue
-            assert specfun._f1_side(specfun._scaled(b, c), *args) == want, (b, c, z, other, prec)
+            assert specfun._f1_side(*args) == want, (b, c, z, other, prec)
             ran += 1
         assert ran >= 120
 
-    def _check_f1(self, b1, b2, c, x, y, prec):
+    def _check_f1(self, kk, e2, x, y, prec):
         """appell_f1 hands `_fx_to_ball` the pairs of `_kernel_f1` and its
-        sides the same |x|, |y|, U and V, and each of its sides is the side
-        of `_kernel_side`"""
+        sides the triples of b1 = -kk and b2 = -e2/2 over c = e2/2 + 2, the
+        same |x|, |y|, U and V, and each of its sides is the side of
+        `_kernel_side`"""
         sides, bounds = [], []
         inner = specfun._f1_side
 
@@ -1130,12 +1142,13 @@ class TestKernelEquality:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specfun, "_f1_side", recording)
-            got = _handed_on(specfun.appell_f1, b1, b2, c, x, y, prec)
-        assert got == _kernel_f1(b1, b2, c, x, y, prec, bounds=bounds), (b1, b2, c, x, y, prec)
+            got = _handed_on(specfun.appell_f1, kk, e2, x, y, prec)
+        assert got == _kernel_f1(kk, e2, x, y, prec, bounds=bounds), (kk, e2, x, y, prec)
         w = prec + 8
         assert [(Fraction(*args[2]), Fraction(args[3], 1 << w)) for args, _ in sides] == bounds
-        for (bc, z, zsup, other, tol, W, w), side in sides:
-            b, c = Fraction(bc[0], bc[2]), Fraction(bc[1], bc[2])
+        c = Fraction(e2, 2) + 2
+        for b, ((bc, z, zsup, other, tol, W, w), side) in zip((Fraction(-kk), -Fraction(e2, 2)), sides):
+            assert bc == _scaled(b, c), (kk, e2)
             assert side == _kernel_side(b, c, z, Fraction(*zsup), Fraction(other, 1 << w), tol, W, w)
 
     def test_f1_set_up_sides_and_horner(self):
@@ -1145,20 +1158,18 @@ class TestKernelEquality:
             # a third at 16 to 40 bits, where |x| can have more bits than
             # the scale w, so that the base 1 + |x| of U is rounded up
             prec = rng.randint(16, 376 if case % 3 else 40)
-            kk = rng.randint(0, 80)
-            e = Fraction(rng.randint(0, 80), 2)
-            b2, c = rng.choice((-e, -e, Fraction(1), Fraction(3, 2))), e + 2 + rng.choice((0, 0, Fraction(1, 3)))
+            kk, e2 = rng.randint(0, 80), rng.randint(0, 160)
             # |x| kk/c <= (1 + |x|)/2, the x side's first-term bound
-            xtop = min(Fraction(9, 10), 1 / max(2 * kk / c - 1, Fraction(1, 2)))
+            xtop = min(Fraction(9, 10), 1 / max(2 * kk / (Fraction(e2, 2) + 2) - 1, Fraction(1, 2)))
             x = _random_ball(rng, _random_fraction(rng, xtop), prec)
             y = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
             try:
-                _kernel_f1(-kk, b2, c, x, y, prec)
-            except (InvalidArgument, PrecisionExhausted) as err:
-                with pytest.raises(type(err)):
-                    specfun.appell_f1(-kk, b2, c, x, y, prec)
+                _kernel_f1(kk, e2, x, y, prec)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    specfun.appell_f1(kk, e2, x, y, prec)
                 continue
-            self._check_f1(-kk, b2, c, x, y, prec)
+            self._check_f1(kk, e2, x, y, prec)
             ran += 1
         assert ran >= 80
         for args in _recorded_calls()["f1"]:
@@ -1180,14 +1191,14 @@ class TestKernelEquality:
                 return mids, rads, rng.choice((0, rng.randint(1, 1 << 40)))
 
             sides = side(), side()
-            c = 1 + Fraction(rng.randint(0, 200), rng.randint(1, 5))
+            e2 = rng.randint(0, 400)
             x = Ball.from_fraction(Fraction(1, 8), prec)
             y = _random_ball(rng, _random_fraction(rng, Fraction(9, 10)), prec)
             stub = iter(sides)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(specfun, "_f1_side", lambda *args: next(stub))
-                got = _handed_on(specfun.appell_f1, -3, -2, c, x, y, prec)
-            assert got == _kernel_f1(-3, -2, c, x, y, prec, sides), (case, c, y, prec)
+                got = _handed_on(specfun.appell_f1, 3, e2, x, y, prec)
+            assert got == _kernel_f1(3, e2, x, y, prec, sides), (case, e2, y, prec)
 
     def test_newton_power_is_the_kernel_midpoint(self):
         rng = random.Random(40)
