@@ -5,9 +5,8 @@ Midpoints are rounded to the working precision and the exact rounding error
 is absorbed into the radius, so soundness never relies on directed hardware
 rounding.  The fixed-point kernel (`_fx_*`) keeps int midpoint-radius pairs at
 scale 2**-W, each rounding covered by the radius; division, square roots
-(from `math.isqrt`), integer powers, sin, cos and atan run on it, each
-operand read at a scale 2**-(W - g) that gives it W bits.  exp and log
-sum Taylor series in Ball arithmetic after argument reduction.  A rational
+(from `math.isqrt`), integer powers, sin, cos, atan, exp and log run on
+it, each operand read at a scale 2**-(W - g) that gives it W bits.  A rational
 power takes one q-th root for both bounds: a float and integer Newton steps
 propose it, and an exact fixed-point power check accepts each bound.
 """
@@ -35,8 +34,6 @@ from .bigfloat import (
     bf_neg,
     bf_round,
     bf_shift,
-    bf_to_float,
-    bf_two_power,
     rup,
     rup_add,
     rup_mul,
@@ -55,13 +52,10 @@ __all__ = [
     "ball_div",
     "ball_pow_int",
     "ball_round",
-    "ball_hull",
-    "ball_widen",
     "ball_from_endpoints",
     "certainly_positive",
     "intersects",
     "pi_ball",
-    "ln2_ball",
     "sqrt_ball",
     "exp_ball",
     "log_ball",
@@ -204,20 +198,6 @@ def ball_round(a: Ball, prec: int) -> Ball:
     """Re-round to a (typically lower) precision, widening as needed."""
     mid, err = bf_round(a.mid.sign, a.mid.man, a.mid.exp, prec)
     return Ball(mid, rup_add(a.rad, err), prec)
-
-
-def ball_widen(a: Ball, extra: BigFloat) -> Ball:
-    if extra.sign < 0:
-        raise ValueError("widening must be nonnegative")
-    return Ball(a.mid, rup_add(a.rad, extra), a.prec)
-
-
-def ball_hull(a: Ball, b: Ball, prec: int) -> Ball:
-    lo_a, lo_b = a.inf(), b.inf()
-    hi_a, hi_b = a.sup(), b.sup()
-    lo = lo_a if bf_cmp(lo_a, lo_b) <= 0 else lo_b
-    hi = hi_a if bf_cmp(hi_a, hi_b) >= 0 else hi_b
-    return ball_from_endpoints(lo, hi, prec)
 
 
 def ball_from_endpoints(lo: BigFloat, hi: BigFloat, prec: int) -> Ball:
@@ -363,12 +343,11 @@ def intersects(a: Ball, b: Ball) -> bool:
 # ---------------------------------------------------------------------------
 
 _PI_CACHE: dict[int, Ball] = {}
-_LN2_CACHE: dict[int, Ball] = {}
 
 
-def _atan_recip_scaled(m: int, w: int, alternate: bool = True) -> tuple[int, int]:
-    """(value, err_units) with |f(1/m)*2**w - value| <= err_units for an
-    integer m >= 2, where f is atan, or atanh when `alternate` is False."""
+def _atan_recip_scaled(m: int, w: int) -> tuple[int, int]:
+    """(value, err_units) with |atan(1/m)*2**w - value| <= err_units for an
+    integer m >= 2."""
     scale = 1 << w
     power = m
     m2 = m * m
@@ -379,15 +358,13 @@ def _atan_recip_scaled(m: int, w: int, alternate: bool = True) -> tuple[int, int
         t = scale // (power * (2 * j + 1))
         if t == 0:
             break
-        acc += t if not alternate or (j & 1) == 0 else -t
+        acc += -t if j & 1 else t
         terms += 1
         power *= m2
         j += 1
     # each computed term is truncated toward zero (< 1 unit each), and the
-    # first omitted term is below 1 unit.  An alternating tail is below that
-    # term; otherwise each term ratio is below 1/m**2 <= 1/4, so the tail is
-    # below 4/3 units.
-    return acc, terms + (1 if alternate else 2)
+    # alternating tail is below the first omitted term, itself below 1 unit
+    return acc, terms + 1
 
 
 def pi_ball(prec: int) -> Ball:
@@ -402,9 +379,7 @@ def pi_ball(prec: int) -> Ball:
         v, e = _atan_recip_scaled(m, w)
         acc += coeff * v
         err_units += abs(coeff) * e
-    mid, rnd = bf_round(1, acc, -w, prec)
-    rad = rup_add(rup(bf_shift(bf_from_int(err_units), -w)), rnd)
-    out = Ball(mid, rad, prec)
+    out = _fx_to_ball((acc, err_units), w, prec)
     _PI_CACHE[prec] = out
     return out
 
@@ -417,26 +392,9 @@ def _fx_pi(W: int) -> tuple[int, int]:
     return _fx_from_ball(pi_ball(-(-W // 64) * 64), W)
 
 
-def ln2_ball(prec: int) -> Ball:
-    """Enclosure of ln 2 = 2 atanh(1/3)."""
-    cached = _LN2_CACHE.get(prec)
-    if cached is not None:
-        return cached
-    w = prec + 16
-    v, e = _atan_recip_scaled(3, w, alternate=False)
-    mid, rnd = bf_round(1, 2 * v, -w, prec)
-    out = Ball(mid, rup_add(rup(bf_shift(bf_from_int(2 * e), -w)), rnd), prec)
-    _LN2_CACHE[prec] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementary functions
 # ---------------------------------------------------------------------------
-
-
-def _tol(prec: int) -> BigFloat:
-    return bf_two_power(-prec - 8)
 
 
 def sqrt_ball(a: Ball, prec: int) -> Ball:
@@ -451,86 +409,92 @@ def sqrt_ball(a: Ball, prec: int) -> Ball:
     return _fx_to_ball(_fx_sqrt((max(m, r), r)), W - j, prec)
 
 
-def _exp_thin(x: BigFloat, prec: int) -> Ball:
-    w = prec + 16
-    fx = bf_to_float(x)
-    if abs(fx) > 1 << 40:
-        raise InvalidArgument("exp argument out of supported range")
-    k = int(round(fx * 1.4426950408889634))
-    t = Ball.point(x, w)
-    if k:
-        t = ball_sub(t, ball_mul_rat(ln2_ball(w), k, 1, w), w)
-    if bf_cmp(t.mag_sup(), BigFloat(1, 3, -2)) > 0:
-        raise PrecisionExhausted("exp argument reduction failed")
-    # |t| <= 3/4; sum exp(t) with factorial tail bound
-    tol = _tol(prec)
-    term = Ball.from_int(1, w)
-    total = term
+def _fx_log(y: tuple[int, int], s: int, W: int) -> tuple[int, int]:
+    """log(y * 2**s) at scale 2**-W for y = (m +/- r) * 2**-W, m in
+    [2**W, 2**(W+1)], r <= 2**(W-3).
+
+    log y = 2 atanh u, u = (y - 1) / (y + 1) by `_fx_div`: its midpoint is
+    in [0, 1/3] and its radius below 1/8.  The series 2 sum u**(2j+1)/(2j+1)
+    runs at the midpoint, each term ratio at most u**2 <= 1/9, so the terms
+    from the j-th on add up to at most 9/8 of it; the loop stops, leaving it
+    out, once that is at most 2**_FX_GUARD ulps (`_fx_tail`).  As
+    atanh' <= 4/3 for |u| < 1/2, 4/3 of u's radius widens the sum.  ln 2 is
+    `_fx_log` at y = 2 (u = 1/3), read at W plus the bits of s for s ln 2.
+    """
+    one = 1 << W
+    um, ur = _fx_div(_fx_sub(y, (one, 0)), _fx_add(y, (one, 0)), W)
+    u2 = _fx_mul((um, 0), (um, 0), W)
+    power, total_m, total_r = (um, 0), um, 0
     j = 0
     while True:
         j += 1
-        term = ball_mul_rat(ball_mul(term, t, w), 1, j, w)
-        total = ball_add(total, term, w)
-        m = term.mag_sup()
-        if bf_cmp(m, tol) <= 0 and j >= 2:
-            # ratio |t|/(j+1) <= 1/2 from here on, so tail <= 2*|term|
-            tail = rup_add(bf_shift(m, 1), ZERO)
-            total = ball_widen(total, tail)
+        power = _fx_mul(power, u2, W)
+        term = _fx_mul_rat(power, 1, 2 * j + 1)
+        tail = _fx_tail(term, 9, 8, 1 << _FX_GUARD)
+        if tail is not None:
             break
-        if j > 4 * w:
-            raise PrecisionExhausted("exp series failed to converge")
-    result = Ball(bf_shift(total.mid, k), bf_shift(total.rad, k), w)
-    return ball_round(result, prec)
-
-
-def exp_ball(a: Ball, prec: int) -> Ball:
-    return ball_hull(_exp_thin(a.inf(), prec), _exp_thin(a.sup(), prec), prec)
-
-
-def _log_thin(x: BigFloat, prec: int) -> Ball:
-    if x.sign <= 0:
-        raise InvalidArgument("log of a nonpositive value")
-    w = prec + 16
-    s = bf_msb_exp(x)  # x in [2**(s-1), 2**s)
-    y = bf_shift(x, -s)  # y in [1/2, 1)
-    if bf_cmp(y, BigFloat(1, 3, -2)) < 0:  # y < 3/4: renormalize to [1, 1.5)
-        y = bf_shift(y, 1)
-        s -= 1
-    yb = Ball.point(y, w)
-    u = ball_div(ball_sub(yb, Ball.from_int(1, w), w), ball_add(yb, Ball.from_int(1, w), w), w)
-    # |u| <= 1/5; ln(y) = 2 * sum u^(2j+1)/(2j+1)
-    u2 = ball_mul(u, u, w)
-    u2_sup = u2.mag_sup()
-    if bf_cmp(u2_sup, BigFloat(1, 1, -1)) >= 0:
-        raise PrecisionExhausted("log argument reduction failed")
-    term = u
-    total = ball_mul_rat(u, 1, 1, w)
-    j = 0
-    tol = _tol(prec)
-    while True:
-        j += 1
-        term = ball_mul(term, u2, w)
-        contrib = ball_mul_rat(term, 1, 2 * j + 1, w)
-        total = ball_add(total, contrib, w)
-        m = contrib.mag_sup()
-        if bf_cmp(m, tol) <= 0:
-            # geometric tail with ratio u2 < 1/2: at most 2 m u2
-            tail = bf_shift(rup_mul(m, u2_sup), 1)
-            total = ball_widen(total, tail)
-            break
-        if j > 4 * w:
-            raise PrecisionExhausted("log series failed to converge")
-    total = ball_mul_rat(total, 2, 1, w)
+        total_m += term[0]
+        total_r += term[1]
+    out = 2 * total_m, 2 * (total_r + tail - (-4 * ur // 3))
     if s:
-        total = ball_add(total, ball_mul_rat(ln2_ball(w), s, 1, w), w)
-    return ball_round(total, prec)
+        b = abs(s).bit_length()
+        out = _fx_add(out, _fx_mul_rat(_fx_log((2 << W + b, 0), 0, W + b), s, 1 << b))
+    return out
 
 
 def log_ball(a: Ball, prec: int) -> Ball:
-    lo = a.inf()
-    if lo.sign <= 0:
-        raise PrecisionExhausted("log of a ball reaching below zero")
-    return ball_hull(_log_thin(lo, prec), _log_thin(a.sup(), prec), prec)
+    """log(a) from `_fx_log` at a's two ends, as log increases, each end
+    2**g <= x < 2**(g+1) read at scale 2**-(W - g) as y 2**g, y in [1, 2),
+    at the scale of `exp_ball`.  InvalidArgument for a point at or below 0,
+    PrecisionExhausted for a ball that reaches 0."""
+    if a.inf().sign <= 0:
+        raise (PrecisionExhausted if a.rad.sign else InvalidArgument)("log of a ball reaching zero or below")
+    W = prec + 16 + 2 * _FX_GUARD
+    lo, hi = a.inf(), a.sup()
+    gl, gh = bf_msb_exp(lo) - 1, bf_msb_exp(hi) - 1
+    lm, lr = _fx_log(_fx_from_ball(Ball.point(lo, W), W - gl), gl, W)
+    hm, hr = _fx_log(_fx_from_ball(Ball.point(hi, W), W - gh), gh, W)
+    return ball_from_endpoints(bf_shift(bf_from_int(lm - lr), -W), bf_shift(bf_from_int(hm + hr), -W), prec)
+
+
+def _fx_exp(x: tuple[int, int], W: int) -> tuple[tuple[int, int], int]:
+    """((m, r), k) with exp x in (m +/- r) * 2**(k - W), for x = (m +/- r)
+    * 2**-W, r <= 2**(W-4); InvalidArgument beyond |m| > 2**(W+40).
+
+    x = k ln 2 + t, k the integer nearest x / ln 2, with ln 2 from `_fx_log`
+    at W + b, |k| <= 2**b, so k ln 2 has at most ln 2's radius plus an ulp
+    at W, and |t| is about ln 2 / 2.  The series of exp t runs at t's
+    midpoint, each term ratio below 1/2, so the terms after the j-th add up
+    to at most the j-th; the loop stops once that is at most 2**_FX_GUARD
+    ulps (`_fx_tail`).  Over t's radius tr, exp moves by at most
+    tr e**(|t| + tr) <= 2 tr.  2**k is left to the scale.
+    """
+    m, r = x
+    if abs(m) > 1 << W + 40:
+        raise InvalidArgument("exp argument out of supported range (|x| <= 2**40)")
+    b = max(abs(m).bit_length() - W + 1, 0)
+    ln2 = _fx_log((2 << W + b, 0), 0, W + b)
+    k = ((m << b + 1) + ln2[0]) // (2 * ln2[0])
+    tm, tr = _fx_sub(x, _fx_mul_rat(ln2, k, 1 << b))
+    term = total = (1 << W, 0)
+    j = 0
+    while True:
+        j += 1
+        term = _fx_mul_rat(_fx_mul(term, (tm, 0), W), 1, j)
+        total = _fx_add(total, term)
+        tail = _fx_tail(term, 1, 1, 1 << _FX_GUARD)
+        if tail is not None:
+            return (total[0], total[1] + tail + 2 * tr), k
+
+
+def exp_ball(a: Ball, prec: int) -> Ball:
+    """exp(a) from `_fx_exp` at a's two ends, as exp increases; InvalidArgument
+    beyond |x| > 2**40.  At W = prec + 16 + 2 _FX_GUARD the kernel's error,
+    under 2**(_FX_GUARD + 3) ulps, is some 2**-29 of an ulp at prec bits."""
+    W = prec + 16 + 2 * _FX_GUARD
+    (lm, lr), lk = _fx_exp(_fx_from_ball(Ball.point(a.inf(), W), W), W)
+    (hm, hr), hk = _fx_exp(_fx_from_ball(Ball.point(a.sup(), W), W), W)
+    return ball_from_endpoints(bf_shift(bf_from_int(lm - lr), lk - W), bf_shift(bf_from_int(hm + hr), hk - W), prec)
 
 
 def _fx_atan(x: int, W: int) -> tuple[int, int]:

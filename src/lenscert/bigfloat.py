@@ -10,7 +10,6 @@ directed-rounding semantics being available from the platform.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "bf_from_int",
     "bf_from_fraction",
     "bf_to_fraction",
-    "bf_to_float",
     "bf_neg",
     "bf_abs",
     "bf_cmp",
@@ -96,25 +94,6 @@ def bf_to_fraction(a: BigFloat) -> Fraction:
     if a.exp >= 0:
         return Fraction(a.sign * a.man << a.exp)
     return Fraction(a.sign * a.man, 1 << -a.exp)
-
-
-def bf_to_float(a: BigFloat) -> float:
-    """Nearest double; saturates to +-inf far outside double range."""
-    if a.sign == 0:
-        return 0.0
-    top = a.exp + a.man.bit_length()
-    if top > 1024:
-        return math.inf if a.sign > 0 else -math.inf
-    if top < -1080:
-        return 0.0
-    # keep 60 significant bits, then ldexp
-    L = a.man.bit_length()
-    if L > 60:
-        m = a.man >> (L - 60)
-        e = a.exp + (L - 60)
-    else:
-        m, e = a.man, a.exp
-    return math.ldexp(a.sign * m, e)
 
 
 def bf_neg(a: BigFloat) -> BigFloat:

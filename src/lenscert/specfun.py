@@ -37,7 +37,8 @@ gives the second value.
 The 2F1 series and the F1 sides run on the fixed-point kernel of `ball`:
 terms are int pairs (m +/- r) 2**-W, each costing one exact rational
 scaling and one product with z (or x, y), sums are int adds, and the tail
-test compares ints with floor(tol 2**W).  The scaling and the product are
+test compares ints with tol 2**W, a power of two, as W - prec - 12 >= 12
+in both series.  The scaling and the product are
 the steps of `_fx_mul_rat` and `_fx_mul`, written out on bare ints in each
 loop, with the same floors and the same added ulps, as are the C' shift
 and the Horner passes of `appell_f1`; for the lens, z = 1/4 is exact, so
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bigfloat import BigFloat, bf_two_power
 from .ball import (
     _FX_GUARD,
     Ball,
@@ -112,8 +112,9 @@ def unit_ball_volume_product(dims: tuple[int, ...], prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-def _default_tol(prec: int) -> BigFloat:
-    return bf_two_power(-prec - 12)
+def _default_tol(prec: int) -> int:
+    """The exponent e of the tail tolerance tol = 2**e."""
+    return -prec - 12
 
 
 def gauss_2f1(n: int, prec: int) -> Ball:
@@ -125,7 +126,7 @@ def gauss_2f1(n: int, prec: int) -> Ball:
     num, den = 5 * (n + 3) ** 2, (n + 5) ** 2
     g = math.gcd(num, den)
     W = w + _FX_GUARD + (num // g).bit_length() - (den // g).bit_length() + 2
-    limit = _fx_from_ball(Ball.point(_default_tol(prec), w), W)[0]  # floor(tol * 2**W)
+    limit = 1 << W + _default_tol(prec)  # tol * 2**W
     tm, tr = sum_m, sum_r = 1 << W, 0
     m = 0
     budget = 64 * (prec + 16) + 256
@@ -179,10 +180,10 @@ def _pow_sup(base: int, k: int, w: int) -> int:
     return m + r
 
 
-def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: int, tol: BigFloat, W: int, w: int):
+def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: int, tol: int, W: int, w: int):
     """One side of the F1 double sum, for b and c = bc = (ib, ic, d) over
-    their common denominator d, |z| at most zsup = (zn, zd) and `other` at
-    scale w: the unweighted terms
+    their common denominator d, |z| at most zsup = (zn, zd), `other` at
+    scale w and the tolerance 2**tol: the unweighted terms
     (b)_j z^j / j! at scale W, as lists of midpoints and radii, and the tail
     bound in ulps of scale W on what the side drops (0 when a terminating
     side is complete).
@@ -217,7 +218,7 @@ def _f1_side(bc: tuple[int, int, int], z: Ball, zsup: tuple[int, int], other: in
     fn, fd = other * zd * rd, (zd * rd - zn * rn) << w  # other / (1 - q)
     room = other.bit_length() - w
     Wt = W + room
-    limit = _fx_from_ball(Ball.point(tol, w), Wt)[0]  # floor(tol * 2**Wt)
+    limit = 1 << Wt + tol  # 2**tol * 2**Wt
     zm, zr = _fx_from_ball(z, Wt)
     azm = abs(zm)
     budget = order if order is not None else 64 * w + 256

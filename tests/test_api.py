@@ -17,9 +17,11 @@ import pytest
 
 import lenscert
 from lenscert import certify, geom, oracle, specfun
-from lenscert.ball import Ball, _fx_div, _fx_sqrt, ball_div, ball_widen, pow_rational, sqrt_ball
+from lenscert.ball import Ball, _fx_div, _fx_sqrt, ball_div, exp_ball, log_ball, pow_rational, sqrt_ball
 from lenscert.bigfloat import bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
+
+from helpers import widen
 
 
 def _modules():
@@ -142,6 +144,25 @@ def test_series_path_builds_no_fractions():
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
                 ]
     assert seen == set().union(*guarded.values())
+    assert calls == []
+
+
+def test_elementary_functions_run_on_the_kernel_alone():
+    """`sqrt_ball`, `atan_ball`, `sin_ball`, `cos_ball`, `exp_ball`,
+    `log_ball` and `pi_ball` call none of `ball_add`, `ball_sub`,
+    `ball_mul`, `ball_mul_rat`, `ball_div` and `ball_round`: each reads its
+    argument into the fixed-point kernel and rounds its result once"""
+    guarded = {"sqrt_ball", "atan_ball", "sin_ball", "cos_ball", "exp_ball", "log_ball", "pi_ball"}
+    arithmetic = {"ball_add", "ball_sub", "ball_mul", "ball_mul_rat", "ball_div", "ball_round"}
+    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "ball.py").read_text())
+    funcs = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in guarded]
+    assert {f.name for f in funcs} == guarded
+    calls = [
+        "%s:%d %s" % (func.name, node.lineno, name)
+        for func in funcs
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and (name := getattr(node.func, "id", None)) in arithmetic
+    ]
     assert calls == []
 
 
@@ -325,9 +346,9 @@ def test_errors_are_two_kinds():
     assert handlers == ["PrecisionExhausted"]
 
 
-_STRADDLE = ball_widen(Ball.from_int(0, 64), bf_two_power(-4))
+_STRADDLE = widen(Ball.from_int(0, 64), bf_two_power(-4))
 _SMALL = Ball.from_fraction(Fraction(1, 5), 64)
-_TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
+_TO_ONE = widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +358,7 @@ _TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
         pytest.param(PrecisionExhausted, lambda: pow_rational(_STRADDLE, 1, 3, 64), id="pow_rational"),
         pytest.param(
             PrecisionExhausted,
-            lambda: sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)), 64),
+            lambda: sqrt_ball(widen(Ball.from_int(0, 64), bf_two_power(-5)), 64),
             id="sqrt_ball",
         ),
         pytest.param(PrecisionExhausted, lambda: _fx_div((1, 0), (1, 1), 64), id="_fx_div"),
@@ -346,6 +367,10 @@ _TO_ONE = ball_widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
         pytest.param(PrecisionExhausted, lambda: geom.competitor_energy_specfun(26, 9, 1), id="competitor_energy"),
         pytest.param(InvalidArgument, lambda: geom.lawson_constants(1, 4, 64), id="lawson_constants"),
         pytest.param(InvalidArgument, lambda: sqrt_ball(Ball.from_int(-1, 64), 64), id="sqrt_ball_point"),
+        pytest.param(PrecisionExhausted, lambda: log_ball(_STRADDLE, 64), id="log_ball"),
+        pytest.param(InvalidArgument, lambda: log_ball(Ball.from_int(-1, 64), 64), id="log_ball_point"),
+        pytest.param(InvalidArgument, lambda: log_ball(Ball.from_int(0, 64), 64), id="log_ball_zero"),
+        pytest.param(InvalidArgument, lambda: exp_ball(Ball.from_int(2**40 + 1, 64), 64), id="exp_ball"),
         pytest.param(InvalidArgument, lambda: _fx_sqrt((-1, 0)), id="_fx_sqrt_point"),
         pytest.param(InvalidArgument, lambda: _fx_div((1, 0), (0, 0), 64), id="_fx_div_point"),
         pytest.param(InvalidArgument, lambda: geom.default_pairs(3), id="default_pairs"),

@@ -17,7 +17,6 @@ from lenscert.bigfloat import (
     bf_round,
     bf_shift,
     bf_to_fraction,
-    bf_to_float,
     bf_two_power,
     rup_add,
     rup_mul,
@@ -98,10 +97,3 @@ def test_rup_layer_upper_bounds():
         fa2, fb2 = bf_to_fraction(a), bf_to_fraction(b)
         assert bf_to_fraction(rup_add(a, b)) >= fa2 + fb2
         assert bf_to_fraction(rup_mul(a, b)) >= fa2 * fb2
-
-
-def test_float_conversions():
-    assert bf_to_float(bf_from_int(3)) == 3.0
-    assert bf_to_float(bf_shift(bf_from_int(1), -2)) == 0.25
-    big = bf_shift(bf_from_int(1), 5000)
-    assert bf_to_float(big) == float("inf")

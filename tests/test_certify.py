@@ -11,9 +11,11 @@ import pytest
 
 from lenscert import certify as C
 from lenscert import ball, cli, geom, oracle, specfun
-from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_decimals, ball_to_str, ball_widen, TriBool
-from lenscert.bigfloat import bf_cmp, bf_to_float, bf_two_power
+from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_decimals, ball_to_str, TriBool
+from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
+
+from helpers import widen
 
 
 class TestEscalate:
@@ -97,7 +99,7 @@ class TestCertifyDimension:
         lens = geom.lens_quantities(8, 128)
         en = geom.competitor_energy_specfun(3, 3, 128)
         gap = lens.lambda_plane - en.m_value
-        assert abs(bf_to_float(gap.mid) - 0.47270274) < 1e-7
+        assert abs(float(bf_to_fraction(gap.mid)) - 0.47270274) < 1e-7
 
     def test_synthetic_equal_inputs_undecided(self, monkeypatch):
         """M forced equal to the lens energy cannot certify strictness"""
@@ -285,7 +287,7 @@ class TestCertifyDimension:
             calls.append((k, l, prec))
             en = specfun(k, l, prec)
             if prec == 128 and (k, l) == (3, 3):
-                m = ball_widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
+                m = widen(en.m_value, bf_two_power(-20)) if miss == "width" else (
                     geom.lens_quantities(8, prec).lambda_plane
                 )
                 en = geom.CompetitorEnergy(k, l, m)
@@ -701,7 +703,7 @@ class TestTable:
         assert C._round_fixed(Fraction(rows[0].m_8dp), 8) == "6.81857964"
 
     def test_certified_decimal_rejects_wide_balls(self):
-        b = ball_widen(Ball.from_int(1, 64), bf_two_power(-3))
+        b = widen(Ball.from_int(1, 64), bf_two_power(-3))
         assert C.certified_decimal(b, 8) is None
 
 

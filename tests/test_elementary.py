@@ -8,17 +8,19 @@ import pytest
 from lenscert import ball, certify
 from lenscert.ball import (
     Ball,
+    _FX_GUARD,
     _fx_atan,
+    _fx_exp,
+    _fx_log,
+    _fx_to_ball,
     asin_ball,
     atan_ball,
     ball_add,
     ball_mul,
     ball_mul_rat,
-    ball_widen,
     cos_ball,
     exp_ball,
     intersects,
-    ln2_ball,
     log_ball,
     pi_ball,
     pow_rational,
@@ -27,6 +29,8 @@ from lenscert.ball import (
 )
 from lenscert.bigfloat import bf_cmp, bf_msb_exp, bf_round, bf_to_fraction, bf_two_power
 from lenscert.errors import PrecisionExhausted
+
+from helpers import widen
 
 
 def _contains(b, x) -> bool:
@@ -61,17 +65,30 @@ LN2_100 = Fraction(
 )
 
 
+def _ln2(W: int) -> tuple[int, int]:
+    """the kernel's ln 2 at scale 2**-W: `_fx_log` at y = 2, the series at
+    u = 1/3"""
+    return _fx_log((2 << W, 0), 0, W)
+
+
 @pytest.mark.parametrize("prec", [24, 64, 256, 1000])
 def test_ln2_holds_decimal_value(prec):
-    """the atanh(1/3) enclosure is narrow and meets [LN2_100, LN2_100 + 1e-100]"""
-    b = ln2_ball(prec)
-    assert bf_cmp(b.rad, bf_two_power(1 - prec)) <= 0
-    assert bf_to_fraction(b.inf()) <= LN2_100 + Fraction(1, 10**100)
-    assert bf_to_fraction(b.sup()) >= LN2_100
+    """the kernel's ln 2 at the scale `log_ball` works at is under
+    2**(_FX_GUARD + 2) ulps wide and meets [LN2_100, LN2_100 + 1e-100]"""
+    W = prec + 16 + 2 * _FX_GUARD
+    m, r = _ln2(W)
+    assert r < 1 << _FX_GUARD + 2
+    assert Fraction(m - r, 1 << W) <= LN2_100 + Fraction(1, 10**100)
+    assert Fraction(m + r, 1 << W) >= LN2_100
 
 
 def test_ln2_vs_log_kernel():
-    assert intersects(ln2_ball(128), log_ball(Ball.from_int(2, 128), 128))
+    """log_ball at 2, where y = 1 and all of the value is the s ln 2 term,
+    and at 1/2 and 4 meets the kernel's ln 2 times 1, -1 and 2"""
+    W = 128 + 16 + 2 * _FX_GUARD
+    for x, s in ((Fraction(2), 1), (Fraction(1, 2), -1), (Fraction(4), 2)):
+        ln2 = _fx_to_ball(ball._fx_mul_rat(_ln2(W), s, 1), W, 128)
+        assert intersects(ln2, log_ball(Ball.from_fraction(x, 128), 128)), x
 
 
 def test_sqrt_identities():
@@ -79,7 +96,7 @@ def test_sqrt_identities():
     s = sqrt_ball(a, 128)
     assert _contains(ball_mul(s, s, 128), 2)
     with pytest.raises(PrecisionExhausted):
-        sqrt_ball(ball_widen(Ball.from_int(0, 64), bf_two_power(-5)), 64)
+        sqrt_ball(widen(Ball.from_int(0, 64), bf_two_power(-5)), 64)
 
 
 def test_exp_log_round_trip():
@@ -88,6 +105,110 @@ def test_exp_log_round_trip():
         f = Fraction(rng.randint(1, 4000), rng.randint(1, 4000))
         x = Ball.from_fraction(f, 96)
         assert _contains(log_ball(exp_ball(x, 96), 96), f)
+
+
+def _mp(mpmath, x):
+    """the BigFloat x as an mpf, exact at a working precision above its bits"""
+    return mpmath.ldexp(x.sign * x.man, x.exp)
+
+
+# exp arguments up to the supported |x| = 2**40; log arguments from near
+# 2**-600 to near 2**600, and next to 1, where the kernel's error is absolute
+EXP_POINTS = [Fraction(1, 1 << 200), Fraction(1, 3), Fraction(7, 10), Fraction(1), Fraction(7, 2), Fraction(745)]
+EXP_POINTS = [Fraction(0)] + [g for f in EXP_POINTS + [Fraction(2**20, 3), Fraction(2**40)] for g in (f, -f)]
+LOG_POINTS = [Fraction(1), 1 + Fraction(1, 1 << 70), 1 - Fraction(1, 1 << 70), Fraction(3, 2), 2 - Fraction(1, 1 << 60)]
+LOG_POINTS += [Fraction(2), Fraction(3), Fraction(1, 3), Fraction(10**6), Fraction(1, 10**30)]
+LOG_POINTS += [Fraction(2**600), Fraction(5 * 2**600, 3), Fraction(1, 2**600), Fraction(7, 5 * 2**600)]
+
+
+@pytest.mark.parametrize("prec", [24, 64, 256, 1000])
+def test_exp_log_enclose_mpmath(prec):
+    """exp_ball and log_ball hold mpmath's value, at 3 prec + 64 bits, at
+    both ends of each point (rounded to prec bits) and of a ball around it,
+    of radius 2**(-prec/2) for exp (up to |x| = 745) and of relative radius
+    2**(-prec/2) for log; a point's result is at most one ulp at prec bits
+    wide, of its value for exp and of max(|value|, 1) for log, whose kernel
+    error is absolute"""
+    mpmath = pytest.importorskip("mpmath")
+    for fn, ref, points in ((exp_ball, mpmath.exp, EXP_POINTS), (log_ball, mpmath.log, LOG_POINTS)):
+        for f in points:
+            point = Ball.point(Ball.from_fraction(f, prec).mid, prec)
+            balls = [point]
+            if fn is log_ball:
+                balls.append(widen(point, bf_two_power(bf_msb_exp(point.mid) - prec // 2)))
+            elif abs(f) <= 745:
+                balls.append(widen(point, bf_two_power(-prec // 2)))
+            for x in balls:
+                got = fn(x, prec)
+                with mpmath.workprec(3 * prec + 64):
+                    lo, hi = _mp(mpmath, got.inf()), _mp(mpmath, got.sup())
+                    assert all(lo <= ref(_mp(mpmath, end)) <= hi for end in (x.inf(), x.sup())), (prec, f, x)
+                if x is point:
+                    e = bf_msb_exp(got.mid) if fn is exp_ball else max(bf_msb_exp(got.mid), 0)
+                    assert bf_cmp(got.rad, bf_two_power(e - prec)) <= 0, (prec, f)
+
+
+# the off-center shift, in ulps
+R = 1 << 24
+
+
+def _off_center(pair: tuple[int, int]) -> tuple[int, int]:
+    """(m + R, r + R): still an enclosure of every value of (m, r), but no
+    longer centered on it, so that a result encloses its value only if the
+    pair's radius reaches it"""
+    return pair[0] + R, pair[1] + R
+
+
+@pytest.mark.parametrize("W", [64, 128, 256])
+def test_fx_atan_with_an_off_center_halving(monkeypatch, W):
+    """with `_fx_div` patched so that the second halving in `_fx_atan`
+    returns its pair off center, `_fx_atan` still holds atan at 200 random
+    |x| > 1, checked with mpmath at 3W + 64 bits: the halved pair's radius
+    reaches the series sum"""
+    mpmath = pytest.importorskip("mpmath")
+    inner, calls = ball._fx_div, []
+
+    def div(a, b, W):
+        calls.append(None)
+        out = inner(a, b, W)
+        return _off_center(out) if len(calls) == 3 else out  # the inversion, then two halvings
+
+    monkeypatch.setattr(ball, "_fx_div", div)
+    rng = random.Random(W)
+    for _ in range(200):
+        x = rng.choice((-1, 1)) * rng.randint((1 << W) + 1, 1 << W + 30)
+        calls.clear()
+        m, r = _fx_atan(x, W)
+        assert len(calls) == 3
+        with mpmath.workprec(3 * W + 64):
+            assert abs(mpmath.ldexp(mpmath.atan(mpmath.ldexp(x, -W)), W) - m) <= r, (W, x)
+
+
+@pytest.mark.parametrize("W", [64, 128, 256])
+def test_fx_exp_and_log_with_off_center_pairs(monkeypatch, W):
+    """`_fx_exp` and `_fx_log` still hold their values, checked with mpmath
+    at 3W + 64 bits at 200 random arguments each, when handed their input
+    off center, and when the ln 2 they read (for exp's k ln 2 and log's
+    s ln 2) comes back off center: both radii reach the result"""
+    mpmath = pytest.importorskip("mpmath")
+    inner = ball._fx_log
+    rng = random.Random(W)
+    for ln2_off in (False, True):
+
+        def log(y, s, W):
+            out = inner(y, s, W)
+            return _off_center(out) if ln2_off and (y, s) == ((2 << W, 0), 0) else out
+
+        monkeypatch.setattr(ball, "_fx_log", log)
+        for _ in range(200):
+            x = rng.choice((-1, 1)) * rng.randint(1 << W - 4, 1 << W + 20)
+            y, s = rng.randint(1 << W, (2 << W) - 2 * R), rng.randint(-700, 700)
+            (em, er), k = _fx_exp((x, 0) if ln2_off else _off_center((x, 0)), W)
+            lm, lr = inner((y, 0) if ln2_off else _off_center((y, 0)), s, W)
+            with mpmath.workprec(3 * W + 64):
+                assert abs(mpmath.ldexp(mpmath.exp(mpmath.ldexp(x, -W)), W - k) - em) <= er, (W, x, ln2_off)
+                value = mpmath.log(mpmath.ldexp(y, -W)) + s * mpmath.log(2)
+                assert abs(mpmath.ldexp(value, W) - lm) <= lr, (W, y, s, ln2_off)
 
 
 def test_arcsin_special_value():
@@ -137,7 +258,7 @@ def _check_against_mpmath(mpmath, points, functions, prec):
     4 ulps of 2**-prec wide"""
     for f in points:
         point = Ball.from_fraction(f, prec)
-        for x in (point, ball_widen(point, bf_two_power(-prec // 2))):
+        for x in (point, widen(point, bf_two_power(-prec // 2))):
             for ours, ref in functions:
                 got = ours(x, prec)
                 assert all(_contains(got, v) for v in _mp_values(mpmath, ref, x)), (prec, f, x, ours)
@@ -168,7 +289,7 @@ def test_atan_ball_is_tight_on_wide_balls(prec):
     mpmath = pytest.importorskip("mpmath")
     for f in ATAN_POINTS:
         for e in (prec // 2, 20, 3):
-            x = ball_widen(Ball.from_fraction(f, prec), bf_two_power(-e))
+            x = widen(Ball.from_fraction(f, prec), bf_two_power(-e))
             got = atan_ball(x, prec)
             lo, _, hi = values = _mp_values(mpmath, mpmath.atan, x)
             assert all(_contains(got, v) for v in values), (prec, f, e)
@@ -240,7 +361,7 @@ def test_pow_rational_encloses_exact_power(n):
                 _assert_power_enclosed(r, x, p, q)
                 # at most four ulps wide
                 assert bf_cmp(r.rad, bf_two_power(bf_msb_exp(r.mid) - prec + 1)) <= 0
-                wide = ball_widen(x, bf_two_power(bf_msb_exp(mid) - prec - rng.randint(1, 40)))
+                wide = widen(x, bf_two_power(bf_msb_exp(mid) - prec - rng.randint(1, 40)))
                 _assert_power_enclosed(pow_rational(wide, p, q, prec), wide, p, q)
 
 

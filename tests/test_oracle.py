@@ -10,13 +10,14 @@ from lenscert.ball import (
     ball_mul_rat,
     ball_pow_int,
     ball_sub,
-    ball_widen,
     intersects,
     pi_ball,
     sqrt_ball,
 )
 from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument
+
+from helpers import widen
 
 
 def _contains(b, x) -> bool:
@@ -118,7 +119,7 @@ class TestArcProfileQuadrature:
                 )
                 inputs = [
                     (lower, [lower_mp]),
-                    (ball_widen(lower, bf_two_power(-20)), [lower_mp - slop, lower_mp + slop]),
+                    (widen(lower, bf_two_power(-20)), [lower_mp - slop, lower_mp + slop]),
                 ]
                 for start, starts_mp in inputs:
                     out = oracle.arc_profile_quadrature(radius, offset, kk, jj, start, w)
