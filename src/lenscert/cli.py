@@ -94,17 +94,20 @@ def main(argv=None) -> int:
             if any(c["verdict"] == "Undecided" for c in certs):
                 return 2
             return 0
+        # imported here, so that a `certify` run never compiles the reports
+        from . import reports
+
         if args.command == "table":
             with certify_mod.open_output(args.out) as write:
-                rows = certify_mod.table_rows(ns, digits=args.digits)
-                write(certify_mod.render_table(rows, args.format))
+                rows = reports.table_rows(ns, digits=args.digits)
+                write(reports.render_table(rows, args.format))
             return 0
         if args.command == "plot":
             with certify_mod.open_output(args.out) as write:
-                write(certify_mod.render_plot_csv(certify_mod.plot_rows(ns)))
+                write(reports.render_plot_csv(reports.plot_rows(ns)))
             return 0
         if args.command == "exact":
-            report = certify_mod.exact_report(args.n, args.mode)
+            report = reports.exact_report(args.n, args.mode)
             print(json.dumps(report, indent=1))
             return 0
     except (LensCertError, OSError) as exc:

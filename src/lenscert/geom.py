@@ -13,14 +13,16 @@ moments.  The agreement value is not checked where it is computed:
 Both share `lawson_constants` and `assemble_competitor` (the ledger of
 `tests/test_independence.py` lists all they share), so they cross-check
 the arc integrals only; the references that share no code with
-lenscert are the mpmath evaluations in the tests.
+lenscert are the mpmath evaluations in the tests.  The moment path's
+`oracle` is imported at its first call, so a certificate run without the
+agreement check never loads it.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import oracle, specfun
+from . import specfun
 from .ball import (
     _FX_GUARD,
     Ball,
@@ -320,6 +322,9 @@ def competitor_energy_quadrature(k: int, l: int, prec: int) -> CompetitorEnergy:
     `assemble_competitor`.  The width of the result is not checked here:
     `certify.certify_dimension` holds it to one agreement width.
     """
+    # imported here, so that a run without the agreement check never compiles it
+    from . import oracle
+
     ws = prec + 32 + math.ceil(max(_moment_bits(k, l), _moment_bits(l, k)))
     W = ws + 16 + _FX_GUARD
     consts = lawson_constants(k, l, ws)

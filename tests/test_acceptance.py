@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from lenscert import certify as C
-from lenscert import geom, oracle
+from lenscert import geom, oracle, reports
 from lenscert.ball import (
     Ball,
     ball_add,
@@ -107,9 +107,9 @@ class TestCriterion1Table:
         assert 2 * bf_to_fraction(lam_ball.rad) < WIDTH_CAP
         assert 2 * bf_to_fraction(m_ball.rad) < WIDTH_CAP
         if lam is not None:
-            got_lam = C.certified_decimal(lam_ball, 8)
+            got_lam = reports.certified_decimal(lam_ball, 8)
             assert got_lam == lam, "lens energy at n=%d: certified %s" % (n, got_lam)
-        got_m = C.certified_decimal(m_ball, 8)
+        got_m = reports.certified_decimal(m_ball, 8)
         want_m = M_ERRATA.get((k, l), m)
         assert got_m == want_m, (
             "M(%d,%d): certified value %s differs from the expected entry %s "
@@ -126,9 +126,9 @@ class TestCriterion1Table:
 
     def test_criterion_examples(self, table_data):
         """the three example values quoted in the criterion itself"""
-        assert C.certified_decimal(table_data[(8, 3, 3)][0], 8) == "7.29128238"
-        assert C.certified_decimal(table_data[(8, 3, 3)][1], 8) == "6.81857964"
-        assert C.certified_decimal(table_data[(14, 5, 7)][1], 8) == "10.33488774"
+        assert reports.certified_decimal(table_data[(8, 3, 3)][0], 8) == "7.29128238"
+        assert reports.certified_decimal(table_data[(8, 3, 3)][1], 8) == "6.81857964"
+        assert reports.certified_decimal(table_data[(14, 5, 7)][1], 8) == "10.33488774"
         print("[criterion 1] example values reproduced")
 
     def test_m_reference_mpmath(self):
@@ -281,7 +281,7 @@ class TestCriterion4ExactM33:
         assert (ex.den.a, ex.den.b, ex.den.c, ex.den.d) == (
             Fraction(913063), Fraction(-645632), Fraction(527138), Fraction(-372736),
         )
-        assert C.certified_decimal(ex.assembled(128), 8) == "6.81857964"
+        assert reports.certified_decimal(ex.assembled(128), 8) == "6.81857964"
         print("\n[criterion 4] exact field coefficients reproduced; "
               "assembled value rounds to 6.81857964")
 

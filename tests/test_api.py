@@ -5,6 +5,7 @@ reached from the tests alone."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import pkgutil
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import lenscert
-from lenscert import certify, geom, oracle, specfun
+from lenscert import geom, oracle, reports, specfun
 from lenscert.ball import Ball, _fx_div, _fx_sqrt, ball_div, exp_ball, log_ball, pow_rational, sqrt_ball
 from lenscert.bigfloat import bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
@@ -41,20 +42,30 @@ def test_all_exports_resolve():
     assert missing == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cold_start_loads_only_what_certify_runs():
     """a cold `import lenscert.cli`, which every command-line run pays, adds
     neither `dataclasses` nor `inspect` to the loaded modules, as the record
     types are plain classes, nor `datetime`, as the certificate's timestamp
-    comes from `time`"""
+    comes from `time`, nor `lenscert.oracle` and `lenscert.reports`; a
+    certificate run above QUADRATURE_MAX_N loads neither of those two, and
+    one with the agreement check loads `oracle` and agrees on every pair"""
     code = (
-        "import sys; before = set(sys.modules); import lenscert.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import json, sys; before = set(sys.modules); import lenscert.cli; "
+        "cold = sorted(set(sys.modules) - before); from lenscert import certify; "
+        "high = [c['verdict'] for c in certify.certify(range(25, 28))]; above = sorted(sys.modules); "
+        "low = [e['path_agreement'] for c in certify.certify([8]) for e in c['entries']]; "
+        "print(json.dumps([cold, high, above, low, sorted(sys.modules)]))"
     )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lenscert.__file__).parent.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    new = set(run.stdout.split())
-    assert "lenscert.cli" in new
-    assert new & {"dataclasses", "inspect", "datetime"} == set()
+    cold, high, above, low, after = map(set, json.loads(run.stdout))
+    lazy = {"lenscert.oracle", "lenscert.reports"}
+    assert "lenscert.cli" in cold
+    assert cold & ({"dataclasses", "inspect", "datetime"} | lazy) == set()
+    assert high == {"Proven"}
+    assert above & lazy == set()
+    assert low == {True}
+    assert after & lazy == {"lenscert.oracle"}
 
 
 def test_ball_operations_take_an_explicit_precision():
@@ -314,19 +325,21 @@ def test_one_function_returns_the_verdicts():
 
 
 def test_certify_reads_bigfloats_only_as_fractions():
-    """`certify.py` imports nothing from `lenscert.bigfloat` but
-    `bf_to_fraction`: every width and strictness test it makes is on exact
-    rationals"""
-    tree = ast.parse((pathlib.Path(lenscert.__file__).parent / "certify.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    names = [
-        alias.name
-        for node in imports
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("bigfloat")
-        for alias in node.names
-    ]
-    assert names == ["bf_to_fraction"]
-    assert [ast.unparse(node) for node in imports if any(a.name.endswith("bigfloat") for a in node.names)] == []
+    """`certify.py` and `reports.py` import nothing from `lenscert.bigfloat`
+    but `bf_to_fraction`: every width and strictness test they make is on
+    exact rationals"""
+    for name in ("certify.py", "reports.py"):
+        tree = ast.parse((pathlib.Path(lenscert.__file__).parent / name).read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = [
+            alias.name
+            for node in imports
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("bigfloat")
+            for alias in node.names
+        ]
+        assert names == ["bf_to_fraction"], name
+        whole = [ast.unparse(node) for node in imports if any(a.name.endswith("bigfloat") for a in node.names)]
+        assert whole == [], name
 
 
 def test_errors_are_two_kinds():
@@ -374,7 +387,7 @@ _TO_ONE = widen(Ball.from_fraction(Fraction(3, 4), 64), bf_two_power(-2))
         pytest.param(InvalidArgument, lambda: _fx_sqrt((-1, 0)), id="_fx_sqrt_point"),
         pytest.param(InvalidArgument, lambda: _fx_div((1, 0), (0, 0), 64), id="_fx_div_point"),
         pytest.param(InvalidArgument, lambda: geom.default_pairs(3), id="default_pairs"),
-        pytest.param(InvalidArgument, lambda: certify.exact_report(10, "simons"), id="exact_report"),
+        pytest.param(InvalidArgument, lambda: reports.exact_report(10, "simons"), id="exact_report"),
         pytest.param(InvalidArgument, lambda: oracle.polynomial_m_value(2, 3, 64), id="polynomial_m_value"),
         pytest.param(PrecisionExhausted, lambda: specfun._tail_ratio((-20, 5, 1), (9, 10)), id="_tail_ratio"),
     ],

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lenscert import certify as C
-from lenscert import ball, cli, geom, oracle, specfun
+from lenscert import ball, cli, geom, oracle, reports, specfun
 from lenscert.ball import Ball, ball_from_str, ball_mul, ball_str_decimals, ball_to_str, TriBool
 from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
 from lenscert.errors import InvalidArgument, PrecisionExhausted
@@ -88,7 +88,7 @@ class TestCertifyDimension:
         assert all(e["strict"] == "CertainlyTrue" for e in cert["entries"])
         assert all(e["path_agreement"] for e in cert["entries"])
         lam = ball_from_str(cert["lambda_plane"], 128)
-        assert C.certified_decimal(lam, 8) == "7.29128238"
+        assert reports.certified_decimal(lam, 8) == "7.29128238"
 
     def test_loose_width_still_proven(self):
         cert = C.certify_dimension(8, target_width=10.0)
@@ -656,7 +656,7 @@ class TestReplayRejects:
 
 class TestTable:
     def test_rows_layout(self):
-        rows = C.table_rows(range(8, 17))
+        rows = reports.table_rows(range(8, 17))
         keyed = [(r.n, r.k, r.l) for r in rows]
         assert keyed == [
             (8, 3, 3), (9, 3, 4), (10, 4, 4), (10, 3, 5), (11, 4, 5), (12, 5, 5),
@@ -669,15 +669,15 @@ class TestTable:
         assert rows[5].m_8dp == "9.26851974"
 
     def test_renderers(self):
-        rows = C.table_rows([8])
-        csv = C.render_table(rows, "csv")
+        rows = reports.table_rows([8])
+        csv = reports.render_table(rows, "csv")
         assert csv.splitlines()[0] == "n,k,l,lambda_plane,m"
-        md = C.render_table(rows, "markdown")
+        md = reports.render_table(rows, "markdown")
         assert md.startswith("| n |")
-        js = json.loads(C.render_table(rows, "json"))
+        js = json.loads(reports.render_table(rows, "json"))
         assert js[0]["n"] == 8
-        rows10 = C.table_rows([10])
-        assert "---" in C.render_table(rows10, "csv")
+        rows10 = reports.table_rows([10])
+        assert "---" in reports.render_table(rows10, "csv")
 
     def test_unpinned_lens_stops_the_attempt(self, monkeypatch):
         """40 decimals are out of reach at 128 bits, so the pairs are
@@ -690,26 +690,26 @@ class TestTable:
             return specfun(k, l, prec)
 
         monkeypatch.setattr(geom, "competitor_energy_specfun", counting)
-        rows = C.table_rows([8], digits=40)
+        rows = reports.table_rows([8], digits=40)
         assert [(r.k, r.l) for r in rows] == [(3, 3)]
         assert calls == [256]
 
     def test_digits_past_float_range(self):
         """330 decimals, where 10.0 ** -330 is 0.0, are pinned and round to
         the 8-decimal entries"""
-        rows = C.table_rows([8], digits=330)
+        rows = reports.table_rows([8], digits=330)
         assert len(rows[0].m_8dp.partition(".")[2]) == 330
-        assert C._round_fixed(Fraction(rows[0].lambda_plane_8dp), 8) == "7.29128238"
-        assert C._round_fixed(Fraction(rows[0].m_8dp), 8) == "6.81857964"
+        assert reports._round_fixed(Fraction(rows[0].lambda_plane_8dp), 8) == "7.29128238"
+        assert reports._round_fixed(Fraction(rows[0].m_8dp), 8) == "6.81857964"
 
     def test_certified_decimal_rejects_wide_balls(self):
         b = widen(Ball.from_int(1, 64), bf_two_power(-3))
-        assert C.certified_decimal(b, 8) is None
+        assert reports.certified_decimal(b, 8) is None
 
 
 class TestPlot:
     def test_rows_and_positivity(self):
-        rows = C.plot_rows(range(8, 13))
+        rows = reports.plot_rows(range(8, 13))
         assert [(r.n, r.k, r.l) for r in rows] == [
             (8, 3, 3), (9, 3, 4), (10, 4, 4), (11, 4, 5), (12, 5, 5),
         ]
@@ -719,10 +719,10 @@ class TestPlot:
 
     def test_refuses_low_dimension(self):
         with pytest.raises(InvalidArgument):
-            C.plot_rows([2])
+            reports.plot_rows([2])
 
     def test_gap_decreasing_on_sample(self):
-        rows = C.plot_rows(range(8, 12))
+        rows = reports.plot_rows(range(8, 12))
         gaps = [ball_from_str(r.gap, 128) for r in rows]
         for a, b in zip(gaps, gaps[1:]):
             assert bf_cmp(b.sup(), a.inf()) < 0
@@ -730,19 +730,19 @@ class TestPlot:
 
 class TestExactReports:
     def test_lens_n8(self):
-        rep = C.exact_report(8, "lens")
+        rep = reports.exact_report(8, "lens")
         assert rep["paths_intersect"] is True
         assert rep["volume_over_omega"]["pi"] == "35/192"
         assert rep["volume_over_omega"]["sqrt3"] == "-279/1024"
 
     def test_lens_n9_rational_parts(self):
-        rep = C.exact_report(9, "lens")
+        rep = reports.exact_report(9, "lens")
         assert rep["volume_over_omega"]["pi"] == "0"
         assert rep["volume_over_omega"]["sqrt3"] == "0"
         assert rep["paths_intersect"] is True
 
     def test_simons_n8(self):
-        rep = C.exact_report(8, "simons")
+        rep = reports.exact_report(8, "simons")
         assert rep["numerator"]["1"] == "-699776"
         assert rep["numerator"]["sqrt2"] == "494843"
         assert rep["numerator"]["sqrt3"] == "-404096"
@@ -752,15 +752,15 @@ class TestExactReports:
 
     def test_unsupported_dimensions(self):
         with pytest.raises(InvalidArgument):
-            C.exact_report(41, "lens")
+            reports.exact_report(41, "lens")
         with pytest.raises(InvalidArgument):
-            C.exact_report(10, "simons")
+            reports.exact_report(10, "simons")
 
     def test_simons_n76_escalates_past_cancellation(self):
         """at n = 76 the 128-bit exact-path assembly cancels to a base that is
         not certainly positive; the report escalates and both paths come out
         narrow and intersecting"""
-        rep = C.exact_report(76, "simons")
+        rep = reports.exact_report(76, "simons")
         assert rep["paths_intersect"] is True
         _, rad, den = ball_str_decimals(rep["m_exact_path"])
         assert Fraction(rad, den) < Fraction(1, 10**30)
@@ -768,7 +768,7 @@ class TestExactReports:
     def test_simons_n72_escalates_past_a_wide_exact_path(self):
         """at n = 72 the 128-bit exact path does not cancel but is about 0.4
         wide; the report escalates until both paths meet the default width"""
-        rep = C.exact_report(72, "simons")
+        rep = reports.exact_report(72, "simons")
         assert rep["paths_intersect"] is True
         _, rad, den = ball_str_decimals(rep["m_exact_path"])
         assert Fraction(rad, den) <= Fraction(5, 10**13)

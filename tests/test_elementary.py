@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lenscert import ball, certify
+from lenscert import ball, certify, reports
 from lenscert.ball import (
     Ball,
     _FX_GUARD,
@@ -388,5 +388,5 @@ def test_pow_rational_uses_no_exp_log_or_sqrt(monkeypatch):
         assert certify.certify_dimension(n)["verdict"] == "Proven"
     cert = certify.certify_dimension(101, target_width=1e-45)
     assert (cert["verdict"], cert["precision_bits"]) == ("Proven", 256)
-    rows = certify.table_rows(range(8, 10))
+    rows = reports.table_rows(range(8, 10))
     assert [r.lambda_plane_8dp for r in rows] == ["7.29128238", "7.93735360"]

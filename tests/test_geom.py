@@ -64,7 +64,7 @@ def _mp_fraction(v) -> Fraction:
 
 
 def eight_decimals(b) -> str:
-    from lenscert.certify import certified_decimal
+    from lenscert.reports import certified_decimal
 
     out = certified_decimal(b, 8)
     assert out is not None, "enclosure too wide to certify 8 decimals"
@@ -330,7 +330,7 @@ class TestPairSelection:
 
     def test_plot_pair(self):
         # the gap plot uses the first default pair of each dimension
-        from lenscert.certify import plot_rows
+        from lenscert.reports import plot_rows
 
         assert [(r.n, r.k, r.l) for r in plot_rows([8, 9])] == [(8, 3, 3), (9, 3, 4)]
 

@@ -198,7 +198,7 @@ class TestPolynomialMValue:
         [(3, 3, "6.81857964"), (5, 5, "9.26851974"), (5, 7, "10.33488774")],
     )
     def test_reference_values(self, k, l, expect):
-        from lenscert.certify import certified_decimal
+        from lenscert.reports import certified_decimal
 
         en = oracle.polynomial_m_value(k, l, 128)
         assert certified_decimal(en.m_value, 8) == expect
@@ -286,7 +286,7 @@ class TestExactSimons:
         assert (ex.num_scale, ex.den_scale) == (num_scale, den_scale)
 
     def test_assembled_value_k3(self):
-        from lenscert.certify import certified_decimal
+        from lenscert.reports import certified_decimal
 
         ex = oracle.exact_simons_m(3)
         assert certified_decimal(ex.assembled(128), 8) == "6.81857964"

@@ -2,6 +2,7 @@
 
 Usage: python3 tools/abtime.py PARENT CHANGE [--workload desk]
                                [--seeds 1..10] [--rounds 3]
+       python3 tools/abtime.py PARENT CHANGE --setup [--rounds 12]
 
 PARENT and CHANGE are repository roots, each holding `src/lenscert`.  Both
 packages are loaded into this one interpreter through `importlib`, as
@@ -26,6 +27,20 @@ the per-pass times with its quartiles, over all pairs and per seed, each
 side's median pass time, and the same ratio and medians for the replay
 time per certificate.  A ratio below 1 means the change is faster.  Only
 the standard library is used.
+
+With --setup the script times the cold start instead, which one process
+cannot: `--rounds` pairs (at least 10) of fresh interpreters running the
+`SETUP_CODE` of `bench/run.py`, whose printed value is `setup_s`.  A pair
+is `SETUP_SPAWNS_PER_PASS` interpreters per side, alternating side by side
+with the side that goes first swapped every pair, and its value per side
+is the median of that side's interpreters.  Each side imports a copy of its
+`src/lenscert` made for this run, under PYTHONDONTWRITEBYTECODE=1, so that
+no `.pyc` file of lenscert exists on either side, stale or current, as in a
+fresh checkout; the standard library keeps its installed `.pyc` files, as
+in the benchmark (an empty PYTHONPYCACHEPREFIX would hide those too, and
+every interpreter would compile `argparse` inside the timed import).  It
+prints each side's median and quartiles and the median change/parent ratio
+with the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -35,7 +50,9 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -105,16 +122,70 @@ def ratio_line(what: str, parent: list[float], change: list[float]) -> str:
         what, med, q1, q3, sum(r < 1 for r in ratios), len(ratios))
 
 
+def setup_times(bench, roots: tuple[str, str], pairs: int) -> dict[str, list[float]]:
+    """Per side, the cold-start time of each pair in reference seconds (see
+    --setup in the module docstring)."""
+    spawns = bench.SETUP_SPAWNS_PER_PASS
+    times = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="abtime-setup-") as tmp:
+        envs = {}
+        for side, root in zip(SIDES, roots):
+            src = os.path.join(tmp, side)
+            shutil.copytree(
+                pathlib.Path(root) / "src" / "lenscert",
+                os.path.join(src, "lenscert"),
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            envs[side] = {
+                **os.environ,
+                "PYTHONPATH": src + os.pathsep + str(ROOT / "bench"),
+                "PYTHONHASHSEED": "0",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            }
+        for pair in range(pairs):
+            spawned = {side: [] for side in SIDES}
+            for i in range(spawns):
+                for side in SIDES if (pair + i) % 2 == 0 else SIDES[::-1]:
+                    proc = subprocess.run(
+                        [sys.executable, "-c", bench.SETUP_CODE],
+                        env=envs[side],
+                        capture_output=True,
+                        text=True,
+                        check=True,
+                        timeout=bench.CHILD_TIMEOUT_S,
+                    )
+                    spawned[side].append(json.loads(proc.stdout))
+            for side in SIDES:
+                times[side].append(statistics.median(spawned[side]))
+    return times
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", default="desk")
     ap.add_argument("--seeds", default="1..10", help="seed or range, e.g. 3 or 1..10")
-    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument(
+        "--rounds", type=int, default=None, help="rounds of passes (default 3), or pairs with --setup (default 12)"
+    )
+    ap.add_argument("--setup", action="store_true", help="time the cold import of lenscert.cli instead")
     args = ap.parse_args(argv)
 
     bench = load_module("_bench_run", ROOT / "bench" / "run.py")
+    if args.setup:
+        pairs = 12 if args.rounds is None else args.rounds
+        if pairs < 10:
+            ap.error("--setup needs at least 10 pairs, got %d" % pairs)
+        times = setup_times(bench, (args.parent, args.change), pairs)
+        print("setup: %d pairs of %d fresh interpreters per side, no lenscert .pyc files"
+              % (pairs, bench.SETUP_SPAWNS_PER_PASS))
+        for side in SIDES:
+            q1, med, q3 = quartiles(times[side])
+            print("%-6s median setup %.4f s (quartiles %.4f-%.4f)" % (side, med, q1, q3))
+        print(ratio_line("setup", times["parent"], times["change"]))
+        return 0
+    args.rounds = 3 if args.rounds is None else args.rounds
     if args.workload not in bench.WORKLOADS:
         ap.error("unknown workload %r; choose from %s" % (args.workload, sorted(bench.WORKLOADS)))
     width = bench.WORKLOADS[args.workload]["width"]
