@@ -65,6 +65,7 @@ __all__ = [
     "cos_ball",
     "pow_rational",
     "ball_to_str",
+    "ball_dyadics",
     "ball_str_decimals",
     "ball_from_str",
 ]
@@ -179,8 +180,9 @@ def ball_div(a: Ball, b: Ball, prec: int) -> Ball:
     """a / b by `_fx_div`, with a and b each read at the scale that gives it
     W bits; raises as `_fx_div` does when b reaches 0."""
     W = prec + _FX_GUARD
-    ga, gb = bf_msb_exp(a.mid if a.mid.sign else a.rad), bf_msb_exp(b.mid)
-    return _fx_to_ball(_fx_div(_fx_from_ball(a, W - ga), _fx_from_ball(b, W - gb), W), W - ga + gb, prec)
+    ga = bf_msb_exp(a.mid if a.mid.sign else a.rad)
+    y, gb = _fx_read(b, W)
+    return _fx_to_ball(_fx_div(_fx_from_ball(a, W - ga), y, W), W - ga + gb, prec)
 
 
 def ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
@@ -235,6 +237,14 @@ def _fx_from_ball(x: Ball, W: int) -> tuple[int, int]:
         e = rad.exp + W
         r += rad.man << e if e >= 0 else -(-rad.man >> -e)
     return m, r
+
+
+def _fx_read(x: Ball, W: int) -> tuple[tuple[int, int], int]:
+    """(pair, g): x read by `_fx_from_ball` at scale 2**-(W - g), where
+    2**(g-1) <= |mid| < 2**g, so that its midpoint carries W bits; the
+    pair is x * 2**-g at scale 2**-W."""
+    g = bf_msb_exp(x.mid)
+    return _fx_from_ball(x, W - g), g
 
 
 def _fx_to_ball(x: tuple[int, int], W: int, w: int) -> Ball:
@@ -674,6 +684,26 @@ def _root_bound(b: int, step: int, end: tuple[int, int], q: int, W: int, upper: 
 
 
 # ---------------------------------------------------------------------------
+# a ball's exact parts as integers: other modules read a ball only through
+# these, `_fx_from_ball` and `_fx_read`
+# ---------------------------------------------------------------------------
+
+
+def ball_dyadics(b: Ball) -> tuple[int, int, int]:
+    """The exact midpoint and radius of a ball as integers over one power of
+    two: (mid, rad, den) for mid/den +/- rad/den."""
+    mid, rad = b.mid, b.rad
+    e = min(mid.exp, rad.exp, 0)
+    return mid.sign * mid.man << (mid.exp - e), rad.man << (rad.exp - e), 1 << -e
+
+
+def _mag_sup(x: Ball) -> tuple[int, int]:
+    """(n, d) with |x| <= n/d: `Ball.mag_sup` as a dyadic, d a power of two."""
+    m = x.mag_sup()
+    return (m.man, 1 << -m.exp) if m.exp < 0 else (m.man << m.exp, 1)
+
+
+# ---------------------------------------------------------------------------
 # decimal serialization:  "<mid> +/- <rad>", read back exactly
 # ---------------------------------------------------------------------------
 
@@ -704,14 +734,13 @@ def _format_decimal(q: int, e10: int) -> str:
 def ball_to_str(b: Ball, max_digits: int | None = None) -> str:
     """"<mid> +/- <rad>": mid rounded half away from zero to the digits
     that reach about rad/8, and rad rounded up to two digits after adding
-    the rounding error of mid, on the integers of the dyadic mid and rad."""
-    # |mid| = mn / den and the radius to write tn / td
-    e = min(b.mid.exp, b.rad.exp, 0)
-    mn, tn, td = b.mid.man << (b.mid.exp - e), b.rad.man << (b.rad.exp - e), 1 << -e
-    if not mn:
+    the rounding error of mid, on the integers of `ball_dyadics`."""
+    # the midpoint mid / td and the radius to write tn / td
+    mid, tn, td = ball_dyadics(b)
+    if not mid:
         mid_str = "0"
     else:
-        e10 = _floor_log10(mn, td)
+        e10 = _floor_log10(abs(mid), td)
         if tn:
             # print down to roughly rad/8 so the widening stays marginal
             digits = max(1, e10 - _floor_log10(tn, 8 * td) + 1)
@@ -720,9 +749,9 @@ def ball_to_str(b: Ball, max_digits: int | None = None) -> str:
         if max_digits is not None:
             digits = min(digits, max_digits)
         shift = digits - 1 - e10
-        num, den = _times10(mn, td, shift)
+        num, den = _times10(abs(mid), td, shift)
         q = (2 * num + den) // (2 * den)
-        mid_str = _format_decimal(q if b.mid.sign > 0 else -q, -shift)
+        mid_str = _format_decimal(q if mid > 0 else -q, -shift)
         # add the rounding error |mid - q 10**-shift|
         dn, dd = _times10(abs(num - q * den), den, -shift)
         tn, td = tn * dd + dn * td, td * dd

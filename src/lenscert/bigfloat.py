@@ -18,7 +18,6 @@ __all__ = [
     "ONE",
     "bf_from_int",
     "bf_from_fraction",
-    "bf_to_fraction",
     "bf_neg",
     "bf_abs",
     "bf_cmp",
@@ -86,14 +85,6 @@ def bf_from_int(n: int) -> BigFloat:
     if n == 0:
         return ZERO
     return _norm(1 if n > 0 else -1, abs(n), 0)
-
-
-def bf_to_fraction(a: BigFloat) -> Fraction:
-    if a.sign == 0:
-        return Fraction(0)
-    if a.exp >= 0:
-        return Fraction(a.sign * a.man << a.exp)
-    return Fraction(a.sign * a.man, 1 << -a.exp)
 
 
 def bf_neg(a: BigFloat) -> BigFloat:

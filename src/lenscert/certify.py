@@ -30,8 +30,7 @@ import sys
 import time
 
 from . import __version__, geom
-from .ball import Ball, TriBool, ball_str_decimals, ball_to_str, intersects
-from .bigfloat import bf_to_fraction
+from .ball import Ball, TriBool, ball_dyadics, ball_str_decimals, ball_to_str, intersects
 from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
@@ -88,8 +87,9 @@ def _narrow(rad: tuple[int, int], tw) -> bool:
 
 
 def _radius(b: Ball) -> tuple[int, int]:
-    """The radius of an unwritten ball, for `_narrow`."""
-    return bf_to_fraction(b.rad).as_integer_ratio()
+    """The radius of an unwritten ball, for `_narrow`: its exact radius
+    over a power of two (`ball_dyadics`)."""
+    return ball_dyadics(b)[1:]
 
 
 def _escalate(enclosures, ok, prec_start: int, prec_max: int):
@@ -310,7 +310,7 @@ def _replay(cert: dict) -> str:
     if (
         type(n) is not int
         or not entries
-        or not all(type(k) is int and type(l) is int and k + l + 2 == n and 0 < l < 3 * k and k < 3 * l
+        or not all(type(k) is int and type(l) is int and k + l + 2 == n and geom._valid_ratio(k, l)
                    for k, l in pairs)
         # true where the agreement check runs, null above
         or any(a is not (True if n <= QUADRATURE_MAX_N else None) for a in agreements)

@@ -33,6 +33,7 @@ from .ball import (
     _fx_mul_rat,
     _fx_pi,
     _fx_pow,
+    _fx_read,
     _fx_sqrt,
     _fx_sub,
     _fx_to_ball,
@@ -41,7 +42,6 @@ from .ball import (
     certainly_positive,
     pow_rational,
 )
-from .bigfloat import bf_msb_exp
 from .errors import InvalidArgument, PrecisionExhausted
 
 __all__ = [
@@ -114,8 +114,8 @@ def lens_quantities(n: int, prec: int) -> LensQuantities:
     omega = specfun.unit_ball_volume(n - 1, w)
     f = specfun.gauss_2f1(n, w)
     disc, S = _root_power(3, 4, _fx_sqrt((3 << 2 * W - 2, 0)), n - 1, W)
-    g = bf_msb_exp(omega.mid)
-    disc = _fx_mul(_fx_from_ball(omega, W - g), disc, W)
+    om, g = _fx_read(omega, W)
+    disc = _fx_mul(om, disc, W)
     # omega (sqrt3/2)^(n+1) 2 / (n+1) = disc * 3 / (2 (n+1)), at scale 2**-(S - g)
     vol = _fx_mul_rat(_fx_mul(disc, _fx_from_ball(f, W), W), 3, 2 * (n + 1))
     lam = ball_mul_rat(pow_rational(_fx_to_ball(vol, S - g, w), 1, n, w), n, 1, prec)
@@ -347,13 +347,14 @@ def _radius_powers(radius: Ball, e: int, jp: Ball, jv: Ball, W: int, w: int) -> 
     radius 2**-g at scale 2**-W, in [1, 2), so its powers by `_fx_pow` keep
     W bits, and each J read at the scale that gives it W bits; a product's
     scale is the sum of its factors' scales less W."""
-    g = bf_msb_exp(radius.mid) - 1
-    x = _fx_from_ball(radius, W - g)
+    # `_fx_read` gives g + 1, for 2**g <= radius < 2**(g+1); W + 1 makes up for it
+    x, g = _fx_read(radius, W + 1)
+    g -= 1
     power = _fx_pow(x, e, W)
     out = []
     for p, f, j in ((power, e, jp), (_fx_mul(power, _fx_mul(x, x, W), W), e + 2, jv)):
-        gj = bf_msb_exp(j.mid)
-        out.append(_fx_to_ball(_fx_mul(p, _fx_from_ball(j, W - gj), W), W - g * f - gj, w))
+        jx, gj = _fx_read(j, W)
+        out.append(_fx_to_ball(_fx_mul(p, jx, W), W - g * f - gj, w))
     return tuple(out)
 
 

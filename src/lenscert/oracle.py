@@ -147,14 +147,23 @@ class LensExact:
         return LensExact(self.a * f, self.b * f, self.c * f)
 
     def to_ball(self, prec: int) -> Ball:
-        w = prec + 8
-        out = Ball.from_fraction(self.a, w)
-        if self.b:
-            s3 = sqrt_ball(Ball.from_int(3, w), w)
-            out = ball_add(out, ball_mul_rat(s3, self.b.numerator, self.b.denominator, w), w)
-        if self.c:
-            out = ball_add(out, ball_mul_rat(pi_ball(w), self.c.numerator, self.c.denominator, w), w)
-        return ball_round(out, prec)
+        return _combination_ball(self.a, ((self.b, _sqrt_of(3)), (self.c, pi_ball)), prec)
+
+
+def _sqrt_of(m: int):
+    """sqrt(m) as a function of the working precision, for `_combination_ball`."""
+    return lambda w: sqrt_ball(Ball.from_int(m, w), w)
+
+
+def _combination_ball(a: Fraction, terms, prec: int) -> Ball:
+    """a + sum of coeff * base(w) over the (coeff, base) in terms, summed in
+    order at w = prec + 8 bits, skipping each zero coeff, rounded to prec."""
+    w = prec + 8
+    out = Ball.from_fraction(a, w)
+    for coeff, base in terms:
+        if coeff:
+            out = ball_add(out, ball_mul_rat(base(w), coeff.numerator, coeff.denominator, w), w)
+    return ball_round(out, prec)
 
 
 def _cos_power_integrals(n_max: int) -> list[LensExact]:
@@ -237,13 +246,8 @@ class QSqrt23:
         )
 
     def to_ball(self, prec: int) -> Ball:
-        w = prec + 8
-        out = Ball.from_fraction(self.a, w)
-        for coeff, base in ((self.b, 2), (self.c, 3), (self.d, 6)):
-            if coeff:
-                root = sqrt_ball(Ball.from_int(base, w), w)
-                out = ball_add(out, ball_mul_rat(root, coeff.numerator, coeff.denominator, w), w)
-        return ball_round(out, prec)
+        terms = ((self.b, _sqrt_of(2)), (self.c, _sqrt_of(3)), (self.d, _sqrt_of(6)))
+        return _combination_ball(self.a, terms, prec)
 
 
 def _lift_q23(x) -> QSqrt23:

@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 
 from . import geom, oracle
-from .ball import Ball, ball_sub, ball_to_str, intersects
-from .bigfloat import bf_to_fraction
+from .ball import Ball, ball_dyadics, ball_sub, ball_to_str, intersects
 from .certify import DEFAULT_PREC_MAX, DEFAULT_PREC_START, DEFAULT_TARGET_WIDTH, _escalate, _narrow, _radius
 from .errors import InvalidArgument, PrecisionExhausted
 
@@ -38,13 +37,10 @@ class TableRow:
         self.lambda_plane_8dp, self.m_8dp = lambda_plane_8dp, m_8dp
 
 
-def _round_fixed(fr: Fraction, digits: int) -> str:
+def _round_fixed(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0) with `digits` decimals, rounded half up."""
     scale = 10**digits
-    num = fr * scale
-    q = num.numerator // num.denominator
-    rem = num - q
-    if rem >= Fraction(1, 2):
-        q += 1
+    q = (2 * num * scale + den) // (2 * den)
     sign = "-" if q < 0 else ""
     q = abs(q)
     return "%s%d.%0*d" % (sign, q // scale, digits, q % scale)
@@ -53,8 +49,8 @@ def _round_fixed(fr: Fraction, digits: int) -> str:
 def certified_decimal(b: Ball, digits: int) -> str | None:
     """Fixed-point string with `digits` decimals, or None when the enclosure
     does not pin the rounding (endpoints round differently)."""
-    lo = _round_fixed(bf_to_fraction(b.inf()), digits)
-    hi = _round_fixed(bf_to_fraction(b.sup()), digits)
+    mid, rad, den = ball_dyadics(b)
+    lo, hi = (_round_fixed(end, den, digits) for end in (mid - rad, mid + rad))
     return lo if lo == hi else None
 
 
@@ -64,10 +60,11 @@ def table_rows(n_range, digits: int = 8) -> list[TableRow]:
     if not 1 <= digits <= max_digits:
         raise InvalidArgument("digits must be from 1 to %d, got %r" % (max_digits, digits))
     rows = []
+    # `_narrow`'s 2 rad <= width_cap is 2 rad < width_cap: no dyadic rad is 1/(4 10**digits)
     width_cap = Fraction(1, 2 * 10**digits)
 
     def pinned(b: Ball) -> bool:
-        return certified_decimal(b, digits) is not None and 2 * bf_to_fraction(b.rad) < width_cap
+        return certified_decimal(b, digits) is not None and _narrow(_radius(b), width_cap)
 
     for n in sorted(n_range):
         pair_list = geom.table_pairs(n)

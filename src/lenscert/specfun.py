@@ -46,9 +46,9 @@ its product is a shift by two bits.  `_fx_tail` is the one call per term,
 the stopping test.  `tests/test_specfun.py::TestKernelEquality` holds
 every one of these loops to the kernel calls, int for int.  The set-up of
 both series runs on ints: the lens's factors are fixed by n; for F1, |x|
-and |y| are read from `mag_sup` as dyadics, R from `_tail_ratio` is an int
-pair, and the tail factors are int pairs in no lowest terms, which changes
-neither the `_fx_tail` test nor its ceiling.  The scale is
+and |y| are bounded by dyadics (`ball._mag_sup`), R from `_tail_ratio` is
+an int pair, and the tail factors are int pairs in no lowest terms, which
+changes neither the `_fx_tail` test nor its ceiling.  The scale is
 W = w + _FX_GUARD plus a headroom that keeps the rounding floor of a
 term's radius from outliving the tail test.  For 2F1 that radius settles
 near (1+z)/(1-q) ulps once the terms fall, and the tail multiplies it by
@@ -70,6 +70,7 @@ from .ball import (
     _fx_pow,
     _fx_tail,
     _fx_to_ball,
+    _mag_sup,
     ball_mul_rat,
     ball_pow_int,
     ball_round,
@@ -149,12 +150,6 @@ def gauss_2f1(n: int, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 # Appell F1
 # ---------------------------------------------------------------------------
-
-
-def _sup(x: Ball) -> tuple[int, int]:
-    """(n, d) with |x| <= n/d: `mag_sup` as a dyadic, d a power of two."""
-    m = x.mag_sup()
-    return (m.man, 1 << -m.exp) if m.exp < 0 else (m.man << m.exp, 1)
 
 
 def _tail_ratio(bc: tuple[int, int, int], zsup: tuple[int, int]) -> tuple[int, int]:
@@ -360,7 +355,7 @@ def appell_f1(kk: int, e2: int, x: Ball, y: Ball, prec: int) -> tuple[Ball, Ball
     tail tests multiply a radius by U or V, so only the term sequence of
     each side runs with log2 V or log2 U more bits (see `_f1_side`).
     """
-    (xn, xd), (yn, yd) = xsup, ysup = _sup(x), _sup(y)
+    (xn, xd), (yn, yd) = xsup, ysup = _mag_sup(x), _mag_sup(y)
     if xn >= xd or yn >= yd:
         raise PrecisionExhausted("F1 arguments must lie certainly inside the unit disc")
     tol = _default_tol(prec)

@@ -32,7 +32,9 @@ from lenscert.ball import (
     pow_rational,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_fraction
+from lenscert.bigfloat import bf_cmp
+
+from helpers import bf_to_fraction
 
 
 def _certainly_less(a, b) -> bool:

@@ -324,22 +324,28 @@ def test_one_function_returns_the_verdicts():
     assert returning == {"_replay"}
 
 
-def test_certify_reads_bigfloats_only_as_fractions():
-    """`certify.py` and `reports.py` import nothing from `lenscert.bigfloat`
-    but `bf_to_fraction`: every width and strictness test they make is on
-    exact rationals"""
-    for name in ("certify.py", "reports.py"):
-        tree = ast.parse((pathlib.Path(lenscert.__file__).parent / name).read_text())
-        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-        names = [
-            alias.name
-            for node in imports
+def test_only_ball_reads_a_balls_parts():
+    """no module of the package but `ball` and `bigfloat` imports from
+    `lenscert.bigfloat` or reads a Ball's parts: no `.mid`, `.rad` or `.man`
+    attribute and no `.inf()`, `.sup()` or `.mag_sup()` call, so that a
+    change of the Ball format is a change to those two modules alone"""
+    checked = []
+    for name, tree in _package_trees():
+        if name in ("ball.py", "bigfloat.py"):
+            continue
+        checked.append(name)
+        found = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("bigfloat")
-            for alias in node.names
+            or isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name.endswith("bigfloat") for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr in ("mid", "rad", "man")
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("inf", "sup", "mag_sup")
         ]
-        assert names == ["bf_to_fraction"], name
-        whole = [ast.unparse(node) for node in imports if any(a.name.endswith("bigfloat") for a in node.names)]
-        assert whole == [], name
+        assert found == [], name
+    assert {"certify.py", "geom.py", "reports.py", "specfun.py"} <= set(checked)
 
 
 def test_errors_are_two_kinds():

@@ -20,6 +20,7 @@ from lenscert.ball import (
     _fx_to_ball,
     ball_add,
     ball_div,
+    ball_dyadics,
     ball_from_str,
     ball_mul,
     ball_pow_int,
@@ -29,10 +30,10 @@ from lenscert.ball import (
     intersects,
     pow_rational,
 )
-from lenscert.bigfloat import bf_cmp, bf_from_fraction, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_from_fraction, bf_two_power
 from lenscert.errors import PrecisionExhausted
 
-from helpers import widen
+from helpers import bf_to_fraction, widen
 
 
 def _bf(x: float):
@@ -292,7 +293,8 @@ class TestSerialization:
         form: on zero, negative and exact (radius 0) balls, at 1 to 4 bits
         and at working precisions, wide and narrow, with and without
         max_digits, and at powers of ten and their neighbours, where a float
-        estimate of log10 misses"""
+        estimate of log10 misses; and `ball_dyadics`, which it writes from,
+        is the exact midpoint and radius over one power of two"""
         rng = random.Random(34)
         balls = [Ball.from_int(0, 64), widen(Ball.from_int(0, 64), bf_two_power(-7))]
         for k in range(0, 40, 3):
@@ -305,6 +307,9 @@ class TestSerialization:
                 b = widen(b, bf_two_power(rng.randint(-300, 8)))
             balls.append(b)
         for b in balls:
+            mid, rad, den = ball_dyadics(b)
+            assert den & (den - 1) == 0 and rad >= 0
+            assert (Fraction(mid, den), Fraction(rad, den)) == (bf_to_fraction(b.mid), bf_to_fraction(b.rad))
             for max_digits in (None, 1, 2, 12):
                 assert ball_to_str(b, max_digits) == _fraction_ball_to_str(b, max_digits)
 

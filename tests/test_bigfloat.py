@@ -16,11 +16,12 @@ from lenscert.bigfloat import (
     bf_neg,
     bf_round,
     bf_shift,
-    bf_to_fraction,
     bf_two_power,
     rup_add,
     rup_mul,
 )
+
+from helpers import bf_to_fraction
 
 
 def err_ok(op_exact: Fraction, result: BigFloat, err: BigFloat) -> bool:

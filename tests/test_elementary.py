@@ -27,10 +27,10 @@ from lenscert.ball import (
     sin_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_msb_exp, bf_round, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_msb_exp, bf_round, bf_two_power
 from lenscert.errors import PrecisionExhausted
 
-from helpers import widen
+from helpers import bf_to_fraction, widen
 
 
 def _contains(b, x) -> bool:

@@ -15,10 +15,10 @@ from lenscert.ball import (
     pow_rational,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_two_power
 from lenscert.errors import InvalidArgument
 
-from helpers import widen
+from helpers import bf_to_fraction, widen
 
 
 def _contains(b, x) -> bool:

@@ -14,10 +14,10 @@ from lenscert.ball import (
     pi_ball,
     sqrt_ball,
 )
-from lenscert.bigfloat import bf_cmp, bf_to_fraction, bf_two_power
+from lenscert.bigfloat import bf_cmp, bf_two_power
 from lenscert.errors import InvalidArgument
 
-from helpers import widen
+from helpers import bf_to_fraction, widen
 
 
 def _contains(b, x) -> bool:

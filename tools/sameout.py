@@ -13,21 +13,25 @@ both sides.  The script prints one line for every command whose exit code,
 stdout or stderr differ, and for every `--out` file whose certificates
 differ once their timestamps are removed (or that exists on one side only),
 then a summary.  Under a file whose certificates differ it prints the report
-of `compare_certificates`.  It exits 1 when anything differs.  Only the
-standard library is used; a run takes about twice the time of
-`tools/reach.py`.
+of `compare_certificates`.  It exits 1 when anything differs.  It also
+prints each tree's line count of `src/lenscert/*.py`, in all and without
+docstrings, comments and blank lines (`line_counts`).  Only the standard
+library is used; a run takes about twice the time of `tools/reach.py`.
 """
 
 from __future__ import annotations
 
+import ast
 import collections
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -113,6 +117,35 @@ def certificates(path: pathlib.Path):
     return certs
 
 
+# tokens that alone do not make a line a code line
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def line_counts(root: str) -> tuple[int, int]:
+    """(all lines, code lines) of the tree's `src/lenscert/*.py`, where a
+    code line holds a token that is neither a comment nor a docstring (the
+    first statement of a module, class or function, when it is a string)."""
+    total = code = 0
+    for path in sorted(pathlib.Path(root, "src", "lenscert").glob("*.py")):
+        text = path.read_text()
+        docs = {
+            (node.body[0].lineno, node.body[0].col_offset)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)
+        }
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE and not (tok.type == tokenize.STRING and tok.start in docs):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(text.splitlines())
+        code += len(lines)
+    return total, code
+
+
 def run_tree(root: str, cmds) -> list[tuple]:
     """(exit code, stdout, stderr, certificates) per command on one tree."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root).resolve() / "src"))
@@ -131,6 +164,9 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    for side, root in zip(("parent", "change"), args):
+        print("%s: src/lenscert/*.py has %d lines, %d without docstrings, comments and blank lines"
+              % ((side,) + line_counts(root)))
     cmds = commands()
     parent, change = (run_tree(root, cmds) for root in args)
     fields = ("exit code", "stdout", "stderr", "certificates")
